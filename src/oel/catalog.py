@@ -381,8 +381,6 @@ HYP_M1_IV = Hypothesis(
 )
 HYP_M2_I = Hypothesis("m2i", "u >= 1 and -1 <= p <= q < 0", lambda u, v, pr: _ge(u, 1.0) and _pq_neg(pr))
 HYP_M2_II = Hypothesis("m2ii", "v <= 1 and 0 < p <= q <= 1", lambda u, v, pr: _le(v, 1.0) and _pq_pos(pr))
-HYP_M2_III = Hypothesis("m2iii", "u >= 1 and 0 < p <= q <= 1", lambda u, v, pr: _ge(u, 1.0) and _pq_pos(pr))
-HYP_M2_IV = Hypothesis("m2iv", "v <= 1 and -1 <= p <= q < 0", lambda u, v, pr: _le(v, 1.0) and _pq_neg(pr))
 
 
 def _c_small(pr: Params) -> bool:
@@ -426,7 +424,6 @@ HYP_M3_E2 = Hypothesis("m3e2", "c >= 1/2, v <= 1, -1 <= p <= q < 0", lambda u, v
 HYP_W1 = Hypothesis("w1", "0 < p <= q <= 1", lambda u, v, pr: _pq_pos(pr))
 HYP_W2 = Hypothesis("w2", "v <= 1 and 0 < p <= q < 1", lambda u, v, pr: _le(v, 1.0) and _pq_pos(pr) and pr.q < 1.0)
 HYP_W2_DUAL = Hypothesis("w2rev", "u >= 1 and 0 < p <= q < 1", lambda u, v, pr: _ge(u, 1.0) and _pq_pos(pr) and pr.q < 1.0)
-HYP_W3 = Hypothesis("w3", "v <= 1 and 0 < p <= q <= 1", lambda u, v, pr: _le(v, 1.0) and _pq_pos(pr))
 HYP_W4_I = Hypothesis("w4i", "u >= 1 and 0 < p <= q <= 1/2", lambda u, v, pr: _ge(u, 1.0) and _pq_pos(pr, hi=0.5))
 HYP_W4_II = Hypothesis(
     "w4ii",
@@ -484,10 +481,6 @@ def _p_pos(rng: np.random.Generator, lo: float = _P_EPS, hi: float = 1.0) -> flo
 def _p_signed(rng: np.random.Generator) -> float:
     m = _p_pos(rng)
     return m if rng.random() < 0.5 else -m
-
-
-def _pq(rng: np.random.Generator, lo: float, hi: float) -> tuple[float, float]:
-    return _sorted2(rng, lo, hi)
 
 
 def _pq_signed(rng: np.random.Generator) -> tuple[float, float]:
@@ -552,51 +545,39 @@ def _plan_c1(rng):
 
 
 def _plan_m1_i(rng):
-    p, q = _pq(rng, _P_EPS, 1.0)
+    p, q = _sorted2(rng, _P_EPS, 1.0)
     u, v = _sw_above(rng)
     return TrialPlan(Params(p=p, q=q), u, v)
 
 
 def _plan_m1_ii(rng):
-    p, q = _pq(rng, -1.0, -_P_EPS)
+    p, q = _sorted2(rng, -1.0, -_P_EPS)
     u, v = _sw_below(rng)
     return TrialPlan(Params(p=p, q=q), u, v)
 
 
 def _plan_m1_iii(rng):
-    p, q = _pq(rng, _P_EPS, 1.0)
+    p, q = _sorted2(rng, _P_EPS, 1.0)
     lo = _exp_capped(-1.0 / q)
     u, v = _sw_in(rng, lo, 1.0)
     return TrialPlan(Params(p=p, q=q), u, v)
 
 
 def _plan_m1_iv(rng):
-    p, q = _pq(rng, -1.0, -_P_EPS)
+    p, q = _sorted2(rng, -1.0, -_P_EPS)
     hi = min(_exp_capped(-1.0 / p), 4.0)
     u, v = _sw_in(rng, 1.0, hi)
     return TrialPlan(Params(p=p, q=q), u, v)
 
 
 def _plan_m2_i(rng):
-    p, q = _pq(rng, -1.0, -_P_EPS)
+    p, q = _sorted2(rng, -1.0, -_P_EPS)
     u, v = _sw_above(rng)
     return TrialPlan(Params(p=p, q=q), u, v)
 
 
 def _plan_m2_ii(rng):
-    p, q = _pq(rng, _P_EPS, 1.0)
-    u, v = _sw_below(rng)
-    return TrialPlan(Params(p=p, q=q), u, v)
-
-
-def _plan_m2_iii(rng):
-    p, q = _pq(rng, _P_EPS, 1.0)
-    u, v = _sw_above(rng)
-    return TrialPlan(Params(p=p, q=q), u, v)
-
-
-def _plan_m2_iv(rng):
-    p, q = _pq(rng, -1.0, -_P_EPS)
+    p, q = _sorted2(rng, _P_EPS, 1.0)
     u, v = _sw_below(rng)
     return TrialPlan(Params(p=p, q=q), u, v)
 
@@ -611,21 +592,21 @@ def _c_hi(rng):
 
 def _plan_m3_a1(rng):
     c = _c_lo(rng)
-    p, q = _pq(rng, -1.0, -_P_EPS)
+    p, q = _sorted2(rng, -1.0, -_P_EPS)
     u, v = _sw_above(rng)
     return TrialPlan(Params(p=p, q=q, c=c), u, v)
 
 
 def _plan_m3_a2(rng):
     c = _c_lo(rng)
-    p, q = _pq(rng, _P_EPS, 1.0)
+    p, q = _sorted2(rng, _P_EPS, 1.0)
     u, v = _sw_below(rng)
     return TrialPlan(Params(p=p, q=q, c=c), u, v)
 
 
 def _plan_m3_b1(rng):
     c = _c_lo(rng)
-    p, q = _pq(rng, _P_EPS, 1.0)
+    p, q = _sorted2(rng, _P_EPS, 1.0)
     hi = min(_exp_capped((1.0 - 2.0 * c) / (c * q)), 4.0)
     u, v = _sw_in(rng, 1.0, hi)
     return TrialPlan(Params(p=p, q=q, c=c), u, v)
@@ -633,7 +614,7 @@ def _plan_m3_b1(rng):
 
 def _plan_m3_b2(rng):
     c = _c_lo(rng)
-    p, q = _pq(rng, -1.0, -_P_EPS)
+    p, q = _sorted2(rng, -1.0, -_P_EPS)
     lo = max(_exp_capped((1.0 - 2.0 * c) / (c * p)), 0.2)
     u, v = _sw_in(rng, lo, 1.0)
     return TrialPlan(Params(p=p, q=q, c=c), u, v)
@@ -648,7 +629,7 @@ def _plan_m3_c(rng):
 
 def _plan_m3_d1(rng):
     c = _c_hi(rng)
-    p, q = _pq(rng, _P_EPS, 1.0)
+    p, q = _sorted2(rng, _P_EPS, 1.0)
     lo = max(_exp_capped((1.0 - 2.0 * c) / (c * q)), 0.2)
     u, v = _sw_in(rng, lo, 1.0)
     return TrialPlan(Params(p=p, q=q, c=c), u, v)
@@ -656,7 +637,7 @@ def _plan_m3_d1(rng):
 
 def _plan_m3_d2(rng):
     c = _c_hi(rng)
-    p, q = _pq(rng, -1.0, -_P_EPS)
+    p, q = _sorted2(rng, -1.0, -_P_EPS)
     hi = min(_exp_capped((1.0 - 2.0 * c) / (c * p)), 4.0)
     u, v = _sw_in(rng, 1.0, hi)
     return TrialPlan(Params(p=p, q=q, c=c), u, v)
@@ -664,50 +645,44 @@ def _plan_m3_d2(rng):
 
 def _plan_m3_e1(rng):
     c = _c_hi(rng)
-    p, q = _pq(rng, _P_EPS, 1.0)
+    p, q = _sorted2(rng, _P_EPS, 1.0)
     u, v = _sw_above(rng)
     return TrialPlan(Params(p=p, q=q, c=c), u, v)
 
 
 def _plan_m3_e2(rng):
     c = _c_hi(rng)
-    p, q = _pq(rng, -1.0, -_P_EPS)
+    p, q = _sorted2(rng, -1.0, -_P_EPS)
     u, v = _sw_below(rng)
     return TrialPlan(Params(p=p, q=q, c=c), u, v)
 
 
 def _plan_w1(rng):
-    p, q = _pq(rng, _P_EPS, 1.0)
+    p, q = _sorted2(rng, _P_EPS, 1.0)
     u, v = _sw_any(rng)
     return TrialPlan(Params(p=p, q=q), u, v)
 
 
 def _plan_w2(rng):
-    p, q = _pq(rng, _P_EPS, 1.0 - _P_EPS)
+    p, q = _sorted2(rng, _P_EPS, 1.0 - _P_EPS)
     u, v = _sw_below(rng)
     return TrialPlan(Params(p=p, q=q), u, v)
 
 
 def _plan_w2_dual(rng):
-    p, q = _pq(rng, _P_EPS, 1.0 - _P_EPS)
+    p, q = _sorted2(rng, _P_EPS, 1.0 - _P_EPS)
     u, v = _sw_above(rng)
     return TrialPlan(Params(p=p, q=q), u, v)
 
 
-def _plan_w3(rng):
-    p, q = _pq(rng, _P_EPS, 1.0)
-    u, v = _sw_below(rng)
-    return TrialPlan(Params(p=p, q=q), u, v)
-
-
 def _plan_w4_i(rng):
-    p, q = _pq(rng, _P_EPS, 0.5)
+    p, q = _sorted2(rng, _P_EPS, 0.5)
     u, v = _sw_above(rng)
     return TrialPlan(Params(p=p, q=q), u, v)
 
 
 def _plan_w4_ii(rng):
-    p, q = _pq(rng, 0.5, 1.0)
+    p, q = _sorted2(rng, 0.5, 1.0)
     u, v = _sw_below(rng)
     return TrialPlan(Params(p=p, q=q), u, v)
 
@@ -833,8 +808,8 @@ def _build() -> tuple[InequalityCase, ...]:
     cases += _single("M1.iv", "M1", "T[q]-S[q] <= T[p]-S[p]: 1 <= u <= v <= exp(-1/p)", HYP_M1_IV, _plan_m1_iv, T_DRIFT1_Q, T_DRIFT1_P)
     cases += _single("M2.i", "M2", "T[p]-S[p]/2 <= T[q]-S[q]/2: u >= 1, p <= q < 0", HYP_M2_I, _plan_m2_i, T_DRIFT_HALF_P, T_DRIFT_HALF_Q)
     cases += _single("M2.ii", "M2", "T[p]-S[p]/2 <= T[q]-S[q]/2: v <= 1, 0 < p <= q", HYP_M2_II, _plan_m2_ii, T_DRIFT_HALF_P, T_DRIFT_HALF_Q)
-    cases += _single("M2.iii", "M2", "T[q]-S[q]/2 <= T[p]-S[p]/2: u >= 1, 0 < p <= q", HYP_M2_III, _plan_m2_iii, T_DRIFT_HALF_Q, T_DRIFT_HALF_P)
-    cases += _single("M2.iv", "M2", "T[q]-S[q]/2 <= T[p]-S[p]/2: v <= 1, p <= q < 0", HYP_M2_IV, _plan_m2_iv, T_DRIFT_HALF_Q, T_DRIFT_HALF_P)
+    cases += _single("M2.iii", "M2", "T[q]-S[q]/2 <= T[p]-S[p]/2: u >= 1, 0 < p <= q", HYP_M1_I, _plan_m1_i, T_DRIFT_HALF_Q, T_DRIFT_HALF_P)
+    cases += _single("M2.iv", "M2", "T[q]-S[q]/2 <= T[p]-S[p]/2: v <= 1, p <= q < 0", HYP_M1_II, _plan_m1_ii, T_DRIFT_HALF_Q, T_DRIFT_HALF_P)
     cases += _single("M3.a1", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, u >= 1, p <= q < 0", HYP_M3_A1, _plan_m3_a1, T_DRIFT_C_P, T_DRIFT_C_Q)
     cases += _single("M3.a2", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, v <= 1, 0 < p <= q", HYP_M3_A2, _plan_m3_a2, T_DRIFT_C_P, T_DRIFT_C_Q)
     cases += _single("M3.b1", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, 1 <= u <= v <= exp((1-2c)/(cq))", HYP_M3_B1, _plan_m3_b1, T_DRIFT_C_P, T_DRIFT_C_Q)
@@ -869,8 +844,8 @@ def _build() -> tuple[InequalityCase, ...]:
         "W3.1",
         "W3",
         "(nat[q]-harm[q])/q <= (nat[p]-harm[p])/p when v <= 1, 0 < p <= q <= 1",
-        HYP_W3,
-        _plan_w3,
+        HYP_M2_II,
+        _plan_m2_ii,
         T_W3_Q,
         T_W3_P,
     )

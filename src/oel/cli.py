@@ -8,8 +8,9 @@ integral  check the quadrature identity for the entropy family
 report    aggregate JSON-lines trial reports into a summary
 
 Exit codes: 0 all checks passed, 1 verification failures, 2 usage error,
-3 I/O or parse error.  The default master seed is 42; the environment
-variable OEL_SEED overrides it, and an explicit --seed wins over both.
+3 I/O or parse error, 4 numerical breakdown or hypothesis violation in a
+trial.  The default master seed is 42; the environment variable OEL_SEED
+overrides it, and an explicit --seed wins over both.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ import os
 import sys
 
 from . import harness, scalars
-from .errors import DomainError, InvalidInput, InvalidWeight, ReportError
+from .errors import DomainError, HypothesisError, InvalidInput, InvalidWeight, NumericalBreakdown, ReportError
 from .spd_core import ORDER_TOL
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_TRIAL = 4
 
 
 def _dims_arg(text: str) -> tuple[int, ...]:
@@ -234,6 +236,9 @@ def main(argv=None) -> int:
     except (InvalidInput, InvalidWeight, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (NumericalBreakdown, HypothesisError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TRIAL
 
 
 def entry() -> None:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .catalog import InequalityCase, MarginReport, catalog_with_duals, evaluate, find_cases
-from .errors import InvalidInput, ReportError
+from .errors import HypothesisError, InvalidInput, NumericalBreakdown, ReportError
 from .means import quadrature_tsallis, tsallis_entropy
 from .sampler import SamplerConfig, dims_cycle, generator, sandwich_pair
 from .spd_core import ORDER_TOL
@@ -73,7 +73,9 @@ def run_suite(
     order_tol: float = ORDER_TOL,
     collect: list[MarginReport] | None = None,
 ) -> SuiteResult:
-    """Run ``trials`` deterministic trials of one case, cycling dimensions."""
+    """Run ``trials`` deterministic trials of one case, cycling dimensions.
+    A trial's NumericalBreakdown or HypothesisError is re-raised with its
+    ``(case_id, seed, n)``."""
     if trials < 1:
         raise InvalidInput("trials must be positive")
     t0 = time.perf_counter()
@@ -83,7 +85,10 @@ def run_suite(
     margin_sum = 0.0
     for i, n in enumerate(dims_cycle(dims, trials)):
         trial_seed = (seed ^ i) & _MASK64
-        report = run_trial(case, trial_seed, n, order_tol=order_tol)
+        try:
+            report = run_trial(case, trial_seed, n, order_tol=order_tol)
+        except (NumericalBreakdown, HypothesisError) as exc:
+            raise type(exc)(f"trial (case_id, seed, n) = ({case.id!r}, {trial_seed}, {n}): {exc}") from exc
         margin_sum += report.margin
         if report.margin < worst_margin:
             worst_margin = report.margin

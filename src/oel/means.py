@@ -24,6 +24,8 @@ from .spd_core import (
     as_spd,
     dump_matrix,
     load_matrix,
+    spd_from_spectrum,
+    spectral_assemble,
     symmetrize,
 )
 
@@ -39,7 +41,8 @@ class OperatorPair:
     Construction computes ``A^{1/2}``, ``A^{-1/2}``, the contraction
     ``C = A^{-1/2} B A^{-1/2}`` and its eigendecomposition; ``u`` and ``v``
     are the extreme eigenvalues of C, so ``u A <= B <= v A`` with equality
-    directions attained on the corresponding eigenvectors.
+    directions attained on the corresponding eigenvectors.  The roots come
+    from one ``eigh(A)``; C is checked positive on its one ``eigh(C)``.
     """
 
     __slots__ = ("A", "B", "sqrt_a", "inv_sqrt_a", "contraction", "u", "v", "_w", "_q")
@@ -53,15 +56,14 @@ class OperatorPair:
         self.B = b
         if _roots is None:
             w, q = np.linalg.eigh(a.mat)
-            root = symmetrize((q * np.sqrt(w)) @ q.T)
-            inv_root = symmetrize((q / np.sqrt(w)) @ q.T)
-            self.sqrt_a = _rebuild_spd(root, "sqrt(A)")
-            self.inv_sqrt_a = _rebuild_spd(inv_root, "inv_sqrt(A)")
+            s = np.sqrt(w)
+            self.sqrt_a = spd_from_spectrum(spectral_assemble(q, s), s, "sqrt(A)")
+            self.inv_sqrt_a = spd_from_spectrum(spectral_assemble(q, s, inverse=True), 1.0 / s, "inv_sqrt(A)")
         else:
             self.sqrt_a, self.inv_sqrt_a = _roots
         c = symmetrize(self.inv_sqrt_a.mat @ b.mat @ self.inv_sqrt_a.mat)
-        self.contraction = _rebuild_spd(c, "contraction A^{-1/2} B A^{-1/2}")
-        w, q = np.linalg.eigh(self.contraction.mat)
+        w, q = np.linalg.eigh(c)
+        self.contraction = spd_from_spectrum(c, w, "contraction A^{-1/2} B A^{-1/2}")
         self._w = w
         self._q = q
         self.u = float(w[0])
@@ -77,8 +79,7 @@ class OperatorPair:
 
     def fn_of_contraction(self, f: Callable) -> np.ndarray:
         """``f(C)`` assembled from the cached eigendecomposition of C."""
-        vals = _eval_on_spectrum(f, self._w)
-        return symmetrize((self._q * vals) @ self._q.T)
+        return spectral_assemble(self._q, _eval_on_spectrum(f, self._w))
 
     def transform(self, f: Callable) -> np.ndarray:
         """``A^{1/2} f(C) A^{1/2}``: the operator lift of the scalar f."""
@@ -87,12 +88,6 @@ class OperatorPair:
 
     def __repr__(self) -> str:
         return f"OperatorPair(n={self.n}, u={self.u:.4g}, v={self.v:.4g})"
-
-
-def mean_from_representing_function(f: Callable, pair: OperatorPair) -> np.ndarray:
-    """Lift a scalar representing function to the operator it induces:
-    ``A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}``."""
-    return pair.transform(f)
 
 
 def arithmetic_mean(pair: OperatorPair, p: float) -> SpdMatrix:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .means import OperatorPair
-from .spd_core import SpdMatrix, symmetrize
+from .spd_core import SpdMatrix, spd_from_spectrum, spectral_assemble, symmetrize
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -88,17 +88,13 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * d
 
 
-def _from_spectrum(q: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    return symmetrize((q * spectrum) @ q.T)
-
-
 def random_spd(cfg: SamplerConfig) -> SpdMatrix:
     """One SPD matrix with eigenvalues drawn uniformly in ``spectrum_range``."""
     rng = generator(cfg.seed)
     lo, hi = cfg.spectrum_range
     lam = rng.uniform(lo, hi, cfg.n)
     q = _orthogonal(rng, cfg.n)
-    return SpdMatrix(_from_spectrum(q, lam))
+    return spd_from_spectrum(spectral_assemble(q, lam), lam, "sampled A")
 
 
 def _sandwich_spectrum(rng: np.random.Generator, n: int, u: float, v: float) -> np.ndarray:
@@ -126,15 +122,16 @@ def sandwich_pair(cfg: SamplerConfig) -> OperatorPair:
     lo, hi = cfg.spectrum_range
     lam = rng.uniform(lo, hi, cfg.n)
     qa = _orthogonal(rng, cfg.n)
-    a = _from_spectrum(qa, lam)
-    root = _from_spectrum(qa, np.sqrt(lam))
+    a = spd_from_spectrum(spectral_assemble(qa, lam), lam, "sampled A")
+    root = spectral_assemble(qa, np.sqrt(lam))
 
     u_t, v_t = cfg.sandwich
     mu = _sandwich_spectrum(rng, cfg.n, u_t, v_t)
     qc = _orthogonal(rng, cfg.n)
-    c = _from_spectrum(qc, mu)
+    c = spectral_assemble(qc, mu)
+    # B's spectrum is not known (congruence mixes A's and C's), so it gets the full check
     b = symmetrize(root @ c @ root)
-    return OperatorPair(SpdMatrix(a), SpdMatrix(b))
+    return OperatorPair(a, SpdMatrix(b))
 
 
 def commuting_spectra(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,9 +153,9 @@ def commuting_spectra(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.nd
 def commuting_pair(cfg: SamplerConfig) -> OperatorPair:
     """A commuting pair: A and B diagonal in one shared basis."""
     q, lam, mu = commuting_spectra(cfg)
-    a = _from_spectrum(q, lam)
-    b = _from_spectrum(q, mu)
-    return OperatorPair(SpdMatrix(a), SpdMatrix(b))
+    a = spd_from_spectrum(spectral_assemble(q, lam), lam, "sampled A")
+    b = spd_from_spectrum(spectral_assemble(q, mu), mu, "sampled B")
+    return OperatorPair(a, b)
 
 
 def dims_cycle(dims: Sequence[int], trials: int) -> list[int]:

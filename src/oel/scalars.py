@@ -15,7 +15,6 @@ over ``x`` and take scalar parameters.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -438,10 +437,6 @@ def _grid_pq(xs: Callable, lo: float, hi: float, exclude: tuple = ()):
     return gen
 
 
-def _member(label: str, fn: Callable) -> tuple[str, Callable]:
-    return (label, fn)
-
-
 _EXCL_P0 = ((-1e-3, 1e-3),)
 _EXCL_P01 = ((-1e-3, 1e-3), (1.0 - 1e-3, 1.0 + 1e-3))
 
@@ -451,9 +446,9 @@ CHAINS: dict[str, ChainSpec] = {
         ChainSpec(
             "means_order",
             (
-                _member("harm", lambda x, p: harm_rep(x, p)),
-                _member("power", lambda x, p: power_rep(x, p)),
-                _member("arith", lambda x, p: arith_rep(x, p)),
+                ("harm", lambda x, p: harm_rep(x, p)),
+                ("power", lambda x, p: power_rep(x, p)),
+                ("arith", lambda x, p: arith_rep(x, p)),
             ),
             _grid_p(_x_full, 0.0, 1.0),
             lambda params: 0.0 <= params[0] <= 1.0,
@@ -461,9 +456,9 @@ CHAINS: dict[str, ChainSpec] = {
         ChainSpec(
             "entropy_bounds",
             (
-                _member("power_log[p/2]", lambda x, p: power_log(x, p / 2.0)),
-                _member("tsallis[p]", tsallis_log),
-                _member("avg_power_log[p]", avg_power_log),
+                ("power_log[p/2]", lambda x, p: power_log(x, p / 2.0)),
+                ("tsallis[p]", tsallis_log),
+                ("avg_power_log[p]", avg_power_log),
             ),
             _grid_p(_x_up, -1.0, 1.0, _EXCL_P0),
             lambda params: 0.0 < abs(params[0]) <= 1.0,
@@ -471,9 +466,9 @@ CHAINS: dict[str, ChainSpec] = {
         ChainSpec(
             "entropy_bounds_rev",
             (
-                _member("avg_power_log[p]", avg_power_log),
-                _member("tsallis[p]", tsallis_log),
-                _member("power_log[p/2]", lambda x, p: power_log(x, p / 2.0)),
+                ("avg_power_log[p]", avg_power_log),
+                ("tsallis[p]", tsallis_log),
+                ("power_log[p/2]", lambda x, p: power_log(x, p / 2.0)),
             ),
             _grid_p(_x_down, -1.0, 1.0, _EXCL_P0),
             lambda params: 0.0 < abs(params[0]) <= 1.0,
@@ -481,10 +476,10 @@ CHAINS: dict[str, ChainSpec] = {
         ChainSpec(
             "gap_chain",
             (
-                _member("half_gap", tsallis_half_gap),
-                _member("mid_gap", tsallis_mid_gap),
-                _member("end_slope", tsallis_end_slope),
-                _member("half_gap + (x-1)^2/4", lambda x, p: tsallis_half_gap(x, p) + 0.25 * (x - 1.0) ** 2),
+                ("half_gap", tsallis_half_gap),
+                ("mid_gap", tsallis_mid_gap),
+                ("end_slope", tsallis_end_slope),
+                ("half_gap + (x-1)^2/4", lambda x, p: tsallis_half_gap(x, p) + 0.25 * (x - 1.0) ** 2),
             ),
             _grid_p(_x_up, -1.0, 1.0, _EXCL_P01),
             lambda params: 0.0 < abs(params[0]) <= 1.0 and params[0] != 1.0,
@@ -492,9 +487,9 @@ CHAINS: dict[str, ChainSpec] = {
         ChainSpec(
             "curvature_bounds",
             (
-                _member("quad_lower", quad_lower),
-                _member("tsallis[p]", tsallis_log),
-                _member("quad_upper", quad_upper),
+                ("quad_lower", quad_lower),
+                ("tsallis[p]", tsallis_log),
+                ("quad_upper", quad_upper),
             ),
             _grid_p(_x_up, -1.0, 1.0, _EXCL_P0),
             lambda params: 0.0 < abs(params[0]) <= 1.0,
@@ -502,8 +497,8 @@ CHAINS: dict[str, ChainSpec] = {
         ChainSpec(
             "gap_rate_monotone",
             (
-                _member("mean_gap[p]", lambda x, p, q: mean_gap(x, p)),
-                _member("mean_gap[q]", lambda x, p, q: mean_gap(x, q)),
+                ("mean_gap[p]", lambda x, p, q: mean_gap(x, p)),
+                ("mean_gap[q]", lambda x, p, q: mean_gap(x, q)),
             ),
             _grid_pq(_x_full, -1.0, 1.0, _EXCL_P0),
             lambda params: params[0] <= params[1],
@@ -581,10 +576,6 @@ class SignReport:
 
 def _vals_xc(fn: Callable, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
     return np.concatenate([np.atleast_1d(fn(xs, float(c))) for c in cs])
-
-
-def _vals_xp(fn: Callable, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    return _vals_xc(fn, xs, ps)
 
 
 def _edge_bound(c: float) -> float:
@@ -685,7 +676,7 @@ SIGN_CLAIMS: dict[str, SignClaim] = {
         SignClaim(
             "affine_chord_below_one",
             "(1-p) + p x >= (x-1)/log x for 0 < x <= 1, 0 <= p <= 1/2",
-            lambda: _vals_xp(
+            lambda: _vals_xc(
                 lambda x, p: arith_rep(x, p) - chord_log_ratio(x),
                 np.geomspace(1e-4, 1.0, 250),
                 np.linspace(0.0, 0.5, 50),
@@ -695,7 +686,7 @@ SIGN_CLAIMS: dict[str, SignClaim] = {
         SignClaim(
             "affine_chord_above_one",
             "(1-p) + p x >= (x-1)/log x for x >= 1, 1/2 <= p <= 1",
-            lambda: _vals_xp(
+            lambda: _vals_xc(
                 lambda x, p: arith_rep(x, p) - chord_log_ratio(x),
                 np.geomspace(1.0, 1e3, 250),
                 np.linspace(0.5, 1.0, 50),
@@ -705,7 +696,7 @@ SIGN_CLAIMS: dict[str, SignClaim] = {
         SignClaim(
             "log_over_secant_above_one",
             "log x >= (x-1)/((1-p)x+p) for x >= 1, 0 <= p <= 1/2",
-            lambda: _vals_xp(
+            lambda: _vals_xc(
                 lambda x, p: np.log(x) - harm_secant(x, p),
                 np.geomspace(1.0, 1e3, 250),
                 np.linspace(0.0, 0.5, 50),
@@ -715,13 +706,13 @@ SIGN_CLAIMS: dict[str, SignClaim] = {
         SignClaim(
             "secant_nonneg_above_one",
             "(x-1)/((1-p)x+p) >= 0 for x >= 1",
-            lambda: _vals_xp(harm_secant, np.geomspace(1.0, 1e3, 250), np.linspace(0.0, 0.5, 50)),
+            lambda: _vals_xc(harm_secant, np.geomspace(1.0, 1e3, 250), np.linspace(0.0, 0.5, 50)),
             "nonnegative",
         ),
         SignClaim(
             "log_under_secant_below_one",
             "log x <= (x-1)/((1-p)x+p) for 0 < x <= 1, 1/2 <= p <= 1",
-            lambda: _vals_xp(
+            lambda: _vals_xc(
                 lambda x, p: np.log(x) - harm_secant(x, p),
                 np.geomspace(1e-4, 1.0, 250),
                 np.linspace(0.5, 1.0, 50),
@@ -731,7 +722,7 @@ SIGN_CLAIMS: dict[str, SignClaim] = {
         SignClaim(
             "secant_nonpos_below_one",
             "(x-1)/((1-p)x+p) <= 0 for 0 < x <= 1",
-            lambda: _vals_xp(harm_secant, np.geomspace(1e-4, 1.0, 250), np.linspace(0.5, 1.0, 50)),
+            lambda: _vals_xc(harm_secant, np.geomspace(1e-4, 1.0, 250), np.linspace(0.5, 1.0, 50)),
             "nonpositive",
         ),
         SignClaim(
@@ -852,9 +843,3 @@ def probe_rows(probe_id: str) -> list[dict]:
 
 def export_probe_csv(probe_id: str, out) -> None:
     export_rows_csv(probe_rows(probe_id), out)
-
-
-def _self_test_io() -> str:  # pragma: no cover - convenience helper
-    buf = io.StringIO()
-    export_probe_csv("2.5", buf)
-    return buf.getvalue()

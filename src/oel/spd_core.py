@@ -6,8 +6,9 @@ congruence transforms ``C X C^T``, and the positive-semidefinite order
 comparison used to pass verdicts on operator inequalities.
 
 Matrices are plain float64 numpy arrays.  Strict positive definiteness is
-enforced once, at :class:`SpdMatrix` construction, after which the wrapped
-array is frozen; all operations are pure functions of their inputs.
+enforced once per :class:`SpdMatrix` (on a spectrum the code already holds,
+via :func:`spd_from_spectrum`), after which the wrapped array is frozen;
+all operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -73,16 +74,19 @@ class SpdMatrix:
 
     def __init__(self, entries) -> None:
         m = _force_symmetric(entries)
-        w = np.linalg.eigvalsh(m)
-        if w[-1] <= 0.0 or w[0] <= STRICTNESS_TOL * w[-1]:
+        self._freeze(m, np.linalg.eigvalsh(m))
+
+    def _freeze(self, m: np.ndarray, w: np.ndarray) -> None:
+        lo, hi = float(np.min(w)), float(np.max(w))
+        if not (hi > 0.0 and lo > STRICTNESS_TOL * hi):
             raise InvalidInput(
                 "matrix is not strictly positive definite "
-                f"(eigenvalue range [{w[0]:.6e}, {w[-1]:.6e}])"
+                f"(eigenvalue range [{lo:.6e}, {hi:.6e}])"
             )
         m.flags.writeable = False
         self._mat = m
-        self._lo = float(w[0])
-        self._hi = float(w[-1])
+        self._lo = lo
+        self._hi = hi
 
     @property
     def mat(self) -> np.ndarray:
@@ -118,6 +122,25 @@ def _rebuild_spd(m: np.ndarray, context: str) -> SpdMatrix:
         raise NumericalBreakdown(f"{context}: {exc}") from exc
 
 
+def spd_from_spectrum(m: np.ndarray, w: np.ndarray, context: str) -> SpdMatrix:
+    """Wrap symmetric ``m`` (frozen in place) whose eigenvalues ``w`` are known,
+    checking strict positivity on ``w`` instead of a second eigensolve.  Raises
+    NumericalBreakdown, prefixed with ``context``, when ``w`` fails the check."""
+    spd = SpdMatrix.__new__(SpdMatrix)
+    try:
+        spd._freeze(m, w)
+    except InvalidInput as exc:
+        raise NumericalBreakdown(f"{context}: {exc}") from exc
+    return spd
+
+
+def spectral_assemble(q: np.ndarray, w: np.ndarray, *, inverse: bool = False) -> np.ndarray:
+    """Symmetrized ``Q diag(w) Q^T``, or ``Q diag(w)^{-1} Q^T`` when ``inverse``
+    (dividing by w, which rounds differently from multiplying by 1/w)."""
+    qw = q / w if inverse else q * w
+    return symmetrize(qw @ q.T)
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors (as columns)."""
@@ -127,17 +150,14 @@ class SpectralDecomposition:
 
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Assemble ``Q diag(f(w)) Q^T`` for a scalar function ``f``."""
-        fw = _eval_on_spectrum(f, self.eigenvalues)
-        q = self.eigenvectors
-        return symmetrize((q * fw) @ q.T)
+        return spectral_assemble(self.eigenvectors, _eval_on_spectrum(f, self.eigenvalues))
 
 
 def _eval_on_spectrum(f: Callable, w: np.ndarray) -> np.ndarray:
+    """``f`` receives the eigenvalue array ``w`` and returns an array of its
+    shape (or a scalar); DomainError unless every value is finite."""
     with np.errstate(all="ignore"):
-        try:
-            vals = np.asarray(f(w), dtype=float)
-        except (TypeError, ValueError):
-            vals = np.array([float(f(x)) for x in w])
+        vals = np.asarray(f(w), dtype=float)
     if vals.ndim == 0:
         vals = np.full_like(w, float(vals))
     if vals.shape != w.shape:
@@ -169,7 +189,7 @@ def spectral_decompose(m) -> SpectralDecomposition:
 def apply_scalar_function(a: SpdMatrix, f: Callable) -> np.ndarray:
     """Functional calculus: ``Q diag(f(w)) Q^T`` for ``a = Q diag(w) Q^T``.
 
-    Raises DomainError if ``f`` is not finite on the spectrum.
+    ``f`` receives the eigenvalue array; DomainError if it is not finite there.
     """
     return spectral_decompose(as_spd(a)).apply(f)
 
@@ -178,10 +198,12 @@ def mat_power(a: SpdMatrix, p: float) -> SpdMatrix:
     """Real matrix power ``a**p`` of an SPD matrix (SPD for every real p)."""
     a = as_spd(a)
     if p == 0.0:
-        return SpdMatrix(np.eye(a.n))
+        return spd_from_spectrum(np.eye(a.n), np.ones(a.n), "mat_power(p=0)")
     if p == 1.0:
         return a
-    return _rebuild_spd(apply_scalar_function(a, lambda t: t ** p), f"mat_power(p={p})")
+    dec = spectral_decompose(a)
+    wp = _eval_on_spectrum(lambda t: t ** p, dec.eigenvalues)
+    return spd_from_spectrum(spectral_assemble(dec.eigenvectors, wp), wp, f"mat_power(p={p})")
 
 
 def mat_log(a: SpdMatrix) -> np.ndarray:

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from oel import harness
 from oel.cli import main
+from oel.errors import HypothesisError, NumericalBreakdown
 from oel.harness import read_reports, replay
 
 REPORT_FIELDS = ("case_id", "seed", "n", "p", "q", "c", "u", "v", "margin", "scale", "holds")
@@ -37,6 +39,19 @@ def test_verify_is_deterministic(capsys):
     # timing varies; everything before the elapsed field must not
     strip = lambda s: [ln.split(" (")[0] for ln in s.splitlines()]
     assert strip(first) == strip(second)
+
+
+@pytest.mark.parametrize("error", [NumericalBreakdown, HypothesisError])
+def test_verify_trial_error_exits_4_with_replay_triple(monkeypatch, capsys, error):
+    def failing_sampler(cfg):
+        raise error("boom")
+
+    monkeypatch.setattr(harness, "sandwich_pair", failing_sampler)
+    code = main(["verify", "--case", "H1.1", "--trials", "3", "--dims", "3", "--seed", "5"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "('H1.1', 5, 3)" in err
+    assert "boom" in err
 
 
 def test_verify_writes_jsonl(tmp_path, capsys):

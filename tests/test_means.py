@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oel.errors import InvalidInput, InvalidWeight
+from oel.errors import InvalidInput, InvalidWeight, NumericalBreakdown
 from oel.means import (
     OperatorPair,
     arithmetic_mean,
@@ -12,7 +12,6 @@ from oel.means import (
     geometric_mean,
     harmonic_mean,
     load_pair,
-    mean_from_representing_function,
     natural_power_mean,
     quadrature_tsallis,
     relative_operator_entropy,
@@ -43,6 +42,12 @@ def test_pair_contraction_extremes_bound_b():
     # u A <= B <= v A with the stated extremes
     assert np.linalg.eigvalsh(pair.B.mat - pair.u * pair.A.mat)[0] >= -1e-10
     assert np.linalg.eigvalsh(pair.v * pair.A.mat - pair.B.mat)[0] >= -1e-10
+
+
+def test_pair_rejects_contraction_losing_positivity():
+    # C = diag(1e-7, 1e7): its spectrum ratio 1e-14 is below STRICTNESS_TOL
+    with pytest.raises(NumericalBreakdown, match="contraction"):
+        OperatorPair(np.diag([1.0, 1e-7]), np.diag([1e-7, 1.0]))
 
 
 def test_with_second_reuses_roots():
@@ -121,7 +126,7 @@ def test_geometric_mean_matches_direct_construction():
 def test_representing_function_reproduces_harmonic():
     pair = pair_from_seed(9, 3)
     p = 0.42
-    lifted = mean_from_representing_function(lambda t: harm_rep(t, p), pair)
+    lifted = pair.transform(lambda t: harm_rep(t, p))
     np.testing.assert_allclose(lifted, harmonic_mean(pair, p).mat, atol=1e-11)
 
 

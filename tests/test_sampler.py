@@ -44,6 +44,22 @@ def test_sandwich_pair_bit_identical_replay():
     np.testing.assert_array_equal(p1.B.mat, p2.B.mat)
 
 
+def test_sandwich_pair_eigensolves_once_per_spectrum(monkeypatch):
+    # eigh(A) for the roots, eigh(C) for u, v; only B (congruence-built) gets an eigvalsh
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(m, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    sandwich_pair(SamplerConfig(seed=7, n=4, sandwich=(0.5, 3.0)))
+    assert calls["eigh"] == 2
+    assert calls["eigvalsh"] <= 1
+
+
 def test_sandwich_endpoints_attained():
     cfg = SamplerConfig(seed=8, n=5, sandwich=(0.7, 2.2))
     pair = sandwich_pair(cfg)

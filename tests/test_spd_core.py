@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oel.errors import DomainError, InvalidInput
+from oel.errors import DomainError, InvalidInput, NumericalBreakdown
 from oel.sampler import SamplerConfig, random_spd
 from oel.spd_core import (
     SpdMatrix,
@@ -18,6 +18,8 @@ from oel.spd_core import (
     mat_log,
     mat_power,
     mat_sqrt,
+    spd_from_spectrum,
+    spectral_assemble,
     spectral_decompose,
     symmetrize,
 )
@@ -70,6 +72,23 @@ def test_eig_bounds_match_numpy():
     w = np.linalg.eigvalsh(a.mat)
     assert a.eig_min == pytest.approx(w[0], rel=1e-12)
     assert a.eig_max == pytest.approx(w[-1], rel=1e-12)
+
+
+def test_spd_from_spectrum_takes_bounds_from_the_spectrum():
+    q = np.linalg.qr(np.arange(1.0, 10.0).reshape(3, 3) + np.eye(3))[0]
+    w = np.array([2.0, 0.5, 1.0])
+    a = spd_from_spectrum(spectral_assemble(q, w), w, "test")
+    np.testing.assert_allclose(a.mat, (q * w) @ q.T, atol=1e-15)
+    assert (a.eig_min, a.eig_max) == (0.5, 2.0)
+    with pytest.raises(ValueError):
+        a.mat[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("w", [[1.0, 0.0], [1.0, -1e-3], [1.0, 1e-13], [-1.0, -2.0], [1.0, np.nan]])
+def test_spd_from_spectrum_rejects_nonpositive_spectrum(w):
+    w = np.array(w)
+    with pytest.raises(NumericalBreakdown, match="^ctx: .*not strictly positive definite"):
+        spd_from_spectrum(np.diag(w), w, "ctx")
 
 
 def test_mat_power_edge_exponents():
