@@ -9,7 +9,9 @@ region (ids like ``M3.b1``).  Where a reversed form holds under the dual
 hypothesis, :func:`dual` produces it (ids gain/lose a ``.rev`` suffix).
 
 All terms are built from the public mean/entropy operations so the catalog
-exercises the same code paths users call.
+exercises the same code paths users call.  :func:`evaluate_trials` runs k
+trials of one case on a stacked pair: each term is then one ``(k, n, n)``
+stack, and the trials' weights reach it as ``(k, 1, 1)`` arrays.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fnmatch import fnmatch
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import HypothesisError, NoDual
+from .errors import HypothesisError, InvalidInput, NoDual
 from .means import (
     OperatorPair,
     arithmetic_mean,
@@ -40,7 +42,9 @@ _P_EPS = 1e-3      # sampled weights keep this distance from removable singulari
 
 @dataclass(frozen=True)
 class Params:
-    """Scalar parameters of a trial; unused ones stay None."""
+    """Scalar parameters of a trial; unused ones stay None.  Inside
+    :func:`evaluate_trials` the terms see one Params whose fields hold the
+    trials' values as ``(k, 1, 1)`` arrays."""
 
     p: float | None = None
     q: float | None = None
@@ -235,7 +239,7 @@ def _t3_lower(ctx: TrialContext, pr: Params) -> np.ndarray:
 
 def _t3_upper(ctx: TrialContext, pr: Params) -> np.ndarray:
     pair = ctx.pair
-    ba_inv = np.linalg.solve(pair.A.mat, pair.B.mat).T  # = B A^{-1}
+    ba_inv = np.linalg.solve(pair.A.mat, pair.B.mat).swapaxes(-1, -2)  # = B A^{-1}
     g = natural_power_mean(ctx.mid, pr.p - 1.0).mat
     mid_term = symmetrize(2.0 * (ba_inv - _eye(pair)) @ g)
     return pair.B.mat - pair.A.mat + mid_term - 4.0 * tsallis_entropy(ctx.mid, pr.p)
@@ -903,6 +907,12 @@ def catalog_with_duals() -> list[InequalityCase]:
     return out
 
 
+@lru_cache(maxsize=1)
+def case_index() -> dict[str, InequalityCase]:
+    """Every case (including duals) by id, built once."""
+    return {c.id: c for c in catalog_with_duals()}
+
+
 def find_cases(pattern: str) -> list[InequalityCase]:
     """Cases (including duals) whose id or group matches the glob pattern."""
     return [c for c in catalog_with_duals() if fnmatch(c.id, pattern) or fnmatch(c.group, pattern)]
@@ -922,25 +932,70 @@ def evaluate(
     hypothesis (with slack ``HYP_SLACK``); otherwise returns the margin
     verdict of ``lhs <= rhs``.
     """
-    if not case.hypothesis.check(pair.u, pair.v, params):
-        raise HypothesisError(
-            f"case {case.id} hypothesis [{case.hypothesis.text}] violated at "
-            f"u={pair.u:.6g}, v={pair.v:.6g}, params={params}"
-        )
+    return evaluate_trials(case, pair, [params], [seed], order_tol=order_tol)[0]
+
+
+def _per_trial(x) -> list:
+    """A stack's values (or a single pair's value) as a list of Python scalars."""
+    return x.tolist() if isinstance(x, np.ndarray) else [x]
+
+
+def _stacked_params(params: Sequence[Params]) -> Params:
+    """The trials' parameters as ``(k, 1, 1)`` arrays (a plan sets the same fields every draw)."""
+
+    def column(name: str):
+        vals = [getattr(pr, name) for pr in params]
+        return None if vals[0] is None else np.array(vals, dtype=float).reshape(-1, 1, 1)
+
+    return Params(p=column("p"), q=column("q"), c=column("c"))
+
+
+def evaluate_trials(
+    case: InequalityCase,
+    pair: OperatorPair,
+    params: Sequence[Params],
+    seeds: Sequence[int],
+    *,
+    order_tol: float = ORDER_TOL,
+) -> list[MarginReport]:
+    """Evaluate one case on k pairs at once: ``pair`` holds ``(k, n, n)``
+    stacks (or one pair, with k = 1) and trial i has ``params[i]`` and
+    ``seeds[i]``.  Reports come back in that order.
+
+    Raises HypothesisError for the first trial whose (u, v, params) fall
+    outside the case's hypothesis (with slack ``HYP_SLACK``).
+    """
+    us = _per_trial(pair.u)
+    vs = _per_trial(pair.v)
+    if not len(us) == len(params) == len(seeds):
+        raise InvalidInput(f"{len(us)} pairs for {len(params)} params and {len(seeds)} seeds")
+    for u, v, pr in zip(us, vs, params):
+        if not case.hypothesis.check(u, v, pr):
+            raise HypothesisError(
+                f"case {case.id} hypothesis [{case.hypothesis.text}] violated at "
+                f"u={u:.6g}, v={v:.6g}, params={pr}"
+            )
     ctx = TrialContext(pair)
-    lhs = case.lhs.fn(ctx, params)
-    rhs = case.rhs.fn(ctx, params)
+    stacked = _stacked_params(params) if isinstance(pair.u, np.ndarray) else params[0]
+    lhs = case.lhs.fn(ctx, stacked)
+    rhs = case.rhs.fn(ctx, stacked)
     verdict = loewner_leq(lhs, rhs, order_tol)
-    return MarginReport(
-        case_id=case.id,
-        seed=seed,
-        n=pair.n,
-        p=params.p,
-        q=params.q,
-        c=params.c,
-        u=pair.u,
-        v=pair.v,
-        margin=verdict.margin,
-        scale=verdict.scale,
-        holds=verdict.holds,
-    )
+    margins = _per_trial(verdict.margin)
+    scales = _per_trial(verdict.scale)
+    holds = _per_trial(verdict.holds)
+    return [
+        MarginReport(
+            case_id=case.id,
+            seed=seed,
+            n=pair.n,
+            p=pr.p,
+            q=pr.q,
+            c=pr.c,
+            u=u,
+            v=v,
+            margin=margin,
+            scale=scale,
+            holds=ok,
+        )
+        for seed, pr, u, v, margin, scale, ok in zip(seeds, params, us, vs, margins, scales, holds)
+    ]

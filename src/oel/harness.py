@@ -4,6 +4,16 @@ Every trial is reconstructible from (case_id, seed, n) alone: the per-trial
 seed feeds one counter-based generator that first draws the case's plan
 (parameters and sandwich targets), then a pair seed for the matrix sampler.
 Reports carry that per-trial seed so any failure can be replayed exactly.
+
+A suite works through its trials in windows of ``WINDOW_TRIALS``, in trial
+order.  It draws a window's plans and pair seeds, groups the window's trials
+by n and evaluates each group as stacks of shape ``(k, n, n)`` (one numpy
+call per step for k trials, with k * n * n at most ``STACK_ENTRIES``), then
+folds the reports into its totals before the next window is drawn, so its
+memory does not grow with the trial count.  :func:`run_trial` (and so
+:func:`replay`) is the same kernel with k = 1, and stacked numpy calls give
+each matrix the bits of a call on that matrix alone, so a replay reproduces
+its suite row exactly.
 """
 
 from __future__ import annotations
@@ -11,14 +21,24 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import InequalityCase, MarginReport, catalog_with_duals, evaluate, find_cases
+from .catalog import (
+    InequalityCase,
+    MarginReport,
+    Params,
+    case_index,
+    catalog_with_duals,  # noqa: F401  (perfbench wraps the case lookups by this name)
+    evaluate_trials,
+    find_cases,
+)
 from .errors import HypothesisError, InvalidInput, NumericalBreakdown, ReportError
 from .means import quadrature_tsallis, tsallis_entropy
-from .sampler import SamplerConfig, dims_cycle, generator, sandwich_pair
+from .sampler import SamplerConfig, dims_cycle, generator, reseed, sandwich_pair, sandwich_pairs
 from .spd_core import ORDER_TOL
 
 DEFAULT_TRIALS = 1000
@@ -26,24 +46,53 @@ DEFAULT_DIMS = (1, 2, 3, 4, 6, 8)
 DEFAULT_SEED = 42
 _MASK64 = (1 << 64) - 1
 
-_REPORT_FIELDS = ("case_id", "seed", "n", "p", "q", "c", "u", "v", "margin", "scale", "holds")
+# The trials a suite draws, evaluates and folds at a time, and the most matrix
+# entries (k * n * n) in one stack of a window's trials.  Both are the smallest
+# powers of two past which larger values were not measurably faster (2-core VM,
+# one BLAS thread): all 50 cases at n = 16, 32, 64 took about 1.9 ms per trial
+# at 1 << 12 entries and 1.5-1.7 ms at 1 << 14 to 1 << 16 (peak RSS 40.0 ->
+# 47.5 MB); 4096 trials at n = 1..8 took about 105 us per trial in windows of
+# 256 and 80-95 us in windows of 1024 or 4096 (peak RSS 39.1 -> 45.9 MB).
+WINDOW_TRIALS = 1024
+STACK_ENTRIES = 1 << 14
+
+# a report row's keys, in MarginReport field order
+_REPORT_FIELDS = tuple(f.name for f in fields(MarginReport))
+_report_values = attrgetter(*_REPORT_FIELDS)
 
 
 def case_by_id(case_id: str) -> InequalityCase:
-    for c in catalog_with_duals():
-        if c.id == case_id:
-            return c
-    raise InvalidInput(f"unknown case id: {case_id!r}")
+    case = case_index().get(case_id)
+    if case is None:
+        raise InvalidInput(f"unknown case id: {case_id!r}")
+    return case
+
+
+class _Trial(NamedTuple):
+    """A trial whose plan and pair seed are drawn: all it needs to be evaluated."""
+
+    seed: int
+    params: Params
+    cfg: SamplerConfig
+
+
+def _draw_trial(case: InequalityCase, rng: np.random.Generator, trial_seed: int, n: int) -> _Trial:
+    """Draw the plan, then the pair seed, from ``rng`` at the start of the trial seed's stream."""
+    plan = case.plan(rng)
+    pair_seed = int(rng.integers(0, 1 << 63))
+    cfg = SamplerConfig(seed=pair_seed, n=n, sandwich=(plan.u_target, plan.v_target))
+    return _Trial(trial_seed, plan.params, cfg)
+
+
+def _evaluate_stack(case: InequalityCase, trials: list[_Trial], order_tol: float) -> list[MarginReport]:
+    """The trial kernel: the trials' pairs (all of one n) as one stacked pair, evaluated at once."""
+    pair = sandwich_pairs([t.cfg for t in trials])
+    return evaluate_trials(case, pair, [t.params for t in trials], [t.seed for t in trials], order_tol=order_tol)
 
 
 def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
     """One deterministic trial: draw plan, sample pair, evaluate the case."""
-    rng = generator(trial_seed)
-    plan = case.plan(rng)
-    pair_seed = int(rng.integers(0, 1 << 63))
-    cfg = SamplerConfig(seed=pair_seed, n=n, sandwich=(plan.u_target, plan.v_target))
-    pair = sandwich_pair(cfg)
-    return evaluate(case, pair, plan.params, order_tol=order_tol, seed=trial_seed)
+    return _evaluate_stack(case, [_draw_trial(case, generator(trial_seed), trial_seed, n)], order_tol)[0]
 
 
 def replay(case_id: str, seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
@@ -74,29 +123,34 @@ def run_suite(
     collect: list[MarginReport] | None = None,
 ) -> SuiteResult:
     """Run ``trials`` deterministic trials of one case, cycling dimensions.
-    A trial's NumericalBreakdown or HypothesisError is re-raised with its
-    ``(case_id, seed, n)``."""
+
+    The trials are evaluated in windows and stacks (see the module notes);
+    reports keep trial order.  A trial's NumericalBreakdown or
+    HypothesisError is re-raised with its ``(case_id, seed, n)``, after the
+    reports of the trials before it have been collected."""
     if trials < 1:
         raise InvalidInput("trials must be positive")
     t0 = time.perf_counter()
+    schedule = dims_cycle(dims, trials)
+    rng = generator(0)
     failures = 0
     worst_margin = np.inf
     worst_seed = 0
     margin_sum = 0.0
-    for i, n in enumerate(dims_cycle(dims, trials)):
-        trial_seed = (seed ^ i) & _MASK64
-        try:
-            report = run_trial(case, trial_seed, n, order_tol=order_tol)
-        except (NumericalBreakdown, HypothesisError) as exc:
-            raise type(exc)(f"trial (case_id, seed, n) = ({case.id!r}, {trial_seed}, {n}): {exc}") from exc
-        margin_sum += report.margin
-        if report.margin < worst_margin:
-            worst_margin = report.margin
-            worst_seed = trial_seed
-        if not report.holds:
-            failures += 1
-        if collect is not None:
-            collect.append(report)
+    for lo in range(0, trials, WINDOW_TRIALS):
+        window = []
+        for i, n in enumerate(schedule[lo : lo + WINDOW_TRIALS], start=lo):
+            trial_seed = (seed ^ i) & _MASK64
+            window.append(_draw_trial(case, reseed(rng, trial_seed), trial_seed, n))
+        for report in _window_reports(case, window, order_tol):
+            margin_sum += report.margin
+            if report.margin < worst_margin:
+                worst_margin = report.margin
+                worst_seed = report.seed
+            if not report.holds:
+                failures += 1
+            if collect is not None:
+                collect.append(report)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1e3))
     return SuiteResult(
         case_id=case.id,
@@ -107,6 +161,37 @@ def run_suite(
         mean_margin=margin_sum / trials,
         elapsed_ms=elapsed_ms,
     )
+
+
+def _stacks(window: list[_Trial]):
+    """Positions in ``window`` grouped by n, in trial order within a group, cut to ``STACK_ENTRIES``."""
+    groups: dict[int, list[int]] = {}
+    for i, t in enumerate(window):
+        groups.setdefault(t.cfg.n, []).append(i)
+    for n, group in groups.items():
+        size = max(1, STACK_ENTRIES // (n * n))
+        for lo in range(0, len(group), size):
+            yield group[lo : lo + size]
+
+
+def _window_reports(case: InequalityCase, window: list[_Trial], order_tol: float):
+    """The window's reports, in trial order.  If a stack raises, the window is
+    rerun one trial at a time through the same kernel: the reports before the
+    earliest failing trial are yielded, then that trial's error is raised."""
+    reports: list[MarginReport] = [None] * len(window)
+    try:
+        for stack in _stacks(window):
+            for i, report in zip(stack, _evaluate_stack(case, [window[i] for i in stack], order_tol)):
+                reports[i] = report
+    except Exception as stack_exc:
+        for t in window:
+            try:
+                report = _evaluate_stack(case, [t], order_tol)[0]
+            except (NumericalBreakdown, HypothesisError) as exc:
+                raise type(exc)(f"trial (case_id, seed, n) = ({case.id!r}, {t.seed}, {t.cfg.n}): {exc}") from exc
+            yield report
+        raise stack_exc  # no trial fails on its own
+    yield from reports
 
 
 def run_all(
@@ -133,7 +218,8 @@ def run_all(
 # ---------------------------------------------------------------------------
 
 def report_to_dict(report: MarginReport) -> dict:
-    return asdict(report)
+    """A report's fields by name, in field order (every value a plain Python scalar or None)."""
+    return dict(zip(_REPORT_FIELDS, _report_values(report)))
 
 
 def write_reports_jsonl(reports: list[MarginReport], path: str) -> None:
@@ -160,6 +246,8 @@ def read_reports(path: str) -> list[MarginReport]:
                 continue
             try:
                 raw = json.loads(line)
+                if not isinstance(raw["holds"], bool):
+                    raise TypeError(f"'holds' must be true or false, got {raw['holds']!r}")
                 out.append(
                     MarginReport(
                         case_id=str(raw["case_id"]),
@@ -172,7 +260,7 @@ def read_reports(path: str) -> list[MarginReport]:
                         v=float(raw["v"]),
                         margin=float(raw["margin"]),
                         scale=float(raw["scale"]),
-                        holds=bool(raw["holds"]),
+                        holds=raw["holds"],
                     )
                 )
             except (ValueError, KeyError, TypeError) as exc:

@@ -7,6 +7,13 @@ spectral data of A and C at construction (never lazily), so a whole family
 of means and entropies can be evaluated against one decomposition, and the
 spectral bounds ``u = lambda_min(C)``, ``v = lambda_max(C)`` give the tight
 sandwich ``u A <= B <= v A``.
+
+A pair may hold ``(k, n, n)`` stacks of A and B: k pairs evaluated by the
+same code, one numpy call per step for the whole stack.  Then ``u`` and
+``v`` are arrays of shape ``(k,)`` and a weight may be one number or one per
+pair, shaped ``(k, 1, 1)``; the scalar function ``f`` of a lift receives the
+eigenvalues of each contraction as a row, shaped ``(k, 1, n)`` (``(1, n)``
+for a single pair), so such weights broadcast against them.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from .spd_core import (
     SpdMatrix,
     _eval_on_spectrum,
     _rebuild_spd,
+    _row,
+    _scalar_or_stack,
     as_spd,
     dump_matrix,
     load_matrix,
@@ -30,9 +39,11 @@ from .spd_core import (
 )
 
 
-def _check_weight(p: float, lo: float, hi: float, what: str) -> None:
-    if not (lo <= p <= hi):
-        raise InvalidWeight(f"{what} needs weight in [{lo}, {hi}], got {p}")
+def _check_weight(p, lo: float, hi: float, what: str) -> None:
+    p = np.asarray(p)
+    ok = (lo <= p) & (p <= hi)
+    if not ok.all():
+        raise InvalidWeight(f"{what} needs weight in [{lo}, {hi}], got {p.flat[np.argmin(ok)]}")
 
 
 class OperatorPair:
@@ -43,6 +54,7 @@ class OperatorPair:
     are the extreme eigenvalues of C, so ``u A <= B <= v A`` with equality
     directions attained on the corresponding eigenvectors.  The roots come
     from one ``eigh(A)``; C is checked positive on its one ``eigh(C)``.
+    A and B may be equal-shaped stacks of matrices (see the module notes).
     """
 
     __slots__ = ("A", "B", "sqrt_a", "inv_sqrt_a", "contraction", "u", "v", "_w", "_q")
@@ -50,13 +62,13 @@ class OperatorPair:
     def __init__(self, a, b, _roots: tuple[SpdMatrix, SpdMatrix] | None = None) -> None:
         a = as_spd(a)
         b = as_spd(b)
-        if a.n != b.n:
-            raise InvalidInput(f"dimension mismatch: A is {a.n}x{a.n}, B is {b.n}x{b.n}")
+        if a.mat.shape != b.mat.shape:
+            raise InvalidInput(f"dimension mismatch: A is {a.mat.shape}, B is {b.mat.shape}")
         self.A = a
         self.B = b
         if _roots is None:
             w, q = np.linalg.eigh(a.mat)
-            s = np.sqrt(w)
+            s = _row(np.sqrt(w))
             self.sqrt_a = spd_from_spectrum(spectral_assemble(q, s), s, "sqrt(A)")
             self.inv_sqrt_a = spd_from_spectrum(spectral_assemble(q, s, inverse=True), 1.0 / s, "inv_sqrt(A)")
         else:
@@ -64,10 +76,10 @@ class OperatorPair:
         c = symmetrize(self.inv_sqrt_a.mat @ b.mat @ self.inv_sqrt_a.mat)
         w, q = np.linalg.eigh(c)
         self.contraction = spd_from_spectrum(c, w, "contraction A^{-1/2} B A^{-1/2}")
-        self._w = w
+        self._w = _row(w)
         self._q = q
-        self.u = float(w[0])
-        self.v = float(w[-1])
+        self.u = _scalar_or_stack(w[..., 0])
+        self.v = _scalar_or_stack(w[..., -1])
 
     @property
     def n(self) -> int:
@@ -87,6 +99,8 @@ class OperatorPair:
         return symmetrize(r @ self.fn_of_contraction(f) @ r)
 
     def __repr__(self) -> str:
+        if isinstance(self.u, np.ndarray):
+            return f"OperatorPair(n={self.n}, stack={np.shape(self.u)})"
         return f"OperatorPair(n={self.n}, u={self.u:.4g}, v={self.v:.4g})"
 
 
@@ -114,11 +128,17 @@ def natural_power_mean(pair: OperatorPair, p: float) -> SpdMatrix:
     Interpolates A (p=0) to B (p=1); coincides with the weighted geometric
     mean on [0, 1] and extends it outside.
     """
-    if p == 0.0:
+    p = np.asarray(p)
+    at_a, at_b = p == 0.0, p == 1.0
+    endpoint = (at_a | at_b).any()
+    if endpoint and at_a.all():
         return pair.A
-    if p == 1.0:
+    if endpoint and at_b.all():
         return pair.B
-    return _rebuild_spd(pair.transform(lambda t: t ** p), f"natural power mean (p={p})")
+    m = pair.transform(lambda t: t ** p)
+    if endpoint:  # per-pair weights, some at an endpoint: those pairs get that operand
+        m = np.where(at_a, pair.A.mat, np.where(at_b, pair.B.mat, m))
+    return _rebuild_spd(m, f"natural power mean (p={p.item() if p.size == 1 else 'per pair'})")
 
 
 def geometric_mean(pair: OperatorPair, p: float) -> SpdMatrix:
@@ -145,10 +165,7 @@ def tsallis_entropy(pair: OperatorPair, p: float) -> np.ndarray:
     with the defining quotient to machine precision and degrades gracefully
     as p -> 0.
     """
-    if not (-1.0 <= p <= 1.0):
-        raise InvalidWeight(f"tsallis entropy needs p in [-1, 1], got {p}")
-    if p == 0.0:
-        return relative_operator_entropy(pair)
+    _check_weight(p, -1.0, 1.0, "tsallis entropy")
     return pair.transform(lambda t: scalars.tsallis_log(t, p))
 
 

@@ -6,6 +6,8 @@ draw is bit-reproducible from its key on a given platform.  Orthogonal
 bases come from QR of a standard Gaussian matrix with the sign convention
 ``diag(R) > 0`` fixed, and spectra are placed explicitly, so a sampled
 matrix's eigenvalues land exactly where requested (up to assembly rounding).
+:func:`sandwich_pairs` draws k configurations one stream each, exactly as
+:func:`sandwich_pair` does, then builds all k pairs as one stacked pair.
 """
 
 from __future__ import annotations
@@ -18,16 +20,41 @@ import numpy as np
 
 from .errors import InvalidInput
 from .means import OperatorPair
-from .spd_core import SpdMatrix, spd_from_spectrum, spectral_assemble, symmetrize
+from .spd_core import SpdMatrix, _row, spd_from_spectrum, spectral_assemble, symmetrize
 
 RNG_ALGORITHM = "philox4x64"
 
 _KEY_MASK = (1 << 128) - 1
+_WORD_MASK = (1 << 64) - 1
+
+
+def _philox_key(seed: int) -> int:
+    """The 128-bit Philox key of a seed (its low 128 bits)."""
+    return int(seed) & _KEY_MASK
 
 
 def generator(seed: int) -> np.random.Generator:
     """The package-wide RNG: Philox keyed directly by the seed."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed)))
+
+
+def reseed(rng: np.random.Generator, seed: int) -> np.random.Generator:
+    """Restart ``rng`` (made by :func:`generator`) in place at the first draw
+    of ``generator(seed)``'s stream.  Cheaper than a new generator, whose
+    Philox also draws OS entropy for a seed sequence it never uses."""
+    key = _philox_key(seed)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([key & _WORD_MASK, key >> 64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass(frozen=True)
@@ -79,13 +106,12 @@ class SamplerConfig:
         return json.dumps(data)
 
 
-def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish orthogonal matrix from QR of a Gaussian, sign-fixed."""
-    g = rng.standard_normal((n, n))
+def _orthogonal(g: np.ndarray) -> np.ndarray:
+    """Haar-ish orthogonal matrix from QR of the Gaussian ``g`` (or a stack), sign-fixed."""
     q, r = np.linalg.qr(g)
-    d = np.sign(np.diag(r))
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d = np.where(d == 0.0, 1.0, d)
-    return q * d
+    return q * _row(d)
 
 
 def random_spd(cfg: SamplerConfig) -> SpdMatrix:
@@ -93,7 +119,7 @@ def random_spd(cfg: SamplerConfig) -> SpdMatrix:
     rng = generator(cfg.seed)
     lo, hi = cfg.spectrum_range
     lam = rng.uniform(lo, hi, cfg.n)
-    q = _orthogonal(rng, cfg.n)
+    q = _orthogonal(rng.standard_normal((cfg.n, cfg.n)))
     return spd_from_spectrum(spectral_assemble(q, lam), lam, "sampled A")
 
 
@@ -116,19 +142,41 @@ def sandwich_pair(cfg: SamplerConfig) -> OperatorPair:
     ``u_target == v_target`` forces C to a multiple of the identity, so
     B is that multiple of A up to rounding).
     """
+    return _sandwich_build(*_sandwich_draws(cfg, generator(cfg.seed)))
+
+
+def sandwich_pairs(cfgs: Sequence[SamplerConfig]) -> OperatorPair:
+    """The pairs of :func:`sandwich_pair` for k configurations of one
+    dimension, as one pair of ``(k, n, n)`` stacks (bit for bit the same
+    matrices: each configuration draws from its own seed's stream)."""
+    dims = {cfg.n for cfg in cfgs}
+    if len(dims) != 1:
+        raise InvalidInput(f"sandwich_pairs needs one or more configs of one dimension, got dimensions {sorted(dims)}")
+    rng = generator(cfgs[0].seed)
+    draws = [_sandwich_draws(cfgs[0], rng)]
+    draws += [_sandwich_draws(cfg, reseed(rng, cfg.seed)) for cfg in cfgs[1:]]
+    return _sandwich_build(*(np.array(d) for d in zip(*draws)))
+
+
+def _sandwich_draws(cfg: SamplerConfig, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """One configuration's draws, in stream order: A's spectrum and Gaussian,
+    then C's spectrum and Gaussian."""
     if cfg.sandwich is None:
         raise InvalidInput("sandwich_pair needs cfg.sandwich")
-    rng = generator(cfg.seed)
     lo, hi = cfg.spectrum_range
     lam = rng.uniform(lo, hi, cfg.n)
-    qa = _orthogonal(rng, cfg.n)
-    a = spd_from_spectrum(spectral_assemble(qa, lam), lam, "sampled A")
-    root = spectral_assemble(qa, np.sqrt(lam))
-
+    g_a = rng.standard_normal((cfg.n, cfg.n))
     u_t, v_t = cfg.sandwich
     mu = _sandwich_spectrum(rng, cfg.n, u_t, v_t)
-    qc = _orthogonal(rng, cfg.n)
-    c = spectral_assemble(qc, mu)
+    g_c = rng.standard_normal((cfg.n, cfg.n))
+    return lam, g_a, mu, g_c
+
+
+def _sandwich_build(lam: np.ndarray, g_a: np.ndarray, mu: np.ndarray, g_c: np.ndarray) -> OperatorPair:
+    qa = _orthogonal(g_a)
+    a = spd_from_spectrum(spectral_assemble(qa, _row(lam)), lam, "sampled A")
+    root = spectral_assemble(qa, _row(np.sqrt(lam)))
+    c = spectral_assemble(_orthogonal(g_c), _row(mu))
     # B's spectrum is not known (congruence mixes A's and C's), so it gets the full check
     b = symmetrize(root @ c @ root)
     return OperatorPair(a, SpdMatrix(b))
@@ -146,7 +194,7 @@ def commuting_spectra(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.nd
     lam = rng.uniform(lo, hi, cfg.n)
     ratio_lo, ratio_hi = cfg.sandwich if cfg.sandwich is not None else (0.25, 4.0)
     ratios = rng.uniform(ratio_lo, ratio_hi, cfg.n)
-    q = _orthogonal(rng, cfg.n)
+    q = _orthogonal(rng.standard_normal((cfg.n, cfg.n)))
     return q, lam, lam * ratios
 
 

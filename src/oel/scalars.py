@@ -30,7 +30,7 @@ SIGN_SLACK = 1e-12
 
 def _pos(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
+    if (x <= 0.0).any() or not np.isfinite(x).all():
         raise DomainError("arguments must be finite and strictly positive")
     return x
 
@@ -40,11 +40,16 @@ def _pos(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def tsallis_log(x, p: float):
-    """(x**p - 1)/p, with the p -> 0 limit log(x); stable via expm1/log."""
+    """(x**p - 1)/p, with the p -> 0 limit log(x); stable via expm1/log.
+    An array ``p`` (one weight per matrix of a stack) takes the limit where it is 0."""
     x = _pos(x)
-    if p == 0.0:
-        return np.log(x)
-    return np.expm1(p * np.log(x)) / p
+    lg = np.log(x)
+    if getattr(p, "ndim", 0):  # one weight per matrix of a stack
+        if not (p == 0.0).any():
+            return np.expm1(p * lg) / p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(p == 0.0, lg, np.expm1(p * lg) / p)
+    return lg if p == 0.0 else np.expm1(p * lg) / p
 
 
 def power_log(x, p: float):

@@ -9,6 +9,13 @@ Matrices are plain float64 numpy arrays.  Strict positive definiteness is
 enforced once per :class:`SpdMatrix` (on a spectrum the code already holds,
 via :func:`spd_from_spectrum`), after which the wrapped array is frozen;
 all operations are pure functions of their inputs.
+
+Every primitive acts on the last two axes, so a ``(k, n, n)`` stack of
+matrices goes through the same code as one ``(n, n)`` matrix, as k numpy
+calls folded into one.  A spectrum that is assembled is passed as a row,
+shaped ``(n,)`` or ``(..., 1, n)``, so that ``Q * w`` scales the columns of
+every ``Q`` in the stack.  Checks, bounds and verdicts of a stack are arrays
+over its leading axis; those of a single matrix are Python scalars.
 """
 
 from __future__ import annotations
@@ -29,17 +36,23 @@ ORDER_TOL = 1e-8
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Average away the skew part: (M + M^T)/2."""
-    return 0.5 * (m + m.T)
+    """Average away the skew part: (M + M^T)/2 (``swapaxes`` transposes each
+    matrix of a stack, where ``.T`` would also reverse the stack)."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+def _scalar_or_stack(x):
+    """A Python scalar for one matrix's result, the array itself for a stack's."""
+    return x.item() if x.ndim == 0 else x
 
 
 def _square_float(m) -> np.ndarray:
     a = np.array(m, dtype=float, copy=True)
     if a.ndim == 0:
         a = a.reshape(1, 1)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInput("matrix has non-finite entries")
     return a
 
@@ -48,12 +61,13 @@ def _force_symmetric(m) -> np.ndarray:
     """Validate shape and finiteness, then return the symmetrized matrix.
 
     Asymmetry beyond ``SYMMETRY_TOL`` relative to max(1, largest entry) is
-    rejected rather than silently averaged.
+    rejected rather than silently averaged (matrix by matrix in a stack).
     """
     a = _square_float(m)
-    skew = float(np.max(np.abs(a - a.T)))
-    if skew > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(a)))):
-        raise InvalidInput(f"matrix is not symmetric (max asymmetry {skew:.3e})")
+    skew = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = skew > SYMMETRY_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    if bad.any():
+        raise InvalidInput(f"matrix is not symmetric (max asymmetry {skew.flat[np.argmax(bad)]:.3e})")
     return symmetrize(a)
 
 
@@ -62,12 +76,14 @@ class SpdMatrix:
 
     Entries are symmetrized at construction (asymmetry beyond ``SYMMETRY_TOL``
     is rejected) and the spectrum must satisfy
-    ``lambda_min > STRICTNESS_TOL * lambda_max``.
+    ``lambda_min > STRICTNESS_TOL * lambda_max``.  A ``(k, n, n)`` stack is
+    k matrices checked one by one; its ``eig_min``/``eig_max`` are arrays.
 
     Parameters
     ----------
     entries : array_like
-        Square matrix data; a scalar is treated as a 1x1 matrix.
+        Square matrix data, or a stack of it; a scalar is treated as a 1x1
+        matrix.
     """
 
     __slots__ = ("_mat", "_lo", "_hi")
@@ -77,11 +93,14 @@ class SpdMatrix:
         self._freeze(m, np.linalg.eigvalsh(m))
 
     def _freeze(self, m: np.ndarray, w: np.ndarray) -> None:
-        lo, hi = float(np.min(w)), float(np.max(w))
-        if not (hi > 0.0 and lo > STRICTNESS_TOL * hi):
+        lo = w.min(axis=-1)
+        hi = w.max(axis=-1)
+        ok = lo > STRICTNESS_TOL * hi  # as lo <= hi, this also needs hi > 0
+        if not ok.all():
+            i = np.argmin(ok)
             raise InvalidInput(
                 "matrix is not strictly positive definite "
-                f"(eigenvalue range [{lo:.6e}, {hi:.6e}])"
+                f"(eigenvalue range [{lo.flat[i]:.6e}, {hi.flat[i]:.6e}])"
             )
         m.flags.writeable = False
         self._mat = m
@@ -95,18 +114,20 @@ class SpdMatrix:
 
     @property
     def n(self) -> int:
-        return self._mat.shape[0]
+        return self._mat.shape[-1]
 
     @property
-    def eig_min(self) -> float:
-        return self._lo
+    def eig_min(self) -> float | np.ndarray:
+        return _scalar_or_stack(self._lo.reshape(self._mat.shape[:-2]))
 
     @property
-    def eig_max(self) -> float:
-        return self._hi
+    def eig_max(self) -> float | np.ndarray:
+        return _scalar_or_stack(self._hi.reshape(self._mat.shape[:-2]))
 
     def __repr__(self) -> str:
-        return f"SpdMatrix(n={self.n}, eig_range=[{self._lo:.4g}, {self._hi:.4g}])"
+        if self._mat.ndim > 2:
+            return f"SpdMatrix(n={self.n}, stack={self._mat.shape[:-2]})"
+        return f"SpdMatrix(n={self.n}, eig_range=[{self.eig_min:.4g}, {self.eig_max:.4g}])"
 
 
 def as_spd(m) -> SpdMatrix:
@@ -125,7 +146,8 @@ def _rebuild_spd(m: np.ndarray, context: str) -> SpdMatrix:
 def spd_from_spectrum(m: np.ndarray, w: np.ndarray, context: str) -> SpdMatrix:
     """Wrap symmetric ``m`` (frozen in place) whose eigenvalues ``w`` are known,
     checking strict positivity on ``w`` instead of a second eigensolve.  Raises
-    NumericalBreakdown, prefixed with ``context``, when ``w`` fails the check."""
+    NumericalBreakdown, prefixed with ``context``, when ``w`` fails the check.
+    ``w`` holds each matrix's eigenvalues along its last axis."""
     spd = SpdMatrix.__new__(SpdMatrix)
     try:
         spd._freeze(m, w)
@@ -136,9 +158,10 @@ def spd_from_spectrum(m: np.ndarray, w: np.ndarray, context: str) -> SpdMatrix:
 
 def spectral_assemble(q: np.ndarray, w: np.ndarray, *, inverse: bool = False) -> np.ndarray:
     """Symmetrized ``Q diag(w) Q^T``, or ``Q diag(w)^{-1} Q^T`` when ``inverse``
-    (dividing by w, which rounds differently from multiplying by 1/w)."""
+    (dividing by w, which rounds differently from multiplying by 1/w).
+    ``w`` is a row: ``(n,)`` for one ``Q``, ``(..., 1, n)`` for a stack."""
     qw = q / w if inverse else q * w
-    return symmetrize(qw @ q.T)
+    return symmetrize(qw @ q.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -150,7 +173,13 @@ class SpectralDecomposition:
 
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Assemble ``Q diag(f(w)) Q^T`` for a scalar function ``f``."""
-        return spectral_assemble(self.eigenvectors, _eval_on_spectrum(f, self.eigenvalues))
+        return spectral_assemble(self.eigenvectors, _eval_on_spectrum(f, _row(self.eigenvalues)))
+
+
+def _row(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues ``(..., n)`` as the row ``(..., 1, n)`` that
+    :func:`spectral_assemble` and per-matrix weights ``(..., 1, 1)`` broadcast with."""
+    return w[..., None, :]
 
 
 def _eval_on_spectrum(f: Callable, w: np.ndarray) -> np.ndarray:
@@ -162,7 +191,7 @@ def _eval_on_spectrum(f: Callable, w: np.ndarray) -> np.ndarray:
         vals = np.full_like(w, float(vals))
     if vals.shape != w.shape:
         raise DomainError(f"scalar function returned shape {vals.shape} for spectrum of shape {w.shape}")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise DomainError("scalar function is not finite on the spectrum")
     return vals
 
@@ -202,7 +231,7 @@ def mat_power(a: SpdMatrix, p: float) -> SpdMatrix:
     if p == 1.0:
         return a
     dec = spectral_decompose(a)
-    wp = _eval_on_spectrum(lambda t: t ** p, dec.eigenvalues)
+    wp = _eval_on_spectrum(lambda t: t ** p, _row(dec.eigenvalues))
     return spd_from_spectrum(spectral_assemble(dec.eigenvectors, wp), wp, f"mat_power(p={p})")
 
 
@@ -248,9 +277,9 @@ class LoewnerVerdict:
     ``margin >= -order_tol * scale``.
     """
 
-    margin: float
-    scale: float
-    holds: bool
+    margin: float | np.ndarray
+    scale: float | np.ndarray
+    holds: bool | np.ndarray
 
 
 def loewner_leq(x, y, order_tol: float = ORDER_TOL) -> LoewnerVerdict:
@@ -259,7 +288,8 @@ def loewner_leq(x, y, order_tol: float = ORDER_TOL) -> LoewnerVerdict:
     Parameters
     ----------
     x, y : array_like or SpdMatrix
-        Symmetric matrices of equal dimension.
+        Symmetric matrices of equal dimension, or equal stacks of them (one
+        verdict per matrix, as arrays).
     order_tol : float
         Relative tolerance; the verdict holds iff
         ``lambda_min(Y - X) >= -order_tol * max(1, ||X||_2, ||Y||_2)``.
@@ -268,11 +298,15 @@ def loewner_leq(x, y, order_tol: float = ORDER_TOL) -> LoewnerVerdict:
     ym = y.mat if isinstance(y, SpdMatrix) else _force_symmetric(y)
     if xm.shape != ym.shape:
         raise InvalidInput(f"dimension mismatch: {xm.shape} vs {ym.shape}")
-    margin = float(np.linalg.eigvalsh(ym - xm)[0])
-    norm_x = float(np.max(np.abs(np.linalg.eigvalsh(xm))))
-    norm_y = float(np.max(np.abs(np.linalg.eigvalsh(ym))))
-    scale = max(1.0, norm_x, norm_y)
-    return LoewnerVerdict(margin=margin, scale=scale, holds=margin >= -order_tol * scale)
+    margin = np.linalg.eigvalsh(ym - xm)[..., 0]
+    norm_x = np.abs(np.linalg.eigvalsh(xm)).max(axis=-1)
+    norm_y = np.abs(np.linalg.eigvalsh(ym)).max(axis=-1)
+    scale = np.maximum(1.0, np.maximum(norm_x, norm_y))
+    return LoewnerVerdict(
+        margin=_scalar_or_stack(margin),
+        scale=_scalar_or_stack(scale),
+        holds=_scalar_or_stack(margin >= -order_tol * scale),
+    )
 
 
 # ---------------------------------------------------------------------------

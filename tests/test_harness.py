@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import re
+import tracemalloc
 
 import pytest
 
-from oel.catalog import MarginReport
-from oel.errors import InvalidInput, ReportError
+from oel import harness
+from oel.catalog import MarginReport, catalog_with_duals, evaluate_trials
+from oel.errors import HypothesisError, InvalidInput, NumericalBreakdown, ReportError
 from oel.harness import (
     DEFAULT_DIMS,
     DEFAULT_SEED,
@@ -176,3 +179,117 @@ def test_report_dataclass_is_value_comparable():
     b = run_trial(case_by_id("W2.1"), 11, 2)
     assert isinstance(a, MarginReport)
     assert a == b and a is not b
+
+
+def test_read_reports_rejects_non_boolean_holds(tmp_path):
+    r = run_trial(case_by_id("H1.1"), 3, 2)
+    row = dict(dataclasses.asdict(r), holds="false", margin=-0.5)
+    path = tmp_path / "reports.jsonl"
+    path.write_text(json.dumps(dataclasses.asdict(r)) + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(ReportError, match="line 2.*holds"):
+        read_reports(str(path))
+
+
+def test_report_rows_hold_plain_python_values(tmp_path):
+    collected = []
+    run_suite(case_by_id("M3.c"), trials=6, dims=(1, 4), collect=collected)
+    kinds = {"case_id": str, "seed": int, "n": int, "p": float, "q": float, "c": float,
+             "u": float, "v": float, "margin": float, "scale": float, "holds": bool}
+    for r in collected:
+        d = harness.report_to_dict(r)
+        assert d == dataclasses.asdict(r)
+        assert tuple(d) == REPORT_FIELDS
+        assert {k: type(v) for k, v in d.items()} == kinds
+
+
+def test_every_suite_row_replays_bit_identically():
+    # a suite evaluates its trials in (k, n, n) stacks; a replay is the same kernel with k = 1
+    for case in catalog_with_duals():
+        collected = []
+        run_suite(case, trials=12, dims=(1, 2, 3, 4, 6, 8), seed=2024, collect=collected)
+        for r in collected:
+            assert replay(r.case_id, r.seed, r.n) == r, r
+    collected = []
+    run_suite(case_by_id("T3.2"), trials=3, dims=(16,), seed=5, collect=collected)
+    assert [replay(r.case_id, r.seed, r.n) for r in collected] == collected
+
+
+@pytest.mark.parametrize(
+    "setting, value, sizes",
+    [
+        # 12 trials of n = 2 in stacks of 5 (5 * 4 <= 20), 12 of n = 3 in stacks of 2 (2 * 9 <= 20)
+        ("STACK_ENTRIES", 20, [(5, 2), (5, 2), (2, 2)] + [(2, 3)] * 6),
+        # windows of trials 0-9, 10-19 and 20-23, each grouped by n in order of first appearance
+        ("WINDOW_TRIALS", 10, [(5, 2), (5, 3)] * 2 + [(2, 2), (2, 3)]),
+    ],
+)
+def test_windows_and_stacks_keep_the_rows(monkeypatch, setting, value, sizes):
+    case = case_by_id("T2.3")
+    whole = []
+    run_suite(case, trials=24, dims=(2, 3), seed=11, collect=whole)
+    seen = []
+    original = harness.sandwich_pairs
+
+    def recording(cfgs):
+        seen.append((len(cfgs), cfgs[0].n))
+        return original(cfgs)
+
+    monkeypatch.setattr(harness, "sandwich_pairs", recording)
+    monkeypatch.setattr(harness, setting, value)
+    split = []
+    run_suite(case, trials=24, dims=(2, 3), seed=11, collect=split)
+    assert split == whole
+    assert seen == sizes
+
+
+def test_suite_memory_does_not_grow_with_trials(monkeypatch):
+    monkeypatch.setattr(harness, "WINDOW_TRIALS", 32)
+    case = case_by_id("H1.1")
+
+    def peak_bytes(trials):
+        tracemalloc.start()
+        try:
+            run_suite(case, trials=trials, dims=(1, 2), seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(32)  # first-call caches
+    assert peak_bytes(640) < 2 * peak_bytes(32)
+
+
+@pytest.mark.parametrize("error", [NumericalBreakdown, HypothesisError])
+def test_suite_raises_the_earliest_failing_trial(monkeypatch, error):
+    # trials alternate n = 1, 2; trial 4 (n = 1) fails in the stack evaluated
+    # first, trial 3 (n = 2) in the second, and trial 3 comes first in trial order
+    seed = 9
+    failing = {seed ^ 3, seed ^ 4}
+
+    def flaky(case, pair, params, seeds, **kwargs):
+        if failing & set(seeds):
+            raise error(f"boom at {sorted(failing & set(seeds))}")
+        return evaluate_trials(case, pair, params, seeds, **kwargs)
+
+    whole = []
+    run_suite(case_by_id("H1.1"), trials=6, dims=(1, 2), seed=seed, collect=whole)
+    monkeypatch.setattr(harness, "evaluate_trials", flaky)
+    collected = []
+    with pytest.raises(error) as info:
+        run_suite(case_by_id("H1.1"), trials=6, dims=(1, 2), seed=seed, collect=collected)
+    message = str(info.value)
+    assert re.match(re.escape(f"trial (case_id, seed, n) = ('H1.1', {seed ^ 3}, 2): boom at [{seed ^ 3}]"), message)
+    assert isinstance(info.value.__cause__, error)
+    assert collected == whole[:3]  # the reports of the trials before the failing one
+
+
+def test_suite_passes_other_errors_through_unchanged(monkeypatch):
+    seed = 9
+
+    def flaky(case, pair, params, seeds, **kwargs):
+        if seed ^ 2 in seeds:
+            raise ZeroDivisionError("not a trial error")
+        return evaluate_trials(case, pair, params, seeds, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_trials", flaky)
+    with pytest.raises(ZeroDivisionError, match="^not a trial error$"):
+        run_suite(case_by_id("H1.1"), trials=6, dims=(1, 2), seed=seed)

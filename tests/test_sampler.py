@@ -10,7 +10,9 @@ from oel.sampler import (
     dims_cycle,
     generator,
     random_spd,
+    reseed,
     sandwich_pair,
+    sandwich_pairs,
 )
 
 
@@ -18,6 +20,43 @@ def test_rng_identity_is_pinned():
     assert RNG_ALGORITHM == "philox4x64"
     bg = generator(123).bit_generator
     assert type(bg).__name__ == "Philox"
+
+
+def test_reseeded_stream_is_the_generator_stream():
+    seeds = np.random.default_rng(0).integers(0, 1 << 63, size=(300, 2)).tolist()
+    rng = generator(0)
+    for i, (lo, hi) in enumerate(seeds):
+        seed = lo if i % 2 else (hi << 64) | lo  # 64- and 128-bit seeds
+        fresh = generator(seed)
+        reused = reseed(rng, seed)
+        for draw in (
+            lambda g: g.random(3),
+            lambda g: g.uniform(0.5, 2.0, 5),
+            lambda g: g.standard_normal((3, 3)),
+            lambda g: g.integers(0, 1 << 63),
+            lambda g: g.random(),
+        ):
+            np.testing.assert_array_equal(draw(reused), draw(fresh))
+
+
+def test_generators_are_independent():
+    a, b = generator(5), generator(5)
+    assert a is not b and a.bit_generator is not b.bit_generator
+    a.random(10)
+    np.testing.assert_array_equal(b.random(3), generator(5).random(3))
+
+
+def test_sandwich_pairs_stack_the_single_pairs():
+    cfgs = [SamplerConfig(seed=s, n=3, sandwich=(0.5 + 0.1 * s, 3.0)) for s in range(5)]
+    stacked = sandwich_pairs(cfgs)
+    assert stacked.A.mat.shape == (5, 3, 3)
+    for i, cfg in enumerate(cfgs):
+        single = sandwich_pair(cfg)
+        np.testing.assert_array_equal(stacked.A.mat[i], single.A.mat)
+        np.testing.assert_array_equal(stacked.B.mat[i], single.B.mat)
+        assert (stacked.u[i], stacked.v[i]) == (single.u, single.v)
+    with pytest.raises(InvalidInput):
+        sandwich_pairs([cfgs[0], SamplerConfig(seed=1, n=2, sandwich=(0.5, 3.0))])
 
 
 def test_generator_is_deterministic():
