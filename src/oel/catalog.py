@@ -1,12 +1,14 @@
 """Registry of the operator inequalities the harness verifies.
 
 Each entry states one comparison ``lhs <= rhs`` in the positive-semidefinite
-order, together with the spectral/parameter hypothesis under which it is
-claimed and a sampling plan that draws admissible trials.  Multi-term chains
-are registered as one sub-case per adjacent pair (ids ``G.1``, ``G.2``, ...),
-and statements holding on several parameter regions get one sub-case per
-region (ids like ``M3.b1``).  Where a reversed form holds under the dual
-hypothesis, :func:`dual` produces it (ids gain/lose a ``.rev`` suffix).
+order, together with the hypothesis region under which it is claimed.  A
+region is declared once (:class:`Region`) and yields the admissibility gate,
+the planner that draws admissible trials and the hypothesis text.
+Multi-term chains are registered as one sub-case per adjacent pair (ids
+``G.1``, ``G.2``, ...), and statements holding on several parameter regions
+get one sub-case per region (ids like ``M3.b1``).  Where a reversed form
+holds under the dual region, :func:`dual` produces it (ids gain/lose a
+``.rev`` suffix).
 
 All terms are built from the public mean/entropy operations so the catalog
 exercises the same code paths users call.  :func:`evaluate_trials` runs k
@@ -52,15 +54,6 @@ class Params:
 
 
 @dataclass(frozen=True)
-class Hypothesis:
-    """Decidable admissibility predicate over (u, v, params)."""
-
-    hyp_id: str
-    text: str
-    check: Callable[[float, float, Params], bool]
-
-
-@dataclass(frozen=True)
 class Term:
     """A named operator expression over a trial context."""
 
@@ -79,18 +72,19 @@ class TrialPlan:
 
 @dataclass(frozen=True)
 class InequalityCase:
-    """One registered comparison ``lhs <= rhs`` under ``hypothesis``."""
+    """One registered comparison ``lhs <= rhs`` under ``hypothesis``, whose
+    trials ``plan`` draws (the region's own planner, kept as a field so a
+    tracer can swap it in)."""
 
     id: str
     group: str
     statement: str
     lhs: Term
     rhs: Term
-    hypothesis: Hypothesis
+    hypothesis: Region
     plan: Callable[[np.random.Generator], TrialPlan]
     expected: str = "holds"
-    dual_hypothesis: Hypothesis | None = None
-    dual_plan: Callable | None = None
+    dual_region: Region | None = None
 
 
 @dataclass(frozen=True)
@@ -314,8 +308,14 @@ T_DRIFT_C_Q = _drift_term("q", None)
 
 
 # ---------------------------------------------------------------------------
-# hypothesis predicates (every comparison gets HYP_SLACK of slack)
+# hypothesis regions: one declaration yields the gate, the planner and the text
 # ---------------------------------------------------------------------------
+
+_WINDOW = (0.2, 4.0)        # sandwich targets are drawn inside this window,
+_FREE_WINDOW = (0.25, 4.0)  # or inside this one in a region without sandwich edges
+_PIN_SHARE = 0.1            # share of draws pinned to a sandwich edge
+_REACH = 2.0                # draws stop here in a box with an unbounded end
+
 
 def _ge(a: float, b: float) -> bool:
     return a >= b - HYP_SLACK
@@ -329,404 +329,206 @@ def _exp_capped(z: float) -> float:
     return float(np.exp(min(z, 700.0)))
 
 
-def _p_in_unit(p: float | None) -> bool:
-    return p is not None and 0.0 < abs(p) and _le(abs(p), 1.0)
+def _num(x: float) -> str:
+    return f"{x:.12g}"
 
-
-def _pq_pos(pr: Params, hi: float = 1.0) -> bool:
-    return (
-        pr.p is not None
-        and pr.q is not None
-        and pr.p > 0.0
-        and _le(pr.p, pr.q)
-        and _le(pr.q, hi)
-    )
-
-
-def _pq_neg(pr: Params) -> bool:
-    return (
-        pr.p is not None
-        and pr.q is not None
-        and _ge(pr.p, -1.0)
-        and _le(pr.p, pr.q)
-        and pr.q < 0.0
-    )
-
-
-HYP_ANY_P01 = Hypothesis("p01", "p in [0, 1]", lambda u, v, pr: pr.p is not None and _ge(pr.p, 0.0) and _le(pr.p, 1.0))
-HYP_ANY_PU = Hypothesis("punit", "p in [-1, 1] \\ {0}", lambda u, v, pr: _p_in_unit(pr.p))
-HYP_PLEQ = Hypothesis(
-    "pleq",
-    "p <= q, both in [-1, 1] \\ {0}",
-    lambda u, v, pr: _p_in_unit(pr.p) and _p_in_unit(pr.q) and _le(pr.p, pr.q),
-)
-HYP_U1_PU = Hypothesis("u1_punit", "u >= 1 and p in [-1, 1] \\ {0}", lambda u, v, pr: _ge(u, 1.0) and _p_in_unit(pr.p))
-HYP_V1_PU = Hypothesis("v1_punit", "v <= 1 and p in [-1, 1] \\ {0}", lambda u, v, pr: _le(v, 1.0) and _p_in_unit(pr.p))
-HYP_U1_PPOS = Hypothesis("u1_ppos", "u >= 1 and 0 < p <= 1", lambda u, v, pr: _ge(u, 1.0) and pr.p is not None and pr.p > 0.0 and _le(pr.p, 1.0))
-HYP_V1_PNEG = Hypothesis("v1_pneg", "v <= 1 and -1 <= p < 0", lambda u, v, pr: _le(v, 1.0) and pr.p is not None and pr.p < 0.0 and _ge(pr.p, -1.0))
-HYP_T2 = Hypothesis(
-    "u1strict_punit",
-    "u >= 1 + 1e-6 and p in [-1, 1) \\ {0}",
-    lambda u, v, pr: _ge(u, 1.0 + 1e-6) and _p_in_unit(pr.p) and pr.p < 1.0,
-)
-HYP_C1 = Hypothesis("u1strict", "u >= 1 + 1e-6", lambda u, v, pr: _ge(u, 1.0 + 1e-6))
-
-HYP_M1_I = Hypothesis("m1i", "u >= 1 and 0 < p <= q <= 1", lambda u, v, pr: _ge(u, 1.0) and _pq_pos(pr))
-HYP_M1_II = Hypothesis("m1ii", "v <= 1 and -1 <= p <= q < 0", lambda u, v, pr: _le(v, 1.0) and _pq_neg(pr))
-HYP_M1_III = Hypothesis(
-    "m1iii",
-    "exp(-1/q) <= u, v <= 1, 0 < p <= q <= 1",
-    lambda u, v, pr: _pq_pos(pr) and _ge(u, _exp_capped(-1.0 / pr.q)) and _le(v, 1.0),
-)
-HYP_M1_IV = Hypothesis(
-    "m1iv",
-    "1 <= u, v <= exp(-1/p), -1 <= p <= q < 0",
-    lambda u, v, pr: _pq_neg(pr) and _ge(u, 1.0) and _le(v, _exp_capped(-1.0 / pr.p)),
-)
-HYP_M2_I = Hypothesis("m2i", "u >= 1 and -1 <= p <= q < 0", lambda u, v, pr: _ge(u, 1.0) and _pq_neg(pr))
-HYP_M2_II = Hypothesis("m2ii", "v <= 1 and 0 < p <= q <= 1", lambda u, v, pr: _le(v, 1.0) and _pq_pos(pr))
-
-
-def _c_small(pr: Params) -> bool:
-    return pr.c is not None and pr.c > 0.0 and _le(pr.c, 0.5)
-
-
-def _c_large(pr: Params) -> bool:
-    return pr.c is not None and _ge(pr.c, 0.5)
-
-
-HYP_M3_A1 = Hypothesis("m3a1", "0 < c <= 1/2, u >= 1, -1 <= p <= q < 0", lambda u, v, pr: _c_small(pr) and _ge(u, 1.0) and _pq_neg(pr))
-HYP_M3_A2 = Hypothesis("m3a2", "0 < c <= 1/2, v <= 1, 0 < p <= q <= 1", lambda u, v, pr: _c_small(pr) and _le(v, 1.0) and _pq_pos(pr))
-HYP_M3_B1 = Hypothesis(
-    "m3b1",
-    "0 < c <= 1/2, 1 <= u, v <= exp((1-2c)/(c q)), 0 < p <= q <= 1",
-    lambda u, v, pr: _c_small(pr) and _pq_pos(pr) and _ge(u, 1.0) and _le(v, _exp_capped((1.0 - 2.0 * pr.c) / (pr.c * pr.q))),
-)
-HYP_M3_B2 = Hypothesis(
-    "m3b2",
-    "0 < c <= 1/2, exp((1-2c)/(c p)) <= u, v <= 1, -1 <= p <= q < 0",
-    lambda u, v, pr: _c_small(pr) and _pq_neg(pr) and _ge(u, _exp_capped((1.0 - 2.0 * pr.c) / (pr.c * pr.p))) and _le(v, 1.0),
-)
-HYP_M3_C = Hypothesis(
-    "m3c",
-    "c < 0, p <= q, both in [-1, 1] \\ {0}",
-    lambda u, v, pr: pr.c is not None and pr.c < 0.0 and _p_in_unit(pr.p) and _p_in_unit(pr.q) and _le(pr.p, pr.q),
-)
-HYP_M3_D1 = Hypothesis(
-    "m3d1",
-    "c >= 1/2, exp((1-2c)/(c q)) <= u, v <= 1, 0 < p <= q <= 1",
-    lambda u, v, pr: _c_large(pr) and _pq_pos(pr) and _ge(u, _exp_capped((1.0 - 2.0 * pr.c) / (pr.c * pr.q))) and _le(v, 1.0),
-)
-HYP_M3_D2 = Hypothesis(
-    "m3d2",
-    "c >= 1/2, 1 <= u, v <= exp((1-2c)/(c p)), -1 <= p <= q < 0",
-    lambda u, v, pr: _c_large(pr) and _pq_neg(pr) and _ge(u, 1.0) and _le(v, _exp_capped((1.0 - 2.0 * pr.c) / (pr.c * pr.p))),
-)
-HYP_M3_E1 = Hypothesis("m3e1", "c >= 1/2, u >= 1, 0 < p <= q <= 1", lambda u, v, pr: _c_large(pr) and _ge(u, 1.0) and _pq_pos(pr))
-HYP_M3_E2 = Hypothesis("m3e2", "c >= 1/2, v <= 1, -1 <= p <= q < 0", lambda u, v, pr: _c_large(pr) and _le(v, 1.0) and _pq_neg(pr))
-
-HYP_W1 = Hypothesis("w1", "0 < p <= q <= 1", lambda u, v, pr: _pq_pos(pr))
-HYP_W2 = Hypothesis("w2", "v <= 1 and 0 < p <= q < 1", lambda u, v, pr: _le(v, 1.0) and _pq_pos(pr) and pr.q < 1.0)
-HYP_W2_DUAL = Hypothesis("w2rev", "u >= 1 and 0 < p <= q < 1", lambda u, v, pr: _ge(u, 1.0) and _pq_pos(pr) and pr.q < 1.0)
-HYP_W4_I = Hypothesis("w4i", "u >= 1 and 0 < p <= q <= 1/2", lambda u, v, pr: _ge(u, 1.0) and _pq_pos(pr, hi=0.5))
-HYP_W4_II = Hypothesis(
-    "w4ii",
-    "v <= 1 and 1/2 <= p <= q <= 1",
-    lambda u, v, pr: _le(v, 1.0) and _pq_pos(pr) and _ge(pr.p, 0.5),
-)
-
-
-# ---------------------------------------------------------------------------
-# sampling plans (parameters + contraction-spectrum targets)
-# ---------------------------------------------------------------------------
 
 def _sorted2(rng: np.random.Generator, lo: float, hi: float) -> tuple[float, float]:
     a, b = np.sort(rng.uniform(lo, hi, 2))
     return float(a), float(b)
 
 
-def _sw_above(rng: np.random.Generator, hi: float = 4.0) -> tuple[float, float]:
-    if rng.random() < 0.1:
-        return 1.0, float(rng.uniform(1.0, hi))
-    return _sorted2(rng, 1.0, hi)
-
-
-def _sw_below(rng: np.random.Generator, lo: float = 0.2) -> tuple[float, float]:
-    if rng.random() < 0.1:
-        return float(rng.uniform(lo, 1.0)), 1.0
-    return _sorted2(rng, lo, 1.0)
-
-
-def _sw_any(rng: np.random.Generator) -> tuple[float, float]:
-    r = rng.random()
-    if r < 0.05:
-        return 1.0, float(rng.uniform(1.0, 4.0))
-    if r < 0.1:
-        return float(rng.uniform(0.25, 1.0)), 1.0
-    return _sorted2(rng, 0.25, 4.0)
-
-
-def _sw_in(rng: np.random.Generator, lo: float, hi: float) -> tuple[float, float]:
-    """Sandwich targets inside [lo, hi], pinning one edge 10% of the time."""
-    if hi <= lo:
-        return lo, lo
-    r = rng.random()
-    if r < 0.05:
-        return lo, float(rng.uniform(lo, hi))
-    if r < 0.1:
-        return float(rng.uniform(lo, hi)), hi
-    return _sorted2(rng, lo, hi)
-
-
-def _p_pos(rng: np.random.Generator, lo: float = _P_EPS, hi: float = 1.0) -> float:
-    return float(rng.uniform(lo, hi))
-
-
-def _p_signed(rng: np.random.Generator) -> float:
-    m = _p_pos(rng)
-    return m if rng.random() < 0.5 else -m
-
-
-def _pq_signed(rng: np.random.Generator) -> tuple[float, float]:
-    a, b = sorted((_p_signed(rng), _p_signed(rng)))
-    return float(a), float(b)
-
-
-def _plan_h1(rng):
-    p = float(rng.uniform(0.0, 1.0))
-    u, v = _sw_any(rng)
-    return TrialPlan(Params(p=p), u, v)
-
-
-def _plan_h2(rng):
-    p = _p_signed(rng)
-    u, v = _sw_any(rng)
-    return TrialPlan(Params(p=p), u, v)
-
-
-def _plan_t0(rng):
-    p, q = _pq_signed(rng)
-    u, v = _sw_any(rng)
-    return TrialPlan(Params(p=p, q=q), u, v)
-
-
-def _plan_u1_psigned(rng):
-    p = _p_signed(rng)
-    u, v = _sw_above(rng)
-    return TrialPlan(Params(p=p), u, v)
-
-
-def _plan_v1_psigned(rng):
-    p = _p_signed(rng)
-    u, v = _sw_below(rng)
-    return TrialPlan(Params(p=p), u, v)
-
-
-def _plan_t1r(rng):
-    p = _p_pos(rng)
-    u, v = _sw_above(rng)
-    return TrialPlan(Params(p=p), u, v)
-
-
-def _plan_t1r_dual(rng):
-    p = -_p_pos(rng)
-    u, v = _sw_below(rng)
-    return TrialPlan(Params(p=p), u, v)
-
-
-def _plan_t2(rng):
-    while True:
-        p = float(rng.uniform(-1.0, 1.0 - _P_EPS))
-        if abs(p) >= _P_EPS:
-            break
-    u, v = _sorted2(rng, 1.0 + _P_EPS, 3.0)
-    return TrialPlan(Params(p=p), u, v)
-
-
-def _plan_c1(rng):
-    u, v = _sorted2(rng, 1.0 + _P_EPS, 3.0)
-    return TrialPlan(Params(), u, v)
-
-
-def _plan_m1_i(rng):
-    p, q = _sorted2(rng, _P_EPS, 1.0)
-    u, v = _sw_above(rng)
-    return TrialPlan(Params(p=p, q=q), u, v)
-
-
-def _plan_m1_ii(rng):
-    p, q = _sorted2(rng, -1.0, -_P_EPS)
-    u, v = _sw_below(rng)
-    return TrialPlan(Params(p=p, q=q), u, v)
-
-
-def _plan_m1_iii(rng):
-    p, q = _sorted2(rng, _P_EPS, 1.0)
-    lo = _exp_capped(-1.0 / q)
-    u, v = _sw_in(rng, lo, 1.0)
-    return TrialPlan(Params(p=p, q=q), u, v)
-
-
-def _plan_m1_iv(rng):
-    p, q = _sorted2(rng, -1.0, -_P_EPS)
-    hi = min(_exp_capped(-1.0 / p), 4.0)
-    u, v = _sw_in(rng, 1.0, hi)
-    return TrialPlan(Params(p=p, q=q), u, v)
-
-
-def _plan_m2_i(rng):
-    p, q = _sorted2(rng, -1.0, -_P_EPS)
-    u, v = _sw_above(rng)
-    return TrialPlan(Params(p=p, q=q), u, v)
-
-
-def _plan_m2_ii(rng):
-    p, q = _sorted2(rng, _P_EPS, 1.0)
-    u, v = _sw_below(rng)
-    return TrialPlan(Params(p=p, q=q), u, v)
-
-
-def _c_lo(rng):
-    return float(rng.uniform(1e-3, 0.5))
-
-
-def _c_hi(rng):
-    return float(rng.uniform(0.5, 2.0))
-
-
-def _plan_m3_a1(rng):
-    c = _c_lo(rng)
-    p, q = _sorted2(rng, -1.0, -_P_EPS)
-    u, v = _sw_above(rng)
-    return TrialPlan(Params(p=p, q=q, c=c), u, v)
-
-
-def _plan_m3_a2(rng):
-    c = _c_lo(rng)
-    p, q = _sorted2(rng, _P_EPS, 1.0)
-    u, v = _sw_below(rng)
-    return TrialPlan(Params(p=p, q=q, c=c), u, v)
-
-
-def _plan_m3_b1(rng):
-    c = _c_lo(rng)
-    p, q = _sorted2(rng, _P_EPS, 1.0)
-    hi = min(_exp_capped((1.0 - 2.0 * c) / (c * q)), 4.0)
-    u, v = _sw_in(rng, 1.0, hi)
-    return TrialPlan(Params(p=p, q=q, c=c), u, v)
-
-
-def _plan_m3_b2(rng):
-    c = _c_lo(rng)
-    p, q = _sorted2(rng, -1.0, -_P_EPS)
-    lo = max(_exp_capped((1.0 - 2.0 * c) / (c * p)), 0.2)
-    u, v = _sw_in(rng, lo, 1.0)
-    return TrialPlan(Params(p=p, q=q, c=c), u, v)
-
-
-def _plan_m3_c(rng):
-    c = float(rng.uniform(-2.0, -1e-3))
-    p, q = _pq_signed(rng)
-    u, v = _sw_any(rng)
-    return TrialPlan(Params(p=p, q=q, c=c), u, v)
-
-
-def _plan_m3_d1(rng):
-    c = _c_hi(rng)
-    p, q = _sorted2(rng, _P_EPS, 1.0)
-    lo = max(_exp_capped((1.0 - 2.0 * c) / (c * q)), 0.2)
-    u, v = _sw_in(rng, lo, 1.0)
-    return TrialPlan(Params(p=p, q=q, c=c), u, v)
-
-
-def _plan_m3_d2(rng):
-    c = _c_hi(rng)
-    p, q = _sorted2(rng, -1.0, -_P_EPS)
-    hi = min(_exp_capped((1.0 - 2.0 * c) / (c * p)), 4.0)
-    u, v = _sw_in(rng, 1.0, hi)
-    return TrialPlan(Params(p=p, q=q, c=c), u, v)
-
-
-def _plan_m3_e1(rng):
-    c = _c_hi(rng)
-    p, q = _sorted2(rng, _P_EPS, 1.0)
-    u, v = _sw_above(rng)
-    return TrialPlan(Params(p=p, q=q, c=c), u, v)
-
-
-def _plan_m3_e2(rng):
-    c = _c_hi(rng)
-    p, q = _sorted2(rng, -1.0, -_P_EPS)
-    u, v = _sw_below(rng)
-    return TrialPlan(Params(p=p, q=q, c=c), u, v)
-
-
-def _plan_w1(rng):
-    p, q = _sorted2(rng, _P_EPS, 1.0)
-    u, v = _sw_any(rng)
-    return TrialPlan(Params(p=p, q=q), u, v)
-
-
-def _plan_w2(rng):
-    p, q = _sorted2(rng, _P_EPS, 1.0 - _P_EPS)
-    u, v = _sw_below(rng)
-    return TrialPlan(Params(p=p, q=q), u, v)
-
-
-def _plan_w2_dual(rng):
-    p, q = _sorted2(rng, _P_EPS, 1.0 - _P_EPS)
-    u, v = _sw_above(rng)
-    return TrialPlan(Params(p=p, q=q), u, v)
-
-
-def _plan_w4_i(rng):
-    p, q = _sorted2(rng, _P_EPS, 0.5)
-    u, v = _sw_above(rng)
-    return TrialPlan(Params(p=p, q=q), u, v)
-
-
-def _plan_w4_ii(rng):
-    p, q = _sorted2(rng, 0.5, 1.0)
-    u, v = _sw_below(rng)
-    return TrialPlan(Params(p=p, q=q), u, v)
+@dataclass(frozen=True)
+class Box:
+    """An interval for one scalar parameter.  Closed ends are checked with
+    HYP_SLACK, open ends strictly, and a box that straddles 0 excludes 0.
+    Draws keep ``_P_EPS`` off open ends and off 0, and stop at ``_REACH``
+    in an unbounded end."""
+
+    lo: float
+    hi: float
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def admits(self, x: float | None) -> bool:
+        return (
+            x is not None
+            and (x > self.lo if self.lo_open else _ge(x, self.lo))
+            and (x < self.hi if self.hi_open else _le(x, self.hi))
+            and (x != 0.0 or not self.lo < 0.0 < self.hi)
+        )
+
+    def draw(self, rng: np.random.Generator) -> float:
+        lo = max(self.lo + _P_EPS if self.lo_open else self.lo, -_REACH)
+        hi = min(self.hi - _P_EPS if self.hi_open else self.hi, _REACH)
+        if not lo < 0.0 < hi:
+            return float(rng.uniform(lo, hi))
+        if lo == -hi:  # symmetric about 0: a magnitude, then a fair sign
+            m = float(rng.uniform(_P_EPS, hi))
+            return m if rng.random() < 0.5 else -m
+        while True:
+            x = float(rng.uniform(lo, hi))
+            if abs(x) >= _P_EPS:
+                return x
+
+    def text(self, names: str) -> str:
+        if self.lo < 0.0 < self.hi:
+            left, right = "(["[not self.lo_open], ")]"[not self.hi_open]
+            return f"{names} in {left}{_num(self.lo)}, {_num(self.hi)}{right} \\ {{0}}"
+        left = "" if self.lo == -np.inf else f"{_num(self.lo)} {'<' if self.lo_open else '<='} "
+        right = "" if self.hi == np.inf else f" {'<' if self.hi_open else '<='} {_num(self.hi)}"
+        return left + names + right
+
+
+@dataclass(frozen=True)
+class ExpEdge:
+    """A sandwich edge ``exp(z)`` that moves with the parameters (z capped at 700)."""
+
+    z_text: str
+    z: Callable[[Params], float]
+
+
+def _edge_at(edge: float | ExpEdge, pr: Params) -> float:
+    return _exp_capped(edge.z(pr)) if isinstance(edge, ExpEdge) else edge
+
+
+def _edge_text(edge: float | ExpEdge) -> str:
+    return f"exp({edge.z_text})" if isinstance(edge, ExpEdge) else _num(edge)
+
+
+@dataclass(frozen=True)
+class Region:
+    """One hypothesis region: ``p`` in a box (``p <= q``, both in it, when
+    ``ordered``), ``c`` in a box, and the sandwich ``u >= u_lo``,
+    ``v <= v_hi``; None leaves that part free.  The declaration yields the
+    gate (:meth:`check`), the planner (:meth:`plan`) and the :attr:`text`.
+
+    The planner draws c, then the weights, then the targets.  Targets come
+    from ``_WINDOW`` with each stated edge clamped into it, or from
+    ``_FREE_WINDOW`` when no edge is stated.  A ``_PIN_SHARE`` of draws puts
+    u on its lower edge or v on its upper edge, where the inequalities are
+    tight (split evenly when both are stated); without edges those pins sit
+    at u = 1 and v = 1, where the paper's regions meet.  A region with its
+    own ``window`` draws plainly inside it, without pins."""
+
+    p: Box | None = None
+    ordered: bool = False
+    c: Box | None = None
+    u_lo: float | ExpEdge | None = None
+    v_hi: float | ExpEdge | None = None
+    window: tuple[float, float] | None = None
+
+    def check(self, u: float, v: float, pr: Params) -> bool:
+        """Whether (u, v, params) lie in the region, with ``HYP_SLACK`` of slack."""
+        return (
+            (self.p is None or self.p.admits(pr.p))
+            and (not self.ordered or (self.p.admits(pr.q) and _le(pr.p, pr.q)))
+            and (self.c is None or self.c.admits(pr.c))
+            and (self.u_lo is None or _ge(u, _edge_at(self.u_lo, pr)))
+            and (self.v_hi is None or _le(v, _edge_at(self.v_hi, pr)))
+        )
+
+    def plan(self, rng: np.random.Generator) -> TrialPlan:
+        """One admissible draw: parameters, then sandwich targets."""
+        c = None if self.c is None else self.c.draw(rng)
+        p = q = None
+        if self.p is not None:
+            p = self.p.draw(rng)
+            if self.ordered:
+                p, q = sorted((p, self.p.draw(rng)))
+        pr = Params(p=p, q=q, c=c)
+        return TrialPlan(pr, *self._targets(rng, pr))
+
+    def _targets(self, rng: np.random.Generator, pr: Params) -> tuple[float, float]:
+        if self.window is not None:
+            return _sorted2(rng, *self.window)
+        if self.u_lo is None and self.v_hi is None:
+            (lo, hi), u_pin, v_pin = _FREE_WINDOW, 1.0, 1.0
+        else:
+            lo = _WINDOW[0] if self.u_lo is None else max(_edge_at(self.u_lo, pr), _WINDOW[0])
+            hi = _WINDOW[1] if self.v_hi is None else min(_edge_at(self.v_hi, pr), _WINDOW[1])
+            if hi <= lo:
+                return lo, lo
+            u_pin = None if self.u_lo is None else lo
+            v_pin = None if self.v_hi is None else hi
+        r = rng.random()
+        if u_pin is not None and r < (_PIN_SHARE if v_pin is None else _PIN_SHARE / 2):
+            return u_pin, float(rng.uniform(u_pin, hi))
+        if v_pin is not None and r < _PIN_SHARE:
+            return float(rng.uniform(lo, v_pin)), v_pin
+        return _sorted2(rng, lo, hi)
+
+    @property
+    def text(self) -> str:
+        parts = []
+        if self.u_lo is not None:
+            parts.append(f"u >= {_edge_text(self.u_lo)}")
+        if self.v_hi is not None:
+            parts.append(f"v <= {_edge_text(self.v_hi)}")
+        if self.p is not None:
+            parts.append(self.p.text("p <= q" if self.ordered else "p"))
+        if self.c is not None:
+            parts.append(self.c.text("c"))
+        return ", ".join(parts)
+
+
+_UNIT = Box(-1.0, 1.0)
+_POS = Box(0.0, 1.0, lo_open=True)
+_NEG = Box(-1.0, 0.0, hi_open=True)
+_POS_OPEN = Box(0.0, 1.0, lo_open=True, hi_open=True)
+_C_SMALL = Box(0.0, 0.5, lo_open=True)
+_C_LARGE = Box(0.5, np.inf)
+_EXP_Q = ExpEdge("-1/q", lambda pr: -1.0 / pr.q)
+_EXP_P = ExpEdge("-1/p", lambda pr: -1.0 / pr.p)
+_EXP_CQ = ExpEdge("(1-2c)/(c q)", lambda pr: (1.0 - 2.0 * pr.c) / (pr.c * pr.q))
+_EXP_CP = ExpEdge("(1-2c)/(c p)", lambda pr: (1.0 - 2.0 * pr.c) / (pr.c * pr.p))
+# T2 and C1 need u > 1 (their gap pair B - A must stay positive definite), so
+# they draw u, v plainly from a window that keeps _P_EPS off 1
+_GAP_WINDOW = (1.0 + _P_EPS, 3.0)
+
+R_P01 = Region(p=Box(0.0, 1.0))
+R_PUNIT = Region(p=_UNIT)
+R_PLEQ = Region(p=_UNIT, ordered=True)
+R_U1_PUNIT = Region(p=_UNIT, u_lo=1.0)
+R_V1_PUNIT = Region(p=_UNIT, v_hi=1.0)
+R_U1_PPOS = Region(p=_POS, u_lo=1.0)
+R_V1_PNEG = Region(p=_NEG, v_hi=1.0)
+R_T2 = Region(p=Box(-1.0, 1.0, hi_open=True), u_lo=1.0 + 1e-6, window=_GAP_WINDOW)
+R_C1 = Region(u_lo=1.0 + 1e-6, window=_GAP_WINDOW)
+R_M1_I = Region(p=_POS, ordered=True, u_lo=1.0)
+R_M1_II = Region(p=_NEG, ordered=True, v_hi=1.0)
+R_M1_III = Region(p=_POS, ordered=True, u_lo=_EXP_Q, v_hi=1.0)
+R_M1_IV = Region(p=_NEG, ordered=True, u_lo=1.0, v_hi=_EXP_P)
+R_M2_I = Region(p=_NEG, ordered=True, u_lo=1.0)
+R_M2_II = Region(p=_POS, ordered=True, v_hi=1.0)
+R_M3_A1 = Region(p=_NEG, ordered=True, c=_C_SMALL, u_lo=1.0)
+R_M3_A2 = Region(p=_POS, ordered=True, c=_C_SMALL, v_hi=1.0)
+R_M3_B1 = Region(p=_POS, ordered=True, c=_C_SMALL, u_lo=1.0, v_hi=_EXP_CQ)
+R_M3_B2 = Region(p=_NEG, ordered=True, c=_C_SMALL, u_lo=_EXP_CP, v_hi=1.0)
+R_M3_C = Region(p=_UNIT, ordered=True, c=Box(-np.inf, 0.0, hi_open=True))
+R_M3_D1 = Region(p=_POS, ordered=True, c=_C_LARGE, u_lo=_EXP_CQ, v_hi=1.0)
+R_M3_D2 = Region(p=_NEG, ordered=True, c=_C_LARGE, u_lo=1.0, v_hi=_EXP_CP)
+R_M3_E1 = Region(p=_POS, ordered=True, c=_C_LARGE, u_lo=1.0)
+R_M3_E2 = Region(p=_NEG, ordered=True, c=_C_LARGE, v_hi=1.0)
+R_W1 = Region(p=_POS, ordered=True)
+R_W2 = Region(p=_POS_OPEN, ordered=True, v_hi=1.0)
+R_W2_DUAL = Region(p=_POS_OPEN, ordered=True, u_lo=1.0)
+R_W4_I = Region(p=Box(0.0, 0.5, lo_open=True), ordered=True, u_lo=1.0)
+R_W4_II = Region(p=Box(0.5, 1.0), ordered=True, v_hi=1.0)
 
 
 # ---------------------------------------------------------------------------
 # case construction
 # ---------------------------------------------------------------------------
 
-def _chain(group, statement, hyp, plan, members, dual_hyp=None, dual_plan=None):
-    cases = []
-    for i in range(len(members) - 1):
-        cases.append(
-            InequalityCase(
-                id=f"{group}.{i + 1}",
-                group=group,
-                statement=statement,
-                lhs=members[i],
-                rhs=members[i + 1],
-                hypothesis=hyp,
-                plan=plan,
-                dual_hypothesis=dual_hyp,
-                dual_plan=dual_plan,
-            )
-        )
-    return cases
+def _case(case_id, group, statement, region, lhs, rhs, dual_region=None):
+    return InequalityCase(case_id, group, statement, lhs, rhs, region, region.plan, dual_region=dual_region)
 
 
-def _single(case_id, group, statement, hyp, plan, lhs, rhs, dual_hyp=None, dual_plan=None):
+def _chain(group, statement, region, members, dual_region=None):
     return [
-        InequalityCase(
-            id=case_id,
-            group=group,
-            statement=statement,
-            lhs=lhs,
-            rhs=rhs,
-            hypothesis=hyp,
-            plan=plan,
-            dual_hypothesis=dual_hyp,
-            dual_plan=dual_plan,
-        )
+        _case(f"{group}.{i}", group, statement, region, lhs, rhs, dual_region)
+        for i, (lhs, rhs) in enumerate(zip(members, members[1:]), start=1)
     ]
 
 
@@ -736,141 +538,119 @@ def _build() -> tuple[InequalityCase, ...]:
     cases += _chain(
         "H1",
         "weighted harmonic <= geometric <= arithmetic mean, p in [0, 1]",
-        HYP_ANY_P01,
-        _plan_h1,
+        R_P01,
         [T_HARM, T_GEOM, T_ARITH],
     )
     cases += _chain(
         "H2",
         "A - A B^-1 A <= T[p] <= B - A for p in [-1, 1] \\ {0}",
-        HYP_ANY_PU,
-        _plan_h2,
+        R_PUNIT,
         [T_LOW_INV, T_TS, T_B_MINUS_A],
     )
-    cases += _single(
-        "T0.1",
-        "T0",
-        "T[p] <= T[q] when p <= q",
-        HYP_PLEQ,
-        _plan_t0,
-        T_TS,
-        T_TS_Q,
-    )
+    cases.append(_case("T0.1", "T0", "T[p] <= T[q] when p <= q", R_PLEQ, T_TS, T_TS_Q))
     cases += _chain(
         "TA",
         "midpoint lower and endpoint-average upper bounds for T[p] when u >= 1",
-        HYP_U1_PU,
-        _plan_u1_psigned,
+        R_U1_PUNIT,
         [T_TA_LOW, T_TS, T_TA_UP],
     )
     cases += _chain(
         "T1",
         "S[p/2] <= T[p] <= (S + S[p])/2 when u >= 1 (reversed when v <= 1)",
-        HYP_U1_PU,
-        _plan_u1_psigned,
+        R_U1_PUNIT,
         [T_SP_HALF, T_TS, T_S_SP_AVG],
-        dual_hyp=HYP_V1_PU,
-        dual_plan=_plan_v1_psigned,
+        dual_region=R_V1_PUNIT,
     )
     cases += _chain(
         "T1R",
         "S <= S[p/2] <= T[p] <= (S + S[p])/2 <= S[p] when u >= 1, 0 < p <= 1 "
         "(reversed when v <= 1, -1 <= p < 0)",
-        HYP_U1_PPOS,
-        _plan_t1r,
+        R_U1_PPOS,
         [T_S, T_SP_HALF, T_TS, T_S_SP_AVG, T_SP],
-        dual_hyp=HYP_V1_PNEG,
-        dual_plan=_plan_t1r_dual,
+        dual_region=R_V1_PNEG,
     )
     cases += _chain(
         "T2",
         "(T[p]-T[p-1])/2 <= 4(T[p]-T[p-1])@(A,(A+B)/2) <= (T[p]-T[1])/(p-1) "
         "<= (T[p]-T[p-1])/2 + nat2(A,B-A)/4 when u > 1",
-        HYP_T2,
-        _plan_t2,
+        R_T2,
         [T_T2_HALF, T_T2_MID, T_T2_SLOPE, T_T2_UP],
     )
     cases += _chain(
         "T3",
         "closed-form lower/upper envelope for T[p] when u >= 1",
-        HYP_U1_PU,
-        _plan_u1_psigned,
+        R_U1_PUNIT,
         [T_T3_LOW, T_TS, T_T3_UP],
     )
     cases += _chain(
         "C1",
         "p -> 0 limit chain: (S-T[-1])/2 <= 4(S-T[-1])@(A,(A+B)/2) <= (B-A)-S "
         "<= (S-T[-1])/2 + nat2(A,B-A)/4 when u > 1",
-        HYP_C1,
-        _plan_c1,
+        R_C1,
         [T_C1_HALF, T_C1_MID, T_C1_SLOPE, T_C1_UP],
     )
     # monotonicity of p -> T[p] - c S[p] (four sign regions per coefficient c)
-    cases += _single("M1.i", "M1", "T[q]-S[q] <= T[p]-S[p]: u >= 1, 0 < p <= q <= 1", HYP_M1_I, _plan_m1_i, T_DRIFT1_Q, T_DRIFT1_P)
-    cases += _single("M1.ii", "M1", "T[q]-S[q] <= T[p]-S[p]: v <= 1, p <= q < 0", HYP_M1_II, _plan_m1_ii, T_DRIFT1_Q, T_DRIFT1_P)
-    cases += _single("M1.iii", "M1", "T[q]-S[q] <= T[p]-S[p]: exp(-1/q) <= u <= v <= 1", HYP_M1_III, _plan_m1_iii, T_DRIFT1_Q, T_DRIFT1_P)
-    cases += _single("M1.iv", "M1", "T[q]-S[q] <= T[p]-S[p]: 1 <= u <= v <= exp(-1/p)", HYP_M1_IV, _plan_m1_iv, T_DRIFT1_Q, T_DRIFT1_P)
-    cases += _single("M2.i", "M2", "T[p]-S[p]/2 <= T[q]-S[q]/2: u >= 1, p <= q < 0", HYP_M2_I, _plan_m2_i, T_DRIFT_HALF_P, T_DRIFT_HALF_Q)
-    cases += _single("M2.ii", "M2", "T[p]-S[p]/2 <= T[q]-S[q]/2: v <= 1, 0 < p <= q", HYP_M2_II, _plan_m2_ii, T_DRIFT_HALF_P, T_DRIFT_HALF_Q)
-    cases += _single("M2.iii", "M2", "T[q]-S[q]/2 <= T[p]-S[p]/2: u >= 1, 0 < p <= q", HYP_M1_I, _plan_m1_i, T_DRIFT_HALF_Q, T_DRIFT_HALF_P)
-    cases += _single("M2.iv", "M2", "T[q]-S[q]/2 <= T[p]-S[p]/2: v <= 1, p <= q < 0", HYP_M1_II, _plan_m1_ii, T_DRIFT_HALF_Q, T_DRIFT_HALF_P)
-    cases += _single("M3.a1", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, u >= 1, p <= q < 0", HYP_M3_A1, _plan_m3_a1, T_DRIFT_C_P, T_DRIFT_C_Q)
-    cases += _single("M3.a2", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, v <= 1, 0 < p <= q", HYP_M3_A2, _plan_m3_a2, T_DRIFT_C_P, T_DRIFT_C_Q)
-    cases += _single("M3.b1", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, 1 <= u <= v <= exp((1-2c)/(cq))", HYP_M3_B1, _plan_m3_b1, T_DRIFT_C_P, T_DRIFT_C_Q)
-    cases += _single("M3.b2", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, exp((1-2c)/(cp)) <= u <= v <= 1", HYP_M3_B2, _plan_m3_b2, T_DRIFT_C_P, T_DRIFT_C_Q)
-    cases += _single("M3.c", "M3", "T[p]-cS[p] <= T[q]-cS[q]: c < 0, p <= q", HYP_M3_C, _plan_m3_c, T_DRIFT_C_P, T_DRIFT_C_Q)
-    cases += _single("M3.d1", "M3", "T[q]-cS[q] <= T[p]-cS[p]: c >= 1/2, exp((1-2c)/(cq)) <= u <= v <= 1", HYP_M3_D1, _plan_m3_d1, T_DRIFT_C_Q, T_DRIFT_C_P)
-    cases += _single("M3.d2", "M3", "T[q]-cS[q] <= T[p]-cS[p]: c >= 1/2, 1 <= u <= v <= exp((1-2c)/(cp))", HYP_M3_D2, _plan_m3_d2, T_DRIFT_C_Q, T_DRIFT_C_P)
-    cases += _single("M3.e1", "M3", "T[q]-cS[q] <= T[p]-cS[p]: c >= 1/2, u >= 1, 0 < p <= q", HYP_M3_E1, _plan_m3_e1, T_DRIFT_C_Q, T_DRIFT_C_P)
-    cases += _single("M3.e2", "M3", "T[q]-cS[q] <= T[p]-cS[p]: c >= 1/2, v <= 1, p <= q < 0", HYP_M3_E2, _plan_m3_e2, T_DRIFT_C_Q, T_DRIFT_C_P)
-    cases += _single(
-        "W1.1",
-        "W1",
-        "(arith[q]-nat[q])/q <= (arith[p]-nat[p])/p when 0 < p <= q <= 1",
-        HYP_W1,
-        _plan_w1,
-        T_W1_Q,
-        T_W1_P,
-    )
-    cases += _single(
-        "W2.1",
-        "W2",
-        "(arith[q]-nat[q])/(q(1-q)) <= (arith[p]-nat[p])/(p(1-p)) when v <= 1 "
-        "(reversed when u >= 1)",
-        HYP_W2,
-        _plan_w2,
-        T_W2_Q,
-        T_W2_P,
-        dual_hyp=HYP_W2_DUAL,
-        dual_plan=_plan_w2_dual,
-    )
-    cases += _single(
-        "W3.1",
-        "W3",
-        "(nat[q]-harm[q])/q <= (nat[p]-harm[p])/p when v <= 1, 0 < p <= q <= 1",
-        HYP_M2_II,
-        _plan_m2_ii,
-        T_W3_Q,
-        T_W3_P,
-    )
-    cases += _single(
-        "W4.i",
-        "W4",
-        "F[p] <= F[q] with F[r] = (nat[r]-harm[r])/r + r (log C)^2 lift: u >= 1, 0 < p <= q <= 1/2",
-        HYP_W4_I,
-        _plan_w4_i,
-        T_W4_P,
-        T_W4_Q,
-    )
-    cases += _single(
-        "W4.ii",
-        "W4",
-        "F[p] <= F[q] with F[r] = (nat[r]-harm[r])/r + r (log C)^2 lift: v <= 1, 1/2 <= p <= q <= 1",
-        HYP_W4_II,
-        _plan_w4_ii,
-        T_W4_P,
-        T_W4_Q,
-    )
+    cases += [
+        _case("M1.i", "M1", "T[q]-S[q] <= T[p]-S[p]: u >= 1, 0 < p <= q <= 1", R_M1_I, T_DRIFT1_Q, T_DRIFT1_P),
+        _case("M1.ii", "M1", "T[q]-S[q] <= T[p]-S[p]: v <= 1, p <= q < 0", R_M1_II, T_DRIFT1_Q, T_DRIFT1_P),
+        _case("M1.iii", "M1", "T[q]-S[q] <= T[p]-S[p]: exp(-1/q) <= u <= v <= 1", R_M1_III, T_DRIFT1_Q, T_DRIFT1_P),
+        _case("M1.iv", "M1", "T[q]-S[q] <= T[p]-S[p]: 1 <= u <= v <= exp(-1/p)", R_M1_IV, T_DRIFT1_Q, T_DRIFT1_P),
+        _case("M2.i", "M2", "T[p]-S[p]/2 <= T[q]-S[q]/2: u >= 1, p <= q < 0", R_M2_I, T_DRIFT_HALF_P, T_DRIFT_HALF_Q),
+        _case("M2.ii", "M2", "T[p]-S[p]/2 <= T[q]-S[q]/2: v <= 1, 0 < p <= q", R_M2_II, T_DRIFT_HALF_P, T_DRIFT_HALF_Q),
+        _case("M2.iii", "M2", "T[q]-S[q]/2 <= T[p]-S[p]/2: u >= 1, 0 < p <= q", R_M1_I, T_DRIFT_HALF_Q, T_DRIFT_HALF_P),
+        _case("M2.iv", "M2", "T[q]-S[q]/2 <= T[p]-S[p]/2: v <= 1, p <= q < 0", R_M1_II, T_DRIFT_HALF_Q, T_DRIFT_HALF_P),
+        _case("M3.a1", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, u >= 1, p <= q < 0", R_M3_A1, T_DRIFT_C_P, T_DRIFT_C_Q),
+        _case("M3.a2", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, v <= 1, 0 < p <= q", R_M3_A2, T_DRIFT_C_P, T_DRIFT_C_Q),
+        _case("M3.b1", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, 1 <= u <= v <= exp((1-2c)/(cq))", R_M3_B1, T_DRIFT_C_P, T_DRIFT_C_Q),
+        _case("M3.b2", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, exp((1-2c)/(cp)) <= u <= v <= 1", R_M3_B2, T_DRIFT_C_P, T_DRIFT_C_Q),
+        _case("M3.c", "M3", "T[p]-cS[p] <= T[q]-cS[q]: c < 0, p <= q", R_M3_C, T_DRIFT_C_P, T_DRIFT_C_Q),
+        _case("M3.d1", "M3", "T[q]-cS[q] <= T[p]-cS[p]: c >= 1/2, exp((1-2c)/(cq)) <= u <= v <= 1", R_M3_D1, T_DRIFT_C_Q, T_DRIFT_C_P),
+        _case("M3.d2", "M3", "T[q]-cS[q] <= T[p]-cS[p]: c >= 1/2, 1 <= u <= v <= exp((1-2c)/(cp))", R_M3_D2, T_DRIFT_C_Q, T_DRIFT_C_P),
+        _case("M3.e1", "M3", "T[q]-cS[q] <= T[p]-cS[p]: c >= 1/2, u >= 1, 0 < p <= q", R_M3_E1, T_DRIFT_C_Q, T_DRIFT_C_P),
+        _case("M3.e2", "M3", "T[q]-cS[q] <= T[p]-cS[p]: c >= 1/2, v <= 1, p <= q < 0", R_M3_E2, T_DRIFT_C_Q, T_DRIFT_C_P),
+        _case(
+            "W1.1",
+            "W1",
+            "(arith[q]-nat[q])/q <= (arith[p]-nat[p])/p when 0 < p <= q <= 1",
+            R_W1,
+            T_W1_Q,
+            T_W1_P,
+        ),
+        _case(
+            "W2.1",
+            "W2",
+            "(arith[q]-nat[q])/(q(1-q)) <= (arith[p]-nat[p])/(p(1-p)) when v <= 1 "
+            "(reversed when u >= 1)",
+            R_W2,
+            T_W2_Q,
+            T_W2_P,
+            dual_region=R_W2_DUAL,
+        ),
+        _case(
+            "W3.1",
+            "W3",
+            "(nat[q]-harm[q])/q <= (nat[p]-harm[p])/p when v <= 1, 0 < p <= q <= 1",
+            R_M2_II,
+            T_W3_Q,
+            T_W3_P,
+        ),
+        _case(
+            "W4.i",
+            "W4",
+            "F[p] <= F[q] with F[r] = (nat[r]-harm[r])/r + r (log C)^2 lift: u >= 1, 0 < p <= q <= 1/2",
+            R_W4_I,
+            T_W4_P,
+            T_W4_Q,
+        ),
+        _case(
+            "W4.ii",
+            "W4",
+            "F[p] <= F[q] with F[r] = (nat[r]-harm[r])/r + r (log C)^2 lift: v <= 1, 1/2 <= p <= q <= 1",
+            R_W4_II,
+            T_W4_P,
+            T_W4_Q,
+        ),
+    ]
     ids = [c.id for c in cases]
     assert len(ids) == len(set(ids)), "duplicate case ids"
     return tuple(cases)
@@ -882,8 +662,8 @@ def catalog() -> list[InequalityCase]:
 
 
 def dual(case: InequalityCase) -> InequalityCase:
-    """The reversed comparison under the dual hypothesis; involutive."""
-    if case.dual_hypothesis is None or case.dual_plan is None:
+    """The reversed comparison under the dual region; involutive."""
+    if case.dual_region is None:
         raise NoDual(f"case {case.id} has no stated reverse")
     new_id = case.id[: -len(".rev")] if case.id.endswith(".rev") else case.id + ".rev"
     expected = "holds" if case.expected != "holds" else "reversed-under-dual-hypothesis"
@@ -892,18 +672,17 @@ def dual(case: InequalityCase) -> InequalityCase:
         id=new_id,
         lhs=case.rhs,
         rhs=case.lhs,
-        hypothesis=case.dual_hypothesis,
-        plan=case.dual_plan,
+        hypothesis=case.dual_region,
+        plan=case.dual_region.plan,
         expected=expected,
-        dual_hypothesis=case.hypothesis,
-        dual_plan=case.plan,
+        dual_region=case.hypothesis,
     )
 
 
 def catalog_with_duals() -> list[InequalityCase]:
     """Primary cases followed by every defined dual."""
     out = catalog()
-    out.extend(dual(c) for c in catalog() if c.dual_hypothesis is not None)
+    out.extend(dual(c) for c in catalog() if c.dual_region is not None)
     return out
 
 

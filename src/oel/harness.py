@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -237,34 +238,58 @@ def write_reports_csv(reports: list[MarginReport], path: str) -> None:
             writer.writerow(["" if d[k] is None else d[k] for k in _REPORT_FIELDS])
 
 
+def _finite(x) -> bool:
+    return (type(x) is float or type(x) is int) and math.isfinite(x)
+
+
+def _finite_or_null(x) -> bool:
+    return x is None or _finite(x)
+
+
+# what read_reports accepts in each field, as written (JSON booleans are not integers)
+_FIELD_RULES = {
+    "case_id": (lambda x: type(x) is str, "a string"),
+    "seed": (lambda x: type(x) is int and x >= 0, "an integer >= 0"),
+    "n": (lambda x: type(x) is int and x >= 1, "an integer >= 1"),
+    "p": (_finite_or_null, "null or a finite number"),
+    "q": (_finite_or_null, "null or a finite number"),
+    "c": (_finite_or_null, "null or a finite number"),
+    "u": (_finite, "a finite number"),
+    "v": (_finite, "a finite number"),
+    "margin": (_finite, "a finite number"),
+    "scale": (_finite, "a finite number"),
+    "holds": (lambda x: type(x) is bool, "true or false"),
+}
+_RULES = tuple((name, *_FIELD_RULES[name]) for name in _REPORT_FIELDS)
+_report_items = itemgetter(*_REPORT_FIELDS)
+
+
 def read_reports(path: str) -> list[MarginReport]:
-    """Parse a JSONL report stream, pointing at the first malformed line."""
+    """Parse a JSONL report stream, pointing at the first malformed line.
+    Values are taken as written, never coerced (see ``_FIELD_RULES``)."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                raw = json.loads(line)
-                if not isinstance(raw["holds"], bool):
-                    raise TypeError(f"'holds' must be true or false, got {raw['holds']!r}")
-                out.append(
-                    MarginReport(
-                        case_id=str(raw["case_id"]),
-                        seed=int(raw["seed"]),
-                        n=int(raw["n"]),
-                        p=None if raw["p"] is None else float(raw["p"]),
-                        q=None if raw["q"] is None else float(raw["q"]),
-                        c=None if raw["c"] is None else float(raw["c"]),
-                        u=float(raw["u"]),
-                        v=float(raw["v"]),
-                        margin=float(raw["margin"]),
-                        scale=float(raw["scale"]),
-                        holds=raw["holds"],
-                    )
-                )
-            except (ValueError, KeyError, TypeError) as exc:
+                values = _report_items(json.loads(line))
+                for (name, ok, kind), x in zip(_RULES, values):
+                    if not ok(x):
+                        raise TypeError(f"{name!r} must be {kind}, got {x!r}")
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise ReportError(f"{path}: malformed report on line {lineno}: {exc}") from exc
+            case_id, seed, n, p, q, c, u, v, margin, scale, holds = values
+            out.append(
+                MarginReport(
+                    case_id, seed, n,
+                    p if p is None else float(p),
+                    q if q is None else float(q),
+                    c if c is None else float(c),
+                    float(u), float(v), float(margin), float(scale),
+                    holds,
+                )
+            )
     return out
 
 
@@ -312,6 +337,8 @@ def integral_sweep(
 ) -> list[IntegralResult]:
     """Check the averaged-entropy identity: the unit-interval quadrature of
     the entropy family reproduces the closed form on every sampled pair."""
+    if trials < 1:
+        raise InvalidInput("trials must be positive")
     for p in p_grid:
         if not (0.0 < abs(p) <= 1.0):
             raise InvalidInput(f"p grid value outside [-1, 1] \\ {{0}}: {p}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .means import OperatorPair
-from .spd_core import SpdMatrix, _row, spd_from_spectrum, spectral_assemble, symmetrize
+from .spd_core import SpdMatrix, _rebuild_spd, _row, spd_from_spectrum, spectral_assemble, symmetrize
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -177,9 +177,10 @@ def _sandwich_build(lam: np.ndarray, g_a: np.ndarray, mu: np.ndarray, g_c: np.nd
     a = spd_from_spectrum(spectral_assemble(qa, _row(lam)), lam, "sampled A")
     root = spectral_assemble(qa, _row(np.sqrt(lam)))
     c = spectral_assemble(_orthogonal(g_c), _row(mu))
-    # B's spectrum is not known (congruence mixes A's and C's), so it gets the full check
+    # B's spectrum is not known (congruence mixes A's and C's), so it gets the
+    # full check; losing definiteness there is a breakdown of the draw
     b = symmetrize(root @ c @ root)
-    return OperatorPair(a, SpdMatrix(b))
+    return OperatorPair(a, _rebuild_spd(b, "sampled B"))
 
 
 def commuting_spectra(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from oel.catalog import (
     MarginReport,
     Params,
     TrialContext,
+    _edge_at,
     catalog,
     catalog_with_duals,
     dual,
@@ -90,14 +92,16 @@ def test_dual_swaps_sides_and_hypothesis():
     assert rev.id == "W2.1.rev"
     assert rev.lhs is case.rhs
     assert rev.rhs is case.lhs
-    assert rev.hypothesis is case.dual_hypothesis
+    assert rev.hypothesis is case.dual_region
+    assert rev.dual_region is case.hypothesis
+    assert rev.plan == case.dual_region.plan
     assert rev.expected == "reversed-under-dual-hypothesis"
     assert case.expected == "holds"
 
 
 def test_dual_is_an_involution():
     for case in catalog():
-        if case.dual_hypothesis is None:
+        if case.dual_region is None:
             continue
         assert dual(dual(case)) == case
 
@@ -109,6 +113,77 @@ def test_plans_sample_inside_their_hypotheses():
         for _ in range(25):
             plan = case.plan(rng)
             assert case.hypothesis.check(plan.u_target, plan.v_target, plan.params), case.id
+
+
+def test_plans_stay_inside_the_sampling_window():
+    # every planner clamps its sandwich edges into [0.2, 4]
+    rng = generator(7)
+    for case in catalog_with_duals():
+        for _ in range(2000):
+            plan = case.plan(rng)
+            assert 0.2 <= plan.u_target <= plan.v_target <= 4.0, (case.id, plan)
+
+
+def _moved_points(region, plan):
+    """The planner's point moved 1e-8 past each stated edge of the region in
+    turn, as (edge, u, v, params).  A sandwich edge so large that the move
+    rounds back onto it is left out."""
+    u, v, pr = plan.u_target, plan.v_target, plan.params
+    moves = []
+    if region.u_lo is not None:
+        edge = _edge_at(region.u_lo, pr)
+        if edge - 1e-8 != edge:
+            moves.append(("u", edge - 1e-8, v, pr))
+    if region.v_hi is not None:
+        edge = _edge_at(region.v_hi, pr)
+        if edge + 1e-8 != edge:
+            moves.append(("v", u, edge + 1e-8, pr))
+    for name, box in (("p", region.p), ("q", region.p if region.ordered else None), ("c", region.c)):
+        if box is None:
+            continue
+        if box.lo > -np.inf:
+            moves.append((name, u, v, dataclasses.replace(pr, **{name: box.lo - 1e-8})))
+        if box.hi < np.inf:
+            moves.append((name, u, v, dataclasses.replace(pr, **{name: box.hi + 1e-8})))
+        if box.lo < 0.0 < box.hi:  # a box that straddles 0 excludes it
+            moves.append((name, u, v, dataclasses.replace(pr, **{name: 0.0})))
+    if region.ordered:
+        moves.append(("p", u, v, dataclasses.replace(pr, p=pr.q + 1e-8)))
+    return moves
+
+
+def test_regions_reject_points_moved_past_each_edge():
+    regions = {id(c.hypothesis): c.hypothesis for c in catalog_with_duals()}
+    assert len(regions) == 29
+    rng = generator(11)
+    for region in regions.values():
+        seen = collections.Counter()
+        for _ in range(40):
+            plan = region.plan(rng)
+            assert region.check(plan.u_target, plan.v_target, plan.params), region.text
+            for edge, u, v, pr in _moved_points(region, plan):
+                seen[edge] += 1
+                assert not region.check(u, v, pr), (region.text, edge, u, v, pr)
+        stated = {"u": region.u_lo, "v": region.v_hi, "c": region.c, "p": region.p}
+        for edge, declared in stated.items():
+            assert (declared is None) == (seen[edge] == 0), (region.text, edge)
+
+
+@pytest.mark.parametrize(
+    "case_id, text",
+    [
+        ("H1.1", "0 <= p <= 1"),
+        ("T0.1", "p <= q in [-1, 1] \\ {0}"),
+        ("T1.1.rev", "v <= 1, p in [-1, 1] \\ {0}"),
+        ("T2.1", "u >= 1.000001, p in [-1, 1) \\ {0}"),
+        ("M1.iii", "u >= exp(-1/q), v <= 1, 0 < p <= q <= 1"),
+        ("M3.c", "p <= q in [-1, 1] \\ {0}, c < 0"),
+        ("M3.d1", "u >= exp((1-2c)/(c q)), v <= 1, 0 < p <= q <= 1, 0.5 <= c"),
+        ("W2.1", "v <= 1, 0 < p <= q < 1"),
+    ],
+)
+def test_region_text_is_derived_from_the_declaration(case_id, text):
+    assert by_id(case_id).hypothesis.text == text
 
 
 def test_hypothesis_gate_raises():

@@ -54,6 +54,14 @@ def test_verify_trial_error_exits_4_with_replay_triple(monkeypatch, capsys, erro
     assert "boom" in err
 
 
+def test_verify_m1_iii_low_band_draw_passes(capsys):
+    # this trial's band edge exp(-1/q) sat at 3e-13 before the planner clamped
+    # it into the sampling window, and the sampled B lost definiteness
+    code = main(["verify", "--case", "M1.iii", "--trials", "1", "--dims", "3", "--seed", "5688"])
+    assert code == 0
+    assert "M1.iii: ok" in capsys.readouterr().out
+
+
 def test_verify_writes_jsonl(tmp_path, capsys):
     out_path = tmp_path / "r.jsonl"
     code = main(["verify", "--case", "W2", "--trials", "6", "--out", str(out_path)])
@@ -179,6 +187,15 @@ def test_integral_bad_weight(capsys):
     code = main(["integral", "--trials", "2", "--p-grid", "0"])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_integral_without_pairs_is_a_usage_error(capsys, trials):
+    code = main(["integral", "--trials", trials, "--p-grid", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "trials must be positive" in captured.err
+    assert "(ok)" not in captured.out
 
 
 def test_report_roundtrip(tmp_path, capsys):

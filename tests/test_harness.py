@@ -190,6 +190,38 @@ def test_read_reports_rejects_non_boolean_holds(tmp_path):
         read_reports(str(path))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", 3.9),
+        ("seed", "3"),
+        ("seed", True),
+        ("seed", -1),
+        ("n", "2"),
+        ("n", 2.0),
+        ("n", 0),
+        ("n", False),
+        ("u", "0.5"),
+        ("v", None),
+        ("margin", "nan"),
+        ("margin", float("nan")),
+        ("scale", float("inf")),
+        ("margin", True),
+        ("p", "0.5"),
+        ("q", float("-inf")),
+        ("c", [1.0]),
+        ("case_id", 5),
+    ],
+)
+def test_read_reports_rejects_coerced_fields(tmp_path, field, value):
+    r = run_trial(case_by_id("M3.c"), 3, 2)
+    row = dict(dataclasses.asdict(r), **{field: value})
+    path = tmp_path / "reports.jsonl"
+    path.write_text(json.dumps(dataclasses.asdict(r)) + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(ReportError, match=f"line 2.*{field}"):
+        read_reports(str(path))
+
+
 def test_report_rows_hold_plain_python_values(tmp_path):
     collected = []
     run_suite(case_by_id("M3.c"), trials=6, dims=(1, 4), collect=collected)

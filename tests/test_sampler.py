@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oel.errors import InvalidInput
+from oel.errors import InvalidInput, NumericalBreakdown
 from oel.sampler import (
     RNG_ALGORITHM,
     SamplerConfig,
@@ -97,6 +97,13 @@ def test_sandwich_pair_eigensolves_once_per_spectrum(monkeypatch):
     sandwich_pair(SamplerConfig(seed=7, n=4, sandwich=(0.5, 3.0)))
     assert calls["eigh"] == 2
     assert calls["eigvalsh"] <= 1
+
+
+def test_sampled_b_losing_definiteness_is_a_breakdown():
+    # a contraction edge near 0 leaves B numerically indefinite: a numerical
+    # breakdown of the draw (exit 4 with the trial's triple), not a usage error
+    with pytest.raises(NumericalBreakdown, match="sampled B"):
+        sandwich_pair(SamplerConfig(seed=0, n=3, sandwich=(1e-14, 1.0)))
 
 
 def test_sandwich_endpoints_attained():
