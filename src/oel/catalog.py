@@ -3,12 +3,17 @@
 Each entry states one comparison ``lhs <= rhs`` in the positive-semidefinite
 order, together with the hypothesis region under which it is claimed.  A
 region is declared once (:class:`Region`) and yields the admissibility gate,
-the planner that draws admissible trials and the hypothesis text.
+the planner that draws admissible trials and the hypothesis text.  Every
+term carries its scalar twin f: the term is ``A^{1/2} f(C) A^{1/2}`` for the
+contraction C, so ``lhs <= rhs`` holds exactly when the twins are ordered on
+spec(C).
 Multi-term chains are registered as one sub-case per adjacent pair (ids
 ``G.1``, ``G.2``, ...), and statements holding on several parameter regions
-get one sub-case per region (ids like ``M3.b1``).  Where a reversed form
-holds under the dual region, :func:`dual` produces it (ids gain/lose a
-``.rev`` suffix).
+get one sub-case per region (ids like ``M3.b1``).  A case's statement comes
+from its members' names and its regions, its group from its id's prefix.
+Where a reversed form holds under the dual region, :func:`dual` produces it
+(ids gain/lose a ``.rev`` suffix).  A chain declared with a scalar chain id
+also yields that chain of twins for :mod:`oel.scalars` (see :func:`_chain`).
 
 All terms are built from the public mean/entropy operations so the catalog
 exercises the same code paths users call.  :func:`evaluate_trials` runs k
@@ -25,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import scalars
 from .errors import HypothesisError, InvalidInput, NoDual
 from .means import (
     OperatorPair,
@@ -55,10 +61,13 @@ class Params:
 
 @dataclass(frozen=True)
 class Term:
-    """A named operator expression over a trial context."""
+    """A named operator expression ``fn(ctx, params)`` with its scalar twin
+    ``f(x, params)``: the term is ``A^{1/2} f(C) A^{1/2}``, f applied to the
+    spectrum of the contraction C."""
 
     name: str
     fn: Callable
+    f: Callable
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,6 @@ class InequalityCase:
     tracer can swap it in)."""
 
     id: str
-    group: str
     statement: str
     lhs: Term
     rhs: Term
@@ -85,6 +93,11 @@ class InequalityCase:
     plan: Callable[[np.random.Generator], TrialPlan]
     expected: str = "holds"
     dual_region: Region | None = None
+
+    @property
+    def group(self) -> str:
+        """The id's prefix (``T1R`` for ``T1R.2.rev``)."""
+        return self.id.split(".", 1)[0]
 
 
 @dataclass(frozen=True)
@@ -161,22 +174,44 @@ def _log_sq(pair: OperatorPair) -> np.ndarray:
     return symmetrize(r @ symmetrize(lg @ lg) @ r)
 
 
-T_A = Term("A", lambda ctx, pr: ctx.pair.A.mat)
-T_B = Term("B", lambda ctx, pr: ctx.pair.B.mat)
-T_HARM = Term("harmonic[p]", lambda ctx, pr: harmonic_mean(ctx.pair, pr.p).mat)
-T_GEOM = Term("geometric[p]", lambda ctx, pr: geometric_mean(ctx.pair, pr.p).mat)
-T_ARITH = Term("arithmetic[p]", lambda ctx, pr: arithmetic_mean(ctx.pair, pr.p).mat)
-T_S = Term("S", lambda ctx, pr: relative_operator_entropy(ctx.pair))
-T_SP = Term("S[p]", lambda ctx, pr: generalized_entropy(ctx.pair, pr.p))
-T_SP_HALF = Term("S[p/2]", lambda ctx, pr: generalized_entropy(ctx.pair, 0.5 * pr.p))
+def _weighted(name: str, op: Callable, twin: Callable) -> tuple[Term, Term]:
+    """The term ``op(ctx, r, c)`` at the weight r = p and at r = q (``{r}`` in
+    ``name`` reads p or q), with twin ``twin(x, r, c)``; c is the trial's c."""
+    return tuple(
+        Term(
+            name.format(r=r),
+            lambda ctx, pr, _r=r: op(ctx, getattr(pr, _r), pr.c),
+            lambda x, pr, _r=r: twin(x, getattr(pr, _r), pr.c),
+        )
+        for r in "pq"
+    )
+
+
+def _at_p(twin: Callable) -> Callable:
+    """The twin ``twin(x, p)`` at the trial's p."""
+    return lambda x, pr: twin(x, pr.p)
+
+
+T_HARM = Term("harmonic[p]", lambda ctx, pr: harmonic_mean(ctx.pair, pr.p).mat, _at_p(scalars.harm_rep))
+T_GEOM = Term("geometric[p]", lambda ctx, pr: geometric_mean(ctx.pair, pr.p).mat, _at_p(scalars.power_rep))
+T_ARITH = Term("arithmetic[p]", lambda ctx, pr: arithmetic_mean(ctx.pair, pr.p).mat, _at_p(scalars.arith_rep))
+T_S = Term("S", lambda ctx, pr: relative_operator_entropy(ctx.pair), lambda x, pr: np.log(x))
+T_SP = Term("S[p]", lambda ctx, pr: generalized_entropy(ctx.pair, pr.p), _at_p(scalars.power_log))
+T_SP_HALF = Term(
+    "S[p/2]",
+    lambda ctx, pr: generalized_entropy(ctx.pair, 0.5 * pr.p),
+    lambda x, pr: scalars.power_log(x, 0.5 * pr.p),
+)
 T_S_SP_AVG = Term(
     "(S + S[p])/2",
     lambda ctx, pr: 0.5 * (relative_operator_entropy(ctx.pair) + generalized_entropy(ctx.pair, pr.p)),
+    _at_p(scalars.avg_power_log),
 )
-T_TS = Term("T[p]", lambda ctx, pr: tsallis_entropy(ctx.pair, pr.p))
-T_TS_Q = Term("T[q]", lambda ctx, pr: tsallis_entropy(ctx.pair, pr.q))
-T_B_MINUS_A = Term("B - A", lambda ctx, pr: ctx.pair.B.mat - ctx.pair.A.mat)
-T_LOW_INV = Term("A - A B^-1 A", lambda ctx, pr: _low_inv(ctx.pair))
+T_TS, T_TS_Q = _weighted(
+    "T[{r}]", lambda ctx, r, c: tsallis_entropy(ctx.pair, r), lambda x, r, c: scalars.tsallis_log(x, r)
+)
+T_B_MINUS_A = Term("B - A", lambda ctx, pr: ctx.pair.B.mat - ctx.pair.A.mat, lambda x, pr: x - 1.0)
+T_LOW_INV = Term("A - A B^-1 A", lambda ctx, pr: _low_inv(ctx.pair), lambda x, pr: 1.0 - 1.0 / x)
 
 
 def _ta_lower(ctx: TrialContext, pr: Params) -> np.ndarray:
@@ -198,25 +233,35 @@ def _ta_upper(ctx: TrialContext, pr: Params) -> np.ndarray:
     )
 
 
-T_TA_LOW = Term("A^1/2 ((C+I)/2)^{p-1} (C-I) A^1/2", _ta_lower)
-T_TA_UP = Term("(nat[p] - nat[p-1] + B - A)/2", _ta_upper)
+T_TA_LOW = Term("A^1/2 ((C+I)/2)^{p-1} (C-I) A^1/2", _ta_lower, _at_p(scalars.hh_lower))
+T_TA_UP = Term("(nat[p] - nat[p-1] + B - A)/2", _ta_upper, _at_p(scalars.hh_upper))
+
+
+def _gap_upper_twin(x, p: float):
+    # half gap + (x - 1)^2/4, the twin of the nat2(A, B-A)/4 correction
+    return scalars.tsallis_half_gap(x, p) + 0.25 * (x - 1.0) ** 2
+
 
 T_T2_HALF = Term(
     "(T[p] - T[p-1])/2",
     lambda ctx, pr: 0.5 * (tsallis_entropy(ctx.pair, pr.p) - _tsallis_raw(ctx.pair, pr.p - 1.0)),
+    _at_p(scalars.tsallis_half_gap),
 )
 T_T2_MID = Term(
     "4 (T[p] - T[p-1]) at (A, (A+B)/2)",
     lambda ctx, pr: 4.0 * (tsallis_entropy(ctx.mid, pr.p) - _tsallis_raw(ctx.mid, pr.p - 1.0)),
+    _at_p(scalars.tsallis_mid_gap),
 )
 T_T2_SLOPE = Term(
     "(T[p] - (B - A))/(p - 1)",
     lambda ctx, pr: (tsallis_entropy(ctx.pair, pr.p) - (ctx.pair.B.mat - ctx.pair.A.mat)) / (pr.p - 1.0),
+    _at_p(scalars.tsallis_end_slope),
 )
 T_T2_UP = Term(
     "(T[p] - T[p-1])/2 + nat2(A, B-A)/4",
     lambda ctx, pr: 0.5 * (tsallis_entropy(ctx.pair, pr.p) - _tsallis_raw(ctx.pair, pr.p - 1.0))
     + 0.25 * natural_power_mean(ctx.gap, 2.0).mat,
+    _at_p(_gap_upper_twin),
 )
 
 
@@ -225,7 +270,7 @@ def _t3_lower(ctx: TrialContext, pr: Params) -> np.ndarray:
     p = pr.p
     return (
         pair.B.mat
-        - 1.5 * pair.A.mat
+        - 0.5 * pair.A.mat
         - (1.0 - p) / (2.0 * (3.0 - p)) * _b_ainv_b(pair)
         - natural_power_mean(pair, p - 1.0).mat / (3.0 - p)
     )
@@ -239,8 +284,10 @@ def _t3_upper(ctx: TrialContext, pr: Params) -> np.ndarray:
     return pair.B.mat - pair.A.mat + mid_term - 4.0 * tsallis_entropy(ctx.mid, pr.p)
 
 
-T_T3_LOW = Term("B - 3A/2 - (1-p)/(2(3-p)) B A^-1 B - nat[p-1]/(3-p)", _t3_lower)
-T_T3_UP = Term("B - A + 2(B A^-1 - I) nat[p-1](A, (A+B)/2) - 4 T[p](A, (A+B)/2)", _t3_upper)
+T_T3_LOW = Term("B - A/2 - (1-p)/(2(3-p)) B A^-1 B - nat[p-1]/(3-p)", _t3_lower, _at_p(scalars.quad_lower))
+T_T3_UP = Term(
+    "B - A + 2(B A^-1 - I) nat[p-1](A, (A+B)/2) - 4 T[p](A, (A+B)/2)", _t3_upper, _at_p(scalars.quad_upper)
+)
 
 
 def _c1_mid_lower(ctx: TrialContext, pr: Params) -> np.ndarray:
@@ -249,62 +296,67 @@ def _c1_mid_lower(ctx: TrialContext, pr: Params) -> np.ndarray:
     return 4.0 * (relative_operator_entropy(mid) - _low_inv(mid))
 
 
-T_C1_HALF = Term("(S - (A - A B^-1 A))/2", lambda ctx, pr: 0.5 * (relative_operator_entropy(ctx.pair) - _low_inv(ctx.pair)))
-T_C1_MID = Term("4 (S - T[-1]) at (A, (A+B)/2)", _c1_mid_lower)
-T_C1_SLOPE = Term("(B - A) - S", lambda ctx, pr: ctx.pair.B.mat - ctx.pair.A.mat - relative_operator_entropy(ctx.pair))
+# the C1 terms are the T2 terms at p = 0, where T[0] = S
+T_C1_HALF = Term(
+    "(S - (A - A B^-1 A))/2",
+    lambda ctx, pr: 0.5 * (relative_operator_entropy(ctx.pair) - _low_inv(ctx.pair)),
+    lambda x, pr: scalars.tsallis_half_gap(x, 0.0),
+)
+T_C1_MID = Term("4 (S - T[-1]) at (A, (A+B)/2)", _c1_mid_lower, lambda x, pr: scalars.tsallis_mid_gap(x, 0.0))
+T_C1_SLOPE = Term(
+    "(B - A) - S",
+    lambda ctx, pr: ctx.pair.B.mat - ctx.pair.A.mat - relative_operator_entropy(ctx.pair),
+    lambda x, pr: scalars.tsallis_end_slope(x, 0.0),
+)
 T_C1_UP = Term(
     "(S - (A - A B^-1 A))/2 + nat2(A, B-A)/4",
     lambda ctx, pr: 0.5 * (relative_operator_entropy(ctx.pair) - _low_inv(ctx.pair))
     + 0.25 * natural_power_mean(ctx.gap, 2.0).mat,
+    lambda x, pr: _gap_upper_twin(x, 0.0),
 )
-
-
-def _w1_rate(ctx: TrialContext, r: float) -> np.ndarray:
-    return (arithmetic_mean(ctx.pair, r).mat - natural_power_mean(ctx.pair, r).mat) / r
-
-
-def _w2_rate(ctx: TrialContext, r: float) -> np.ndarray:
-    return (arithmetic_mean(ctx.pair, r).mat - natural_power_mean(ctx.pair, r).mat) / (r * (1.0 - r))
 
 
 def _w3_rate(ctx: TrialContext, r: float) -> np.ndarray:
     return (natural_power_mean(ctx.pair, r).mat - harmonic_mean(ctx.pair, r).mat) / r
 
 
-def _w4_term(ctx: TrialContext, r: float) -> np.ndarray:
-    return _w3_rate(ctx, r) + r * _log_sq(ctx.pair)
-
-
-T_W1_P = Term("(arith[p] - nat[p])/p", lambda ctx, pr: _w1_rate(ctx, pr.p))
-T_W1_Q = Term("(arith[q] - nat[q])/q", lambda ctx, pr: _w1_rate(ctx, pr.q))
-T_W2_P = Term("(arith[p] - nat[p])/(p(1-p))", lambda ctx, pr: _w2_rate(ctx, pr.p))
-T_W2_Q = Term("(arith[q] - nat[q])/(q(1-q))", lambda ctx, pr: _w2_rate(ctx, pr.q))
-T_W3_P = Term("(nat[p] - harm[p])/p", lambda ctx, pr: _w3_rate(ctx, pr.p))
-T_W3_Q = Term("(nat[q] - harm[q])/q", lambda ctx, pr: _w3_rate(ctx, pr.q))
-T_W4_P = Term("(nat[p] - harm[p])/p + p (log C)^2 lift", lambda ctx, pr: _w4_term(ctx, pr.p))
-T_W4_Q = Term("(nat[q] - harm[q])/q + q (log C)^2 lift", lambda ctx, pr: _w4_term(ctx, pr.q))
+T_W1_P, T_W1_Q = _weighted(
+    "(arith[{r}] - nat[{r}])/{r}",
+    lambda ctx, r, c: (arithmetic_mean(ctx.pair, r).mat - natural_power_mean(ctx.pair, r).mat) / r,
+    lambda x, r, c: (scalars.arith_rep(x, r) - scalars.power_rep(x, r)) / r,
+)
+T_W2_P, T_W2_Q = _weighted(
+    "(arith[{r}] - nat[{r}])/({r}(1-{r}))",
+    lambda ctx, r, c: (arithmetic_mean(ctx.pair, r).mat - natural_power_mean(ctx.pair, r).mat) / (r * (1.0 - r)),
+    lambda x, r, c: scalars.mean_gap_scaled(x, r),
+)
+T_W3_P, T_W3_Q = _weighted(
+    "(nat[{r}] - harm[{r}])/{r}", lambda ctx, r, c: _w3_rate(ctx, r), lambda x, r, c: scalars.geom_harm_gap_rate(x, r)
+)
+T_W4_P, T_W4_Q = _weighted(
+    "(nat[{r}] - harm[{r}])/{r} + {r} (log C)^2 lift",
+    lambda ctx, r, c: _w3_rate(ctx, r) + r * _log_sq(ctx.pair),
+    lambda x, r, c: scalars.geom_harm_log2(x, r),
+)
 
 
 def _drift(ctx: TrialContext, r: float, c: float) -> np.ndarray:
     return tsallis_entropy(ctx.pair, r) - c * generalized_entropy(ctx.pair, r)
 
 
-def _drift_term(which: str, c_fixed: float | None) -> Term:
-    def fn(ctx: TrialContext, pr: Params, _w=which, _c=c_fixed) -> np.ndarray:
-        r = pr.p if _w == "p" else pr.q
-        c = pr.c if _c is None else _c
-        return _drift(ctx, r, c)
-
+def _drift_terms(c_fixed: float | None) -> tuple[Term, Term]:
+    """T[r] - c S[r] at r = p and r = q, with c fixed or (None) the trial's c."""
     c_txt = "c" if c_fixed is None else f"{c_fixed:g}"
-    return Term(f"T[{which}] - {c_txt} S[{which}]", fn)
+    return _weighted(
+        f"T[{{r}}] - {c_txt} S[{{r}}]",
+        lambda ctx, r, c: _drift(ctx, r, c if c_fixed is None else c_fixed),
+        lambda x, r, c: scalars.entropy_drift(x, r, c if c_fixed is None else c_fixed),
+    )
 
 
-T_DRIFT1_P = _drift_term("p", 1.0)
-T_DRIFT1_Q = _drift_term("q", 1.0)
-T_DRIFT_HALF_P = _drift_term("p", 0.5)
-T_DRIFT_HALF_Q = _drift_term("q", 0.5)
-T_DRIFT_C_P = _drift_term("p", None)
-T_DRIFT_C_Q = _drift_term("q", None)
+T_DRIFT1_P, T_DRIFT1_Q = _drift_terms(1.0)
+T_DRIFT_HALF_P, T_DRIFT_HALF_Q = _drift_terms(0.5)
+T_DRIFT_C_P, T_DRIFT_C_Q = _drift_terms(None)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +423,15 @@ class Box:
             if abs(x) >= _P_EPS:
                 return x
 
+    def grid(self, count: int) -> np.ndarray:
+        """``count`` evenly spaced points, less those within ``_P_EPS`` of an
+        open end and of 0 in a box that straddles it."""
+        g = np.linspace(self.lo, self.hi, count)
+        cuts = [0.0] * (self.lo < 0.0 < self.hi) + [self.lo] * self.lo_open + [self.hi] * self.hi_open
+        for x in cuts:
+            g = g[(g <= x - _P_EPS) | (g >= x + _P_EPS)]
+        return g
+
     def text(self, names: str) -> str:
         if self.lo < 0.0 < self.hi:
             left, right = "(["[not self.lo_open], ")]"[not self.hi_open]
@@ -409,7 +470,9 @@ class Region:
     u on its lower edge or v on its upper edge, where the inequalities are
     tight (split evenly when both are stated); without edges those pins sit
     at u = 1 and v = 1, where the paper's regions meet.  A region with its
-    own ``window`` draws plainly inside it, without pins."""
+    own ``window`` draws plainly inside it, without pins.
+
+    A region on ``p`` also yields the grid of its scalar chains (:meth:`grid`)."""
 
     p: Box | None = None
     ordered: bool = False
@@ -418,15 +481,41 @@ class Region:
     v_hi: float | ExpEdge | None = None
     window: tuple[float, float] | None = None
 
-    def check(self, u: float, v: float, pr: Params) -> bool:
-        """Whether (u, v, params) lie in the region, with ``HYP_SLACK`` of slack."""
+    def admits(self, pr: Params) -> bool:
+        """Whether the parameters lie in the region's boxes, with ``HYP_SLACK`` of slack."""
         return (
             (self.p is None or self.p.admits(pr.p))
             and (not self.ordered or (self.p.admits(pr.q) and _le(pr.p, pr.q)))
             and (self.c is None or self.c.admits(pr.c))
+        )
+
+    def check(self, u: float, v: float, pr: Params) -> bool:
+        """Whether (u, v, params) lie in the region, with ``HYP_SLACK`` of slack."""
+        return (
+            self.admits(pr)
             and (self.u_lo is None or _ge(u, _edge_at(self.u_lo, pr)))
             and (self.v_hi is None or _le(v, _edge_at(self.v_hi, pr)))
         )
+
+    def grid(self):
+        """The scalar chain grid: ``((p,), xs)`` for 101 points of the p box,
+        or ``((p, q), xs)`` for each p <= q of 21 points when ``ordered``; xs
+        lies above 1 when ``u_lo`` is stated, below 1 when ``v_hi`` is, and
+        on both sides otherwise."""
+        if self.u_lo is not None:
+            xs = np.geomspace(1.0 + _P_EPS, 1e3, 120)
+        elif self.v_hi is not None:
+            xs = np.geomspace(_P_EPS, 1.0 - _P_EPS, 120)
+        else:
+            xs = np.geomspace(_P_EPS, 1e3, 160)
+        if not self.ordered:
+            for p in self.p.grid(101):
+                yield (float(p),), xs
+            return
+        ps = self.p.grid(21)
+        for i, p in enumerate(ps):
+            for q in ps[i:]:
+                yield (float(p), float(q)), xs
 
     def plan(self, rng: np.random.Generator) -> TrialPlan:
         """One admissible draw: parameters, then sandwich targets."""
@@ -521,144 +610,91 @@ R_W4_II = Region(p=Box(0.5, 1.0), ordered=True, v_hi=1.0)
 # case construction
 # ---------------------------------------------------------------------------
 
-def _case(case_id, group, statement, region, lhs, rhs, dual_region=None):
-    return InequalityCase(case_id, group, statement, lhs, rhs, region, region.plan, dual_region=dual_region)
+def _statement(members: Sequence[Term], region: Region, dual_region: Region | None) -> str:
+    text = f"{' <= '.join(t.name for t in members)} when {region.text}"
+    return text if dual_region is None else f"{text} (reversed when {dual_region.text})"
 
 
-def _chain(group, statement, region, members, dual_region=None):
+def _case(case_id, region, lhs, rhs, dual_region=None, statement=None):
+    statement = statement or _statement((lhs, rhs), region, dual_region)
+    return InequalityCase(case_id, statement, lhs, rhs, region, region.plan, dual_region=dual_region)
+
+
+def _scalar_chain(chain_id: str, region: Region, members: Sequence[Term]) -> None:
+    # oel.scalars cannot import this module (catalog imports means, which
+    # imports scalars), so the catalog fills scalars.CHAINS in place at import
+    scalars.CHAINS[chain_id] = scalars.ChainSpec(
+        chain_id,
+        tuple((t.name, lambda x, *params, _f=t.f: _f(x, Params(*params))) for t in members),
+        region.grid,
+        lambda params: region.admits(Params(*params)),
+    )
+
+
+def _chain(group, region, members, dual_region=None, chain_id=None):
+    """One case per adjacent pair of ``members`` (ids ``group.1``, ...).  With
+    ``chain_id``, the members' twins also make the scalar chain ``chain_id``
+    on the region's grid, and ``chain_id + "_rev"`` (members reversed) on the
+    dual region."""
+    if chain_id is not None:
+        _scalar_chain(chain_id, region, members)
+        if dual_region is not None:
+            _scalar_chain(chain_id + "_rev", dual_region, members[::-1])
+    statement = _statement(members, region, dual_region)
     return [
-        _case(f"{group}.{i}", group, statement, region, lhs, rhs, dual_region)
+        _case(f"{group}.{i}", region, lhs, rhs, dual_region, statement)
         for i, (lhs, rhs) in enumerate(zip(members, members[1:]), start=1)
     ]
 
 
-@lru_cache(maxsize=1)
 def _build() -> tuple[InequalityCase, ...]:
     cases: list[InequalityCase] = []
+    cases += _chain("H1", R_P01, [T_HARM, T_GEOM, T_ARITH], chain_id="means_order")
+    cases += _chain("H2", R_PUNIT, [T_LOW_INV, T_TS, T_B_MINUS_A])
+    cases += _chain("T0", R_PLEQ, [T_TS, T_TS_Q], chain_id="gap_rate_monotone")
+    cases += _chain("TA", R_U1_PUNIT, [T_TA_LOW, T_TS, T_TA_UP])
     cases += _chain(
-        "H1",
-        "weighted harmonic <= geometric <= arithmetic mean, p in [0, 1]",
-        R_P01,
-        [T_HARM, T_GEOM, T_ARITH],
+        "T1", R_U1_PUNIT, [T_SP_HALF, T_TS, T_S_SP_AVG], dual_region=R_V1_PUNIT, chain_id="entropy_bounds"
     )
-    cases += _chain(
-        "H2",
-        "A - A B^-1 A <= T[p] <= B - A for p in [-1, 1] \\ {0}",
-        R_PUNIT,
-        [T_LOW_INV, T_TS, T_B_MINUS_A],
-    )
-    cases.append(_case("T0.1", "T0", "T[p] <= T[q] when p <= q", R_PLEQ, T_TS, T_TS_Q))
-    cases += _chain(
-        "TA",
-        "midpoint lower and endpoint-average upper bounds for T[p] when u >= 1",
-        R_U1_PUNIT,
-        [T_TA_LOW, T_TS, T_TA_UP],
-    )
-    cases += _chain(
-        "T1",
-        "S[p/2] <= T[p] <= (S + S[p])/2 when u >= 1 (reversed when v <= 1)",
-        R_U1_PUNIT,
-        [T_SP_HALF, T_TS, T_S_SP_AVG],
-        dual_region=R_V1_PUNIT,
-    )
-    cases += _chain(
-        "T1R",
-        "S <= S[p/2] <= T[p] <= (S + S[p])/2 <= S[p] when u >= 1, 0 < p <= 1 "
-        "(reversed when v <= 1, -1 <= p < 0)",
-        R_U1_PPOS,
-        [T_S, T_SP_HALF, T_TS, T_S_SP_AVG, T_SP],
-        dual_region=R_V1_PNEG,
-    )
-    cases += _chain(
-        "T2",
-        "(T[p]-T[p-1])/2 <= 4(T[p]-T[p-1])@(A,(A+B)/2) <= (T[p]-T[1])/(p-1) "
-        "<= (T[p]-T[p-1])/2 + nat2(A,B-A)/4 when u > 1",
-        R_T2,
-        [T_T2_HALF, T_T2_MID, T_T2_SLOPE, T_T2_UP],
-    )
-    cases += _chain(
-        "T3",
-        "closed-form lower/upper envelope for T[p] when u >= 1",
-        R_U1_PUNIT,
-        [T_T3_LOW, T_TS, T_T3_UP],
-    )
-    cases += _chain(
-        "C1",
-        "p -> 0 limit chain: (S-T[-1])/2 <= 4(S-T[-1])@(A,(A+B)/2) <= (B-A)-S "
-        "<= (S-T[-1])/2 + nat2(A,B-A)/4 when u > 1",
-        R_C1,
-        [T_C1_HALF, T_C1_MID, T_C1_SLOPE, T_C1_UP],
-    )
+    cases += _chain("T1R", R_U1_PPOS, [T_S, T_SP_HALF, T_TS, T_S_SP_AVG, T_SP], dual_region=R_V1_PNEG)
+    cases += _chain("T2", R_T2, [T_T2_HALF, T_T2_MID, T_T2_SLOPE, T_T2_UP], chain_id="gap_chain")
+    cases += _chain("T3", R_U1_PUNIT, [T_T3_LOW, T_TS, T_T3_UP], chain_id="curvature_bounds")
+    cases += _chain("C1", R_C1, [T_C1_HALF, T_C1_MID, T_C1_SLOPE, T_C1_UP])
     # monotonicity of p -> T[p] - c S[p] (four sign regions per coefficient c)
     cases += [
-        _case("M1.i", "M1", "T[q]-S[q] <= T[p]-S[p]: u >= 1, 0 < p <= q <= 1", R_M1_I, T_DRIFT1_Q, T_DRIFT1_P),
-        _case("M1.ii", "M1", "T[q]-S[q] <= T[p]-S[p]: v <= 1, p <= q < 0", R_M1_II, T_DRIFT1_Q, T_DRIFT1_P),
-        _case("M1.iii", "M1", "T[q]-S[q] <= T[p]-S[p]: exp(-1/q) <= u <= v <= 1", R_M1_III, T_DRIFT1_Q, T_DRIFT1_P),
-        _case("M1.iv", "M1", "T[q]-S[q] <= T[p]-S[p]: 1 <= u <= v <= exp(-1/p)", R_M1_IV, T_DRIFT1_Q, T_DRIFT1_P),
-        _case("M2.i", "M2", "T[p]-S[p]/2 <= T[q]-S[q]/2: u >= 1, p <= q < 0", R_M2_I, T_DRIFT_HALF_P, T_DRIFT_HALF_Q),
-        _case("M2.ii", "M2", "T[p]-S[p]/2 <= T[q]-S[q]/2: v <= 1, 0 < p <= q", R_M2_II, T_DRIFT_HALF_P, T_DRIFT_HALF_Q),
-        _case("M2.iii", "M2", "T[q]-S[q]/2 <= T[p]-S[p]/2: u >= 1, 0 < p <= q", R_M1_I, T_DRIFT_HALF_Q, T_DRIFT_HALF_P),
-        _case("M2.iv", "M2", "T[q]-S[q]/2 <= T[p]-S[p]/2: v <= 1, p <= q < 0", R_M1_II, T_DRIFT_HALF_Q, T_DRIFT_HALF_P),
-        _case("M3.a1", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, u >= 1, p <= q < 0", R_M3_A1, T_DRIFT_C_P, T_DRIFT_C_Q),
-        _case("M3.a2", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, v <= 1, 0 < p <= q", R_M3_A2, T_DRIFT_C_P, T_DRIFT_C_Q),
-        _case("M3.b1", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, 1 <= u <= v <= exp((1-2c)/(cq))", R_M3_B1, T_DRIFT_C_P, T_DRIFT_C_Q),
-        _case("M3.b2", "M3", "T[p]-cS[p] <= T[q]-cS[q]: 0 < c <= 1/2, exp((1-2c)/(cp)) <= u <= v <= 1", R_M3_B2, T_DRIFT_C_P, T_DRIFT_C_Q),
-        _case("M3.c", "M3", "T[p]-cS[p] <= T[q]-cS[q]: c < 0, p <= q", R_M3_C, T_DRIFT_C_P, T_DRIFT_C_Q),
-        _case("M3.d1", "M3", "T[q]-cS[q] <= T[p]-cS[p]: c >= 1/2, exp((1-2c)/(cq)) <= u <= v <= 1", R_M3_D1, T_DRIFT_C_Q, T_DRIFT_C_P),
-        _case("M3.d2", "M3", "T[q]-cS[q] <= T[p]-cS[p]: c >= 1/2, 1 <= u <= v <= exp((1-2c)/(cp))", R_M3_D2, T_DRIFT_C_Q, T_DRIFT_C_P),
-        _case("M3.e1", "M3", "T[q]-cS[q] <= T[p]-cS[p]: c >= 1/2, u >= 1, 0 < p <= q", R_M3_E1, T_DRIFT_C_Q, T_DRIFT_C_P),
-        _case("M3.e2", "M3", "T[q]-cS[q] <= T[p]-cS[p]: c >= 1/2, v <= 1, p <= q < 0", R_M3_E2, T_DRIFT_C_Q, T_DRIFT_C_P),
-        _case(
-            "W1.1",
-            "W1",
-            "(arith[q]-nat[q])/q <= (arith[p]-nat[p])/p when 0 < p <= q <= 1",
-            R_W1,
-            T_W1_Q,
-            T_W1_P,
-        ),
-        _case(
-            "W2.1",
-            "W2",
-            "(arith[q]-nat[q])/(q(1-q)) <= (arith[p]-nat[p])/(p(1-p)) when v <= 1 "
-            "(reversed when u >= 1)",
-            R_W2,
-            T_W2_Q,
-            T_W2_P,
-            dual_region=R_W2_DUAL,
-        ),
-        _case(
-            "W3.1",
-            "W3",
-            "(nat[q]-harm[q])/q <= (nat[p]-harm[p])/p when v <= 1, 0 < p <= q <= 1",
-            R_M2_II,
-            T_W3_Q,
-            T_W3_P,
-        ),
-        _case(
-            "W4.i",
-            "W4",
-            "F[p] <= F[q] with F[r] = (nat[r]-harm[r])/r + r (log C)^2 lift: u >= 1, 0 < p <= q <= 1/2",
-            R_W4_I,
-            T_W4_P,
-            T_W4_Q,
-        ),
-        _case(
-            "W4.ii",
-            "W4",
-            "F[p] <= F[q] with F[r] = (nat[r]-harm[r])/r + r (log C)^2 lift: v <= 1, 1/2 <= p <= q <= 1",
-            R_W4_II,
-            T_W4_P,
-            T_W4_Q,
-        ),
+        _case("M1.i", R_M1_I, T_DRIFT1_Q, T_DRIFT1_P),
+        _case("M1.ii", R_M1_II, T_DRIFT1_Q, T_DRIFT1_P),
+        _case("M1.iii", R_M1_III, T_DRIFT1_Q, T_DRIFT1_P),
+        _case("M1.iv", R_M1_IV, T_DRIFT1_Q, T_DRIFT1_P),
+        _case("M2.i", R_M2_I, T_DRIFT_HALF_P, T_DRIFT_HALF_Q),
+        _case("M2.ii", R_M2_II, T_DRIFT_HALF_P, T_DRIFT_HALF_Q),
+        _case("M2.iii", R_M1_I, T_DRIFT_HALF_Q, T_DRIFT_HALF_P),
+        _case("M2.iv", R_M1_II, T_DRIFT_HALF_Q, T_DRIFT_HALF_P),
+        _case("M3.a1", R_M3_A1, T_DRIFT_C_P, T_DRIFT_C_Q),
+        _case("M3.a2", R_M3_A2, T_DRIFT_C_P, T_DRIFT_C_Q),
+        _case("M3.b1", R_M3_B1, T_DRIFT_C_P, T_DRIFT_C_Q),
+        _case("M3.b2", R_M3_B2, T_DRIFT_C_P, T_DRIFT_C_Q),
+        _case("M3.c", R_M3_C, T_DRIFT_C_P, T_DRIFT_C_Q),
+        _case("M3.d1", R_M3_D1, T_DRIFT_C_Q, T_DRIFT_C_P),
+        _case("M3.d2", R_M3_D2, T_DRIFT_C_Q, T_DRIFT_C_P),
+        _case("M3.e1", R_M3_E1, T_DRIFT_C_Q, T_DRIFT_C_P),
+        _case("M3.e2", R_M3_E2, T_DRIFT_C_Q, T_DRIFT_C_P),
     ]
+    cases += _chain("W1", R_W1, [T_W1_Q, T_W1_P])
+    cases += _chain("W2", R_W2, [T_W2_Q, T_W2_P], dual_region=R_W2_DUAL)
+    cases += _chain("W3", R_M2_II, [T_W3_Q, T_W3_P])
+    cases += [_case("W4.i", R_W4_I, T_W4_P, T_W4_Q), _case("W4.ii", R_W4_II, T_W4_P, T_W4_Q)]
     ids = [c.id for c in cases]
     assert len(ids) == len(set(ids)), "duplicate case ids"
     return tuple(cases)
 
 
+_CASES = _build()
+
+
 def catalog() -> list[InequalityCase]:
     """All primary cases (chains pre-expanded into adjacent comparisons)."""
-    return list(_build())
+    return list(_CASES)
 
 
 def dual(case: InequalityCase) -> InequalityCase:

@@ -62,6 +62,11 @@ _REPORT_FIELDS = tuple(f.name for f in fields(MarginReport))
 _report_values = attrgetter(*_REPORT_FIELDS)
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):  # nan or inf decides every comparison one way
+        raise InvalidInput(f"tolerance must be a finite number >= 0, got {tol}")
+
+
 def case_by_id(case_id: str) -> InequalityCase:
     case = case_index().get(case_id)
     if case is None:
@@ -128,9 +133,11 @@ def run_suite(
     The trials are evaluated in windows and stacks (see the module notes);
     reports keep trial order.  A trial's NumericalBreakdown or
     HypothesisError is re-raised with its ``(case_id, seed, n)``, after the
-    reports of the trials before it have been collected."""
+    reports of the trials before it have been collected.  A non-finite or
+    negative ``order_tol`` is an InvalidInput."""
     if trials < 1:
         raise InvalidInput("trials must be positive")
+    _check_tol(order_tol)
     t0 = time.perf_counter()
     schedule = dims_cycle(dims, trials)
     rng = generator(0)
@@ -336,9 +343,11 @@ def integral_sweep(
     dims: tuple[int, ...] = DEFAULT_DIMS,
 ) -> list[IntegralResult]:
     """Check the averaged-entropy identity: the unit-interval quadrature of
-    the entropy family reproduces the closed form on every sampled pair."""
+    the entropy family reproduces the closed form on every sampled pair.
+    A non-finite or negative ``tol`` is an InvalidInput."""
     if trials < 1:
         raise InvalidInput("trials must be positive")
+    _check_tol(tol)
     for p in p_grid:
         if not (0.0 < abs(p) <= 1.0):
             raise InvalidInput(f"p grid value outside [-1, 1] \\ {{0}}: {p}")

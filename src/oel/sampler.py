@@ -13,6 +13,7 @@ matrix's eigenvalues land exactly where requested (up to assembly rounding).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,6 +58,20 @@ def reseed(rng: np.random.Generator, seed: int) -> np.random.Generator:
     return rng
 
 
+def _finite_pair(x) -> bool:
+    return type(x) is list and len(x) == 2 and all(type(v) in (int, float) and math.isfinite(v) for v in x)
+
+
+# what SamplerConfig.from_json accepts in each field, as written (JSON booleans
+# are not integers); n >= 1 and the range orders are checked on construction
+_CONFIG_RULES = {
+    "seed": (lambda x: type(x) is int and x >= 0, "an integer >= 0"),
+    "n": (lambda x: type(x) is int, "an integer"),
+    "spectrum": (_finite_pair, "a list of two finite numbers"),
+    "sandwich": (lambda x: x is None or _finite_pair(x), "null or a list of two finite numbers"),
+}
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Configuration for one deterministic draw.
@@ -84,19 +99,22 @@ class SamplerConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SamplerConfig":
+        """Parse a config as :meth:`to_json` writes it.  Values are taken as
+        written, never coerced (see ``_CONFIG_RULES``)."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"bad sampler config JSON: {exc}") from exc
         if not isinstance(data, dict) or "seed" not in data or "n" not in data:
             raise InvalidInput("sampler config needs at least 'seed' and 'n'")
-        kwargs = {"seed": int(data["seed"]), "n": int(data["n"])}
+        for name, (ok, kind) in _CONFIG_RULES.items():
+            if name in data and not ok(data[name]):
+                raise InvalidInput(f"sampler config {name!r} must be {kind}, got {data[name]!r}")
+        kwargs = {"seed": data["seed"], "n": data["n"]}
         if "spectrum" in data:
-            lo, hi = data["spectrum"]
-            kwargs["spectrum_range"] = (float(lo), float(hi))
-        if "sandwich" in data and data["sandwich"] is not None:
-            u, v = data["sandwich"]
-            kwargs["sandwich"] = (float(u), float(v))
+            kwargs["spectrum_range"] = tuple(map(float, data["spectrum"]))
+        if data.get("sandwich") is not None:
+            kwargs["sandwich"] = tuple(map(float, data["sandwich"]))
         return cls(**kwargs)
 
     def to_json(self) -> str:

@@ -5,11 +5,14 @@ of the contraction C = A^{-1/2} B A^{-1/2} through a scalar representing
 function.  This module collects those scalar functions, the auxiliary bound
 families built from them, and grid-based checkers (chain verification, sign
 tables, and spot-value probes) that certify the scalar inequalities
-independently of any matrix machinery.
+independently of any matrix machinery.  The chains (:data:`CHAINS`) are
+filled by :mod:`oel.catalog`, which declares each inequality once: a chain is
+the scalar twins of a catalog chain's terms, on its hypothesis region.
 
 Conventions: ``x`` (or ``t``) is a positive real, ``p``/``q`` are weight
 parameters, ``c`` is a curvature coefficient.  All functions are vectorized
-over ``x`` and take scalar parameters.
+over ``x``; the representing functions and the twins of catalog terms also
+take one parameter per matrix of a stack, shaped to broadcast against ``x``.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def tsallis_mid_gap(x, p: float):
 
 def tsallis_end_slope(x, p: float):
     """(tsallis_log(x, p) - (x-1)) / (p-1): slope of p |-> tsallis_log between p and 1."""
-    if p == 1.0:
+    if np.any(p == 1.0):
         raise DomainError("end slope is undefined at p = 1")
     x = _pos(x)
     return (tsallis_log(x, p) - (x - 1.0)) / (p - 1.0)
@@ -200,7 +203,7 @@ def mean_gap(x, p: float):
 
 def mean_gap_scaled(x, p: float):
     """((1-p) + p*x - x**p) / (p*(1-p)): arithmetic-geometric gap, normalized."""
-    if p in (0.0, 1.0):
+    if np.any((p == 0.0) | (p == 1.0)):
         raise DomainError("normalized gap undefined at p in {0, 1}")
     x = _pos(x)
     return ((1.0 - p) + p * x - x ** p) / (p * (1.0 - p))
@@ -208,7 +211,7 @@ def mean_gap_scaled(x, p: float):
 
 def geom_harm_gap_rate(x, p: float):
     """(power_rep - harm_rep) / p: geometric-harmonic gap per unit weight."""
-    if p == 0.0:
+    if np.any(p == 0.0):
         raise DomainError("gap rate undefined at p = 0")
     return (power_rep(x, p) - harm_rep(x, p)) / p
 
@@ -388,7 +391,8 @@ def run_probe(probe_id: str) -> tuple[list[float], ProbeSpec, bool]:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """An ordered family of scalar bounds: member_i(x, params) <= member_{i+1}."""
+    """An ordered family of scalar bounds: member_i(x, *params) <= member_{i+1}
+    on the ``(params, xs)`` points of ``grid()`` whose params are ``admissible``."""
 
     chain_id: str
     members: tuple[tuple[str, Callable], ...]
@@ -405,111 +409,10 @@ class ChainResult:
     worst_point: tuple
 
 
-def _p_grid(lo: float, hi: float, n: int = 101, exclude: tuple = ()) -> np.ndarray:
-    """Uniform parameter grid with open exclusion windows removed."""
-    g = np.linspace(lo, hi, n)
-    for (a, b) in exclude:
-        g = g[(g <= a) | (g >= b)]
-    return g
-
-def _x_up() -> np.ndarray:
-    return np.geomspace(1.0 + 1e-3, 1e3, 120)
-
-
-def _x_down() -> np.ndarray:
-    return np.geomspace(1e-3, 1.0 - 1e-3, 120)
-
-
-def _x_full() -> np.ndarray:
-    return np.geomspace(1e-3, 1e3, 160)
-
-
-def _grid_p(xs: Callable, lo: float, hi: float, exclude: tuple = ()):
-    def gen():
-        x = xs()
-        for p in _p_grid(lo, hi, 101, exclude):
-            yield (float(p),), x
-    return gen
-
-
-def _grid_pq(xs: Callable, lo: float, hi: float, exclude: tuple = ()):
-    def gen():
-        x = xs()
-        ps = _p_grid(lo, hi, 21, exclude)
-        for i, p in enumerate(ps):
-            for q in ps[i:]:
-                yield (float(p), float(q)), x
-    return gen
-
-
-_EXCL_P0 = ((-1e-3, 1e-3),)
-_EXCL_P01 = ((-1e-3, 1e-3), (1.0 - 1e-3, 1.0 + 1e-3))
-
-CHAINS: dict[str, ChainSpec] = {
-    s.chain_id: s
-    for s in [
-        ChainSpec(
-            "means_order",
-            (
-                ("harm", lambda x, p: harm_rep(x, p)),
-                ("power", lambda x, p: power_rep(x, p)),
-                ("arith", lambda x, p: arith_rep(x, p)),
-            ),
-            _grid_p(_x_full, 0.0, 1.0),
-            lambda params: 0.0 <= params[0] <= 1.0,
-        ),
-        ChainSpec(
-            "entropy_bounds",
-            (
-                ("power_log[p/2]", lambda x, p: power_log(x, p / 2.0)),
-                ("tsallis[p]", tsallis_log),
-                ("avg_power_log[p]", avg_power_log),
-            ),
-            _grid_p(_x_up, -1.0, 1.0, _EXCL_P0),
-            lambda params: 0.0 < abs(params[0]) <= 1.0,
-        ),
-        ChainSpec(
-            "entropy_bounds_rev",
-            (
-                ("avg_power_log[p]", avg_power_log),
-                ("tsallis[p]", tsallis_log),
-                ("power_log[p/2]", lambda x, p: power_log(x, p / 2.0)),
-            ),
-            _grid_p(_x_down, -1.0, 1.0, _EXCL_P0),
-            lambda params: 0.0 < abs(params[0]) <= 1.0,
-        ),
-        ChainSpec(
-            "gap_chain",
-            (
-                ("half_gap", tsallis_half_gap),
-                ("mid_gap", tsallis_mid_gap),
-                ("end_slope", tsallis_end_slope),
-                ("half_gap + (x-1)^2/4", lambda x, p: tsallis_half_gap(x, p) + 0.25 * (x - 1.0) ** 2),
-            ),
-            _grid_p(_x_up, -1.0, 1.0, _EXCL_P01),
-            lambda params: 0.0 < abs(params[0]) <= 1.0 and params[0] != 1.0,
-        ),
-        ChainSpec(
-            "curvature_bounds",
-            (
-                ("quad_lower", quad_lower),
-                ("tsallis[p]", tsallis_log),
-                ("quad_upper", quad_upper),
-            ),
-            _grid_p(_x_up, -1.0, 1.0, _EXCL_P0),
-            lambda params: 0.0 < abs(params[0]) <= 1.0,
-        ),
-        ChainSpec(
-            "gap_rate_monotone",
-            (
-                ("mean_gap[p]", lambda x, p, q: mean_gap(x, p)),
-                ("mean_gap[q]", lambda x, p, q: mean_gap(x, q)),
-            ),
-            _grid_pq(_x_full, -1.0, 1.0, _EXCL_P0),
-            lambda params: params[0] <= params[1],
-        ),
-    ]
-}
+# Filled in place by oel.catalog at import (catalog imports means, which
+# imports this module, so the chains cannot be built here): each is a catalog
+# chain's terms' scalar twins, on the grid and gate of its hypothesis region.
+CHAINS: dict[str, ChainSpec] = {}
 
 
 def verify_scalar_chain(chain_id: str, grid=None) -> ChainResult:

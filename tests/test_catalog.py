@@ -10,6 +10,7 @@ from oel.catalog import (
     Params,
     TrialContext,
     _edge_at,
+    _stacked_params,
     catalog,
     catalog_with_duals,
     dual,
@@ -17,8 +18,10 @@ from oel.catalog import (
     find_cases,
 )
 from oel.errors import HypothesisError, NoDual
+from oel.harness import run_suite
 from oel.means import OperatorPair
-from oel.sampler import generator
+from oel.sampler import SamplerConfig, commuting_pair, commuting_spectra, generator, sandwich_pair, sandwich_pairs
+from oel.spd_core import spectral_assemble
 
 # frozen 1x1 oracles: the catalog margins must reduce to these scalar gaps
 CHAIN3_AT_HALF_4 = (1.9605162869370945, 2.0, 2.0794415416798357)
@@ -270,7 +273,60 @@ def test_reversed_case_holds_on_its_own_region():
 
 
 def test_statements_mention_both_sides():
-    for case in catalog():
+    for case in catalog_with_duals():
         assert case.statement
-        assert case.lhs.name
-        assert case.rhs.name
+        assert case.lhs.name and case.lhs.name in case.statement
+        assert case.rhs.name and case.rhs.name in case.statement
+        assert case.hypothesis.text in case.statement
+        assert case.dual_region is None or case.dual_region.text in case.statement
+
+
+def _twin_tolerance(params: Params) -> np.ndarray:
+    # 1e-12 relative, widened where a term divides by a weight's distance d from
+    # 0 or 1 (T2's T[p-1] and (p-1), the W rates): there rounding grows as 1/d
+    d = np.ones(np.shape(params.p) if params.p is not None else ())
+    for w in (params.p, params.q):
+        if w is not None:
+            d = np.minimum(d, np.minimum(np.abs(w), np.abs(1.0 - np.asarray(w))))
+    return 1e-12 / d.reshape(-1)
+
+
+def _assert_twin_lift(term, got, expected, params, where):
+    err = np.abs(got - expected).max(axis=(-2, -1)).reshape(-1)
+    scale = np.maximum(1.0, np.abs(expected).max(axis=(-2, -1))).reshape(-1)
+    assert np.all(err <= _twin_tolerance(params) * scale), (term.name, where, err / scale)
+
+
+def test_every_term_is_the_lift_of_its_scalar_twin():
+    # term == A^{1/2} f(C) A^{1/2} for its twin f: on commuting pairs against
+    # f applied to the shared eigenbasis, on a pair and on a (k, n, n) stack
+    # against f applied to the contraction's spectrum
+    rng = generator(5)
+    for case in catalog_with_duals():
+        for n in (1, 2, 3, 5):
+            plans = [case.plan(rng) for _ in range(4)]
+            cfgs = [
+                SamplerConfig(seed=int(rng.integers(1 << 62)), n=n, sandwich=(pl.u_target, pl.v_target))
+                for pl in plans
+            ]
+            pr = plans[0].params
+            stacked = _stacked_params([pl.params for pl in plans])
+            q, lam, mu = commuting_spectra(cfgs[0])
+            single = sandwich_pair(cfgs[0])
+            stack = sandwich_pairs(cfgs)
+            for term in (case.lhs, case.rhs):
+                got = term.fn(TrialContext(commuting_pair(cfgs[0])), pr)
+                expected = spectral_assemble(q, lam * term.f(mu / lam, pr))
+                _assert_twin_lift(term, got, expected, pr, (case.id, n, "commuting"))
+                got = term.fn(TrialContext(single), pr)
+                _assert_twin_lift(term, got, single.transform(lambda t: term.f(t, pr)), pr, (case.id, n, "pair"))
+                got = term.fn(TrialContext(stack), stacked)
+                expected = stack.transform(lambda t: term.f(t, stacked))
+                _assert_twin_lift(term, got, expected, stacked, (case.id, n, "stack"))
+
+
+def test_curvature_lower_bound_is_tight():
+    # T3.1's lower term is the lift of quad_lower, which meets T[p] at u = 1
+    res = run_suite(by_id("T3.1"), trials=60, dims=(2, 3), seed=42)
+    assert res.failures == 0
+    assert res.worst_margin < 1e-9

@@ -5,7 +5,7 @@ import pytest
 
 from oel import harness
 from oel.cli import main
-from oel.errors import HypothesisError, NumericalBreakdown
+from oel.errors import HypothesisError, InvalidInput, NumericalBreakdown
 from oel.harness import read_reports, replay
 
 REPORT_FIELDS = ("case_id", "seed", "n", "p", "q", "c", "u", "v", "margin", "scale", "holds")
@@ -196,6 +196,21 @@ def test_integral_without_pairs_is_a_usage_error(capsys, trials):
     assert code == 2
     assert "trials must be positive" in captured.err
     assert "(ok)" not in captured.out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_order_tolerance_must_be_finite_and_nonnegative(capsys, tol):
+    # a nan tolerance printed "ok" for every integral check and failed every verify trial
+    for argv in (["integral", "--trials", "2", "--p-grid", "0.5"], ["verify", "--case", "H1.1", "--trials", "2"]):
+        code = main(argv + ["--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert "tolerance must be a finite number >= 0" in captured.err
+        assert "ok" not in captured.out and "FAIL" not in captured.out
+    with pytest.raises(InvalidInput):
+        harness.run_suite(harness.case_by_id("H1.1"), trials=2, order_tol=float(tol))
+    with pytest.raises(InvalidInput):
+        harness.integral_sweep(trials=2, p_grid=(0.5,), tol=float(tol))
 
 
 def test_report_roundtrip(tmp_path, capsys):

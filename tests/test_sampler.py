@@ -152,7 +152,24 @@ def test_config_json_minimal_keys():
 
 @pytest.mark.parametrize(
     "payload",
-    ["not json", '{"n": 2}', '{"seed": 1}', "[1, 2]"],
+    [
+        "not json",
+        '{"n": 2}',
+        '{"seed": 1}',
+        "[1, 2]",
+        # values are taken as written, never coerced
+        '{"seed": 3.9, "n": "2", "sandwich": ["0.5", 2]}',
+        '{"seed": 3, "n": "2"}',
+        '{"seed": 3, "n": 2, "sandwich": ["0.5", 2]}',
+        '{"seed": true, "n": 2.7}',
+        '{"seed": 3, "n": 2.7}',
+        '{"seed": -5, "n": 2}',
+        '{"seed": 3, "n": 2, "spectrum": [1]}',
+        '{"seed": 3, "n": 2, "spectrum": "ab"}',
+        '{"seed": 3, "n": 2, "spectrum": [1, NaN]}',
+        '{"seed": 3, "n": 2, "sandwich": [0.5, Infinity]}',
+        '{"seed": 3, "n": 2, "sandwich": [0.5, 1, 2]}',
+    ],
 )
 def test_config_json_rejects_malformed(payload):
     with pytest.raises(InvalidInput):

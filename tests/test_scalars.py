@@ -177,6 +177,27 @@ def test_probe_upper_form_differs_from_exact_bound():
     assert quad_upper_probe(2.5, 0.5) < tsallis_log(2.5, 0.5) < quad_upper(2.5, 0.5)
 
 
+# each chain comes from one catalog chain, on the grid of its hypothesis region
+CHAIN_POINTS = {
+    "means_order": 16160,
+    "entropy_bounds": 12000,
+    "entropy_bounds_rev": 12000,
+    "gap_chain": 11880,
+    "curvature_bounds": 12000,
+    "gap_rate_monotone": 33600,
+}
+
+
+def test_chains_are_the_catalog_chains():
+    assert sorted(CHAINS) == sorted(CHAIN_POINTS)
+
+
+@pytest.mark.parametrize("chain_id", sorted(CHAIN_POINTS))
+def test_chain_grid_keeps_its_points(chain_id):
+    res = verify_scalar_chain(chain_id)
+    assert (res.points_checked, res.points_filtered) == (CHAIN_POINTS[chain_id], 0)
+
+
 @pytest.mark.parametrize("chain_id", sorted(CHAINS))
 def test_chain_holds_on_dense_grid(chain_id):
     res = verify_scalar_chain(chain_id)
