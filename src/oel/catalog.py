@@ -12,8 +12,9 @@ Multi-term chains are registered as one sub-case per adjacent pair (ids
 get one sub-case per region (ids like ``M3.b1``).  A case's statement comes
 from its members' names and its regions, its group from its id's prefix.
 Where a reversed form holds under the dual region, :func:`dual` produces it
-(ids gain/lose a ``.rev`` suffix).  A chain declared with a scalar chain id
-also yields that chain of twins for :mod:`oel.scalars` (see :func:`_chain`).
+(ids gain/lose a ``.rev`` suffix).  Every declaration also yields the chain
+of its twins on its region's grid for :mod:`oel.scalars` (see :func:`_cases`),
+so each case, dual included, is checked by exactly one scalar chain.
 
 All terms are built from the public mean/entropy operations so the catalog
 exercises the same code paths users call.  :func:`evaluate_trials` runs k
@@ -366,7 +367,9 @@ T_DRIFT_C_P, T_DRIFT_C_Q = _drift_terms(None)
 _WINDOW = (0.2, 4.0)        # sandwich targets are drawn inside this window,
 _FREE_WINDOW = (0.25, 4.0)  # or inside this one in a region without sandwich edges
 _PIN_SHARE = 0.1            # share of draws pinned to a sandwich edge
-_REACH = 2.0                # draws stop here in a box with an unbounded end
+_REACH = 2.0                # draws and grids stop here in a box with an unbounded end
+_X_RANGE = (1e-3, 1e3)      # the x span of a scalar chain grid
+_X_ONLY = 10_000            # x points of a chain grid without a p box
 
 
 def _ge(a: float, b: float) -> bool:
@@ -424,9 +427,10 @@ class Box:
                 return x
 
     def grid(self, count: int) -> np.ndarray:
-        """``count`` evenly spaced points, less those within ``_P_EPS`` of an
-        open end and of 0 in a box that straddles it."""
-        g = np.linspace(self.lo, self.hi, count)
+        """``count`` evenly spaced points, stopping at ``_REACH`` in an
+        unbounded end, less those within ``_P_EPS`` of an open end and of 0
+        in a box that straddles it."""
+        g = np.linspace(max(self.lo, -_REACH), min(self.hi, _REACH), count)
         cuts = [0.0] * (self.lo < 0.0 < self.hi) + [self.lo] * self.lo_open + [self.hi] * self.hi_open
         for x in cuts:
             g = g[(g <= x - _P_EPS) | (g >= x + _P_EPS)]
@@ -472,7 +476,7 @@ class Region:
     at u = 1 and v = 1, where the paper's regions meet.  A region with its
     own ``window`` draws plainly inside it, without pins.
 
-    A region on ``p`` also yields the grid of its scalar chains (:meth:`grid`)."""
+    It also yields the grid of its scalar chain (:meth:`grid`)."""
 
     p: Box | None = None
     ordered: bool = False
@@ -498,24 +502,38 @@ class Region:
         )
 
     def grid(self):
-        """The scalar chain grid: ``((p,), xs)`` for 101 points of the p box,
-        or ``((p, q), xs)`` for each p <= q of 21 points when ``ordered``; xs
-        lies above 1 when ``u_lo`` is stated, below 1 when ``v_hi`` is, and
-        on both sides otherwise."""
-        if self.u_lo is not None:
-            xs = np.geomspace(1.0 + _P_EPS, 1e3, 120)
-        elif self.v_hi is not None:
-            xs = np.geomspace(_P_EPS, 1.0 - _P_EPS, 120)
+        """The scalar chain grid, as ``(params, xs)`` rows.  ``params`` is
+        ``(p,)`` for 101 points of the p box, ``(p, q)`` for each p <= q of
+        21 points when ``ordered``, or ``()`` without a p box; with a c box
+        (every one is ordered) each is followed by 5 points of c.  xs runs
+        geometrically from the lower sandwich edge to the upper one, each
+        evaluated at the row's parameters and capped to ``_X_RANGE`` (its
+        end where an edge is not stated), and keeps ``_P_EPS`` off an edge
+        within ``_P_EPS`` of 1; a row whose range is empty is left out.  It
+        has 120 points, 160 without edges, or ``_X_ONLY`` without a p box."""
+        if self.p is None:
+            rows = [()]
+        elif not self.ordered:
+            rows = [(p,) for p in self.p.grid(101).tolist()]
         else:
-            xs = np.geomspace(_P_EPS, 1e3, 160)
-        if not self.ordered:
-            for p in self.p.grid(101):
-                yield (float(p),), xs
-            return
-        ps = self.p.grid(21)
-        for i, p in enumerate(ps):
-            for q in ps[i:]:
-                yield (float(p), float(q)), xs
+            ps = self.p.grid(21).tolist()
+            rows = [(p, q) for i, p in enumerate(ps) for q in ps[i:]]
+        if self.c is not None:
+            cs = self.c.grid(5).tolist()
+            rows = [(*r, c) for r in rows for c in cs]
+        count = _X_ONLY if self.p is None else 160 if self.u_lo is None and self.v_hi is None else 120
+        xs_at = {}
+        for params in rows:
+            pr = Params(*params)
+            lo = _X_RANGE[0] if self.u_lo is None else max(_edge_at(self.u_lo, pr), _X_RANGE[0])
+            hi = _X_RANGE[1] if self.v_hi is None else min(_edge_at(self.v_hi, pr), _X_RANGE[1])
+            lo = 1.0 + _P_EPS if abs(lo - 1.0) <= _P_EPS else lo
+            hi = 1.0 - _P_EPS if abs(hi - 1.0) <= _P_EPS else hi
+            if lo < hi:
+                xs = xs_at.get((lo, hi))
+                if xs is None:
+                    xs = xs_at[lo, hi] = np.geomspace(lo, hi, count)
+                yield params, xs
 
     def plan(self, rng: np.random.Generator) -> TrialPlan:
         """One admissible draw: parameters, then sandwich targets."""
@@ -615,11 +633,6 @@ def _statement(members: Sequence[Term], region: Region, dual_region: Region | No
     return text if dual_region is None else f"{text} (reversed when {dual_region.text})"
 
 
-def _case(case_id, region, lhs, rhs, dual_region=None, statement=None):
-    statement = statement or _statement((lhs, rhs), region, dual_region)
-    return InequalityCase(case_id, statement, lhs, rhs, region, region.plan, dual_region=dual_region)
-
-
 def _scalar_chain(chain_id: str, region: Region, members: Sequence[Term]) -> None:
     # oel.scalars cannot import this module (catalog imports means, which
     # imports scalars), so the catalog fills scalars.CHAINS in place at import
@@ -631,20 +644,30 @@ def _scalar_chain(chain_id: str, region: Region, members: Sequence[Term]) -> Non
     )
 
 
-def _chain(group, region, members, dual_region=None, chain_id=None):
-    """One case per adjacent pair of ``members`` (ids ``group.1``, ...).  With
-    ``chain_id``, the members' twins also make the scalar chain ``chain_id``
-    on the region's grid, and ``chain_id + "_rev"`` (members reversed) on the
-    dual region."""
-    if chain_id is not None:
-        _scalar_chain(chain_id, region, members)
-        if dual_region is not None:
-            _scalar_chain(chain_id + "_rev", dual_region, members[::-1])
+def _cases(ids, region, members, dual_region, chain_id):
+    """The cases ``ids[i]``: ``members[i] <= members[i+1]``.  The members'
+    twins also make the scalar chain ``chain_id`` on the region's grid, and
+    ``chain_id + "_rev"`` (members reversed) on the dual region."""
+    _scalar_chain(chain_id, region, members)
+    if dual_region is not None:
+        _scalar_chain(chain_id + "_rev", dual_region, members[::-1])
     statement = _statement(members, region, dual_region)
     return [
-        _case(f"{group}.{i}", region, lhs, rhs, dual_region, statement)
-        for i, (lhs, rhs) in enumerate(zip(members, members[1:]), start=1)
+        InequalityCase(case_id, statement, lhs, rhs, region, region.plan, dual_region=dual_region)
+        for case_id, lhs, rhs in zip(ids, members, members[1:])
     ]
+
+
+def _case(case_id, region, lhs, rhs):
+    """One case, whose scalar chain is named by its id."""
+    return _cases([case_id], region, [lhs, rhs], None, case_id)[0]
+
+
+def _chain(group, region, members, dual_region=None, chain_id=None):
+    """One case per adjacent pair of ``members`` (ids ``group.1``, ...), and
+    one scalar chain, ``chain_id`` or else ``group``."""
+    ids = [f"{group}.{i}" for i in range(1, len(members))]
+    return _cases(ids, region, members, dual_region, chain_id or group)
 
 
 def _build() -> tuple[InequalityCase, ...]:

@@ -97,7 +97,9 @@ def _evaluate_stack(case: InequalityCase, trials: list[_Trial], order_tol: float
 
 
 def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
-    """One deterministic trial: draw plan, sample pair, evaluate the case."""
+    """One deterministic trial: draw plan, sample pair, evaluate the case.
+    A non-finite or negative ``order_tol`` is an InvalidInput."""
+    _check_tol(order_tol)
     return _evaluate_stack(case, [_draw_trial(case, generator(trial_seed), trial_seed, n)], order_tol)[0]
 
 

@@ -63,7 +63,8 @@ def _finite_pair(x) -> bool:
 
 
 # what SamplerConfig.from_json accepts in each field, as written (JSON booleans
-# are not integers); n >= 1 and the range orders are checked on construction
+# are not integers); the seed rule, n >= 1 and the range orders are also
+# checked on construction
 _CONFIG_RULES = {
     "seed": (lambda x: type(x) is int and x >= 0, "an integer >= 0"),
     "n": (lambda x: type(x) is int, "an integer"),
@@ -87,6 +88,9 @@ class SamplerConfig:
     sandwich: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        seed_ok, seed_kind = _CONFIG_RULES["seed"]
+        if not seed_ok(self.seed):
+            raise InvalidInput(f"sampler config 'seed' must be {seed_kind}, got {self.seed!r}")
         if self.n < 1:
             raise InvalidInput(f"dimension must be >= 1, got {self.n}")
         lo, hi = self.spectrum_range

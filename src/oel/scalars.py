@@ -6,8 +6,11 @@ function.  This module collects those scalar functions, the auxiliary bound
 families built from them, and grid-based checkers (chain verification, sign
 tables, and spot-value probes) that certify the scalar inequalities
 independently of any matrix machinery.  The chains (:data:`CHAINS`) are
-filled by :mod:`oel.catalog`, which declares each inequality once: a chain is
-the scalar twins of a catalog chain's terms, on its hypothesis region.
+filled by :mod:`oel.catalog`, which declares each inequality once: every
+declaration yields one chain, its terms' scalar twins on the grid of its
+hypothesis region, so every case (duals included) has its scalar check.  The
+sign tables (:data:`SIGN_CLAIMS`) are the dense sweeps through the frozen
+probes, where neither bound dominates.
 
 Conventions: ``x`` (or ``t``) is a positive real, ``p``/``q`` are weight
 parameters, ``c`` is a curvature coefficient.  All functions are vectorized
@@ -175,14 +178,6 @@ def log_defect(x, c: float):
     x = _pos(x)
     lg = np.log(x)
     return 1.0 - x + x * lg - c * x * lg * lg
-
-
-def log_defect_edge(c: float):
-    """1 + (1 - 4c) * exp((1 - 2c)/c): value controlling the defect's sign edge."""
-    if c == 0.0:
-        raise DomainError("edge value undefined at c = 0")
-    with np.errstate(over="ignore"):
-        return 1.0 + (1.0 - 4.0 * c) * np.exp((1.0 - 2.0 * c) / c)
 
 
 def entropy_drift(x, p: float, c: float):
@@ -410,9 +405,11 @@ class ChainResult:
 
 
 # Filled in place by oel.catalog at import (catalog imports means, which
-# imports this module, so the chains cannot be built here): each is a catalog
-# chain's terms' scalar twins, on the grid and gate of its hypothesis region.
+# imports this module, so the chains cannot be built here): one per catalog
+# declaration, its terms' scalar twins on the grid and gate of its region.
 CHAINS: dict[str, ChainSpec] = {}
+
+STACK_POINTS = 1 << 14  # grid points evaluated at once by verify_scalar_chain
 
 
 def verify_scalar_chain(chain_id: str, grid=None) -> ChainResult:
@@ -432,7 +429,11 @@ def verify_scalar_chain(chain_id: str, grid=None) -> ChainResult:
     ChainResult
         ``worst_violation`` is the minimum over the grid of
         (member_{i+1} - member_i); nonnegative (up to -1e-12) when the
-        chain holds.
+        chain holds, and NaN when a difference is not a number.
+
+    Consecutive rows with as many x points are evaluated as one stack of at
+    most ``STACK_POINTS`` points: the members see each parameter as a
+    ``(k, 1)`` column and x as a ``(k, m)`` array.
     """
     if chain_id not in CHAINS:
         raise InvalidInput(f"unknown chain id {chain_id!r}; known: {sorted(CHAINS)}")
@@ -441,31 +442,44 @@ def verify_scalar_chain(chain_id: str, grid=None) -> ChainResult:
     worst_point: tuple = ()
     checked = 0
     filtered = 0
+    rows: list = []
+
+    def evaluate() -> None:
+        nonlocal worst, worst_point
+        params = np.array([r for r, _ in rows], dtype=float)
+        xs = np.stack([x for _, x in rows])
+        vals = [fn(xs, *params.T[:, :, None]) for _, fn in spec.members]
+        for lo_vals, hi_vals in zip(vals[:-1], vals[1:]):
+            diff = hi_vals - lo_vals
+            i = int(np.argmin(diff))  # the first NaN, if there is one
+            if not (np.isnan(worst) or diff.flat[i] >= worst):
+                row, j = divmod(i, xs.shape[1])
+                worst = float(diff.flat[i])
+                worst_point = (*rows[row][0], float(xs[row, j]))
+        rows.clear()
+
     for params, xs in (grid if grid is not None else spec.grid()):
         if not spec.admissible(params):
             filtered += int(np.size(xs))
             continue
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        vals = [fn(xs, *params) for _, fn in spec.members]
+        if rows and (xs.size != rows[0][1].size or (len(rows) + 1) * xs.size > STACK_POINTS):
+            evaluate()
+        rows.append((params, xs))
         checked += xs.size
-        for lo_vals, hi_vals in zip(vals[:-1], vals[1:]):
-            diff = np.asarray(hi_vals) - np.asarray(lo_vals)
-            i = int(np.argmin(diff))
-            if diff[i] < worst:
-                worst = float(diff[i])
-                worst_point = (*params, float(xs[i]))
     if checked == 0:
         raise HypothesisError(f"no grid point satisfies the hypothesis of {chain_id!r}")
+    evaluate()
     return ChainResult(chain_id, float(worst), checked, filtered, worst_point)
 
 
 # ---------------------------------------------------------------------------
-# sign tables for the pointwise claims behind the drift monotonicity cases
+# sign tables: dense sweeps through the frozen probes, where no bound dominates
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SignClaim:
-    """A claim that a scalar expression keeps one sign over a region."""
+    """A claim about the sign of a scalar expression over a dense sample."""
 
     claim_id: str
     description: str
@@ -482,163 +496,11 @@ class SignReport:
     points: int
 
 
-def _vals_xc(fn: Callable, xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.atleast_1d(fn(xs, float(c))) for c in cs])
-
-
-def _edge_bound(c: float) -> float:
-    return float(np.exp((1.0 - 2.0 * c) / c))
-
-
-def _defect_region_b() -> np.ndarray:
-    # 1 <= x <= exp((1-2c)/c) for c in (0, 1/2]
-    chunks = []
-    for c in np.linspace(0.02, 0.5, 50):
-        hi = _edge_bound(float(c))
-        xs = np.geomspace(1.0, max(hi, 1.0 + 1e-9), 220)
-        chunks.append(log_defect(xs, float(c)))
-    return np.concatenate(chunks)
-
-
-def _defect_region_d() -> np.ndarray:
-    # exp((1-2c)/c) <= x <= 1 for c in [1/2, 2]
-    chunks = []
-    for c in np.linspace(0.5, 2.0, 50):
-        lo = _edge_bound(float(c))
-        xs = np.geomspace(min(lo, 1.0 - 1e-9), 1.0, 220)
-        chunks.append(log_defect(xs, float(c)))
-    return np.concatenate(chunks)
-
+_MIXED_P = np.linspace(0.05, 0.95, 10000)
 
 SIGN_CLAIMS: dict[str, SignClaim] = {
     s.claim_id: s
     for s in [
-        SignClaim(
-            "log_defect_above_one",
-            "1 - x + x log x - x (log x)^2 <= 0 for x >= 1",
-            lambda: np.atleast_1d(log_defect(np.geomspace(1.0, 1e3, 12000), 1.0)),
-            "nonpositive",
-        ),
-        SignClaim(
-            "log_defect_unit_band",
-            "1 - x + x log x - x (log x)^2 <= 0 for exp(-1) <= x <= 1",
-            lambda: np.atleast_1d(log_defect(np.linspace(np.exp(-1.0), 1.0, 12000), 1.0)),
-            "nonpositive",
-        ),
-        SignClaim(
-            "half_defect_below_one",
-            "1 - x + x log x - x (log x)^2/2 >= 0 for 0 < x <= 1",
-            lambda: np.atleast_1d(log_defect(np.geomspace(1e-4, 1.0, 12000), 0.5)),
-            "nonnegative",
-        ),
-        SignClaim(
-            "half_defect_above_one",
-            "1 - x + x log x - x (log x)^2/2 <= 0 for x >= 1",
-            lambda: np.atleast_1d(log_defect(np.geomspace(1.0, 1e3, 12000), 0.5)),
-            "nonpositive",
-        ),
-        SignClaim(
-            "c_defect_below_one_small_c",
-            "defect >= 0 for 0 < x <= 1, 0 < c <= 1/2",
-            lambda: _vals_xc(log_defect, np.geomspace(1e-4, 1.0, 250), np.linspace(0.02, 0.5, 50)),
-            "nonnegative",
-        ),
-        SignClaim(
-            "c_defect_band_small_c",
-            "defect >= 0 for 1 <= x <= exp((1-2c)/c), 0 < c <= 1/2",
-            _defect_region_b,
-            "nonnegative",
-        ),
-        SignClaim(
-            "c_defect_nonpos_c",
-            "defect >= 0 for all x > 0 when c <= 0",
-            lambda: _vals_xc(log_defect, np.geomspace(1e-3, 1e3, 250), np.linspace(-2.0, 0.0, 50)),
-            "nonnegative",
-        ),
-        SignClaim(
-            "c_defect_band_large_c",
-            "defect <= 0 for exp((1-2c)/c) <= x <= 1, c >= 1/2",
-            _defect_region_d,
-            "nonpositive",
-        ),
-        SignClaim(
-            "c_defect_above_one_large_c",
-            "defect <= 0 for x >= 1, c >= 1/2",
-            lambda: _vals_xc(log_defect, np.geomspace(1.0, 1e3, 250), np.linspace(0.5, 2.0, 50)),
-            "nonpositive",
-        ),
-        SignClaim(
-            "defect_edge_low",
-            "1 + (1-4c) exp((1-2c)/c) >= 0 for c <= 1/2 (c != 0)",
-            lambda: np.array(
-                [log_defect_edge(float(c)) for c in np.concatenate([np.linspace(-2.0, -1e-3, 6000), np.linspace(0.02, 0.5, 6000)])]
-            ),
-            "nonnegative",
-        ),
-        SignClaim(
-            "defect_edge_high",
-            "1 + (1-4c) exp((1-2c)/c) <= 0 for c >= 1/2",
-            lambda: np.array([log_defect_edge(float(c)) for c in np.linspace(0.5, 3.0, 12000)]),
-            "nonpositive",
-        ),
-        SignClaim(
-            "affine_chord_below_one",
-            "(1-p) + p x >= (x-1)/log x for 0 < x <= 1, 0 <= p <= 1/2",
-            lambda: _vals_xc(
-                lambda x, p: arith_rep(x, p) - chord_log_ratio(x),
-                np.geomspace(1e-4, 1.0, 250),
-                np.linspace(0.0, 0.5, 50),
-            ),
-            "nonnegative",
-        ),
-        SignClaim(
-            "affine_chord_above_one",
-            "(1-p) + p x >= (x-1)/log x for x >= 1, 1/2 <= p <= 1",
-            lambda: _vals_xc(
-                lambda x, p: arith_rep(x, p) - chord_log_ratio(x),
-                np.geomspace(1.0, 1e3, 250),
-                np.linspace(0.5, 1.0, 50),
-            ),
-            "nonnegative",
-        ),
-        SignClaim(
-            "log_over_secant_above_one",
-            "log x >= (x-1)/((1-p)x+p) for x >= 1, 0 <= p <= 1/2",
-            lambda: _vals_xc(
-                lambda x, p: np.log(x) - harm_secant(x, p),
-                np.geomspace(1.0, 1e3, 250),
-                np.linspace(0.0, 0.5, 50),
-            ),
-            "nonnegative",
-        ),
-        SignClaim(
-            "secant_nonneg_above_one",
-            "(x-1)/((1-p)x+p) >= 0 for x >= 1",
-            lambda: _vals_xc(harm_secant, np.geomspace(1.0, 1e3, 250), np.linspace(0.0, 0.5, 50)),
-            "nonnegative",
-        ),
-        SignClaim(
-            "log_under_secant_below_one",
-            "log x <= (x-1)/((1-p)x+p) for 0 < x <= 1, 1/2 <= p <= 1",
-            lambda: _vals_xc(
-                lambda x, p: np.log(x) - harm_secant(x, p),
-                np.geomspace(1e-4, 1.0, 250),
-                np.linspace(0.5, 1.0, 50),
-            ),
-            "nonpositive",
-        ),
-        SignClaim(
-            "secant_nonpos_below_one",
-            "(x-1)/((1-p)x+p) <= 0 for 0 < x <= 1",
-            lambda: _vals_xc(harm_secant, np.geomspace(1e-4, 1.0, 250), np.linspace(0.5, 1.0, 50)),
-            "nonpositive",
-        ),
-        SignClaim(
-            "log_plus_inv_ge_one",
-            "log t + 1/t - 1 >= 0 for t > 0 (monotonicity of the Tsallis gap in p)",
-            lambda: np.atleast_1d(np.log(np.geomspace(1e-4, 1e4, 12000)) + 1.0 / np.geomspace(1e-4, 1e4, 12000) - 1.0),
-            "nonnegative",
-        ),
         SignClaim(
             "lower_gap_mixed",
             "quad_lower - hh_lower changes sign on x in [1, 3] at p = 1/2",
@@ -654,13 +516,13 @@ SIGN_CLAIMS: dict[str, SignClaim] = {
         SignClaim(
             "entropy_lower_members_mixed",
             "x^{p/2} log x - hh_lower changes sign over p in (0,1) at x = 3",
-            lambda: np.array([power_log(3.0, p / 2.0) - hh_lower(3.0, p) for p in np.linspace(0.05, 0.95, 10000)]),
+            lambda: power_log(3.0, _MIXED_P / 2.0) - hh_lower(3.0, _MIXED_P),
             "mixed",
         ),
         SignClaim(
             "entropy_upper_members_mixed",
             "hh_upper - avg_power_log changes sign over p in (0,1) at x = 3",
-            lambda: np.array([hh_upper(3.0, p) - avg_power_log(3.0, p) for p in np.linspace(0.05, 0.95, 10000)]),
+            lambda: hh_upper(3.0, _MIXED_P) - avg_power_log(3.0, _MIXED_P),
             "mixed",
         ),
     ]
@@ -716,7 +578,8 @@ def export_rows_csv(rows: Iterable[dict], out) -> None:
 
 
 def grid_rows(fn_id: str, xs: Sequence[float], **params) -> list[dict]:
-    """Evaluate a registered scalar function on a grid, as CSV-ready rows."""
+    """Evaluate a registered scalar function on a grid, as CSV-ready rows.
+    A missing or non-finite parameter is an InvalidInput."""
     if fn_id not in REGISTRY:
         raise InvalidInput(f"unknown scalar fn {fn_id!r}; known: {sorted(REGISTRY)}")
     spec = REGISTRY[fn_id]
@@ -724,6 +587,8 @@ def grid_rows(fn_id: str, xs: Sequence[float], **params) -> list[dict]:
     if missing:
         raise InvalidInput(f"{fn_id} needs parameters {missing}")
     args = [params[k] for k in spec.params]
+    if not np.isfinite(args).all():
+        raise InvalidInput(f"{fn_id} needs finite parameters, got {dict(zip(spec.params, args))}")
     rows = []
     for x in xs:
         rows.append(

@@ -211,6 +211,25 @@ def test_order_tolerance_must_be_finite_and_nonnegative(capsys, tol):
         harness.run_suite(harness.case_by_id("H1.1"), trials=2, order_tol=float(tol))
     with pytest.raises(InvalidInput):
         harness.integral_sweep(trials=2, p_grid=(0.5,), tol=float(tol))
+    with pytest.raises(InvalidInput):  # replay('H1.1', 1, 2, order_tol=nan).holds read False
+        harness.replay("H1.1", 1, 2, order_tol=float(tol))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--fns", "tsallis,hh_lower", "--x", "2", "--p", "nan"],
+        ["--fns", "tsallis,hh_lower", "--x", "2", "--p", "inf"],
+        ["--fns", "chord_log_ratio,log_defect", "--x", "2", "--c", "nan"],
+    ],
+)
+def test_probe_fns_rejects_non_finite_parameters(capsys, argv):
+    # --p nan printed nan for both functions and exited 0
+    code = main(["probe", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "needs finite parameters" in captured.err
+    assert captured.out == ""
 
 
 def test_report_roundtrip(tmp_path, capsys):

@@ -184,6 +184,10 @@ def test_config_json_rejects_malformed(payload):
         {"seed": 1, "n": 2, "spectrum_range": (2.0, 1.0)},
         {"seed": 1, "n": 2, "sandwich": (0.0, 1.0)},
         {"seed": 1, "n": 2, "sandwich": (3.0, 1.0)},
+        # the seed rule of from_json holds on construction too
+        {"seed": -5, "n": 2},
+        {"seed": 2.5, "n": 2},
+        {"seed": True, "n": 2},
     ],
 )
 def test_config_rejects_bad_ranges(kwargs):

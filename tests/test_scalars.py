@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 from oel.errors import DomainError, HypothesisError, InvalidInput
 from oel import scalars
+from oel.catalog import R_M3_B1, R_W4_I, Box, ExpEdge, Params, catalog_with_duals
 from oel.scalars import (
     CHAINS,
     PROBES,
@@ -177,19 +179,60 @@ def test_probe_upper_form_differs_from_exact_bound():
     assert quad_upper_probe(2.5, 0.5) < tsallis_log(2.5, 0.5) < quad_upper(2.5, 0.5)
 
 
-# each chain comes from one catalog chain, on the grid of its hypothesis region
+# one chain per catalog declaration: its twins on the grid of its region
 CHAIN_POINTS = {
     "means_order": 16160,
+    "H2": 16000,
+    "gap_rate_monotone": 33600,
+    "TA": 12000,
     "entropy_bounds": 12000,
     "entropy_bounds_rev": 12000,
+    "T1R": 12000,
+    "T1R_rev": 12000,
     "gap_chain": 11880,
     "curvature_bounds": 12000,
-    "gap_rate_monotone": 33600,
+    "C1": 10000,
+    "M1.i": 25200,
+    "M1.ii": 25200,
+    "M1.iii": 25200,
+    "M1.iv": 25200,
+    "M2.i": 25200,
+    "M2.ii": 25200,
+    "M2.iii": 25200,
+    "M2.iv": 25200,
+    "M3.a1": 100800,
+    "M3.a2": 100800,
+    "M3.b1": 75600,
+    "M3.b2": 75600,
+    "M3.c": 134400,
+    "M3.d1": 100800,
+    "M3.d2": 100800,
+    "M3.e1": 126000,
+    "M3.e2": 126000,
+    "W1": 33600,
+    "W2": 22800,
+    "W2_rev": 22800,
+    "W3": 25200,
+    "W4.i": 25200,
+    "W4.ii": 27720,
 }
 
 
 def test_chains_are_the_catalog_chains():
     assert sorted(CHAINS) == sorted(CHAIN_POINTS)
+
+
+def test_every_case_is_covered_by_exactly_one_chain():
+    # a chain covers a case when it checks the case's two terms, adjacent and
+    # in order, on the case's own region
+    for case in catalog_with_duals():
+        covering = [
+            chain_id
+            for chain_id, spec in CHAINS.items()
+            if spec.grid.__self__ == case.hypothesis
+            and (case.lhs.name, case.rhs.name) in zip((n for n, _ in spec.members), (n for n, _ in spec.members[1:]))
+        ]
+        assert len(covering) == 1, (case.id, covering)
 
 
 @pytest.mark.parametrize("chain_id", sorted(CHAIN_POINTS))
@@ -203,6 +246,42 @@ def test_chain_holds_on_dense_grid(chain_id):
     res = verify_scalar_chain(chain_id)
     assert res.points_checked >= 10_000
     assert res.worst_violation >= -1e-12, res
+
+
+def test_stacks_keep_the_row_at_a_time_results(monkeypatch):
+    stacked = {chain_id: verify_scalar_chain(chain_id) for chain_id in CHAINS}
+    monkeypatch.setattr(scalars, "STACK_POINTS", 1)  # one row per stack
+    for chain_id in CHAINS:
+        assert verify_scalar_chain(chain_id) == stacked[chain_id]
+
+
+WIDENED = {
+    # the v edge exp((1-2c)/(c q)) with its exponent doubled
+    "M3.b1": replace(R_M3_B1, v_hi=ExpEdge("2 (1-2c)/(c q)", lambda pr: 2.0 * (1.0 - 2.0 * pr.c) / (pr.c * pr.q))),
+    # the p box (0, 1/2] widened to (0, 1]
+    "W4.i": replace(R_W4_I, p=Box(0.0, 1.0, lo_open=True)),
+}
+
+
+@pytest.mark.parametrize("chain_id", sorted(WIDENED))
+def test_chain_fails_on_a_widened_region(monkeypatch, chain_id):
+    wide = WIDENED[chain_id]
+    spec = replace(CHAINS[chain_id], admissible=lambda params: wide.admits(Params(*params)))
+    monkeypatch.setitem(CHAINS, chain_id, spec)
+    res = verify_scalar_chain(chain_id, grid=wide.grid())
+    assert res.points_filtered == 0
+    assert res.worst_violation < -1.0, res
+
+
+def test_chain_nan_difference_is_the_worst(monkeypatch):
+    spec = CHAINS["means_order"]
+    nan_at_two = lambda x, p: np.where(x == 2.0, np.nan, arith_rep(x, p))
+    monkeypatch.setitem(CHAINS, "means_order", replace(spec, members=spec.members[:2] + (("nan", nan_at_two),)))
+    # the later stack (rows of another length) must not hide the NaN
+    grid = [((0.5,), np.array([1.0, 2.0, 4.0])), ((0.25,), np.array([3.0, 4.0]))]
+    res = verify_scalar_chain("means_order", grid=grid)
+    assert math.isnan(res.worst_violation)
+    assert res.worst_point == (0.5, 2.0)
 
 
 def test_chain_unknown_id():
@@ -220,6 +299,17 @@ def test_chain_custom_grid_filters_points():
     res = verify_scalar_chain("means_order", grid=grid)
     assert res.points_checked == 2
     assert res.points_filtered == 1
+
+
+def test_sign_claims_are_the_mixed_sweeps():
+    # the in-region sign facts are the derived chains; what is left are the
+    # dense sweeps through the frozen probes, where neither side dominates
+    assert sorted(SIGN_CLAIMS) == [
+        "entropy_lower_members_mixed",
+        "entropy_upper_members_mixed",
+        "lower_gap_mixed",
+        "upper_gap_mixed",
+    ]
 
 
 @pytest.mark.parametrize("claim_id", sorted(SIGN_CLAIMS))
