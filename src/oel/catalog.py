@@ -72,26 +72,17 @@ class Term:
 
 
 @dataclass(frozen=True)
-class TrialPlan:
-    """One admissible draw: parameters plus contraction-spectrum targets."""
-
-    params: Params
-    u_target: float
-    v_target: float
-
-
-@dataclass(frozen=True)
 class InequalityCase:
     """One registered comparison ``lhs <= rhs`` under ``hypothesis``, whose
-    trials ``plan`` draws (the region's own planner, kept as a field so a
-    tracer can swap it in)."""
+    trials ``plan`` draws from their plan words (the region's own planner,
+    kept as a field so a tracer can swap it in)."""
 
     id: str
     statement: str
     lhs: Term
     rhs: Term
     hypothesis: Region
-    plan: Callable[[np.random.Generator], TrialPlan]
+    plan: Callable[[np.ndarray], tuple[Params, np.ndarray, np.ndarray]]
     expected: str = "holds"
     dual_region: Region | None = None
 
@@ -372,59 +363,49 @@ _X_RANGE = (1e-3, 1e3)      # the x span of a scalar chain grid
 _X_ONLY = 10_000            # x points of a chain grid without a p box
 
 
-def _ge(a: float, b: float) -> bool:
+def _ge(a, b):
     return a >= b - HYP_SLACK
 
 
-def _le(a: float, b: float) -> bool:
+def _le(a, b):
     return a <= b + HYP_SLACK
-
-
-def _exp_capped(z: float) -> float:
-    return float(np.exp(min(z, 700.0)))
 
 
 def _num(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _sorted2(rng: np.random.Generator, lo: float, hi: float) -> tuple[float, float]:
-    a, b = np.sort(rng.uniform(lo, hi, 2))
-    return float(a), float(b)
+def _sorted2(lo, hi, w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two words mapped onto [lo, hi], in order."""
+    a, b = lo + (hi - lo) * w1, lo + (hi - lo) * w2
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 @dataclass(frozen=True)
 class Box:
     """An interval for one scalar parameter.  Closed ends are checked with
-    HYP_SLACK, open ends strictly, and a box that straddles 0 excludes 0.
-    Draws keep ``_P_EPS`` off open ends and off 0, and stop at ``_REACH``
-    in an unbounded end."""
+    HYP_SLACK, open ends strictly, and a box that straddles 0 excludes 0
+    (elementwise on arrays).  Draws keep ``_P_EPS`` off open ends and off 0,
+    and stop at ``_REACH`` in an unbounded end."""
 
     lo: float
     hi: float
     lo_open: bool = False
     hi_open: bool = False
 
-    def admits(self, x: float | None) -> bool:
-        return (
-            x is not None
-            and (x > self.lo if self.lo_open else _ge(x, self.lo))
-            and (x < self.hi if self.hi_open else _le(x, self.hi))
-            and (x != 0.0 or not self.lo < 0.0 < self.hi)
-        )
+    def admits(self, x):
+        ok = (x > self.lo if self.lo_open else _ge(x, self.lo)) & (x < self.hi if self.hi_open else _le(x, self.hi))
+        return ok & (x != 0.0) if self.lo < 0.0 < self.hi else ok
 
-    def draw(self, rng: np.random.Generator) -> float:
+    def draw(self, words: np.ndarray) -> np.ndarray:
+        """Words in [0, 1) mapped in order onto the drawn range ``[lo, hi]``,
+        or onto ``[lo, -_P_EPS) U [_P_EPS, hi]`` when it straddles 0."""
         lo = max(self.lo + _P_EPS if self.lo_open else self.lo, -_REACH)
         hi = min(self.hi - _P_EPS if self.hi_open else self.hi, _REACH)
         if not lo < 0.0 < hi:
-            return float(rng.uniform(lo, hi))
-        if lo == -hi:  # symmetric about 0: a magnitude, then a fair sign
-            m = float(rng.uniform(_P_EPS, hi))
-            return m if rng.random() < 0.5 else -m
-        while True:
-            x = float(rng.uniform(lo, hi))
-            if abs(x) >= _P_EPS:
-                return x
+            return lo + (hi - lo) * words
+        x = lo + (hi - lo - 2.0 * _P_EPS) * words
+        return np.where(x < -_P_EPS, x, x + 2.0 * _P_EPS)
 
     def grid(self, count: int) -> np.ndarray:
         """``count`` evenly spaced points, stopping at ``_REACH`` in an
@@ -453,8 +434,9 @@ class ExpEdge:
     z: Callable[[Params], float]
 
 
-def _edge_at(edge: float | ExpEdge, pr: Params) -> float:
-    return _exp_capped(edge.z(pr)) if isinstance(edge, ExpEdge) else edge
+def _edge_at(edge: float | ExpEdge, pr: Params):
+    """The edge at the parameters (arrays for a stack's)."""
+    return np.exp(np.minimum(edge.z(pr), 700.0)) if isinstance(edge, ExpEdge) else edge
 
 
 def _edge_text(edge: float | ExpEdge) -> str:
@@ -468,7 +450,9 @@ class Region:
     ``v <= v_hi``; None leaves that part free.  The declaration yields the
     gate (:meth:`check`), the planner (:meth:`plan`) and the :attr:`text`.
 
-    The planner draws c, then the weights, then the targets.  Targets come
+    The planner maps a stack of plan words (c, p, q, a pin selector and two
+    targets; see :data:`oel.sampler.PLAN_WORDS`) onto parameters and
+    sandwich targets, each word onto its own value.  Targets come
     from ``_WINDOW`` with each stated edge clamped into it, or from
     ``_FREE_WINDOW`` when no edge is stated.  A ``_PIN_SHARE`` of draws puts
     u on its lower edge or v on its upper edge, where the inequalities are
@@ -485,85 +469,103 @@ class Region:
     v_hi: float | ExpEdge | None = None
     window: tuple[float, float] | None = None
 
-    def admits(self, pr: Params) -> bool:
-        """Whether the parameters lie in the region's boxes, with ``HYP_SLACK`` of slack."""
-        return (
-            (self.p is None or self.p.admits(pr.p))
-            and (not self.ordered or (self.p.admits(pr.q) and _le(pr.p, pr.q)))
-            and (self.c is None or self.c.admits(pr.c))
-        )
+    def admits(self, pr: Params):
+        """Whether the parameters lie in the region's boxes, with ``HYP_SLACK``
+        of slack; elementwise when they are arrays.  A missing one does not."""
+        ok = True
+        if self.p is not None:
+            if pr.p is None or (self.ordered and pr.q is None):
+                return False
+            ok = self.p.admits(pr.p)
+            if self.ordered:
+                ok = ok & self.p.admits(pr.q) & _le(pr.p, pr.q)
+        if self.c is not None:
+            if pr.c is None:
+                return False
+            ok = ok & self.c.admits(pr.c)
+        return ok
 
-    def check(self, u: float, v: float, pr: Params) -> bool:
-        """Whether (u, v, params) lie in the region, with ``HYP_SLACK`` of slack."""
-        return (
-            self.admits(pr)
-            and (self.u_lo is None or _ge(u, _edge_at(self.u_lo, pr)))
-            and (self.v_hi is None or _le(v, _edge_at(self.v_hi, pr)))
-        )
+    def check(self, u, v, pr: Params):
+        """Whether (u, v, params) lie in the region, with ``HYP_SLACK`` of
+        slack; elementwise when they are arrays (a stack's)."""
+        ok = self.admits(pr)
+        if not np.any(ok):  # the edges may not be defined off the boxes
+            return ok
+        if self.u_lo is not None:
+            ok = ok & _ge(u, _edge_at(self.u_lo, pr))
+        if self.v_hi is not None:
+            ok = ok & _le(v, _edge_at(self.v_hi, pr))
+        return ok
 
     def grid(self):
         """The scalar chain grid, as ``(params, xs)`` rows.  ``params`` is
-        ``(p,)`` for 101 points of the p box, ``(p, q)`` for each p <= q of
-        21 points when ``ordered``, or ``()`` without a p box; with a c box
-        (every one is ordered) each is followed by 5 points of c.  xs runs
-        geometrically from the lower sandwich edge to the upper one, each
-        evaluated at the row's parameters and capped to ``_X_RANGE`` (its
-        end where an edge is not stated), and keeps ``_P_EPS`` off an edge
-        within ``_P_EPS`` of 1; a row whose range is empty is left out.  It
-        has 120 points, 160 without edges, or ``_X_ONLY`` without a p box."""
+        ``(p,)`` for 101 points of the p box, ``(p, q)`` for each p < q of
+        21 points when ``ordered`` (at p = q the members are the same twin),
+        or ``()`` without a p box; with a c box (every one is ordered) each
+        is followed by 5 points of c.  xs runs geometrically from the lower
+        sandwich edge to the upper one, each evaluated at the row's
+        parameters and capped to ``_X_RANGE`` (its end where an edge is not
+        stated), and keeps ``_P_EPS`` off an edge within ``_P_EPS`` of 1; a
+        row whose range is empty is left out.  It has 120 points, 160
+        without edges, or ``_X_ONLY`` without a p box."""
         if self.p is None:
             rows = [()]
         elif not self.ordered:
             rows = [(p,) for p in self.p.grid(101).tolist()]
         else:
             ps = self.p.grid(21).tolist()
-            rows = [(p, q) for i, p in enumerate(ps) for q in ps[i:]]
+            rows = [(p, q) for i, p in enumerate(ps) for q in ps[i + 1 :]]
         if self.c is not None:
             cs = self.c.grid(5).tolist()
             rows = [(*r, c) for r in rows for c in cs]
         count = _X_ONLY if self.p is None else 160 if self.u_lo is None and self.v_hi is None else 120
+        pr = Params(*np.array(rows, dtype=float).reshape(len(rows), -1).T)  # each row's edges at once
+        lo = _X_RANGE[0] if self.u_lo is None else np.maximum(_edge_at(self.u_lo, pr), _X_RANGE[0])
+        hi = _X_RANGE[1] if self.v_hi is None else np.minimum(_edge_at(self.v_hi, pr), _X_RANGE[1])
+        lo = np.broadcast_to(np.where(np.abs(lo - 1.0) <= _P_EPS, 1.0 + _P_EPS, lo), len(rows)).tolist()
+        hi = np.broadcast_to(np.where(np.abs(hi - 1.0) <= _P_EPS, 1.0 - _P_EPS, hi), len(rows)).tolist()
         xs_at = {}
-        for params in rows:
-            pr = Params(*params)
-            lo = _X_RANGE[0] if self.u_lo is None else max(_edge_at(self.u_lo, pr), _X_RANGE[0])
-            hi = _X_RANGE[1] if self.v_hi is None else min(_edge_at(self.v_hi, pr), _X_RANGE[1])
-            lo = 1.0 + _P_EPS if abs(lo - 1.0) <= _P_EPS else lo
-            hi = 1.0 - _P_EPS if abs(hi - 1.0) <= _P_EPS else hi
+        for params, lo, hi in zip(rows, lo, hi):
             if lo < hi:
                 xs = xs_at.get((lo, hi))
                 if xs is None:
                     xs = xs_at[lo, hi] = np.geomspace(lo, hi, count)
                 yield params, xs
 
-    def plan(self, rng: np.random.Generator) -> TrialPlan:
-        """One admissible draw: parameters, then sandwich targets."""
-        c = None if self.c is None else self.c.draw(rng)
+    def plan(self, words: np.ndarray) -> tuple[Params, np.ndarray, np.ndarray]:
+        """Admissible draws from ``(k, PLAN_WORDS)`` plan words: the
+        parameters as ``(k,)`` arrays (None where the region has no box),
+        then the ``(k,)`` sandwich targets u and v."""
+        c = None if self.c is None else self.c.draw(words[:, 0])
         p = q = None
         if self.p is not None:
-            p = self.p.draw(rng)
+            p = self.p.draw(words[:, 1])
             if self.ordered:
-                p, q = sorted((p, self.p.draw(rng)))
+                other = self.p.draw(words[:, 2])
+                p, q = np.minimum(p, other), np.maximum(p, other)
         pr = Params(p=p, q=q, c=c)
-        return TrialPlan(pr, *self._targets(rng, pr))
+        return (pr, *self._targets(pr, *words[:, 3:6].T))
 
-    def _targets(self, rng: np.random.Generator, pr: Params) -> tuple[float, float]:
+    def _targets(self, pr: Params, pin: np.ndarray, w1: np.ndarray, w2: np.ndarray):
         if self.window is not None:
-            return _sorted2(rng, *self.window)
+            return _sorted2(*self.window, w1, w2)
         if self.u_lo is None and self.v_hi is None:
             (lo, hi), u_pin, v_pin = _FREE_WINDOW, 1.0, 1.0
         else:
-            lo = _WINDOW[0] if self.u_lo is None else max(_edge_at(self.u_lo, pr), _WINDOW[0])
-            hi = _WINDOW[1] if self.v_hi is None else min(_edge_at(self.v_hi, pr), _WINDOW[1])
-            if hi <= lo:
-                return lo, lo
+            lo = _WINDOW[0] if self.u_lo is None else np.maximum(_edge_at(self.u_lo, pr), _WINDOW[0])
+            hi = _WINDOW[1] if self.v_hi is None else np.minimum(_edge_at(self.v_hi, pr), _WINDOW[1])
             u_pin = None if self.u_lo is None else lo
             v_pin = None if self.v_hi is None else hi
-        r = rng.random()
-        if u_pin is not None and r < (_PIN_SHARE if v_pin is None else _PIN_SHARE / 2):
-            return u_pin, float(rng.uniform(u_pin, hi))
-        if v_pin is not None and r < _PIN_SHARE:
-            return float(rng.uniform(lo, v_pin)), v_pin
-        return _sorted2(rng, lo, hi)
+        u, v = _sorted2(lo, hi, w1, w2)
+        # a pin on u takes precedence over one on v
+        if v_pin is not None:
+            at = pin < _PIN_SHARE
+            u, v = np.where(at, lo + (v_pin - lo) * w1, u), np.where(at, v_pin, v)
+        if u_pin is not None:
+            at = pin < (_PIN_SHARE if v_pin is None else _PIN_SHARE / 2)
+            u, v = np.where(at, u_pin, u), np.where(at, u_pin + (hi - u_pin) * w1, v)
+        empty = hi <= lo  # the edges cross inside the window
+        return np.where(empty, lo, u), np.where(empty, lo, v)
 
     @property
     def text(self) -> str:
@@ -770,7 +772,7 @@ def evaluate(
     hypothesis (with slack ``HYP_SLACK``); otherwise returns the margin
     verdict of ``lhs <= rhs``.
     """
-    return evaluate_trials(case, pair, [params], [seed], order_tol=order_tol)[0]
+    return evaluate_trials(case, pair, params, [seed], order_tol=order_tol)[0]
 
 
 def _per_trial(x) -> list:
@@ -778,45 +780,40 @@ def _per_trial(x) -> list:
     return x.tolist() if isinstance(x, np.ndarray) else [x]
 
 
-def _stacked_params(params: Sequence[Params]) -> Params:
-    """The trials' parameters as ``(k, 1, 1)`` arrays (a plan sets the same fields every draw)."""
-
-    def column(name: str):
-        vals = [getattr(pr, name) for pr in params]
-        return None if vals[0] is None else np.array(vals, dtype=float).reshape(-1, 1, 1)
-
-    return Params(p=column("p"), q=column("q"), c=column("c"))
-
-
 def evaluate_trials(
     case: InequalityCase,
     pair: OperatorPair,
-    params: Sequence[Params],
+    params: Params,
     seeds: Sequence[int],
     *,
     order_tol: float = ORDER_TOL,
 ) -> list[MarginReport]:
     """Evaluate one case on k pairs at once: ``pair`` holds ``(k, n, n)``
-    stacks (or one pair, with k = 1) and trial i has ``params[i]`` and
-    ``seeds[i]``.  Reports come back in that order.
+    stacks and the fields of ``params`` are ``(k,)`` arrays (or one pair and
+    its numbers, with k = 1); trial i has seed ``seeds[i]``.  Reports come
+    back in that order.
 
     Raises HypothesisError for the first trial whose (u, v, params) fall
     outside the case's hypothesis (with slack ``HYP_SLACK``).
     """
+    k, n = len(seeds), pair.n
     us = _per_trial(pair.u)
     vs = _per_trial(pair.v)
-    if not len(us) == len(params) == len(seeds):
-        raise InvalidInput(f"{len(us)} pairs for {len(params)} params and {len(seeds)} seeds")
-    for u, v, pr in zip(us, vs, params):
-        if not case.hypothesis.check(u, v, pr):
-            raise HypothesisError(
-                f"case {case.id} hypothesis [{case.hypothesis.text}] violated at "
-                f"u={u:.6g}, v={v:.6g}, params={pr}"
-            )
+    cols = [(x,) * k if x is None else _per_trial(x) for x in (params.p, params.q, params.c)]
+    if not all(len(col) == k for col in (us, *cols)):
+        raise InvalidInput(f"{len(us)} pairs for {k} seeds and params {params}")
+    ok = np.broadcast_to(case.hypothesis.check(pair.u, pair.v, params), k)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise HypothesisError(
+            f"case {case.id} hypothesis [{case.hypothesis.text}] violated at "
+            f"u={us[i]:.6g}, v={vs[i]:.6g}, params={Params(*(col[i] for col in cols))}"
+        )
+    if isinstance(pair.u, np.ndarray):  # each trial's parameters as a (k, 1, 1) column
+        params = Params(*(x if x is None else np.reshape(x, (-1, 1, 1)) for x in (params.p, params.q, params.c)))
     ctx = TrialContext(pair)
-    stacked = _stacked_params(params) if isinstance(pair.u, np.ndarray) else params[0]
-    lhs = case.lhs.fn(ctx, stacked)
-    rhs = case.rhs.fn(ctx, stacked)
+    lhs = case.lhs.fn(ctx, params)
+    rhs = case.rhs.fn(ctx, params)
     verdict = loewner_leq(lhs, rhs, order_tol)
     margins = _per_trial(verdict.margin)
     scales = _per_trial(verdict.scale)
@@ -825,15 +822,15 @@ def evaluate_trials(
         MarginReport(
             case_id=case.id,
             seed=seed,
-            n=pair.n,
-            p=pr.p,
-            q=pr.q,
-            c=pr.c,
+            n=n,
+            p=p,
+            q=q,
+            c=c,
             u=u,
             v=v,
             margin=margin,
             scale=scale,
             holds=ok,
         )
-        for seed, pr, u, v, margin, scale, ok in zip(seeds, params, us, vs, margins, scales, holds)
+        for seed, p, q, c, u, v, margin, scale, ok in zip(seeds, *cols, us, vs, margins, scales, holds)
     ]

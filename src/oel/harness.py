@@ -1,15 +1,18 @@
 """Randomized verification harness over the inequality catalog.
 
 Every trial is reconstructible from (case_id, seed, n) alone: the per-trial
-seed feeds one counter-based generator that first draws the case's plan
-(parameters and sandwich targets), then a pair seed for the matrix sampler.
-Reports carry that per-trial seed so any failure can be replayed exactly.
+seed keys one counter-based Philox stream, read in two bulk calls (see
+:func:`oel.sampler.stream_draws`).  Its first words are the case's plan
+(parameters and sandwich targets), the rest are the pair's spectra and
+bases; there is no second seed.  Reports carry that per-trial seed so any
+failure can be replayed exactly.
 
 A suite works through its trials in windows of ``WINDOW_TRIALS``, in trial
-order.  It draws a window's plans and pair seeds, groups the window's trials
-by n and evaluates each group as stacks of shape ``(k, n, n)`` (one numpy
-call per step for k trials, with k * n * n at most ``STACK_ENTRIES``), then
-folds the reports into its totals before the next window is drawn, so its
+order.  It groups a window's trials by n and evaluates each group as stacks
+of shape ``(k, n, n)``, with k * n * n at most ``STACK_ENTRIES``: the stack's
+streams are read into ``(k, ...)`` arrays, the planner maps their plan words
+at once, and every later step is one numpy call for the k trials.  The
+reports are folded into the suite's totals before the next window, so its
 memory does not grow with the trial count.  :func:`run_trial` (and so
 :func:`replay`) is the same kernel with k = 1, and stacked numpy calls give
 each matrix the bits of a call on that matrix alone, so a replay reproduces
@@ -24,14 +27,13 @@ import math
 import time
 from dataclasses import asdict, dataclass, fields
 from operator import attrgetter, itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
 from .catalog import (
     InequalityCase,
     MarginReport,
-    Params,
+    Region,
     case_index,
     catalog_with_duals,  # noqa: F401  (perfbench wraps the case lookups by this name)
     evaluate_trials,
@@ -39,7 +41,7 @@ from .catalog import (
 )
 from .errors import HypothesisError, InvalidInput, NumericalBreakdown, ReportError
 from .means import quadrature_tsallis, tsallis_entropy
-from .sampler import SamplerConfig, dims_cycle, generator, reseed, sandwich_pair, sandwich_pairs
+from .sampler import dims_cycle, sandwich_stack, stream_draws
 from .spd_core import ORDER_TOL
 
 DEFAULT_TRIALS = 1000
@@ -74,33 +76,20 @@ def case_by_id(case_id: str) -> InequalityCase:
     return case
 
 
-class _Trial(NamedTuple):
-    """A trial whose plan and pair seed are drawn: all it needs to be evaluated."""
-
-    seed: int
-    params: Params
-    cfg: SamplerConfig
-
-
-def _draw_trial(case: InequalityCase, rng: np.random.Generator, trial_seed: int, n: int) -> _Trial:
-    """Draw the plan, then the pair seed, from ``rng`` at the start of the trial seed's stream."""
-    plan = case.plan(rng)
-    pair_seed = int(rng.integers(0, 1 << 63))
-    cfg = SamplerConfig(seed=pair_seed, n=n, sandwich=(plan.u_target, plan.v_target))
-    return _Trial(trial_seed, plan.params, cfg)
-
-
-def _evaluate_stack(case: InequalityCase, trials: list[_Trial], order_tol: float) -> list[MarginReport]:
-    """The trial kernel: the trials' pairs (all of one n) as one stacked pair, evaluated at once."""
-    pair = sandwich_pairs([t.cfg for t in trials])
-    return evaluate_trials(case, pair, [t.params for t in trials], [t.seed for t in trials], order_tol=order_tol)
+def _evaluate_stack(case: InequalityCase, seeds: list[int], n: int, order_tol: float) -> list[MarginReport]:
+    """The trial kernel: k trials of dimension n read from their seeds'
+    streams, planned and built as one stacked pair, and evaluated at once."""
+    plan_words, pair_words, normals = stream_draws(seeds, n)
+    params, u_target, v_target = case.plan(plan_words)
+    pair = sandwich_stack(pair_words, normals, u_target, v_target)
+    return evaluate_trials(case, pair, params, seeds, order_tol=order_tol)
 
 
 def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
     """One deterministic trial: draw plan, sample pair, evaluate the case.
     A non-finite or negative ``order_tol`` is an InvalidInput."""
     _check_tol(order_tol)
-    return _evaluate_stack(case, [_draw_trial(case, generator(trial_seed), trial_seed, n)], order_tol)[0]
+    return _evaluate_stack(case, [trial_seed], n, order_tol)[0]
 
 
 def replay(case_id: str, seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
@@ -142,16 +131,12 @@ def run_suite(
     _check_tol(order_tol)
     t0 = time.perf_counter()
     schedule = dims_cycle(dims, trials)
-    rng = generator(0)
     failures = 0
     worst_margin = np.inf
     worst_seed = 0
     margin_sum = 0.0
     for lo in range(0, trials, WINDOW_TRIALS):
-        window = []
-        for i, n in enumerate(schedule[lo : lo + WINDOW_TRIALS], start=lo):
-            trial_seed = (seed ^ i) & _MASK64
-            window.append(_draw_trial(case, reseed(rng, trial_seed), trial_seed, n))
+        window = [((seed ^ i) & _MASK64, n) for i, n in enumerate(schedule[lo : lo + WINDOW_TRIALS], start=lo)]
         for report in _window_reports(case, window, order_tol):
             margin_sum += report.margin
             if report.margin < worst_margin:
@@ -173,32 +158,33 @@ def run_suite(
     )
 
 
-def _stacks(window: list[_Trial]):
-    """Positions in ``window`` grouped by n, in trial order within a group, cut to ``STACK_ENTRIES``."""
+def _stacks(window: list[tuple[int, int]]):
+    """Positions in ``window`` (its trials' (seed, n)) grouped by n, in trial
+    order within a group, cut to ``STACK_ENTRIES``; with each group's n."""
     groups: dict[int, list[int]] = {}
-    for i, t in enumerate(window):
-        groups.setdefault(t.cfg.n, []).append(i)
+    for i, (_, n) in enumerate(window):
+        groups.setdefault(n, []).append(i)
     for n, group in groups.items():
         size = max(1, STACK_ENTRIES // (n * n))
         for lo in range(0, len(group), size):
-            yield group[lo : lo + size]
+            yield group[lo : lo + size], n
 
 
-def _window_reports(case: InequalityCase, window: list[_Trial], order_tol: float):
+def _window_reports(case: InequalityCase, window: list[tuple[int, int]], order_tol: float):
     """The window's reports, in trial order.  If a stack raises, the window is
     rerun one trial at a time through the same kernel: the reports before the
     earliest failing trial are yielded, then that trial's error is raised."""
     reports: list[MarginReport] = [None] * len(window)
     try:
-        for stack in _stacks(window):
-            for i, report in zip(stack, _evaluate_stack(case, [window[i] for i in stack], order_tol)):
+        for stack, n in _stacks(window):
+            for i, report in zip(stack, _evaluate_stack(case, [window[i][0] for i in stack], n, order_tol)):
                 reports[i] = report
     except Exception as stack_exc:
-        for t in window:
+        for seed, n in window:
             try:
-                report = _evaluate_stack(case, [t], order_tol)[0]
+                report = _evaluate_stack(case, [seed], n, order_tol)[0]
             except (NumericalBreakdown, HypothesisError) as exc:
-                raise type(exc)(f"trial (case_id, seed, n) = ({case.id!r}, {t.seed}, {t.cfg.n}): {exc}") from exc
+                raise type(exc)(f"trial (case_id, seed, n) = ({case.id!r}, {seed}, {n}): {exc}") from exc
             yield report
         raise stack_exc  # no trial fails on its own
     yield from reports
@@ -324,6 +310,9 @@ def summarize(reports: list[MarginReport]) -> dict:
     }
 
 
+_SWEEP_REGION = Region(window=(0.25, 4.0))  # integral_sweep's sandwich targets
+
+
 @dataclass(frozen=True)
 class IntegralResult:
     """Worst quadrature-vs-closed-form residual across sampled pairs."""
@@ -355,12 +344,9 @@ def integral_sweep(
             raise InvalidInput(f"p grid value outside [-1, 1] \\ {{0}}: {p}")
     pairs = []
     for i, n in enumerate(dims_cycle(dims, trials)):
-        trial_seed = (seed ^ i) & _MASK64
-        rng = generator(trial_seed)
-        pair_seed = int(rng.integers(0, 1 << 63))
-        lo, hi = np.sort(rng.uniform(0.25, 4.0, 2))
-        cfg = SamplerConfig(seed=pair_seed, n=n, sandwich=(float(lo), float(hi)))
-        pairs.append(sandwich_pair(cfg))
+        plan_words, pair_words, normals = stream_draws([(seed ^ i) & _MASK64], n)
+        _, u_target, v_target = _SWEEP_REGION.plan(plan_words)
+        pairs.append(sandwich_stack(pair_words[0], normals[0], u_target[0], v_target[0]))
     out = []
     for p in p_grid:
         worst = 0.0

@@ -29,7 +29,6 @@ from .spd_core import (
     _eval_on_spectrum,
     _rebuild_spd,
     _row,
-    _scalar_or_stack,
     as_spd,
     dump_matrix,
     load_matrix,
@@ -55,11 +54,13 @@ class OperatorPair:
     directions attained on the corresponding eigenvectors.  The roots come
     from one ``eigh(A)``; C is checked positive on its one ``eigh(C)``.
     A and B may be equal-shaped stacks of matrices (see the module notes).
+    The sampler, which knows the roots and C's spectrum and basis, passes
+    them as ``_roots`` and ``_contraction = (C, Q, w)``: no eigensolve.
     """
 
     __slots__ = ("A", "B", "sqrt_a", "inv_sqrt_a", "contraction", "u", "v", "_w", "_q")
 
-    def __init__(self, a, b, _roots: tuple[SpdMatrix, SpdMatrix] | None = None) -> None:
+    def __init__(self, a, b, _roots: tuple[SpdMatrix, SpdMatrix] | None = None, _contraction=None) -> None:
         a = as_spd(a)
         b = as_spd(b)
         if a.mat.shape != b.mat.shape:
@@ -73,13 +74,16 @@ class OperatorPair:
             self.inv_sqrt_a = spd_from_spectrum(spectral_assemble(q, s, inverse=True), 1.0 / s, "inv_sqrt(A)")
         else:
             self.sqrt_a, self.inv_sqrt_a = _roots
-        c = symmetrize(self.inv_sqrt_a.mat @ b.mat @ self.inv_sqrt_a.mat)
-        w, q = np.linalg.eigh(c)
+        if _contraction is None:
+            c = symmetrize(self.inv_sqrt_a.mat @ b.mat @ self.inv_sqrt_a.mat)
+            w, q = np.linalg.eigh(c)
+        else:
+            c, q, w = _contraction
         self.contraction = spd_from_spectrum(c, w, "contraction A^{-1/2} B A^{-1/2}")
         self._w = _row(w)
         self._q = q
-        self.u = _scalar_or_stack(w[..., 0])
-        self.v = _scalar_or_stack(w[..., -1])
+        self.u = self.contraction.eig_min
+        self.v = self.contraction.eig_max
 
     @property
     def n(self) -> int:

@@ -6,8 +6,11 @@ draw is bit-reproducible from its key on a given platform.  Orthogonal
 bases come from QR of a standard Gaussian matrix with the sign convention
 ``diag(R) > 0`` fixed, and spectra are placed explicitly, so a sampled
 matrix's eigenvalues land exactly where requested (up to assembly rounding).
-:func:`sandwich_pairs` draws k configurations one stream each, exactly as
-:func:`sandwich_pair` does, then builds all k pairs as one stacked pair.
+A trial reads one stream keyed by its seed in two bulk calls
+(:func:`stream_draws`): its plan words, then the pair's spectra, then the
+pair's Gaussians.  :func:`sandwich_stack` builds k pairs from those draws as
+one stacked pair, from their spectra, and :func:`sandwich_pair` is its
+k = 1 case at one seed.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from .means import OperatorPair
 from .spd_core import SpdMatrix, _rebuild_spd, _row, spd_from_spectrum, spectral_assemble, symmetrize
 
 RNG_ALGORITHM = "philox4x64"
+# a trial stream's first words, read by the case's planner: c, p, q, the pin
+# selector and two sandwich targets
+PLAN_WORDS = 6
+_A_SPECTRUM = (0.5, 2.0)  # the default range of A's eigenvalues
 
 _KEY_MASK = (1 << 128) - 1
 _WORD_MASK = (1 << 64) - 1
@@ -44,13 +51,10 @@ def reseed(rng: np.random.Generator, seed: int) -> np.random.Generator:
     of ``generator(seed)``'s stream.  Cheaper than a new generator, whose
     Philox also draws OS entropy for a seed sequence it never uses."""
     key = _philox_key(seed)
-    rng.bit_generator.state = {
+    rng.bit_generator.state = {  # the setter copies each word, so plain ints do (and cost less than arrays)
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([key & _WORD_MASK, key >> 64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": (0, 0, 0, 0), "key": (key & _WORD_MASK, key >> 64)},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -84,7 +88,7 @@ class SamplerConfig:
 
     seed: int
     n: int
-    spectrum_range: tuple[float, float] = (0.5, 2.0)
+    spectrum_range: tuple[float, float] = _A_SPECTRUM
     sandwich: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
@@ -145,64 +149,73 @@ def random_spd(cfg: SamplerConfig) -> SpdMatrix:
     return spd_from_spectrum(spectral_assemble(q, lam), lam, "sampled A")
 
 
-def _sandwich_spectrum(rng: np.random.Generator, n: int, u: float, v: float) -> np.ndarray:
-    """Contraction eigenvalues filling [u, v]; endpoints hit exactly for n >= 2."""
-    if u == v:
-        return np.full(n, u)
-    if n == 1:
-        return np.array([rng.uniform(u, v)])
-    inner = rng.uniform(u, v, n - 2) if n > 2 else np.empty(0)
-    return np.concatenate([[u, v], inner])
+def stream_draws(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trial streams of ``seeds`` at dimension n, one Philox stream per
+    seed read in two bulk calls: ``PLAN_WORDS + 2n`` uniform words (the
+    plan's words, then A's spectrum, then C's interior spectrum), then the
+    ``(2, n, n)`` normals of A's basis and C's basis.  Returned stacked, as
+    ``(k, PLAN_WORDS)`` plan words, ``(k, 2n)`` pair words and
+    ``(k, 2, n, n)`` normals."""
+    words = np.empty((len(seeds), PLAN_WORDS + 2 * n))
+    normals = np.empty((len(seeds), 2, n, n))
+    rng = generator(seeds[0])
+    for i, seed in enumerate(seeds):
+        if i:
+            reseed(rng, seed)
+        rng.random(out=words[i])
+        rng.standard_normal(out=normals[i])
+    return words[:, :PLAN_WORDS], words[:, PLAN_WORDS:], normals
 
 
 def sandwich_pair(cfg: SamplerConfig) -> OperatorPair:
-    """A pair (A, B) with the contraction spectrum inside cfg.sandwich.
-
-    A is drawn as in :func:`random_spd`; B is assembled as
-    ``A^{1/2} C A^{1/2}`` with C built from an explicit spectrum in
-    ``[u_target, v_target]`` (both endpoints placed exactly when n >= 2;
-    ``u_target == v_target`` forces C to a multiple of the identity, so
-    B is that multiple of A up to rounding).
-    """
-    return _sandwich_build(*_sandwich_draws(cfg, generator(cfg.seed)))
-
-
-def sandwich_pairs(cfgs: Sequence[SamplerConfig]) -> OperatorPair:
-    """The pairs of :func:`sandwich_pair` for k configurations of one
-    dimension, as one pair of ``(k, n, n)`` stacks (bit for bit the same
-    matrices: each configuration draws from its own seed's stream)."""
-    dims = {cfg.n for cfg in cfgs}
-    if len(dims) != 1:
-        raise InvalidInput(f"sandwich_pairs needs one or more configs of one dimension, got dimensions {sorted(dims)}")
-    rng = generator(cfgs[0].seed)
-    draws = [_sandwich_draws(cfgs[0], rng)]
-    draws += [_sandwich_draws(cfg, reseed(rng, cfg.seed)) for cfg in cfgs[1:]]
-    return _sandwich_build(*(np.array(d) for d in zip(*draws)))
-
-
-def _sandwich_draws(cfg: SamplerConfig, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """One configuration's draws, in stream order: A's spectrum and Gaussian,
-    then C's spectrum and Gaussian."""
+    """A pair (A, B) with the contraction spectrum inside cfg.sandwich, built
+    by :func:`sandwich_stack` from the pair words and normals of
+    ``generator(cfg.seed)``'s trial stream (see :func:`stream_draws`), so a
+    trial's pair is ``sandwich_pair`` at the trial seed and its targets.
+    ``u_target == v_target`` forces C to a multiple of the identity, so B is
+    that multiple of A up to rounding."""
     if cfg.sandwich is None:
         raise InvalidInput("sandwich_pair needs cfg.sandwich")
-    lo, hi = cfg.spectrum_range
-    lam = rng.uniform(lo, hi, cfg.n)
-    g_a = rng.standard_normal((cfg.n, cfg.n))
-    u_t, v_t = cfg.sandwich
-    mu = _sandwich_spectrum(rng, cfg.n, u_t, v_t)
-    g_c = rng.standard_normal((cfg.n, cfg.n))
-    return lam, g_a, mu, g_c
+    _, words, normals = stream_draws([cfg.seed], cfg.n)
+    return sandwich_stack(words[0], normals[0], *cfg.sandwich, cfg.spectrum_range)
 
 
-def _sandwich_build(lam: np.ndarray, g_a: np.ndarray, mu: np.ndarray, g_c: np.ndarray) -> OperatorPair:
-    qa = _orthogonal(g_a)
-    a = spd_from_spectrum(spectral_assemble(qa, _row(lam)), lam, "sampled A")
-    root = spectral_assemble(qa, _row(np.sqrt(lam)))
-    c = spectral_assemble(_orthogonal(g_c), _row(mu))
+def sandwich_stack(words, normals, u_target, v_target, spectrum_range=_A_SPECTRUM) -> OperatorPair:
+    """Pairs (A, B) built from their sampled spectra, as one stacked pair.
+
+    ``words`` holds each pair's ``2n`` pair words and ``normals`` its
+    ``(2, n, n)`` normals (as :func:`stream_draws` reads them), over any
+    leading axes that ``u_target`` and ``v_target`` share.  A has
+    eigenvalues uniform in ``spectrum_range`` on the basis of the first
+    normals; the contraction C has eigenvalues ``u_target``, ``v_target``
+    (both placed exactly when n >= 2) and uniform ones between, on the basis
+    of the second.  One ``qr`` gives both bases; A, its roots and C are
+    assembled from their spectra, so only ``B = A^{1/2} C A^{1/2}`` needs an
+    eigensolve.
+    """
+    n = normals.shape[-1]
+    lo, hi = spectrum_range
+    lam = lo + (hi - lo) * words[..., :n]
+    u = np.asarray(u_target, dtype=float)
+    v = np.asarray(v_target, dtype=float)
+    mu = u[..., None] + (v - u)[..., None] * words[..., n:]
+    if n >= 2:
+        mu[..., 0] = u
+        mu[..., 1] = v
+    q = _orthogonal(normals)
+    q_a, q_c = q[..., 0, :, :], q[..., 1, :, :]
+    s = _row(np.sqrt(lam))
+    a = spd_from_spectrum(spectral_assemble(q_a, _row(lam)), lam, "sampled A")
+    root = spectral_assemble(q_a, s)
+    c = spectral_assemble(q_c, _row(mu))
     # B's spectrum is not known (congruence mixes A's and C's), so it gets the
     # full check; losing definiteness there is a breakdown of the draw
-    b = symmetrize(root @ c @ root)
-    return OperatorPair(a, _rebuild_spd(b, "sampled B"))
+    b = _rebuild_spd(symmetrize(root @ c @ root), "sampled B")
+    roots = (
+        spd_from_spectrum(root, s, "sqrt(A)"),
+        spd_from_spectrum(spectral_assemble(q_a, s, inverse=True), 1.0 / s, "inv_sqrt(A)"),
+    )
+    return OperatorPair(a, b, _roots=roots, _contraction=(c, q_c, mu))
 
 
 def commuting_spectra(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,11 +6,11 @@ import pytest
 
 from oel.catalog import (
     HYP_SLACK,
+    Box,
     MarginReport,
     Params,
     TrialContext,
     _edge_at,
-    _stacked_params,
     catalog,
     catalog_with_duals,
     dual,
@@ -20,7 +20,16 @@ from oel.catalog import (
 from oel.errors import HypothesisError, NoDual
 from oel.harness import run_suite
 from oel.means import OperatorPair
-from oel.sampler import SamplerConfig, commuting_pair, commuting_spectra, generator, sandwich_pair, sandwich_pairs
+from oel.sampler import (
+    PLAN_WORDS,
+    SamplerConfig,
+    commuting_pair,
+    commuting_spectra,
+    generator,
+    sandwich_pair,
+    sandwich_stack,
+    stream_draws,
+)
 from oel.spd_core import spectral_assemble
 
 # frozen 1x1 oracles: the catalog margins must reduce to these scalar gaps
@@ -109,29 +118,68 @@ def test_dual_is_an_involution():
         assert dual(dual(case)) == case
 
 
+def _trial(params: Params, i: int) -> Params:
+    """Trial i's parameters out of the planner's (k,) arrays, as numbers."""
+    return Params(*(None if x is None else float(x[i]) for x in (params.p, params.q, params.c)))
+
+
 def test_plans_sample_inside_their_hypotheses():
-    # whatever a case's planner draws must pass that case's own gate
+    # whatever a case's planner draws must pass that case's own gate, on the
+    # whole stack and trial by trial
     rng = generator(2024)
     for case in catalog_with_duals():
-        for _ in range(25):
-            plan = case.plan(rng)
-            assert case.hypothesis.check(plan.u_target, plan.v_target, plan.params), case.id
+        params, u, v = case.plan(rng.random((200, PLAN_WORDS)))
+        assert case.hypothesis.check(u, v, params).all(), case.id
+        for i in range(25):
+            assert case.hypothesis.check(float(u[i]), float(v[i]), _trial(params, i)), case.id
 
 
 def test_plans_stay_inside_the_sampling_window():
     # every planner clamps its sandwich edges into [0.2, 4]
     rng = generator(7)
     for case in catalog_with_duals():
-        for _ in range(2000):
-            plan = case.plan(rng)
-            assert 0.2 <= plan.u_target <= plan.v_target <= 4.0, (case.id, plan)
+        params, u, v = case.plan(rng.random((2000, PLAN_WORDS)))
+        ok = (0.2 <= u) & (u <= v) & (v <= 4.0)
+        assert ok.all(), (case.id, u[~ok], v[~ok])
 
 
-def _moved_points(region, plan):
+def test_plans_pin_a_share_of_draws_to_the_sandwich_edges():
+    # a tenth of the draws sit on a stated edge, split evenly when both are stated
+    words = generator(3).random((20_000, PLAN_WORDS))
+    for case_id, u_share, v_share in (("TA.1", 0.1, 0.0), ("T1.1.rev", 0.0, 0.1), ("M1.iii", 0.05, 0.05)):
+        case = by_id(case_id)
+        params, u, v = case.plan(words)
+        u_lo = case.hypothesis.u_lo
+        lo = 0.2 if u_lo is None else np.maximum(_edge_at(u_lo, params), 0.2)
+        assert np.mean(u == lo) == pytest.approx(u_share, abs=0.01), case_id
+        assert np.mean(v == 1.0) == pytest.approx(v_share, abs=0.01), case_id
+
+
+def test_box_draw_maps_words_in_order_onto_the_box():
+    # word 0 gives the drawn range's low end, words tend to its high end, no
+    # word lands within _P_EPS of 0 in a box that straddles it, and the box
+    # admits every drawn value
+    words = np.concatenate([[0.0], np.sort(generator(17).random(20_000)), [np.nextafter(1.0, 0.0)]])
+    boxes = {c.hypothesis.p for c in catalog_with_duals()} | {c.hypothesis.c for c in catalog_with_duals()}
+    boxes.discard(None)
+    assert len(boxes) == 10
+    for box in boxes:
+        lo = max(box.lo + 1e-3 if box.lo_open else box.lo, -2.0)
+        hi = min(box.hi - 1e-3 if box.hi_open else box.hi, 2.0)
+        x = box.draw(words)
+        assert x[0] == lo and x[-1] == pytest.approx(hi, abs=1e-12), box
+        assert (np.diff(x) >= 0.0).all(), box
+        assert box.admits(x).all(), box
+        if box.lo < 0.0 < box.hi:
+            assert (np.abs(x) >= 1e-3).all(), box
+            assert x[x > 0.0].min() == pytest.approx(1e-3, abs=1e-3) and x[x < 0.0].max() < -1e-3
+    assert Box(-1.0, 1.0).draw(np.array([0.25, 0.75])).tolist() == pytest.approx([-0.5005, 0.5005])
+
+
+def _moved_points(region, u, v, pr):
     """The planner's point moved 1e-8 past each stated edge of the region in
     turn, as (edge, u, v, params).  A sandwich edge so large that the move
     rounds back onto it is left out."""
-    u, v, pr = plan.u_target, plan.v_target, plan.params
     moves = []
     if region.u_lo is not None:
         edge = _edge_at(region.u_lo, pr)
@@ -161,10 +209,11 @@ def test_regions_reject_points_moved_past_each_edge():
     rng = generator(11)
     for region in regions.values():
         seen = collections.Counter()
-        for _ in range(40):
-            plan = region.plan(rng)
-            assert region.check(plan.u_target, plan.v_target, plan.params), region.text
-            for edge, u, v, pr in _moved_points(region, plan):
+        params, us, vs = region.plan(rng.random((40, PLAN_WORDS)))
+        assert region.check(us, vs, params).all(), region.text
+        for i in range(40):
+            assert region.check(float(us[i]), float(vs[i]), _trial(params, i)), region.text
+            for edge, u, v, pr in _moved_points(region, float(us[i]), float(vs[i]), _trial(params, i)):
                 seen[edge] += 1
                 assert not region.check(u, v, pr), (region.text, edge, u, v, pr)
         stated = {"u": region.u_lo, "v": region.v_hi, "c": region.c, "p": region.p}
@@ -304,18 +353,17 @@ def test_every_term_is_the_lift_of_its_scalar_twin():
     rng = generator(5)
     for case in catalog_with_duals():
         for n in (1, 2, 3, 5):
-            plans = [case.plan(rng) for _ in range(4)]
-            cfgs = [
-                SamplerConfig(seed=int(rng.integers(1 << 62)), n=n, sandwich=(pl.u_target, pl.v_target))
-                for pl in plans
-            ]
-            pr = plans[0].params
-            stacked = _stacked_params([pl.params for pl in plans])
-            q, lam, mu = commuting_spectra(cfgs[0])
-            single = sandwich_pair(cfgs[0])
-            stack = sandwich_pairs(cfgs)
+            seeds = rng.integers(1 << 62, size=4).tolist()
+            plan_words, pair_words, normals = stream_draws(seeds, n)
+            params, u, v = case.plan(plan_words)
+            cfg = SamplerConfig(seed=seeds[0], n=n, sandwich=(float(u[0]), float(v[0])))
+            pr = _trial(params, 0)
+            stacked = Params(*(None if x is None else x.reshape(-1, 1, 1) for x in (params.p, params.q, params.c)))
+            q, lam, mu = commuting_spectra(cfg)
+            single = sandwich_pair(cfg)
+            stack = sandwich_stack(pair_words, normals, u, v)
             for term in (case.lhs, case.rhs):
-                got = term.fn(TrialContext(commuting_pair(cfgs[0])), pr)
+                got = term.fn(TrialContext(commuting_pair(cfg)), pr)
                 expected = spectral_assemble(q, lam * term.f(mu / lam, pr))
                 _assert_twin_lift(term, got, expected, pr, (case.id, n, "commuting"))
                 got = term.fn(TrialContext(single), pr)

@@ -43,10 +43,10 @@ def test_verify_is_deterministic(capsys):
 
 @pytest.mark.parametrize("error", [NumericalBreakdown, HypothesisError])
 def test_verify_trial_error_exits_4_with_replay_triple(monkeypatch, capsys, error):
-    def failing_sampler(cfgs):
+    def failing_sampler(words, normals, *targets):
         raise error("boom")
 
-    monkeypatch.setattr(harness, "sandwich_pairs", failing_sampler)
+    monkeypatch.setattr(harness, "sandwich_stack", failing_sampler)
     code = main(["verify", "--case", "H1.1", "--trials", "3", "--dims", "3", "--seed", "5"])
     err = capsys.readouterr().err
     assert code == 4

@@ -260,13 +260,13 @@ def test_windows_and_stacks_keep_the_rows(monkeypatch, setting, value, sizes):
     whole = []
     run_suite(case, trials=24, dims=(2, 3), seed=11, collect=whole)
     seen = []
-    original = harness.sandwich_pairs
+    original = harness.sandwich_stack
 
-    def recording(cfgs):
-        seen.append((len(cfgs), cfgs[0].n))
-        return original(cfgs)
+    def recording(words, normals, *targets):
+        seen.append((len(words), normals.shape[-1]))
+        return original(words, normals, *targets)
 
-    monkeypatch.setattr(harness, "sandwich_pairs", recording)
+    monkeypatch.setattr(harness, "sandwich_stack", recording)
     monkeypatch.setattr(harness, setting, value)
     split = []
     run_suite(case, trials=24, dims=(2, 3), seed=11, collect=split)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from oel.errors import InvalidInput, NumericalBreakdown
+from oel.means import OperatorPair
 from oel.sampler import (
+    PLAN_WORDS,
     RNG_ALGORITHM,
     SamplerConfig,
     commuting_pair,
@@ -12,7 +14,8 @@ from oel.sampler import (
     random_spd,
     reseed,
     sandwich_pair,
-    sandwich_pairs,
+    sandwich_stack,
+    stream_draws,
 )
 
 
@@ -46,17 +49,37 @@ def test_generators_are_independent():
     np.testing.assert_array_equal(b.random(3), generator(5).random(3))
 
 
+def test_stream_draws_read_each_seed_stream_in_two_bulk_calls():
+    seeds = [3, 1 << 70, 3, 12345]
+    plan_words, pair_words, normals = stream_draws(seeds, 4)
+    assert plan_words.shape == (4, PLAN_WORDS) and pair_words.shape == (4, 8) and normals.shape == (4, 2, 4, 4)
+    for i, seed in enumerate(seeds):
+        rng = generator(seed)
+        np.testing.assert_array_equal(np.concatenate([plan_words[i], pair_words[i]]), rng.random(PLAN_WORDS + 8))
+        np.testing.assert_array_equal(normals[i], rng.standard_normal((2, 4, 4)))
+
+
 def test_sandwich_pairs_stack_the_single_pairs():
     cfgs = [SamplerConfig(seed=s, n=3, sandwich=(0.5 + 0.1 * s, 3.0)) for s in range(5)]
-    stacked = sandwich_pairs(cfgs)
+    _, words, normals = stream_draws([cfg.seed for cfg in cfgs], 3)
+    u, v = np.array([cfg.sandwich for cfg in cfgs]).T
+    stacked = sandwich_stack(words, normals, u, v)
     assert stacked.A.mat.shape == (5, 3, 3)
     for i, cfg in enumerate(cfgs):
         single = sandwich_pair(cfg)
-        np.testing.assert_array_equal(stacked.A.mat[i], single.A.mat)
-        np.testing.assert_array_equal(stacked.B.mat[i], single.B.mat)
+        for name in ("A", "B", "sqrt_a", "inv_sqrt_a", "contraction"):
+            np.testing.assert_array_equal(getattr(stacked, name).mat[i], getattr(single, name).mat)
         assert (stacked.u[i], stacked.v[i]) == (single.u, single.v)
-    with pytest.raises(InvalidInput):
-        sandwich_pairs([cfgs[0], SamplerConfig(seed=1, n=2, sandwich=(0.5, 3.0))])
+
+
+def test_sandwich_pair_roots_and_contraction_match_the_eigensolved_pair():
+    # the pair built from its sampled spectra agrees with the public
+    # constructor, which eigensolves A and C, to rounding
+    pair = sandwich_pair(SamplerConfig(seed=13, n=5, sandwich=(0.4, 2.5)))
+    solved = OperatorPair(pair.A, pair.B)
+    for name in ("sqrt_a", "inv_sqrt_a", "contraction"):
+        np.testing.assert_allclose(getattr(pair, name).mat, getattr(solved, name).mat, rtol=0, atol=1e-12)
+    assert pair.u == pytest.approx(solved.u, abs=1e-12) and pair.v == pytest.approx(solved.v, abs=1e-12)
 
 
 def test_generator_is_deterministic():
@@ -84,7 +107,7 @@ def test_sandwich_pair_bit_identical_replay():
 
 
 def test_sandwich_pair_eigensolves_once_per_spectrum(monkeypatch):
-    # eigh(A) for the roots, eigh(C) for u, v; only B (congruence-built) gets an eigvalsh
+    # A, its roots and C come from their sampled spectra; only B (congruence-built) gets an eigvalsh
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
         original = getattr(np.linalg, name)
@@ -95,7 +118,7 @@ def test_sandwich_pair_eigensolves_once_per_spectrum(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     sandwich_pair(SamplerConfig(seed=7, n=4, sandwich=(0.5, 3.0)))
-    assert calls["eigh"] == 2
+    assert calls["eigh"] == 0
     assert calls["eigvalsh"] <= 1
 
 
