@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import scalars
-from .errors import HypothesisError, InvalidInput, NoDual
+from .errors import HypothesisError, InvalidInput, NoDual, NumericalBreakdown
 from .means import (
     OperatorPair,
     arithmetic_mean,
@@ -43,7 +43,7 @@ from .means import (
     relative_operator_entropy,
     tsallis_entropy,
 )
-from .spd_core import ORDER_TOL, loewner_leq, symmetrize
+from .spd_core import ORDER_TOL, symmetrize
 
 HYP_SLACK = 1e-10  # slack applied to every hypothesis comparison
 _P_EPS = 1e-3      # sampled weights keep this distance from removable singularities
@@ -780,6 +780,21 @@ def _per_trial(x) -> list:
     return x.tolist() if isinstance(x, np.ndarray) else [x]
 
 
+def _verdict(x: np.ndarray, y: np.ndarray, order_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The margins, scales and verdicts of ``x <= y`` per matrix, as ``(k,)``
+    arrays, with the bits of :func:`oel.spd_core.loewner_leq`, from one
+    ``eigvalsh`` on the stacked ``(y - x, x, y)``.  The kernel's terms are
+    exactly symmetric, so they skip the public comparator's symmetry scan and
+    copy; a non-finite term is a NumericalBreakdown of its trial."""
+    stacked = np.stack((y - x, x, y))
+    if not np.isfinite(stacked).all():
+        raise NumericalBreakdown("a term of the comparison is not finite")
+    w = np.linalg.eigvalsh(stacked).reshape(3, -1, x.shape[-1])
+    margin = w[0, :, 0]
+    scale = np.maximum(1.0, np.maximum(np.abs(w[1]).max(axis=-1), np.abs(w[2]).max(axis=-1)))
+    return margin, scale, margin >= -order_tol * scale
+
+
 def evaluate_trials(
     case: InequalityCase,
     pair: OperatorPair,
@@ -794,7 +809,8 @@ def evaluate_trials(
     back in that order.
 
     Raises HypothesisError for the first trial whose (u, v, params) fall
-    outside the case's hypothesis (with slack ``HYP_SLACK``).
+    outside the case's hypothesis (with slack ``HYP_SLACK``), and
+    NumericalBreakdown when a term is not finite.
     """
     k, n = len(seeds), pair.n
     us = _per_trial(pair.u)
@@ -812,12 +828,8 @@ def evaluate_trials(
     if isinstance(pair.u, np.ndarray):  # each trial's parameters as a (k, 1, 1) column
         params = Params(*(x if x is None else np.reshape(x, (-1, 1, 1)) for x in (params.p, params.q, params.c)))
     ctx = TrialContext(pair)
-    lhs = case.lhs.fn(ctx, params)
-    rhs = case.rhs.fn(ctx, params)
-    verdict = loewner_leq(lhs, rhs, order_tol)
-    margins = _per_trial(verdict.margin)
-    scales = _per_trial(verdict.scale)
-    holds = _per_trial(verdict.holds)
+    verdict = _verdict(case.lhs.fn(ctx, params), case.rhs.fn(ctx, params), order_tol)
+    margins, scales, holds = (x.tolist() for x in verdict)
     return [
         MarginReport(
             case_id=case.id,

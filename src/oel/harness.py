@@ -26,6 +26,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -41,7 +42,7 @@ from .catalog import (
 )
 from .errors import HypothesisError, InvalidInput, NumericalBreakdown, ReportError
 from .means import quadrature_tsallis, tsallis_entropy
-from .sampler import dims_cycle, sandwich_stack, stream_draws
+from .sampler import dims_cycle, pair_from_base, sandwich_stack, stack_base, stream_draws
 from .spd_core import ORDER_TOL
 
 DEFAULT_TRIALS = 1000
@@ -58,6 +59,13 @@ _MASK64 = (1 << 64) - 1
 # 256 and 80-95 us in windows of 1024 or 4096 (peak RSS 39.1 -> 45.9 MB).
 WINDOW_TRIALS = 1024
 STACK_ENTRIES = 1 << 14
+# The most matrix entries one run_all call keeps in its shared stack draws (four
+# n x n arrays per trial: A, its two roots and C's basis), 8 MB; past it, stacks
+# are drawn per case.  `oel verify --trials 10000` (0.87 M entries; 2-core VM,
+# one BLAS thread) took 26.4 s unshared, 19.8 s at 1 << 18, 15.9 s at 1 << 19
+# and 12.2 s at 1 << 20 (peak RSS 39.8 -> 48.2 MB); at 1 << 21, n = 16, 32, 64 at
+# 300 trials (1.4 M entries) went from 16.0 to 13.2 s but peaked at 56.5 MB.
+SHARED_ENTRIES = 1 << 20
 
 # a report row's keys, in MarginReport field order
 _REPORT_FIELDS = tuple(f.name for f in fields(MarginReport))
@@ -76,13 +84,44 @@ def case_by_id(case_id: str) -> InequalityCase:
     return case
 
 
-def _evaluate_stack(case: InequalityCase, seeds: list[int], n: int, order_tol: float) -> list[MarginReport]:
+class _SharedDraws:
+    """The stack draws of one :func:`run_all` call, shared by its suites:
+    every case reads the same trial streams, so each stack's plan words and
+    :class:`~oel.sampler.StackBase` are drawn once, by the first suite, and
+    kept while they fit in ``SHARED_ENTRIES``."""
+
+    def __init__(self) -> None:
+        self._draws: dict[tuple, tuple] = {}
+        self._entries = 0
+
+    def draw(self, seeds: list[int], n: int):
+        key = (n, tuple(seeds))
+        drawn = self._draws.get(key)
+        if drawn is None:
+            plan_words, pair_words, normals = stream_draws(seeds, n)
+            plan_words.flags.writeable = False  # read by every suite
+            drawn = plan_words, stack_base(pair_words, normals)
+            entries = 4 * len(seeds) * n * n
+            if self._entries + entries <= SHARED_ENTRIES:
+                self._draws[key] = drawn
+                self._entries += entries
+        return drawn
+
+
+def _evaluate_stack(
+    case: InequalityCase, seeds: list[int], n: int, order_tol: float, shared: _SharedDraws | None = None
+) -> list[MarginReport]:
     """The trial kernel: k trials of dimension n read from their seeds'
-    streams, planned and built as one stacked pair, and evaluated at once."""
-    plan_words, pair_words, normals = stream_draws(seeds, n)
+    streams (or taken from ``shared``), planned and built as one stacked
+    pair, and evaluated at once."""
+    if shared is None:
+        plan_words, pair_words, normals = stream_draws(seeds, n)
+        build = partial(sandwich_stack, pair_words, normals)
+    else:
+        plan_words, base = shared.draw(seeds, n)
+        build = partial(pair_from_base, base)
     params, u_target, v_target = case.plan(plan_words)
-    pair = sandwich_stack(pair_words, normals, u_target, v_target)
-    return evaluate_trials(case, pair, params, seeds, order_tol=order_tol)
+    return evaluate_trials(case, build(u_target, v_target), params, seeds, order_tol=order_tol)
 
 
 def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
@@ -118,6 +157,7 @@ def run_suite(
     seed: int = DEFAULT_SEED,
     order_tol: float = ORDER_TOL,
     collect: list[MarginReport] | None = None,
+    _shared: _SharedDraws | None = None,
 ) -> SuiteResult:
     """Run ``trials`` deterministic trials of one case, cycling dimensions.
 
@@ -137,7 +177,7 @@ def run_suite(
     margin_sum = 0.0
     for lo in range(0, trials, WINDOW_TRIALS):
         window = [((seed ^ i) & _MASK64, n) for i, n in enumerate(schedule[lo : lo + WINDOW_TRIALS], start=lo)]
-        for report in _window_reports(case, window, order_tol):
+        for report in _window_reports(case, window, order_tol, _shared):
             margin_sum += report.margin
             if report.margin < worst_margin:
                 worst_margin = report.margin
@@ -170,14 +210,14 @@ def _stacks(window: list[tuple[int, int]]):
             yield group[lo : lo + size], n
 
 
-def _window_reports(case: InequalityCase, window: list[tuple[int, int]], order_tol: float):
+def _window_reports(case: InequalityCase, window: list[tuple[int, int]], order_tol: float, shared):
     """The window's reports, in trial order.  If a stack raises, the window is
     rerun one trial at a time through the same kernel: the reports before the
     earliest failing trial are yielded, then that trial's error is raised."""
     reports: list[MarginReport] = [None] * len(window)
     try:
         for stack, n in _stacks(window):
-            for i, report in zip(stack, _evaluate_stack(case, [window[i][0] for i in stack], n, order_tol)):
+            for i, report in zip(stack, _evaluate_stack(case, [window[i][0] for i in stack], n, order_tol, shared)):
                 reports[i] = report
     except Exception as stack_exc:
         for seed, n in window:
@@ -199,12 +239,14 @@ def run_all(
     order_tol: float = ORDER_TOL,
     collect: list[MarginReport] | None = None,
 ) -> list[SuiteResult]:
-    """Run the suite for every case matching ``pattern`` (ids and groups)."""
+    """Run the suite for every case matching ``pattern`` (ids and groups).
+    The suites share their stack draws (see the module notes)."""
     cases = find_cases(pattern)
     if not cases:
         raise InvalidInput(f"no cases match pattern {pattern!r}")
+    shared = _SharedDraws() if len(cases) > 1 else None
     return [
-        run_suite(c, trials=trials, dims=dims, seed=seed, order_tol=order_tol, collect=collect)
+        run_suite(c, trials=trials, dims=dims, seed=seed, order_tol=order_tol, collect=collect, _shared=shared)
         for c in cases
     ]
 

@@ -10,7 +10,10 @@ A trial reads one stream keyed by its seed in two bulk calls
 (:func:`stream_draws`): its plan words, then the pair's spectra, then the
 pair's Gaussians.  :func:`sandwich_stack` builds k pairs from those draws as
 one stacked pair, from their spectra, and :func:`sandwich_pair` is its
-k = 1 case at one seed.
+k = 1 case at one seed.  It is split in two: :func:`stack_base` (A, its
+roots and C's basis, which do not depend on the case) and
+:func:`pair_from_base` (C and B from the case's targets), so one base can
+serve every case that reads the same streams.
 """
 
 from __future__ import annotations
@@ -189,33 +192,61 @@ def sandwich_stack(words, normals, u_target, v_target, spectrum_range=_A_SPECTRU
     eigenvalues uniform in ``spectrum_range`` on the basis of the first
     normals; the contraction C has eigenvalues ``u_target``, ``v_target``
     (both placed exactly when n >= 2) and uniform ones between, on the basis
-    of the second.  One ``qr`` gives both bases; A, its roots and C are
-    assembled from their spectra, so only ``B = A^{1/2} C A^{1/2}`` needs an
-    eigensolve.
+    of the second.  It is :func:`pair_from_base` on :func:`stack_base`: the
+    target-free part, then the part that depends on the targets.
     """
+    return pair_from_base(stack_base(words, normals, spectrum_range), u_target, v_target)
+
+
+@dataclass(frozen=True)
+class StackBase:
+    """The target-free part of a stack of pairs: A with its roots, C's basis
+    and the words that place C's interior eigenvalues.  The same base serves
+    every case whose trials read the same streams."""
+
+    a: SpdMatrix
+    roots: tuple[SpdMatrix, SpdMatrix]
+    q_c: np.ndarray
+    mu_words: np.ndarray
+
+
+def stack_base(words, normals, spectrum_range=_A_SPECTRUM) -> StackBase:
+    """A, its roots and C's basis from the pair words and normals (see
+    :func:`sandwich_stack`).  One ``qr`` gives both bases; A and its roots
+    are assembled from A's spectrum, with no eigensolve."""
     n = normals.shape[-1]
     lo, hi = spectrum_range
     lam = lo + (hi - lo) * words[..., :n]
-    u = np.asarray(u_target, dtype=float)
-    v = np.asarray(v_target, dtype=float)
-    mu = u[..., None] + (v - u)[..., None] * words[..., n:]
-    if n >= 2:
-        mu[..., 0] = u
-        mu[..., 1] = v
     q = _orthogonal(normals)
-    q_a, q_c = q[..., 0, :, :], q[..., 1, :, :]
+    q_a = q[..., 0, :, :]
     s = _row(np.sqrt(lam))
     a = spd_from_spectrum(spectral_assemble(q_a, _row(lam)), lam, "sampled A")
-    root = spectral_assemble(q_a, s)
-    c = spectral_assemble(q_c, _row(mu))
+    roots = (
+        spd_from_spectrum(spectral_assemble(q_a, s), s, "sqrt(A)"),
+        spd_from_spectrum(spectral_assemble(q_a, s, inverse=True), 1.0 / s, "inv_sqrt(A)"),
+    )
+    q_c = np.ascontiguousarray(q[..., 1, :, :])  # a copy: a kept base does not keep A's basis
+    mu_words = words[..., n:]
+    q_c.flags.writeable = mu_words.flags.writeable = False  # a base may be shared
+    return StackBase(a, roots, q_c, mu_words)
+
+
+def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
+    """The pairs of ``base`` whose contractions have the targets as extreme
+    eigenvalues: C is assembled from its spectrum, and only
+    ``B = A^{1/2} C A^{1/2}`` needs an eigensolve."""
+    u = np.asarray(u_target, dtype=float)
+    v = np.asarray(v_target, dtype=float)
+    mu = u[..., None] + (v - u)[..., None] * base.mu_words
+    if mu.shape[-1] >= 2:
+        mu[..., 0] = u
+        mu[..., 1] = v
+    root = base.roots[0].mat
+    c = spectral_assemble(base.q_c, _row(mu))
     # B's spectrum is not known (congruence mixes A's and C's), so it gets the
     # full check; losing definiteness there is a breakdown of the draw
     b = _rebuild_spd(symmetrize(root @ c @ root), "sampled B")
-    roots = (
-        spd_from_spectrum(root, s, "sqrt(A)"),
-        spd_from_spectrum(spectral_assemble(q_a, s, inverse=True), 1.0 / s, "inv_sqrt(A)"),
-    )
-    return OperatorPair(a, b, _roots=roots, _contraction=(c, q_c, mu))
+    return OperatorPair(base.a, b, _roots=base.roots, _contraction=(c, base.q_c, mu))
 
 
 def commuting_spectra(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from oel.sampler import (
     sandwich_stack,
     stream_draws,
 )
-from oel.spd_core import spectral_assemble
+from oel.spd_core import loewner_leq, spectral_assemble
+
+catalog_module = importlib.import_module("oel.catalog")  # the package exports a function of this name
 
 # frozen 1x1 oracles: the catalog margins must reduce to these scalar gaps
 CHAIN3_AT_HALF_4 = (1.9605162869370945, 2.0, 2.0794415416798357)
@@ -378,3 +381,46 @@ def test_curvature_lower_bound_is_tight():
     res = run_suite(by_id("T3.1"), trials=60, dims=(2, 3), seed=42)
     assert res.failures == 0
     assert res.worst_margin < 1e-9
+
+
+def _kernel_verdicts(monkeypatch):
+    """Every case's verdict calls at n in {1, 2, 3, 5, 16}: the term stacks,
+    the tolerance, the kernel's verdict and the eigvalsh calls it made."""
+    eigvalsh = np.linalg.eigvalsh
+    verdict = catalog_module._verdict
+    eig_calls = []
+    seen = []
+
+    def counted(a, *args, **kwargs):
+        eig_calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    def recorded(x, y, order_tol):
+        before = len(eig_calls)
+        out = verdict(x, y, order_tol)
+        seen.append((x, y, order_tol, out, eig_calls[before:]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(catalog_module, "_verdict", recorded)
+    for case in catalog_with_duals():
+        run_suite(case, trials=10, dims=(1, 2, 3, 5, 16), seed=31)
+    monkeypatch.undo()
+    assert len(seen) == 5 * len(catalog_with_duals())
+    return seen
+
+
+def test_kernel_verdict_is_loewner_leq_in_one_eigensolve(monkeypatch):
+    for x, y, order_tol, (margin, scale, holds), eig_calls in _kernel_verdicts(monkeypatch):
+        assert eig_calls == [(3, *x.shape)]
+        public = loewner_leq(x, y, order_tol)
+        assert margin.tobytes() == public.margin.tobytes()
+        assert scale.tobytes() == public.scale.tobytes()
+        assert holds.tolist() == public.holds.tolist()
+
+
+def test_every_term_stack_is_exactly_symmetric(monkeypatch):
+    # what lets the kernel's verdict skip the public comparator's symmetry scan
+    for x, y, *_ in _kernel_verdicts(monkeypatch):
+        for t in (x, y):
+            assert np.array_equal(t, t.swapaxes(-1, -2))

@@ -1,12 +1,16 @@
 import csv
+import importlib
 import json
 
+import numpy as np
 import pytest
 
 from oel import harness
 from oel.cli import main
 from oel.errors import HypothesisError, InvalidInput, NumericalBreakdown
 from oel.harness import read_reports, replay
+
+catalog = importlib.import_module("oel.catalog")  # the package exports a function of this name
 
 REPORT_FIELDS = ("case_id", "seed", "n", "p", "q", "c", "u", "v", "margin", "scale", "holds")
 
@@ -52,6 +56,18 @@ def test_verify_trial_error_exits_4_with_replay_triple(monkeypatch, capsys, erro
     assert code == 4
     assert "('H1.1', 5, 3)" in err
     assert "boom" in err
+
+
+def test_verify_non_finite_term_exits_4_with_replay_triple(monkeypatch, capsys):
+    first = []
+    harness.run_suite(harness.case_by_id("T1R.1"), trials=1, dims=(3,), seed=5, collect=first)
+    # T1R.1's lower term is S, which the catalog reads by this name
+    monkeypatch.setattr(catalog, "relative_operator_entropy", lambda pair: np.full_like(pair.A.mat, np.nan))
+    code = main(["verify", "--case", "T1R.1", "--trials", "3", "--dims", "3", "--seed", "5"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert f"('T1R.1', {first[0].seed}, 3)" in err
+    assert "not finite" in err
 
 
 def test_verify_m1_iii_low_band_draw_passes(capsys):

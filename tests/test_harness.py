@@ -3,6 +3,7 @@ import json
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from oel import harness
@@ -325,3 +326,65 @@ def test_suite_passes_other_errors_through_unchanged(monkeypatch):
     monkeypatch.setattr(harness, "evaluate_trials", flaky)
     with pytest.raises(ZeroDivisionError, match="^not a trial error$"):
         run_suite(case_by_id("H1.1"), trials=6, dims=(1, 2), seed=seed)
+
+
+def _counting(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` in the returned list's length."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_run_all_rows_are_the_per_case_suites_rows(monkeypatch):
+    # M3* holds cases with and without sandwich edges.  Windows of 8 trials at
+    # n = 2, 3 give stacks of 4 trials (64 and 144 shared entries): the first
+    # window's two stacks and the second window's n = 2 stack fit in 300
+    # entries, so the other three stacks of each window pass are drawn per case
+    monkeypatch.setattr(harness, "WINDOW_TRIALS", 8)
+    monkeypatch.setattr(harness, "SHARED_ENTRIES", 300)
+    cases = harness.find_cases("M3*")
+    kwargs = dict(trials=24, dims=(2, 3), seed=17)
+    separate, separate_results = [], []
+    for case in cases:
+        separate_results.append(run_suite(case, collect=separate, **kwargs))
+    draws = _counting(monkeypatch, harness, "stream_draws")
+    together = []
+    together_results = run_all("M3*", collect=together, **kwargs)
+    assert together == separate
+    assert [dataclasses.replace(r, elapsed_ms=0) for r in together_results] == [
+        dataclasses.replace(r, elapsed_ms=0) for r in separate_results
+    ]
+    assert len(draws) == 6 + 3 * (len(cases) - 1)
+
+
+def test_run_all_draws_each_stack_once_per_call(monkeypatch):
+    qr = _counting(monkeypatch, np.linalg, "qr")
+    run_all("H1", trials=12, dims=(1, 2))  # two cases, one stack per n
+    assert len(qr) == 2
+    run_all("H1", trials=12, dims=(1, 2))  # a new call draws again
+    assert len(qr) == 4
+    run_all("H1.1", trials=12, dims=(1, 2))  # one case shares nothing
+    assert len(qr) == 6
+
+
+def test_run_all_memory_does_not_grow_with_trials(monkeypatch):
+    # 32 trials at n = 1, 2 make two stacks of 16 (64 and 256 shared entries)
+    monkeypatch.setattr(harness, "WINDOW_TRIALS", 32)
+    monkeypatch.setattr(harness, "SHARED_ENTRIES", 320)
+
+    def peak_bytes(trials):
+        tracemalloc.start()
+        try:
+            run_all("H1", trials=trials, dims=(1, 2), seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(32)  # first-call caches
+    assert peak_bytes(640) < 2 * peak_bytes(32)
