@@ -72,6 +72,24 @@ _REPORT_FIELDS = tuple(f.name for f in fields(MarginReport))
 _report_values = attrgetter(*_REPORT_FIELDS)
 
 
+def _splitmix64(x: int) -> int:
+    """SplitMix64's output at state x (Steele, Lea and Flood, OOPSLA 2014): a
+    bijection of 64-bit words that sends nearby inputs far apart."""
+    z = (x + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def trial_seeds(seed: int, start: int, stop: int) -> list[int]:
+    """The seeds of trials ``start .. stop - 1`` under a master seed:
+    ``(splitmix64(seed) + i) mod 2^64``.  Each master seed starts its run of
+    trial seeds at a scattered point, so master seeds that differ only in
+    low bits do not share trials."""
+    first = _splitmix64(seed & _MASK64)
+    return [(first + i) & _MASK64 for i in range(start, stop)]
+
+
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol >= 0.0):  # nan or inf decides every comparison one way
         raise InvalidInput(f"tolerance must be a finite number >= 0, got {tol}")
@@ -176,7 +194,8 @@ def run_suite(
     worst_seed = 0
     margin_sum = 0.0
     for lo in range(0, trials, WINDOW_TRIALS):
-        window = [((seed ^ i) & _MASK64, n) for i, n in enumerate(schedule[lo : lo + WINDOW_TRIALS], start=lo)]
+        hi = min(lo + WINDOW_TRIALS, trials)
+        window = list(zip(trial_seeds(seed, lo, hi), schedule[lo:hi]))
         for report in _window_reports(case, window, order_tol, _shared):
             margin_sum += report.margin
             if report.margin < worst_margin:
@@ -385,8 +404,8 @@ def integral_sweep(
         if not (0.0 < abs(p) <= 1.0):
             raise InvalidInput(f"p grid value outside [-1, 1] \\ {{0}}: {p}")
     pairs = []
-    for i, n in enumerate(dims_cycle(dims, trials)):
-        plan_words, pair_words, normals = stream_draws([(seed ^ i) & _MASK64], n)
+    for trial_seed, n in zip(trial_seeds(seed, 0, trials), dims_cycle(dims, trials)):
+        plan_words, pair_words, normals = stream_draws([trial_seed], n)
         _, u_target, v_target = _SWEEP_REGION.plan(plan_words)
         pairs.append(sandwich_stack(pair_words[0], normals[0], u_target[0], v_target[0]))
     out = []

@@ -54,25 +54,24 @@ def test_verify_trial_error_exits_4_with_replay_triple(monkeypatch, capsys, erro
     code = main(["verify", "--case", "H1.1", "--trials", "3", "--dims", "3", "--seed", "5"])
     err = capsys.readouterr().err
     assert code == 4
-    assert "('H1.1', 5, 3)" in err
+    assert f"('H1.1', {harness.trial_seeds(5, 0, 1)[0]}, 3)" in err  # trial 0 of master seed 5
     assert "boom" in err
 
 
 def test_verify_non_finite_term_exits_4_with_replay_triple(monkeypatch, capsys):
-    first = []
-    harness.run_suite(harness.case_by_id("T1R.1"), trials=1, dims=(3,), seed=5, collect=first)
     # T1R.1's lower term is S, which the catalog reads by this name
     monkeypatch.setattr(catalog, "relative_operator_entropy", lambda pair: np.full_like(pair.A.mat, np.nan))
     code = main(["verify", "--case", "T1R.1", "--trials", "3", "--dims", "3", "--seed", "5"])
     err = capsys.readouterr().err
     assert code == 4
-    assert f"('T1R.1', {first[0].seed}, 3)" in err
+    assert f"('T1R.1', {harness.trial_seeds(5, 0, 1)[0]}, 3)" in err
     assert "not finite" in err
 
 
 def test_verify_m1_iii_low_band_draw_passes(capsys):
     # this trial's band edge exp(-1/q) sat at 3e-13 before the planner clamped
     # it into the sampling window, and the sampled B lost definiteness
+    assert replay("M1.iii", 5688, 3).holds  # the trial of seed 5688 at n = 3
     code = main(["verify", "--case", "M1.iii", "--trials", "1", "--dims", "3", "--seed", "5688"])
     assert code == 0
     assert "M1.iii: ok" in capsys.readouterr().out

@@ -296,7 +296,8 @@ def test_suite_raises_the_earliest_failing_trial(monkeypatch, error):
     # trials alternate n = 1, 2; trial 4 (n = 1) fails in the stack evaluated
     # first, trial 3 (n = 2) in the second, and trial 3 comes first in trial order
     seed = 9
-    failing = {seed ^ 3, seed ^ 4}
+    trial_seeds = harness.trial_seeds(seed, 0, 6)
+    failing = {trial_seeds[3], trial_seeds[4]}
 
     def flaky(case, pair, params, seeds, **kwargs):
         if failing & set(seeds):
@@ -310,7 +311,8 @@ def test_suite_raises_the_earliest_failing_trial(monkeypatch, error):
     with pytest.raises(error) as info:
         run_suite(case_by_id("H1.1"), trials=6, dims=(1, 2), seed=seed, collect=collected)
     message = str(info.value)
-    assert re.match(re.escape(f"trial (case_id, seed, n) = ('H1.1', {seed ^ 3}, 2): boom at [{seed ^ 3}]"), message)
+    expected = f"trial (case_id, seed, n) = ('H1.1', {trial_seeds[3]}, 2): boom at [{trial_seeds[3]}]"
+    assert re.match(re.escape(expected), message)
     assert isinstance(info.value.__cause__, error)
     assert collected == whole[:3]  # the reports of the trials before the failing one
 
@@ -319,7 +321,7 @@ def test_suite_passes_other_errors_through_unchanged(monkeypatch):
     seed = 9
 
     def flaky(case, pair, params, seeds, **kwargs):
-        if seed ^ 2 in seeds:
+        if harness.trial_seeds(seed, 2, 3)[0] in seeds:
             raise ZeroDivisionError("not a trial error")
         return evaluate_trials(case, pair, params, seeds, **kwargs)
 
@@ -388,3 +390,27 @@ def test_run_all_memory_does_not_grow_with_trials(monkeypatch):
 
     peak_bytes(32)  # first-call caches
     assert peak_bytes(640) < 2 * peak_bytes(32)
+
+
+def test_master_seeds_share_no_trial_seeds():
+    # with seed ^ i, seeds 1, 2 and 3 all gave the trial seeds {0, ..., 999}
+    runs = [set(harness.trial_seeds(seed, 0, 1000)) for seed in (1, 2, 3)]
+    assert all(len(run) == 1000 for run in runs)
+    assert not (runs[0] & runs[1] or runs[0] & runs[2] or runs[1] & runs[2])
+    assert all(0 <= s < 1 << 64 for run in runs for s in run)
+
+
+def test_suites_and_integral_sweep_use_the_trial_seeds(monkeypatch):
+    collected = []
+    run_suite(case_by_id("H1.1"), trials=5, dims=(2,), seed=8, collect=collected)
+    assert [r.seed for r in collected] == harness.trial_seeds(8, 0, 5)
+    seen = []
+    original = harness.stream_draws
+
+    def recording(seeds, n):
+        seen.extend(seeds)
+        return original(seeds, n)
+
+    monkeypatch.setattr(harness, "stream_draws", recording)
+    integral_sweep(trials=4, p_grid=(0.5,), seed=8)
+    assert seen == harness.trial_seeds(8, 0, 4)
