@@ -19,7 +19,9 @@ so each case, dual included, is checked by exactly one scalar chain.
 All terms are built from the public mean/entropy operations so the catalog
 exercises the same code paths users call.  :func:`evaluate_trials` runs k
 trials of one case on a stacked pair: each term is then one ``(k, n, n)``
-stack, and the trials' weights reach it as ``(k, 1, 1)`` arrays.
+stack, and the trials' weights reach it as ``(k, 1, 1)`` arrays.  Its
+verdict is the public :func:`oel.spd_core.loewner_leq`'s, bit for bit, from
+one eigensolve per stack (:func:`_verdict`).
 """
 
 from __future__ import annotations

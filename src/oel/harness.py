@@ -1,11 +1,11 @@
 """Randomized verification harness over the inequality catalog.
 
 Every trial is reconstructible from (case_id, seed, n) alone: the per-trial
-seed keys one counter-based Philox stream, read in two bulk calls (see
-:func:`oel.sampler.stream_draws`).  Its first words are the case's plan
-(parameters and sandwich targets), the rest are the pair's spectra and
-bases; there is no second seed.  Reports carry that per-trial seed so any
-failure can be replayed exactly.
+seed (:func:`trial_seeds` of the master seed) keys one counter-based Philox
+stream, read in two bulk calls (see :func:`oel.sampler.stream_draws`).  Its
+first words are the case's plan (parameters and sandwich targets), the rest
+are the pair's spectra and bases; there is no second seed.  Reports carry
+that per-trial seed so any failure can be replayed exactly.
 
 A suite works through its trials in windows of ``WINDOW_TRIALS``, in trial
 order.  It groups a window's trials by n and evaluates each group as stacks
@@ -17,6 +17,15 @@ memory does not grow with the trial count.  :func:`run_trial` (and so
 :func:`replay`) is the same kernel with k = 1, and stacked numpy calls give
 each matrix the bits of a call on that matrix alone, so a replay reproduces
 its suite row exactly.
+
+Every case of a :func:`run_all` call reads the same trial streams, so the
+call keeps one memo of its stacks' draws (``_SharedDraws``), keyed by n and
+the stack's trial seeds: the first suite draws each stack's plan words and
+its :class:`~oel.sampler.StackBase` (A, its roots and C's basis), and the
+other suites build only their own C and B on it.  The memo holds at most
+``SHARED_ENTRIES`` matrix entries; stacks past it are drawn per case.  It
+lives as long as its call, and :func:`run_trial`, :func:`replay`,
+:func:`integral_sweep` and a lone :func:`run_suite` draw their own stacks.
 """
 
 from __future__ import annotations
@@ -229,7 +238,9 @@ def _stacks(window: list[tuple[int, int]]):
             yield group[lo : lo + size], n
 
 
-def _window_reports(case: InequalityCase, window: list[tuple[int, int]], order_tol: float, shared):
+def _window_reports(
+    case: InequalityCase, window: list[tuple[int, int]], order_tol: float, shared: _SharedDraws | None
+):
     """The window's reports, in trial order.  If a stack raises, the window is
     rerun one trial at a time through the same kernel: the reports before the
     earliest failing trial are yielded, then that trial's error is raised."""

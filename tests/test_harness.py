@@ -345,9 +345,9 @@ def _counting(monkeypatch, owner, name):
 
 def test_run_all_rows_are_the_per_case_suites_rows(monkeypatch):
     # M3* holds cases with and without sandwich edges.  Windows of 8 trials at
-    # n = 2, 3 give stacks of 4 trials (64 and 144 shared entries): the first
-    # window's two stacks and the second window's n = 2 stack fit in 300
-    # entries, so the other three stacks of each window pass are drawn per case
+    # n = 2, 3 give six stacks of 4 trials (64 and 144 shared entries): the
+    # first window's two stacks and the second window's n = 2 stack fit in 300
+    # entries, and every case draws the other three again
     monkeypatch.setattr(harness, "WINDOW_TRIALS", 8)
     monkeypatch.setattr(harness, "SHARED_ENTRIES", 300)
     cases = harness.find_cases("M3*")
