@@ -18,14 +18,16 @@ memory does not grow with the trial count.  :func:`run_trial` (and so
 each matrix the bits of a call on that matrix alone, so a replay reproduces
 its suite row exactly.
 
-Every case of a :func:`run_all` call reads the same trial streams, so the
-call keeps one memo of its stacks' draws (``_SharedDraws``), keyed by n and
-the stack's trial seeds: the first suite draws each stack's plan words and
-its :class:`~oel.sampler.StackBase` (A, its roots and C's basis), and the
-other suites build only their own C and B on it.  The memo holds at most
-``SHARED_ENTRIES`` matrix entries; stacks past it are drawn per case.  It
-lives as long as its call, and :func:`run_trial`, :func:`replay`,
-:func:`integral_sweep` and a lone :func:`run_suite` draw their own stacks.
+A stack is drawn one way (``_draw``): its plan words and its
+:class:`~oel.sampler.StackBase` (A, its roots and C's basis), on which
+:func:`~oel.sampler.pair_from_base` builds C and B.  Every case of a
+:func:`run_all` call reads the same trial streams, so the call keeps one
+memo of its stacks' draws (``_SharedDraws``), keyed by n and the stack's
+trial seeds, and only its first suite draws each stack.  The memo holds at
+most ``SHARED_ENTRIES`` matrix entries; stacks past it are drawn per case.
+It lives as long as its call; :func:`run_trial`, :func:`replay`, a lone
+:func:`run_suite` and :func:`integral_sweep` (on a suite's windows and
+stacks) draw their own stacks.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
-from functools import partial
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -51,7 +52,7 @@ from .catalog import (
 )
 from .errors import HypothesisError, InvalidInput, NumericalBreakdown, ReportError
 from .means import quadrature_tsallis, tsallis_entropy
-from .sampler import dims_cycle, pair_from_base, sandwich_stack, stack_base, stream_draws
+from .sampler import dims_cycle, pair_from_base, stack_base, stream_draws
 from .spd_core import ORDER_TOL
 
 DEFAULT_TRIALS = 1000
@@ -111,6 +112,13 @@ def case_by_id(case_id: str) -> InequalityCase:
     return case
 
 
+def _draw(seeds: list[int], n: int):
+    """The plan words and :class:`~oel.sampler.StackBase` of the trials of
+    ``seeds`` at dimension n: the one way a stack is drawn."""
+    plan_words, pair_words, normals = stream_draws(seeds, n)
+    return plan_words, stack_base(pair_words, normals)
+
+
 class _SharedDraws:
     """The stack draws of one :func:`run_all` call, shared by its suites:
     every case reads the same trial streams, so each stack's plan words and
@@ -125,9 +133,8 @@ class _SharedDraws:
         key = (n, tuple(seeds))
         drawn = self._draws.get(key)
         if drawn is None:
-            plan_words, pair_words, normals = stream_draws(seeds, n)
-            plan_words.flags.writeable = False  # read by every suite
-            drawn = plan_words, stack_base(pair_words, normals)
+            drawn = _draw(seeds, n)
+            drawn[0].flags.writeable = False  # the plan words, read by every suite
             entries = 4 * len(seeds) * n * n
             if self._entries + entries <= SHARED_ENTRIES:
                 self._draws[key] = drawn
@@ -141,14 +148,9 @@ def _evaluate_stack(
     """The trial kernel: k trials of dimension n read from their seeds'
     streams (or taken from ``shared``), planned and built as one stacked
     pair, and evaluated at once."""
-    if shared is None:
-        plan_words, pair_words, normals = stream_draws(seeds, n)
-        build = partial(sandwich_stack, pair_words, normals)
-    else:
-        plan_words, base = shared.draw(seeds, n)
-        build = partial(pair_from_base, base)
+    plan_words, base = _draw(seeds, n) if shared is None else shared.draw(seeds, n)
     params, u_target, v_target = case.plan(plan_words)
-    return evaluate_trials(case, build(u_target, v_target), params, seeds, order_tol=order_tol)
+    return evaluate_trials(case, pair_from_base(base, u_target, v_target), params, seeds, order_tol=order_tol)
 
 
 def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
@@ -197,14 +199,11 @@ def run_suite(
         raise InvalidInput("trials must be positive")
     _check_tol(order_tol)
     t0 = time.perf_counter()
-    schedule = dims_cycle(dims, trials)
     failures = 0
     worst_margin = np.inf
     worst_seed = 0
     margin_sum = 0.0
-    for lo in range(0, trials, WINDOW_TRIALS):
-        hi = min(lo + WINDOW_TRIALS, trials)
-        window = list(zip(trial_seeds(seed, lo, hi), schedule[lo:hi]))
+    for window in _windows(seed, dims, trials):
         for report in _window_reports(case, window, order_tol, _shared):
             margin_sum += report.margin
             if report.margin < worst_margin:
@@ -224,6 +223,15 @@ def run_suite(
         mean_margin=margin_sum / trials,
         elapsed_ms=elapsed_ms,
     )
+
+
+def _windows(seed: int, dims: tuple[int, ...], trials: int):
+    """A run's trials as (trial seed, n) lists of at most ``WINDOW_TRIALS``,
+    in trial order."""
+    schedule = dims_cycle(dims, trials)
+    for lo in range(0, trials, WINDOW_TRIALS):
+        hi = min(lo + WINDOW_TRIALS, trials)
+        yield list(zip(trial_seeds(seed, lo, hi), schedule[lo:hi]))
 
 
 def _stacks(window: list[tuple[int, int]]):
@@ -406,7 +414,9 @@ def integral_sweep(
     dims: tuple[int, ...] = DEFAULT_DIMS,
 ) -> list[IntegralResult]:
     """Check the averaged-entropy identity: the unit-interval quadrature of
-    the entropy family reproduces the closed form on every sampled pair.
+    the entropy family reproduces the closed form on every sampled pair (a
+    suite's trials, each stack checked at every p before the next is drawn).
+    A p's worst residual is that of the earliest trial attaining it.
     A non-finite or negative ``tol`` is an InvalidInput."""
     if trials < 1:
         raise InvalidInput("trials must be positive")
@@ -414,29 +424,27 @@ def integral_sweep(
     for p in p_grid:
         if not (0.0 < abs(p) <= 1.0):
             raise InvalidInput(f"p grid value outside [-1, 1] \\ {{0}}: {p}")
-    pairs = []
-    for trial_seed, n in zip(trial_seeds(seed, 0, trials), dims_cycle(dims, trials)):
-        plan_words, pair_words, normals = stream_draws([trial_seed], n)
-        _, u_target, v_target = _SWEEP_REGION.plan(plan_words)
-        pairs.append(sandwich_stack(pair_words[0], normals[0], u_target[0], v_target[0]))
-    out = []
-    for p in p_grid:
-        worst = 0.0
-        worst_allowed = tol
-        ok = True
-        for pair in pairs:
-            quad = quadrature_tsallis(pair, p, nodes=nodes)
-            closed = tsallis_entropy(pair, p)
-            resid = float(np.linalg.norm(quad - closed, 2))
-            scale = max(1.0, float(np.linalg.norm(quad, 2)), float(np.linalg.norm(closed, 2)))
-            allowed = tol * scale
-            if resid > worst:
-                worst = resid
-                worst_allowed = allowed
-            if resid > allowed:
-                ok = False
-        out.append(IntegralResult(p=p, trials=trials, max_residual=worst, max_allowed=worst_allowed, holds=ok))
-    return out
+    # per p: [worst residual, its allowed residual, its trial, every trial within tolerance]
+    worst = [[0.0, tol, -1, True] for _ in p_grid]
+    lo = 0
+    for window in _windows(seed, dims, trials):
+        for stack, n in _stacks(window):
+            plan_words, base = _draw([window[i][0] for i in stack], n)
+            _, u_target, v_target = _SWEEP_REGION.plan(plan_words)
+            pair = pair_from_base(base, u_target, v_target)
+            for p, w in zip(p_grid, worst):
+                quad = quadrature_tsallis(pair, p, nodes=nodes)
+                closed = tsallis_entropy(pair, p)
+                resid, nq, nc = np.linalg.norm(np.stack((quad - closed, quad, closed)), 2, axis=(-2, -1))
+                allowed = tol * np.maximum(1.0, np.maximum(nq, nc))
+                i = int(np.argmax(resid))
+                r, trial = float(resid[i]), lo + stack[i]
+                if r > w[0] or (r == w[0] and trial < w[2]):
+                    w[:3] = r, float(allowed[i]), trial
+                if (resid > allowed).any():
+                    w[3] = False
+        lo += len(window)
+    return [IntegralResult(p, trials, r, allowed, ok) for p, (r, allowed, _, ok) in zip(p_grid, worst)]
 
 
 def suite_results_to_dict(results: list[SuiteResult]) -> dict:

@@ -8,12 +8,11 @@ bases come from QR of a standard Gaussian matrix with the sign convention
 matrix's eigenvalues land exactly where requested (up to assembly rounding).
 A trial reads one stream keyed by its seed in two bulk calls
 (:func:`stream_draws`): its plan words, then the pair's spectra, then the
-pair's Gaussians.  :func:`sandwich_stack` builds k pairs from those draws as
-one stacked pair, from their spectra, and :func:`sandwich_pair` is its
-k = 1 case at one seed.  It is split in two: :func:`stack_base` (A, its
-roots and C's basis, which do not depend on the case) and
-:func:`pair_from_base` (C and B from the case's targets), so one base can
-serve every case that reads the same streams.
+pair's Gaussians.  k pairs are built from those draws as one stacked pair,
+from their spectra, in two steps: :func:`stack_base` (A, its roots and C's
+basis, which do not depend on the case) and :func:`pair_from_base` (C and B
+from the case's targets), so one base can serve every case that reads the
+same streams.  :func:`sandwich_pair` is the two steps at k = 1, at one seed.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -70,11 +70,11 @@ def _finite_pair(x) -> bool:
 
 
 # what SamplerConfig.from_json accepts in each field, as written (JSON booleans
-# are not integers); the seed rule, n >= 1 and the range orders are also
+# are not integers); the seed and n rules and the range orders are also
 # checked on construction
 _CONFIG_RULES = {
     "seed": (lambda x: type(x) is int and x >= 0, "an integer >= 0"),
-    "n": (lambda x: type(x) is int, "an integer"),
+    "n": (lambda x: type(x) is int and x >= 1, "an integer >= 1"),
     "spectrum": (_finite_pair, "a list of two finite numbers"),
     "sandwich": (lambda x: x is None or _finite_pair(x), "null or a list of two finite numbers"),
 }
@@ -95,11 +95,10 @@ class SamplerConfig:
     sandwich: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        seed_ok, seed_kind = _CONFIG_RULES["seed"]
-        if not seed_ok(self.seed):
-            raise InvalidInput(f"sampler config 'seed' must be {seed_kind}, got {self.seed!r}")
-        if self.n < 1:
-            raise InvalidInput(f"dimension must be >= 1, got {self.n}")
+        for name in ("seed", "n"):
+            ok, kind = _CONFIG_RULES[name]
+            if not ok(getattr(self, name)):
+                raise InvalidInput(f"sampler config {name!r} must be {kind}, got {getattr(self, name)!r}")
         lo, hi = self.spectrum_range
         if not (0.0 < lo <= hi) or not np.isfinite(hi):
             raise InvalidInput(f"bad spectrum range {self.spectrum_range}")
@@ -172,30 +171,15 @@ def stream_draws(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray, 
 
 def sandwich_pair(cfg: SamplerConfig) -> OperatorPair:
     """A pair (A, B) with the contraction spectrum inside cfg.sandwich, built
-    by :func:`sandwich_stack` from the pair words and normals of
-    ``generator(cfg.seed)``'s trial stream (see :func:`stream_draws`), so a
-    trial's pair is ``sandwich_pair`` at the trial seed and its targets.
-    ``u_target == v_target`` forces C to a multiple of the identity, so B is
-    that multiple of A up to rounding."""
+    by :func:`pair_from_base` on the :func:`stack_base` of the pair words and
+    normals of ``generator(cfg.seed)``'s trial stream (see
+    :func:`stream_draws`), so a trial's pair is ``sandwich_pair`` at the
+    trial seed and its targets.  ``u_target == v_target`` forces C to a
+    multiple of the identity, so B is that multiple of A up to rounding."""
     if cfg.sandwich is None:
         raise InvalidInput("sandwich_pair needs cfg.sandwich")
     _, words, normals = stream_draws([cfg.seed], cfg.n)
-    return sandwich_stack(words[0], normals[0], *cfg.sandwich, cfg.spectrum_range)
-
-
-def sandwich_stack(words, normals, u_target, v_target, spectrum_range=_A_SPECTRUM) -> OperatorPair:
-    """Pairs (A, B) built from their sampled spectra, as one stacked pair.
-
-    ``words`` holds each pair's ``2n`` pair words and ``normals`` its
-    ``(2, n, n)`` normals (as :func:`stream_draws` reads them), over any
-    leading axes that ``u_target`` and ``v_target`` share.  A has
-    eigenvalues uniform in ``spectrum_range`` on the basis of the first
-    normals; the contraction C has eigenvalues ``u_target``, ``v_target``
-    (both placed exactly when n >= 2) and uniform ones between, on the basis
-    of the second.  It is :func:`pair_from_base` on :func:`stack_base`: the
-    target-free part, then the part that depends on the targets.
-    """
-    return pair_from_base(stack_base(words, normals, spectrum_range), u_target, v_target)
+    return pair_from_base(stack_base(words[0], normals[0], cfg.spectrum_range), *cfg.sandwich)
 
 
 @dataclass(frozen=True)
@@ -211,9 +195,11 @@ class StackBase:
 
 
 def stack_base(words, normals, spectrum_range=_A_SPECTRUM) -> StackBase:
-    """A, its roots and C's basis from the pair words and normals (see
-    :func:`sandwich_stack`).  One ``qr`` gives both bases; A and its roots
-    are assembled from A's spectrum, with no eigensolve."""
+    """A, its roots and C's basis from each pair's ``2n`` pair words and
+    ``(2, n, n)`` normals (as :func:`stream_draws` reads them, over any
+    leading axes): A's eigenvalues are uniform in ``spectrum_range``, and
+    one ``qr`` gives A's basis and C's.  A and its roots are assembled from
+    A's spectrum, with no eigensolve."""
     n = normals.shape[-1]
     lo, hi = spectrum_range
     lam = lo + (hi - lo) * words[..., :n]
@@ -232,8 +218,9 @@ def stack_base(words, normals, spectrum_range=_A_SPECTRUM) -> StackBase:
 
 
 def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
-    """The pairs of ``base`` whose contractions have the targets as extreme
-    eigenvalues: C is assembled from its spectrum, and only
+    """The pairs of ``base`` (one stacked pair) whose contractions C have the
+    targets as extreme eigenvalues (both placed exactly when n >= 2) and
+    uniform ones between: C is assembled from that spectrum, and only
     ``B = A^{1/2} C A^{1/2}`` needs an eigensolve."""
     u = np.asarray(u_target, dtype=float)
     v = np.asarray(v_target, dtype=float)
@@ -274,7 +261,7 @@ def commuting_pair(cfg: SamplerConfig) -> OperatorPair:
 
 
 def dims_cycle(dims: Sequence[int], trials: int) -> list[int]:
-    """The dimension schedule used by suite runs: cycle dims in order."""
-    if not dims or any(int(d) < 1 for d in dims):
+    """The dimension schedule used by suite runs: cycle dims (integers >= 1, not bools) in order."""
+    if not dims or not all(isinstance(d, Integral) and not isinstance(d, bool) and d >= 1 for d in dims):
         raise InvalidInput(f"bad dims {dims!r}")
     return [int(dims[i % len(dims)]) for i in range(trials)]

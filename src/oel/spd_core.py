@@ -33,6 +33,8 @@ STRICTNESS_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 # default relative tolerance for Loewner-order verdicts
 ORDER_TOL = 1e-8
+# the largest entry accepted from outside: sums of two such entries stay finite
+_MAX_ENTRY = np.finfo(float).max / 2
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -52,20 +54,20 @@ def _square_float(m) -> np.ndarray:
         a = a.reshape(1, 1)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidInput("matrix has non-finite entries")
     return a
 
 
 def _force_symmetric(m) -> np.ndarray:
-    """Validate shape and finiteness, then return the symmetrized matrix.
-
-    Asymmetry beyond ``SYMMETRY_TOL`` relative to max(1, largest entry) is
-    rejected rather than silently averaged (matrix by matrix in a stack).
-    """
+    """Validate shape, finiteness and size (``_MAX_ENTRY``), then return the
+    symmetrized matrix.  Asymmetry beyond ``SYMMETRY_TOL`` relative to max(1,
+    largest entry) is rejected rather than silently averaged (matrix by matrix
+    in a stack)."""
     a = _square_float(m)
+    size = np.abs(a).max(axis=(-2, -1))  # nan where a matrix holds a nan
+    if not (size <= _MAX_ENTRY).all():
+        raise InvalidInput(f"matrix has an entry that is not finite or exceeds {_MAX_ENTRY:.3e} in magnitude")
     skew = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = skew > SYMMETRY_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    bad = skew > SYMMETRY_TOL * np.maximum(1.0, size)
     if bad.any():
         raise InvalidInput(f"matrix is not symmetric (max asymmetry {skew.flat[np.argmax(bad)]:.3e})")
     return symmetrize(a)
@@ -282,6 +284,19 @@ class LoewnerVerdict:
     holds: bool | np.ndarray
 
 
+def _loewner(xm: np.ndarray, ym: np.ndarray, order_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The margins, scales and verdicts of ``xm <= ym`` over the leading axes
+    of two symmetric arrays (0-d for one matrix), from one ``eigvalsh`` on the
+    stacked ``(Y - X, X, Y)``; a non-finite operand is a NumericalBreakdown."""
+    stacked = np.stack((ym - xm, xm, ym))
+    if not np.isfinite(stacked).all():
+        raise NumericalBreakdown("a term of the comparison is not finite")
+    w = np.linalg.eigvalsh(stacked)
+    margin = w[0, ..., 0]
+    scale = np.maximum(1.0, np.maximum(np.abs(w[1]).max(axis=-1), np.abs(w[2]).max(axis=-1)))
+    return margin, scale, margin >= -order_tol * scale
+
+
 def loewner_leq(x, y, order_tol: float = ORDER_TOL) -> LoewnerVerdict:
     """Decide X <= Y in the positive-semidefinite order, with margin.
 
@@ -298,15 +313,7 @@ def loewner_leq(x, y, order_tol: float = ORDER_TOL) -> LoewnerVerdict:
     ym = y.mat if isinstance(y, SpdMatrix) else _force_symmetric(y)
     if xm.shape != ym.shape:
         raise InvalidInput(f"dimension mismatch: {xm.shape} vs {ym.shape}")
-    margin = np.linalg.eigvalsh(ym - xm)[..., 0]
-    norm_x = np.abs(np.linalg.eigvalsh(xm)).max(axis=-1)
-    norm_y = np.abs(np.linalg.eigvalsh(ym)).max(axis=-1)
-    scale = np.maximum(1.0, np.maximum(norm_x, norm_y))
-    return LoewnerVerdict(
-        margin=_scalar_or_stack(margin),
-        scale=_scalar_or_stack(scale),
-        holds=_scalar_or_stack(margin >= -order_tol * scale),
-    )
+    return LoewnerVerdict(*map(_scalar_or_stack, _loewner(xm, ym, order_tol)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ from oel.sampler import (
     commuting_pair,
     commuting_spectra,
     generator,
+    pair_from_base,
     sandwich_pair,
-    sandwich_stack,
+    stack_base,
     stream_draws,
 )
 from oel.spd_core import loewner_leq, spectral_assemble
@@ -364,7 +365,7 @@ def test_every_term_is_the_lift_of_its_scalar_twin():
             stacked = Params(*(None if x is None else x.reshape(-1, 1, 1) for x in (params.p, params.q, params.c)))
             q, lam, mu = commuting_spectra(cfg)
             single = sandwich_pair(cfg)
-            stack = sandwich_stack(pair_words, normals, u, v)
+            stack = pair_from_base(stack_base(pair_words, normals), u, v)
             for term in (case.lhs, case.rhs):
                 got = term.fn(TrialContext(commuting_pair(cfg)), pr)
                 expected = spectral_assemble(q, lam * term.f(mu / lam, pr))
@@ -387,7 +388,7 @@ def _kernel_verdicts(monkeypatch):
     """Every case's verdict calls at n in {1, 2, 3, 5, 16}: the term stacks,
     the tolerance, the kernel's verdict and the eigvalsh calls it made."""
     eigvalsh = np.linalg.eigvalsh
-    verdict = catalog_module._verdict
+    verdict = catalog_module._loewner
     eig_calls = []
     seen = []
 
@@ -402,7 +403,7 @@ def _kernel_verdicts(monkeypatch):
         return out
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    monkeypatch.setattr(catalog_module, "_verdict", recorded)
+    monkeypatch.setattr(catalog_module, "_loewner", recorded)
     for case in catalog_with_duals():
         run_suite(case, trials=10, dims=(1, 2, 3, 5, 16), seed=31)
     monkeypatch.undo()

@@ -12,6 +12,7 @@ from oel.errors import HypothesisError, InvalidInput, NumericalBreakdown, Report
 from oel.harness import (
     DEFAULT_DIMS,
     DEFAULT_SEED,
+    IntegralResult,
     case_by_id,
     integral_sweep,
     read_reports,
@@ -24,6 +25,9 @@ from oel.harness import (
     write_reports_csv,
     write_reports_jsonl,
 )
+from oel.means import quadrature_tsallis, tsallis_entropy
+from oel.sampler import SamplerConfig, dims_cycle, sandwich_pair, stream_draws
+from oel.spd_core import ORDER_TOL
 
 REPORT_FIELDS = ("case_id", "seed", "n", "p", "q", "c", "u", "v", "margin", "scale", "holds")
 
@@ -175,6 +179,83 @@ def test_integral_sweep_small_run_holds():
     assert all(r.max_residual <= r.max_allowed for r in results)
 
 
+def _per_pair_integral_sweep(trials, p_grid, seed, dims, quad_fn=quadrature_tsallis, closed_fn=tsallis_entropy):
+    """integral_sweep one pair at a time, each pair built by sandwich_pair at
+    its trial seed and the sweep region's targets."""
+    tol = ORDER_TOL
+    pairs = []
+    for trial_seed, n in zip(harness.trial_seeds(seed, 0, trials), dims_cycle(dims, trials)):
+        _, u, v = harness._SWEEP_REGION.plan(stream_draws([trial_seed], n)[0])
+        pairs.append(sandwich_pair(SamplerConfig(seed=trial_seed, n=n, sandwich=(float(u[0]), float(v[0])))))
+    out = []
+    for p in p_grid:
+        worst, worst_allowed, ok = 0.0, tol, True
+        for pair in pairs:
+            quad = quad_fn(pair, p, nodes=32)
+            closed = closed_fn(pair, p)
+            resid = float(np.linalg.norm(quad - closed, 2))
+            allowed = tol * max(1.0, float(np.linalg.norm(quad, 2)), float(np.linalg.norm(closed, 2)))
+            if resid > worst:  # the earliest trial attaining the largest residual
+                worst, worst_allowed = resid, allowed
+            ok = ok and not resid > allowed
+        out.append(IntegralResult(p=p, trials=trials, max_residual=worst, max_allowed=worst_allowed, holds=ok))
+    return out
+
+
+@pytest.mark.parametrize("window, entries", [(None, None), (8, 12)])
+def test_integral_sweep_equals_the_per_pair_reference(monkeypatch, window, entries):
+    # with small windows and stacks the maximum is folded over many stacks, out of trial order
+    if window is not None:
+        monkeypatch.setattr(harness, "WINDOW_TRIALS", window)
+        monkeypatch.setattr(harness, "STACK_ENTRIES", entries)
+    p_grid = (0.1, -0.5, 1.0)
+    for seed, trials, dims in ((7, 30, (1, 2, 3, 5)), (42, 6, DEFAULT_DIMS)):
+        got = integral_sweep(trials=trials, p_grid=p_grid, seed=seed, dims=dims)
+        assert got == _per_pair_integral_sweep(trials, p_grid, seed, dims)
+
+
+def test_integral_sweep_reports_the_earliest_of_tied_residuals(monkeypatch):
+    # every n = 2 pair and the n = 1 pairs with v > 2 get residual exactly 1
+    # (closed is s I with s of few bits, quad is (s + 1) I), the others 0, and
+    # each pair its own allowed residual tol * (s + 1).  The n = 1 stack is
+    # folded first, yet an earlier n = 2 trial must win the tie
+    def closed(pair, p):
+        s = 2.0 + np.round(8.0 * np.asarray(pair.v)) / 8.0
+        return s[..., None, None] * np.eye(pair.n)
+
+    def quad(pair, p, nodes):
+        bump = (pair.n == 2) | (np.asarray(pair.v) > 2.0)
+        return closed(pair, p) + bump[..., None, None] * np.eye(pair.n)
+
+    seed, trials, dims = 1, 8, (1, 2)
+    expected = _per_pair_integral_sweep(trials, (0.5,), seed, dims, quad, closed)
+    monkeypatch.setattr(harness, "quadrature_tsallis", quad)
+    monkeypatch.setattr(harness, "tsallis_entropy", closed)
+    assert integral_sweep(trials=trials, p_grid=(0.5,), seed=seed, dims=dims) == expected
+
+
+def test_integral_sweep_memory_does_not_grow_with_trials(monkeypatch):
+    monkeypatch.setattr(harness, "WINDOW_TRIALS", 32)
+
+    def peak_bytes(trials):
+        tracemalloc.start()
+        try:
+            integral_sweep(trials=trials, p_grid=(0.5,), dims=(1, 2), seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(32)  # first-call caches
+    assert peak_bytes(640) < 2 * peak_bytes(32)
+
+
+def test_suite_rejects_dimensions_that_are_not_integers():
+    # coercing would run (and report) 2.7 as n = 2
+    for dims in ((2.7,), ("3",), (True,)):
+        with pytest.raises(InvalidInput):
+            run_suite(case_by_id("H1.1"), trials=2, dims=dims)
+
+
 def test_report_dataclass_is_value_comparable():
     a = run_trial(case_by_id("W2.1"), 11, 2)
     b = run_trial(case_by_id("W2.1"), 11, 2)
@@ -261,13 +342,13 @@ def test_windows_and_stacks_keep_the_rows(monkeypatch, setting, value, sizes):
     whole = []
     run_suite(case, trials=24, dims=(2, 3), seed=11, collect=whole)
     seen = []
-    original = harness.sandwich_stack
+    original = harness.stream_draws
 
-    def recording(words, normals, *targets):
-        seen.append((len(words), normals.shape[-1]))
-        return original(words, normals, *targets)
+    def recording(seeds, n):
+        seen.append((len(seeds), n))
+        return original(seeds, n)
 
-    monkeypatch.setattr(harness, "sandwich_stack", recording)
+    monkeypatch.setattr(harness, "stream_draws", recording)
     monkeypatch.setattr(harness, setting, value)
     split = []
     run_suite(case, trials=24, dims=(2, 3), seed=11, collect=split)

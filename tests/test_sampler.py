@@ -11,10 +11,11 @@ from oel.sampler import (
     commuting_spectra,
     dims_cycle,
     generator,
+    pair_from_base,
     random_spd,
     reseed,
     sandwich_pair,
-    sandwich_stack,
+    stack_base,
     stream_draws,
 )
 
@@ -63,7 +64,7 @@ def test_sandwich_pairs_stack_the_single_pairs():
     cfgs = [SamplerConfig(seed=s, n=3, sandwich=(0.5 + 0.1 * s, 3.0)) for s in range(5)]
     _, words, normals = stream_draws([cfg.seed for cfg in cfgs], 3)
     u, v = np.array([cfg.sandwich for cfg in cfgs]).T
-    stacked = sandwich_stack(words, normals, u, v)
+    stacked = pair_from_base(stack_base(words, normals), u, v)
     assert stacked.A.mat.shape == (5, 3, 3)
     for i, cfg in enumerate(cfgs):
         single = sandwich_pair(cfg)
@@ -211,6 +212,10 @@ def test_config_json_rejects_malformed(payload):
         {"seed": -5, "n": 2},
         {"seed": 2.5, "n": 2},
         {"seed": True, "n": 2},
+        # and so does its n rule
+        {"seed": 1, "n": 2.5},
+        {"seed": 1, "n": True},
+        {"seed": 1, "n": "2"},
     ],
 )
 def test_config_rejects_bad_ranges(kwargs):
@@ -221,6 +226,14 @@ def test_config_rejects_bad_ranges(kwargs):
 def test_dims_cycle_wraps_in_order():
     assert dims_cycle((1, 2, 3), 7) == [1, 2, 3, 1, 2, 3, 1]
     assert dims_cycle((4,), 3) == [4, 4, 4]
+    schedule = dims_cycle((np.int64(2), 5), 3)
+    assert schedule == [2, 5, 2] and all(type(n) is int for n in schedule)
+
+
+@pytest.mark.parametrize("dims", [(), (0,), (2, -1), (2.7,), (2.0,), ("3",), (True,), (np.float64(2.0),), (None,)])
+def test_dims_cycle_takes_only_integers_from_one(dims):
+    with pytest.raises(InvalidInput):
+        dims_cycle(dims, 3)
 
 
 def test_distinct_seeds_give_distinct_pairs():

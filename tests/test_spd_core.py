@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -163,6 +165,35 @@ def test_loewner_tolerance_is_relative():
     v = loewner_leq(a, dip)  # margin -5e-8, scale 10 -> allowed -1e-7
     assert v.holds
     assert not loewner_leq(a, a - 2e-7 * np.eye(2)).holds
+
+
+@pytest.mark.parametrize("x, y", [(-1e308, 1e308), (1e308, 1e308), (1.0, -9e307)])
+def test_loewner_rejects_entries_whose_sums_overflow(x, y):
+    # Y - X (or the symmetrizing M + M^T) would overflow to a nan margin with
+    # holds False, so the operand is rejected before any arithmetic
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="exceeds"):
+            loewner_leq(x * np.eye(2), y * np.eye(2))
+    v = loewner_leq(-8e307 * np.eye(2), 8e307 * np.eye(2))  # the largest accepted entries
+    assert v.holds and v.margin == pytest.approx(1.6e308)  # LAPACK rescales entries this large
+
+
+def test_loewner_one_eigensolve_has_the_bits_of_three():
+    # the comparator's one eigvalsh of the stacked (Y - X, X, Y) against
+    # three separate eigvalsh, on single matrices and on stacks
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 5, 8, 17, 39):
+        for shape in ((n, n), (4, n, n)):
+            for scale in (1e-3, 1.0, 1e3):
+                x, y = (scale * symmetrize(rng.standard_normal(shape)) for _ in range(2))
+                v = loewner_leq(x, y)
+                margin = np.linalg.eigvalsh(y - x)[..., 0]
+                norms = np.maximum(np.abs(np.linalg.eigvalsh(x)).max(axis=-1), np.abs(np.linalg.eigvalsh(y)).max(axis=-1))
+                expected = np.maximum(1.0, norms)
+                assert np.asarray(v.margin, dtype=float).tobytes() == margin.tobytes()
+                assert np.asarray(v.scale, dtype=float).tobytes() == expected.tobytes()
+                assert np.array_equal(v.holds, margin >= -1e-8 * expected)
 
 
 @given(c=st.floats(min_value=1e-6, max_value=10.0))
