@@ -45,7 +45,7 @@ from .means import (
     relative_operator_entropy,
     tsallis_entropy,
 )
-from .spd_core import ORDER_TOL, _loewner, symmetrize
+from .spd_core import ORDER_TOL, _check_tol, _loewner, symmetrize
 
 HYP_SLACK = 1e-10  # slack applied to every hypothesis comparison
 _P_EPS = 1e-3      # sampled weights keep this distance from removable singularities
@@ -85,13 +85,17 @@ class InequalityCase:
     rhs: Term
     hypothesis: Region
     plan: Callable[[np.ndarray], tuple[Params, np.ndarray, np.ndarray]]
-    expected: str = "holds"
     dual_region: Region | None = None
 
     @property
     def group(self) -> str:
         """The id's prefix (``T1R`` for ``T1R.2.rev``)."""
         return self.id.split(".", 1)[0]
+
+    @property
+    def expected(self) -> str:
+        """What the case claims: a ``.rev`` id is the reversed comparison."""
+        return "reversed-under-dual-hypothesis" if self.id.endswith(".rev") else "holds"
 
 
 @dataclass(frozen=True)
@@ -729,7 +733,6 @@ def dual(case: InequalityCase) -> InequalityCase:
     if case.dual_region is None:
         raise NoDual(f"case {case.id} has no stated reverse")
     new_id = case.id[: -len(".rev")] if case.id.endswith(".rev") else case.id + ".rev"
-    expected = "holds" if case.expected != "holds" else "reversed-under-dual-hypothesis"
     return replace(
         case,
         id=new_id,
@@ -737,7 +740,6 @@ def dual(case: InequalityCase) -> InequalityCase:
         rhs=case.lhs,
         hypothesis=case.dual_region,
         plan=case.dual_region.plan,
-        expected=expected,
         dual_region=case.hypothesis,
     )
 
@@ -797,8 +799,10 @@ def evaluate_trials(
 
     Raises HypothesisError for the first trial whose (u, v, params) fall
     outside the case's hypothesis (with slack ``HYP_SLACK``), and
-    NumericalBreakdown when a term is not finite.
+    NumericalBreakdown when a term is not finite.  A non-finite or negative
+    ``order_tol`` is an InvalidInput.
     """
+    _check_tol(order_tol)
     k, n = len(seeds), pair.n
     us = _per_trial(pair.u)
     vs = _per_trial(pair.v)

@@ -53,7 +53,7 @@ from .catalog import (
 from .errors import HypothesisError, InvalidInput, NumericalBreakdown, ReportError
 from .means import quadrature_tsallis, tsallis_entropy
 from .sampler import dims_cycle, pair_from_base, stack_base, stream_draws
-from .spd_core import ORDER_TOL
+from .spd_core import ORDER_TOL, _check_tol
 
 DEFAULT_TRIALS = 1000
 DEFAULT_DIMS = (1, 2, 3, 4, 6, 8)
@@ -98,11 +98,6 @@ def trial_seeds(seed: int, start: int, stop: int) -> list[int]:
     low bits do not share trials."""
     first = _splitmix64(seed & _MASK64)
     return [(first + i) & _MASK64 for i in range(start, stop)]
-
-
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):  # nan or inf decides every comparison one way
-        raise InvalidInput(f"tolerance must be a finite number >= 0, got {tol}")
 
 
 def case_by_id(case_id: str) -> InequalityCase:
@@ -156,7 +151,6 @@ def _evaluate_stack(
 def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
     """One deterministic trial: draw plan, sample pair, evaluate the case.
     A non-finite or negative ``order_tol`` is an InvalidInput."""
-    _check_tol(order_tol)
     return _evaluate_stack(case, [trial_seed], n, order_tol)[0]
 
 
@@ -193,10 +187,9 @@ def run_suite(
     The trials are evaluated in windows and stacks (see the module notes);
     reports keep trial order.  A trial's NumericalBreakdown or
     HypothesisError is re-raised with its ``(case_id, seed, n)``, after the
-    reports of the trials before it have been collected.  A non-finite or
-    negative ``order_tol`` is an InvalidInput."""
-    if trials < 1:
-        raise InvalidInput("trials must be positive")
+    reports of the trials before it have been collected.  ``trials`` that is
+    not an integer >= 1, or a non-finite or negative ``order_tol``, is an
+    InvalidInput."""
     _check_tol(order_tol)
     t0 = time.perf_counter()
     failures = 0
@@ -417,9 +410,8 @@ def integral_sweep(
     the entropy family reproduces the closed form on every sampled pair (a
     suite's trials, each stack checked at every p before the next is drawn).
     A p's worst residual is that of the earliest trial attaining it.
-    A non-finite or negative ``tol`` is an InvalidInput."""
-    if trials < 1:
-        raise InvalidInput("trials must be positive")
+    ``trials`` that is not an integer >= 1, or a non-finite or negative
+    ``tol``, is an InvalidInput."""
     _check_tol(tol)
     for p in p_grid:
         if not (0.0 < abs(p) <= 1.0):

@@ -18,6 +18,7 @@ for a single pair), so such weights broadcast against them.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -33,6 +34,7 @@ from .spd_core import (
     dump_matrix,
     load_matrix,
     spd_from_spectrum,
+    spd_roots,
     spectral_assemble,
     symmetrize,
 )
@@ -69,11 +71,8 @@ class OperatorPair:
         self.B = b
         if _roots is None:
             w, q = np.linalg.eigh(a.mat)
-            s = _row(np.sqrt(w))
-            self.sqrt_a = spd_from_spectrum(spectral_assemble(q, s), s, "sqrt(A)")
-            self.inv_sqrt_a = spd_from_spectrum(spectral_assemble(q, s, inverse=True), 1.0 / s, "inv_sqrt(A)")
-        else:
-            self.sqrt_a, self.inv_sqrt_a = _roots
+            _roots = spd_roots(q, w)
+        self.sqrt_a, self.inv_sqrt_a = _roots
         if _contraction is None:
             c = symmetrize(self.inv_sqrt_a.mat @ b.mat @ self.inv_sqrt_a.mat)
             w, q = np.linalg.eigh(c)
@@ -173,6 +172,16 @@ def tsallis_entropy(pair: OperatorPair, p: float) -> np.ndarray:
     return pair.transform(lambda t: scalars.tsallis_log(t, p))
 
 
+@lru_cache(maxsize=16)
+def _unit_gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule of order ``nodes`` moved to [0, 1]: nodes and
+    weights, computed once per order and read-only (every caller shares them)."""
+    z, wz = np.polynomial.legendre.leggauss(nodes)
+    ts, wts = 0.5 * (z + 1.0), 0.5 * wz
+    ts.flags.writeable = wts.flags.writeable = False
+    return ts, wts
+
+
 def quadrature_tsallis(pair: OperatorPair, p: float, nodes: int = 32) -> np.ndarray:
     """Gauss-Legendre evaluation of ``integral_0^1 S_{p t}(A|B) dt``.
 
@@ -184,9 +193,7 @@ def quadrature_tsallis(pair: OperatorPair, p: float, nodes: int = 32) -> np.ndar
         raise InvalidWeight(f"quadrature needs p in [-1, 1], p != 0, got {p}")
     if int(nodes) != nodes or nodes < 2:
         raise InvalidInput(f"nodes must be an integer >= 2, got {nodes}")
-    z, wz = np.polynomial.legendre.leggauss(int(nodes))
-    ts = 0.5 * (z + 1.0)
-    wts = 0.5 * wz
+    ts, wts = _unit_gauss_legendre(int(nodes))
 
     def integrated(t_vals: np.ndarray) -> np.ndarray:
         lg = np.log(t_vals)

@@ -13,21 +13,22 @@ from their spectra, in two steps: :func:`stack_base` (A, its roots and C's
 basis, which do not depend on the case) and :func:`pair_from_base` (C and B
 from the case's targets), so one base can serve every case that reads the
 same streams.  :func:`sandwich_pair` is the two steps at k = 1, at one seed.
+Every public draw reads that stream: :func:`random_spd` is the A of
+:func:`stack_base` at ``cfg.seed``, and :func:`commuting_spectra` takes A's
+basis and spectrum and maps C's interior words onto its ratios mu/lam.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidInput
 from .means import OperatorPair
-from .spd_core import SpdMatrix, _rebuild_spd, _row, spd_from_spectrum, spectral_assemble, symmetrize
+from .spd_core import SpdMatrix, _rebuild_spd, _row, spd_from_spectrum, spd_roots, spectral_assemble, symmetrize
 
 RNG_ALGORITHM = "philox4x64"
 # a trial stream's first words, read by the case's planner: c, p, q, the pin
@@ -65,24 +66,22 @@ def reseed(rng: np.random.Generator, seed: int) -> np.random.Generator:
     return rng
 
 
-def _finite_pair(x) -> bool:
-    return type(x) is list and len(x) == 2 and all(type(v) in (int, float) and math.isfinite(v) for v in x)
+def _is_count(x, least: int) -> bool:
+    """``x`` is an integer (numpy's included, a bool not) and at least ``least``."""
+    return isinstance(x, Integral) and not isinstance(x, bool) and x >= least
 
 
-# what SamplerConfig.from_json accepts in each field, as written (JSON booleans
-# are not integers); the seed and n rules and the range orders are also
-# checked on construction
-_CONFIG_RULES = {
-    "seed": (lambda x: type(x) is int and x >= 0, "an integer >= 0"),
-    "n": (lambda x: type(x) is int and x >= 1, "an integer >= 1"),
-    "spectrum": (_finite_pair, "a list of two finite numbers"),
-    "sandwich": (lambda x: x is None or _finite_pair(x), "null or a list of two finite numbers"),
-}
+def _is_range(r) -> bool:
+    """``r`` is a tuple or list of two finite numbers (not bools), ``0 < lo <= hi``."""
+    ok = isinstance(r, (tuple, list)) and len(r) == 2
+    return ok and all(isinstance(x, Real) and not isinstance(x, bool) for x in r) and 0.0 < r[0] <= r[1] < np.inf
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Configuration for one deterministic draw.
+    """Configuration for one deterministic draw, checked on construction:
+    ``seed`` an integer >= 0, ``n`` an integer >= 1, each range a pair of
+    finite numbers ``0 < lo <= hi`` (anything else is an InvalidInput).
 
     ``spectrum_range`` bounds the eigenvalues of A; ``sandwich``, when set,
     bounds the spectrum of the contraction C = A^{-1/2} B A^{-1/2} of a
@@ -95,43 +94,14 @@ class SamplerConfig:
     sandwich: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("seed", "n"):
-            ok, kind = _CONFIG_RULES[name]
-            if not ok(getattr(self, name)):
-                raise InvalidInput(f"sampler config {name!r} must be {kind}, got {getattr(self, name)!r}")
-        lo, hi = self.spectrum_range
-        if not (0.0 < lo <= hi) or not np.isfinite(hi):
-            raise InvalidInput(f"bad spectrum range {self.spectrum_range}")
-        if self.sandwich is not None:
-            u, v = self.sandwich
-            if not (0.0 < u <= v) or not np.isfinite(v):
-                raise InvalidInput(f"bad sandwich range {self.sandwich}")
-
-    @classmethod
-    def from_json(cls, text: str) -> "SamplerConfig":
-        """Parse a config as :meth:`to_json` writes it.  Values are taken as
-        written, never coerced (see ``_CONFIG_RULES``)."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"bad sampler config JSON: {exc}") from exc
-        if not isinstance(data, dict) or "seed" not in data or "n" not in data:
-            raise InvalidInput("sampler config needs at least 'seed' and 'n'")
-        for name, (ok, kind) in _CONFIG_RULES.items():
-            if name in data and not ok(data[name]):
-                raise InvalidInput(f"sampler config {name!r} must be {kind}, got {data[name]!r}")
-        kwargs = {"seed": data["seed"], "n": data["n"]}
-        if "spectrum" in data:
-            kwargs["spectrum_range"] = tuple(map(float, data["spectrum"]))
-        if data.get("sandwich") is not None:
-            kwargs["sandwich"] = tuple(map(float, data["sandwich"]))
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        data = {"seed": self.seed, "n": self.n, "spectrum": list(self.spectrum_range)}
-        if self.sandwich is not None:
-            data["sandwich"] = list(self.sandwich)
-        return json.dumps(data)
+        if not _is_count(self.seed, 0):
+            raise InvalidInput(f"sampler config 'seed' must be an integer >= 0, got {self.seed!r}")
+        if not _is_count(self.n, 1):
+            raise InvalidInput(f"sampler config 'n' must be an integer >= 1, got {self.n!r}")
+        if not _is_range(self.spectrum_range):
+            raise InvalidInput(f"bad spectrum range {self.spectrum_range!r}")
+        if self.sandwich is not None and not _is_range(self.sandwich):
+            raise InvalidInput(f"bad sandwich range {self.sandwich!r}")
 
 
 def _orthogonal(g: np.ndarray) -> np.ndarray:
@@ -143,12 +113,9 @@ def _orthogonal(g: np.ndarray) -> np.ndarray:
 
 
 def random_spd(cfg: SamplerConfig) -> SpdMatrix:
-    """One SPD matrix with eigenvalues drawn uniformly in ``spectrum_range``."""
-    rng = generator(cfg.seed)
-    lo, hi = cfg.spectrum_range
-    lam = rng.uniform(lo, hi, cfg.n)
-    q = _orthogonal(rng.standard_normal((cfg.n, cfg.n)))
-    return spd_from_spectrum(spectral_assemble(q, lam), lam, "sampled A")
+    """One SPD matrix with eigenvalues drawn uniformly in ``spectrum_range``:
+    the A of ``cfg.seed``'s trial stream, bit for bit ``sandwich_pair(cfg).A``."""
+    return stack_base(*_pair_draws(cfg), cfg.spectrum_range).a
 
 
 def stream_draws(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,8 +145,20 @@ def sandwich_pair(cfg: SamplerConfig) -> OperatorPair:
     multiple of the identity, so B is that multiple of A up to rounding."""
     if cfg.sandwich is None:
         raise InvalidInput("sandwich_pair needs cfg.sandwich")
+    return pair_from_base(stack_base(*_pair_draws(cfg), cfg.spectrum_range), *cfg.sandwich)
+
+
+def _pair_draws(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The pair words and normals of ``cfg.seed``'s trial stream at ``cfg.n``."""
     _, words, normals = stream_draws([cfg.seed], cfg.n)
-    return pair_from_base(stack_base(words[0], normals[0], cfg.spectrum_range), *cfg.sandwich)
+    return words[0], normals[0]
+
+
+def _a_draw(words, normals, spectrum_range) -> tuple[np.ndarray, np.ndarray]:
+    """A's spectrum, uniform in ``spectrum_range``, and the ``(2, n, n)``
+    orthogonal bases of A and C (one ``qr``), from a pair's draws."""
+    lo, hi = spectrum_range
+    return lo + (hi - lo) * words[..., : normals.shape[-1]], _orthogonal(normals)
 
 
 @dataclass(frozen=True)
@@ -200,21 +179,13 @@ def stack_base(words, normals, spectrum_range=_A_SPECTRUM) -> StackBase:
     leading axes): A's eigenvalues are uniform in ``spectrum_range``, and
     one ``qr`` gives A's basis and C's.  A and its roots are assembled from
     A's spectrum, with no eigensolve."""
-    n = normals.shape[-1]
-    lo, hi = spectrum_range
-    lam = lo + (hi - lo) * words[..., :n]
-    q = _orthogonal(normals)
+    lam, q = _a_draw(words, normals, spectrum_range)
     q_a = q[..., 0, :, :]
-    s = _row(np.sqrt(lam))
     a = spd_from_spectrum(spectral_assemble(q_a, _row(lam)), lam, "sampled A")
-    roots = (
-        spd_from_spectrum(spectral_assemble(q_a, s), s, "sqrt(A)"),
-        spd_from_spectrum(spectral_assemble(q_a, s, inverse=True), 1.0 / s, "inv_sqrt(A)"),
-    )
     q_c = np.ascontiguousarray(q[..., 1, :, :])  # a copy: a kept base does not keep A's basis
-    mu_words = words[..., n:]
+    mu_words = words[..., lam.shape[-1] :]
     q_c.flags.writeable = mu_words.flags.writeable = False  # a base may be shared
-    return StackBase(a, roots, q_c, mu_words)
+    return StackBase(a, spd_roots(q_a, lam), q_c, mu_words)
 
 
 def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
@@ -239,17 +210,16 @@ def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
 def commuting_spectra(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared basis Q and spectra (lam, mu) for a commuting pair.
 
-    The ratio mu/lam is drawn from ``cfg.sandwich`` when set, else from
+    Q and lam are the basis and spectrum of A in ``cfg.seed``'s trial
+    stream (so the pair's A is :func:`random_spd`'s), and the ratios mu/lam
+    are C's interior words mapped onto ``cfg.sandwich`` when set, else onto
     [0.25, 4].  Exposed separately so oracles can evaluate scalar formulas
     eigenwise against exactly the generated data.
     """
-    rng = generator(cfg.seed)
-    lo, hi = cfg.spectrum_range
-    lam = rng.uniform(lo, hi, cfg.n)
-    ratio_lo, ratio_hi = cfg.sandwich if cfg.sandwich is not None else (0.25, 4.0)
-    ratios = rng.uniform(ratio_lo, ratio_hi, cfg.n)
-    q = _orthogonal(rng.standard_normal((cfg.n, cfg.n)))
-    return q, lam, lam * ratios
+    words, normals = _pair_draws(cfg)
+    lam, q = _a_draw(words, normals, cfg.spectrum_range)
+    lo, hi = cfg.sandwich if cfg.sandwich is not None else (0.25, 4.0)
+    return q[0], lam, lam * (lo + (hi - lo) * words[cfg.n :])
 
 
 def commuting_pair(cfg: SamplerConfig) -> OperatorPair:
@@ -261,7 +231,10 @@ def commuting_pair(cfg: SamplerConfig) -> OperatorPair:
 
 
 def dims_cycle(dims: Sequence[int], trials: int) -> list[int]:
-    """The dimension schedule used by suite runs: cycle dims (integers >= 1, not bools) in order."""
-    if not dims or not all(isinstance(d, Integral) and not isinstance(d, bool) and d >= 1 for d in dims):
+    """The dimension schedule used by suite runs: ``trials`` trials cycling
+    ``dims`` in order (integers >= 1, not bools, all of them)."""
+    if not _is_count(trials, 1):
+        raise InvalidInput(f"trials must be positive (an integer >= 1), got {trials!r}")
+    if not dims or not all(_is_count(d, 1) for d in dims):
         raise InvalidInput(f"bad dims {dims!r}")
     return [int(dims[i % len(dims)]) for i in range(trials)]

@@ -166,6 +166,16 @@ def spectral_assemble(q: np.ndarray, w: np.ndarray, *, inverse: bool = False) ->
     return symmetrize(qw @ q.swapaxes(-1, -2))
 
 
+def spd_roots(q: np.ndarray, w: np.ndarray) -> tuple[SpdMatrix, SpdMatrix]:
+    """``(A^{1/2}, A^{-1/2})`` of ``A = Q diag(w) Q^T``, assembled from the
+    spectrum ``w`` (each matrix's eigenvalues along the last axis)."""
+    s = _row(np.sqrt(w))
+    return (
+        spd_from_spectrum(spectral_assemble(q, s), s, "sqrt(A)"),
+        spd_from_spectrum(spectral_assemble(q, s, inverse=True), 1.0 / s, "inv_sqrt(A)"),
+    )
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors (as columns)."""
@@ -284,6 +294,13 @@ class LoewnerVerdict:
     holds: bool | np.ndarray
 
 
+def _check_tol(tol: float) -> None:
+    """An order tolerance must be a finite number >= 0: nan or inf decides
+    every comparison one way."""
+    if not (0.0 <= tol < np.inf):
+        raise InvalidInput(f"tolerance must be a finite number >= 0, got {tol}")
+
+
 def _loewner(xm: np.ndarray, ym: np.ndarray, order_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The margins, scales and verdicts of ``xm <= ym`` over the leading axes
     of two symmetric arrays (0-d for one matrix), from one ``eigvalsh`` on the
@@ -306,9 +323,10 @@ def loewner_leq(x, y, order_tol: float = ORDER_TOL) -> LoewnerVerdict:
         Symmetric matrices of equal dimension, or equal stacks of them (one
         verdict per matrix, as arrays).
     order_tol : float
-        Relative tolerance; the verdict holds iff
+        Relative tolerance, a finite number >= 0; the verdict holds iff
         ``lambda_min(Y - X) >= -order_tol * max(1, ||X||_2, ||Y||_2)``.
     """
+    _check_tol(order_tol)
     xm = x.mat if isinstance(x, SpdMatrix) else _force_symmetric(x)
     ym = y.mat if isinstance(y, SpdMatrix) else _force_symmetric(y)
     if xm.shape != ym.shape:

@@ -9,6 +9,8 @@ from oel import harness
 from oel.cli import main
 from oel.errors import HypothesisError, InvalidInput, NumericalBreakdown
 from oel.harness import read_reports, replay
+from oel.sampler import SamplerConfig, sandwich_pair
+from oel.spd_core import loewner_leq
 
 catalog = importlib.import_module("oel.catalog")  # the package exports a function of this name
 
@@ -228,6 +230,13 @@ def test_order_tolerance_must_be_finite_and_nonnegative(capsys, tol):
         harness.integral_sweep(trials=2, p_grid=(0.5,), tol=float(tol))
     with pytest.raises(InvalidInput):  # replay('H1.1', 1, 2, order_tol=nan).holds read False
         harness.replay("H1.1", 1, 2, order_tol=float(tol))
+    # every public comparator keeps the same rule: loewner_leq(2 I, I, order_tol=inf) held,
+    # and catalog.evaluate(..., order_tol=nan) failed a trial that holds
+    with pytest.raises(InvalidInput, match="tolerance must be a finite number >= 0"):
+        loewner_leq(2.0 * np.eye(2), np.eye(2), order_tol=float(tol))
+    pair = sandwich_pair(SamplerConfig(seed=1, n=2, sandwich=(0.5, 2.0)))
+    with pytest.raises(InvalidInput, match="tolerance must be a finite number >= 0"):
+        catalog.evaluate(harness.case_by_id("H1.1"), pair, catalog.Params(p=0.5), order_tol=float(tol))
 
 
 @pytest.mark.parametrize(

@@ -73,8 +73,12 @@ def test_run_suite_cycles_dims():
 
 
 def test_run_suite_rejects_bad_trials():
-    with pytest.raises(InvalidInput):
-        run_suite(case_by_id("H1.1"), trials=0)
+    # trials=True ran one trial and reported trials=True; 2.5 and "3" raised a bare TypeError
+    for trials in (0, -3, 2.5, "3", True, None):
+        with pytest.raises(InvalidInput, match="trials must be positive"):
+            run_suite(case_by_id("H1.1"), trials=trials)
+        with pytest.raises(InvalidInput, match="trials must be positive"):
+            integral_sweep(trials=trials, p_grid=(0.5,))
 
 
 def test_run_all_pattern_and_unknown():

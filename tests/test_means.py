@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oel.errors import InvalidInput, InvalidWeight, NumericalBreakdown
 from oel.means import (
     OperatorPair,
+    _unit_gauss_legendre,
     arithmetic_mean,
     dump_pair,
     generalized_entropy,
@@ -77,6 +78,25 @@ def test_quadrature_node_validation():
         quadrature_tsallis(pair, 0.5, nodes=1)
     with pytest.raises(InvalidInput):
         quadrature_tsallis(pair, 0.5, nodes=2.5)
+
+
+def test_quadrature_rule_is_computed_once_per_order(monkeypatch):
+    orders = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(deg):
+        orders.append(deg)
+        return leggauss(deg)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    _unit_gauss_legendre.cache_clear()
+    pair = pair_from_seed(3, 2)
+    first = {nodes: quadrature_tsallis(pair, 0.5, nodes=nodes) for nodes in (5, 7, 32)}
+    for _ in range(3):
+        for nodes in (5, 7, 32):
+            again = quadrature_tsallis(pair, 0.5, nodes=nodes)
+            assert again.tobytes() == first[nodes].tobytes()
+    assert sorted(orders) == [5, 7, 32]
 
 
 def test_harmonic_known_value():

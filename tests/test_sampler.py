@@ -151,53 +151,30 @@ def test_sandwich_single_dimension_interior_draw():
 
 
 def test_commuting_pair_commutes_and_respects_ratio_window():
-    cfg = SamplerConfig(seed=11, n=4, sandwich=(0.5, 1.5))
-    q, lam, mu = commuting_spectra(cfg)
-    ratios = mu / lam
-    assert np.all(ratios >= 0.5 - 1e-12)
-    assert np.all(ratios <= 1.5 + 1e-12)
-    pair = commuting_pair(cfg)
+    for sandwich, (lo, hi) in (((0.5, 1.5), (0.5, 1.5)), (None, (0.25, 4.0))):
+        for seed in range(11, 31):
+            cfg = SamplerConfig(seed=seed, n=4, sandwich=sandwich)
+            q, lam, mu = commuting_spectra(cfg)
+            ratios = mu / lam
+            assert np.all(ratios >= lo - 1e-12)
+            assert np.all(ratios <= hi + 1e-12)
+            # the ratios are C's interior words of the trial stream, mapped onto the window
+            words = stream_draws([seed], 4)[1][0, 4:]
+            np.testing.assert_array_equal(mu, lam * (lo + (hi - lo) * words))
+    pair = commuting_pair(SamplerConfig(seed=11, n=4, sandwich=(0.5, 1.5)))
     comm = pair.A.mat @ pair.B.mat - pair.B.mat @ pair.A.mat
     assert np.linalg.norm(comm, 2) < 1e-12
 
 
-def test_config_json_roundtrip():
-    cfg = SamplerConfig(seed=12, n=3, spectrum_range=(0.4, 1.9), sandwich=(1.0, 2.0))
-    back = SamplerConfig.from_json(cfg.to_json())
-    assert back == cfg
-
-
-def test_config_json_minimal_keys():
-    cfg = SamplerConfig.from_json('{"seed": 3, "n": 2}')
-    assert cfg.seed == 3
-    assert cfg.n == 2
-    assert cfg.sandwich is None
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        "not json",
-        '{"n": 2}',
-        '{"seed": 1}',
-        "[1, 2]",
-        # values are taken as written, never coerced
-        '{"seed": 3.9, "n": "2", "sandwich": ["0.5", 2]}',
-        '{"seed": 3, "n": "2"}',
-        '{"seed": 3, "n": 2, "sandwich": ["0.5", 2]}',
-        '{"seed": true, "n": 2.7}',
-        '{"seed": 3, "n": 2.7}',
-        '{"seed": -5, "n": 2}',
-        '{"seed": 3, "n": 2, "spectrum": [1]}',
-        '{"seed": 3, "n": 2, "spectrum": "ab"}',
-        '{"seed": 3, "n": 2, "spectrum": [1, NaN]}',
-        '{"seed": 3, "n": 2, "sandwich": [0.5, Infinity]}',
-        '{"seed": 3, "n": 2, "sandwich": [0.5, 1, 2]}',
-    ],
-)
-def test_config_json_rejects_malformed(payload):
-    with pytest.raises(InvalidInput):
-        SamplerConfig.from_json(payload)
+def test_every_public_draw_reads_the_trial_stream():
+    # random_spd and commuting_pair draw the A of sandwich_pair, bit for bit
+    for seed in range(40):
+        for n in (1, 2, 3, 5, 8):
+            spectrum = (0.5, 2.0) if seed % 2 else (0.1 + 0.01 * seed, 3.0)
+            cfg = SamplerConfig(seed=seed, n=n, spectrum_range=spectrum, sandwich=(0.5, 2.0))
+            a = sandwich_pair(cfg).A.mat
+            assert random_spd(cfg).mat.tobytes() == a.tobytes()
+            assert commuting_pair(cfg).A.mat.tobytes() == a.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -208,14 +185,20 @@ def test_config_json_rejects_malformed(payload):
         {"seed": 1, "n": 2, "spectrum_range": (2.0, 1.0)},
         {"seed": 1, "n": 2, "sandwich": (0.0, 1.0)},
         {"seed": 1, "n": 2, "sandwich": (3.0, 1.0)},
-        # the seed rule of from_json holds on construction too
         {"seed": -5, "n": 2},
         {"seed": 2.5, "n": 2},
         {"seed": True, "n": 2},
-        # and so does its n rule
         {"seed": 1, "n": 2.5},
         {"seed": 1, "n": True},
         {"seed": 1, "n": "2"},
+        {"seed": 1, "n": 2, "spectrum_range": (1.0,)},
+        {"seed": 1, "n": 2, "spectrum_range": "ab"},
+        {"seed": 1, "n": 2, "spectrum_range": (1, np.nan)},
+        {"seed": 1, "n": 2, "sandwich": (0.5, np.inf)},
+        {"seed": 1, "n": 2, "sandwich": (0.5, 1, 2)},
+        {"seed": 1, "n": 2, "sandwich": ("0.5", 2)},
+        {"seed": 1, "n": 2, "sandwich": (True, 2)},
+        {"seed": 1, "n": 2, "sandwich": 2.0},
     ],
 )
 def test_config_rejects_bad_ranges(kwargs):
