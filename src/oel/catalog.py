@@ -17,11 +17,13 @@ of its twins on its region's grid for :mod:`oel.scalars` (see :func:`_cases`),
 so each case, dual included, is checked by exactly one scalar chain.
 
 All terms are built from the public mean/entropy operations so the catalog
-exercises the same code paths users call.  :func:`evaluate_trials` runs k
-trials of one case on a stacked pair: each term is then one ``(k, n, n)``
-stack, and the trials' weights reach it as ``(k, 1, 1)`` arrays.  Its
-verdict is the comparator of :func:`oel.spd_core.loewner_leq` (one
-eigensolve per stack) without the input checks: its terms are computed.
+exercises the same code paths users call; a term at a derived pair builds
+it (:func:`_mid`, :func:`_gap`).  :func:`evaluate_trials` runs k trials of
+one case on a stacked pair: each term is then one ``(k, n, n)`` stack, and
+the trials' weights reach it as ``(k, 1, 1)`` arrays.  Its verdict is the
+comparator of :func:`oel.spd_core.loewner_leq` (one eigensolve per stack)
+without the input checks: its terms are computed.  It returns plain rows;
+:func:`evaluate` and the harness build the :class:`MarginReport` of a row.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ class Params:
 
 @dataclass(frozen=True)
 class Term:
-    """A named operator expression ``fn(ctx, params)`` with its scalar twin
+    """A named operator expression ``fn(pair, params)`` with its scalar twin
     ``f(x, params)``: the term is ``A^{1/2} f(C) A^{1/2}``, f applied to the
-    spectrum of the contraction C."""
+    spectrum of the contraction C of the (possibly stacked) pair."""
 
     name: str
     fn: Callable
@@ -115,29 +117,14 @@ class MarginReport:
     holds: bool
 
 
-class TrialContext:
-    """Per-trial cache: the pair plus derived pairs used by chain terms."""
+def _mid(pair: OperatorPair) -> OperatorPair:
+    """The pair (A, (A+B)/2), reusing A's cached roots."""
+    return pair.with_second(0.5 * (pair.A.mat + pair.B.mat))
 
-    __slots__ = ("pair", "_mid", "_gap")
 
-    def __init__(self, pair: OperatorPair) -> None:
-        self.pair = pair
-        self._mid = None
-        self._gap = None
-
-    @property
-    def mid(self) -> OperatorPair:
-        """The pair (A, (A+B)/2), reusing A's cached roots."""
-        if self._mid is None:
-            self._mid = self.pair.with_second(0.5 * (self.pair.A.mat + self.pair.B.mat))
-        return self._mid
-
-    @property
-    def gap(self) -> OperatorPair:
-        """The pair (A, B - A); requires B - A strictly positive."""
-        if self._gap is None:
-            self._gap = self.pair.with_second(self.pair.B.mat - self.pair.A.mat)
-        return self._gap
+def _gap(pair: OperatorPair) -> OperatorPair:
+    """The pair (A, B - A); requires B - A strictly positive."""
+    return pair.with_second(pair.B.mat - pair.A.mat)
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +160,12 @@ def _log_sq(pair: OperatorPair) -> np.ndarray:
 
 
 def _weighted(name: str, op: Callable, twin: Callable) -> tuple[Term, Term]:
-    """The term ``op(ctx, r, c)`` at the weight r = p and at r = q (``{r}`` in
+    """The term ``op(pair, r, c)`` at the weight r = p and at r = q (``{r}`` in
     ``name`` reads p or q), with twin ``twin(x, r, c)``; c is the trial's c."""
     return tuple(
         Term(
             name.format(r=r),
-            lambda ctx, pr, _r=r: op(ctx, getattr(pr, _r), pr.c),
+            lambda pair, pr, _r=r: op(pair, getattr(pr, _r), pr.c),
             lambda x, pr, _r=r: twin(x, getattr(pr, _r), pr.c),
         )
         for r in "pq"
@@ -190,39 +177,37 @@ def _at_p(twin: Callable) -> Callable:
     return lambda x, pr: twin(x, pr.p)
 
 
-T_HARM = Term("harmonic[p]", lambda ctx, pr: harmonic_mean(ctx.pair, pr.p).mat, _at_p(scalars.harm_rep))
-T_GEOM = Term("geometric[p]", lambda ctx, pr: geometric_mean(ctx.pair, pr.p).mat, _at_p(scalars.power_rep))
-T_ARITH = Term("arithmetic[p]", lambda ctx, pr: arithmetic_mean(ctx.pair, pr.p).mat, _at_p(scalars.arith_rep))
-T_S = Term("S", lambda ctx, pr: relative_operator_entropy(ctx.pair), lambda x, pr: np.log(x))
-T_SP = Term("S[p]", lambda ctx, pr: generalized_entropy(ctx.pair, pr.p), _at_p(scalars.power_log))
+T_HARM = Term("harmonic[p]", lambda pair, pr: harmonic_mean(pair, pr.p).mat, _at_p(scalars.harm_rep))
+T_GEOM = Term("geometric[p]", lambda pair, pr: geometric_mean(pair, pr.p).mat, _at_p(scalars.power_rep))
+T_ARITH = Term("arithmetic[p]", lambda pair, pr: arithmetic_mean(pair, pr.p).mat, _at_p(scalars.arith_rep))
+T_S = Term("S", lambda pair, pr: relative_operator_entropy(pair), lambda x, pr: np.log(x))
+T_SP = Term("S[p]", lambda pair, pr: generalized_entropy(pair, pr.p), _at_p(scalars.power_log))
 T_SP_HALF = Term(
     "S[p/2]",
-    lambda ctx, pr: generalized_entropy(ctx.pair, 0.5 * pr.p),
+    lambda pair, pr: generalized_entropy(pair, 0.5 * pr.p),
     lambda x, pr: scalars.power_log(x, 0.5 * pr.p),
 )
 T_S_SP_AVG = Term(
     "(S + S[p])/2",
-    lambda ctx, pr: 0.5 * (relative_operator_entropy(ctx.pair) + generalized_entropy(ctx.pair, pr.p)),
+    lambda pair, pr: 0.5 * (relative_operator_entropy(pair) + generalized_entropy(pair, pr.p)),
     _at_p(scalars.avg_power_log),
 )
 T_TS, T_TS_Q = _weighted(
-    "T[{r}]", lambda ctx, r, c: tsallis_entropy(ctx.pair, r), lambda x, r, c: scalars.tsallis_log(x, r)
+    "T[{r}]", lambda pair, r, c: tsallis_entropy(pair, r), lambda x, r, c: scalars.tsallis_log(x, r)
 )
-T_B_MINUS_A = Term("B - A", lambda ctx, pr: ctx.pair.B.mat - ctx.pair.A.mat, lambda x, pr: x - 1.0)
-T_LOW_INV = Term("A - A B^-1 A", lambda ctx, pr: _low_inv(ctx.pair), lambda x, pr: 1.0 - 1.0 / x)
+T_B_MINUS_A = Term("B - A", lambda pair, pr: pair.B.mat - pair.A.mat, lambda x, pr: x - 1.0)
+T_LOW_INV = Term("A - A B^-1 A", lambda pair, pr: _low_inv(pair), lambda x, pr: 1.0 - 1.0 / x)
 
 
-def _ta_lower(ctx: TrialContext, pr: Params) -> np.ndarray:
+def _ta_lower(pair: OperatorPair, pr: Params) -> np.ndarray:
     # A^{1/2} ((C+I)/2)^{p-1} (C - I) A^{1/2}
-    pair = ctx.pair
     g = pair.fn_of_contraction(lambda t: (0.5 * (t + 1.0)) ** (pr.p - 1.0))
     core = symmetrize(g @ (pair.contraction.mat - _eye(pair)))
     r = pair.sqrt_a.mat
     return symmetrize(r @ core @ r)
 
 
-def _ta_upper(ctx: TrialContext, pr: Params) -> np.ndarray:
-    pair = ctx.pair
+def _ta_upper(pair: OperatorPair, pr: Params) -> np.ndarray:
     return 0.5 * (
         natural_power_mean(pair, pr.p).mat
         - natural_power_mean(pair, pr.p - 1.0).mat
@@ -240,31 +225,30 @@ def _gap_upper_twin(x, p: float):
     return scalars.tsallis_half_gap(x, p) + 0.25 * (x - 1.0) ** 2
 
 
-T_T2_HALF = Term(
-    "(T[p] - T[p-1])/2",
-    lambda ctx, pr: 0.5 * (tsallis_entropy(ctx.pair, pr.p) - _tsallis_raw(ctx.pair, pr.p - 1.0)),
-    _at_p(scalars.tsallis_half_gap),
-)
+def _t_gap(pair: OperatorPair, p) -> np.ndarray:
+    # T[p] - T[p-1]
+    return tsallis_entropy(pair, p) - _tsallis_raw(pair, p - 1.0)
+
+
+T_T2_HALF = Term("(T[p] - T[p-1])/2", lambda pair, pr: 0.5 * _t_gap(pair, pr.p), _at_p(scalars.tsallis_half_gap))
 T_T2_MID = Term(
     "4 (T[p] - T[p-1]) at (A, (A+B)/2)",
-    lambda ctx, pr: 4.0 * (tsallis_entropy(ctx.mid, pr.p) - _tsallis_raw(ctx.mid, pr.p - 1.0)),
+    lambda pair, pr: 4.0 * _t_gap(_mid(pair), pr.p),
     _at_p(scalars.tsallis_mid_gap),
 )
 T_T2_SLOPE = Term(
     "(T[p] - (B - A))/(p - 1)",
-    lambda ctx, pr: (tsallis_entropy(ctx.pair, pr.p) - (ctx.pair.B.mat - ctx.pair.A.mat)) / (pr.p - 1.0),
+    lambda pair, pr: (tsallis_entropy(pair, pr.p) - (pair.B.mat - pair.A.mat)) / (pr.p - 1.0),
     _at_p(scalars.tsallis_end_slope),
 )
 T_T2_UP = Term(
     "(T[p] - T[p-1])/2 + nat2(A, B-A)/4",
-    lambda ctx, pr: 0.5 * (tsallis_entropy(ctx.pair, pr.p) - _tsallis_raw(ctx.pair, pr.p - 1.0))
-    + 0.25 * natural_power_mean(ctx.gap, 2.0).mat,
+    lambda pair, pr: 0.5 * _t_gap(pair, pr.p) + 0.25 * natural_power_mean(_gap(pair), 2.0).mat,
     _at_p(_gap_upper_twin),
 )
 
 
-def _t3_lower(ctx: TrialContext, pr: Params) -> np.ndarray:
-    pair = ctx.pair
+def _t3_lower(pair: OperatorPair, pr: Params) -> np.ndarray:
     p = pr.p
     return (
         pair.B.mat
@@ -274,12 +258,12 @@ def _t3_lower(ctx: TrialContext, pr: Params) -> np.ndarray:
     )
 
 
-def _t3_upper(ctx: TrialContext, pr: Params) -> np.ndarray:
-    pair = ctx.pair
+def _t3_upper(pair: OperatorPair, pr: Params) -> np.ndarray:
     ba_inv = np.linalg.solve(pair.A.mat, pair.B.mat).swapaxes(-1, -2)  # = B A^{-1}
-    g = natural_power_mean(ctx.mid, pr.p - 1.0).mat
+    mid = _mid(pair)
+    g = natural_power_mean(mid, pr.p - 1.0).mat
     mid_term = symmetrize(2.0 * (ba_inv - _eye(pair)) @ g)
-    return pair.B.mat - pair.A.mat + mid_term - 4.0 * tsallis_entropy(ctx.mid, pr.p)
+    return pair.B.mat - pair.A.mat + mid_term - 4.0 * tsallis_entropy(mid, pr.p)
 
 
 T_T3_LOW = Term("B - A/2 - (1-p)/(2(3-p)) B A^-1 B - nat[p-1]/(3-p)", _t3_lower, _at_p(scalars.quad_lower))
@@ -288,58 +272,58 @@ T_T3_UP = Term(
 )
 
 
-def _c1_mid_lower(ctx: TrialContext, pr: Params) -> np.ndarray:
-    # 4 (S - T_{-1}) at the pair (A, (A+B)/2)
-    mid = ctx.mid
-    return 4.0 * (relative_operator_entropy(mid) - _low_inv(mid))
+def _s_gap(pair: OperatorPair) -> np.ndarray:
+    # S - T[-1] = S - (A - A B^-1 A)
+    return relative_operator_entropy(pair) - _low_inv(pair)
 
 
 # the C1 terms are the T2 terms at p = 0, where T[0] = S
 T_C1_HALF = Term(
-    "(S - (A - A B^-1 A))/2",
-    lambda ctx, pr: 0.5 * (relative_operator_entropy(ctx.pair) - _low_inv(ctx.pair)),
-    lambda x, pr: scalars.tsallis_half_gap(x, 0.0),
+    "(S - (A - A B^-1 A))/2", lambda pair, pr: 0.5 * _s_gap(pair), lambda x, pr: scalars.tsallis_half_gap(x, 0.0)
 )
-T_C1_MID = Term("4 (S - T[-1]) at (A, (A+B)/2)", _c1_mid_lower, lambda x, pr: scalars.tsallis_mid_gap(x, 0.0))
+T_C1_MID = Term(
+    "4 (S - T[-1]) at (A, (A+B)/2)",
+    lambda pair, pr: 4.0 * _s_gap(_mid(pair)),
+    lambda x, pr: scalars.tsallis_mid_gap(x, 0.0),
+)
 T_C1_SLOPE = Term(
     "(B - A) - S",
-    lambda ctx, pr: ctx.pair.B.mat - ctx.pair.A.mat - relative_operator_entropy(ctx.pair),
+    lambda pair, pr: pair.B.mat - pair.A.mat - relative_operator_entropy(pair),
     lambda x, pr: scalars.tsallis_end_slope(x, 0.0),
 )
 T_C1_UP = Term(
     "(S - (A - A B^-1 A))/2 + nat2(A, B-A)/4",
-    lambda ctx, pr: 0.5 * (relative_operator_entropy(ctx.pair) - _low_inv(ctx.pair))
-    + 0.25 * natural_power_mean(ctx.gap, 2.0).mat,
+    lambda pair, pr: 0.5 * _s_gap(pair) + 0.25 * natural_power_mean(_gap(pair), 2.0).mat,
     lambda x, pr: _gap_upper_twin(x, 0.0),
 )
 
 
-def _w3_rate(ctx: TrialContext, r: float) -> np.ndarray:
-    return (natural_power_mean(ctx.pair, r).mat - harmonic_mean(ctx.pair, r).mat) / r
+def _w3_rate(pair: OperatorPair, r: float) -> np.ndarray:
+    return (natural_power_mean(pair, r).mat - harmonic_mean(pair, r).mat) / r
 
 
 T_W1_P, T_W1_Q = _weighted(
     "(arith[{r}] - nat[{r}])/{r}",
-    lambda ctx, r, c: (arithmetic_mean(ctx.pair, r).mat - natural_power_mean(ctx.pair, r).mat) / r,
+    lambda pair, r, c: (arithmetic_mean(pair, r).mat - natural_power_mean(pair, r).mat) / r,
     lambda x, r, c: (scalars.arith_rep(x, r) - scalars.power_rep(x, r)) / r,
 )
 T_W2_P, T_W2_Q = _weighted(
     "(arith[{r}] - nat[{r}])/({r}(1-{r}))",
-    lambda ctx, r, c: (arithmetic_mean(ctx.pair, r).mat - natural_power_mean(ctx.pair, r).mat) / (r * (1.0 - r)),
+    lambda pair, r, c: (arithmetic_mean(pair, r).mat - natural_power_mean(pair, r).mat) / (r * (1.0 - r)),
     lambda x, r, c: scalars.mean_gap_scaled(x, r),
 )
 T_W3_P, T_W3_Q = _weighted(
-    "(nat[{r}] - harm[{r}])/{r}", lambda ctx, r, c: _w3_rate(ctx, r), lambda x, r, c: scalars.geom_harm_gap_rate(x, r)
+    "(nat[{r}] - harm[{r}])/{r}", lambda pair, r, c: _w3_rate(pair, r), lambda x, r, c: scalars.geom_harm_gap_rate(x, r)
 )
 T_W4_P, T_W4_Q = _weighted(
     "(nat[{r}] - harm[{r}])/{r} + {r} (log C)^2 lift",
-    lambda ctx, r, c: _w3_rate(ctx, r) + r * _log_sq(ctx.pair),
+    lambda pair, r, c: _w3_rate(pair, r) + r * _log_sq(pair),
     lambda x, r, c: scalars.geom_harm_log2(x, r),
 )
 
 
-def _drift(ctx: TrialContext, r: float, c: float) -> np.ndarray:
-    return tsallis_entropy(ctx.pair, r) - c * generalized_entropy(ctx.pair, r)
+def _drift(pair: OperatorPair, r: float, c: float) -> np.ndarray:
+    return tsallis_entropy(pair, r) - c * generalized_entropy(pair, r)
 
 
 def _drift_terms(c_fixed: float | None) -> tuple[Term, Term]:
@@ -347,7 +331,7 @@ def _drift_terms(c_fixed: float | None) -> tuple[Term, Term]:
     c_txt = "c" if c_fixed is None else f"{c_fixed:g}"
     return _weighted(
         f"T[{{r}}] - {c_txt} S[{{r}}]",
-        lambda ctx, r, c: _drift(ctx, r, c if c_fixed is None else c_fixed),
+        lambda pair, r, c: _drift(pair, r, c if c_fixed is None else c_fixed),
         lambda x, r, c: scalars.entropy_drift(x, r, c if c_fixed is None else c_fixed),
     )
 
@@ -776,7 +760,7 @@ def evaluate(
     hypothesis (with slack ``HYP_SLACK``); otherwise returns the margin
     verdict of ``lhs <= rhs``.
     """
-    return evaluate_trials(case, pair, params, [seed], order_tol=order_tol)[0]
+    return MarginReport(case.id, *evaluate_trials(case, pair, params, [seed], order_tol=order_tol)[0])
 
 
 def _per_trial(x) -> list:
@@ -791,11 +775,12 @@ def evaluate_trials(
     seeds: Sequence[int],
     *,
     order_tol: float = ORDER_TOL,
-) -> list[MarginReport]:
+) -> list[tuple]:
     """Evaluate one case on k pairs at once: ``pair`` holds ``(k, n, n)``
     stacks and the fields of ``params`` are ``(k,)`` arrays (or one pair and
-    its numbers, with k = 1); trial i has seed ``seeds[i]``.  Reports come
-    back in that order.
+    its numbers, with k = 1); trial i has seed ``seeds[i]``.  Each trial
+    comes back, in that order, as a plain row: the values of
+    :class:`MarginReport`'s fields after ``case_id``, in field order.
 
     Raises HypothesisError for the first trial whose (u, v, params) fall
     outside the case's hypothesis (with slack ``HYP_SLACK``), and
@@ -818,22 +803,5 @@ def evaluate_trials(
         )
     if isinstance(pair.u, np.ndarray):  # each trial's parameters as a (k, 1, 1) column
         params = Params(*(x if x is None else np.reshape(x, (-1, 1, 1)) for x in (params.p, params.q, params.c)))
-    ctx = TrialContext(pair)
-    verdict = _loewner(case.lhs.fn(ctx, params), case.rhs.fn(ctx, params), order_tol)
-    margins, scales, holds = (x.reshape(-1).tolist() for x in verdict)
-    return [
-        MarginReport(
-            case_id=case.id,
-            seed=seed,
-            n=n,
-            p=p,
-            q=q,
-            c=c,
-            u=u,
-            v=v,
-            margin=margin,
-            scale=scale,
-            holds=ok,
-        )
-        for seed, p, q, c, u, v, margin, scale, ok in zip(seeds, *cols, us, vs, margins, scales, holds)
-    ]
+    verdict = _loewner(case.lhs.fn(pair, params), case.rhs.fn(pair, params), order_tol)
+    return list(zip(seeds, [n] * k, *cols, us, vs, *(x.reshape(-1).tolist() for x in verdict)))

@@ -12,11 +12,12 @@ order.  It groups a window's trials by n and evaluates each group as stacks
 of shape ``(k, n, n)``, with k * n * n at most ``STACK_ENTRIES``: the stack's
 streams are read into ``(k, ...)`` arrays, the planner maps their plan words
 at once, and every later step is one numpy call for the k trials.  The
-reports are folded into the suite's totals before the next window, so its
-memory does not grow with the trial count.  :func:`run_trial` (and so
-:func:`replay`) is the same kernel with k = 1, and stacked numpy calls give
-each matrix the bits of a call on that matrix alone, so a replay reproduces
-its suite row exactly.
+kernel's plain rows (:func:`~oel.catalog.evaluate_trials`) are folded into
+the suite's totals before the next window, so its memory does not grow with
+the trial count; only a row that leaves the package becomes a report.
+:func:`run_trial` (and so :func:`replay`) is the same kernel with k = 1, and
+stacked numpy calls give each matrix the bits of a call on that matrix
+alone, so a replay reproduces its suite row exactly.
 
 A stack is drawn one way (``_draw``): its plan words and its
 :class:`~oel.sampler.StackBase` (A, its roots and C's basis), on which
@@ -139,10 +140,10 @@ class _SharedDraws:
 
 def _evaluate_stack(
     case: InequalityCase, seeds: list[int], n: int, order_tol: float, shared: _SharedDraws | None = None
-) -> list[MarginReport]:
+) -> list[tuple]:
     """The trial kernel: k trials of dimension n read from their seeds'
     streams (or taken from ``shared``), planned and built as one stacked
-    pair, and evaluated at once."""
+    pair, and evaluated at once: :func:`~oel.catalog.evaluate_trials` rows."""
     plan_words, base = _draw(seeds, n) if shared is None else shared.draw(seeds, n)
     params, u_target, v_target = case.plan(plan_words)
     return evaluate_trials(case, pair_from_base(base, u_target, v_target), params, seeds, order_tol=order_tol)
@@ -151,7 +152,7 @@ def _evaluate_stack(
 def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
     """One deterministic trial: draw plan, sample pair, evaluate the case.
     A non-finite or negative ``order_tol`` is an InvalidInput."""
-    return _evaluate_stack(case, [trial_seed], n, order_tol)[0]
+    return MarginReport(case.id, *_evaluate_stack(case, [trial_seed], n, order_tol)[0])
 
 
 def replay(case_id: str, seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
@@ -185,7 +186,7 @@ def run_suite(
     """Run ``trials`` deterministic trials of one case, cycling dimensions.
 
     The trials are evaluated in windows and stacks (see the module notes);
-    reports keep trial order.  A trial's NumericalBreakdown or
+    collected reports keep trial order.  A trial's NumericalBreakdown or
     HypothesisError is re-raised with its ``(case_id, seed, n)``, after the
     reports of the trials before it have been collected.  ``trials`` that is
     not an integer >= 1, or a non-finite or negative ``order_tol``, is an
@@ -197,15 +198,16 @@ def run_suite(
     worst_seed = 0
     margin_sum = 0.0
     for window in _windows(seed, dims, trials):
-        for report in _window_reports(case, window, order_tol, _shared):
-            margin_sum += report.margin
-            if report.margin < worst_margin:
-                worst_margin = report.margin
-                worst_seed = report.seed
-            if not report.holds:
+        for row in _window_rows(case, window, order_tol, _shared):
+            trial_seed, n, p, q, c, u, v, margin, scale, holds = row  # MarginReport's fields after case_id
+            margin_sum += margin
+            if margin < worst_margin:
+                worst_margin = margin
+                worst_seed = trial_seed
+            if not holds:
                 failures += 1
             if collect is not None:
-                collect.append(report)
+                collect.append(MarginReport(case.id, *row))
     elapsed_ms = int(round((time.perf_counter() - t0) * 1e3))
     return SuiteResult(
         case_id=case.id,
@@ -239,26 +241,26 @@ def _stacks(window: list[tuple[int, int]]):
             yield group[lo : lo + size], n
 
 
-def _window_reports(
+def _window_rows(
     case: InequalityCase, window: list[tuple[int, int]], order_tol: float, shared: _SharedDraws | None
 ):
-    """The window's reports, in trial order.  If a stack raises, the window is
-    rerun one trial at a time through the same kernel: the reports before the
+    """The window's rows, in trial order.  If a stack raises, the window is
+    rerun one trial at a time through the same kernel: the rows before the
     earliest failing trial are yielded, then that trial's error is raised."""
-    reports: list[MarginReport] = [None] * len(window)
+    rows: list[tuple] = [None] * len(window)
     try:
         for stack, n in _stacks(window):
-            for i, report in zip(stack, _evaluate_stack(case, [window[i][0] for i in stack], n, order_tol, shared)):
-                reports[i] = report
+            for i, row in zip(stack, _evaluate_stack(case, [window[i][0] for i in stack], n, order_tol, shared)):
+                rows[i] = row
     except Exception as stack_exc:
         for seed, n in window:
             try:
-                report = _evaluate_stack(case, [seed], n, order_tol)[0]
+                row = _evaluate_stack(case, [seed], n, order_tol)[0]
             except (NumericalBreakdown, HypothesisError) as exc:
                 raise type(exc)(f"trial (case_id, seed, n) = ({case.id!r}, {seed}, {n}): {exc}") from exc
-            yield report
+            yield row
         raise stack_exc  # no trial fails on its own
-    yield from reports
+    yield from rows
 
 
 def run_all(

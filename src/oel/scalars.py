@@ -579,7 +579,8 @@ def export_rows_csv(rows: Iterable[dict], out) -> None:
 
 def grid_rows(fn_id: str, xs: Sequence[float], **params) -> list[dict]:
     """Evaluate a registered scalar function on a grid, as CSV-ready rows.
-    A missing or non-finite parameter is an InvalidInput."""
+    A missing or non-finite parameter, or a point x that is not finite and
+    > 0, is an InvalidInput."""
     if fn_id not in REGISTRY:
         raise InvalidInput(f"unknown scalar fn {fn_id!r}; known: {sorted(REGISTRY)}")
     spec = REGISTRY[fn_id]
@@ -589,6 +590,9 @@ def grid_rows(fn_id: str, xs: Sequence[float], **params) -> list[dict]:
     args = [params[k] for k in spec.params]
     if not np.isfinite(args).all():
         raise InvalidInput(f"{fn_id} needs finite parameters, got {dict(zip(spec.params, args))}")
+    bad = [x for x in xs if not (np.isfinite(x) and x > 0.0)]
+    if bad:
+        raise InvalidInput(f"{fn_id} needs finite points x > 0, got {bad[0]}")
     rows = []
     for x in xs:
         rows.append(

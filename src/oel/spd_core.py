@@ -236,10 +236,12 @@ def apply_scalar_function(a: SpdMatrix, f: Callable) -> np.ndarray:
 
 
 def mat_power(a: SpdMatrix, p: float) -> SpdMatrix:
-    """Real matrix power ``a**p`` of an SPD matrix (SPD for every real p)."""
+    """Real matrix power ``a**p`` of an SPD matrix (SPD for every real p);
+    a stack's matrices one by one."""
     a = as_spd(a)
     if p == 0.0:
-        return spd_from_spectrum(np.eye(a.n), np.ones(a.n), "mat_power(p=0)")
+        shape = a.mat.shape
+        return spd_from_spectrum(np.broadcast_to(np.eye(a.n), shape).copy(), np.ones(shape[:-1]), "mat_power(p=0)")
     if p == 1.0:
         return a
     dec = spectral_decompose(a)
@@ -342,8 +344,11 @@ def loewner_leq(x, y, order_tol: float = ORDER_TOL) -> LoewnerVerdict:
 # ---------------------------------------------------------------------------
 
 def dump_matrix(m) -> str:
-    """Serialize a symmetric matrix to the plain-text format."""
+    """Serialize a symmetric matrix to the plain-text format, which holds one
+    matrix: a stack is an InvalidInput."""
     a = m.mat if isinstance(m, SpdMatrix) else _force_symmetric(m)
+    if a.ndim != 2:
+        raise InvalidInput(f"the text format holds one matrix, got shape {a.shape}")
     lines = [str(a.shape[0])]
     lines.extend(" ".join(repr(float(x)) for x in row) for row in a)
     return "\n".join(lines) + "\n"

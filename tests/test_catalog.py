@@ -10,12 +10,14 @@ from oel.catalog import (
     Box,
     MarginReport,
     Params,
-    TrialContext,
     _edge_at,
+    _gap,
+    _mid,
     catalog,
     catalog_with_duals,
     dual,
     evaluate,
+    evaluate_trials,
     find_cases,
 )
 from oel.errors import HypothesisError, NoDual
@@ -289,8 +291,7 @@ def test_limit_chain_margins_reduce_to_scalar_gaps():
 
 def test_difference_chain_upper_term_value():
     case = by_id("T2.3")
-    ctx = TrialContext(scalar_pair(2.5))
-    val = case.rhs.fn(ctx, Params(p=0.5))
+    val = case.rhs.fn(scalar_pair(2.5), Params(p=0.5))
     assert val[0, 0] == pytest.approx(GAP4_AT_HALF_25[3], abs=1e-12)
 
 
@@ -308,12 +309,20 @@ def test_report_carries_trial_identity():
     assert r.scale >= 1.0
 
 
-def test_trial_context_caches_derived_pairs():
-    ctx = TrialContext(scalar_pair(3.0))
-    assert ctx.mid is ctx.mid
-    assert ctx.gap is ctx.gap
-    assert ctx.mid.B.mat[0, 0] == pytest.approx(2.0)
-    assert ctx.gap.B.mat[0, 0] == pytest.approx(2.0)
+def test_evaluate_trials_returns_plain_rows():
+    # a row is MarginReport's fields after case_id, in field order
+    case, pair, params = by_id("H2.1"), scalar_pair(3.0), Params(p=-0.5)
+    (row,) = evaluate_trials(case, pair, params, [77])
+    assert type(row) is tuple
+    assert MarginReport(case.id, *row) == evaluate(case, pair, params, seed=77)
+
+
+def test_mid_and_gap_build_the_derived_pairs():
+    pair = scalar_pair(3.0)
+    mid, gap = _mid(pair), _gap(pair)
+    assert mid.A is pair.A and gap.A is pair.A
+    assert mid.B.mat[0, 0] == pytest.approx(2.0)
+    assert gap.B.mat[0, 0] == pytest.approx(2.0)
 
 
 def test_reversed_case_holds_on_its_own_region():
@@ -367,12 +376,12 @@ def test_every_term_is_the_lift_of_its_scalar_twin():
             single = sandwich_pair(cfg)
             stack = pair_from_base(stack_base(pair_words, normals), u, v)
             for term in (case.lhs, case.rhs):
-                got = term.fn(TrialContext(commuting_pair(cfg)), pr)
+                got = term.fn(commuting_pair(cfg), pr)
                 expected = spectral_assemble(q, lam * term.f(mu / lam, pr))
                 _assert_twin_lift(term, got, expected, pr, (case.id, n, "commuting"))
-                got = term.fn(TrialContext(single), pr)
+                got = term.fn(single, pr)
                 _assert_twin_lift(term, got, single.transform(lambda t: term.f(t, pr)), pr, (case.id, n, "pair"))
-                got = term.fn(TrialContext(stack), stacked)
+                got = term.fn(stack, stacked)
                 expected = stack.transform(lambda t: term.f(t, stacked))
                 _assert_twin_lift(term, got, expected, stacked, (case.id, n, "stack"))
 

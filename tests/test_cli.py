@@ -206,6 +206,18 @@ def test_integral_bad_weight(capsys):
     capsys.readouterr()
 
 
+def test_integral_rejects_nodes_past_100(monkeypatch, capsys):
+    # --nodes 100000 handed leggauss an 80 GB companion matrix
+    def never(deg):
+        raise AssertionError(f"leggauss({deg!r}) called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", never)
+    code = main(["integral", "--trials", "2", "--p-grid", "0.5", "--nodes", "101"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "nodes must be an integer in [2, 100]" in captured.err
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_integral_without_pairs_is_a_usage_error(capsys, trials):
     code = main(["integral", "--trials", trials, "--p-grid", "0.5"])
@@ -253,6 +265,18 @@ def test_probe_fns_rejects_non_finite_parameters(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert "needs finite parameters" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fns", ["arith,arith", "power,arith"])
+@pytest.mark.parametrize("x", ["nan", "inf", "-1", "0"])
+def test_probe_fns_rejects_points_outside_x_positive(capsys, fns, x):
+    # arith,arith at --x nan printed nan and exited 0, and at --x -1 evaluated
+    # arith outside x > 0, while power,arith exited 2
+    code = main(["probe", "--fns", fns, "--x", x, "--p", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "needs finite points x > 0" in captured.err
     assert captured.out == ""
 
 

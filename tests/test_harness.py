@@ -25,7 +25,7 @@ from oel.harness import (
     write_reports_csv,
     write_reports_jsonl,
 )
-from oel.means import quadrature_tsallis, tsallis_entropy
+from oel.means import OperatorPair, quadrature_tsallis, tsallis_entropy
 from oel.sampler import SamplerConfig, dims_cycle, sandwich_pair, stream_draws
 from oel.spd_core import ORDER_TOL
 
@@ -458,6 +458,17 @@ def test_run_all_draws_each_stack_once_per_call(monkeypatch):
     assert len(qr) == 4
     run_all("H1.1", trials=12, dims=(1, 2))  # one case shares nothing
     assert len(qr) == 6
+
+
+@pytest.mark.parametrize("case_id", ["T2.2", "T3.2"])
+def test_a_stack_builds_one_derived_pair(monkeypatch, case_id):
+    # T2.2's lhs and T3.2's rhs are evaluated at (A, (A+B)/2); their other
+    # sides use no derived pair
+    built = _counting(monkeypatch, OperatorPair, "with_second")
+    run_trial(case_by_id(case_id), 5, 2)
+    assert len(built) == 1
+    run_suite(case_by_id(case_id), trials=12, dims=(1, 2))  # one stack per n
+    assert len(built) == 3
 
 
 def test_run_all_memory_does_not_grow_with_trials(monkeypatch):

@@ -72,12 +72,37 @@ def test_weight_gates():
         quadrature_tsallis(pair, 0.0)
 
 
-def test_quadrature_node_validation():
+def test_quadrature_node_validation(monkeypatch):
+    # nodes=100000 asked leggauss for an 80 GB companion matrix; nan raised a bare ValueError
+    def never(deg):
+        raise AssertionError(f"leggauss({deg!r}) called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", never)
     pair = pair_from_seed(3, 2)
-    with pytest.raises(InvalidInput):
-        quadrature_tsallis(pair, 0.5, nodes=1)
-    with pytest.raises(InvalidInput):
-        quadrature_tsallis(pair, 0.5, nodes=2.5)
+    for nodes in (1, 101, 100000, 2.5, 32.0, float("nan"), True, "32"):
+        with pytest.raises(InvalidInput, match=r"nodes must be an integer in \[2, 100\]"):
+            quadrature_tsallis(pair, 0.5, nodes=nodes)
+
+
+def test_quadrature_matches_a_loop_over_the_nodes():
+    # the rule is summed as one product over a node axis, in another order
+    # than this loop: 32 terms may move each eigenvalue's sum by 32 eps of the
+    # largest, and the congruence by A^{1/2} grows that relative size by at
+    # most cond(A)
+    pair = pair_from_seed(21, 4)
+    ts, wts = _unit_gauss_legendre(32)
+    for p in (0.1, -0.5, 1.0):
+
+        def loop(t):
+            lg = np.log(t)
+            acc = np.zeros_like(t)
+            for s, w in zip(ts, wts):
+                acc += w * np.exp(p * s * lg) * lg
+            return acc
+
+        ref = pair.transform(loop)
+        err = np.abs(quadrature_tsallis(pair, p) - ref).max()
+        assert err <= 32 * np.finfo(float).eps * np.abs(ref).max() * np.linalg.cond(pair.A.mat), p
 
 
 def test_quadrature_rule_is_computed_once_per_order(monkeypatch):
@@ -218,6 +243,13 @@ def test_pair_io_roundtrip():
     back = load_pair(dump_pair(pair))
     np.testing.assert_array_equal(back.A.mat, pair.A.mat)
     np.testing.assert_array_equal(back.B.mat, pair.B.mat)
+
+
+def test_dump_pair_rejects_a_stacked_pair():
+    eye = np.eye(2)
+    stacked = OperatorPair(np.stack([eye, 2.0 * eye]), np.stack([2.0 * eye, 3.0 * eye]))
+    with pytest.raises(InvalidInput, match="holds one matrix"):
+        dump_pair(stacked)
 
 
 def test_load_pair_rejects_truncated_text():

@@ -100,6 +100,15 @@ def test_mat_power_edge_exponents():
     assert mat_power(a, 1.0) is a
 
 
+def test_mat_power_zero_keeps_the_stack():
+    # mat_power(stack, 0.0) returned one (n, n) identity for a (k, n, n) stack
+    stack = SpdMatrix(np.stack([spd(3, 3).mat, spd(4, 3).mat]))
+    ident = mat_power(stack, 0.0)
+    assert ident.mat.shape == mat_power(stack, 0.5).mat.shape == (2, 3, 3)
+    assert np.array_equal(ident.mat, np.broadcast_to(np.eye(3), (2, 3, 3)))
+    assert np.array_equal(ident.eig_min, np.ones(2)) and np.array_equal(ident.eig_max, np.ones(2))
+
+
 def test_sqrt_inverse_roundtrips():
     a = spd(4, 4, spectrum=(0.2, 3.0))
     r = mat_sqrt(a)
@@ -208,6 +217,14 @@ def test_dump_load_roundtrip_exact():
     a = spd(10, 4, spectrum=(0.1, 7.0))
     back = load_matrix(dump_matrix(a))
     assert np.array_equal(back, a.mat)
+
+
+def test_dump_matrix_rejects_a_stack():
+    # a stack raised a bare TypeError; the text format holds one matrix
+    stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    for m in (stack, SpdMatrix(stack)):
+        with pytest.raises(InvalidInput, match="holds one matrix"):
+            dump_matrix(m)
 
 
 def test_dump_format_header_then_rows():
