@@ -14,6 +14,15 @@ same code, one numpy call per step for the whole stack.  Then ``u`` and
 pair, shaped ``(k, 1, 1)``; the scalar function ``f`` of a lift receives the
 eigenvalues of each contraction as a row, shaped ``(k, 1, n)`` (``(1, n)``
 for a single pair), so such weights broadcast against them.
+
+A mean computed here is such a lift, and so are the sampled B and the
+catalog's derived pairs: Ostrowski's theorem bounds its spectrum by
+``lambda_min(A) min f`` and ``lambda_max(A) max f`` on spec(C), numbers the
+pair already holds.  :meth:`OperatorPair.certify` checks a computed lift on
+those bounds, widened by a stated rounding bound (:func:`certified_lift`),
+with no eigensolve; only where they do not decide does it fall back to the
+full check.  The harmonic mean keeps the full check: it is the literal
+second path, not a lift.
 """
 
 from __future__ import annotations
@@ -33,11 +42,59 @@ from .spd_core import (
     as_spd,
     dump_matrix,
     load_matrix,
+    spd_certified,
     spd_from_spectrum,
     spd_roots,
     spectral_assemble,
     symmetrize,
 )
+
+
+# Rounding bound of a certified lift.  In exact arithmetic a lift M is
+# X diag(f) X^T with X = A^{1/2} Q (Q the basis of C), whose eigenvalues
+# Ostrowski's theorem (Horn and Johnson, Matrix Analysis, Thm 4.5.9) puts in
+# [lambda_min(A) min f, lambda_max(A) max|f|].  The computed M is reached
+# through five rounded n x n products: the assemblies Q diag(w) Q^T of
+# A^{1/2} and of f(C) or C, the two products of the congruence, and the sum
+# or scaling with A.  Each is no further from the exact product than
+# gamma_n |X| |Y| entrywise (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., Sec. 3.5), so than n gamma_n ||X||_2 ||Y||_2 in the
+# 2-norm (as || |X| ||_2 <= sqrt(n) ||X||_2), and every operand is at most
+# lambda_max(A) * size in norm, with size = max(1, v, max|f|) bounding the
+# twins of A, B and f(C) on spec(C) (so the cancellation in B - A is
+# covered).  The budget of _LIFT_ROUNDINGS such errors holds those five, the
+# departure of LAPACK's bases from orthogonality and eigvalsh's own backward
+# error (each a few n gamma_n ||M||) and the rounding of the bounds, with
+# room to spare.  By Weyl's theorem each eigenvalue moves by at most delta
+# below, so a certified matrix passes the full check too.  Where C was
+# computed from B (any pair the sampler did not build), A^{-1/2} amplifies
+# C's rounding by up to kappa(A) = lambda_max(A)/lambda_min(A) against ||C||:
+# the lower bound loses that factor again to lambda_min(A), the upper one does
+# not, so delta grows by 1 + kappa(A) there.  tests/test_means.py checks the
+# bounds against eigvalsh on every matrix certified in catalog runs and in
+# wide sampler configurations, where a budget of 2 fails and 4 passes.
+_LIFT_ROUNDINGS = 16
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def certified_lift(a: SpdMatrix, w: np.ndarray, m: np.ndarray, f: Callable, context: str, drift=0.0) -> SpdMatrix:
+    """Wrap the computed lift ``m`` of the twin ``f``, for a pair with this A
+    and spec(C) ``w`` (a row, as the pair holds it), on the bounds
+    ``lambda_min(A) min f - delta`` and ``lambda_max(A) max|f| + delta`` over
+    ``w`` (see ``_LIFT_ROUNDINGS``; ``drift`` is 0 where B was built from
+    spec(C), else kappa(A)).  Where the bounds do not prove ``m`` positive
+    definite it gets the full check, and its failure is a NumericalBreakdown
+    prefixed with ``context``."""
+    n = m.shape[-1]
+    gamma_n = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    with np.errstate(all="ignore"):  # a bound that is not finite only fails to certify
+        fw = np.broadcast_to(np.asarray(f(w), dtype=float), w.shape)
+        f_hi = np.abs(fw).max(axis=(-2, -1))
+        size = np.maximum(np.maximum(1.0, w.max(axis=(-2, -1))), f_hi)
+        delta = _LIFT_ROUNDINGS * n * gamma_n * (1.0 + drift) * a.eig_max * size
+        lo = a.eig_min * fw.min(axis=(-2, -1)) - delta
+        hi = a.eig_max * f_hi + delta
+    return spd_certified(m, lo, hi, context)
 
 
 def _check_weight(p, lo: float, hi: float, what: str) -> None:
@@ -60,7 +117,7 @@ class OperatorPair:
     them as ``_roots`` and ``_contraction = (C, Q, w)``: no eigensolve.
     """
 
-    __slots__ = ("A", "B", "sqrt_a", "inv_sqrt_a", "contraction", "u", "v", "_w", "_q")
+    __slots__ = ("A", "B", "sqrt_a", "inv_sqrt_a", "contraction", "u", "v", "_w", "_q", "_drift")
 
     def __init__(self, a, b, _roots: tuple[SpdMatrix, SpdMatrix] | None = None, _contraction=None) -> None:
         a = as_spd(a)
@@ -76,8 +133,10 @@ class OperatorPair:
         if _contraction is None:
             c = symmetrize(self.inv_sqrt_a.mat @ b.mat @ self.inv_sqrt_a.mat)
             w, q = np.linalg.eigh(c)
+            self._drift = a.eig_max / a.eig_min  # see _LIFT_ROUNDINGS
         else:
             c, q, w = _contraction
+            self._drift = 0.0
         self.contraction = spd_from_spectrum(c, w, "contraction A^{-1/2} B A^{-1/2}")
         self._w = _row(w)
         self._q = q
@@ -101,6 +160,14 @@ class OperatorPair:
         r = self.sqrt_a.mat
         return symmetrize(r @ self.fn_of_contraction(f) @ r)
 
+    def certify(self, m: np.ndarray, f: Callable, context: str) -> SpdMatrix:
+        """Wrap ``m``, computed as the lift ``A^{1/2} f(C) A^{1/2}`` (by
+        :meth:`transform` or from A and B, the lifts of 1 and of t), as an
+        SpdMatrix certified by f's values on spec(C) (:func:`certified_lift`):
+        no eigensolve where they prove it positive definite, else the full
+        check, a NumericalBreakdown prefixed with ``context`` on failure."""
+        return certified_lift(self.A, self._w, m, f, context, self._drift)
+
     def __repr__(self) -> str:
         if isinstance(self.u, np.ndarray):
             return f"OperatorPair(n={self.n}, stack={np.shape(self.u)})"
@@ -110,7 +177,7 @@ class OperatorPair:
 def arithmetic_mean(pair: OperatorPair, p: float) -> SpdMatrix:
     """Weighted arithmetic mean ``(1-p) A + p B`` for p in [0, 1]."""
     _check_weight(p, 0.0, 1.0, "arithmetic mean")
-    return _rebuild_spd((1.0 - p) * pair.A.mat + p * pair.B.mat, "arithmetic mean")
+    return pair.certify((1.0 - p) * pair.A.mat + p * pair.B.mat, lambda t: 1.0 - p + p * t, "arithmetic mean")
 
 
 def harmonic_mean(pair: OperatorPair, p: float) -> SpdMatrix:
@@ -141,7 +208,7 @@ def natural_power_mean(pair: OperatorPair, p: float) -> SpdMatrix:
     m = pair.transform(lambda t: t ** p)
     if endpoint:  # per-pair weights, some at an endpoint: those pairs get that operand
         m = np.where(at_a, pair.A.mat, np.where(at_b, pair.B.mat, m))
-    return _rebuild_spd(m, f"natural power mean (p={p.item() if p.size == 1 else 'per pair'})")
+    return pair.certify(m, lambda t: t ** p, f"natural power mean (p={p.item() if p.size == 1 else 'per pair'})")
 
 
 def geometric_mean(pair: OperatorPair, p: float) -> SpdMatrix:

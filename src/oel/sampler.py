@@ -13,6 +13,10 @@ from their spectra, in two steps: :func:`stack_base` (A, its roots and C's
 basis, which do not depend on the case) and :func:`pair_from_base` (C and B
 from the case's targets), so one base can serve every case that reads the
 same streams.  :func:`sandwich_pair` is the two steps at k = 1, at one seed.
+No step eigensolves: A, its roots and C are assembled from their spectra,
+and B is certified by A's and C's extreme eigenvalues
+(:func:`oel.means.certified_lift`), with the full check only where those
+bounds do not decide.
 Every public draw reads that stream: :func:`random_spd` is the A of
 :func:`stack_base` at ``cfg.seed``, and :func:`commuting_spectra` takes A's
 basis and spectrum and maps C's interior words onto its ratios mu/lam.
@@ -27,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .means import OperatorPair
-from .spd_core import SpdMatrix, _rebuild_spd, _row, spd_from_spectrum, spd_roots, spectral_assemble, symmetrize
+from .means import OperatorPair, certified_lift
+from .spd_core import SpdMatrix, _row, spd_from_spectrum, spd_roots, spectral_assemble, symmetrize
 
 RNG_ALGORITHM = "philox4x64"
 # a trial stream's first words, read by the case's planner: c, p, q, the pin
@@ -191,8 +195,8 @@ def stack_base(words, normals, spectrum_range=_A_SPECTRUM) -> StackBase:
 def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
     """The pairs of ``base`` (one stacked pair) whose contractions C have the
     targets as extreme eigenvalues (both placed exactly when n >= 2) and
-    uniform ones between: C is assembled from that spectrum, and only
-    ``B = A^{1/2} C A^{1/2}`` needs an eigensolve."""
+    uniform ones between: C is assembled from that spectrum, and
+    ``B = A^{1/2} C A^{1/2}`` is certified by it, with no eigensolve."""
     u = np.asarray(u_target, dtype=float)
     v = np.asarray(v_target, dtype=float)
     mu = u[..., None] + (v - u)[..., None] * base.mu_words
@@ -201,9 +205,11 @@ def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
         mu[..., 1] = v
     root = base.roots[0].mat
     c = spectral_assemble(base.q_c, _row(mu))
-    # B's spectrum is not known (congruence mixes A's and C's), so it gets the
-    # full check; losing definiteness there is a breakdown of the draw
-    b = _rebuild_spd(symmetrize(root @ c @ root), "sampled B")
+    # B's spectrum is not known (congruence mixes A's and C's), but it is the
+    # lift of mu, bounded by A's and C's extreme eigenvalues; where those bounds
+    # do not decide, B gets the full check, and losing definiteness there is a
+    # breakdown of the draw
+    b = certified_lift(base.a, _row(mu), symmetrize(root @ c @ root), lambda t: t, "sampled B")
     return OperatorPair(base.a, b, _roots=base.roots, _contraction=(c, base.q_c, mu))
 
 

@@ -6,9 +6,14 @@ congruence transforms ``C X C^T``, and the positive-semidefinite order
 comparison used to pass verdicts on operator inequalities.
 
 Matrices are plain float64 numpy arrays.  Strict positive definiteness is
-enforced once per :class:`SpdMatrix` (on a spectrum the code already holds,
-via :func:`spd_from_spectrum`), after which the wrapped array is frozen;
-all operations are pure functions of their inputs.
+enforced once per :class:`SpdMatrix`, after which the wrapped array is
+frozen; all operations are pure functions of their inputs.  Raw entries get
+the full check (one ``eigvalsh``); a matrix the code assembled from a known
+spectrum is checked on that spectrum (:func:`spd_from_spectrum`); and a
+computed matrix whose spectrum is bounded by proven bounds is checked on
+those bounds (:func:`spd_certified`), with the full check only where they do
+not decide.  A matrix checked without a solve finds its extreme eigenvalues
+when they are first read.
 
 Every primitive acts on the last two axes, so a ``(k, n, n)`` stack of
 matrices goes through the same code as one ``(n, n)`` matrix, as k numpy
@@ -79,7 +84,9 @@ class SpdMatrix:
     Entries are symmetrized at construction (asymmetry beyond ``SYMMETRY_TOL``
     is rejected) and the spectrum must satisfy
     ``lambda_min > STRICTNESS_TOL * lambda_max``.  A ``(k, n, n)`` stack is
-    k matrices checked one by one; its ``eig_min``/``eig_max`` are arrays.
+    k matrices checked one by one; its ``eig_min``/``eig_max`` are arrays,
+    the computed extreme eigenvalues (of a certified matrix, solved for on
+    first access and kept).
 
     Parameters
     ----------
@@ -118,13 +125,19 @@ class SpdMatrix:
     def n(self) -> int:
         return self._mat.shape[-1]
 
+    def _extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._lo is None:  # certified without a solve (spd_certified)
+            w = np.linalg.eigvalsh(self._mat)
+            self._lo, self._hi = w.min(axis=-1), w.max(axis=-1)
+        return self._lo, self._hi
+
     @property
     def eig_min(self) -> float | np.ndarray:
-        return _scalar_or_stack(self._lo.reshape(self._mat.shape[:-2]))
+        return _scalar_or_stack(self._extremes()[0].reshape(self._mat.shape[:-2]))
 
     @property
     def eig_max(self) -> float | np.ndarray:
-        return _scalar_or_stack(self._hi.reshape(self._mat.shape[:-2]))
+        return _scalar_or_stack(self._extremes()[1].reshape(self._mat.shape[:-2]))
 
     def __repr__(self) -> str:
         if self._mat.ndim > 2:
@@ -156,6 +169,23 @@ def spd_from_spectrum(m: np.ndarray, w: np.ndarray, context: str) -> SpdMatrix:
     except InvalidInput as exc:
         raise NumericalBreakdown(f"{context}: {exc}") from exc
     return spd
+
+
+def spd_certified(m: np.ndarray, lo, hi, context: str) -> SpdMatrix:
+    """Wrap the computed, exactly symmetric ``m`` (frozen in place) whose
+    eigenvalues are proven to lie in ``[lo, hi]`` (per matrix of a stack).
+    When ``m`` is finite and every ``lo > STRICTNESS_TOL * hi`` (with ``hi``
+    at most the largest entry accepted from outside), no eigensolve is made;
+    otherwise ``m`` gets the full check, whose failure is a
+    NumericalBreakdown prefixed with ``context``."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    if (lo > STRICTNESS_TOL * hi).all() and (hi <= _MAX_ENTRY).all() and np.isfinite(m).all():
+        spd = SpdMatrix.__new__(SpdMatrix)
+        m.flags.writeable = False
+        spd._mat = m
+        spd._lo = spd._hi = None
+        return spd
+    return _rebuild_spd(m, context)
 
 
 def spectral_assemble(q: np.ndarray, w: np.ndarray, *, inverse: bool = False) -> np.ndarray:

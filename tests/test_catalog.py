@@ -20,7 +20,7 @@ from oel.catalog import (
     evaluate_trials,
     find_cases,
 )
-from oel.errors import HypothesisError, NoDual
+from oel.errors import HypothesisError, NoDual, NumericalBreakdown
 from oel.harness import run_suite
 from oel.means import OperatorPair
 from oel.sampler import (
@@ -434,3 +434,13 @@ def test_every_term_stack_is_exactly_symmetric(monkeypatch):
     for x, y, *_ in _kernel_verdicts(monkeypatch):
         for t in (x, y):
             assert np.array_equal(t, t.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("case_id, params", [("T2.3", Params(p=0.5)), ("C1.3", Params())])
+def test_derived_pair_losing_definiteness_is_a_breakdown(case_id, params):
+    # u = 1 + 2e-6 is inside the hypothesis, but B - A = diag(2e-13, 1) is not
+    # strictly positive definite: a breakdown naming the derived pair (it was
+    # an InvalidInput from with_second, as if the input were at fault)
+    pair = OperatorPair(np.diag([1e-7, 1.0]), np.diag([1e-7 * (1.0 + 2e-6), 2.0]))
+    with pytest.raises(NumericalBreakdown, match=r"^derived pair \(A, B - A\): matrix is not strictly positive"):
+        evaluate(by_id(case_id), pair, params)

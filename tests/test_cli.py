@@ -9,6 +9,7 @@ from oel import harness
 from oel.cli import main
 from oel.errors import HypothesisError, InvalidInput, NumericalBreakdown
 from oel.harness import read_reports, replay
+from oel.means import OperatorPair
 from oel.sampler import SamplerConfig, sandwich_pair
 from oel.spd_core import loewner_leq
 
@@ -58,6 +59,23 @@ def test_verify_trial_error_exits_4_with_replay_triple(monkeypatch, capsys, erro
     assert code == 4
     assert f"('H1.1', {harness.trial_seeds(5, 0, 1)[0]}, 3)" in err  # trial 0 of master seed 5
     assert "boom" in err
+
+
+def test_verify_derived_pair_breakdown_exits_4_with_replay_triple(monkeypatch, capsys):
+    # every trial's pair has u = 1 + 2e-6, inside T2's hypothesis, and
+    # B - A = diag(2e-13, 1), which is not strictly positive definite
+    a, b = np.diag([1e-7, 1.0]), np.diag([1e-7 * (1.0 + 2e-6), 2.0])
+
+    def degenerate_pairs(base, u_target, v_target):
+        k = len(u_target)
+        return OperatorPair(np.broadcast_to(a, (k, 2, 2)), np.broadcast_to(b, (k, 2, 2)))
+
+    monkeypatch.setattr(harness, "pair_from_base", degenerate_pairs)
+    code = main(["verify", "--case", "T2.3", "--trials", "3", "--dims", "2", "--seed", "5"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert f"('T2.3', {harness.trial_seeds(5, 0, 1)[0]}, 2)" in err
+    assert "derived pair (A, B - A)" in err
 
 
 def test_verify_non_finite_term_exits_4_with_replay_triple(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import re
 import tracemalloc
@@ -458,6 +459,20 @@ def test_run_all_draws_each_stack_once_per_call(monkeypatch):
     assert len(qr) == 4
     run_all("H1.1", trials=12, dims=(1, 2))  # one case shares nothing
     assert len(qr) == 6
+
+
+def test_run_all_eigensolves_only_verdicts_and_harmonic_means(monkeypatch):
+    # 50 cases x 6 dims make 300 stacks: each has one verdict eigvalsh, and the
+    # 42 harmonic-mean stacks (the literal second path) a full check each;
+    # every sampled B, arithmetic and natural power mean and derived pair is
+    # certified without one
+    catalog = importlib.import_module("oel.catalog")  # the package exports a function of this name
+    solves = _counting(monkeypatch, np.linalg, "eigvalsh")
+    verdicts = _counting(monkeypatch, catalog, "_loewner")
+    harmonic = _counting(monkeypatch, catalog, "harmonic_mean")
+    run_all(trials=60, seed=42)
+    assert (len(verdicts), len(harmonic)) == (300, 42)
+    assert len(solves) == 342
 
 
 @pytest.mark.parametrize("case_id", ["T2.2", "T3.2"])

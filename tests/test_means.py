@@ -1,9 +1,13 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oel.catalog import _gap, _mid
 from oel.errors import InvalidInput, InvalidWeight, NumericalBreakdown
+from oel.harness import run_all
 from oel.means import (
     OperatorPair,
     _unit_gauss_legendre,
@@ -20,7 +24,9 @@ from oel.means import (
 )
 from oel.sampler import SamplerConfig, commuting_spectra, sandwich_pair
 from oel.scalars import harm_rep, power_log, tsallis_log
-from oel.spd_core import SpdMatrix, symmetrize
+from oel.spd_core import STRICTNESS_TOL, SpdMatrix, symmetrize
+
+means = importlib.import_module("oel.means")
 
 
 def pair_from_seed(seed: int, n: int, sandwich=(0.25, 4.0)) -> OperatorPair:
@@ -257,3 +263,128 @@ def test_load_pair_rejects_truncated_text():
     text = dump_pair(pair)
     with pytest.raises(InvalidInput):
         load_pair(text[: text.rfind("\n", 0, len(text) - 5)])
+
+
+# ---------------------------------------------------------------------------
+# certified lifts: Ostrowski bounds instead of an eigensolve
+# ---------------------------------------------------------------------------
+
+# every certified place, each a function of the pair returning its SpdMatrix
+_LIFTS = {
+    "arithmetic[0.3]": lambda pair: arithmetic_mean(pair, 0.3),
+    "nat[0.5]": lambda pair: natural_power_mean(pair, 0.5),
+    "nat[-1.5]": lambda pair: natural_power_mean(pair, -1.5),
+    "nat[3]": lambda pair: natural_power_mean(pair, 3.0),
+    "(A+B)/2": lambda pair: _mid(pair).B,
+    "B - A": lambda pair: _gap(pair).B,
+}
+
+
+def _checking_certificates(monkeypatch) -> list[str]:
+    """Wrap the certificate: each matrix it certifies (``lo > STRICTNESS_TOL
+    * hi``) must have its eigvalsh extremes inside ``[lo, hi]``.  Returns the
+    list of the certified matrices' contexts, one entry per matrix."""
+    certified = []
+    original = means.spd_certified
+
+    def checked(m, lo, hi, context):
+        w = np.linalg.eigvalsh(m)
+        lo, hi = (np.broadcast_to(x, w.shape[:-1]) for x in (lo, hi))
+        claims = lo > STRICTNESS_TOL * hi
+        assert (lo[claims] <= w[..., 0][claims]).all(), context
+        assert (hi[claims] >= w[..., -1][claims]).all(), context
+        certified.extend([context] * int(claims.sum()))
+        return original(m, lo, hi, context)
+
+    monkeypatch.setattr(means, "spd_certified", checked)
+    return certified
+
+
+def test_certificates_bound_the_spectrum_on_every_case(monkeypatch):
+    certified = _checking_certificates(monkeypatch)
+    dims = (1, 2, 3, 5, 8, 16, 64)
+    seeds = range(1, 6)
+    for seed in seeds:
+        results = run_all(trials=2 * len(dims), dims=dims, seed=seed)
+    # no catalog draw needs the full check: every trial's B is certified
+    assert certified.count("sampled B") == len(seeds) * len(results) * 2 * len(dims)
+    contexts = {c.split(" (p=")[0] for c in certified}
+    assert contexts == {
+        "sampled B",
+        "arithmetic mean",
+        "natural power mean",
+        "derived pair (A, (A+B)/2)",
+        "derived pair (A, B - A)",
+    }
+
+
+@pytest.mark.parametrize("spectrum_range", [(0.5, 2.0), (1e-3, 1e3), (1e-6, 1.0), (1.0, 1.0)])
+def test_certificates_bound_the_spectrum_on_wide_draws(monkeypatch, spectrum_range):
+    # C = t I makes Ostrowski's bounds exact, so there only the rounding bound separates them
+    certified = _checking_certificates(monkeypatch)
+    sandwiches = [(1e-3, 1e3), (0.2, 4.0), (1.0 + 1e-6, 1.0 + 2e-6), (1.5, 1.5), (2.0, 2.0), (0.25, 0.25), (1e-8, 1.0)]
+    for n in (1, 2, 3, 5, 8, 16, 64):
+        for seed in range(3 if n > 8 else 6):
+            for sandwich in sandwiches:
+                try:
+                    pair = sandwich_pair(SamplerConfig(seed=seed, n=n, spectrum_range=spectrum_range, sandwich=sandwich))
+                except NumericalBreakdown:
+                    continue
+                # the public constructor computes C from B: the same pair, certified with kappa(A)
+                for p in (pair, OperatorPair(pair.A.mat, pair.B.mat)):
+                    for name, lift in _LIFTS.items():
+                        if name != "B - A" or p.u > 1.0:
+                            try:
+                                lift(p)
+                            except NumericalBreakdown:
+                                pass
+    assert len(certified) > 1000
+
+
+def _counting_eigvalsh(monkeypatch) -> list:
+    """Count the calls of ``np.linalg.eigvalsh`` in the returned list's length."""
+    solves = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: solves.append(None) or original(*a, **k))
+    return solves
+
+
+def test_certified_lifts_make_no_eigvalsh(monkeypatch):
+    pair = pair_from_seed(3, 5, sandwich=(1.5, 3.0))
+    solves = _counting_eigvalsh(monkeypatch)
+    sandwich_pair(SamplerConfig(seed=3, n=5, sandwich=(1.5, 3.0)))
+    for lift in _LIFTS.values():
+        lift(pair)
+    assert solves == []
+
+
+def test_a_failed_certificate_falls_back_to_one_eigvalsh(monkeypatch):
+    # a rounding bound that swamps every bound leaves each SPD lift to the
+    # full check: one eigvalsh each, and the same bits
+    cfg = SamplerConfig(seed=3, n=5, sandwich=(1.5, 3.0))
+    pair = sandwich_pair(cfg)
+    expected = {name: lift(pair).mat.tobytes() for name, lift in _LIFTS.items()}
+    expected_b = pair.B.mat.tobytes()
+    monkeypatch.setattr(means, "_LIFT_ROUNDINGS", 1e18)
+    solves = _counting_eigvalsh(monkeypatch)
+    for name, lift in _LIFTS.items():
+        before = len(solves)
+        assert lift(pair).mat.tobytes() == expected[name], name
+        assert len(solves) == before + 1, name
+    before = len(solves)
+    assert sandwich_pair(cfg).B.mat.tobytes() == expected_b
+    assert len(solves) == before + 1
+
+
+def test_certified_matrix_reports_its_computed_extremes(monkeypatch):
+    # solved for on first access, once, and kept
+    pair = pair_from_seed(6, 4)
+    lifts = [lift(pair) for name, lift in _LIFTS.items() if name != "B - A"]
+    solves = _counting_eigvalsh(monkeypatch)
+    for spd in lifts:
+        before = len(solves)
+        extremes = (spd.eig_min, spd.eig_max, spd.eig_min)
+        assert len(solves) == before + 1
+        w = np.linalg.eigvalsh(spd.mat)
+        assert extremes == (w[0], w[-1], w[0])
+        assert not spd.mat.flags.writeable

@@ -108,7 +108,8 @@ def test_sandwich_pair_bit_identical_replay():
 
 
 def test_sandwich_pair_eigensolves_once_per_spectrum(monkeypatch):
-    # A, its roots and C come from their sampled spectra; only B (congruence-built) gets an eigvalsh
+    # A, its roots and C come from their sampled spectra, and B (congruence-built)
+    # is certified by A's and C's extreme eigenvalues: no eigensolve at all
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
         original = getattr(np.linalg, name)
@@ -120,7 +121,14 @@ def test_sandwich_pair_eigensolves_once_per_spectrum(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     sandwich_pair(SamplerConfig(seed=7, n=4, sandwich=(0.5, 3.0)))
     assert calls["eigh"] == 0
-    assert calls["eigvalsh"] <= 1
+    assert calls["eigvalsh"] == 0
+
+
+def test_sampled_b_reports_its_computed_extremes():
+    for n in (1, 4, 16):
+        pair = sandwich_pair(SamplerConfig(seed=7, n=n, sandwich=(0.5, 3.0)))
+        w = np.linalg.eigvalsh(pair.B.mat)
+        assert pair.B.eig_min == w[0] and pair.B.eig_max == w[-1]
 
 
 def test_sampled_b_losing_definiteness_is_a_breakdown():
