@@ -18,9 +18,11 @@ so each case, dual included, is checked by exactly one scalar chain.
 
 All terms are built from the public mean/entropy operations so the catalog
 exercises the same code paths users call; a term at a derived pair builds
-it (:func:`_mid`, :func:`_gap`), whose second matrix is certified as the
-lift of its twin (:meth:`~oel.means.OperatorPair.certify`): a derived pair
-that loses definiteness is a NumericalBreakdown of the trial.
+it (:func:`_mid`, :func:`_gap`) as a lift of the pair's contraction C
+(:meth:`~oel.means.OperatorPair.lift_pair`): its second matrix is certified
+as the lift of its twin f, and its contraction is f(C), assembled from C's
+basis and spectrum with no eigensolve.  A derived pair that loses
+definiteness is a NumericalBreakdown of the trial.
 :func:`evaluate_trials` runs k trials of one case on a stacked pair: each
 term is then one ``(k, n, n)`` stack, and the trials' weights reach it as
 ``(k, 1, 1)`` arrays.  Its verdict is the comparator of
@@ -121,17 +123,16 @@ class MarginReport:
 
 
 def _mid(pair: OperatorPair) -> OperatorPair:
-    """The pair (A, (A+B)/2), reusing A's cached roots; (A+B)/2 is the lift
-    of (1 + t)/2, certified by it."""
-    mid = pair.certify(0.5 * (pair.A.mat + pair.B.mat), lambda t: 0.5 * (1.0 + t), "derived pair (A, (A+B)/2)")
-    return pair.with_second(mid)
+    """The pair (A, (A+B)/2): (A+B)/2 is the lift of (1 + t)/2, its
+    contraction (I + C)/2."""
+    return pair.lift_pair(0.5 * (pair.A.mat + pair.B.mat), lambda t: 0.5 * (1.0 + t), "derived pair (A, (A+B)/2)")
 
 
 def _gap(pair: OperatorPair) -> OperatorPair:
-    """The pair (A, B - A), reusing A's cached roots; B - A is the lift of
-    t - 1, certified by it.  Where B - A is not strictly positive, the
-    derived pair is a NumericalBreakdown."""
-    return pair.with_second(pair.certify(pair.B.mat - pair.A.mat, lambda t: t - 1.0, "derived pair (A, B - A)"))
+    """The pair (A, B - A): B - A is the lift of t - 1, its contraction
+    C - I.  Where B - A is not strictly positive, the derived pair is a
+    NumericalBreakdown."""
+    return pair.lift_pair(pair.B.mat - pair.A.mat, lambda t: t - 1.0, "derived pair (A, B - A)")
 
 
 # ---------------------------------------------------------------------------

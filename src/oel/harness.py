@@ -20,8 +20,12 @@ stacked numpy calls give each matrix the bits of a call on that matrix
 alone, so a replay reproduces its suite row exactly.
 
 A stack is drawn one way (``_draw``): its plan words and its
-:class:`~oel.sampler.StackBase` (A, its roots and C's basis), on which
-:func:`~oel.sampler.pair_from_base` builds C and B.  Every case of a
+:class:`~oel.sampler.StackBase` (A, its square root and C's basis), on which
+:func:`~oel.sampler.pair_from_base` builds C and B.  The stacked pair holds
+C's basis and spectrum, so the derived pairs of a case are lifts of C
+(:meth:`~oel.means.OperatorPair.lift_pair`) and a trial makes no ``eigh``:
+its eigensolves are the verdict's ``eigvalsh`` and the harmonic mean's full
+check.  Every case of a
 :func:`run_all` call reads the same trial streams, so the call keeps one
 memo of its stacks' draws (``_SharedDraws``), keyed by n and the stack's
 trial seeds, and only its first suite draws each stack.  The memo holds at
@@ -53,7 +57,7 @@ from .catalog import (
 )
 from .errors import HypothesisError, InvalidInput, NumericalBreakdown, ReportError
 from .means import quadrature_tsallis, tsallis_entropy
-from .sampler import dims_cycle, pair_from_base, stack_base, stream_draws
+from .sampler import _is_count, check_schedule, pair_from_base, stack_base, stream_draws
 from .spd_core import ORDER_TOL, _check_tol
 
 DEFAULT_TRIALS = 1000
@@ -70,11 +74,12 @@ _MASK64 = (1 << 64) - 1
 # 256 and 80-95 us in windows of 1024 or 4096 (peak RSS 39.1 -> 45.9 MB).
 WINDOW_TRIALS = 1024
 STACK_ENTRIES = 1 << 14
-# The most matrix entries one run_all call keeps in its shared stack draws (four
-# n x n arrays per trial: A, its two roots and C's basis), 8 MB; past it, stacks
-# are drawn per case.  `oel verify --trials 10000` (0.87 M entries; 2-core VM,
-# one BLAS thread) took 26.4 s unshared, 19.8 s at 1 << 18, 15.9 s at 1 << 19
-# and 12.2 s at 1 << 20 (peak RSS 39.8 -> 48.2 MB); at 1 << 21, n = 16, 32, 64 at
+# The most matrix entries one run_all call keeps in its shared stack draws (three
+# n x n arrays per trial: A, its square root and C's basis), 8 MB; past it,
+# stacks are drawn per case.  Measured when a trial kept four arrays (A^{-1/2}
+# too): `oel verify --trials 10000` (0.87 M entries; 2-core VM, one BLAS
+# thread) took 26.4 s unshared, 19.8 s at 1 << 18, 15.9 s at 1 << 19 and
+# 12.2 s at 1 << 20 (peak RSS 39.8 -> 48.2 MB); at 1 << 21, n = 16, 32, 64 at
 # 300 trials (1.4 M entries) went from 16.0 to 13.2 s but peaked at 56.5 MB.
 SHARED_ENTRIES = 1 << 20
 
@@ -93,11 +98,11 @@ def _splitmix64(x: int) -> int:
 
 
 def trial_seeds(seed: int, start: int, stop: int) -> list[int]:
-    """The seeds of trials ``start .. stop - 1`` under a master seed:
-    ``(splitmix64(seed) + i) mod 2^64``.  Each master seed starts its run of
-    trial seeds at a scattered point, so master seeds that differ only in
-    low bits do not share trials."""
-    first = _splitmix64(seed & _MASK64)
+    """The seeds of trials ``start .. stop - 1`` under a master seed in
+    ``[0, 2^64)``: ``(splitmix64(seed) + i) mod 2^64``.  Each master seed
+    starts its run of trial seeds at a scattered point, so master seeds that
+    differ only in low bits do not share trials."""
+    first = _splitmix64(seed)
     return [(first + i) & _MASK64 for i in range(start, stop)]
 
 
@@ -131,7 +136,7 @@ class _SharedDraws:
         if drawn is None:
             drawn = _draw(seeds, n)
             drawn[0].flags.writeable = False  # the plan words, read by every suite
-            entries = 4 * len(seeds) * n * n
+            entries = 3 * len(seeds) * n * n
             if self._entries + entries <= SHARED_ENTRIES:
                 self._draws[key] = drawn
                 self._entries += entries
@@ -222,11 +227,18 @@ def run_suite(
 
 def _windows(seed: int, dims: tuple[int, ...], trials: int):
     """A run's trials as (trial seed, n) lists of at most ``WINDOW_TRIALS``,
-    in trial order."""
-    schedule = dims_cycle(dims, trials)
+    in trial order, trial i at ``dims[i % len(dims)]``: a window's schedule
+    is built with the window, so memory does not grow with ``trials``.  The
+    one check of a run's master seed (an integer in ``[0, 2^64)``, as
+    :func:`trial_seeds` reads it), ``dims`` and ``trials``; anything else is
+    an InvalidInput."""
+    if not (_is_count(seed, 0) and seed <= _MASK64):
+        raise InvalidInput(f"master seed must be an integer in [0, 2^64), got {seed!r}")
+    check_schedule(dims, trials)
+    seed = int(seed)  # a numpy integer would overflow in trial_seeds
     for lo in range(0, trials, WINDOW_TRIALS):
         hi = min(lo + WINDOW_TRIALS, trials)
-        yield list(zip(trial_seeds(seed, lo, hi), schedule[lo:hi]))
+        yield [(s, int(dims[i % len(dims)])) for i, s in enumerate(trial_seeds(seed, lo, hi), lo)]
 
 
 def _stacks(window: list[tuple[int, int]]):

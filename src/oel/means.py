@@ -23,6 +23,12 @@ those bounds, widened by a stated rounding bound (:func:`certified_lift`),
 with no eigensolve; only where they do not decide does it fall back to the
 full check.  The harmonic mean keeps the full check: it is the literal
 second path, not a lift.
+
+A derived pair ``(A, M)`` for such a lift M of f (the catalog's
+``(A, (A+B)/2)`` and ``(A, B - A)``) is built by
+:meth:`OperatorPair.lift_pair`: its contraction is ``f(C)``, with C's basis
+and spectrum ``f(spec(C))``, so it needs no eigensolve.  Only the public
+constructor solves: one ``eigh`` of A and one of C.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .spd_core import (
     load_matrix,
     spd_certified,
     spd_from_spectrum,
-    spd_roots,
+    spd_sqrt,
     spectral_assemble,
     symmetrize,
 )
@@ -67,7 +73,7 @@ from .spd_core import (
 # error (each a few n gamma_n ||M||) and the rounding of the bounds, with
 # room to spare.  By Weyl's theorem each eigenvalue moves by at most delta
 # below, so a certified matrix passes the full check too.  Where C was
-# computed from B (any pair the sampler did not build), A^{-1/2} amplifies
+# computed from B (a public pair, and the pairs lifted from it), A^{-1/2} amplifies
 # C's rounding by up to kappa(A) = lambda_max(A)/lambda_min(A) against ||C||:
 # the lower bound loses that factor again to lambda_min(A), the upper one does
 # not, so delta grows by 1 + kappa(A) there.  tests/test_means.py checks the
@@ -107,39 +113,35 @@ def _check_weight(p, lo: float, hi: float, what: str) -> None:
 class OperatorPair:
     """An ordered pair (A, B) of SPD matrices with cached spectral data.
 
-    Construction computes ``A^{1/2}``, ``A^{-1/2}``, the contraction
+    Construction computes ``A^{1/2}``, the contraction
     ``C = A^{-1/2} B A^{-1/2}`` and its eigendecomposition; ``u`` and ``v``
     are the extreme eigenvalues of C, so ``u A <= B <= v A`` with equality
-    directions attained on the corresponding eigenvectors.  The roots come
-    from one ``eigh(A)``; C is checked positive on its one ``eigh(C)``.
-    A and B may be equal-shaped stacks of matrices (see the module notes).
-    The sampler, which knows the roots and C's spectrum and basis, passes
-    them as ``_roots`` and ``_contraction = (C, Q, w)``: no eigensolve.
+    directions attained on the corresponding eigenvectors.  ``A^{1/2}`` and
+    ``A^{-1/2}`` (read only to form C) come from one ``eigh(A)``; C is
+    checked positive on its one ``eigh(C)``.  A and B may be equal-shaped
+    stacks of matrices (see the module notes).  A pair the package builds
+    from spectral data it already holds (a sampled pair, :meth:`lift_pair`)
+    passes ``_spectra = (A^{1/2}, C, C's basis, spec(C) as a row, drift)``
+    instead: no eigensolve.
     """
 
-    __slots__ = ("A", "B", "sqrt_a", "inv_sqrt_a", "contraction", "u", "v", "_w", "_q", "_drift")
+    __slots__ = ("A", "B", "sqrt_a", "contraction", "u", "v", "_w", "_q", "_drift")
 
-    def __init__(self, a, b, _roots: tuple[SpdMatrix, SpdMatrix] | None = None, _contraction=None) -> None:
+    def __init__(self, a, b, _spectra=None) -> None:
         a = as_spd(a)
         b = as_spd(b)
         if a.mat.shape != b.mat.shape:
             raise InvalidInput(f"dimension mismatch: A is {a.mat.shape}, B is {b.mat.shape}")
         self.A = a
         self.B = b
-        if _roots is None:
+        if _spectra is None:
             w, q = np.linalg.eigh(a.mat)
-            _roots = spd_roots(q, w)
-        self.sqrt_a, self.inv_sqrt_a = _roots
-        if _contraction is None:
-            c = symmetrize(self.inv_sqrt_a.mat @ b.mat @ self.inv_sqrt_a.mat)
-            w, q = np.linalg.eigh(c)
-            self._drift = a.eig_max / a.eig_min  # see _LIFT_ROUNDINGS
-        else:
-            c, q, w = _contraction
-            self._drift = 0.0
-        self.contraction = spd_from_spectrum(c, w, "contraction A^{-1/2} B A^{-1/2}")
-        self._w = _row(w)
-        self._q = q
+            inv_sqrt_a = symmetrize((q / _row(np.sqrt(w))) @ q.swapaxes(-1, -2))
+            c = symmetrize(inv_sqrt_a @ b.mat @ inv_sqrt_a)
+            w_c, q_c = np.linalg.eigh(c)
+            _spectra = (spd_sqrt(q, w), c, q_c, _row(w_c), a.eig_max / a.eig_min)  # drift: see _LIFT_ROUNDINGS
+        self.sqrt_a, c, self._q, self._w, self._drift = _spectra
+        self.contraction = spd_from_spectrum(c, self._w, "contraction A^{-1/2} B A^{-1/2}")
         self.u = self.contraction.eig_min
         self.v = self.contraction.eig_max
 
@@ -147,9 +149,14 @@ class OperatorPair:
     def n(self) -> int:
         return self.A.n
 
-    def with_second(self, b) -> "OperatorPair":
-        """A new pair (A, b) reusing the cached roots of A."""
-        return OperatorPair(self.A, b, _roots=(self.sqrt_a, self.inv_sqrt_a))
+    def lift_pair(self, m: np.ndarray, f: Callable, context: str) -> "OperatorPair":
+        """The pair (A, m) for ``m`` computed as the lift of f (see
+        :meth:`certify`, which checks it): its contraction is f(C), assembled
+        from C's basis and f on spec(C), so it shares this pair's ``A^{1/2}``
+        and basis and needs no eigensolve."""
+        fw = _eval_on_spectrum(f, self._w)
+        spectra = (self.sqrt_a, spectral_assemble(self._q, fw), self._q, fw, self._drift)
+        return OperatorPair(self.A, self.certify(m, f, context), _spectra=spectra)
 
     def fn_of_contraction(self, f: Callable) -> np.ndarray:
         """``f(C)`` assembled from the cached eigendecomposition of C."""

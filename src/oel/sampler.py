@@ -9,12 +9,13 @@ matrix's eigenvalues land exactly where requested (up to assembly rounding).
 A trial reads one stream keyed by its seed in two bulk calls
 (:func:`stream_draws`): its plan words, then the pair's spectra, then the
 pair's Gaussians.  k pairs are built from those draws as one stacked pair,
-from their spectra, in two steps: :func:`stack_base` (A, its roots and C's
-basis, which do not depend on the case) and :func:`pair_from_base` (C and B
-from the case's targets), so one base can serve every case that reads the
-same streams.  :func:`sandwich_pair` is the two steps at k = 1, at one seed.
-No step eigensolves: A, its roots and C are assembled from their spectra,
-and B is certified by A's and C's extreme eigenvalues
+from their spectra, in two steps: :func:`stack_base` (A, its square root and
+C's basis, which do not depend on the case) and :func:`pair_from_base` (C
+and B from the case's targets), so one base can serve every case that reads
+the same streams.  :func:`sandwich_pair` is the two steps at k = 1, at one
+seed.  No step eigensolves: A, its square root and C are assembled from
+their spectra, which the pair keeps (``A^{-1/2}`` is never formed), and B is
+certified by A's and C's extreme eigenvalues
 (:func:`oel.means.certified_lift`), with the full check only where those
 bounds do not decide.
 Every public draw reads that stream: :func:`random_spd` is the A of
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .means import OperatorPair, certified_lift
-from .spd_core import SpdMatrix, _row, spd_from_spectrum, spd_roots, spectral_assemble, symmetrize
+from .spd_core import SpdMatrix, _row, spd_from_spectrum, spd_sqrt, spectral_assemble, symmetrize
 
 RNG_ALGORITHM = "philox4x64"
 # a trial stream's first words, read by the case's planner: c, p, q, the pin
@@ -167,29 +168,29 @@ def _a_draw(words, normals, spectrum_range) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class StackBase:
-    """The target-free part of a stack of pairs: A with its roots, C's basis
-    and the words that place C's interior eigenvalues.  The same base serves
-    every case whose trials read the same streams."""
+    """The target-free part of a stack of pairs: A with its square root, C's
+    basis and the words that place C's interior eigenvalues.  The same base
+    serves every case whose trials read the same streams."""
 
     a: SpdMatrix
-    roots: tuple[SpdMatrix, SpdMatrix]
+    sqrt_a: SpdMatrix
     q_c: np.ndarray
     mu_words: np.ndarray
 
 
 def stack_base(words, normals, spectrum_range=_A_SPECTRUM) -> StackBase:
-    """A, its roots and C's basis from each pair's ``2n`` pair words and
-    ``(2, n, n)`` normals (as :func:`stream_draws` reads them, over any
+    """A, its square root and C's basis from each pair's ``2n`` pair words
+    and ``(2, n, n)`` normals (as :func:`stream_draws` reads them, over any
     leading axes): A's eigenvalues are uniform in ``spectrum_range``, and
-    one ``qr`` gives A's basis and C's.  A and its roots are assembled from
-    A's spectrum, with no eigensolve."""
+    one ``qr`` gives A's basis and C's.  A and its square root are
+    assembled from A's spectrum, with no eigensolve."""
     lam, q = _a_draw(words, normals, spectrum_range)
     q_a = q[..., 0, :, :]
     a = spd_from_spectrum(spectral_assemble(q_a, _row(lam)), lam, "sampled A")
     q_c = np.ascontiguousarray(q[..., 1, :, :])  # a copy: a kept base does not keep A's basis
     mu_words = words[..., lam.shape[-1] :]
     q_c.flags.writeable = mu_words.flags.writeable = False  # a base may be shared
-    return StackBase(a, spd_roots(q_a, lam), q_c, mu_words)
+    return StackBase(a, spd_sqrt(q_a, lam), q_c, mu_words)
 
 
 def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
@@ -203,14 +204,15 @@ def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
     if mu.shape[-1] >= 2:
         mu[..., 0] = u
         mu[..., 1] = v
-    root = base.roots[0].mat
-    c = spectral_assemble(base.q_c, _row(mu))
+    w = _row(mu)
+    root = base.sqrt_a.mat
+    c = spectral_assemble(base.q_c, w)
     # B's spectrum is not known (congruence mixes A's and C's), but it is the
     # lift of mu, bounded by A's and C's extreme eigenvalues; where those bounds
     # do not decide, B gets the full check, and losing definiteness there is a
     # breakdown of the draw
-    b = certified_lift(base.a, _row(mu), symmetrize(root @ c @ root), lambda t: t, "sampled B")
-    return OperatorPair(base.a, b, _roots=base.roots, _contraction=(c, base.q_c, mu))
+    b = certified_lift(base.a, w, symmetrize(root @ c @ root), lambda t: t, "sampled B")
+    return OperatorPair(base.a, b, _spectra=(base.sqrt_a, c, base.q_c, w, 0.0))
 
 
 def commuting_spectra(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,11 +238,18 @@ def commuting_pair(cfg: SamplerConfig) -> OperatorPair:
     return OperatorPair(a, b)
 
 
-def dims_cycle(dims: Sequence[int], trials: int) -> list[int]:
-    """The dimension schedule used by suite runs: ``trials`` trials cycling
-    ``dims`` in order (integers >= 1, not bools, all of them)."""
+def check_schedule(dims: Sequence[int], trials: int) -> None:
+    """A suite run's ``trials`` must be an integer >= 1 and its ``dims``
+    integers >= 1, not bools, all of them; anything else is an InvalidInput."""
     if not _is_count(trials, 1):
         raise InvalidInput(f"trials must be positive (an integer >= 1), got {trials!r}")
     if not dims or not all(_is_count(d, 1) for d in dims):
         raise InvalidInput(f"bad dims {dims!r}")
+
+
+def dims_cycle(dims: Sequence[int], trials: int) -> list[int]:
+    """A suite run's dimension schedule as one list: ``trials`` trials cycling
+    ``dims`` in order (see :func:`check_schedule`), trial i at
+    ``dims[i % len(dims)]``.  A suite builds it window by window."""
+    check_schedule(dims, trials)
     return [int(dims[i % len(dims)]) for i in range(trials)]

@@ -1,9 +1,10 @@
 """Spectral engine for real symmetric positive definite matrices.
 
 Everything downstream reduces to a handful of primitives implemented here:
-eigendecomposition, scalar functional calculus ``Q diag(f(w)) Q^T``,
-congruence transforms ``C X C^T``, and the positive-semidefinite order
-comparison used to pass verdicts on operator inequalities.
+scalar functional calculus ``Q diag(f(w)) Q^T`` on a spectrum that is
+sampled or solved for with one ``eigh`` (:func:`spectral_assemble`), and
+the positive-semidefinite order comparison used to pass verdicts on
+operator inequalities.
 
 Matrices are plain float64 numpy arrays.  Strict positive definiteness is
 enforced once per :class:`SpdMatrix`, after which the wrapped array is
@@ -188,34 +189,17 @@ def spd_certified(m: np.ndarray, lo, hi, context: str) -> SpdMatrix:
     return _rebuild_spd(m, context)
 
 
-def spectral_assemble(q: np.ndarray, w: np.ndarray, *, inverse: bool = False) -> np.ndarray:
-    """Symmetrized ``Q diag(w) Q^T``, or ``Q diag(w)^{-1} Q^T`` when ``inverse``
-    (dividing by w, which rounds differently from multiplying by 1/w).
-    ``w`` is a row: ``(n,)`` for one ``Q``, ``(..., 1, n)`` for a stack."""
-    qw = q / w if inverse else q * w
-    return symmetrize(qw @ q.swapaxes(-1, -2))
+def spectral_assemble(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Symmetrized ``Q diag(w) Q^T``; ``w`` is a row: ``(n,)`` for one ``Q``,
+    ``(..., 1, n)`` for a stack."""
+    return symmetrize((q * w) @ q.swapaxes(-1, -2))
 
 
-def spd_roots(q: np.ndarray, w: np.ndarray) -> tuple[SpdMatrix, SpdMatrix]:
-    """``(A^{1/2}, A^{-1/2})`` of ``A = Q diag(w) Q^T``, assembled from the
-    spectrum ``w`` (each matrix's eigenvalues along the last axis)."""
+def spd_sqrt(q: np.ndarray, w: np.ndarray) -> SpdMatrix:
+    """``A^{1/2}`` of ``A = Q diag(w) Q^T``, assembled from the spectrum ``w``
+    (each matrix's eigenvalues along the last axis)."""
     s = _row(np.sqrt(w))
-    return (
-        spd_from_spectrum(spectral_assemble(q, s), s, "sqrt(A)"),
-        spd_from_spectrum(spectral_assemble(q, s, inverse=True), 1.0 / s, "inv_sqrt(A)"),
-    )
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors (as columns)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Assemble ``Q diag(f(w)) Q^T`` for a scalar function ``f``."""
-        return spectral_assemble(self.eigenvectors, _eval_on_spectrum(f, _row(self.eigenvalues)))
+    return spd_from_spectrum(spectral_assemble(q, s), s, "sqrt(A)")
 
 
 def _row(w: np.ndarray) -> np.ndarray:
@@ -238,33 +222,6 @@ def _eval_on_spectrum(f: Callable, w: np.ndarray) -> np.ndarray:
     return vals
 
 
-def spectral_decompose(m) -> SpectralDecomposition:
-    """Eigendecompose a symmetric matrix.
-
-    Parameters
-    ----------
-    m : array_like or SpdMatrix
-        Symmetric matrix (asymmetry beyond ``SYMMETRY_TOL`` rejected).
-
-    Returns
-    -------
-    SpectralDecomposition
-        Ascending eigenvalues and orthonormal eigenvectors with
-        ``Q diag(w) Q^T`` reconstructing the input to rounding error.
-    """
-    a = m.mat if isinstance(m, SpdMatrix) else _force_symmetric(m)
-    w, q = np.linalg.eigh(a)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=q)
-
-
-def apply_scalar_function(a: SpdMatrix, f: Callable) -> np.ndarray:
-    """Functional calculus: ``Q diag(f(w)) Q^T`` for ``a = Q diag(w) Q^T``.
-
-    ``f`` receives the eigenvalue array; DomainError if it is not finite there.
-    """
-    return spectral_decompose(as_spd(a)).apply(f)
-
-
 def mat_power(a: SpdMatrix, p: float) -> SpdMatrix:
     """Real matrix power ``a**p`` of an SPD matrix (SPD for every real p);
     a stack's matrices one by one."""
@@ -274,14 +231,15 @@ def mat_power(a: SpdMatrix, p: float) -> SpdMatrix:
         return spd_from_spectrum(np.broadcast_to(np.eye(a.n), shape).copy(), np.ones(shape[:-1]), "mat_power(p=0)")
     if p == 1.0:
         return a
-    dec = spectral_decompose(a)
-    wp = _eval_on_spectrum(lambda t: t ** p, _row(dec.eigenvalues))
-    return spd_from_spectrum(spectral_assemble(dec.eigenvectors, wp), wp, f"mat_power(p={p})")
+    w, q = np.linalg.eigh(a.mat)
+    wp = _eval_on_spectrum(lambda t: t ** p, _row(w))
+    return spd_from_spectrum(spectral_assemble(q, wp), wp, f"mat_power(p={p})")
 
 
 def mat_log(a: SpdMatrix) -> np.ndarray:
     """Matrix logarithm of an SPD matrix (symmetric, not necessarily PD)."""
-    return apply_scalar_function(as_spd(a), np.log)
+    w, q = np.linalg.eigh(as_spd(a).mat)
+    return spectral_assemble(q, _eval_on_spectrum(np.log, _row(w)))
 
 
 def mat_inv(a: SpdMatrix) -> SpdMatrix:
@@ -293,23 +251,6 @@ def mat_inv(a: SpdMatrix) -> SpdMatrix:
 def mat_sqrt(a: SpdMatrix) -> SpdMatrix:
     """Principal square root of an SPD matrix."""
     return mat_power(a, 0.5)
-
-
-def mat_inv_sqrt(a: SpdMatrix) -> SpdMatrix:
-    """Inverse principal square root of an SPD matrix."""
-    return mat_power(a, -0.5)
-
-
-def congruence(c, x) -> np.ndarray:
-    """Congruence transform ``C X C`` for symmetric C and X.
-
-    Products are symmetrized to absorb rounding-induced skew.
-    """
-    cm = c.mat if isinstance(c, SpdMatrix) else _force_symmetric(c)
-    xm = x.mat if isinstance(x, SpdMatrix) else _force_symmetric(x)
-    if cm.shape != xm.shape:
-        raise InvalidInput(f"dimension mismatch: {cm.shape} vs {xm.shape}")
-    return symmetrize(cm @ xm @ cm)
 
 
 @dataclass(frozen=True)

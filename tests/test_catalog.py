@@ -325,13 +325,40 @@ def test_mid_and_gap_build_the_derived_pairs():
     assert gap.B.mat[0, 0] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("derive, f", [(_mid, lambda t: 0.5 * (1.0 + t)), (_gap, lambda t: t - 1.0)])
+def test_derived_pairs_are_lifts_of_the_contraction(monkeypatch, derive, f):
+    # a derived pair keeps its parent's A^{1/2} and C basis, and its
+    # contraction is f(C) on f(spec(C)): its extremes are f(u) and f(v), and
+    # it is built with no eigensolve, for a sampled pair, a stack and a
+    # public pair alike
+    sampled = sandwich_pair(SamplerConfig(seed=4, n=5, sandwich=(1.5, 3.0)))
+    _, words, normals = stream_draws([4, 5, 6], 3)
+    stack = pair_from_base(stack_base(words, normals), np.array([1.5, 1.2, 2.0]), np.array([3.0, 4.0, 2.0]))
+    public = OperatorPair(sampled.A.mat, sampled.B.mat)
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _o=original, **k: solves.append(None) or _o(*a, **k))
+    derived = [derive(pair) for pair in (sampled, stack, public)]
+    assert solves == []
+    monkeypatch.undo()
+    for pair, lifted in zip((sampled, stack, public), derived):
+        assert lifted.A is pair.A and lifted.sqrt_a is pair.sqrt_a and lifted._q is pair._q
+        assert lifted._drift == pair._drift
+        assert np.array_equal(lifted.u, f(pair.u)) and np.array_equal(lifted.v, f(pair.v))
+        assert np.array_equal(lifted.contraction.mat, pair.fn_of_contraction(f))
+        # the contraction the public constructor solves for from (A, B') agrees to rounding
+        solved = OperatorPair(lifted.A, lifted.B)
+        np.testing.assert_allclose(lifted.contraction.mat, solved.contraction.mat, rtol=0, atol=1e-12)
+
+
 def test_reversed_case_holds_on_its_own_region():
     # entropy chain flips direction when the contraction sits below 1
     pair = scalar_pair(0.4)
     r = evaluate(by_id("T1.1.rev"), pair, Params(p=0.5))
     assert r.holds
     with pytest.raises(HypothesisError):
-        evaluate(by_id("T1.1.rev"), pair.with_second(np.array([[2.0]])), Params(p=0.5))
+        evaluate(by_id("T1.1.rev"), OperatorPair(pair.A, np.array([[2.0]])), Params(p=0.5))
 
 
 def test_statements_mention_both_sides():
@@ -440,7 +467,7 @@ def test_every_term_stack_is_exactly_symmetric(monkeypatch):
 def test_derived_pair_losing_definiteness_is_a_breakdown(case_id, params):
     # u = 1 + 2e-6 is inside the hypothesis, but B - A = diag(2e-13, 1) is not
     # strictly positive definite: a breakdown naming the derived pair (it was
-    # an InvalidInput from with_second, as if the input were at fault)
+    # an InvalidInput, as if the input were at fault)
     pair = OperatorPair(np.diag([1e-7, 1.0]), np.diag([1e-7 * (1.0 + 2e-6), 2.0]))
     with pytest.raises(NumericalBreakdown, match=r"^derived pair \(A, B - A\): matrix is not strictly positive"):
         evaluate(by_id(case_id), pair, params)

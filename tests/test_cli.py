@@ -147,6 +147,21 @@ def test_verify_bad_env_seed(monkeypatch, capsys):
     assert "OEL_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("how", ["flag", "env"])
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551657"])
+def test_verify_and_integral_reject_seeds_outside_64_bits(monkeypatch, capsys, how, seed):
+    # -1 and 2^64 - 1 wrote byte-identical reports, as did 2^64 + 41 and 41
+    for command in (["verify", "--case", "H1.1", "--trials", "2"], ["integral", "--trials", "2", "--p-grid", "0.5"]):
+        if how == "env":
+            monkeypatch.setenv("OEL_SEED", seed)
+        else:
+            command = command + ["--seed", seed]
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert "master seed must be an integer in [0, 2^64)" in captured.err
+        assert "ok" not in captured.out
+
+
 def test_probe_all(capsys):
     code = main(["probe"])
     out = capsys.readouterr().out

@@ -239,19 +239,66 @@ def test_integral_sweep_reports_the_earliest_of_tied_residuals(monkeypatch):
     assert integral_sweep(trials=trials, p_grid=(0.5,), seed=seed, dims=dims) == expected
 
 
-def test_integral_sweep_memory_does_not_grow_with_trials(monkeypatch):
-    monkeypatch.setattr(harness, "WINDOW_TRIALS", 32)
-
-    def peak_bytes(trials):
+def _traced_peaks(run, *trials) -> list[int]:
+    """The traced peak bytes of ``run(t)`` for each t, after one untraced run
+    at the largest t.  That run fills the interpreter's and numpy's caches and
+    free lists, whose blocks would otherwise count against whichever traced
+    run first needs them, so the peaks would depend on the tests run before.
+    A traced run still gains about 0.35 KB per stack that the allocator does
+    not hold (untraced, ``sys.getallocatedblocks`` stays flat), so the tests
+    use windows of 64 trials, whose peak leaves room for that: 20 windows
+    peaked at 1.2 to 1.6 times one."""
+    run(max(trials))
+    peaks = []
+    for t in trials:
         tracemalloc.start()
         try:
-            integral_sweep(trials=trials, p_grid=(0.5,), dims=(1, 2), seed=3)
-            return tracemalloc.get_traced_memory()[1]
+            run(t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
 
-    peak_bytes(32)  # first-call caches
-    assert peak_bytes(640) < 2 * peak_bytes(32)
+
+def test_integral_sweep_memory_does_not_grow_with_trials(monkeypatch):
+    monkeypatch.setattr(harness, "WINDOW_TRIALS", 64)
+    small, large = _traced_peaks(lambda t: integral_sweep(trials=t, p_grid=(0.5,), dims=(1, 2), seed=3), 64, 1280)
+    assert large < 2 * small
+
+
+def test_a_window_does_not_hold_the_whole_schedule():
+    # the dimension of every trial (8 bytes each, 80 MB here) was listed before
+    # the first window
+    tracemalloc.start()
+    try:
+        first = next(harness._windows(3, (1, 2), 10**7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = harness.WINDOW_TRIALS
+    assert first == list(zip(harness.trial_seeds(3, 0, size), dims_cycle((1, 2), size)))
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 41, 3.0, True, "42", None])
+def test_master_seed_must_be_a_64_bit_word(seed):
+    # the seed was masked to 64 bits: -1 ran the trials of 2^64 - 1, and
+    # 2^64 + 41 those of 41
+    runs = (
+        lambda: run_suite(case_by_id("H1.1"), trials=2, dims=(1,), seed=seed),
+        lambda: run_all("H1", trials=2, dims=(1,), seed=seed),
+        lambda: integral_sweep(trials=2, p_grid=(0.5,), dims=(1,), seed=seed),
+    )
+    for run in runs:
+        with pytest.raises(InvalidInput, match=r"^master seed must be an integer in \[0, 2\^64\)"):
+            run()
+
+
+def test_master_seed_takes_every_64_bit_word():
+    for seed in (0, (1 << 64) - 1, np.uint64((1 << 64) - 1), np.int64(41)):
+        collected = []
+        run_suite(case_by_id("H1.1"), trials=2, dims=(1,), seed=seed, collect=collected)
+        assert [r.seed for r in collected] == harness.trial_seeds(int(seed), 0, 2)
 
 
 def test_suite_rejects_dimensions_that_are_not_integers():
@@ -362,19 +409,10 @@ def test_windows_and_stacks_keep_the_rows(monkeypatch, setting, value, sizes):
 
 
 def test_suite_memory_does_not_grow_with_trials(monkeypatch):
-    monkeypatch.setattr(harness, "WINDOW_TRIALS", 32)
+    monkeypatch.setattr(harness, "WINDOW_TRIALS", 64)
     case = case_by_id("H1.1")
-
-    def peak_bytes(trials):
-        tracemalloc.start()
-        try:
-            run_suite(case, trials=trials, dims=(1, 2), seed=3)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peak_bytes(32)  # first-call caches
-    assert peak_bytes(640) < 2 * peak_bytes(32)
+    small, large = _traced_peaks(lambda t: run_suite(case, trials=t, dims=(1, 2), seed=3), 64, 1280)
+    assert large < 2 * small
 
 
 @pytest.mark.parametrize("error", [NumericalBreakdown, HypothesisError])
@@ -431,11 +469,11 @@ def _counting(monkeypatch, owner, name):
 
 def test_run_all_rows_are_the_per_case_suites_rows(monkeypatch):
     # M3* holds cases with and without sandwich edges.  Windows of 8 trials at
-    # n = 2, 3 give six stacks of 4 trials (64 and 144 shared entries): the
-    # first window's two stacks and the second window's n = 2 stack fit in 300
+    # n = 2, 3 give six stacks of 4 trials (48 and 108 shared entries): the
+    # first window's two stacks and the second window's n = 2 stack fit in 225
     # entries, and every case draws the other three again
     monkeypatch.setattr(harness, "WINDOW_TRIALS", 8)
-    monkeypatch.setattr(harness, "SHARED_ENTRIES", 300)
+    monkeypatch.setattr(harness, "SHARED_ENTRIES", 225)
     cases = harness.find_cases("M3*")
     kwargs = dict(trials=24, dims=(2, 3), seed=17)
     separate, separate_results = [], []
@@ -465,21 +503,27 @@ def test_run_all_eigensolves_only_verdicts_and_harmonic_means(monkeypatch):
     # 50 cases x 6 dims make 300 stacks: each has one verdict eigvalsh, and the
     # 42 harmonic-mean stacks (the literal second path) a full check each;
     # every sampled B, arithmetic and natural power mean and derived pair is
-    # certified without one
+    # certified without one.  No eigh at all: the sampled pairs and the
+    # derived pairs (lifts of C) are built from spectra they hold.  At n = 16,
+    # 32, 64 there are 150 stacks and 21 harmonic-mean stacks
     catalog = importlib.import_module("oel.catalog")  # the package exports a function of this name
     solves = _counting(monkeypatch, np.linalg, "eigvalsh")
+    decompositions = _counting(monkeypatch, np.linalg, "eigh")
     verdicts = _counting(monkeypatch, catalog, "_loewner")
     harmonic = _counting(monkeypatch, catalog, "harmonic_mean")
     run_all(trials=60, seed=42)
     assert (len(verdicts), len(harmonic)) == (300, 42)
-    assert len(solves) == 342
+    assert (len(solves), len(decompositions)) == (342, 0)
+    run_all(trials=12, dims=(16, 32, 64), seed=42)
+    assert (len(verdicts), len(harmonic)) == (300 + 150, 42 + 21)
+    assert (len(solves), len(decompositions)) == (342 + 171, 0)
 
 
 @pytest.mark.parametrize("case_id", ["T2.2", "T3.2"])
 def test_a_stack_builds_one_derived_pair(monkeypatch, case_id):
     # T2.2's lhs and T3.2's rhs are evaluated at (A, (A+B)/2); their other
     # sides use no derived pair
-    built = _counting(monkeypatch, OperatorPair, "with_second")
+    built = _counting(monkeypatch, OperatorPair, "lift_pair")
     run_trial(case_by_id(case_id), 5, 2)
     assert len(built) == 1
     run_suite(case_by_id(case_id), trials=12, dims=(1, 2))  # one stack per n
@@ -487,20 +531,11 @@ def test_a_stack_builds_one_derived_pair(monkeypatch, case_id):
 
 
 def test_run_all_memory_does_not_grow_with_trials(monkeypatch):
-    # 32 trials at n = 1, 2 make two stacks of 16 (64 and 256 shared entries)
-    monkeypatch.setattr(harness, "WINDOW_TRIALS", 32)
-    monkeypatch.setattr(harness, "SHARED_ENTRIES", 320)
-
-    def peak_bytes(trials):
-        tracemalloc.start()
-        try:
-            run_all("H1", trials=trials, dims=(1, 2), seed=3)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peak_bytes(32)  # first-call caches
-    assert peak_bytes(640) < 2 * peak_bytes(32)
+    # 64 trials at n = 1, 2 make two stacks of 32 (96 and 384 shared entries)
+    monkeypatch.setattr(harness, "WINDOW_TRIALS", 64)
+    monkeypatch.setattr(harness, "SHARED_ENTRIES", 480)
+    small, large = _traced_peaks(lambda t: run_all("H1", trials=t, dims=(1, 2), seed=3), 64, 1280)
+    assert large < 2 * small
 
 
 def test_master_seeds_share_no_trial_seeds():

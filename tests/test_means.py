@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oel.catalog import _gap, _mid
-from oel.errors import InvalidInput, InvalidWeight, NumericalBreakdown
+from oel.errors import DomainError, InvalidInput, InvalidWeight, NumericalBreakdown
 from oel.harness import run_all
 from oel.means import (
     OperatorPair,
@@ -57,11 +57,11 @@ def test_pair_rejects_contraction_losing_positivity():
         OperatorPair(np.diag([1.0, 1e-7]), np.diag([1e-7, 1.0]))
 
 
-def test_with_second_reuses_roots():
-    pair = pair_from_seed(1, 3)
-    other = pair.with_second(2.0 * pair.B.mat)
-    assert other.sqrt_a is pair.sqrt_a
-    assert other.inv_sqrt_a is pair.inv_sqrt_a
+def test_transform_domain_error():
+    # a scalar function that is not finite on spec(C) is a DomainError
+    pair = OperatorPair(np.diag([0.5, 2.0]), np.eye(2))
+    with pytest.raises(DomainError, match="not finite on the spectrum"):
+        pair.transform(lambda t: np.log(t - 10.0))
 
 
 def test_weight_gates():

@@ -68,7 +68,7 @@ def test_sandwich_pairs_stack_the_single_pairs():
     assert stacked.A.mat.shape == (5, 3, 3)
     for i, cfg in enumerate(cfgs):
         single = sandwich_pair(cfg)
-        for name in ("A", "B", "sqrt_a", "inv_sqrt_a", "contraction"):
+        for name in ("A", "B", "sqrt_a", "contraction"):
             np.testing.assert_array_equal(getattr(stacked, name).mat[i], getattr(single, name).mat)
         assert (stacked.u[i], stacked.v[i]) == (single.u, single.v)
 
@@ -78,7 +78,7 @@ def test_sandwich_pair_roots_and_contraction_match_the_eigensolved_pair():
     # constructor, which eigensolves A and C, to rounding
     pair = sandwich_pair(SamplerConfig(seed=13, n=5, sandwich=(0.4, 2.5)))
     solved = OperatorPair(pair.A, pair.B)
-    for name in ("sqrt_a", "inv_sqrt_a", "contraction"):
+    for name in ("sqrt_a", "contraction"):
         np.testing.assert_allclose(getattr(pair, name).mat, getattr(solved, name).mat, rtol=0, atol=1e-12)
     assert pair.u == pytest.approx(solved.u, abs=1e-12) and pair.v == pytest.approx(solved.v, abs=1e-12)
 

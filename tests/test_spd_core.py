@@ -5,24 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oel.errors import DomainError, InvalidInput, NumericalBreakdown
+from oel.errors import InvalidInput, NumericalBreakdown
 from oel.sampler import SamplerConfig, random_spd
 from oel.spd_core import (
     SpdMatrix,
-    apply_scalar_function,
     as_spd,
-    congruence,
     dump_matrix,
     load_matrix,
     loewner_leq,
     mat_inv,
-    mat_inv_sqrt,
     mat_log,
     mat_power,
     mat_sqrt,
     spd_from_spectrum,
     spectral_assemble,
-    spectral_decompose,
     symmetrize,
 )
 
@@ -115,31 +111,13 @@ def test_sqrt_inverse_roundtrips():
     np.testing.assert_allclose(r.mat @ r.mat, a.mat, atol=1e-12)
     np.testing.assert_allclose(mat_inv(a).mat @ a.mat, np.eye(4), atol=1e-12)
     np.testing.assert_allclose(
-        mat_inv_sqrt(a).mat @ r.mat, np.eye(4), atol=1e-12
+        mat_power(a, -0.5).mat @ r.mat, np.eye(4), atol=1e-12
     )
 
 
 def test_mat_log_diagonal():
     a = SpdMatrix(np.diag([1.0, np.e, np.e**2]))
     np.testing.assert_allclose(mat_log(a), np.diag([0.0, 1.0, 2.0]), atol=1e-13)
-
-
-def test_spectral_decompose_reconstructs():
-    a = spd(5, 4)
-    dec = spectral_decompose(a)
-    np.testing.assert_allclose(dec.apply(lambda t: t), a.mat, atol=1e-12)
-
-
-def test_apply_scalar_function_domain_error():
-    a = SpdMatrix(np.diag([0.5, 2.0]))
-    with pytest.raises(DomainError):
-        apply_scalar_function(a, lambda t: np.log(t - 10.0))
-
-
-def test_congruence_checks_shapes():
-    a = spd(6, 3)
-    with pytest.raises(InvalidInput):
-        congruence(a.mat, np.eye(2))
 
 
 def test_loewner_identity_and_shift():
