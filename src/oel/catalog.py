@@ -495,40 +495,43 @@ class Region:
             ok = ok & _le(v, _edge_at(self.v_hi, pr))
         return ok
 
-    def grid(self):
-        """The scalar chain grid, as ``(params, xs)`` rows.  ``params`` is
-        ``(p,)`` for 101 points of the p box, ``(p, q)`` for each p < q of
-        21 points when ``ordered`` (at p = q the members are the same twin),
-        or ``()`` without a p box; with a c box (every one is ordered) each
-        is followed by 5 points of c.  xs runs geometrically from the lower
-        sandwich edge to the upper one, each evaluated at the row's
-        parameters and capped to ``_X_RANGE`` (its end where an edge is not
-        stated), and keeps ``_P_EPS`` off an edge within ``_P_EPS`` of 1; a
-        row whose range is empty is left out.  It has 120 points, 160
-        without edges, or ``_X_ONLY`` without a p box."""
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The scalar chain grid, as a ``(R, P)`` array of parameters and a
+        ``(R, m)`` array of x points, row i of each making one row of the
+        grid.  A row's parameters are ``(p,)`` for 101 points of the p box,
+        ``(p, q)`` for each p < q of 21 points when ``ordered`` (at p = q
+        the members are the same twin), or ``()`` without a p box; with a c
+        box (every one is ordered) each is followed by 5 points of c.  A
+        row's x runs geometrically from the lower sandwich edge to the upper
+        one, each evaluated at the row's parameters and capped to
+        ``_X_RANGE`` (its end where an edge is not stated), and keeps
+        ``_P_EPS`` off an edge within ``_P_EPS`` of 1; a row whose range is
+        empty is left out.  It has 120 points, 160 without edges, or
+        ``_X_ONLY`` without a p box.  When neither edge moves with the
+        parameters, xs is one row broadcast to every row (row stride 0)."""
         if self.p is None:
-            rows = [()]
+            params = np.empty((1, 0))
         elif not self.ordered:
-            rows = [(p,) for p in self.p.grid(101).tolist()]
+            params = self.p.grid(101)[:, None]
         else:
-            ps = self.p.grid(21).tolist()
-            rows = [(p, q) for i, p in enumerate(ps) for q in ps[i + 1 :]]
+            ps = self.p.grid(21)
+            i, j = np.triu_indices(len(ps), 1)
+            params = np.column_stack([ps[i], ps[j]])
         if self.c is not None:
-            cs = self.c.grid(5).tolist()
-            rows = [(*r, c) for r in rows for c in cs]
+            cs = self.c.grid(5)
+            params = np.column_stack([np.repeat(params, len(cs), axis=0), np.tile(cs, len(params))])
         count = _X_ONLY if self.p is None else 160 if self.u_lo is None and self.v_hi is None else 120
-        pr = Params(*np.array(rows, dtype=float).reshape(len(rows), -1).T)  # each row's edges at once
+        pr = Params(*params.T)  # every row's edges at once
         lo = _X_RANGE[0] if self.u_lo is None else np.maximum(_edge_at(self.u_lo, pr), _X_RANGE[0])
         hi = _X_RANGE[1] if self.v_hi is None else np.minimum(_edge_at(self.v_hi, pr), _X_RANGE[1])
-        lo = np.broadcast_to(np.where(np.abs(lo - 1.0) <= _P_EPS, 1.0 + _P_EPS, lo), len(rows)).tolist()
-        hi = np.broadcast_to(np.where(np.abs(hi - 1.0) <= _P_EPS, 1.0 - _P_EPS, hi), len(rows)).tolist()
-        xs_at = {}
-        for params, lo, hi in zip(rows, lo, hi):
-            if lo < hi:
-                xs = xs_at.get((lo, hi))
-                if xs is None:
-                    xs = xs_at[lo, hi] = np.geomspace(lo, hi, count)
-                yield params, xs
+        lo = np.where(np.abs(lo - 1.0) <= _P_EPS, 1.0 + _P_EPS, lo)
+        hi = np.where(np.abs(hi - 1.0) <= _P_EPS, 1.0 - _P_EPS, hi)
+        if lo.ndim == hi.ndim == 0:  # neither edge moves
+            rows = len(params) if lo < hi else 0
+            return params[:rows], np.broadcast_to(np.geomspace(lo, hi, count), (rows, count))
+        lo, hi = np.broadcast_arrays(lo, hi)
+        keep = lo < hi
+        return params[keep], np.geomspace(lo[keep], hi[keep], count, axis=1)
 
     def plan(self, words: np.ndarray) -> tuple[Params, np.ndarray, np.ndarray]:
         """Admissible draws from ``(k, PLAN_WORDS)`` plan words: the
@@ -640,7 +643,7 @@ def _scalar_chain(chain_id: str, region: Region, members: Sequence[Term]) -> Non
         chain_id,
         tuple((t.name, lambda x, *params, _f=t.f: _f(x, Params(*params))) for t in members),
         region.grid,
-        lambda params: region.admits(Params(*params)),
+        lambda params: region.admits(Params(*params.T)),
     )
 
 

@@ -5,7 +5,9 @@ seed (:func:`trial_seeds` of the master seed) keys one counter-based Philox
 stream, read in two bulk calls (see :func:`oel.sampler.stream_draws`).  Its
 first words are the case's plan (parameters and sandwich targets), the rest
 are the pair's spectra and bases; there is no second seed.  Reports carry
-that per-trial seed so any failure can be replayed exactly.
+that per-trial seed so any failure can be replayed exactly.  Master and
+trial seeds are 64-bit words (integers in ``[0, 2^64)``), checked where
+they enter: :func:`_windows` for a run, :func:`run_trial` for one trial.
 
 A suite works through its trials in windows of ``WINDOW_TRIALS``, in trial
 order.  It groups a window's trials by n and evaluates each group as stacks
@@ -57,13 +59,12 @@ from .catalog import (
 )
 from .errors import HypothesisError, InvalidInput, NumericalBreakdown, ReportError
 from .means import quadrature_tsallis, tsallis_entropy
-from .sampler import _is_count, check_schedule, pair_from_base, stack_base, stream_draws
+from .sampler import _WORD_MASK, _is_count, _is_word, pair_from_base, stack_base, stream_draws
 from .spd_core import ORDER_TOL, _check_tol
 
 DEFAULT_TRIALS = 1000
 DEFAULT_DIMS = (1, 2, 3, 4, 6, 8)
 DEFAULT_SEED = 42
-_MASK64 = (1 << 64) - 1
 
 # The trials a suite draws, evaluates and folds at a time, and the most matrix
 # entries (k * n * n) in one stack of a window's trials.  Both are the smallest
@@ -91,9 +92,9 @@ _report_values = attrgetter(*_REPORT_FIELDS)
 def _splitmix64(x: int) -> int:
     """SplitMix64's output at state x (Steele, Lea and Flood, OOPSLA 2014): a
     bijection of 64-bit words that sends nearby inputs far apart."""
-    z = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = (x + 0x9E3779B97F4A7C15) & _WORD_MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _WORD_MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _WORD_MASK
     return z ^ (z >> 31)
 
 
@@ -103,7 +104,7 @@ def trial_seeds(seed: int, start: int, stop: int) -> list[int]:
     starts its run of trial seeds at a scattered point, so master seeds that
     differ only in low bits do not share trials."""
     first = _splitmix64(seed)
-    return [(first + i) & _MASK64 for i in range(start, stop)]
+    return [(first + i) & _WORD_MASK for i in range(start, stop)]
 
 
 def case_by_id(case_id: str) -> InequalityCase:
@@ -156,8 +157,14 @@ def _evaluate_stack(
 
 def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
     """One deterministic trial: draw plan, sample pair, evaluate the case.
-    A non-finite or negative ``order_tol`` is an InvalidInput."""
-    return MarginReport(case.id, *_evaluate_stack(case, [trial_seed], n, order_tol)[0])
+    A trial seed that is not an integer in ``[0, 2^64)``, an n that is not
+    an integer >= 1 (numpy integers are accepted, bools not) and a
+    non-finite or negative ``order_tol`` are InvalidInputs."""
+    if not _is_word(trial_seed):
+        raise InvalidInput(f"trial seed must be an integer in [0, 2^64), got {trial_seed!r}")
+    if not _is_count(n, 1):
+        raise InvalidInput(f"n must be an integer >= 1, got {n!r}")
+    return MarginReport(case.id, *_evaluate_stack(case, [int(trial_seed)], int(n), order_tol)[0])
 
 
 def replay(case_id: str, seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
@@ -232,9 +239,12 @@ def _windows(seed: int, dims: tuple[int, ...], trials: int):
     one check of a run's master seed (an integer in ``[0, 2^64)``, as
     :func:`trial_seeds` reads it), ``dims`` and ``trials``; anything else is
     an InvalidInput."""
-    if not (_is_count(seed, 0) and seed <= _MASK64):
+    if not _is_word(seed):
         raise InvalidInput(f"master seed must be an integer in [0, 2^64), got {seed!r}")
-    check_schedule(dims, trials)
+    if not _is_count(trials, 1):
+        raise InvalidInput(f"trials must be positive (an integer >= 1), got {trials!r}")
+    if not dims or not all(_is_count(d, 1) for d in dims):
+        raise InvalidInput(f"bad dims {dims!r}")
     seed = int(seed)  # a numpy integer would overflow in trial_seeds
     for lo in range(0, trials, WINDOW_TRIALS):
         hi = min(lo + WINDOW_TRIALS, trials)
@@ -331,7 +341,7 @@ def _finite_or_null(x) -> bool:
 # what read_reports accepts in each field, as written (JSON booleans are not integers)
 _FIELD_RULES = {
     "case_id": (lambda x: type(x) is str, "a string"),
-    "seed": (lambda x: type(x) is int and x >= 0, "an integer >= 0"),
+    "seed": (lambda x: type(x) is int and _is_word(x), "an integer in [0, 2^64)"),
     "n": (lambda x: type(x) is int and x >= 1, "an integer >= 1"),
     "p": (_finite_or_null, "null or a finite number"),
     "q": (_finite_or_null, "null or a finite number"),

@@ -41,25 +41,19 @@ RNG_ALGORITHM = "philox4x64"
 PLAN_WORDS = 6
 _A_SPECTRUM = (0.5, 2.0)  # the default range of A's eigenvalues
 
-_KEY_MASK = (1 << 128) - 1
 _WORD_MASK = (1 << 64) - 1
-
-
-def _philox_key(seed: int) -> int:
-    """The 128-bit Philox key of a seed (its low 128 bits)."""
-    return int(seed) & _KEY_MASK
 
 
 def generator(seed: int) -> np.random.Generator:
     """The package-wide RNG: Philox keyed directly by the seed."""
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed)))
+    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 def reseed(rng: np.random.Generator, seed: int) -> np.random.Generator:
     """Restart ``rng`` (made by :func:`generator`) in place at the first draw
     of ``generator(seed)``'s stream.  Cheaper than a new generator, whose
     Philox also draws OS entropy for a seed sequence it never uses."""
-    key = _philox_key(seed)
+    key = int(seed)
     rng.bit_generator.state = {  # the setter copies each word, so plain ints do (and cost less than arrays)
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": (key & _WORD_MASK, key >> 64)},
@@ -76,6 +70,12 @@ def _is_count(x, least: int) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool) and x >= least
 
 
+def _is_word(x) -> bool:
+    """``x`` is a 64-bit word: an integer (numpy's included, a bool not) in
+    ``[0, 2^64)``, the range of the trial seeds and the master seeds."""
+    return _is_count(x, 0) and x <= _WORD_MASK
+
+
 def _is_range(r) -> bool:
     """``r`` is a tuple or list of two finite numbers (not bools), ``0 < lo <= hi``."""
     ok = isinstance(r, (tuple, list)) and len(r) == 2
@@ -85,7 +85,7 @@ def _is_range(r) -> bool:
 @dataclass(frozen=True)
 class SamplerConfig:
     """Configuration for one deterministic draw, checked on construction:
-    ``seed`` an integer >= 0, ``n`` an integer >= 1, each range a pair of
+    ``seed`` an integer in ``[0, 2^64)``, ``n`` an integer >= 1, each range a pair of
     finite numbers ``0 < lo <= hi`` (anything else is an InvalidInput).
 
     ``spectrum_range`` bounds the eigenvalues of A; ``sandwich``, when set,
@@ -99,8 +99,8 @@ class SamplerConfig:
     sandwich: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not _is_count(self.seed, 0):
-            raise InvalidInput(f"sampler config 'seed' must be an integer >= 0, got {self.seed!r}")
+        if not _is_word(self.seed):
+            raise InvalidInput(f"sampler config 'seed' must be an integer in [0, 2^64), got {self.seed!r}")
         if not _is_count(self.n, 1):
             raise InvalidInput(f"sampler config 'n' must be an integer >= 1, got {self.n!r}")
         if not _is_range(self.spectrum_range):
@@ -236,20 +236,3 @@ def commuting_pair(cfg: SamplerConfig) -> OperatorPair:
     a = spd_from_spectrum(spectral_assemble(q, lam), lam, "sampled A")
     b = spd_from_spectrum(spectral_assemble(q, mu), mu, "sampled B")
     return OperatorPair(a, b)
-
-
-def check_schedule(dims: Sequence[int], trials: int) -> None:
-    """A suite run's ``trials`` must be an integer >= 1 and its ``dims``
-    integers >= 1, not bools, all of them; anything else is an InvalidInput."""
-    if not _is_count(trials, 1):
-        raise InvalidInput(f"trials must be positive (an integer >= 1), got {trials!r}")
-    if not dims or not all(_is_count(d, 1) for d in dims):
-        raise InvalidInput(f"bad dims {dims!r}")
-
-
-def dims_cycle(dims: Sequence[int], trials: int) -> list[int]:
-    """A suite run's dimension schedule as one list: ``trials`` trials cycling
-    ``dims`` in order (see :func:`check_schedule`), trial i at
-    ``dims[i % len(dims)]``.  A suite builds it window by window."""
-    check_schedule(dims, trials)
-    return [int(dims[i % len(dims)]) for i in range(trials)]

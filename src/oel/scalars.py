@@ -8,7 +8,10 @@ tables, and spot-value probes) that certify the scalar inequalities
 independently of any matrix machinery.  The chains (:data:`CHAINS`) are
 filled by :mod:`oel.catalog`, which declares each inequality once: every
 declaration yields one chain, its terms' scalar twins on the grid of its
-hypothesis region, so every case (duals included) has its scalar check.  The
+hypothesis region, so every case (duals included) has its scalar check.  A
+grid is two arrays, the ``(R, P)`` parameters of its rows and their
+``(R, m)`` points x, built when the chain is verified; the check filters
+the rows by the region's gate once and evaluates the rest in blocks.  The
 sign tables (:data:`SIGN_CLAIMS`) are the dense sweeps through the frozen
 probes, where neither bound dominates.
 
@@ -387,12 +390,14 @@ def run_probe(probe_id: str) -> tuple[list[float], ProbeSpec, bool]:
 @dataclass(frozen=True)
 class ChainSpec:
     """An ordered family of scalar bounds: member_i(x, *params) <= member_{i+1}
-    on the ``(params, xs)`` points of ``grid()`` whose params are ``admissible``."""
+    on the rows of ``grid()``, a ``(R, P)`` array of parameters and a
+    ``(R, m)`` array of x points, whose parameters are ``admissible`` (one
+    bool per row of the parameter array, or one for all)."""
 
     chain_id: str
     members: tuple[tuple[str, Callable], ...]
-    grid: Callable[[], Iterable[tuple[tuple, np.ndarray]]]
-    admissible: Callable[[tuple], bool]
+    grid: Callable[[], tuple[np.ndarray, np.ndarray]]
+    admissible: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -412,65 +417,49 @@ CHAINS: dict[str, ChainSpec] = {}
 STACK_POINTS = 1 << 14  # grid points evaluated at once by verify_scalar_chain
 
 
-def verify_scalar_chain(chain_id: str, grid=None) -> ChainResult:
-    """Check every adjacent pair of a chain on a dense grid.
-
-    Parameters
-    ----------
-    chain_id : str
-        Key into ``CHAINS``.
-    grid : iterable of (params_tuple, x_array), optional
-        Custom grid; defaults to the chain's built-in dense grid.  Points
-        whose parameters violate the chain's hypothesis are filtered and
-        counted; if nothing remains, HypothesisError is raised.
+def verify_scalar_chain(chain_id: str) -> ChainResult:
+    """Check every adjacent pair of the chain ``CHAINS[chain_id]`` on its
+    grid.  Rows whose parameters violate the chain's hypothesis are
+    filtered and their points counted; if nothing remains, HypothesisError
+    is raised.
 
     Returns
     -------
     ChainResult
         ``worst_violation`` is the minimum over the grid of
-        (member_{i+1} - member_i); nonnegative (up to -1e-12) when the
-        chain holds, and NaN when a difference is not a number.
+        (member_{i+1} - member_i), at the earliest row that attains it;
+        nonnegative (up to -1e-12) when the chain holds, and NaN when a
+        difference is not a number.
 
-    Consecutive rows with as many x points are evaluated as one stack of at
-    most ``STACK_POINTS`` points: the members see each parameter as a
-    ``(k, 1)`` column and x as a ``(k, m)`` array.
+    The rows are evaluated in blocks of at most ``STACK_POINTS`` points (at
+    least one row): the members see each parameter as a ``(k, 1)`` column
+    and x as a ``(k, m)`` array.
     """
     if chain_id not in CHAINS:
         raise InvalidInput(f"unknown chain id {chain_id!r}; known: {sorted(CHAINS)}")
     spec = CHAINS[chain_id]
+    params, xs = spec.grid()
+    ok = np.broadcast_to(spec.admissible(params), len(params))
+    filtered = int(np.count_nonzero(~ok)) * xs.shape[1]
+    if not ok.all():
+        params, xs = params[ok], xs[ok]
+    if xs.size == 0:
+        raise HypothesisError(f"no grid point satisfies the hypothesis of {chain_id!r}")
+    rows, m = xs.shape
     worst = np.inf
     worst_point: tuple = ()
-    checked = 0
-    filtered = 0
-    rows: list = []
-
-    def evaluate() -> None:
-        nonlocal worst, worst_point
-        params = np.array([r for r, _ in rows], dtype=float)
-        xs = np.stack([x for _, x in rows])
-        vals = [fn(xs, *params.T[:, :, None]) for _, fn in spec.members]
+    step = max(1, STACK_POINTS // m)
+    for start in range(0, rows, step):
+        x = xs[start : start + step]
+        vals = [fn(x, *params[start : start + step].T[:, :, None]) for _, fn in spec.members]
         for lo_vals, hi_vals in zip(vals[:-1], vals[1:]):
             diff = hi_vals - lo_vals
             i = int(np.argmin(diff))  # the first NaN, if there is one
             if not (np.isnan(worst) or diff.flat[i] >= worst):
-                row, j = divmod(i, xs.shape[1])
+                row, j = divmod(i, m)
                 worst = float(diff.flat[i])
-                worst_point = (*rows[row][0], float(xs[row, j]))
-        rows.clear()
-
-    for params, xs in (grid if grid is not None else spec.grid()):
-        if not spec.admissible(params):
-            filtered += int(np.size(xs))
-            continue
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if rows and (xs.size != rows[0][1].size or (len(rows) + 1) * xs.size > STACK_POINTS):
-            evaluate()
-        rows.append((params, xs))
-        checked += xs.size
-    if checked == 0:
-        raise HypothesisError(f"no grid point satisfies the hypothesis of {chain_id!r}")
-    evaluate()
-    return ChainResult(chain_id, float(worst), checked, filtered, worst_point)
+                worst_point = (*params[start + row].tolist(), float(x[row, j]))
+    return ChainResult(chain_id, float(worst), xs.size, filtered, worst_point)
 
 
 # ---------------------------------------------------------------------------

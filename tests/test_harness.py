@@ -27,7 +27,7 @@ from oel.harness import (
     write_reports_jsonl,
 )
 from oel.means import OperatorPair, quadrature_tsallis, tsallis_entropy
-from oel.sampler import SamplerConfig, dims_cycle, sandwich_pair, stream_draws
+from oel.sampler import SamplerConfig, sandwich_pair, stream_draws
 from oel.spd_core import ORDER_TOL
 
 REPORT_FIELDS = ("case_id", "seed", "n", "p", "q", "c", "u", "v", "margin", "scale", "holds")
@@ -51,6 +51,26 @@ def test_replay_reproduces_report_exactly():
 def test_replay_unknown_case():
     with pytest.raises(InvalidInput):
         replay("NOPE.1", 0, 2)
+
+
+@pytest.mark.parametrize(
+    "seed, n",
+    [((1 << 128) + 5, 2), (1 << 64, 2), (-1, 2), (2.5, 2), (True, 2), ("5", 2), (None, 2),
+     (5, 0), (5, 2.5), (5, True), (5, "2"), (5, np.float64(2.0))],
+)
+def test_replay_takes_a_64_bit_seed_and_a_count(seed, n):
+    # the seed was keyed by its low 128 bits: 2^128 + 5 ran trial 5, 2.5
+    # trial 2 and -1 the trial keyed 2^128 - 1; n = 0 raised a bare ValueError
+    for run in (lambda: replay("H1.1", seed, n), lambda: run_trial(case_by_id("H1.1"), seed, n)):
+        with pytest.raises(InvalidInput, match=r"^(trial seed must be an integer in \[0, 2\^64\)|n must be)"):
+            run()
+
+
+def test_replay_takes_every_64_bit_seed():
+    top = (1 << 64) - 1
+    r = replay("H1.1", top, 2)
+    assert r.seed == top and type(r.seed) is int
+    assert replay("H1.1", np.uint64(top), np.int64(2)) == r
 
 
 def test_run_suite_aggregates_and_collects():
@@ -189,7 +209,7 @@ def _per_pair_integral_sweep(trials, p_grid, seed, dims, quad_fn=quadrature_tsal
     its trial seed and the sweep region's targets."""
     tol = ORDER_TOL
     pairs = []
-    for trial_seed, n in zip(harness.trial_seeds(seed, 0, trials), dims_cycle(dims, trials)):
+    for trial_seed, n in (trial for window in harness._windows(seed, dims, trials) for trial in window):
         _, u, v = harness._SWEEP_REGION.plan(stream_draws([trial_seed], n)[0])
         pairs.append(sandwich_pair(SamplerConfig(seed=trial_seed, n=n, sandwich=(float(u[0]), float(v[0])))))
     out = []
@@ -276,7 +296,7 @@ def test_a_window_does_not_hold_the_whole_schedule():
     finally:
         tracemalloc.stop()
     size = harness.WINDOW_TRIALS
-    assert first == list(zip(harness.trial_seeds(3, 0, size), dims_cycle((1, 2), size)))
+    assert first == list(zip(harness.trial_seeds(3, 0, size), [1, 2] * (size // 2)))
     assert peak < 1 << 20
 
 
@@ -345,6 +365,7 @@ def test_read_reports_rejects_non_boolean_holds(tmp_path):
         ("q", float("-inf")),
         ("c", [1.0]),
         ("case_id", 5),
+        ("seed", 1 << 64),
     ],
 )
 def test_read_reports_rejects_coerced_fields(tmp_path, field, value):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oel.errors import InvalidInput, NumericalBreakdown
+from oel.harness import _windows
 from oel.means import OperatorPair
 from oel.sampler import (
     PLAN_WORDS,
@@ -9,7 +10,6 @@ from oel.sampler import (
     SamplerConfig,
     commuting_pair,
     commuting_spectra,
-    dims_cycle,
     generator,
     pair_from_base,
     random_spd,
@@ -207,6 +207,9 @@ def test_every_public_draw_reads_the_trial_stream():
         {"seed": 1, "n": 2, "sandwich": ("0.5", 2)},
         {"seed": 1, "n": 2, "sandwich": (True, 2)},
         {"seed": 1, "n": 2, "sandwich": 2.0},
+        {"seed": 1 << 64, "n": 2},
+        {"seed": (1 << 128) + 7, "n": 2},
+        {"seed": "5", "n": 2},
     ],
 )
 def test_config_rejects_bad_ranges(kwargs):
@@ -214,17 +217,25 @@ def test_config_rejects_bad_ranges(kwargs):
         SamplerConfig(**kwargs)
 
 
-def test_dims_cycle_wraps_in_order():
-    assert dims_cycle((1, 2, 3), 7) == [1, 2, 3, 1, 2, 3, 1]
-    assert dims_cycle((4,), 3) == [4, 4, 4]
-    schedule = dims_cycle((np.int64(2), 5), 3)
-    assert schedule == [2, 5, 2] and all(type(n) is int for n in schedule)
+def _schedule(dims, trials):
+    """A suite run's dimension schedule, window by window."""
+    return [[n for _, n in w] for w in _windows(0, dims, trials)]
+
+
+def test_dims_cycle_wraps_in_order(monkeypatch):
+    assert _schedule((1, 2, 3), 7) == [[1, 2, 3, 1, 2, 3, 1]]
+    assert _schedule((4,), 3) == [[4, 4, 4]]
+    schedule = _schedule((np.int64(2), 5), 3)
+    assert schedule == [[2, 5, 2]] and all(type(n) is int for n in schedule[0])
+    # the cycle runs on across windows
+    monkeypatch.setattr("oel.harness.WINDOW_TRIALS", 2)
+    assert _schedule((1, 2, 3), 7) == [[1, 2], [3, 1], [2, 3], [1]]
 
 
 @pytest.mark.parametrize("dims", [(), (0,), (2, -1), (2.7,), (2.0,), ("3",), (True,), (np.float64(2.0),), (None,)])
 def test_dims_cycle_takes_only_integers_from_one(dims):
     with pytest.raises(InvalidInput):
-        dims_cycle(dims, 3)
+        _schedule(dims, 3)
 
 
 def test_distinct_seeds_give_distinct_pairs():

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from oel.errors import DomainError, HypothesisError, InvalidInput
 from oel import scalars
-from oel.catalog import R_M3_B1, R_W4_I, Box, ExpEdge, Params, catalog_with_duals
+from oel.catalog import R_M3_B1, R_U1_PUNIT, R_W4_I, Box, ExpEdge, Params, catalog_with_duals
 from oel.scalars import (
     CHAINS,
     PROBES,
@@ -241,8 +241,21 @@ def test_ordered_grids_leave_out_the_diagonal():
     regions = {id(c.hypothesis): c.hypothesis for c in catalog_with_duals() if c.hypothesis.ordered}
     assert len(regions) == 21
     for region in regions.values():
-        rows = [params for params, _ in region.grid()]
-        assert rows and all(params[0] < params[1] for params in rows), region.text
+        params, _ = region.grid()
+        assert len(params) and (params[:, 0] < params[:, 1]).all(), region.text
+
+
+def test_grid_shares_its_x_row_when_no_edge_moves():
+    # fixed edges: one geometric x row, broadcast to every row without a copy
+    params, xs = R_U1_PUNIT.grid()
+    assert xs.shape == (len(params), 120) and xs.strides[0] == 0
+    np.testing.assert_array_equal(xs[0], np.geomspace(1.0 + 1e-3, 1e3, 120))
+    # a moving edge: each row its own range, as the row's own geomspace call
+    params, xs = R_M3_B1.grid()
+    assert xs.shape == (len(params), 120) and xs.strides[0] != 0
+    for (p, q, c), x in zip(params[::97].tolist(), xs[::97]):
+        hi = min(math.exp(min((1.0 - 2.0 * c) / (c * q), 700.0)), 1e3)
+        np.testing.assert_array_equal(x, np.geomspace(1.0 + 1e-3, hi, 120))
 
 
 @pytest.mark.parametrize("chain_id", sorted(CHAIN_POINTS))
@@ -276,22 +289,32 @@ WIDENED = {
 @pytest.mark.parametrize("chain_id", sorted(WIDENED))
 def test_chain_fails_on_a_widened_region(monkeypatch, chain_id):
     wide = WIDENED[chain_id]
-    spec = replace(CHAINS[chain_id], admissible=lambda params: wide.admits(Params(*params)))
+    spec = replace(CHAINS[chain_id], grid=wide.grid, admissible=lambda params: wide.admits(Params(*params.T)))
     monkeypatch.setitem(CHAINS, chain_id, spec)
-    res = verify_scalar_chain(chain_id, grid=wide.grid())
+    res = verify_scalar_chain(chain_id)
     assert res.points_filtered == 0
     assert res.worst_violation < -1.0, res
 
 
+def _custom_grid(monkeypatch, params, xs, **fields):
+    """Install the chain means_order on the rows of ``params`` and ``xs``,
+    with any other ChainSpec ``fields`` replaced."""
+    spec = replace(CHAINS["means_order"], grid=lambda: (np.array(params), np.array(xs)), **fields)
+    monkeypatch.setitem(CHAINS, "means_order", spec)
+
+
 def test_chain_nan_difference_is_the_worst(monkeypatch):
     spec = CHAINS["means_order"]
-    nan_at_two = lambda x, p: np.where(x == 2.0, np.nan, arith_rep(x, p))
-    monkeypatch.setitem(CHAINS, "means_order", replace(spec, members=spec.members[:2] + (("nan", nan_at_two),)))
-    # the later stack (rows of another length) must not hide the NaN
-    grid = [((0.5,), np.array([1.0, 2.0, 4.0])), ((0.25,), np.array([3.0, 4.0]))]
-    res = verify_scalar_chain("means_order", grid=grid)
+    # NaN at x = 2 in the first row, a difference of about -1e9 at x = 5 in the second
+    nan_at_two = lambda x, p: np.where(x == 2.0, np.nan, np.where(x == 5.0, -1e9, arith_rep(x, p)))
+    _custom_grid(monkeypatch, [[0.5], [0.25]], [[1.0, 2.0, 4.0], [3.0, 5.0, 6.0]],
+                 members=spec.members[:2] + (("nan", nan_at_two),))
+    monkeypatch.setattr(scalars, "STACK_POINTS", 3)  # one row per block
+    # the more negative finite value of the later block must not hide the NaN
+    res = verify_scalar_chain("means_order")
     assert math.isnan(res.worst_violation)
     assert res.worst_point == (0.5, 2.0)
+    assert res.points_checked == 6
 
 
 def test_chain_unknown_id():
@@ -299,16 +322,17 @@ def test_chain_unknown_id():
         verify_scalar_chain("nope")
 
 
-def test_chain_empty_admissible_grid():
+def test_chain_empty_admissible_grid(monkeypatch):
+    _custom_grid(monkeypatch, [[2.0]], [[1.0]])
     with pytest.raises(HypothesisError):
-        verify_scalar_chain("means_order", grid=[((2.0,), np.array([1.0]))])
+        verify_scalar_chain("means_order")
 
 
-def test_chain_custom_grid_filters_points():
-    grid = [((0.5,), np.array([1.0, 2.0])), ((2.0,), np.array([3.0]))]
-    res = verify_scalar_chain("means_order", grid=grid)
+def test_chain_custom_grid_filters_points(monkeypatch):
+    _custom_grid(monkeypatch, [[0.5], [2.0]], [[1.0, 2.0], [3.0, 4.0]])
+    res = verify_scalar_chain("means_order")
     assert res.points_checked == 2
-    assert res.points_filtered == 1
+    assert res.points_filtered == 2
 
 
 def test_sign_claims_are_the_mixed_sweeps():
