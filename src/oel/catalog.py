@@ -52,21 +52,11 @@ from .means import (
     relative_operator_entropy,
     tsallis_entropy,
 )
+from .scalars import Params
 from .spd_core import ORDER_TOL, _check_tol, _loewner, symmetrize
 
 HYP_SLACK = 1e-10  # slack applied to every hypothesis comparison
 _P_EPS = 1e-3      # sampled weights keep this distance from removable singularities
-
-
-@dataclass(frozen=True)
-class Params:
-    """Scalar parameters of a trial; unused ones stay None.  Inside
-    :func:`evaluate_trials` the terms see one Params whose fields hold the
-    trials' values as ``(k, 1, 1)`` arrays."""
-
-    p: float | None = None
-    q: float | None = None
-    c: float | None = None
 
 
 @dataclass(frozen=True)
@@ -636,24 +626,15 @@ def _statement(members: Sequence[Term], region: Region, dual_region: Region | No
     return text if dual_region is None else f"{text} (reversed when {dual_region.text})"
 
 
-def _scalar_chain(chain_id: str, region: Region, members: Sequence[Term]) -> None:
+def _cases(ids, region, members, dual_region, chain_id):
+    """The cases ``ids[i]``: ``members[i] <= members[i+1]``.  The members
+    also make the scalar chain ``chain_id`` on the region, and
+    ``chain_id + "_rev"`` (members reversed) on the dual region."""
     # oel.scalars cannot import this module (catalog imports means, which
     # imports scalars), so the catalog fills scalars.CHAINS in place at import
-    scalars.CHAINS[chain_id] = scalars.ChainSpec(
-        chain_id,
-        tuple((t.name, lambda x, *params, _f=t.f: _f(x, Params(*params))) for t in members),
-        region.grid,
-        lambda params: region.admits(Params(*params.T)),
-    )
-
-
-def _cases(ids, region, members, dual_region, chain_id):
-    """The cases ``ids[i]``: ``members[i] <= members[i+1]``.  The members'
-    twins also make the scalar chain ``chain_id`` on the region's grid, and
-    ``chain_id + "_rev"`` (members reversed) on the dual region."""
-    _scalar_chain(chain_id, region, members)
+    scalars.CHAINS[chain_id] = scalars.ChainSpec(chain_id, tuple(members), region)
     if dual_region is not None:
-        _scalar_chain(chain_id + "_rev", dual_region, members[::-1])
+        scalars.CHAINS[chain_id + "_rev"] = scalars.ChainSpec(chain_id + "_rev", tuple(members[::-1]), dual_region)
     statement = _statement(members, region, dual_region)
     return [
         InequalityCase(case_id, statement, lhs, rhs, region, region.plan, dual_region=dual_region)

@@ -143,12 +143,7 @@ def _cmd_probe(args) -> int:
         if args.x is None:
             raise InvalidInput("--fns mode needs an --x grid")
         params = {k: v for k, v in (("p", args.p), ("q", args.q), ("c", args.c)) if v is not None}
-        rows = []
-        for fn_id in ids:
-            spec = scalars.REGISTRY.get(fn_id)
-            if spec is None:
-                raise InvalidInput(f"unknown scalar fn {fn_id!r}; known: {sorted(scalars.REGISTRY)}")
-            rows.append(scalars.grid_rows(fn_id, args.x, **{k: params[k] for k in spec.params if k in params}))
+        rows = [scalars.grid_rows(fn_id, args.x, **params) for fn_id in ids]
         for r1, r2 in zip(rows[0], rows[1]):
             diff = r2["value"] - r1["value"]
             print(f"x={r1['x']:g}: {ids[0]}={r1['value']:.9g} {ids[1]}={r2['value']:.9g} diff={diff:.9g}")

@@ -232,6 +232,18 @@ def run_suite(
     )
 
 
+def _dims(dims) -> tuple[int, ...]:
+    """``dims`` as a tuple of integers >= 1 (any iterable of them, a numpy
+    array included); anything else is an InvalidInput."""
+    try:
+        dims = tuple(dims)
+    except TypeError:
+        raise InvalidInput(f"dims must be an iterable of positive integers, got {dims!r}") from None
+    if not dims or not all(_is_count(d, 1) for d in dims):
+        raise InvalidInput(f"bad dims {dims!r}")
+    return dims
+
+
 def _windows(seed: int, dims: tuple[int, ...], trials: int):
     """A run's trials as (trial seed, n) lists of at most ``WINDOW_TRIALS``,
     in trial order, trial i at ``dims[i % len(dims)]``: a window's schedule
@@ -243,8 +255,7 @@ def _windows(seed: int, dims: tuple[int, ...], trials: int):
         raise InvalidInput(f"master seed must be an integer in [0, 2^64), got {seed!r}")
     if not _is_count(trials, 1):
         raise InvalidInput(f"trials must be positive (an integer >= 1), got {trials!r}")
-    if not dims or not all(_is_count(d, 1) for d in dims):
-        raise InvalidInput(f"bad dims {dims!r}")
+    dims = _dims(dims)
     seed = int(seed)  # a numpy integer would overflow in trial_seeds
     for lo in range(0, trials, WINDOW_TRIALS):
         hi = min(lo + WINDOW_TRIALS, trials)
@@ -299,6 +310,7 @@ def run_all(
     cases = find_cases(pattern)
     if not cases:
         raise InvalidInput(f"no cases match pattern {pattern!r}")
+    dims = _dims(dims)  # an iterator would be used up by the first suite
     shared = _SharedDraws() if len(cases) > 1 else None
     return [
         run_suite(c, trials=trials, dims=dims, seed=seed, order_tol=order_tol, collect=collect, _shared=shared)

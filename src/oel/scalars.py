@@ -7,13 +7,16 @@ families built from them, and grid-based checkers (chain verification, sign
 tables, and spot-value probes) that certify the scalar inequalities
 independently of any matrix machinery.  The chains (:data:`CHAINS`) are
 filled by :mod:`oel.catalog`, which declares each inequality once: every
-declaration yields one chain, its terms' scalar twins on the grid of its
-hypothesis region, so every case (duals included) has its scalar check.  A
-grid is two arrays, the ``(R, P)`` parameters of its rows and their
-``(R, m)`` points x, built when the chain is verified; the check filters
-the rows by the region's gate once and evaluates the rest in blocks.  The
-sign tables (:data:`SIGN_CLAIMS`) are the dense sweeps through the frozen
-probes, where neither bound dominates.
+declaration yields one chain, its terms on its hypothesis region, so every
+case (duals included) has its scalar check.  The check evaluates the
+terms' scalar twins on every row of the region's grid, two arrays (the
+``(R, P)`` parameters of its rows and their ``(R, m)`` points x) built when
+the chain is verified, in blocks.  A grid row outside its region would be a
+bug of the grid, not a point to skip, so no row is filtered; a scan on
+another grid is ``replace(spec, region=obj)`` for any ``obj`` whose
+``grid()`` returns the two arrays.  The sign tables (:data:`SIGN_CLAIMS`)
+are the dense sweeps through the frozen probes, where neither bound
+dominates.
 
 Conventions: ``x`` (or ``t``) is a positive real, ``p``/``q`` are weight
 parameters, ``c`` is a curvature coefficient.  All functions are vectorized
@@ -25,16 +28,32 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, HypothesisError, InvalidInput
 
+if TYPE_CHECKING:  # catalog imports this module (through means)
+    from .catalog import Region, Term
+
 # sign witnesses must clear this threshold ...
 SIGN_WITNESS = 1e-10
 # ... while violations may not exceed this one
 SIGN_SLACK = 1e-12
+
+
+@dataclass(frozen=True)
+class Params:
+    """Scalar parameters of a trial or of a chain grid's rows; unused ones
+    stay None.  Inside :func:`oel.catalog.evaluate_trials` the terms see one
+    Params whose fields hold the trials' values as ``(k, 1, 1)`` arrays, and
+    in :func:`verify_scalar_chain` the twins see a block's rows as ``(k, 1)``
+    columns."""
+
+    p: float | None = None
+    q: float | None = None
+    c: float | None = None
 
 
 def _pos(x) -> np.ndarray:
@@ -389,15 +408,14 @@ def run_probe(probe_id: str) -> tuple[list[float], ProbeSpec, bool]:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """An ordered family of scalar bounds: member_i(x, *params) <= member_{i+1}
-    on the rows of ``grid()``, a ``(R, P)`` array of parameters and a
-    ``(R, m)`` array of x points, whose parameters are ``admissible`` (one
-    bool per row of the parameter array, or one for all)."""
+    """An ordered family of catalog terms, ``members`` (each with its name and
+    its scalar twin ``f(x, params)``), claimed as member_i <= member_{i+1}
+    on the rows of ``region.grid()``: a ``(R, P)`` array of parameters (p,
+    then q, then c) and a ``(R, m)`` array of x points."""
 
     chain_id: str
-    members: tuple[tuple[str, Callable], ...]
-    grid: Callable[[], tuple[np.ndarray, np.ndarray]]
-    admissible: Callable[[np.ndarray], np.ndarray]
+    members: tuple[Term, ...]
+    region: Region
 
 
 @dataclass(frozen=True)
@@ -405,23 +423,20 @@ class ChainResult:
     chain_id: str
     worst_violation: float
     points_checked: int
-    points_filtered: int
     worst_point: tuple
 
 
 # Filled in place by oel.catalog at import (catalog imports means, which
 # imports this module, so the chains cannot be built here): one per catalog
-# declaration, its terms' scalar twins on the grid and gate of its region.
+# declaration, its terms on the grid of its region.
 CHAINS: dict[str, ChainSpec] = {}
 
 STACK_POINTS = 1 << 14  # grid points evaluated at once by verify_scalar_chain
 
 
 def verify_scalar_chain(chain_id: str) -> ChainResult:
-    """Check every adjacent pair of the chain ``CHAINS[chain_id]`` on its
-    grid.  Rows whose parameters violate the chain's hypothesis are
-    filtered and their points counted; if nothing remains, HypothesisError
-    is raised.
+    """Check every adjacent pair of the chain ``CHAINS[chain_id]`` on every
+    row of its region's grid; an empty grid is a HypothesisError.
 
     Returns
     -------
@@ -432,26 +447,24 @@ def verify_scalar_chain(chain_id: str) -> ChainResult:
         difference is not a number.
 
     The rows are evaluated in blocks of at most ``STACK_POINTS`` points (at
-    least one row): the members see each parameter as a ``(k, 1)`` column
-    and x as a ``(k, m)`` array.
+    least one row): the members' twins see one :class:`Params` whose fields
+    are the block's parameter columns, each shaped ``(k, 1)``, and x as a
+    ``(k, m)`` array.
     """
     if chain_id not in CHAINS:
         raise InvalidInput(f"unknown chain id {chain_id!r}; known: {sorted(CHAINS)}")
     spec = CHAINS[chain_id]
-    params, xs = spec.grid()
-    ok = np.broadcast_to(spec.admissible(params), len(params))
-    filtered = int(np.count_nonzero(~ok)) * xs.shape[1]
-    if not ok.all():
-        params, xs = params[ok], xs[ok]
+    params, xs = spec.region.grid()
     if xs.size == 0:
-        raise HypothesisError(f"no grid point satisfies the hypothesis of {chain_id!r}")
+        raise HypothesisError(f"the grid of chain {chain_id!r} has no point")
     rows, m = xs.shape
     worst = np.inf
     worst_point: tuple = ()
     step = max(1, STACK_POINTS // m)
     for start in range(0, rows, step):
         x = xs[start : start + step]
-        vals = [fn(x, *params[start : start + step].T[:, :, None]) for _, fn in spec.members]
+        pr = Params(*params[start : start + step].T[:, :, None])
+        vals = [t.f(x, pr) for t in spec.members]
         for lo_vals, hi_vals in zip(vals[:-1], vals[1:]):
             diff = hi_vals - lo_vals
             i = int(np.argmin(diff))  # the first NaN, if there is one
@@ -459,7 +472,7 @@ def verify_scalar_chain(chain_id: str) -> ChainResult:
                 row, j = divmod(i, m)
                 worst = float(diff.flat[i])
                 worst_point = (*params[start + row].tolist(), float(x[row, j]))
-    return ChainResult(chain_id, float(worst), xs.size, filtered, worst_point)
+    return ChainResult(chain_id, float(worst), xs.size, worst_point)
 
 
 # ---------------------------------------------------------------------------
@@ -549,47 +562,38 @@ def sign_table(claim_id: str) -> SignReport:
 CSV_COLUMNS = ("fn_id", "p", "q", "c", "x", "value")
 
 
-def export_rows_csv(rows: Iterable[dict], out) -> None:
-    """Write rows with keys (fn_id, p, q, c, x, value) as CSV.
-
-    ``out`` is a writable text stream or a path.
-    """
-    own = isinstance(out, (str, bytes))
-    stream = open(out, "w", newline="") if own else out
-    try:
+def export_rows_csv(rows: Iterable[dict], path: str) -> None:
+    """Write rows with keys (fn_id, p, q, c, x, value) as CSV to ``path``."""
+    with open(path, "w", newline="") as stream:
         w = csv.DictWriter(stream, fieldnames=CSV_COLUMNS)
         w.writeheader()
         for row in rows:
             w.writerow({k: row.get(k, "") for k in CSV_COLUMNS})
-    finally:
-        if own:
-            stream.close()
 
 
 def grid_rows(fn_id: str, xs: Sequence[float], **params) -> list[dict]:
-    """Evaluate a registered scalar function on a grid, as CSV-ready rows.
-    A missing or non-finite parameter, or a point x that is not finite and
-    > 0, is an InvalidInput."""
+    """Evaluate a registered scalar function on a grid, as CSV-ready rows,
+    each recording the parameters the function takes.  A missing parameter,
+    a non-finite one (whether or not the function takes it), or a point x
+    that is not finite and > 0, is an InvalidInput."""
     if fn_id not in REGISTRY:
         raise InvalidInput(f"unknown scalar fn {fn_id!r}; known: {sorted(REGISTRY)}")
     spec = REGISTRY[fn_id]
     missing = [k for k in spec.params if k not in params]
     if missing:
         raise InvalidInput(f"{fn_id} needs parameters {missing}")
-    args = [params[k] for k in spec.params]
-    if not np.isfinite(args).all():
-        raise InvalidInput(f"{fn_id} needs finite parameters, got {dict(zip(spec.params, args))}")
+    if not np.isfinite(list(params.values())).all():
+        raise InvalidInput(f"{fn_id} needs finite parameters, got {params}")
     bad = [x for x in xs if not (np.isfinite(x) and x > 0.0)]
     if bad:
         raise InvalidInput(f"{fn_id} needs finite points x > 0, got {bad[0]}")
+    args = [params[k] for k in spec.params]
     rows = []
     for x in xs:
         rows.append(
             {
                 "fn_id": fn_id,
-                "p": params.get("p", ""),
-                "q": params.get("q", ""),
-                "c": params.get("c", ""),
+                **{k: params[k] if k in spec.params else "" for k in ("p", "q", "c")},
                 "x": float(x),
                 "value": float(spec.fn(float(x), *args)),
             }
@@ -606,6 +610,3 @@ def probe_rows(probe_id: str) -> list[dict]:
         rows.append({"fn_id": f"probe:{probe_id}:{label}:expected", "p": "", "q": "", "c": "", "x": "", "value": e})
     return rows
 
-
-def export_probe_csv(probe_id: str, out) -> None:
-    export_rows_csv(probe_rows(probe_id), out)

@@ -55,7 +55,16 @@ def _scalar_or_stack(x):
 
 
 def _square_float(m) -> np.ndarray:
-    a = np.array(m, dtype=float, copy=True)
+    """A float copy of square matrix data, or of a stack of it.  Only integer
+    or floating entries are read: complex, string, boolean, object or ragged
+    data is an InvalidInput, not coerced."""
+    try:
+        a = np.asarray(m)
+    except ValueError as exc:  # ragged nesting
+        raise InvalidInput(f"matrix data is not a rectangular array: {exc}") from exc
+    if a.dtype.kind not in "iuf":
+        raise InvalidInput(f"matrix entries must be integers or floats, got dtype {a.dtype}")
+    a = a.astype(float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:

@@ -290,6 +290,9 @@ def test_order_tolerance_must_be_finite_and_nonnegative(capsys, tol):
         ["--fns", "tsallis,hh_lower", "--x", "2", "--p", "nan"],
         ["--fns", "tsallis,hh_lower", "--x", "2", "--p", "inf"],
         ["--fns", "chord_log_ratio,log_defect", "--x", "2", "--c", "nan"],
+        # a parameter that neither function takes was not checked
+        ["--fns", "tsallis,hh_lower", "--x", "2", "--p", "0.5", "--q", "nan"],
+        ["--fns", "tsallis,hh_lower", "--x", "2", "--p", "0.5", "--c", "nan"],
     ],
 )
 def test_probe_fns_rejects_non_finite_parameters(capsys, argv):

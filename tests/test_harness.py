@@ -328,6 +328,28 @@ def test_suite_rejects_dimensions_that_are_not_integers():
             run_suite(case_by_id("H1.1"), trials=2, dims=dims)
 
 
+def test_dims_are_read_from_any_iterable():
+    def rows(dims):
+        collected = []
+        run_all("H1", trials=3, dims=dims, seed=5, collect=collected)
+        return collected
+
+    expected = rows((1, 2))
+    assert rows(np.array([1, 2])) == expected
+    assert rows(d for d in (1, 2)) == expected  # one pass serves every suite
+    sweep = dict(trials=3, p_grid=(0.5,), seed=5)
+    assert integral_sweep(dims=np.array([1, 2]), **sweep) == integral_sweep(dims=(1, 2), **sweep)
+    runs = (
+        lambda dims: run_suite(case_by_id("H1.1"), trials=2, dims=dims),
+        lambda dims: run_all("H1", trials=2, dims=dims),
+        lambda dims: integral_sweep(trials=2, p_grid=(0.5,), dims=dims),
+    )
+    for run in runs:
+        for dims in (3, np.array([]), np.array([1.0, 2.0])):
+            with pytest.raises(InvalidInput):
+                run(dims)
+
+
 def test_report_dataclass_is_value_comparable():
     a = run_trial(case_by_id("W2.1"), 11, 2)
     b = run_trial(case_by_id("W2.1"), 11, 2)

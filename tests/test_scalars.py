@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 
 from oel.errors import DomainError, HypothesisError, InvalidInput
 from oel import scalars
-from oel.catalog import R_M3_B1, R_U1_PUNIT, R_W4_I, Box, ExpEdge, Params, catalog_with_duals
+from oel.catalog import R_M3_B1, R_U1_PUNIT, R_W4_I, Box, ExpEdge, Params, Term, catalog_with_duals
 from oel.scalars import (
     CHAINS,
     PROBES,
@@ -229,8 +230,8 @@ def test_every_case_is_covered_by_exactly_one_chain():
         covering = [
             chain_id
             for chain_id, spec in CHAINS.items()
-            if spec.grid.__self__ == case.hypothesis
-            and (case.lhs.name, case.rhs.name) in zip((n for n, _ in spec.members), (n for n, _ in spec.members[1:]))
+            if spec.region is case.hypothesis
+            and (case.lhs.name, case.rhs.name) in zip((m.name for m in spec.members), (m.name for m in spec.members[1:]))
         ]
         assert len(covering) == 1, (case.id, covering)
 
@@ -260,8 +261,15 @@ def test_grid_shares_its_x_row_when_no_edge_moves():
 
 @pytest.mark.parametrize("chain_id", sorted(CHAIN_POINTS))
 def test_chain_grid_keeps_its_points(chain_id):
-    res = verify_scalar_chain(chain_id)
-    assert (res.points_checked, res.points_filtered) == (CHAIN_POINTS[chain_id], 0)
+    assert verify_scalar_chain(chain_id).points_checked == CHAIN_POINTS[chain_id]
+
+
+@pytest.mark.parametrize("chain_id", sorted(CHAINS))
+def test_chain_grids_lie_in_their_regions(chain_id):
+    # the check filters no row, so a grid row outside its region is a bug
+    spec = CHAINS[chain_id]
+    params, _ = spec.region.grid()
+    assert np.all(spec.region.admits(Params(*params.T))), chain_id
 
 
 @pytest.mark.parametrize("chain_id", sorted(CHAINS))
@@ -289,26 +297,26 @@ WIDENED = {
 @pytest.mark.parametrize("chain_id", sorted(WIDENED))
 def test_chain_fails_on_a_widened_region(monkeypatch, chain_id):
     wide = WIDENED[chain_id]
-    spec = replace(CHAINS[chain_id], grid=wide.grid, admissible=lambda params: wide.admits(Params(*params.T)))
-    monkeypatch.setitem(CHAINS, chain_id, spec)
+    monkeypatch.setitem(CHAINS, chain_id, replace(CHAINS[chain_id], region=wide))
     res = verify_scalar_chain(chain_id)
-    assert res.points_filtered == 0
     assert res.worst_violation < -1.0, res
 
 
 def _custom_grid(monkeypatch, params, xs, **fields):
-    """Install the chain means_order on the rows of ``params`` and ``xs``,
-    with any other ChainSpec ``fields`` replaced."""
-    spec = replace(CHAINS["means_order"], grid=lambda: (np.array(params), np.array(xs)), **fields)
+    """Install the chain means_order on the rows of ``params`` and ``xs`` (a
+    stand-in region: any object whose grid() returns the two arrays), with
+    any other ChainSpec ``fields`` replaced."""
+    region = SimpleNamespace(grid=lambda: (np.array(params), np.array(xs)))
+    spec = replace(CHAINS["means_order"], region=region, **fields)
     monkeypatch.setitem(CHAINS, "means_order", spec)
 
 
 def test_chain_nan_difference_is_the_worst(monkeypatch):
     spec = CHAINS["means_order"]
     # NaN at x = 2 in the first row, a difference of about -1e9 at x = 5 in the second
-    nan_at_two = lambda x, p: np.where(x == 2.0, np.nan, np.where(x == 5.0, -1e9, arith_rep(x, p)))
+    nan_at_two = lambda x, pr: np.where(x == 2.0, np.nan, np.where(x == 5.0, -1e9, arith_rep(x, pr.p)))
     _custom_grid(monkeypatch, [[0.5], [0.25]], [[1.0, 2.0, 4.0], [3.0, 5.0, 6.0]],
-                 members=spec.members[:2] + (("nan", nan_at_two),))
+                 members=spec.members[:2] + (Term("nan", None, nan_at_two),))
     monkeypatch.setattr(scalars, "STACK_POINTS", 3)  # one row per block
     # the more negative finite value of the later block must not hide the NaN
     res = verify_scalar_chain("means_order")
@@ -323,16 +331,9 @@ def test_chain_unknown_id():
 
 
 def test_chain_empty_admissible_grid(monkeypatch):
-    _custom_grid(monkeypatch, [[2.0]], [[1.0]])
+    _custom_grid(monkeypatch, np.empty((0, 1)), np.empty((0, 120)))
     with pytest.raises(HypothesisError):
         verify_scalar_chain("means_order")
-
-
-def test_chain_custom_grid_filters_points(monkeypatch):
-    _custom_grid(monkeypatch, [[0.5], [2.0]], [[1.0, 2.0], [3.0, 4.0]])
-    res = verify_scalar_chain("means_order")
-    assert res.points_checked == 2
-    assert res.points_filtered == 2
 
 
 def test_sign_claims_are_the_mixed_sweeps():
@@ -392,7 +393,7 @@ def test_grid_rows_missing_param():
 
 def test_probe_csv_contains_expected_rows(tmp_path):
     out = tmp_path / "probe.csv"
-    scalars.export_probe_csv("2.5", str(out))
+    scalars.export_rows_csv(scalars.probe_rows("2.5"), str(out))
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 8  # header + (value, expected) per point
     assert any("expected" in ln for ln in lines[1:])

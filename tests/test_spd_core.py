@@ -53,6 +53,29 @@ def test_rejects_nonfinite_and_nonsquare():
         SpdMatrix(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        np.array([[1, 1j], [-1j, 2]]),  # would lose its imaginary part
+        [["1", "0"], ["0", "2"]],
+        np.eye(2, dtype=bool),
+        [[1, 0], [0]],  # ragged
+    ],
+    ids=["complex", "string", "bool", "ragged"],
+)
+def test_rejects_entries_that_are_not_real_numbers(entries):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way
+        for check in (SpdMatrix, dump_matrix, lambda m: loewner_leq(m, m)):
+            with pytest.raises(InvalidInput):
+                check(entries)
+
+
+def test_accepts_integer_entries():
+    assert SpdMatrix([[2, 1], [1, 2]]).mat.dtype == float
+    assert SpdMatrix(np.array([[3]], dtype=np.uint8)).mat[0, 0] == 3.0
+
+
 def test_matrix_is_frozen():
     a = spd(0, 3)
     with pytest.raises(ValueError):
