@@ -26,8 +26,9 @@ definiteness is a NumericalBreakdown of the trial.
 :func:`evaluate_trials` runs k trials of one case on a stacked pair: each
 term is then one ``(k, n, n)`` stack, and the trials' weights reach it as
 ``(k, 1, 1)`` arrays.  Its verdict is the comparator of
-:func:`oel.spd_core.loewner_leq` (one eigensolve per stack) without the
-input checks: its terms are computed.  It returns plain rows; :func:`evaluate`
+:func:`oel.spd_core.loewner_leq` (one ``eigvalsh`` of the ``(k, n, n)``
+stack ``Y - X``, scaled by row-sum norms) without the input checks: its
+terms are computed.  It returns plain rows; :func:`evaluate`
 and the harness build the :class:`MarginReport` of a row.
 """
 

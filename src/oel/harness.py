@@ -26,8 +26,8 @@ A stack is drawn one way (``_draw``): its plan words and its
 :func:`~oel.sampler.pair_from_base` builds C and B.  The stacked pair holds
 C's basis and spectrum, so the derived pairs of a case are lifts of C
 (:meth:`~oel.means.OperatorPair.lift_pair`) and a trial makes no ``eigh``:
-its eigensolves are the verdict's ``eigvalsh`` and the harmonic mean's full
-check.  Every case of a
+its eigensolves are the verdict's ``eigvalsh`` of ``Y - X`` and the harmonic
+mean's full check.  Every case of a
 :func:`run_all` call reads the same trial streams, so the call keeps one
 memo of its stacks' draws (``_SharedDraws``), keyed by n and the stack's
 trial seeds, and only its first suite draws each stack.  The memo holds at

@@ -241,7 +241,7 @@ def geom_to_harm_ratio(x, p: float):
 
 def harm_drop_rate(x, p: float):
     """((1-p) + p/x - x**(-p)) / p: arithmetic-geometric gap at 1/x, per unit weight."""
-    if p == 0.0:
+    if np.any(p == 0.0):
         raise DomainError("drop rate undefined at p = 0")
     x = _pos(x)
     return ((1.0 - p) + p / x - x ** (-p)) / p
@@ -571,19 +571,34 @@ def export_rows_csv(rows: Iterable[dict], path: str) -> None:
             w.writerow({k: row.get(k, "") for k in CSV_COLUMNS})
 
 
+def _real(value, what: str) -> float:
+    """One number given as an integer or a float (numpy scalars included); a
+    string, a bool, an array or any other kind is an InvalidInput."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf" or a.ndim != 0:
+        raise InvalidInput(f"{what} must be an integer or a float, got {value!r}")
+    return float(a)
+
+
 def grid_rows(fn_id: str, xs: Sequence[float], **params) -> list[dict]:
     """Evaluate a registered scalar function on a grid, as CSV-ready rows,
-    each recording the parameters the function takes.  A missing parameter,
-    a non-finite one (whether or not the function takes it), or a point x
-    that is not finite and > 0, is an InvalidInput."""
+    each recording the parameters the function takes.  A parameter other
+    than p, q or c, a missing one, one that is not a finite integer or float
+    (whether or not the function takes it), or a point x that is not a finite
+    integer or float > 0, is an InvalidInput."""
     if fn_id not in REGISTRY:
         raise InvalidInput(f"unknown scalar fn {fn_id!r}; known: {sorted(REGISTRY)}")
     spec = REGISTRY[fn_id]
+    unknown = sorted(set(params) - {"p", "q", "c"})
+    if unknown:
+        raise InvalidInput(f"unknown parameters {unknown}; known: ['c', 'p', 'q']")
     missing = [k for k in spec.params if k not in params]
     if missing:
         raise InvalidInput(f"{fn_id} needs parameters {missing}")
+    params = {k: _real(v, f"{fn_id} parameter {k}") for k, v in params.items()}
     if not np.isfinite(list(params.values())).all():
         raise InvalidInput(f"{fn_id} needs finite parameters, got {params}")
+    xs = [_real(x, f"{fn_id} point x") for x in xs]
     bad = [x for x in xs if not (np.isfinite(x) and x > 0.0)]
     if bad:
         raise InvalidInput(f"{fn_id} needs finite points x > 0, got {bad[0]}")
@@ -594,8 +609,8 @@ def grid_rows(fn_id: str, xs: Sequence[float], **params) -> list[dict]:
             {
                 "fn_id": fn_id,
                 **{k: params[k] if k in spec.params else "" for k in ("p", "q", "c")},
-                "x": float(x),
-                "value": float(spec.fn(float(x), *args)),
+                "x": x,
+                "value": float(spec.fn(x, *args)),
             }
         )
     return rows

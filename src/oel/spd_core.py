@@ -4,7 +4,8 @@ Everything downstream reduces to a handful of primitives implemented here:
 scalar functional calculus ``Q diag(f(w)) Q^T`` on a spectrum that is
 sampled or solved for with one ``eigh`` (:func:`spectral_assemble`), and
 the positive-semidefinite order comparison used to pass verdicts on
-operator inequalities.
+operator inequalities: one ``eigvalsh`` of ``Y - X``, with a tolerance
+scaled by row-sum bounds on the operators' norms (:func:`loewner_leq`).
 
 Matrices are plain float64 numpy arrays.  Strict positive definiteness is
 enforced once per :class:`SpdMatrix`, after which the wrapped array is
@@ -39,8 +40,10 @@ STRICTNESS_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 # default relative tolerance for Loewner-order verdicts
 ORDER_TOL = 1e-8
-# the largest entry accepted from outside: sums of two such entries stay finite
-_MAX_ENTRY = np.finfo(float).max / 2
+# the largest double, and the largest entry accepted from outside: sums of
+# two such entries stay finite
+_MAX_DOUBLE = np.finfo(float).max
+_MAX_ENTRY = _MAX_DOUBLE / 2
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -267,8 +270,9 @@ class LoewnerVerdict:
     """Outcome of a positive-semidefinite order comparison X <= Y.
 
     ``margin`` is the smallest eigenvalue of Y - X; ``scale`` is
-    max(1, ||X||_2, ||Y||_2); the comparison holds when
-    ``margin >= -order_tol * scale``.
+    max(1, ||X||_inf, ||Y||_inf), the largest absolute row sums, which bound
+    the spectral norms from above (and exceed them by at most sqrt(n)); the
+    comparison holds when ``margin >= -order_tol * scale``.
     """
 
     margin: float | np.ndarray
@@ -283,16 +287,25 @@ def _check_tol(tol: float) -> None:
         raise InvalidInput(f"tolerance must be a finite number >= 0, got {tol}")
 
 
+def _row_sum_norm(m: np.ndarray) -> np.ndarray:
+    """``||M||_inf``, the largest absolute row sum of each matrix, an upper
+    bound on its spectral norm for symmetric M (Horn & Johnson, *Matrix
+    Analysis*, Thm 5.6.9).  A sum past the largest double is clamped to it,
+    so the bound stays finite and at least any finite ``||M||_2``."""
+    with np.errstate(over="ignore"):
+        return np.minimum(np.abs(m).sum(axis=-1).max(axis=-1), _MAX_DOUBLE)
+
+
 def _loewner(xm: np.ndarray, ym: np.ndarray, order_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The margins, scales and verdicts of ``xm <= ym`` over the leading axes
-    of two symmetric arrays (0-d for one matrix), from one ``eigvalsh`` on the
-    stacked ``(Y - X, X, Y)``; a non-finite operand is a NumericalBreakdown."""
-    stacked = np.stack((ym - xm, xm, ym))
-    if not np.isfinite(stacked).all():
+    of two symmetric arrays (0-d for one matrix), from one ``eigvalsh`` of
+    ``Y - X``; the scale is ``max(1, ||X||_inf, ||Y||_inf)``.  A non-finite
+    operand is a NumericalBreakdown."""
+    gap = ym - xm
+    if not np.isfinite(gap).all():  # also where X or Y holds an inf or a nan
         raise NumericalBreakdown("a term of the comparison is not finite")
-    w = np.linalg.eigvalsh(stacked)
-    margin = w[0, ..., 0]
-    scale = np.maximum(1.0, np.maximum(np.abs(w[1]).max(axis=-1), np.abs(w[2]).max(axis=-1)))
+    margin = np.linalg.eigvalsh(gap)[..., 0]
+    scale = np.maximum(1.0, np.maximum(_row_sum_norm(xm), _row_sum_norm(ym)))
     return margin, scale, margin >= -order_tol * scale
 
 
@@ -306,7 +319,9 @@ def loewner_leq(x, y, order_tol: float = ORDER_TOL) -> LoewnerVerdict:
         verdict per matrix, as arrays).
     order_tol : float
         Relative tolerance, a finite number >= 0; the verdict holds iff
-        ``lambda_min(Y - X) >= -order_tol * max(1, ||X||_2, ||Y||_2)``.
+        ``lambda_min(Y - X) >= -order_tol * max(1, ||X||_inf, ||Y||_inf)``,
+        where ``||.||_inf`` is the largest absolute row sum (at least the
+        spectral norm, at most sqrt(n) times it).
     """
     _check_tol(order_tol)
     xm = x.mat if isinstance(x, SpdMatrix) else _force_symmetric(x)

@@ -449,11 +449,25 @@ def _kernel_verdicts(monkeypatch):
 
 def test_kernel_verdict_is_loewner_leq_in_one_eigensolve(monkeypatch):
     for x, y, order_tol, (margin, scale, holds), eig_calls in _kernel_verdicts(monkeypatch):
-        assert eig_calls == [(3, *x.shape)]
+        assert eig_calls == [x.shape]  # Y - X alone
         public = loewner_leq(x, y, order_tol)
         assert margin.tobytes() == public.margin.tobytes()
         assert scale.tobytes() == public.scale.tobytes()
         assert holds.tolist() == public.holds.tolist()
+
+
+@pytest.mark.parametrize("dims, trials", [((2, 3, 4), 90), ((16, 32, 64), 12), ((128,), 3)])
+def test_every_case_catches_its_swapped_form_on_every_trial(dims, trials):
+    # the negative control: with lhs and rhs exchanged each claim is false,
+    # and the verdict's tolerance (scaled by row-sum norms, up to sqrt(n)
+    # times the spectral norms) must still call every trial a failure
+    missed = {}
+    for case in catalog_with_duals():
+        swapped = dataclasses.replace(case, lhs=case.rhs, rhs=case.lhs)
+        res = run_suite(swapped, trials=trials, dims=dims, seed=7)
+        if res.failures != trials:
+            missed[case.id] = trials - res.failures
+    assert missed == {}
 
 
 def test_every_term_stack_is_exactly_symmetric(monkeypatch):

@@ -391,6 +391,43 @@ def test_grid_rows_missing_param():
         scalars.grid_rows("tsallis", [1.0])
 
 
+@pytest.mark.parametrize(
+    "xs, params, match",
+    [
+        # a string weight raised a bare TypeError from np.isfinite
+        ([2.0], {"p": "0.5"}, "parameter p must be an integer or a float"),
+        ([2.0], {"p": 0.5, "q": np.array([0.5, 0.2])}, "parameter q must be an integer or a float"),
+        ([2.0], {"p": True}, "parameter p must be an integer or a float"),
+        # an unknown parameter was accepted without a word
+        ([2.0], {"p": 0.5, "z": 1.0}, r"unknown parameters \['z'\]"),
+        # a bool point was evaluated as x = 1.0
+        ([True], {"p": 0.5}, "point x must be an integer or a float"),
+        ([2.0, np.bool_(True)], {"p": 0.5}, "point x must be an integer or a float"),
+        (["2"], {"p": 0.5}, "point x must be an integer or a float"),
+    ],
+    ids=["p-str", "q-array", "p-bool", "unknown-z", "x-bool", "x-numpy-bool", "x-str"],
+)
+def test_grid_rows_rejects_what_is_not_a_real_number_or_a_known_parameter(xs, params, match):
+    with pytest.raises(InvalidInput, match=match):
+        scalars.grid_rows("tsallis", xs, **params)
+
+
+def test_grid_rows_takes_integers_and_numpy_numbers():
+    rows = scalars.grid_rows("tsallis", [np.float32(2.0), 4, np.int64(1)], p=np.float64(0.5), q=1)
+    assert [(r["x"], r["p"], r["q"]) for r in rows] == [(2.0, 0.5, ""), (4.0, 0.5, ""), (1.0, 0.5, "")]
+    assert rows[1]["value"] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_harm_drop_rate_takes_one_weight_per_matrix():
+    # an array of weights raised a bare ValueError from `if p == 0.0`, where
+    # the sibling rates return one value per weight
+    p = np.array([0.5, 0.2])
+    got = scalars.harm_drop_rate(2.0, p)
+    assert got.tolist() == [scalars.harm_drop_rate(2.0, 0.5), scalars.harm_drop_rate(2.0, 0.2)]
+    with pytest.raises(DomainError, match="p = 0"):
+        scalars.harm_drop_rate(2.0, np.array([0.5, 0.0]))
+
+
 def test_probe_csv_contains_expected_rows(tmp_path):
     out = tmp_path / "probe.csv"
     scalars.export_rows_csv(scalars.probe_rows("2.5"), str(out))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oel.errors import InvalidInput, NumericalBreakdown
 from oel.sampler import SamplerConfig, random_spd
 from oel.spd_core import (
+    _MAX_ENTRY,
     SpdMatrix,
     as_spd,
     dump_matrix,
@@ -161,11 +162,15 @@ def test_loewner_reversal_fails():
 
 
 def test_loewner_scale_uses_operator_norms():
+    # the operator norm induced by the max norm: the largest absolute row sum
     big = 50.0 * np.eye(2)
     v = loewner_leq(big, big)
     assert v.scale == pytest.approx(50.0)
     small = 0.01 * np.eye(2)
     assert loewner_leq(small, small).scale == 1.0
+    dense = 10.0 * np.array([[1.0, 1.0], [1.0, -1.0]])  # ||.||_2 = 10 sqrt(2)
+    assert loewner_leq(dense, 3.0 * np.eye(2)).scale == 20.0
+    assert loewner_leq(-np.eye(2), dense).scale == 20.0
 
 
 def test_loewner_tolerance_is_relative():
@@ -189,21 +194,44 @@ def test_loewner_rejects_entries_whose_sums_overflow(x, y):
     assert v.holds and v.margin == pytest.approx(1.6e308)  # LAPACK rescales entries this large
 
 
+def test_loewner_row_sums_past_the_largest_double_keep_a_finite_scale():
+    # dense operands with entries near _MAX_ENTRY: a row sum of |X| overflows
+    # (so does ||X||_2 = 2.7 _MAX_ENTRY), and an infinite scale would let
+    # every comparison hold
+    big, ones = 0.9 * _MAX_ENTRY * np.ones((3, 3)), np.ones((3, 3))
+    x, y = big, big - 0.25 * _MAX_ENTRY * (np.eye(3) + ones)  # Y - X = -_MAX_ENTRY/4 (I + J)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = loewner_leq(x, y)
+        back = loewner_leq(y, x)
+    assert v.scale == back.scale == np.finfo(float).max
+    assert v.margin == pytest.approx(-_MAX_ENTRY) and not v.holds
+    assert back.margin == pytest.approx(0.25 * _MAX_ENTRY) and back.holds
+
+
 def test_loewner_one_eigensolve_has_the_bits_of_three():
-    # the comparator's one eigvalsh of the stacked (Y - X, X, Y) against
-    # three separate eigvalsh, on single matrices and on stacks
+    # the comparator's one eigvalsh of Y - X against the first slice of one
+    # eigvalsh of the stacked (Y - X, X, Y), on single matrices and on
+    # stacks; its scale is max(1, row-sum norms), which bound the spectral
+    # norms from above and exceed them by at most sqrt(n)
     rng = np.random.default_rng(17)
     for n in (1, 2, 3, 5, 8, 17, 39):
+        slack = 1.0 + 4 * n * np.finfo(float).eps  # rounding of the sums and the eigenvalues
         for shape in ((n, n), (4, n, n)):
             for scale in (1e-3, 1.0, 1e3):
                 x, y = (scale * symmetrize(rng.standard_normal(shape)) for _ in range(2))
                 v = loewner_leq(x, y)
                 margin = np.linalg.eigvalsh(y - x)[..., 0]
-                norms = np.maximum(np.abs(np.linalg.eigvalsh(x)).max(axis=-1), np.abs(np.linalg.eigvalsh(y)).max(axis=-1))
-                expected = np.maximum(1.0, norms)
+                assert margin.tobytes() == np.linalg.eigvalsh(np.stack((y - x, x, y)))[0, ..., 0].tobytes()
+                rows = [np.abs(m).sum(axis=-1).max(axis=-1) for m in (x, y)]
+                expected = np.maximum(1.0, np.maximum(*rows))
                 assert np.asarray(v.margin, dtype=float).tobytes() == margin.tobytes()
                 assert np.asarray(v.scale, dtype=float).tobytes() == expected.tobytes()
                 assert np.array_equal(v.holds, margin >= -1e-8 * expected)
+                for m, row in zip((x, y), rows):
+                    norm2 = np.abs(np.linalg.eigvalsh(m)).max(axis=-1)
+                    assert (norm2 <= row * slack).all()
+                    assert (row <= np.sqrt(n) * norm2 * slack).all()
 
 
 @given(c=st.floats(min_value=1e-6, max_value=10.0))
