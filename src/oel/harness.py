@@ -35,6 +35,12 @@ most ``SHARED_ENTRIES`` matrix entries; stacks past it are drawn per case.
 It lives as long as its call; :func:`run_trial`, :func:`replay`, a lone
 :func:`run_suite` and :func:`integral_sweep` (on a suite's windows and
 stacks) draw their own stacks.
+
+:func:`integral_sweep` gives its weights a leading axis of their own (see
+:mod:`oel.means`): a stack of k pairs is checked at ``max(1, STACK_ENTRIES
+// (k n^2))`` weights per quadrature and closed-form call, so a small stack
+takes its whole grid in one call and a full one keeps one weight per call;
+each matrix has the bits of its one-weight call.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
+from numbers import Real
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -433,6 +440,22 @@ class IntegralResult:
     holds: bool
 
 
+def _p_grid(p_grid) -> tuple[float, ...]:
+    """``p_grid`` as a tuple of Python floats: a non-empty iterable of real
+    numbers (bools not) with ``0 < |p| <= 1``; anything else is an
+    InvalidInput."""
+    try:
+        grid = tuple(p_grid)
+    except TypeError:
+        raise InvalidInput(f"p grid must be an iterable of weights, got {p_grid!r}") from None
+    if not grid:
+        raise InvalidInput("p grid is empty")
+    for p in grid:
+        if not isinstance(p, Real) or isinstance(p, bool) or not 0.0 < abs(p) <= 1.0:
+            raise InvalidInput(f"p grid value is not a number in [-1, 1] \\ {{0}}: {p!r}")
+    return tuple(map(float, grid))
+
+
 def integral_sweep(
     *,
     trials: int = 100,
@@ -445,34 +468,40 @@ def integral_sweep(
     """Check the averaged-entropy identity: the unit-interval quadrature of
     the entropy family reproduces the closed form on every sampled pair (a
     suite's trials, each stack checked at every p before the next is drawn).
-    A p's worst residual is that of the earliest trial attaining it.
-    ``trials`` that is not an integer >= 1, or a non-finite or negative
-    ``tol``, is an InvalidInput."""
+    A stack of k pairs at dimension n takes ``max(1, STACK_ENTRIES // (k n^2))``
+    weights per quadrature and closed-form call, as one weight axis (see
+    :mod:`oel.means`).  A p's worst residual is that of the earliest trial
+    attaining it.  A ``p_grid`` that is not a non-empty iterable of numbers
+    in ``[-1, 1] \\ {0}``, ``trials`` that is not an integer >= 1, or a
+    non-finite or negative ``tol``, is an InvalidInput."""
     _check_tol(tol)
-    for p in p_grid:
-        if not (0.0 < abs(p) <= 1.0):
-            raise InvalidInput(f"p grid value outside [-1, 1] \\ {{0}}: {p}")
+    grid = _p_grid(p_grid)
+    weights = np.array(grid)[:, None, None, None]
     # per p: [worst residual, its allowed residual, its trial, every trial within tolerance]
-    worst = [[0.0, tol, -1, True] for _ in p_grid]
+    worst = [[0.0, tol, -1, True] for _ in grid]
     lo = 0
     for window in _windows(seed, dims, trials):
         for stack, n in _stacks(window):
             plan_words, base = _draw([window[i][0] for i in stack], n)
             _, u_target, v_target = _SWEEP_REGION.plan(plan_words)
             pair = pair_from_base(base, u_target, v_target)
-            for p, w in zip(p_grid, worst):
+            size = max(1, STACK_ENTRIES // (len(stack) * n * n))
+            for j in range(0, len(grid), size):
+                p = weights[j : j + size]
                 quad = quadrature_tsallis(pair, p, nodes=nodes)
                 closed = tsallis_entropy(pair, p)
+                # (P, k) residuals and norms: the stack's trials at each weight
                 resid, nq, nc = np.linalg.norm(np.stack((quad - closed, quad, closed)), 2, axis=(-2, -1))
                 allowed = tol * np.maximum(1.0, np.maximum(nq, nc))
-                i = int(np.argmax(resid))
-                r, trial = float(resid[i]), lo + stack[i]
-                if r > w[0] or (r == w[0] and trial < w[2]):
-                    w[:3] = r, float(allowed[i]), trial
-                if (resid > allowed).any():
-                    w[3] = False
+                for w, res, alw in zip(worst[j : j + size], resid, allowed):
+                    i = int(np.argmax(res))
+                    r, trial = float(res[i]), lo + stack[i]
+                    if r > w[0] or (r == w[0] and trial < w[2]):
+                        w[:3] = r, float(alw[i]), trial
+                    if (res > alw).any():
+                        w[3] = False
         lo += len(window)
-    return [IntegralResult(p, trials, r, allowed, ok) for p, (r, allowed, _, ok) in zip(p_grid, worst)]
+    return [IntegralResult(p, trials, r, allowed, ok) for p, (r, allowed, _, ok) in zip(grid, worst)]
 
 
 def suite_results_to_dict(results: list[SuiteResult]) -> dict:

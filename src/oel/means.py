@@ -13,7 +13,14 @@ same code, one numpy call per step for the whole stack.  Then ``u`` and
 ``v`` are arrays of shape ``(k,)`` and a weight may be one number or one per
 pair, shaped ``(k, 1, 1)``; the scalar function ``f`` of a lift receives the
 eigenvalues of each contraction as a row, shaped ``(k, 1, n)`` (``(1, n)``
-for a single pair), so such weights broadcast against them.
+for a single pair), so such weights broadcast against them.  A weight may
+also have a leading axis of its own, shaped ``(P, 1, 1, 1)`` (``(P, 1, 1)``
+for a single pair): P weights for every pair, so that f's values are
+``(P, k, 1, n)`` and a lift is a ``(P, k, n, n)`` stack, the k pairs at each
+weight in turn.  Every step is the same per-matrix operation broadcast over
+the weight axis, so each matrix of the entropies and of the quadrature has
+the bits of the call with its weight alone (not so for ``t ** p``, which
+numpy computes through ``sqrt`` for a scalar exponent 0.5).
 
 A mean computed here is such a lift, and so are the sampled B and the
 catalog's derived pairs: Ostrowski's theorem bounds its spectrum by
@@ -94,7 +101,8 @@ def certified_lift(a: SpdMatrix, w: np.ndarray, m: np.ndarray, f: Callable, cont
     n = m.shape[-1]
     gamma_n = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     with np.errstate(all="ignore"):  # a bound that is not finite only fails to certify
-        fw = np.broadcast_to(np.asarray(f(w), dtype=float), w.shape)
+        fw = np.asarray(f(w), dtype=float)
+        fw = np.broadcast_to(fw, np.broadcast_shapes(fw.shape, w.shape))  # a weight axis leads
         f_hi = np.abs(fw).max(axis=(-2, -1))
         size = np.maximum(np.maximum(1.0, w.max(axis=(-2, -1))), f_hi)
         delta = _LIFT_ROUNDINGS * n * gamma_n * (1.0 + drift) * a.eig_max * size
@@ -163,7 +171,9 @@ class OperatorPair:
         return spectral_assemble(self._q, _eval_on_spectrum(f, self._w))
 
     def transform(self, f: Callable) -> np.ndarray:
-        """``A^{1/2} f(C) A^{1/2}``: the operator lift of the scalar f."""
+        """``A^{1/2} f(C) A^{1/2}``: the operator lift of the scalar f, a
+        ``(P, k, n, n)`` stack where f's values carry a weight axis (see the
+        module notes)."""
         r = self.sqrt_a.mat
         return symmetrize(r @ self.fn_of_contraction(f) @ r)
 
@@ -260,20 +270,25 @@ def quadrature_tsallis(pair: OperatorPair, p: float, nodes: int = 32) -> np.ndar
     """Gauss-Legendre evaluation of ``integral_0^1 S_{p t}(A|B) dt``.
 
     The integral equals the Tsallis relative entropy T_p exactly; this
-    operation exists to certify that identity numerically.  ``nodes`` is the
-    Gauss-Legendre order on [0, 1]: an integer in [2, 100], the orders numpy
-    documents ``leggauss`` as tested for (its cost grows as nodes**3).
+    operation exists to certify that identity numerically.  ``p`` is one
+    weight, one per pair or a weight axis (see the module notes), each in
+    [-1, 1] \\ {0}.  ``nodes`` is the Gauss-Legendre order on [0, 1]: an
+    integer in [2, 100], the orders numpy documents ``leggauss`` as tested
+    for (its cost grows as nodes**3).
     """
-    if not (-1.0 <= p <= 1.0) or p == 0.0:
-        raise InvalidWeight(f"quadrature needs p in [-1, 1], p != 0, got {p}")
+    p = np.asarray(p)
+    ok = (-1.0 <= p) & (p <= 1.0) & (p != 0.0)
+    if not ok.all():
+        raise InvalidWeight(f"quadrature needs p in [-1, 1], p != 0, got {p.flat[np.argmin(ok)]}")
     if not isinstance(nodes, (int, np.integer)) or isinstance(nodes, bool) or not 2 <= nodes <= 100:
         raise InvalidInput(f"nodes must be an integer in [2, 100], got {nodes!r}")
     ts, wts = _unit_gauss_legendre(int(nodes))
+    pts = p[..., None] * ts  # p * s_i, the nodes on a last axis
 
     def integrated(t_vals: np.ndarray) -> np.ndarray:
-        # sum_i w_i * t^(p*s_i) * log t per eigenvalue, the nodes on a last axis
+        # sum_i w_i * t^(p*s_i) * log t per eigenvalue
         lg = np.log(t_vals)[..., None]
-        return (np.exp(p * ts * lg) * lg) @ wts
+        return (np.exp(pts * lg) * lg) @ wts
 
     return pair.transform(integrated)
 

@@ -222,12 +222,16 @@ def _row(w: np.ndarray) -> np.ndarray:
 
 def _eval_on_spectrum(f: Callable, w: np.ndarray) -> np.ndarray:
     """``f`` receives the eigenvalue array ``w`` and returns an array of its
-    shape (or a scalar); DomainError unless every value is finite."""
+    shape (or a scalar), or one with more leading axes: values ``(P, ..., 1,
+    n)`` for P weights at once (a weight axis ``(P, 1, ..., 1)`` broadcast
+    against the row ``w``), which the assembly broadcasts to P stacks over
+    the same basis.  Any other shape, or a value that is not finite, is a
+    DomainError."""
     with np.errstate(all="ignore"):
         vals = np.asarray(f(w), dtype=float)
     if vals.ndim == 0:
         vals = np.full_like(w, float(vals))
-    if vals.shape != w.shape:
+    if vals.shape[vals.ndim - w.ndim :] != w.shape:
         raise DomainError(f"scalar function returned shape {vals.shape} for spectrum of shape {w.shape}")
     if not np.isfinite(vals).all():
         raise DomainError("scalar function is not finite on the spectrum")

@@ -3,6 +3,7 @@ import importlib
 import json
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,6 +199,28 @@ def test_integral_sweep_rejects_bad_weight():
         integral_sweep(trials=2, p_grid=(1.5,))
 
 
+@pytest.mark.parametrize(
+    "p_grid",
+    [(), [], (True,), (np.bool_(True),), ("0.5",), "0.5", (np.array([0.5, 0.2]),), (np.array(0.5),),
+     (None,), (0.5, float("nan")), (float("inf"),), 0.5, None],
+)
+def test_integral_sweep_checks_the_p_grid_up_front(monkeypatch, p_grid):
+    # () passed vacuously, (True,) was checked as p = 1 and reported as p=True,
+    # ("0.5",) raised a bare TypeError and an array element a bare ValueError
+    def never(*args, **kwargs):
+        raise AssertionError("a stack was drawn")
+
+    monkeypatch.setattr(harness, "_draw", never)
+    with pytest.raises(InvalidInput, match="p grid"):
+        integral_sweep(trials=2, p_grid=p_grid)
+
+
+def test_integral_sweep_reports_each_weight_as_a_float():
+    results = integral_sweep(trials=2, p_grid=(1, np.float32(0.5), Fraction(-1, 4), np.int64(-1)))
+    assert [r.p for r in results] == [1.0, 0.5, -0.25, -1.0]
+    assert all(type(r.p) is float for r in results)
+
+
 def test_integral_sweep_small_run_holds():
     results = integral_sweep(trials=6, p_grid=(0.5, -0.5), nodes=32)
     assert all(r.holds for r in results)
@@ -233,10 +256,43 @@ def test_integral_sweep_equals_the_per_pair_reference(monkeypatch, window, entri
     if window is not None:
         monkeypatch.setattr(harness, "WINDOW_TRIALS", window)
         monkeypatch.setattr(harness, "STACK_ENTRIES", entries)
-    p_grid = (0.1, -0.5, 1.0)
-    for seed, trials, dims in ((7, 30, (1, 2, 3, 5)), (42, 6, DEFAULT_DIMS)):
-        got = integral_sweep(trials=trials, p_grid=p_grid, seed=seed, dims=dims)
-        assert got == _per_pair_integral_sweep(trials, p_grid, seed, dims)
+    wide = (1.0, -1.0, 0.5, -0.5, 0.1, -0.1, 0.01, -0.01, 1e-3, -1e-3, 0.75, -0.3)
+    for p_grid in ((0.1, -0.5, 1.0), wide):
+        for seed, trials, dims in ((7, 30, (1, 2, 3, 5)), (42, 6, DEFAULT_DIMS)):
+            got = integral_sweep(trials=trials, p_grid=p_grid, seed=seed, dims=dims)
+            assert got == _per_pair_integral_sweep(trials, p_grid, seed, dims)
+
+
+def _counted_quadrature(monkeypatch) -> list[tuple[int, int]]:
+    """Record (weights, matrix entries) of every quadrature call of the sweep."""
+    calls = []
+
+    def counted(pair, p, nodes):
+        calls.append((np.size(p), np.size(p) * pair.A.mat.size))
+        return quadrature_tsallis(pair, p, nodes=nodes)
+
+    monkeypatch.setattr(harness, "quadrature_tsallis", counted)
+    return calls
+
+
+def test_integral_sweep_checks_a_stack_at_every_weight_in_one_call(monkeypatch):
+    # six stacks of one pair (one per n), six weights each: 36 calls made one per stack
+    calls = _counted_quadrature(monkeypatch)
+    integral_sweep(trials=6, p_grid=(0.1, -0.1, 0.5, -0.5, 1.0, -1.0), dims=DEFAULT_DIMS)
+    assert calls == [(6, 6 * n * n) for n in DEFAULT_DIMS]
+
+
+def test_integral_sweep_cuts_the_weights_to_the_stack_budget(monkeypatch):
+    entries = 40
+    monkeypatch.setattr(harness, "STACK_ENTRIES", entries)
+    calls = _counted_quadrature(monkeypatch)
+    p_grid = (0.1, -0.1, 0.5, -0.5, 1.0, -1.0, 1e-3)
+    seed, trials, dims = 5, 30, (1, 2, 3, 6)
+    got = integral_sweep(trials=trials, p_grid=p_grid, seed=seed, dims=dims)
+    assert max(e for _, e in calls) <= entries
+    assert 1 < max(w for w, _ in calls) < len(p_grid)  # some calls hold several weights, none all
+    assert sum(w for w, _ in calls) == len(p_grid) * len(list(harness._stacks(next(harness._windows(seed, dims, trials)))))
+    assert got == _per_pair_integral_sweep(trials, p_grid, seed, dims)
 
 
 def test_integral_sweep_reports_the_earliest_of_tied_residuals(monkeypatch):
@@ -244,9 +300,9 @@ def test_integral_sweep_reports_the_earliest_of_tied_residuals(monkeypatch):
     # (closed is s I with s of few bits, quad is (s + 1) I), the others 0, and
     # each pair its own allowed residual tol * (s + 1).  The n = 1 stack is
     # folded first, yet an earlier n = 2 trial must win the tie
-    def closed(pair, p):
+    def closed(pair, p):  # keeps a weight axis of p, as tsallis_entropy does
         s = 2.0 + np.round(8.0 * np.asarray(pair.v)) / 8.0
-        return s[..., None, None] * np.eye(pair.n)
+        return s[..., None, None] * np.eye(pair.n) + 0.0 * np.asarray(p)
 
     def quad(pair, p, nodes):
         bump = (pair.n == 2) | (np.asarray(pair.v) > 2.0)
@@ -284,6 +340,14 @@ def test_integral_sweep_memory_does_not_grow_with_trials(monkeypatch):
     monkeypatch.setattr(harness, "WINDOW_TRIALS", 64)
     small, large = _traced_peaks(lambda t: integral_sweep(trials=t, p_grid=(0.5,), dims=(1, 2), seed=3), 64, 1280)
     assert large < 2 * small
+
+
+def test_integral_sweep_memory_does_not_grow_with_weights():
+    # 256 pairs at n = 8 fill a stack (STACK_ENTRIES), so each call holds one
+    # weight: the peak is that of one weight's quadrature, however many there are
+    grid = np.linspace(-1.0, 1.0, 25)[np.arange(25) != 12]  # 24 weights, 0 left out
+    one, many = _traced_peaks(lambda w: integral_sweep(trials=256, p_grid=grid[:w], dims=(8,), seed=3), 1, 24)
+    assert many < 2 * one
 
 
 def test_a_window_does_not_hold_the_whole_schedule():

@@ -22,7 +22,7 @@ from oel.means import (
     relative_operator_entropy,
     tsallis_entropy,
 )
-from oel.sampler import SamplerConfig, commuting_spectra, sandwich_pair
+from oel.sampler import SamplerConfig, commuting_spectra, pair_from_base, sandwich_pair, stack_base, stream_draws
 from oel.scalars import harm_rep, power_log, tsallis_log
 from oel.spd_core import STRICTNESS_TOL, SpdMatrix, symmetrize
 
@@ -242,6 +242,59 @@ def test_quadrature_matches_closed_form_across_weights():
     for p in (0.1, -0.1, 0.5, -0.5, 1.0, -1.0):
         resid = np.linalg.norm(quadrature_tsallis(pair, p) - tsallis_entropy(pair, p), 2)
         assert resid < 1e-12
+
+
+def _stacked_pair(k: int, n: int) -> OperatorPair:
+    """k sampled pairs of dimension n, stacked as a suite stacks them."""
+    _, pair_words, normals = stream_draws(list(range(10 * n, 10 * n + k)), n)
+    return pair_from_base(stack_base(pair_words, normals), np.full(k, 0.25), np.full(k, 4.0))
+
+
+@pytest.mark.parametrize("fn", [quadrature_tsallis, tsallis_entropy])
+def test_weight_axes_keep_the_bits_of_scalar_calls(fn):
+    weights = np.array([1.0, -1.0, 0.5, -0.5, 0.1, -0.1, 1e-3, -1e-3])
+    for n in range(1, 9):
+        for k in (1, 5):
+            pair = _stacked_pair(k, n)
+            alone = [fn(pair, float(p)) for p in weights]
+            per_pair = fn(pair, weights[:k, None, None])  # one weight per pair
+            assert per_pair.shape == (k, n, n)
+            for i in range(k):
+                assert per_pair[i].tobytes() == alone[i][i].tobytes(), (n, k, i)
+            axis = fn(pair, weights[:, None, None, None])  # every weight for every pair
+            assert axis.shape == (len(weights), k, n, n)
+            for j in range(len(weights)):
+                assert axis[j].tobytes() == alone[j].tobytes(), (n, k, weights[j])
+
+
+@pytest.mark.parametrize("mean", [arithmetic_mean, natural_power_mean])
+def test_certified_means_take_a_weight_axis(mean):
+    # the certificate reads f's values with the weight axis that the lift has
+    # (0.5 is left out: numpy takes t ** 0.5 through sqrt for a scalar exponent)
+    weights = np.array([0.1, 0.25, 0.9])
+    pair = _stacked_pair(5, 4)
+    axis = mean(pair, weights[:, None, None, None]).mat
+    assert axis.shape == (3, 5, 4, 4)
+    for j, p in enumerate(weights):
+        assert axis[j].tobytes() == mean(pair, float(p)).mat.tobytes(), p
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.5, -1.01, np.nan])
+def test_quadrature_checks_an_array_weight_elementwise(bad):
+    # an array p raised a bare ValueError ("truth value ... is ambiguous")
+    pair = _stacked_pair(3, 2)
+    for p in (np.array([0.5, bad, -0.5])[:, None, None], np.array([0.5, bad])[:, None, None, None]):
+        with pytest.raises(InvalidWeight, match=f"got {bad}"):
+            quadrature_tsallis(pair, p)
+
+
+def test_a_lift_keeps_the_trailing_shape_of_the_spectrum():
+    pair = _stacked_pair(2, 3)
+    with pytest.raises(DomainError, match="returned shape"):
+        pair.transform(lambda t: t[..., :2])
+    with pytest.raises(DomainError, match="returned shape"):
+        pair.transform(lambda t: t[..., None])
+    assert pair.transform(lambda t: np.stack((t, 2.0 * t))).shape == (2, 2, 3, 3)
 
 
 def test_pair_io_roundtrip():
