@@ -74,8 +74,11 @@ class Term:
 @dataclass(frozen=True)
 class InequalityCase:
     """One registered comparison ``lhs <= rhs`` under ``hypothesis``, whose
-    trials ``plan`` draws from their plan words (the region's own planner,
-    kept as a field so a tracer can swap it in)."""
+    trials ``plan`` draws from their plan words.  ``plan`` is the region's
+    own planner (a dual's, its dual region's), so the cases of one region
+    share it; a ``run_all`` memo keys the pairs and term values it shares on
+    it.  It is kept as a field so a tracer can swap it in, and a swapped
+    planner gets memo entries of its own."""
 
     id: str
     statement: str
@@ -768,6 +771,7 @@ def evaluate_trials(
     seeds: Sequence[int],
     *,
     order_tol: float = ORDER_TOL,
+    terms: Callable[[Term, Params], np.ndarray] | None = None,
 ) -> list[tuple]:
     """Evaluate one case on k pairs at once: ``pair`` holds ``(k, n, n)``
     stacks and the fields of ``params`` are ``(k,)`` arrays (or one pair and
@@ -775,10 +779,13 @@ def evaluate_trials(
     comes back, in that order, as a plain row: the values of
     :class:`MarginReport`'s fields after ``case_id``, in field order.
 
-    Raises HypothesisError for the first trial whose (u, v, params) fall
-    outside the case's hypothesis (with slack ``HYP_SLACK``), and
-    NumericalBreakdown when a term is not finite.  A non-finite or negative
-    ``order_tol`` is an InvalidInput.
+    Each side's value is ``terms(term, params)`` when ``terms`` is given
+    (the harness's memo of one run), else ``term.fn(pair, params)``, with
+    each trial's weights as ``(k, 1, 1)`` arrays; it is read only after the
+    hypothesis check.  Raises HypothesisError for the first trial whose
+    (u, v, params) fall outside the case's hypothesis (with slack
+    ``HYP_SLACK``), and NumericalBreakdown when a term is not finite.  A
+    non-finite or negative ``order_tol`` is an InvalidInput.
     """
     _check_tol(order_tol)
     k, n = len(seeds), pair.n
@@ -796,5 +803,6 @@ def evaluate_trials(
         )
     if isinstance(pair.u, np.ndarray):  # each trial's parameters as a (k, 1, 1) column
         params = Params(*(x if x is None else np.reshape(x, (-1, 1, 1)) for x in (params.p, params.q, params.c)))
-    verdict = _loewner(case.lhs.fn(pair, params), case.rhs.fn(pair, params), order_tol)
+    value = (lambda term, pr: term.fn(pair, pr)) if terms is None else terms
+    verdict = _loewner(value(case.lhs, params), value(case.rhs, params), order_tol)
     return list(zip(seeds, [n] * k, *cols, us, vs, *(x.reshape(-1).tolist() for x in verdict)))

@@ -27,14 +27,25 @@ A stack is drawn one way (``_draw``): its plan words and its
 C's basis and spectrum, so the derived pairs of a case are lifts of C
 (:meth:`~oel.means.OperatorPair.lift_pair`) and a trial makes no ``eigh``:
 its eigensolves are the verdict's ``eigvalsh`` of ``Y - X`` and the harmonic
-mean's full check.  Every case of a
-:func:`run_all` call reads the same trial streams, so the call keeps one
-memo of its stacks' draws (``_SharedDraws``), keyed by n and the stack's
-trial seeds, and only its first suite draws each stack.  The memo holds at
-most ``SHARED_ENTRIES`` matrix entries; stacks past it are drawn per case.
-It lives as long as its call; :func:`run_trial`, :func:`replay`, a lone
-:func:`run_suite` and :func:`integral_sweep` (on a suite's windows and
-stacks) draw their own stacks.
+mean's full check.
+
+Every case of a :func:`run_all` call reads the same trial streams, and the
+cases of one hypothesis region share its planner (``case.plan``), so the
+call keeps one memo (``_SharedStacks``) per stack, keyed by n and the
+stack's trial seeds: the stack's draws, read by every case; the plan
+parameters and pair of each plan, read by every case on it; and the value
+of each (plan, term), read by every case with that term on either side.  Its
+first reader computes an entry and keeps it only while a later case of the
+call reads it (the readers come from the call's case list); the last reader
+drops it.  A pair or term value is kept only with its stack's draws, whose
+arrays it holds.  The memo holds at most ``SHARED_ENTRIES`` matrix entries,
+n x n per trial for each kept array (three for the draws, two for a pair's B
+and C, one for a term value); past it, entries are computed per case.  Each
+case still checks its own hypothesis before it reads a term, and a shared
+entry is the same computation on the same arrays, so rows keep their bits.
+The memo lives as long as its call; :func:`run_trial`, :func:`replay`, a lone
+:func:`run_suite`, a pattern matching one case and :func:`integral_sweep`
+(on a suite's windows and stacks) compute their own.
 
 :func:`integral_sweep` gives its weights a leading axis of their own (see
 :mod:`oel.means`): a stack of k pairs is checked at ``max(1, STACK_ENTRIES
@@ -65,7 +76,7 @@ from .catalog import (
     find_cases,
 )
 from .errors import HypothesisError, InvalidInput, NumericalBreakdown, ReportError
-from .means import quadrature_tsallis, tsallis_entropy
+from .means import _check_nodes, quadrature_tsallis, tsallis_entropy
 from .sampler import _WORD_MASK, _is_count, _is_word, pair_from_base, stack_base, stream_draws
 from .spd_core import ORDER_TOL, _check_tol
 
@@ -82,13 +93,14 @@ DEFAULT_SEED = 42
 # 256 and 80-95 us in windows of 1024 or 4096 (peak RSS 39.1 -> 45.9 MB).
 WINDOW_TRIALS = 1024
 STACK_ENTRIES = 1 << 14
-# The most matrix entries one run_all call keeps in its shared stack draws (three
-# n x n arrays per trial: A, its square root and C's basis), 8 MB; past it,
-# stacks are drawn per case.  Measured when a trial kept four arrays (A^{-1/2}
-# too): `oel verify --trials 10000` (0.87 M entries; 2-core VM, one BLAS
-# thread) took 26.4 s unshared, 19.8 s at 1 << 18, 15.9 s at 1 << 19 and
-# 12.2 s at 1 << 20 (peak RSS 39.8 -> 48.2 MB); at 1 << 21, n = 16, 32, 64 at
-# 300 trials (1.4 M entries) went from 16.0 to 13.2 s but peaked at 56.5 MB.
+# The most matrix entries one run_all call keeps in its memo (n x n arrays per
+# trial: the draws' A, its square root and C's basis, a kept pair's B and C, a
+# kept term value), 8 MB; past it, entries are computed per case.  Measured on
+# the draws alone, when a trial kept four arrays (A^{-1/2} too): `oel verify
+# --trials 10000` (0.87 M entries; 2-core VM, one BLAS thread) took 26.4 s
+# unshared, 19.8 s at 1 << 18, 15.9 s at 1 << 19 and 12.2 s at 1 << 20 (peak RSS
+# 39.8 -> 48.2 MB); at 1 << 21, n = 16, 32, 64 at 300 trials (1.4 M entries)
+# went from 16.0 to 13.2 s but peaked at 56.5 MB.
 SHARED_ENTRIES = 1 << 20
 
 # a report row's keys, in MarginReport field order
@@ -125,41 +137,81 @@ def _draw(seeds: list[int], n: int):
     """The plan words and :class:`~oel.sampler.StackBase` of the trials of
     ``seeds`` at dimension n: the one way a stack is drawn."""
     plan_words, pair_words, normals = stream_draws(seeds, n)
+    plan_words.flags.writeable = False  # a run_all memo shares them between suites
     return plan_words, stack_base(pair_words, normals)
 
 
-class _SharedDraws:
-    """The stack draws of one :func:`run_all` call, shared by its suites:
-    every case reads the same trial streams, so each stack's plan words and
-    :class:`~oel.sampler.StackBase` are drawn once, by the first suite, and
-    kept while they fit in ``SHARED_ENTRIES``."""
+class _SharedStacks:
+    """The memo of one :func:`run_all` call over ``cases`` (see the module
+    notes): per stack, its draws, each plan's pair and each (plan, term)'s
+    value, each kept from its first reader to its last while it fits in
+    ``SHARED_ENTRIES``."""
 
-    def __init__(self) -> None:
-        self._draws: dict[tuple, tuple] = {}
+    def __init__(self, cases: list[InequalityCase]) -> None:
+        self._position = {case.id: i for i, case in enumerate(cases)}
+        # the last reader of each entry, by its key less the stack: () the
+        # draws, (plan,) a pair, (plan, term) a term value
+        self._last: dict[tuple, int] = {(): len(cases) - 1}
+        for i, case in enumerate(cases):
+            for key in ((case.plan,), (case.plan, case.lhs), (case.plan, case.rhs)):
+                self._last[key] = i
+        self._kept: dict[tuple, object] = {}
         self._entries = 0
 
-    def draw(self, seeds: list[int], n: int):
-        key = (n, tuple(seeds))
-        drawn = self._draws.get(key)
-        if drawn is None:
-            drawn = _draw(seeds, n)
-            drawn[0].flags.writeable = False  # the plan words, read by every suite
-            entries = 3 * len(seeds) * n * n
-            if self._entries + entries <= SHARED_ENTRIES:
-                self._draws[key] = drawn
+    def reader(self, case: InequalityCase, seeds: list[int], n: int):
+        """``keep(key, arrays, compute)`` for ``case`` on the stack of
+        ``seeds`` at n: the entry of ``key`` (as ``_last`` holds it) on that
+        stack, taken from the memo or computed, kept or dropped."""
+        reader = self._position[case.id]
+        stack = (n, tuple(seeds))
+        trial_entries = len(seeds) * n * n
+
+        def keep(key: tuple, arrays: int, compute):
+            full, last, entries = (*key, stack), self._last[key], arrays * trial_entries
+            if full in self._kept:
+                if reader < last:
+                    return self._kept[full]
+                self._entries -= entries
+                return self._kept.pop(full)
+            value = compute()
+            # a pair or a term value holds arrays of the draws: kept only with them
+            with_draws = not key or (stack,) in self._kept
+            if reader < last and with_draws and self._entries + entries <= SHARED_ENTRIES:
+                self._kept[full] = value
                 self._entries += entries
-        return drawn
+            return value
+
+        return keep
+
+
+def _unshared(key: tuple, arrays: int, compute):
+    return compute()
+
+
+def _plan_pair(case: InequalityCase, plan_words: np.ndarray, base):
+    """The plan parameters and the stacked pair of ``case`` on a stack's draws."""
+    params, u_target, v_target = case.plan(plan_words)
+    return params, pair_from_base(base, u_target, v_target)
 
 
 def _evaluate_stack(
-    case: InequalityCase, seeds: list[int], n: int, order_tol: float, shared: _SharedDraws | None = None
+    case: InequalityCase, seeds: list[int], n: int, order_tol: float, shared: _SharedStacks | None = None
 ) -> list[tuple]:
     """The trial kernel: k trials of dimension n read from their seeds'
-    streams (or taken from ``shared``), planned and built as one stacked
-    pair, and evaluated at once: :func:`~oel.catalog.evaluate_trials` rows."""
-    plan_words, base = _draw(seeds, n) if shared is None else shared.draw(seeds, n)
-    params, u_target, v_target = case.plan(plan_words)
-    return evaluate_trials(case, pair_from_base(base, u_target, v_target), params, seeds, order_tol=order_tol)
+    streams, planned and built as one stacked pair, and evaluated at once:
+    :func:`~oel.catalog.evaluate_trials` rows.  With ``shared``, the draws,
+    the pair and the term values are taken from the memo where it has them."""
+    keep = _unshared if shared is None else shared.reader(case, seeds, n)
+    plan_words, base = keep((), 3, lambda: _draw(seeds, n))
+    params, pair = keep((case.plan,), 2, lambda: _plan_pair(case, plan_words, base))
+    return evaluate_trials(
+        case,
+        pair,
+        params,
+        seeds,
+        order_tol=order_tol,
+        terms=lambda term, pr: keep((case.plan, term), 1, lambda: term.fn(pair, pr)),
+    )
 
 
 def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
@@ -200,7 +252,7 @@ def run_suite(
     seed: int = DEFAULT_SEED,
     order_tol: float = ORDER_TOL,
     collect: list[MarginReport] | None = None,
-    _shared: _SharedDraws | None = None,
+    _shared: _SharedStacks | None = None,
 ) -> SuiteResult:
     """Run ``trials`` deterministic trials of one case, cycling dimensions.
 
@@ -282,7 +334,7 @@ def _stacks(window: list[tuple[int, int]]):
 
 
 def _window_rows(
-    case: InequalityCase, window: list[tuple[int, int]], order_tol: float, shared: _SharedDraws | None
+    case: InequalityCase, window: list[tuple[int, int]], order_tol: float, shared: _SharedStacks | None
 ):
     """The window's rows, in trial order.  If a stack raises, the window is
     rerun one trial at a time through the same kernel: the rows before the
@@ -318,7 +370,7 @@ def run_all(
     if not cases:
         raise InvalidInput(f"no cases match pattern {pattern!r}")
     dims = _dims(dims)  # an iterator would be used up by the first suite
-    shared = _SharedDraws() if len(cases) > 1 else None
+    shared = _SharedStacks(cases) if len(cases) > 1 else None
     return [
         run_suite(c, trials=trials, dims=dims, seed=seed, order_tol=order_tol, collect=collect, _shared=shared)
         for c in cases
@@ -472,9 +524,11 @@ def integral_sweep(
     weights per quadrature and closed-form call, as one weight axis (see
     :mod:`oel.means`).  A p's worst residual is that of the earliest trial
     attaining it.  A ``p_grid`` that is not a non-empty iterable of numbers
-    in ``[-1, 1] \\ {0}``, ``trials`` that is not an integer >= 1, or a
-    non-finite or negative ``tol``, is an InvalidInput."""
+    in ``[-1, 1] \\ {0}``, ``nodes`` that is not an integer in ``[2, 100]``,
+    ``trials`` that is not an integer >= 1, or a non-finite or negative
+    ``tol``, is an InvalidInput, raised before any draw."""
     _check_tol(tol)
+    _check_nodes(nodes)
     grid = _p_grid(p_grid)
     weights = np.array(grid)[:, None, None, None]
     # per p: [worst residual, its allowed residual, its trial, every trial within tolerance]

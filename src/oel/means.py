@@ -266,6 +266,12 @@ def _unit_gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return ts, wts
 
 
+def _check_nodes(nodes) -> None:
+    """A Gauss-Legendre order is an integer in [2, 100] (bools not), else an InvalidInput."""
+    if not isinstance(nodes, (int, np.integer)) or isinstance(nodes, bool) or not 2 <= nodes <= 100:
+        raise InvalidInput(f"nodes must be an integer in [2, 100], got {nodes!r}")
+
+
 def quadrature_tsallis(pair: OperatorPair, p: float, nodes: int = 32) -> np.ndarray:
     """Gauss-Legendre evaluation of ``integral_0^1 S_{p t}(A|B) dt``.
 
@@ -280,8 +286,7 @@ def quadrature_tsallis(pair: OperatorPair, p: float, nodes: int = 32) -> np.ndar
     ok = (-1.0 <= p) & (p <= 1.0) & (p != 0.0)
     if not ok.all():
         raise InvalidWeight(f"quadrature needs p in [-1, 1], p != 0, got {p.flat[np.argmin(ok)]}")
-    if not isinstance(nodes, (int, np.integer)) or isinstance(nodes, bool) or not 2 <= nodes <= 100:
-        raise InvalidInput(f"nodes must be an integer in [2, 100], got {nodes!r}")
+    _check_nodes(nodes)
     ts, wts = _unit_gauss_legendre(int(nodes))
     pts = p[..., None] * ts  # p * s_i, the nodes on a last axis
 

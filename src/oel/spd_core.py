@@ -238,18 +238,29 @@ def _eval_on_spectrum(f: Callable, w: np.ndarray) -> np.ndarray:
     return vals
 
 
-def mat_power(a: SpdMatrix, p: float) -> SpdMatrix:
+def mat_power(a: SpdMatrix, p) -> SpdMatrix:
     """Real matrix power ``a**p`` of an SPD matrix (SPD for every real p);
-    a stack's matrices one by one."""
+    a stack's matrices one by one, at one p or at one p per matrix (shaped
+    ``(k, 1, 1)``), each matrix with the bits of its call at its p alone."""
     a = as_spd(a)
-    if p == 0.0:
-        shape = a.mat.shape
-        return spd_from_spectrum(np.broadcast_to(np.eye(a.n), shape).copy(), np.ones(shape[:-1]), "mat_power(p=0)")
-    if p == 1.0:
+    p = np.asarray(p)
+    at_0, at_1 = p == 0.0, p == 1.0
+    shape = np.broadcast_shapes(a.mat.shape, p.shape)
+    if at_1.all() and shape == a.mat.shape:
         return a
+    eye = np.broadcast_to(np.eye(a.n), shape)
+    if at_0.all():
+        return spd_from_spectrum(eye.copy(), np.ones(eye.shape[:-1]), "mat_power(p=0)")
     w, q = np.linalg.eigh(a.mat)
-    wp = _eval_on_spectrum(lambda t: t ** p, _row(w))
-    return spd_from_spectrum(spectral_assemble(q, wp), wp, f"mat_power(p={p})")
+    w = _row(w)
+    # each distinct p is a scalar exponent, as in its call alone: numpy takes
+    # some scalar exponents by another route (0.5 by sqrt, 2 by square, -1 by
+    # reciprocal); a p that equals no p (nan) fails in _eval_on_spectrum
+    wp = np.empty(np.broadcast_shapes(w.shape, p.shape))
+    for e in np.unique(p):
+        wp = np.where(p == e, _eval_on_spectrum(lambda t: t ** e, w), wp)
+    m = np.where(at_0, eye, np.where(at_1, a.mat, spectral_assemble(q, wp)))
+    return spd_from_spectrum(m, wp, f"mat_power(p={p.item() if p.size == 1 else 'per matrix'})")
 
 
 def mat_log(a: SpdMatrix) -> np.ndarray:

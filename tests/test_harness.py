@@ -215,6 +215,15 @@ def test_integral_sweep_checks_the_p_grid_up_front(monkeypatch, p_grid):
         integral_sweep(trials=2, p_grid=p_grid)
 
 
+@pytest.mark.parametrize("nodes", [101, 1, True, 32.0])
+def test_integral_sweep_checks_the_nodes_up_front(monkeypatch, nodes):
+    # nodes was checked only in the first quadrature call, after one stack was drawn
+    draws = _counting(monkeypatch, harness, "_draw")
+    with pytest.raises(InvalidInput, match="nodes"):
+        integral_sweep(trials=3, nodes=nodes)
+    assert len(draws) == 0
+
+
 def test_integral_sweep_reports_each_weight_as_a_float():
     results = integral_sweep(trials=2, p_grid=(1, np.float32(0.5), Fraction(-1, 4), np.int64(-1)))
     assert [r.p for r in results] == [1.0, 0.5, -0.25, -1.0]
@@ -596,6 +605,76 @@ def test_run_all_rows_are_the_per_case_suites_rows(monkeypatch):
     assert len(draws) == 6 + 3 * (len(cases) - 1)
 
 
+def _counting_terms(monkeypatch) -> list:
+    """Count the term evaluations of ``run_all`` in the returned list's
+    length: the cases it finds get counting terms, one per catalog term, so
+    the cases of one plan still share each term."""
+    calls = []
+    counting = {}
+
+    def counted(term):
+        if term not in counting:
+            fn = term.fn
+            counting[term] = dataclasses.replace(term, fn=lambda pair, pr: calls.append(None) or fn(pair, pr))
+        return counting[term]
+
+    find = harness.find_cases
+    monkeypatch.setattr(
+        harness,
+        "find_cases",
+        lambda pattern: [dataclasses.replace(c, lhs=counted(c.lhs), rhs=counted(c.rhs)) for c in find(pattern)],
+    )
+    return calls
+
+
+def test_run_all_builds_each_plans_pairs_and_terms_once(monkeypatch):
+    # the 50 cases read 29 plans and 82 (plan, term) values, so at 6 dims (one
+    # stack each) a call builds 29 x 6 pairs, not 50 x 6, and evaluates 82 x 6
+    # terms, not 100 x 6; each entry is dropped at its last reader
+    builds = _counting(monkeypatch, harness, "pair_from_base")
+    terms = _counting_terms(monkeypatch)
+    memos = []
+    shared = harness._SharedStacks
+    monkeypatch.setattr(harness, "_SharedStacks", lambda cases: memos.append(shared(cases)) or memos[-1])
+    run_all(trials=60, seed=42)
+    assert (len(builds), len(terms)) == (174, 492)
+    assert (memos[0]._kept, memos[0]._entries) == ({}, 0)
+    run_all("M3*", trials=60, seed=42)  # nine cases on nine plans share only the draws
+    assert (len(builds), len(terms)) == (174 + 9 * 6, 492 + 18 * 6)
+    # a plan swapped per case (as a tracer does) gets entries of its own
+    find = harness.find_cases
+
+    def swapped(case):
+        return dataclasses.replace(case, plan=lambda words: case.plan(words))
+
+    monkeypatch.setattr(harness, "find_cases", lambda pattern: [swapped(c) for c in find(pattern)])
+    run_all("T1R*", trials=12, dims=(1, 2), seed=42)
+    assert len(builds) == 174 + 9 * 6 + 8 * 2
+
+
+@pytest.mark.parametrize("entries", [None, 700])
+def test_run_all_rows_are_the_per_case_rows_where_cases_share_plans(monkeypatch, entries):
+    # T* has 20 cases on 6 plans, and 24 trials at n = 2, 3 make two stacks of
+    # 12 (144 and 324 entries of draws, twice 48 and 108 for a pair, once for a
+    # term value): the default budget keeps every pair, one of 700 only some
+    cases = harness.find_cases("T*")
+    kwargs = dict(trials=24, dims=(2, 3), seed=17)
+    separate = []
+    for case in cases:
+        run_suite(case, collect=separate, **kwargs)
+    if entries is not None:
+        monkeypatch.setattr(harness, "SHARED_ENTRIES", entries)
+    builds = _counting(monkeypatch, harness, "pair_from_base")
+    together = []
+    run_all("T*", collect=together, **kwargs)
+    assert together == separate
+    plans, stacks = len({c.plan for c in cases}), 2
+    if entries is None:
+        assert len(builds) == plans * stacks
+    else:
+        assert plans * stacks < len(builds) < len(cases) * stacks
+
+
 def test_run_all_draws_each_stack_once_per_call(monkeypatch):
     qr = _counting(monkeypatch, np.linalg, "qr")
     run_all("H1", trials=12, dims=(1, 2))  # two cases, one stack per n
@@ -642,6 +721,16 @@ def test_run_all_memory_does_not_grow_with_trials(monkeypatch):
     monkeypatch.setattr(harness, "WINDOW_TRIALS", 64)
     monkeypatch.setattr(harness, "SHARED_ENTRIES", 480)
     small, large = _traced_peaks(lambda t: run_all("H1", trials=t, dims=(1, 2), seed=3), 64, 1280)
+    assert large < 2 * small
+
+
+def test_run_all_memory_does_not_grow_with_trials_where_cases_share_plans(monkeypatch):
+    # TA's two cases share their plan and T[p]: 64 trials at n = 1, 2 make two
+    # stacks of 32, whose draws (480 entries), pairs (320) and T[p] values
+    # (160) fill the memo; with no budget, 1280 trials peaked at 12 times 64
+    monkeypatch.setattr(harness, "WINDOW_TRIALS", 64)
+    monkeypatch.setattr(harness, "SHARED_ENTRIES", 960)
+    small, large = _traced_peaks(lambda t: run_all("TA", trials=t, dims=(1, 2), seed=3), 64, 1280)
     assert large < 2 * small
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oel.catalog import _gap, _mid
+from oel.catalog import _gap, _mid, catalog_with_duals
 from oel.errors import DomainError, InvalidInput, InvalidWeight, NumericalBreakdown
 from oel.harness import run_all
 from oel.means import (
@@ -359,8 +359,14 @@ def test_certificates_bound_the_spectrum_on_every_case(monkeypatch):
     seeds = range(1, 6)
     for seed in seeds:
         results = run_all(trials=2 * len(dims), dims=dims, seed=seed)
-    # no catalog draw needs the full check: every trial's B is certified
-    assert certified.count("sampled B") == len(seeds) * len(results) * 2 * len(dims)
+    # no catalog draw needs the full check: every trial's B is certified.  A
+    # run_all call builds a stack's pair once per distinct plan (the cases of
+    # one region share it; all of them fit in the memo here), and each dim
+    # gets 2 trials, so each seed certifies 2 * len(dims) Bs per plan: the
+    # 50 cases read 29 plans
+    plans = {case.plan for case in catalog_with_duals()}
+    assert (len(results), len(plans)) == (50, 29)
+    assert certified.count("sampled B") == len(seeds) * len(plans) * 2 * len(dims)
     contexts = {c.split(" (p=")[0] for c in certified}
     assert contexts == {
         "sampled B",

@@ -129,6 +129,23 @@ def test_mat_power_zero_keeps_the_stack():
     assert np.array_equal(ident.eig_min, np.ones(2)) and np.array_equal(ident.eig_max, np.ones(2))
 
 
+def test_mat_power_takes_one_exponent_per_matrix():
+    # a per-matrix p raised a bare ValueError ("truth value ... is ambiguous");
+    # 0.5, 2 and -1 are exponents numpy takes by another route for a scalar
+    ps = np.array([0.5, 2.0, 0.0, 1.0, -1.0, 0.3, -0.5, 0.5])
+    stack = SpdMatrix(np.stack([spd(seed, 4).mat for seed in range(len(ps))]))
+    for k in (2, len(ps)):
+        part = SpdMatrix(stack.mat[:k])
+        power = mat_power(part, ps[:k, None, None])
+        assert power.mat.shape == (k, 4, 4)
+        for i, p in enumerate(ps[:k]):
+            alone = mat_power(SpdMatrix(part.mat[i]), float(p))
+            assert power.mat[i].tobytes() == alone.mat.tobytes(), p
+            assert power.eig_min[i] > 0.0 and power.eig_max[i] >= power.eig_min[i]
+    # one matrix at a weight axis takes every weight, 1 included
+    assert mat_power(SpdMatrix(stack.mat[0]), np.ones((3, 1, 1))).mat.shape == (3, 4, 4)
+
+
 def test_sqrt_inverse_roundtrips():
     a = spd(4, 4, spectrum=(0.2, 3.0))
     r = mat_sqrt(a)
