@@ -52,6 +52,16 @@ The memo lives as long as its call; :func:`run_trial`, :func:`replay`, a lone
 // (k n^2))`` weights per quadrature and closed-form call, so a small stack
 takes its whole grid in one call and a full one keeps one weight per call;
 each matrix has the bits of its one-weight call.
+
+Reports are written and read ``_REPORT_BLOCK`` rows at a time, column by
+column.  :func:`write_reports_jsonl` maps each column's values to their JSON
+tokens (``float.__repr__`` for floats, as ``json.dumps`` writes them) and
+fills one line template, in the key order and separators of
+``json.dumps(report_to_dict(r))``; a block with a value that is not a plain
+str, int, finite float, bool or None goes through ``json.dumps`` row by row.
+:func:`read_reports` decodes a block's lines with ``raw_decode`` and checks
+each column against its rule in ``_FIELD_RULES``; a block that fails either
+step is read again one line at a time, which names its first malformed line.
 """
 
 from __future__ import annotations
@@ -61,6 +71,8 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from numbers import Real
 from operator import attrgetter, itemgetter
 
@@ -386,19 +398,76 @@ def report_to_dict(report: MarginReport) -> dict:
     return dict(zip(_REPORT_FIELDS, _report_values(report)))
 
 
+# The report rows written, or lines read, at a time: the JSONL writer formats
+# a block column by column and writes it in one call; the reader holds at most
+# a block's lines and values besides the reports it returns.
+_REPORT_BLOCK = 256
+
+# one line of json.dumps(report_to_dict(r)): its key order and separators
+_JSONL_LINE = "{" + ", ".join(f'"{name}": %s' for name in _REPORT_FIELDS) + "}\n"
+# each plain value as json.dumps writes it (finite floats only, see _json_tokens)
+_JSON_TOKEN = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_NON_FINITE = frozenset(map(float.__repr__, (math.nan, math.inf, -math.inf)))
+
+
+def _kinds(column) -> set:
+    return set(map(type, column))
+
+
+def _json_tokens(column: tuple) -> list[str] | None:
+    """A column's values as json.dumps writes them, or None if one is not a
+    plain str, int, finite float, bool or None."""
+    kinds = _kinds(column)
+    if not kinds <= _JSON_TOKEN.keys():
+        return None
+    if len(kinds) == 1:
+        tokens = list(map(_JSON_TOKEN[kinds.pop()], column))
+    else:
+        tokens = [_JSON_TOKEN[type(x)](x) for x in column]
+    return tokens if _NON_FINITE.isdisjoint(tokens) else None
+
+
+def _jsonl_block(block: list) -> str | None:
+    """The lines of a block of reports, formatted column by column, or None
+    if a row holds a value that only json.dumps writes (or rejects)."""
+    columns = []
+    for column in zip(*map(_report_values, block)):
+        tokens = _json_tokens(column)
+        if tokens is None:
+            return None
+        columns.append(tokens)
+    return "".join(map(_JSONL_LINE.__mod__, zip(*columns)))
+
+
 def write_reports_jsonl(reports: list[MarginReport], path: str) -> None:
+    """One line per report, byte for byte ``json.dumps(report_to_dict(r))``.
+    A block holding a value other than a plain str, int, finite float, bool
+    or None (a numpy scalar, a NaN) is written by ``json.dumps`` itself, row by
+    row, so it gives the same bytes or raises the same error."""
+    rows = iter(reports)
     with open(path, "w", encoding="utf-8") as fh:
-        for r in reports:
-            fh.write(json.dumps(report_to_dict(r)) + "\n")
+        while block := list(islice(rows, _REPORT_BLOCK)):
+            text = _jsonl_block(block)
+            if text is None:
+                for r in block:
+                    fh.write(json.dumps(report_to_dict(r)) + "\n")
+            else:
+                fh.write(text)
 
 
 def write_reports_csv(reports: list[MarginReport], path: str) -> None:
+    """A header of the field names, then one row per report (the csv module
+    writes None as an empty field)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_REPORT_FIELDS)
-        for r in reports:
-            d = report_to_dict(r)
-            writer.writerow(["" if d[k] is None else d[k] for k in _REPORT_FIELDS])
+        writer.writerows(map(_report_values, reports))
 
 
 def _finite(x) -> bool:
@@ -409,50 +478,103 @@ def _finite_or_null(x) -> bool:
     return x is None or _finite(x)
 
 
-# what read_reports accepts in each field, as written (JSON booleans are not integers)
+def _finite_column(column) -> bool:
+    # a sum is finite only if every term is (a finite column whose sum
+    # overflows fails here and is read line by line)
+    return _kinds(column) <= {float, int} and math.isfinite(sum(column))
+
+
+def _finite_or_null_column(column) -> bool:
+    if None in column:
+        column = [x for x in column if x is not None]
+    return _finite_column(column)
+
+
+# what read_reports accepts in each field, as written (JSON booleans are not
+# integers): the rule on one value, the same rule on a block's column, and
+# what the error message says the value must be
 _FIELD_RULES = {
-    "case_id": (lambda x: type(x) is str, "a string"),
-    "seed": (lambda x: type(x) is int and _is_word(x), "an integer in [0, 2^64)"),
-    "n": (lambda x: type(x) is int and x >= 1, "an integer >= 1"),
-    "p": (_finite_or_null, "null or a finite number"),
-    "q": (_finite_or_null, "null or a finite number"),
-    "c": (_finite_or_null, "null or a finite number"),
-    "u": (_finite, "a finite number"),
-    "v": (_finite, "a finite number"),
-    "margin": (_finite, "a finite number"),
-    "scale": (_finite, "a finite number"),
-    "holds": (lambda x: type(x) is bool, "true or false"),
+    "case_id": (lambda x: type(x) is str, lambda col: _kinds(col) == {str}, "a string"),
+    "seed": (
+        lambda x: type(x) is int and _is_word(x),
+        lambda col: _kinds(col) == {int} and min(col) >= 0 and max(col) <= _WORD_MASK,
+        "an integer in [0, 2^64)",
+    ),
+    "n": (lambda x: type(x) is int and x >= 1, lambda col: _kinds(col) == {int} and min(col) >= 1, "an integer >= 1"),
+    "p": (_finite_or_null, _finite_or_null_column, "null or a finite number"),
+    "q": (_finite_or_null, _finite_or_null_column, "null or a finite number"),
+    "c": (_finite_or_null, _finite_or_null_column, "null or a finite number"),
+    "u": (_finite, _finite_column, "a finite number"),
+    "v": (_finite, _finite_column, "a finite number"),
+    "margin": (_finite, _finite_column, "a finite number"),
+    "scale": (_finite, _finite_column, "a finite number"),
+    "holds": (lambda x: type(x) is bool, lambda col: _kinds(col) == {bool}, "true or false"),
 }
 _RULES = tuple((name, *_FIELD_RULES[name]) for name in _REPORT_FIELDS)
 _report_items = itemgetter(*_REPORT_FIELDS)
+_decode = json.JSONDecoder().raw_decode
+_LINE_ENDS = ("\n", "")
+
+
+def _as_float(column: tuple) -> tuple:
+    """A number column's values as floats (None kept), as ``float(x)`` per value."""
+    if _kinds(column) <= {float, type(None)}:
+        return column
+    return tuple(x if x is None else float(x) for x in column)
+
+
+def _report_block(lines: list[str]) -> list[MarginReport] | None:
+    """The reports of a block of lines, checked column by column, or None if
+    a line is not one JSON object holding every field, alone on its line, or
+    a column breaks its rule."""
+    values = []
+    try:
+        for line in lines:
+            obj, end = _decode(line)
+            if line[end:] not in _LINE_ENDS:
+                return None
+            values.append(_report_items(obj))
+        columns = tuple(zip(*values))
+        if not all(ok(column) for (_, _, ok, _), column in zip(_RULES, columns)):
+            return None
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+        return None
+    case_id, seed, n, *numbers, holds = columns
+    return list(map(MarginReport, case_id, seed, n, *map(_as_float, numbers), holds))
+
+
+def _report_lines(lines: list[str], lineno: int, path: str) -> list[MarginReport]:
+    """The reports of a block of lines read one line at a time, from line
+    ``lineno``; raises at the first malformed one."""
+    out = []
+    for lineno, line in enumerate(lines, start=lineno):
+        if not line.strip():
+            continue
+        try:
+            values = _report_items(json.loads(line))
+            for (name, ok, _, kind), x in zip(_RULES, values):
+                if not ok(x):
+                    raise TypeError(f"{name!r} must be {kind}, got {x!r}")
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise ReportError(f"{path}: malformed report on line {lineno}: {exc}") from exc
+        case_id, seed, n, *numbers, holds = values
+        out.append(MarginReport(case_id, seed, n, *(x if x is None else float(x) for x in numbers), holds))
+    return out
 
 
 def read_reports(path: str) -> list[MarginReport]:
     """Parse a JSONL report stream, pointing at the first malformed line.
-    Values are taken as written, never coerced (see ``_FIELD_RULES``)."""
+    Values are taken as written, never coerced (see ``_FIELD_RULES``).  The
+    file is read in blocks of lines; a block that is not all well-formed
+    report lines (blank lines included) is read again line by line, which
+    names its first malformed line."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                values = _report_items(json.loads(line))
-                for (name, ok, kind), x in zip(_RULES, values):
-                    if not ok(x):
-                        raise TypeError(f"{name!r} must be {kind}, got {x!r}")
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise ReportError(f"{path}: malformed report on line {lineno}: {exc}") from exc
-            case_id, seed, n, p, q, c, u, v, margin, scale, holds = values
-            out.append(
-                MarginReport(
-                    case_id, seed, n,
-                    p if p is None else float(p),
-                    q if q is None else float(q),
-                    c if c is None else float(c),
-                    float(u), float(v), float(margin), float(scale),
-                    holds,
-                )
-            )
+        lineno = 1
+        while lines := list(islice(fh, _REPORT_BLOCK)):
+            block = _report_block(lines)
+            out.extend(_report_lines(lines, lineno, path) if block is None else block)
+            lineno += len(lines)
     return out
 
 

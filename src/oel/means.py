@@ -218,12 +218,13 @@ def natural_power_mean(pair: OperatorPair, p: float) -> SpdMatrix:
     p = np.asarray(p)
     at_a, at_b = p == 0.0, p == 1.0
     endpoint = (at_a | at_b).any()
-    if endpoint and at_a.all():
-        return pair.A
-    if endpoint and at_b.all():
-        return pair.B
+    if endpoint and np.broadcast_shapes(pair.A.mat.shape, p.shape) == pair.A.mat.shape:
+        if at_a.all():
+            return pair.A
+        if at_b.all():
+            return pair.B
     m = pair.transform(lambda t: t ** p)
-    if endpoint:  # per-pair weights, some at an endpoint: those pairs get that operand
+    if endpoint:  # some weights at an endpoint, or all on an axis the pair lacks: those matrices get that operand
         m = np.where(at_a, pair.A.mat, np.where(at_b, pair.B.mat, m))
     return pair.certify(m, lambda t: t ** p, f"natural power mean (p={p.item() if p.size == 1 else 'per pair'})")
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib
 import json
@@ -482,6 +483,203 @@ def test_report_rows_hold_plain_python_values(tmp_path):
         assert d == dataclasses.asdict(r)
         assert tuple(d) == REPORT_FIELDS
         assert {k: type(v) for k, v in d.items()} == kinds
+
+
+# -- report IO in blocks: the bytes and results of the row-by-row stdlib code --
+
+BLOCK = harness._REPORT_BLOCK
+
+
+def _row(i: int, **fields) -> MarginReport:
+    values = dict(case_id="H1.1", seed=i, n=1 + i % 8, p=0.25 + i / 7, q=None, c=None,
+                  u=0.5, v=1.0 + i / 3, margin=1e-3 * i, scale=1.5, holds=True)
+    return MarginReport(**{**values, **fields})
+
+
+def _reference_jsonl(reports) -> str:
+    return "".join(json.dumps(harness.report_to_dict(r)) + "\n" for r in reports)
+
+
+def _reference_csv(reports, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(REPORT_FIELDS)
+        for r in reports:
+            writer.writerow(["" if x is None else x for x in harness.report_to_dict(r).values()])
+
+
+_EDGE_ROWS = [
+    _row(0, p=None, q=None, c=None),
+    _row(1, p=-0.0, q=5e-324, c=1e16),
+    _row(2, u=float("nan")),
+    _row(3, v=float("inf"), margin=float("-inf")),
+    _row(4, margin=np.float64(0.1)),
+    _row(5, seed=True),
+    _row(6, case_id='a "quoted" \\ back\nslash, caf\u00e9 \u2264 \U0001d4af'),
+    _row(7, p=1, scale=2),
+]
+
+
+@pytest.mark.parametrize("where", [0, BLOCK - 1, BLOCK, 2 * BLOCK])
+def test_report_writers_give_the_stdlib_bytes(tmp_path, where):
+    # every edge row alone in a block of plain rows, near the block edges
+    for edge in _EDGE_ROWS:
+        rows = [_row(i) for i in range(2 * BLOCK + 1)]
+        rows[where] = edge
+        path = tmp_path / "r.jsonl"
+        write_reports_jsonl((r for r in rows), str(path))  # any iterable
+        assert path.read_bytes() == _reference_jsonl(rows).encode(), edge
+        write_reports_csv((r for r in rows), str(tmp_path / "r.csv"))
+        _reference_csv(rows, tmp_path / "ref.csv")
+        assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), edge
+
+
+def test_report_writers_give_the_stdlib_bytes_for_suite_rows(tmp_path):
+    rows = []
+    run_all(trials=8, dims=(1, 3), seed=5, collect=rows)
+    assert len(rows) > BLOCK
+    write_reports_jsonl(rows, str(tmp_path / "r.jsonl"))
+    assert (tmp_path / "r.jsonl").read_text() == _reference_jsonl(rows)
+    write_reports_csv(rows, str(tmp_path / "r.csv"))
+    _reference_csv(rows, tmp_path / "ref.csv")
+    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("field, value", [("seed", np.int64(3)), ("holds", np.bool_(True))])
+def test_jsonl_writer_raises_the_stdlib_error(tmp_path, field, value):
+    rows = [_row(i) for i in range(BLOCK + 3)]
+    rows[BLOCK + 1] = _row(9, **{field: value})
+    with pytest.raises(TypeError) as expected:
+        _reference_jsonl(rows)
+    path = tmp_path / "r.jsonl"
+    with pytest.raises(TypeError) as got:
+        write_reports_jsonl(rows, str(path))
+    assert str(got.value) == str(expected.value)
+    # the rows before the failing one are written, as json.dumps row by row writes them
+    assert path.read_text() == _reference_jsonl(rows[: BLOCK + 1])
+
+
+def _read_reports_line_by_line(path: str) -> list[MarginReport]:
+    """The reference reader: one json.loads and one check per field per line."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                values = [json.loads(line)[name] for name in REPORT_FIELDS]
+                for (name, ok, _, kind), x in zip(harness._RULES, values):
+                    if not ok(x):
+                        raise TypeError(f"{name!r} must be {kind}, got {x!r}")
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                raise ReportError(f"{path}: malformed report on line {lineno}: {exc}") from exc
+            values[3:10] = [x if x is None else float(x) for x in values[3:10]]
+            out.append(MarginReport(*values))
+    return out
+
+
+def _lines(count: int) -> list[str]:
+    return [json.dumps(dataclasses.asdict(_row(i))) + "\n" for i in range(count)]
+
+
+def _with(count: int, at: int, line: str) -> str:
+    lines = _lines(count)
+    lines[at] = line
+    return "".join(lines)
+
+
+_SHUFFLED = json.dumps(dict(reversed(list(dataclasses.asdict(_row(1)).items()))))
+_EXTRA = json.dumps({**dataclasses.asdict(_row(1)), "note": [1, {"x": None}]})
+_INTS = json.dumps({**dataclasses.asdict(_row(1)), "p": 1, "u": 2, "margin": 0})
+
+_READER_INPUTS = {
+    "malformed one past a block": _with(2 * BLOCK, BLOCK, "{broken\n"),
+    "malformed at the end of a block": _with(2 * BLOCK, BLOCK - 1, '{"case_id": "H1.1"}\n'),
+    "two objects on one line": _with(BLOCK + 5, 3, _lines(2)[0].strip() + _lines(2)[1]),
+    "a UTF-8 BOM": "\ufeff" + "".join(_lines(3)),
+    "leading and trailing whitespace": _with(BLOCK + 5, BLOCK + 2, " \t" + _lines(1)[0].strip() + "  \n"),
+    "CRLF line ends": "".join(line.replace("\n", "\r\n") for line in _lines(BLOCK + 5)),
+    "blank lines across a block": "".join(_lines(BLOCK - 2) + ["\n", "  \n", "\r\n", "\n"] + _lines(5)),
+    "shuffled and extra keys": _with(BLOCK + 5, BLOCK + 1, _SHUFFLED + "\n").replace(_lines(3)[2], _EXTRA + "\n"),
+    "integers in the number fields": _with(BLOCK + 5, 7, _INTS + "\n"),
+    "a non-dict line": _with(BLOCK + 5, BLOCK + 3, "[1, 2]\n"),
+    "a string line": _with(BLOCK + 5, 2, '"case_id"\n'),
+    "a coerced seed after a valid block": _with(2 * BLOCK, BLOCK + 4, _lines(1)[0].replace('"seed": 0', '"seed": -1')),
+    "a coerced seed, then a line too deep to decode": _with(
+        BLOCK + 5, BLOCK + 3, "[" * 100_000 + "]" * 100_000 + "\n"
+    ).replace(_lines(BLOCK + 2)[BLOCK + 1], _lines(1)[0].replace('"seed": 0', '"seed": 2.5')),
+    "a NaN margin": _with(BLOCK + 5, BLOCK, _lines(1)[0].replace('"margin": 0.0', '"margin": NaN')),
+    "an overflowing sum": _with(BLOCK + 5, 1, _lines(1)[0].replace('"u": 0.5', '"u": 1e308'))
+    .replace('"u": 0.5', '"u": 1.7e308'),
+    "no final line end": "".join(_lines(BLOCK + 5)).rstrip("\n"),
+    "a valid file of 2 blocks + 1": "".join(_lines(2 * BLOCK + 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_READER_INPUTS))
+def test_read_reports_matches_the_line_by_line_reader(tmp_path, name):
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(_READER_INPUTS[name].encode())
+    try:
+        expected = _read_reports_line_by_line(str(path))
+    except ReportError as exc:
+        with pytest.raises(ReportError) as got:
+            read_reports(str(path))
+        assert str(got.value) == str(exc)
+        assert type(got.value.__cause__) is type(exc.__cause__)
+    else:
+        got = read_reports(str(path))
+        assert got == expected
+        assert [tuple(map(type, dataclasses.astuple(r))) for r in got] == [
+            tuple(map(type, dataclasses.astuple(r))) for r in expected
+        ]
+
+
+def _accepts(rule, x) -> bool:
+    try:
+        return rule(x)
+    except OverflowError:  # read_reports takes it as a rejection
+        return False
+
+
+def test_read_reports_column_rules_agree_with_the_value_rules():
+    # a block's column passes its rule only if every value passes its own (a
+    # column that fails is read again line by line, so it may fail more)
+    values = [None, True, False, 0, 1, -1, 2, 1 << 64, (1 << 64) - 1, 10**400, 0.0, -0.0, 0.5, 1e308,
+              float("nan"), float("inf"), "x", [1.0], {"a": 1}]
+    for name, ok, column_ok, _ in harness._RULES:
+        for x in values:
+            for column in ((x,), (x, x), (x, 1.0), (x, "s"), (x, 7), (x, None)):
+                if _accepts(column_ok, column):
+                    assert all(_accepts(ok, y) for y in column), (name, column)
+        good = [x for x in values if _accepts(ok, x)]
+        assert good and all(column_ok((x,)) for x in good), name
+
+
+def test_read_and_write_reports_memory_does_not_grow_with_the_file(tmp_path):
+    rows = [_row(i, case_id=f"C{i % 50}") for i in range(24_000)]
+    path = str(tmp_path / "r.jsonl")
+    write_reports_jsonl(rows, path)  # warm the caches and free lists
+    read_reports(path)
+    write_peaks, read_extra = [], []
+    for count in (3_000, 24_000):
+        tracemalloc.start()
+        try:
+            write_reports_jsonl(rows[:count], path)
+            write_peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            back = read_reports(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(back) == count
+        del back
+        read_extra.append(peak - kept)  # past the returned list: the block in hand
+    assert write_peaks[1] < 2 * write_peaks[0]
+    assert read_extra[1] < 2 * read_extra[0]
 
 
 def test_every_suite_row_replays_bit_identically():

@@ -447,3 +447,18 @@ def test_certified_matrix_reports_its_computed_extremes(monkeypatch):
         w = np.linalg.eigvalsh(spd.mat)
         assert extremes == (w[0], w[-1], w[0])
         assert not spd.mat.flags.writeable
+
+
+def test_power_mean_endpoint_weights_keep_the_weight_axis():
+    # one pair at a weight axis of endpoints: each matrix is that operand, and
+    # the axis stays, as for any other weights
+    pair = pair_from_seed(4, 3)
+    for weight, operand in ((1.0, pair.B), (0.0, pair.A)):
+        got = natural_power_mean(pair, np.full((3, 1, 1), weight))
+        assert got.mat.shape == (3, 3, 3)
+        for m in got.mat:
+            assert m.tobytes() == operand.mat.tobytes()
+    mixed = natural_power_mean(pair, np.array([0.0, 1.0, 0.5])[:, None, None])
+    assert mixed.mat.shape == (3, 3, 3)
+    assert mixed.mat[0].tobytes() == pair.A.mat.tobytes()
+    assert mixed.mat[1].tobytes() == pair.B.mat.tobytes()
