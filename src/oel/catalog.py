@@ -20,9 +20,9 @@ All terms are built from the public mean/entropy operations so the catalog
 exercises the same code paths users call; a term at a derived pair builds
 it (:func:`_mid`, :func:`_gap`) as a lift of the pair's contraction C
 (:meth:`~oel.means.OperatorPair.lift_pair`): its second matrix is certified
-as the lift of its twin f, and its contraction is f(C), assembled from C's
-basis and spectrum with no eigensolve.  A derived pair that loses
-definiteness is a NumericalBreakdown of the trial.
+as the lift of its twin f, and its contraction is f(C), held as C's basis
+and f on spec(C) (assembled only if read), with no eigensolve.  A derived
+pair that loses definiteness is a NumericalBreakdown of the trial.
 :func:`evaluate_trials` runs k trials of one case on a stacked pair: each
 term is then one ``(k, n, n)`` stack, and the trials' weights reach it as
 ``(k, 1, 1)`` arrays.  Its verdict is the comparator of
@@ -34,7 +34,7 @@ and the harness build the :class:`MarginReport` of a row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fnmatch import fnmatch
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -114,6 +114,19 @@ class MarginReport:
     margin: float
     scale: float
     holds: bool
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(MarginReport))
+
+
+def _report(*values) -> MarginReport:
+    """``MarginReport(*values)``, built by filling the instance's ``__dict__``
+    in one step instead of the frozen ``__init__``'s one ``object.__setattr__``
+    per field.  The report is the same frozen dataclass instance: equality,
+    hash, repr, ``asdict`` and ``replace`` see the same fields."""
+    report = object.__new__(MarginReport)
+    report.__dict__.update(zip(_REPORT_FIELDS, values))
+    return report
 
 
 def _mid(pair: OperatorPair) -> OperatorPair:
@@ -756,7 +769,7 @@ def evaluate(
     hypothesis (with slack ``HYP_SLACK``); otherwise returns the margin
     verdict of ``lhs <= rhs``.
     """
-    return MarginReport(case.id, *evaluate_trials(case, pair, params, [seed], order_tol=order_tol)[0])
+    return _report(case.id, *evaluate_trials(case, pair, params, [seed], order_tol=order_tol)[0])
 
 
 def _per_trial(x) -> list:

@@ -22,12 +22,13 @@ stacked numpy calls give each matrix the bits of a call on that matrix
 alone, so a replay reproduces its suite row exactly.
 
 A stack is drawn one way (``_draw``): its plan words and its
-:class:`~oel.sampler.StackBase` (A, its square root and C's basis), on which
-:func:`~oel.sampler.pair_from_base` builds C and B.  The stacked pair holds
-C's basis and spectrum, so the derived pairs of a case are lifts of C
-(:meth:`~oel.means.OperatorPair.lift_pair`) and a trial makes no ``eigh``:
-its eigensolves are the verdict's ``eigvalsh`` of ``Y - X`` and the harmonic
-mean's full check.
+:class:`~oel.sampler.StackBase` (A, C's basis and ``X = A^{1/2} Q_C``), on
+which :func:`~oel.sampler.pair_from_base` places C's spectrum and builds B
+as one product on X.  The stacked pair holds C's basis and spectrum and X,
+so every lift of a case is one product on X, the derived pairs of a case
+are lifts of C (:meth:`~oel.means.OperatorPair.lift_pair`), and a trial
+makes no ``eigh``: its eigensolves are the verdict's ``eigvalsh`` of
+rhs - lhs and the harmonic mean's full check.
 
 Every case of a :func:`run_all` call reads the same trial streams, and the
 cases of one hypothesis region share its planner (``case.plan``), so the
@@ -39,10 +40,14 @@ first reader computes an entry and keeps it only while a later case of the
 call reads it (the readers come from the call's case list); the last reader
 drops it.  A pair or term value is kept only with its stack's draws, whose
 arrays it holds.  The memo holds at most ``SHARED_ENTRIES`` matrix entries,
-n x n per trial for each kept array (three for the draws, two for a pair's B
-and C, one for a term value); past it, entries are computed per case.  Each
-case still checks its own hypothesis before it reads a term, and a shared
-entry is the same computation on the same arrays, so rows keep their bits.
+each entry counted at the n x n arrays per trial it holds of its own
+(``_held``: three for the draws' A, C's basis and X; one for a pair's B,
+and one more for each of its C and A^{1/2} once a term has read them; one
+for a term value); a pair is counted again after each case that reads it,
+since that case may have formed them.  Past the budget, entries are
+computed per case.  Each case still checks its own hypothesis before it
+reads a term, and a shared entry is the same computation on the same
+arrays, so rows keep their bits.
 The memo lives as long as its call; :func:`run_trial`, :func:`replay`, a lone
 :func:`run_suite`, a pattern matching one case and :func:`integral_sweep`
 (on a suite's windows and stacks) compute their own.
@@ -70,7 +75,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from numbers import Real
@@ -79,9 +84,11 @@ from operator import attrgetter, itemgetter
 import numpy as np
 
 from .catalog import (
+    _REPORT_FIELDS,
     InequalityCase,
     MarginReport,
     Region,
+    _report,
     case_index,
     catalog_with_duals,  # noqa: F401  (perfbench wraps the case lookups by this name)
     evaluate_trials,
@@ -106,8 +113,9 @@ DEFAULT_SEED = 42
 WINDOW_TRIALS = 1024
 STACK_ENTRIES = 1 << 14
 # The most matrix entries one run_all call keeps in its memo (n x n arrays per
-# trial: the draws' A, its square root and C's basis, a kept pair's B and C, a
-# kept term value), 8 MB; past it, entries are computed per case.  Measured on
+# trial: the draws' A, C's basis and X, a kept pair's B and the C and A^{1/2}
+# a term has read, a kept term value), 8 MB; past it, entries are computed
+# per case.  Measured on
 # the draws alone, when a trial kept four arrays (A^{-1/2} too): `oel verify
 # --trials 10000` (0.87 M entries; 2-core VM, one BLAS thread) took 26.4 s
 # unshared, 19.8 s at 1 << 18, 15.9 s at 1 << 19 and 12.2 s at 1 << 20 (peak RSS
@@ -115,8 +123,7 @@ STACK_ENTRIES = 1 << 14
 # went from 16.0 to 13.2 s but peaked at 56.5 MB.
 SHARED_ENTRIES = 1 << 20
 
-# a report row's keys, in MarginReport field order
-_REPORT_FIELDS = tuple(f.name for f in fields(MarginReport))
+# a report row's values, in MarginReport field order (_REPORT_FIELDS, its keys)
 _report_values = attrgetter(*_REPORT_FIELDS)
 
 
@@ -153,6 +160,19 @@ def _draw(seeds: list[int], n: int):
     return plan_words, stack_base(pair_words, normals)
 
 
+def _held(key: tuple, value) -> int:
+    """The matrix entries a memo entry holds of its own, by its key less the
+    stack: the draws' A, C's basis and X; a pair's B, and its C and
+    ``A^{1/2}`` once a term has read them; a term's value."""
+    if not key:
+        base = value[1]
+        return base.a.mat.size + base.q_c.size + base.x.size
+    if len(key) == 1:
+        pair = value[1]
+        return pair.B.mat.size + sum(m.mat.size for m in (pair._c, pair._root) if m is not None)
+    return value.size
+
+
 class _SharedStacks:
     """The memo of one :func:`run_all` call over ``cases`` (see the module
     notes): per stack, its draws, each plan's pair and each (plan, term)'s
@@ -167,36 +187,60 @@ class _SharedStacks:
         for i, case in enumerate(cases):
             for key in ((case.plan,), (case.plan, case.lhs), (case.plan, case.rhs)):
                 self._last[key] = i
-        self._kept: dict[tuple, object] = {}
+        self._kept: dict[tuple, tuple[object, int]] = {}  # each kept value with the entries counted for it
         self._entries = 0
+        self._read_pair: tuple | None = None  # the kept pair the last reader read
+
+    def _recount(self) -> None:
+        """Count the kept pair the last reader read again: one of its terms
+        may have formed its C or A^{1/2}.  Past the budget, the pair is
+        dropped."""
+        full, self._read_pair = self._read_pair, None
+        if full not in self._kept:
+            return
+        value, counted = self._kept[full]
+        entries = _held(full[:-1], value)
+        if entries != counted:
+            self._entries += entries - counted
+            self._kept[full] = value, entries
+            if self._entries > SHARED_ENTRIES:
+                del self._kept[full]
+                self._entries -= entries
 
     def reader(self, case: InequalityCase, seeds: list[int], n: int):
-        """``keep(key, arrays, compute)`` for ``case`` on the stack of
-        ``seeds`` at n: the entry of ``key`` (as ``_last`` holds it) on that
-        stack, taken from the memo or computed, kept or dropped."""
+        """``keep(key, compute)`` for ``case`` on the stack of ``seeds`` at
+        n: the entry of ``key`` (as ``_last`` holds it) on that stack, taken
+        from the memo or computed, kept or dropped."""
+        self._recount()
         reader = self._position[case.id]
         stack = (n, tuple(seeds))
-        trial_entries = len(seeds) * n * n
 
-        def keep(key: tuple, arrays: int, compute):
-            full, last, entries = (*key, stack), self._last[key], arrays * trial_entries
+        def keep(key: tuple, compute):
+            full, last = (*key, stack), self._last[key]
             if full in self._kept:
                 if reader < last:
-                    return self._kept[full]
-                self._entries -= entries
-                return self._kept.pop(full)
+                    if len(key) == 1:
+                        self._read_pair = full
+                    return self._kept[full][0]
+                value, counted = self._kept.pop(full)
+                self._entries -= counted
+                return value
             value = compute()
             # a pair or a term value holds arrays of the draws: kept only with them
             with_draws = not key or (stack,) in self._kept
-            if reader < last and with_draws and self._entries + entries <= SHARED_ENTRIES:
-                self._kept[full] = value
-                self._entries += entries
+            if reader < last and with_draws:
+                entries = _held(key, value)
+                if self._entries + entries <= SHARED_ENTRIES:
+                    self._kept[full] = value, entries
+                    self._entries += entries
+                    if len(key) == 1:
+                        self._read_pair = full
             return value
 
         return keep
 
 
-def _unshared(key: tuple, arrays: int, compute):
+def _unshared(key: tuple, compute):
     return compute()
 
 
@@ -214,15 +258,15 @@ def _evaluate_stack(
     :func:`~oel.catalog.evaluate_trials` rows.  With ``shared``, the draws,
     the pair and the term values are taken from the memo where it has them."""
     keep = _unshared if shared is None else shared.reader(case, seeds, n)
-    plan_words, base = keep((), 3, lambda: _draw(seeds, n))
-    params, pair = keep((case.plan,), 2, lambda: _plan_pair(case, plan_words, base))
+    plan_words, base = keep((), lambda: _draw(seeds, n))
+    params, pair = keep((case.plan,), lambda: _plan_pair(case, plan_words, base))
     return evaluate_trials(
         case,
         pair,
         params,
         seeds,
         order_tol=order_tol,
-        terms=lambda term, pr: keep((case.plan, term), 1, lambda: term.fn(pair, pr)),
+        terms=lambda term, pr: keep((case.plan, term), lambda: term.fn(pair, pr)),
     )
 
 
@@ -235,7 +279,7 @@ def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float
         raise InvalidInput(f"trial seed must be an integer in [0, 2^64), got {trial_seed!r}")
     if not _is_count(n, 1):
         raise InvalidInput(f"n must be an integer >= 1, got {n!r}")
-    return MarginReport(case.id, *_evaluate_stack(case, [int(trial_seed)], int(n), order_tol)[0])
+    return _report(case.id, *_evaluate_stack(case, [int(trial_seed)], int(n), order_tol)[0])
 
 
 def replay(case_id: str, seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
@@ -290,7 +334,7 @@ def run_suite(
             if not holds:
                 failures += 1
             if collect is not None:
-                collect.append(MarginReport(case.id, *row))
+                collect.append(_report(case.id, *row))
     elapsed_ms = int(round((time.perf_counter() - t0) * 1e3))
     return SuiteResult(
         case_id=case.id,
@@ -540,7 +584,7 @@ def _report_block(lines: list[str]) -> list[MarginReport] | None:
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
         return None
     case_id, seed, n, *numbers, holds = columns
-    return list(map(MarginReport, case_id, seed, n, *map(_as_float, numbers), holds))
+    return list(map(_report, case_id, seed, n, *map(_as_float, numbers), holds))
 
 
 def _report_lines(lines: list[str], lineno: int, path: str) -> list[MarginReport]:

@@ -2,11 +2,14 @@
 
 Every binary operation here factors through the contraction
 ``C = A^{-1/2} B A^{-1/2}``: an operation with scalar representing function
-``f`` equals ``A^{1/2} f(C) A^{1/2}``.  :class:`OperatorPair` caches the
-spectral data of A and C at construction (never lazily), so a whole family
-of means and entropies can be evaluated against one decomposition, and the
-spectral bounds ``u = lambda_min(C)``, ``v = lambda_max(C)`` give the tight
-sandwich ``u A <= B <= v A``.
+``f`` equals ``A^{1/2} f(C) A^{1/2}``.  :class:`OperatorPair` holds the
+spectral data of A and C from construction: C's basis ``Q_C`` and spectrum
+and ``X = A^{1/2} Q_C``, so that every such lift is one product,
+``(X diag f(spec C)) X^T`` (:func:`lift`), and a whole family of means and
+entropies is evaluated against one decomposition.  The spectral bounds
+``u = lambda_min(C)``, ``v = lambda_max(C)`` give the tight sandwich
+``u A <= B <= v A``.  A pair built from spectral data forms C itself and
+``A^{1/2}`` (as ``X Q_C^T``) only when they are first read.
 
 A pair may hold ``(k, n, n)`` stacks of A and B: k pairs evaluated by the
 same code, one numpy call per step for the whole stack.  Then ``u`` and
@@ -34,7 +37,8 @@ second path, not a lift.
 A derived pair ``(A, M)`` for such a lift M of f (the catalog's
 ``(A, (A+B)/2)`` and ``(A, B - A)``) is built by
 :meth:`OperatorPair.lift_pair`: its contraction is ``f(C)``, with C's basis
-and spectrum ``f(spec(C))``, so it needs no eigensolve.  Only the public
+and spectrum ``f(spec(C))``, so it needs no eigensolve and shares its
+parent's basis and X (and ``A^{1/2}``, if formed).  Only the public
 constructor solves: one ``eigh`` of A and one of C.
 """
 
@@ -52,6 +56,7 @@ from .spd_core import (
     _eval_on_spectrum,
     _rebuild_spd,
     _row,
+    _scalar_or_stack,
     as_spd,
     dump_matrix,
     load_matrix,
@@ -59,6 +64,7 @@ from .spd_core import (
     spd_from_spectrum,
     spd_sqrt,
     spectral_assemble,
+    spectrum_extremes,
     symmetrize,
 )
 
@@ -67,15 +73,17 @@ from .spd_core import (
 # X diag(f) X^T with X = A^{1/2} Q (Q the basis of C), whose eigenvalues
 # Ostrowski's theorem (Horn and Johnson, Matrix Analysis, Thm 4.5.9) puts in
 # [lambda_min(A) min f, lambda_max(A) max|f|].  The computed M is reached
-# through five rounded n x n products: the assemblies Q diag(w) Q^T of
-# A^{1/2} and of f(C) or C, the two products of the congruence, and the sum
-# or scaling with A.  Each is no further from the exact product than
+# through at most four rounded n x n products: the assembly Q diag(w) Q^T of
+# A^{1/2}, the product X = A^{1/2} Q (once per stack), the one product
+# (X diag f) X^T of the lift (see lift), and the sum or scaling with A (itself
+# assembled from its spectrum) in the arithmetic mean and the derived pairs.
+# Each is no further from the exact product than
 # gamma_n |X| |Y| entrywise (Higham, Accuracy and Stability of Numerical
 # Algorithms, 2nd ed., Sec. 3.5), so than n gamma_n ||X||_2 ||Y||_2 in the
 # 2-norm (as || |X| ||_2 <= sqrt(n) ||X||_2), and every operand is at most
 # lambda_max(A) * size in norm, with size = max(1, v, max|f|) bounding the
 # twins of A, B and f(C) on spec(C) (so the cancellation in B - A is
-# covered).  The budget of _LIFT_ROUNDINGS such errors holds those five, the
+# covered).  The budget of _LIFT_ROUNDINGS such errors holds those four, the
 # departure of LAPACK's bases from orthogonality and eigvalsh's own backward
 # error (each a few n gamma_n ||M||) and the rounding of the bounds, with
 # room to spare.  By Weyl's theorem each eigenvalue moves by at most delta
@@ -85,9 +93,13 @@ from .spd_core import (
 # the lower bound loses that factor again to lambda_min(A), the upper one does
 # not, so delta grows by 1 + kappa(A) there.  tests/test_means.py checks the
 # bounds against eigvalsh on every matrix certified in catalog runs and in
-# wide sampler configurations, where a budget of 2 fails and 4 passes.
+# wide sampler configurations up to n = 128, public pairs included: with the
+# one-product lifts, a budget of 2 fails all five of those checks, 3 fails two
+# of them (a sampled B at A's spectrum in [1e-3, 1e3], a power mean at A = I)
+# and 4 passes them all.
 _LIFT_ROUNDINGS = 16
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_CONTRACTION = "contraction A^{-1/2} B A^{-1/2}"
 
 
 def certified_lift(a: SpdMatrix, w: np.ndarray, m: np.ndarray, f: Callable, context: str, drift=0.0) -> SpdMatrix:
@@ -111,8 +123,27 @@ def certified_lift(a: SpdMatrix, w: np.ndarray, m: np.ndarray, f: Callable, cont
     return spd_certified(m, lo, hi, context)
 
 
+def lift(x: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """The lift ``A^{1/2} f(C) A^{1/2}`` as one product, symmetrized
+    ``(X diag(fw)) X^T`` for ``X = A^{1/2} Q_C`` and f's values ``fw`` on
+    spec(C), a row (with any leading weight axes)."""
+    return symmetrize((x * fw) @ x.swapaxes(-1, -2))
+
+
+def _weights(p, what: str) -> np.ndarray:
+    """``p`` as an array of weights: integers or floats, the one dtype check
+    of a weight (a bool, a string, None or ragged data is an InvalidWeight)."""
+    try:
+        weights = np.asarray(p)
+    except ValueError:  # ragged nesting
+        weights = None
+    if weights is None or weights.dtype.kind not in "iuf":
+        raise InvalidWeight(f"{what} needs real weights, got {p!r}")
+    return weights
+
+
 def _check_weight(p, lo: float, hi: float, what: str) -> None:
-    p = np.asarray(p)
+    p = _weights(p, what)
     ok = (lo <= p) & (p <= hi)
     if not ok.all():
         raise InvalidWeight(f"{what} needs weight in [{lo}, {hi}], got {p.flat[np.argmin(ok)]}")
@@ -121,19 +152,24 @@ def _check_weight(p, lo: float, hi: float, what: str) -> None:
 class OperatorPair:
     """An ordered pair (A, B) of SPD matrices with cached spectral data.
 
-    Construction computes ``A^{1/2}``, the contraction
-    ``C = A^{-1/2} B A^{-1/2}`` and its eigendecomposition; ``u`` and ``v``
-    are the extreme eigenvalues of C, so ``u A <= B <= v A`` with equality
-    directions attained on the corresponding eigenvectors.  ``A^{1/2}`` and
-    ``A^{-1/2}`` (read only to form C) come from one ``eigh(A)``; C is
-    checked positive on its one ``eigh(C)``.  A and B may be equal-shaped
-    stacks of matrices (see the module notes).  A pair the package builds
-    from spectral data it already holds (a sampled pair, :meth:`lift_pair`)
-    passes ``_spectra = (A^{1/2}, C, C's basis, spec(C) as a row, drift)``
-    instead: no eigensolve.
+    A pair holds C's basis ``Q_C`` and spectrum (``u`` and ``v`` its
+    extremes, so ``u A <= B <= v A`` with equality directions attained on
+    the corresponding eigenvectors) and ``X = A^{1/2} Q_C``, by which every
+    lift of the pair is one product (:meth:`transform`).  The public
+    constructor computes them with one ``eigh(A)`` (its ``A^{1/2}``, and an
+    ``A^{-1/2}`` read only to form C) and one ``eigh(C)``, and keeps the
+    ``A^{1/2}`` and C it formed; C is checked positive on its spectrum.  A
+    and B may be equal-shaped stacks of matrices (see the module notes).  A
+    pair the package builds from spectral data it already holds (a sampled
+    pair, :meth:`lift_pair`) passes ``_spectra = (A^{1/2} or None, X, C's
+    basis, spec(C) as a row, drift)`` instead: no eigensolve.  Its ``u`` and
+    ``v`` are taken from spec(C) and checked at construction; its C is
+    assembled from C's basis and spectrum only when :attr:`contraction` is
+    first read, and (where not given) its ``A^{1/2}`` is ``X Q_C^T`` formed
+    only when :attr:`sqrt_a` is first read.
     """
 
-    __slots__ = ("A", "B", "sqrt_a", "contraction", "u", "v", "_w", "_q", "_drift")
+    __slots__ = ("A", "B", "u", "v", "_root", "_x", "_q", "_w", "_drift", "_c")
 
     def __init__(self, a, b, _spectra=None) -> None:
         a = as_spd(a)
@@ -142,16 +178,40 @@ class OperatorPair:
             raise InvalidInput(f"dimension mismatch: A is {a.mat.shape}, B is {b.mat.shape}")
         self.A = a
         self.B = b
+        c = None
         if _spectra is None:
             w, q = np.linalg.eigh(a.mat)
             inv_sqrt_a = symmetrize((q / _row(np.sqrt(w))) @ q.swapaxes(-1, -2))
             c = symmetrize(inv_sqrt_a @ b.mat @ inv_sqrt_a)
             w_c, q_c = np.linalg.eigh(c)
-            _spectra = (spd_sqrt(q, w), c, q_c, _row(w_c), a.eig_max / a.eig_min)  # drift: see _LIFT_ROUNDINGS
-        self.sqrt_a, c, self._q, self._w, self._drift = _spectra
-        self.contraction = spd_from_spectrum(c, self._w, "contraction A^{-1/2} B A^{-1/2}")
-        self.u = self.contraction.eig_min
-        self.v = self.contraction.eig_max
+            root = spd_sqrt(q, w)
+            x = root.mat @ q_c
+            x.flags.writeable = False
+            _spectra = (root, x, q_c, _row(w_c), a.eig_max / a.eig_min)  # drift: see _LIFT_ROUNDINGS
+        self._root, self._x, self._q, self._w, self._drift = _spectra
+        lo, hi = spectrum_extremes(self._w, _CONTRACTION)
+        shape = a.mat.shape[:-2]
+        self.u = _scalar_or_stack(lo.reshape(shape))
+        self.v = _scalar_or_stack(hi.reshape(shape))
+        self._c = None if c is None else spd_from_spectrum(c, self._w, _CONTRACTION)
+
+    @property
+    def sqrt_a(self) -> SpdMatrix:
+        """``A^{1/2}``: for a pair built from spectral data without it, the
+        product ``X Q_C^T`` formed on first read and kept, checked on the
+        square roots of A's extreme eigenvalues."""
+        if self._root is None:
+            extremes = np.sqrt(np.stack((self.A.eig_min, self.A.eig_max), axis=-1))
+            self._root = spd_from_spectrum(symmetrize(self._x @ self._q.swapaxes(-1, -2)), extremes, "sqrt(A)")
+        return self._root
+
+    @property
+    def contraction(self) -> SpdMatrix:
+        """``C = A^{-1/2} B A^{-1/2}``: for a pair built from spectral data,
+        assembled from C's basis and spectrum on first read, and kept."""
+        if self._c is None:
+            self._c = spd_from_spectrum(spectral_assemble(self._q, self._w), self._w, _CONTRACTION)
+        return self._c
 
     @property
     def n(self) -> int:
@@ -159,11 +219,10 @@ class OperatorPair:
 
     def lift_pair(self, m: np.ndarray, f: Callable, context: str) -> "OperatorPair":
         """The pair (A, m) for ``m`` computed as the lift of f (see
-        :meth:`certify`, which checks it): its contraction is f(C), assembled
-        from C's basis and f on spec(C), so it shares this pair's ``A^{1/2}``
-        and basis and needs no eigensolve."""
-        fw = _eval_on_spectrum(f, self._w)
-        spectra = (self.sqrt_a, spectral_assemble(self._q, fw), self._q, fw, self._drift)
+        :meth:`certify`, which checks it): its contraction is f(C), held as
+        C's basis and f on spec(C), so it shares this pair's X and basis (and
+        its ``A^{1/2}``, if formed) and needs no eigensolve."""
+        spectra = (self._root, self._x, self._q, _eval_on_spectrum(f, self._w), self._drift)
         return OperatorPair(self.A, self.certify(m, f, context), _spectra=spectra)
 
     def fn_of_contraction(self, f: Callable) -> np.ndarray:
@@ -171,11 +230,10 @@ class OperatorPair:
         return spectral_assemble(self._q, _eval_on_spectrum(f, self._w))
 
     def transform(self, f: Callable) -> np.ndarray:
-        """``A^{1/2} f(C) A^{1/2}``: the operator lift of the scalar f, a
-        ``(P, k, n, n)`` stack where f's values carry a weight axis (see the
-        module notes)."""
-        r = self.sqrt_a.mat
-        return symmetrize(r @ self.fn_of_contraction(f) @ r)
+        """``A^{1/2} f(C) A^{1/2}``: the operator lift of the scalar f, one
+        product ``(X diag f(spec C)) X^T`` (:func:`lift`), a ``(P, k, n, n)``
+        stack where f's values carry a weight axis (see the module notes)."""
+        return lift(self._x, _eval_on_spectrum(f, self._w))
 
     def certify(self, m: np.ndarray, f: Callable, context: str) -> SpdMatrix:
         """Wrap ``m``, computed as the lift ``A^{1/2} f(C) A^{1/2}`` (by
@@ -215,7 +273,7 @@ def natural_power_mean(pair: OperatorPair, p: float) -> SpdMatrix:
     Interpolates A (p=0) to B (p=1); coincides with the weighted geometric
     mean on [0, 1] and extends it outside.
     """
-    p = np.asarray(p)
+    p = _weights(p, "natural power mean")
     at_a, at_b = p == 0.0, p == 1.0
     endpoint = (at_a | at_b).any()
     if endpoint and np.broadcast_shapes(pair.A.mat.shape, p.shape) == pair.A.mat.shape:
@@ -242,6 +300,7 @@ def relative_operator_entropy(pair: OperatorPair) -> np.ndarray:
 
 def generalized_entropy(pair: OperatorPair, p: float) -> np.ndarray:
     """``S_p(A|B) = A^{1/2} C^p log(C) A^{1/2}`` with C the contraction."""
+    _weights(p, "generalized entropy")
     return pair.transform(lambda t: scalars.power_log(t, p))
 
 
@@ -283,7 +342,7 @@ def quadrature_tsallis(pair: OperatorPair, p: float, nodes: int = 32) -> np.ndar
     integer in [2, 100], the orders numpy documents ``leggauss`` as tested
     for (its cost grows as nodes**3).
     """
-    p = np.asarray(p)
+    p = _weights(p, "quadrature")
     ok = (-1.0 <= p) & (p <= 1.0) & (p != 0.0)
     if not ok.all():
         raise InvalidWeight(f"quadrature needs p in [-1, 1], p != 0, got {p.flat[np.argmin(ok)]}")

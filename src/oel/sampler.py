@@ -9,15 +9,18 @@ matrix's eigenvalues land exactly where requested (up to assembly rounding).
 A trial reads one stream keyed by its seed in two bulk calls
 (:func:`stream_draws`): its plan words, then the pair's spectra, then the
 pair's Gaussians.  k pairs are built from those draws as one stacked pair,
-from their spectra, in two steps: :func:`stack_base` (A, its square root and
-C's basis, which do not depend on the case) and :func:`pair_from_base` (C
-and B from the case's targets), so one base can serve every case that reads
-the same streams.  :func:`sandwich_pair` is the two steps at k = 1, at one
-seed.  No step eigensolves: A, its square root and C are assembled from
-their spectra, which the pair keeps (``A^{-1/2}`` is never formed), and B is
-certified by A's and C's extreme eigenvalues
-(:func:`oel.means.certified_lift`), with the full check only where those
-bounds do not decide.
+from their spectra, in two steps: :func:`stack_base` (A, C's basis and
+``X = A^{1/2} Q_C``, which do not depend on the case) and
+:func:`pair_from_base` (C's spectrum and B from the case's targets), so one
+base can serve every case that reads the same streams, and every pair built
+on it shares its X.  :func:`sandwich_pair` is the two steps at k = 1, at one
+seed.  No step eigensolves: A and its square root (to form X) are
+assembled from their spectra, B is the one product ``(X diag mu) X^T`` on
+C's spectrum mu (:func:`oel.means.lift`), and C is assembled from its basis
+and spectrum, which the pair keeps, only if its ``contraction`` is read
+(``A^{-1/2}`` is never formed).  B is certified by A's and C's extreme
+eigenvalues (:func:`oel.means.certified_lift`), with the full check only
+where those bounds do not decide.
 Every public draw reads that stream: :func:`random_spd` is the A of
 :func:`stack_base` at ``cfg.seed``, and :func:`commuting_spectra` takes A's
 basis and spectrum and maps C's interior words onto its ratios mu/lam.
@@ -32,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .means import OperatorPair, certified_lift
-from .spd_core import SpdMatrix, _row, spd_from_spectrum, spd_sqrt, spectral_assemble, symmetrize
+from .means import OperatorPair, certified_lift, lift
+from .spd_core import SpdMatrix, _row, spd_from_spectrum, spd_sqrt, spectral_assemble
 
 RNG_ALGORITHM = "philox4x64"
 # a trial stream's first words, read by the case's planner: c, p, q, the pin
@@ -168,36 +171,42 @@ def _a_draw(words, normals, spectrum_range) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class StackBase:
-    """The target-free part of a stack of pairs: A with its square root, C's
-    basis and the words that place C's interior eigenvalues.  The same base
-    serves every case whose trials read the same streams."""
+    """The target-free part of a stack of pairs: A, C's basis ``Q_C``,
+    ``X = A^{1/2} Q_C`` (by which every lift of a pair on the base is one
+    product, see :func:`oel.means.lift`) and the words that place C's
+    interior eigenvalues.  The same base serves every case whose trials read
+    the same streams; its arrays are read-only.  ``A^{1/2}`` is not kept: a
+    pair forms it as ``X Q_C^T`` where a term reads it."""
 
     a: SpdMatrix
-    sqrt_a: SpdMatrix
     q_c: np.ndarray
+    x: np.ndarray
     mu_words: np.ndarray
 
 
 def stack_base(words, normals, spectrum_range=_A_SPECTRUM) -> StackBase:
-    """A, its square root and C's basis from each pair's ``2n`` pair words
-    and ``(2, n, n)`` normals (as :func:`stream_draws` reads them, over any
-    leading axes): A's eigenvalues are uniform in ``spectrum_range``, and
-    one ``qr`` gives A's basis and C's.  A and its square root are
-    assembled from A's spectrum, with no eigensolve."""
+    """A, C's basis and ``X = A^{1/2} Q_C`` from each pair's ``2n`` pair
+    words and ``(2, n, n)`` normals (as :func:`stream_draws` reads them, over
+    any leading axes): A's eigenvalues are uniform in ``spectrum_range``,
+    and one ``qr`` gives A's basis and C's.  A and ``A^{1/2}`` are assembled
+    from A's spectrum, with no eigensolve."""
     lam, q = _a_draw(words, normals, spectrum_range)
     q_a = q[..., 0, :, :]
     a = spd_from_spectrum(spectral_assemble(q_a, _row(lam)), lam, "sampled A")
     q_c = np.ascontiguousarray(q[..., 1, :, :])  # a copy: a kept base does not keep A's basis
+    x = spd_sqrt(q_a, lam).mat @ q_c
     mu_words = words[..., lam.shape[-1] :]
-    q_c.flags.writeable = mu_words.flags.writeable = False  # a base may be shared
-    return StackBase(a, spd_sqrt(q_a, lam), q_c, mu_words)
+    q_c.flags.writeable = x.flags.writeable = mu_words.flags.writeable = False  # a base may be shared
+    return StackBase(a, q_c, x, mu_words)
 
 
 def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
     """The pairs of ``base`` (one stacked pair) whose contractions C have the
     targets as extreme eigenvalues (both placed exactly when n >= 2) and
-    uniform ones between: C is assembled from that spectrum, and
-    ``B = A^{1/2} C A^{1/2}`` is certified by it, with no eigensolve."""
+    uniform ones between: ``B = A^{1/2} C A^{1/2}`` is the lift of that
+    spectrum, one product on the base's X, certified by it with no
+    eigensolve.  C itself is assembled only if the pair's ``contraction``
+    is read."""
     u = np.asarray(u_target, dtype=float)
     v = np.asarray(v_target, dtype=float)
     mu = u[..., None] + (v - u)[..., None] * base.mu_words
@@ -205,14 +214,12 @@ def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
         mu[..., 0] = u
         mu[..., 1] = v
     w = _row(mu)
-    root = base.sqrt_a.mat
-    c = spectral_assemble(base.q_c, w)
     # B's spectrum is not known (congruence mixes A's and C's), but it is the
     # lift of mu, bounded by A's and C's extreme eigenvalues; where those bounds
     # do not decide, B gets the full check, and losing definiteness there is a
     # breakdown of the draw
-    b = certified_lift(base.a, w, symmetrize(root @ c @ root), lambda t: t, "sampled B")
-    return OperatorPair(base.a, b, _spectra=(base.sqrt_a, c, base.q_c, w, 0.0))
+    b = certified_lift(base.a, w, lift(base.x, w), lambda t: t, "sampled B")
+    return OperatorPair(base.a, b, _spectra=(None, base.x, base.q_c, w, 0.0))
 
 
 def commuting_spectra(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

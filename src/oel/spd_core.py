@@ -28,6 +28,7 @@ over its leading axis; those of a single matrix are Python scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -112,18 +113,9 @@ class SpdMatrix:
 
     def __init__(self, entries) -> None:
         m = _force_symmetric(entries)
-        self._freeze(m, np.linalg.eigvalsh(m))
+        self._freeze(m, *_strict_extremes(np.linalg.eigvalsh(m)))
 
-    def _freeze(self, m: np.ndarray, w: np.ndarray) -> None:
-        lo = w.min(axis=-1)
-        hi = w.max(axis=-1)
-        ok = lo > STRICTNESS_TOL * hi  # as lo <= hi, this also needs hi > 0
-        if not ok.all():
-            i = np.argmin(ok)
-            raise InvalidInput(
-                "matrix is not strictly positive definite "
-                f"(eigenvalue range [{lo.flat[i]:.6e}, {hi.flat[i]:.6e}])"
-            )
+    def _freeze(self, m: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
         m.flags.writeable = False
         self._mat = m
         self._lo = lo
@@ -158,6 +150,22 @@ class SpdMatrix:
         return f"SpdMatrix(n={self.n}, eig_range=[{self.eig_min:.4g}, {self.eig_max:.4g}])"
 
 
+def _strict_extremes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest and largest of each matrix's eigenvalues ``w`` (along the
+    last axis), which must satisfy ``lambda_min > STRICTNESS_TOL * lambda_max``;
+    else an InvalidInput."""
+    lo = w.min(axis=-1)
+    hi = w.max(axis=-1)
+    ok = lo > STRICTNESS_TOL * hi  # as lo <= hi, this also needs hi > 0
+    if not ok.all():
+        i = np.argmin(ok)
+        raise InvalidInput(
+            "matrix is not strictly positive definite "
+            f"(eigenvalue range [{lo.flat[i]:.6e}, {hi.flat[i]:.6e}])"
+        )
+    return lo, hi
+
+
 def as_spd(m) -> SpdMatrix:
     """Coerce an array (or SpdMatrix) to SpdMatrix."""
     return m if isinstance(m, SpdMatrix) else SpdMatrix(m)
@@ -171,16 +179,23 @@ def _rebuild_spd(m: np.ndarray, context: str) -> SpdMatrix:
         raise NumericalBreakdown(f"{context}: {exc}") from exc
 
 
+def spectrum_extremes(w: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
+    """The extreme eigenvalues of a spectrum ``w`` the code holds (each
+    matrix's along the last axis), checked for strict positivity: a
+    NumericalBreakdown prefixed with ``context`` where they fail."""
+    try:
+        return _strict_extremes(w)
+    except InvalidInput as exc:
+        raise NumericalBreakdown(f"{context}: {exc}") from exc
+
+
 def spd_from_spectrum(m: np.ndarray, w: np.ndarray, context: str) -> SpdMatrix:
     """Wrap symmetric ``m`` (frozen in place) whose eigenvalues ``w`` are known,
     checking strict positivity on ``w`` instead of a second eigensolve.  Raises
     NumericalBreakdown, prefixed with ``context``, when ``w`` fails the check.
     ``w`` holds each matrix's eigenvalues along its last axis."""
     spd = SpdMatrix.__new__(SpdMatrix)
-    try:
-        spd._freeze(m, w)
-    except InvalidInput as exc:
-        raise NumericalBreakdown(f"{context}: {exc}") from exc
+    spd._freeze(m, *spectrum_extremes(w, context))
     return spd
 
 
@@ -296,10 +311,10 @@ class LoewnerVerdict:
 
 
 def _check_tol(tol: float) -> None:
-    """An order tolerance must be a finite number >= 0: nan or inf decides
-    every comparison one way."""
-    if not (0.0 <= tol < np.inf):
-        raise InvalidInput(f"tolerance must be a finite number >= 0, got {tol}")
+    """An order tolerance must be a finite real number >= 0 (a bool, a string
+    or None is not one): nan or inf decides every comparison one way."""
+    if not (isinstance(tol, Real) and not isinstance(tol, bool) and 0.0 <= tol < np.inf):
+        raise InvalidInput(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
 def _row_sum_norm(m: np.ndarray) -> np.ndarray:

@@ -317,6 +317,21 @@ def test_evaluate_trials_returns_plain_rows():
     assert MarginReport(case.id, *row) == evaluate(case, pair, params, seed=77)
 
 
+def test_reports_built_in_one_step_are_the_dataclass_instances():
+    values = ("T1.1", 7, 3, 0.5, None, 0.25, 0.75, 2.0, -1e-15, 3.5, True)
+    built, made = catalog_module._report(*values), MarginReport(*values)
+    assert type(built) is MarginReport
+    assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+    assert dataclasses.asdict(built) == dataclasses.asdict(made)
+    assert dataclasses.replace(built, margin=1.0) == dataclasses.replace(made, margin=1.0)
+    assert built != dataclasses.replace(made, holds=False)
+    for name in ("margin", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(built, name)
+
+
 def test_mid_and_gap_build_the_derived_pairs():
     pair = scalar_pair(3.0)
     mid, gap = _mid(pair), _gap(pair)
@@ -327,7 +342,7 @@ def test_mid_and_gap_build_the_derived_pairs():
 
 @pytest.mark.parametrize("derive, f", [(_mid, lambda t: 0.5 * (1.0 + t)), (_gap, lambda t: t - 1.0)])
 def test_derived_pairs_are_lifts_of_the_contraction(monkeypatch, derive, f):
-    # a derived pair keeps its parent's A^{1/2} and C basis, and its
+    # a derived pair keeps its parent's X = A^{1/2} Q_C and C basis, and its
     # contraction is f(C) on f(spec(C)): its extremes are f(u) and f(v), and
     # it is built with no eigensolve, for a sampled pair, a stack and a
     # public pair alike
@@ -343,7 +358,8 @@ def test_derived_pairs_are_lifts_of_the_contraction(monkeypatch, derive, f):
     assert solves == []
     monkeypatch.undo()
     for pair, lifted in zip((sampled, stack, public), derived):
-        assert lifted.A is pair.A and lifted.sqrt_a is pair.sqrt_a and lifted._q is pair._q
+        assert lifted.A is pair.A and lifted._x is pair._x and lifted._q is pair._q
+        assert lifted.sqrt_a.mat.tobytes() == pair.sqrt_a.mat.tobytes()
         assert lifted._drift == pair._drift
         assert np.array_equal(lifted.u, f(pair.u)) and np.array_equal(lifted.v, f(pair.v))
         assert np.array_equal(lifted.contraction.mat, pair.fn_of_contraction(f))

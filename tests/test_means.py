@@ -22,9 +22,17 @@ from oel.means import (
     relative_operator_entropy,
     tsallis_entropy,
 )
-from oel.sampler import SamplerConfig, commuting_spectra, pair_from_base, sandwich_pair, stack_base, stream_draws
+from oel.sampler import (
+    SamplerConfig,
+    _a_draw,
+    commuting_spectra,
+    pair_from_base,
+    sandwich_pair,
+    stack_base,
+    stream_draws,
+)
 from oel.scalars import harm_rep, power_log, tsallis_log
-from oel.spd_core import STRICTNESS_TOL, SpdMatrix, symmetrize
+from oel.spd_core import STRICTNESS_TOL, SpdMatrix, spd_sqrt, symmetrize
 
 means = importlib.import_module("oel.means")
 
@@ -76,6 +84,26 @@ def test_weight_gates():
         tsallis_entropy(pair, 1.5)
     with pytest.raises(InvalidWeight):
         quadrature_tsallis(pair, 0.0)
+
+
+@pytest.mark.parametrize("weight", ["0.5", None, True, np.bool_(False), [0.5, [0.5, 0.5]], np.array([0.5], dtype=object)])
+@pytest.mark.parametrize(
+    "op",
+    [
+        arithmetic_mean,
+        harmonic_mean,
+        geometric_mean,
+        natural_power_mean,
+        tsallis_entropy,
+        generalized_entropy,
+        quadrature_tsallis,
+    ],
+)
+def test_weights_that_are_not_real_numbers_are_invalid_weights(op, weight):
+    # a string or None raised a bare TypeError or UFuncTypeError, and True ran as 1.0
+    pair = pair_from_seed(2, 2)
+    with pytest.raises(InvalidWeight, match="needs real weights"):
+        op(pair, weight)
 
 
 def test_quadrature_node_validation(monkeypatch):
@@ -297,6 +325,83 @@ def test_a_lift_keeps_the_trailing_shape_of_the_spectrum():
     assert pair.transform(lambda t: np.stack((t, 2.0 * t))).shape == (2, 2, 3, 3)
 
 
+def _one_product(x: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """The lift of f's values ``fw`` on spec(C) as one product on ``X``."""
+    return symmetrize((x * fw) @ x.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_every_lift_is_one_product_on_x(k):
+    # sampled, derived and public pairs, one pair or a stack, one weight or a
+    # weight axis: each lift has the bits of (X f(mu)) X^T, with X = A^{1/2} Q_C
+    # formed once per stack (here again from the draws) and shared by every
+    # pair on it and every pair derived from one
+    n = 4
+    _, words, normals = stream_draws(list(range(20, 20 + k)), n)
+    if k == 1:  # one pair, not a stack of one
+        words, normals = words[0], normals[0]
+    lam, q = _a_draw(words, normals, (0.5, 2.0))
+    x = spd_sqrt(q[..., 0, :, :], lam).mat @ np.ascontiguousarray(q[..., 1, :, :])
+    base = stack_base(words, normals)
+    sampled = pair_from_base(base, 1.2, 3.0)
+    assert sampled._x is base.x and not base.x.flags.writeable
+    assert base.x.tobytes() == x.tobytes()
+    public = OperatorPair(sampled.A.mat, sampled.B.mat)
+    assert not public._x.flags.writeable
+    assert public._x.tobytes() == (public.sqrt_a.mat @ public._q).tobytes()
+    derived = {"mid": _mid(sampled), "gap": _gap(sampled), "public mid": _mid(public)}
+    assert derived["mid"]._x is derived["gap"]._x is sampled._x and derived["public mid"]._x is public._x
+    pairs = {"sampled": (sampled, x), "public": (public, public._x)}
+    pairs.update((name, (pair, pair._x)) for name, pair in derived.items())
+    # a sampled B is the lift of its contraction's spectrum
+    assert sampled.B.mat.tobytes() == _one_product(x, sampled._w).tobytes()
+    axis = np.array([0.3, -0.7, 1.0]).reshape((3,) + (1,) * sampled.A.mat.ndim)
+    for name, (pair, x_pair) in pairs.items():
+        w = pair._w
+        lifts = [
+            (natural_power_mean(pair, 0.3).mat, w ** np.asarray(0.3)),
+            (natural_power_mean(pair, -1.5).mat, w ** np.asarray(-1.5)),
+            (relative_operator_entropy(pair), np.log(w)),
+            (generalized_entropy(pair, 0.4), power_log(w, 0.4)),
+            (tsallis_entropy(pair, -0.6), tsallis_log(w, -0.6)),
+            (tsallis_entropy(pair, axis), tsallis_log(w, axis)),
+            (pair.transform(lambda t: t * t), w * w),
+        ]
+        for m, fw in lifts:
+            expected = _one_product(x_pair, fw)
+            assert m.shape == expected.shape, name
+            assert m.tobytes() == expected.tobytes(), name
+
+
+def test_a_pair_assembles_its_contraction_when_first_read(monkeypatch):
+    # a sampled pair (and a pair derived from it) holds C's basis and spectrum
+    # and X: u, v and every lift read them, and C is assembled only on the
+    # first read of `contraction`, with the bits of f(C) at f(t) = t, then kept
+    assembled = []
+    original = means.spectral_assemble
+    monkeypatch.setattr(means, "spectral_assemble", lambda *a: assembled.append(None) or original(*a))
+    for pair in (pair_from_seed(5, 6, sandwich=(1.5, 3.0)), _stacked_pair(3, 4)):
+        for p in (pair, _gap(pair) if np.all(pair.u > 1.0) else _mid(pair)):
+            u, v = p.u, p.v
+            tsallis_entropy(p, 0.5)
+            natural_power_mean(p, 0.5)
+            assert p._c is None and assembled == []
+            c = p.contraction
+            assert len(assembled) == 1
+            assert c.mat.tobytes() == original(p._q, p._w).tobytes()
+            assert c.mat.tobytes() == p.fn_of_contraction(lambda t: t).tobytes()
+            assert np.array_equal(c.eig_min, u) and np.array_equal(c.eig_max, v)
+            assert p.contraction is c and len(assembled) == 2  # fn_of_contraction assembled once more
+            assembled.clear()
+            # likewise A^{1/2}, formed as X Q_C^T on its first read, on the roots of A's extremes
+            assert p._root is None
+            root = p.sqrt_a
+            assert root.mat.tobytes() == symmetrize(p._x @ p._q.swapaxes(-1, -2)).tobytes()
+            assert np.array_equal(root.eig_min, np.sqrt(p.A.eig_min)) and np.array_equal(root.eig_max, np.sqrt(p.A.eig_max))
+            assert p.sqrt_a is root and not root.mat.flags.writeable
+            np.testing.assert_allclose(root.mat @ root.mat, p.A.mat, rtol=0, atol=1e-13)
+
+
 def test_pair_io_roundtrip():
     pair = pair_from_seed(16, 3)
     back = load_pair(dump_pair(pair))
@@ -382,8 +487,8 @@ def test_certificates_bound_the_spectrum_on_wide_draws(monkeypatch, spectrum_ran
     # C = t I makes Ostrowski's bounds exact, so there only the rounding bound separates them
     certified = _checking_certificates(monkeypatch)
     sandwiches = [(1e-3, 1e3), (0.2, 4.0), (1.0 + 1e-6, 1.0 + 2e-6), (1.5, 1.5), (2.0, 2.0), (0.25, 0.25), (1e-8, 1.0)]
-    for n in (1, 2, 3, 5, 8, 16, 64):
-        for seed in range(3 if n > 8 else 6):
+    for n in (1, 2, 3, 5, 8, 16, 64, 128):
+        for seed in range(6 if n <= 8 else 3 if n <= 64 else 1):
             for sandwich in sandwiches:
                 try:
                     pair = sandwich_pair(SamplerConfig(seed=seed, n=n, spectrum_range=spectrum_range, sandwich=sandwich))
