@@ -22,9 +22,9 @@ stacked numpy calls give each matrix the bits of a call on that matrix
 alone, so a replay reproduces its suite row exactly.
 
 A stack is drawn one way (``_draw``): its plan words and its
-:class:`~oel.sampler.StackBase` (A, C's basis and ``X = A^{1/2} Q_C``), on
-which :func:`~oel.sampler.pair_from_base` places C's spectrum and builds B
-as one product on X.  The stacked pair holds C's basis and spectrum and X,
+:class:`~oel.sampler.StackBase` (A, its square root, C's basis and
+``X = A^{1/2} Q_C``), on which :func:`~oel.sampler.pair_from_base` places
+C's spectrum and builds B as one product on X.  The stacked pair holds C's basis and spectrum and X,
 so every lift of a case is one product on X, the derived pairs of a case
 are lifts of C (:meth:`~oel.means.OperatorPair.lift_pair`), and a trial
 makes no ``eigh``: its eigensolves are the verdict's ``eigvalsh`` of
@@ -40,14 +40,12 @@ first reader computes an entry and keeps it only while a later case of the
 call reads it (the readers come from the call's case list); the last reader
 drops it.  A pair or term value is kept only with its stack's draws, whose
 arrays it holds.  The memo holds at most ``SHARED_ENTRIES`` matrix entries,
-each entry counted at the n x n arrays per trial it holds of its own
-(``_held``: three for the draws' A, C's basis and X; one for a pair's B,
-and one more for each of its C and A^{1/2} once a term has read them; one
-for a term value); a pair is counted again after each case that reads it,
-since that case may have formed them.  Past the budget, entries are
-computed per case.  Each case still checks its own hypothesis before it
-reads a term, and a shared entry is the same computation on the same
-arrays, so rows keep their bits.
+n x n per trial for each kept array (four for the draws' A, its square
+root, C's basis and X; one for a pair's B, as a pair built on the draws
+holds no C; one for a term value); past it, entries are computed per case.
+Each case still checks its own hypothesis before it reads a term, and a
+shared entry is the same computation on the same arrays, so rows keep their
+bits.
 The memo lives as long as its call; :func:`run_trial`, :func:`replay`, a lone
 :func:`run_suite`, a pattern matching one case and :func:`integral_sweep`
 (on a suite's windows and stacks) compute their own.
@@ -113,9 +111,8 @@ DEFAULT_SEED = 42
 WINDOW_TRIALS = 1024
 STACK_ENTRIES = 1 << 14
 # The most matrix entries one run_all call keeps in its memo (n x n arrays per
-# trial: the draws' A, C's basis and X, a kept pair's B and the C and A^{1/2}
-# a term has read, a kept term value), 8 MB; past it, entries are computed
-# per case.  Measured on
+# trial: the draws' A, its square root, C's basis and X, a kept pair's B, a
+# kept term value), 8 MB; past it, entries are computed per case.  Measured on
 # the draws alone, when a trial kept four arrays (A^{-1/2} too): `oel verify
 # --trials 10000` (0.87 M entries; 2-core VM, one BLAS thread) took 26.4 s
 # unshared, 19.8 s at 1 << 18, 15.9 s at 1 << 19 and 12.2 s at 1 << 20 (peak RSS
@@ -160,19 +157,6 @@ def _draw(seeds: list[int], n: int):
     return plan_words, stack_base(pair_words, normals)
 
 
-def _held(key: tuple, value) -> int:
-    """The matrix entries a memo entry holds of its own, by its key less the
-    stack: the draws' A, C's basis and X; a pair's B, and its C and
-    ``A^{1/2}`` once a term has read them; a term's value."""
-    if not key:
-        base = value[1]
-        return base.a.mat.size + base.q_c.size + base.x.size
-    if len(key) == 1:
-        pair = value[1]
-        return pair.B.mat.size + sum(m.mat.size for m in (pair._c, pair._root) if m is not None)
-    return value.size
-
-
 class _SharedStacks:
     """The memo of one :func:`run_all` call over ``cases`` (see the module
     notes): per stack, its draws, each plan's pair and each (plan, term)'s
@@ -187,60 +171,36 @@ class _SharedStacks:
         for i, case in enumerate(cases):
             for key in ((case.plan,), (case.plan, case.lhs), (case.plan, case.rhs)):
                 self._last[key] = i
-        self._kept: dict[tuple, tuple[object, int]] = {}  # each kept value with the entries counted for it
+        self._kept: dict[tuple, object] = {}
         self._entries = 0
-        self._read_pair: tuple | None = None  # the kept pair the last reader read
-
-    def _recount(self) -> None:
-        """Count the kept pair the last reader read again: one of its terms
-        may have formed its C or A^{1/2}.  Past the budget, the pair is
-        dropped."""
-        full, self._read_pair = self._read_pair, None
-        if full not in self._kept:
-            return
-        value, counted = self._kept[full]
-        entries = _held(full[:-1], value)
-        if entries != counted:
-            self._entries += entries - counted
-            self._kept[full] = value, entries
-            if self._entries > SHARED_ENTRIES:
-                del self._kept[full]
-                self._entries -= entries
 
     def reader(self, case: InequalityCase, seeds: list[int], n: int):
-        """``keep(key, compute)`` for ``case`` on the stack of ``seeds`` at
-        n: the entry of ``key`` (as ``_last`` holds it) on that stack, taken
-        from the memo or computed, kept or dropped."""
-        self._recount()
+        """``keep(key, arrays, compute)`` for ``case`` on the stack of
+        ``seeds`` at n: the entry of ``key`` (as ``_last`` holds it) on that
+        stack, taken from the memo or computed, kept or dropped."""
         reader = self._position[case.id]
         stack = (n, tuple(seeds))
+        trial_entries = len(seeds) * n * n
 
-        def keep(key: tuple, compute):
-            full, last = (*key, stack), self._last[key]
+        def keep(key: tuple, arrays: int, compute):
+            full, last, entries = (*key, stack), self._last[key], arrays * trial_entries
             if full in self._kept:
                 if reader < last:
-                    if len(key) == 1:
-                        self._read_pair = full
-                    return self._kept[full][0]
-                value, counted = self._kept.pop(full)
-                self._entries -= counted
-                return value
+                    return self._kept[full]
+                self._entries -= entries
+                return self._kept.pop(full)
             value = compute()
             # a pair or a term value holds arrays of the draws: kept only with them
             with_draws = not key or (stack,) in self._kept
-            if reader < last and with_draws:
-                entries = _held(key, value)
-                if self._entries + entries <= SHARED_ENTRIES:
-                    self._kept[full] = value, entries
-                    self._entries += entries
-                    if len(key) == 1:
-                        self._read_pair = full
+            if reader < last and with_draws and self._entries + entries <= SHARED_ENTRIES:
+                self._kept[full] = value
+                self._entries += entries
             return value
 
         return keep
 
 
-def _unshared(key: tuple, compute):
+def _unshared(key: tuple, arrays: int, compute):
     return compute()
 
 
@@ -258,15 +218,15 @@ def _evaluate_stack(
     :func:`~oel.catalog.evaluate_trials` rows.  With ``shared``, the draws,
     the pair and the term values are taken from the memo where it has them."""
     keep = _unshared if shared is None else shared.reader(case, seeds, n)
-    plan_words, base = keep((), lambda: _draw(seeds, n))
-    params, pair = keep((case.plan,), lambda: _plan_pair(case, plan_words, base))
+    plan_words, base = keep((), 4, lambda: _draw(seeds, n))
+    params, pair = keep((case.plan,), 1, lambda: _plan_pair(case, plan_words, base))
     return evaluate_trials(
         case,
         pair,
         params,
         seeds,
         order_tol=order_tol,
-        terms=lambda term, pr: keep((case.plan, term), lambda: term.fn(pair, pr)),
+        terms=lambda term, pr: keep((case.plan, term), 1, lambda: term.fn(pair, pr)),
     )
 
 

@@ -8,8 +8,8 @@ and ``X = A^{1/2} Q_C``, so that every such lift is one product,
 ``(X diag f(spec C)) X^T`` (:func:`lift`), and a whole family of means and
 entropies is evaluated against one decomposition.  The spectral bounds
 ``u = lambda_min(C)``, ``v = lambda_max(C)`` give the tight sandwich
-``u A <= B <= v A``.  A pair built from spectral data forms C itself and
-``A^{1/2}`` (as ``X Q_C^T``) only when they are first read.
+``u A <= B <= v A``.  A pair built from spectral data assembles C itself
+only where its ``contraction`` is read.
 
 A pair may hold ``(k, n, n)`` stacks of A and B: k pairs evaluated by the
 same code, one numpy call per step for the whole stack.  Then ``u`` and
@@ -38,8 +38,8 @@ A derived pair ``(A, M)`` for such a lift M of f (the catalog's
 ``(A, (A+B)/2)`` and ``(A, B - A)``) is built by
 :meth:`OperatorPair.lift_pair`: its contraction is ``f(C)``, with C's basis
 and spectrum ``f(spec(C))``, so it needs no eigensolve and shares its
-parent's basis and X (and ``A^{1/2}``, if formed).  Only the public
-constructor solves: one ``eigh`` of A and one of C.
+parent's ``A^{1/2}``, basis and X.  Only the public constructor solves: one
+``eigh`` of A and one of C.
 """
 
 from __future__ import annotations
@@ -156,20 +156,18 @@ class OperatorPair:
     extremes, so ``u A <= B <= v A`` with equality directions attained on
     the corresponding eigenvectors) and ``X = A^{1/2} Q_C``, by which every
     lift of the pair is one product (:meth:`transform`).  The public
-    constructor computes them with one ``eigh(A)`` (its ``A^{1/2}``, and an
-    ``A^{-1/2}`` read only to form C) and one ``eigh(C)``, and keeps the
-    ``A^{1/2}`` and C it formed; C is checked positive on its spectrum.  A
-    and B may be equal-shaped stacks of matrices (see the module notes).  A
-    pair the package builds from spectral data it already holds (a sampled
-    pair, :meth:`lift_pair`) passes ``_spectra = (A^{1/2} or None, X, C's
-    basis, spec(C) as a row, drift)`` instead: no eigensolve.  Its ``u`` and
-    ``v`` are taken from spec(C) and checked at construction; its C is
-    assembled from C's basis and spectrum only when :attr:`contraction` is
-    first read, and (where not given) its ``A^{1/2}`` is ``X Q_C^T`` formed
-    only when :attr:`sqrt_a` is first read.
+    constructor computes them and ``A^{1/2}`` with one ``eigh(A)`` (and an
+    ``A^{-1/2}`` read only to form C) and one ``eigh(C)``, and keeps the C it
+    formed; C is checked positive on its spectrum.  A and B may be
+    equal-shaped stacks of matrices (see the module notes).  A pair the
+    package builds from spectral data it already holds (a sampled pair,
+    :meth:`lift_pair`) passes ``_spectra = (A^{1/2}, X, C's basis, spec(C)
+    as a row, drift)`` instead: no eigensolve.  Its ``u`` and ``v`` are
+    taken from spec(C) and checked at construction, and it holds no C: each
+    read of :attr:`contraction` assembles C from its basis and spectrum.
     """
 
-    __slots__ = ("A", "B", "u", "v", "_root", "_x", "_q", "_w", "_drift", "_c")
+    __slots__ = ("A", "B", "u", "v", "sqrt_a", "_x", "_q", "_w", "_drift", "_c")
 
     def __init__(self, a, b, _spectra=None) -> None:
         a = as_spd(a)
@@ -188,7 +186,7 @@ class OperatorPair:
             x = root.mat @ q_c
             x.flags.writeable = False
             _spectra = (root, x, q_c, _row(w_c), a.eig_max / a.eig_min)  # drift: see _LIFT_ROUNDINGS
-        self._root, self._x, self._q, self._w, self._drift = _spectra
+        self.sqrt_a, self._x, self._q, self._w, self._drift = _spectra
         lo, hi = spectrum_extremes(self._w, _CONTRACTION)
         shape = a.mat.shape[:-2]
         self.u = _scalar_or_stack(lo.reshape(shape))
@@ -196,22 +194,13 @@ class OperatorPair:
         self._c = None if c is None else spd_from_spectrum(c, self._w, _CONTRACTION)
 
     @property
-    def sqrt_a(self) -> SpdMatrix:
-        """``A^{1/2}``: for a pair built from spectral data without it, the
-        product ``X Q_C^T`` formed on first read and kept, checked on the
-        square roots of A's extreme eigenvalues."""
-        if self._root is None:
-            extremes = np.sqrt(np.stack((self.A.eig_min, self.A.eig_max), axis=-1))
-            self._root = spd_from_spectrum(symmetrize(self._x @ self._q.swapaxes(-1, -2)), extremes, "sqrt(A)")
-        return self._root
-
-    @property
     def contraction(self) -> SpdMatrix:
         """``C = A^{-1/2} B A^{-1/2}``: for a pair built from spectral data,
-        assembled from C's basis and spectrum on first read, and kept."""
-        if self._c is None:
-            self._c = spd_from_spectrum(spectral_assemble(self._q, self._w), self._w, _CONTRACTION)
-        return self._c
+        assembled from C's basis and spectrum on each read (only the TA
+        lower term reads it in a catalog run), so a kept pair holds B alone."""
+        if self._c is not None:
+            return self._c
+        return spd_from_spectrum(spectral_assemble(self._q, self._w), self._w, _CONTRACTION)
 
     @property
     def n(self) -> int:
@@ -220,9 +209,9 @@ class OperatorPair:
     def lift_pair(self, m: np.ndarray, f: Callable, context: str) -> "OperatorPair":
         """The pair (A, m) for ``m`` computed as the lift of f (see
         :meth:`certify`, which checks it): its contraction is f(C), held as
-        C's basis and f on spec(C), so it shares this pair's X and basis (and
-        its ``A^{1/2}``, if formed) and needs no eigensolve."""
-        spectra = (self._root, self._x, self._q, _eval_on_spectrum(f, self._w), self._drift)
+        C's basis and f on spec(C), so it shares this pair's ``A^{1/2}``, X
+        and basis and needs no eigensolve."""
+        spectra = (self.sqrt_a, self._x, self._q, _eval_on_spectrum(f, self._w), self._drift)
         return OperatorPair(self.A, self.certify(m, f, context), _spectra=spectra)
 
     def fn_of_contraction(self, f: Callable) -> np.ndarray:

@@ -9,21 +9,22 @@ matrix's eigenvalues land exactly where requested (up to assembly rounding).
 A trial reads one stream keyed by its seed in two bulk calls
 (:func:`stream_draws`): its plan words, then the pair's spectra, then the
 pair's Gaussians.  k pairs are built from those draws as one stacked pair,
-from their spectra, in two steps: :func:`stack_base` (A, C's basis and
-``X = A^{1/2} Q_C``, which do not depend on the case) and
+from their spectra, in two steps: :func:`stack_base` (A, its square root,
+C's basis and ``X = A^{1/2} Q_C``, which do not depend on the case) and
 :func:`pair_from_base` (C's spectrum and B from the case's targets), so one
 base can serve every case that reads the same streams, and every pair built
-on it shares its X.  :func:`sandwich_pair` is the two steps at k = 1, at one
-seed.  No step eigensolves: A and its square root (to form X) are
+on it shares its square root and X.  :func:`sandwich_pair` is the two steps
+at k = 1, at one seed.  No step eigensolves: A and its square root are
 assembled from their spectra, B is the one product ``(X diag mu) X^T`` on
 C's spectrum mu (:func:`oel.means.lift`), and C is assembled from its basis
-and spectrum, which the pair keeps, only if its ``contraction`` is read
+and spectrum, which the pair keeps, only where its ``contraction`` is read
 (``A^{-1/2}`` is never formed).  B is certified by A's and C's extreme
 eigenvalues (:func:`oel.means.certified_lift`), with the full check only
 where those bounds do not decide.
 Every public draw reads that stream: :func:`random_spd` is the A of
-:func:`stack_base` at ``cfg.seed``, and :func:`commuting_spectra` takes A's
-basis and spectrum and maps C's interior words onto its ratios mu/lam.
+:func:`stack_base` at ``cfg.seed`` (assembled alone), and
+:func:`commuting_spectra` takes A's basis and spectrum and maps C's interior
+words onto its ratios mu/lam.
 """
 
 from __future__ import annotations
@@ -122,8 +123,10 @@ def _orthogonal(g: np.ndarray) -> np.ndarray:
 
 def random_spd(cfg: SamplerConfig) -> SpdMatrix:
     """One SPD matrix with eigenvalues drawn uniformly in ``spectrum_range``:
-    the A of ``cfg.seed``'s trial stream, bit for bit ``sandwich_pair(cfg).A``."""
-    return stack_base(*_pair_draws(cfg), cfg.spectrum_range).a
+    the A of ``cfg.seed``'s trial stream, bit for bit ``sandwich_pair(cfg).A``
+    (assembled as :func:`stack_base` assembles it, and nothing else)."""
+    lam, q = _a_draw(*_pair_draws(cfg), cfg.spectrum_range)
+    return _assemble_a(q[0], lam)
 
 
 def stream_draws(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,35 +172,40 @@ def _a_draw(words, normals, spectrum_range) -> tuple[np.ndarray, np.ndarray]:
     return lo + (hi - lo) * words[..., : normals.shape[-1]], _orthogonal(normals)
 
 
+def _assemble_a(q_a: np.ndarray, lam: np.ndarray) -> SpdMatrix:
+    """A from its basis and spectrum, with no eigensolve."""
+    return spd_from_spectrum(spectral_assemble(q_a, _row(lam)), lam, "sampled A")
+
+
 @dataclass(frozen=True)
 class StackBase:
-    """The target-free part of a stack of pairs: A, C's basis ``Q_C``,
-    ``X = A^{1/2} Q_C`` (by which every lift of a pair on the base is one
-    product, see :func:`oel.means.lift`) and the words that place C's
-    interior eigenvalues.  The same base serves every case whose trials read
-    the same streams; its arrays are read-only.  ``A^{1/2}`` is not kept: a
-    pair forms it as ``X Q_C^T`` where a term reads it."""
+    """The target-free part of a stack of pairs: A with its square root, C's
+    basis ``Q_C``, ``X = A^{1/2} Q_C`` (by which every lift of a pair on the
+    base is one product, see :func:`oel.means.lift`) and the words that place
+    C's interior eigenvalues.  The same base serves every case whose trials
+    read the same streams; its C basis, X and words are read-only."""
 
     a: SpdMatrix
+    sqrt_a: SpdMatrix
     q_c: np.ndarray
     x: np.ndarray
     mu_words: np.ndarray
 
 
 def stack_base(words, normals, spectrum_range=_A_SPECTRUM) -> StackBase:
-    """A, C's basis and ``X = A^{1/2} Q_C`` from each pair's ``2n`` pair
-    words and ``(2, n, n)`` normals (as :func:`stream_draws` reads them, over
-    any leading axes): A's eigenvalues are uniform in ``spectrum_range``,
-    and one ``qr`` gives A's basis and C's.  A and ``A^{1/2}`` are assembled
-    from A's spectrum, with no eigensolve."""
+    """A, its square root, C's basis and ``X = A^{1/2} Q_C`` from each pair's
+    ``2n`` pair words and ``(2, n, n)`` normals (as :func:`stream_draws`
+    reads them, over any leading axes): A's eigenvalues are uniform in
+    ``spectrum_range``, and one ``qr`` gives A's basis and C's.  A and its
+    square root are assembled from A's spectrum, with no eigensolve."""
     lam, q = _a_draw(words, normals, spectrum_range)
     q_a = q[..., 0, :, :]
-    a = spd_from_spectrum(spectral_assemble(q_a, _row(lam)), lam, "sampled A")
+    sqrt_a = spd_sqrt(q_a, lam)
     q_c = np.ascontiguousarray(q[..., 1, :, :])  # a copy: a kept base does not keep A's basis
-    x = spd_sqrt(q_a, lam).mat @ q_c
+    x = sqrt_a.mat @ q_c
     mu_words = words[..., lam.shape[-1] :]
     q_c.flags.writeable = x.flags.writeable = mu_words.flags.writeable = False  # a base may be shared
-    return StackBase(a, q_c, x, mu_words)
+    return StackBase(_assemble_a(q_a, lam), sqrt_a, q_c, x, mu_words)
 
 
 def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
@@ -219,7 +227,7 @@ def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
     # do not decide, B gets the full check, and losing definiteness there is a
     # breakdown of the draw
     b = certified_lift(base.a, w, lift(base.x, w), lambda t: t, "sampled B")
-    return OperatorPair(base.a, b, _spectra=(None, base.x, base.q_c, w, 0.0))
+    return OperatorPair(base.a, b, _spectra=(base.sqrt_a, base.x, base.q_c, w, 0.0))
 
 
 def commuting_spectra(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -783,11 +783,11 @@ def _counting(monkeypatch, owner, name):
 
 def test_run_all_rows_are_the_per_case_suites_rows(monkeypatch):
     # M3* holds cases with and without sandwich edges.  Windows of 8 trials at
-    # n = 2, 3 give six stacks of 4 trials (48 and 108 shared entries): the
-    # first window's two stacks and the second window's n = 2 stack fit in 225
+    # n = 2, 3 give six stacks of 4 trials (64 and 144 shared entries): the
+    # first window's two stacks and the second window's n = 2 stack fit in 300
     # entries, and every case draws the other three again
     monkeypatch.setattr(harness, "WINDOW_TRIALS", 8)
-    monkeypatch.setattr(harness, "SHARED_ENTRIES", 225)
+    monkeypatch.setattr(harness, "SHARED_ENTRIES", 300)
     cases = harness.find_cases("M3*")
     kwargs = dict(trials=24, dims=(2, 3), seed=17)
     separate, separate_results = [], []
@@ -853,9 +853,9 @@ def test_run_all_builds_each_plans_pairs_and_terms_once(monkeypatch):
 @pytest.mark.parametrize("entries", [None, 700])
 def test_run_all_rows_are_the_per_case_rows_where_cases_share_plans(monkeypatch, entries):
     # T* has 20 cases on 6 plans, and 24 trials at n = 2, 3 make two stacks of
-    # 12 (144 and 324 entries of draws, 48 and 108 for a pair's B and as many
-    # again for each of its C and A^{1/2} where a term reads them, once for a
-    # term value): the default budget keeps every pair, one of 700 only some
+    # 12 (192 and 432 entries of draws, 48 and 108 for a pair's B and as many
+    # for a term value): the default budget keeps every pair, one of 700 only
+    # some
     cases = harness.find_cases("T*")
     kwargs = dict(trials=24, dims=(2, 3), seed=17)
     separate = []
@@ -874,24 +874,14 @@ def test_run_all_rows_are_the_per_case_rows_where_cases_share_plans(monkeypatch,
         assert plans * stacks < len(builds) < len(cases) * stacks
 
 
-@pytest.mark.parametrize(
-    "pattern, entries, dropped",
-    [
-        ("T*", None, 0),
-        ("T*", 700, 0),
-        # TA on stacks of 32 at n = 1, 2: 864 entries with each pair at its B
-        # alone; the n = 2 pair's C and A^{1/2} take it to 1120, so it is dropped
-        ("TA", 1000, 1),
-    ],
-)
-def test_run_all_memo_counts_the_arrays_its_entries_hold(monkeypatch, pattern, entries, dropped):
-    # checked as each reader starts: every kept entry is counted at the size
-    # of the n x n arrays it holds of its own (the draws' A, C's basis and X;
-    # a pair's B, and its C and A^{1/2} once read; a term's value), and the
-    # memo's total is their sum, within the budget.  TA's lower term reads C
-    # and A^{1/2}, so its pairs count three arrays per trial, every other
-    # plan's pairs one; a pair that has grown past the budget is dropped, and
-    # the rows stay those of the cases run one at a time
+@pytest.mark.parametrize("pattern, entries", [("T*", None), ("T*", 800), ("TA", None)])
+def test_run_all_memo_counts_the_arrays_its_entries_hold(monkeypatch, pattern, entries):
+    # checked as each reader starts: the memo's total is the size of the
+    # n x n arrays its entries hold of their own (the draws' A, its square
+    # root, C's basis and X; a pair's B; a term's value), within the budget.
+    # TA's lower term reads C, which the pair assembles for that read and does
+    # not keep, so TA's pairs hold B alone too; the rows stay those of the
+    # cases run one at a time
     kwargs = dict(trials=24, dims=(2, 3), seed=17) if pattern == "T*" else dict(trials=64, dims=(1, 2), seed=3)
     separate = []
     for case in harness.find_cases(pattern):
@@ -899,33 +889,31 @@ def test_run_all_memo_counts_the_arrays_its_entries_hold(monkeypatch, pattern, e
     if entries is not None:
         monkeypatch.setattr(harness, "SHARED_ENTRIES", entries)
     reader = harness._SharedStacks.reader
-    kinds, drops = set(), []
+    kinds = set()
 
     def checked(memo, *args):
-        before = set(memo._kept)
-        keep = reader(memo, *args)
-        drops.extend(before - set(memo._kept))
-        for (*key, (n, seeds)), (value, counted) in memo._kept.items():
+        total = 0
+        for (*key, (n, seeds)), value in memo._kept.items():
             if not key:
                 base = value[1]
-                held = [base.a.mat, base.q_c, base.x]
+                held = [base.a.mat, base.sqrt_a.mat, base.q_c, base.x]
             elif len(key) == 1:
                 pair = value[1]
-                held = [pair.B.mat] + [m.mat for m in (pair._c, pair._root) if m is not None]
+                assert pair._c is None
+                held = [pair.B.mat]
             else:
                 held = [value]
             assert all(m.shape[-2:] == (n, n) and m.size == len(seeds) * n * n for m in held)
-            assert counted == sum(m.size for m in held)
+            total += sum(m.size for m in held)
             kinds.add((len(key), len(held)))
-        assert memo._entries == sum(counted for _, counted in memo._kept.values()) <= harness.SHARED_ENTRIES
-        return keep
+        assert memo._entries == total <= harness.SHARED_ENTRIES
+        return reader(memo, *args)
 
     monkeypatch.setattr(harness._SharedStacks, "reader", checked)
     together = []
     run_all(pattern, collect=together, **kwargs)
     assert together == separate
-    assert kinds == ({(0, 3), (1, 1), (1, 3), (2, 1)} if pattern == "T*" else {(0, 3), (1, 3), (2, 1)})
-    assert len(drops) == dropped and all(len(key) == 2 for key in drops)  # a pair: (plan, stack)
+    assert kinds == {(0, 4), (1, 1), (2, 1)}
 
 
 def test_run_all_draws_each_stack_once_per_call(monkeypatch):
@@ -979,11 +967,10 @@ def test_run_all_memory_does_not_grow_with_trials(monkeypatch):
 
 def test_run_all_memory_does_not_grow_with_trials_where_cases_share_plans(monkeypatch):
     # TA's two cases share their plan and T[p]: 64 trials at n = 1, 2 make two
-    # stacks of 32, whose draws (480 entries), pairs (B and the C and A^{1/2}
-    # that TA's lower term reads, 480) and T[p] values (160) fill the memo;
-    # with no budget, 1280 trials peaked at 12 times 64
+    # stacks of 32, whose draws (640 entries), pairs (160) and T[p] values
+    # (160) fill the memo; with no budget, 1280 trials peaked at 12 times 64
     monkeypatch.setattr(harness, "WINDOW_TRIALS", 64)
-    monkeypatch.setattr(harness, "SHARED_ENTRIES", 1120)
+    monkeypatch.setattr(harness, "SHARED_ENTRIES", 960)
     small, large = _traced_peaks(lambda t: run_all("TA", trials=t, dims=(1, 2), seed=3), 64, 1280)
     assert large < 2 * small
 

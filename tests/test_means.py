@@ -344,7 +344,7 @@ def test_every_lift_is_one_product_on_x(k):
     x = spd_sqrt(q[..., 0, :, :], lam).mat @ np.ascontiguousarray(q[..., 1, :, :])
     base = stack_base(words, normals)
     sampled = pair_from_base(base, 1.2, 3.0)
-    assert sampled._x is base.x and not base.x.flags.writeable
+    assert sampled._x is base.x and not base.x.flags.writeable and sampled.sqrt_a is base.sqrt_a
     assert base.x.tobytes() == x.tobytes()
     public = OperatorPair(sampled.A.mat, sampled.B.mat)
     assert not public._x.flags.writeable
@@ -373,10 +373,11 @@ def test_every_lift_is_one_product_on_x(k):
             assert m.tobytes() == expected.tobytes(), name
 
 
-def test_a_pair_assembles_its_contraction_when_first_read(monkeypatch):
+def test_a_pair_assembles_its_contraction_only_where_read(monkeypatch):
     # a sampled pair (and a pair derived from it) holds C's basis and spectrum
-    # and X: u, v and every lift read them, and C is assembled only on the
-    # first read of `contraction`, with the bits of f(C) at f(t) = t, then kept
+    # and X, not C: u, v and every lift read them, and each read of
+    # `contraction` assembles C, with the bits of f(C) at f(t) = t, without
+    # keeping it (so a kept pair holds B alone)
     assembled = []
     original = means.spectral_assemble
     monkeypatch.setattr(means, "spectral_assemble", lambda *a: assembled.append(None) or original(*a))
@@ -385,21 +386,15 @@ def test_a_pair_assembles_its_contraction_when_first_read(monkeypatch):
             u, v = p.u, p.v
             tsallis_entropy(p, 0.5)
             natural_power_mean(p, 0.5)
-            assert p._c is None and assembled == []
+            assert assembled == []
             c = p.contraction
             assert len(assembled) == 1
             assert c.mat.tobytes() == original(p._q, p._w).tobytes()
             assert c.mat.tobytes() == p.fn_of_contraction(lambda t: t).tobytes()
             assert np.array_equal(c.eig_min, u) and np.array_equal(c.eig_max, v)
-            assert p.contraction is c and len(assembled) == 2  # fn_of_contraction assembled once more
+            assert p._c is None
+            assert p.contraction.mat.tobytes() == c.mat.tobytes() and len(assembled) == 3
             assembled.clear()
-            # likewise A^{1/2}, formed as X Q_C^T on its first read, on the roots of A's extremes
-            assert p._root is None
-            root = p.sqrt_a
-            assert root.mat.tobytes() == symmetrize(p._x @ p._q.swapaxes(-1, -2)).tobytes()
-            assert np.array_equal(root.eig_min, np.sqrt(p.A.eig_min)) and np.array_equal(root.eig_max, np.sqrt(p.A.eig_max))
-            assert p.sqrt_a is root and not root.mat.flags.writeable
-            np.testing.assert_allclose(root.mat @ root.mat, p.A.mat, rtol=0, atol=1e-13)
 
 
 def test_pair_io_roundtrip():
