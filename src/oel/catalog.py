@@ -28,15 +28,15 @@ term is then one ``(k, n, n)`` stack, and the trials' weights reach it as
 ``(k, 1, 1)`` arrays.  Its verdict is the comparator of
 :func:`oel.spd_core.loewner_leq` (one ``eigvalsh`` of the ``(k, n, n)``
 stack ``Y - X``, scaled by row-sum norms) without the input checks: its
-terms are computed.  It returns plain rows; :func:`evaluate`
-and the harness build the :class:`MarginReport` of a row.
+terms are computed, and :func:`evaluate` and the harness check the
+tolerance.  It returns plain rows; :func:`evaluate` and the harness build
+the :class:`MarginReport` of a row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from fnmatch import fnmatch
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -713,9 +713,6 @@ def _build() -> tuple[InequalityCase, ...]:
     return tuple(cases)
 
 
-_CASES = _build()
-
-
 def catalog() -> list[InequalityCase]:
     """All primary cases (chains pre-expanded into adjacent comparisons)."""
     return list(_CASES)
@@ -737,22 +734,25 @@ def dual(case: InequalityCase) -> InequalityCase:
     )
 
 
+# the case table, built once at import: the primary cases, then their duals
+_CASES = _build()
+_WITH_DUALS = _CASES + tuple(dual(c) for c in _CASES if c.dual_region is not None)
+_INDEX = {c.id: c for c in _WITH_DUALS}
+
+
 def catalog_with_duals() -> list[InequalityCase]:
     """Primary cases followed by every defined dual."""
-    out = catalog()
-    out.extend(dual(c) for c in catalog() if c.dual_region is not None)
-    return out
+    return list(_WITH_DUALS)
 
 
-@lru_cache(maxsize=1)
 def case_index() -> dict[str, InequalityCase]:
-    """Every case (including duals) by id, built once."""
-    return {c.id: c for c in catalog_with_duals()}
+    """Every case (including duals) by id."""
+    return _INDEX
 
 
 def find_cases(pattern: str) -> list[InequalityCase]:
     """Cases (including duals) whose id or group matches the glob pattern."""
-    return [c for c in catalog_with_duals() if fnmatch(c.id, pattern) or fnmatch(c.group, pattern)]
+    return [c for c in _WITH_DUALS if fnmatch(c.id, pattern) or fnmatch(c.group, pattern)]
 
 
 def evaluate(
@@ -767,8 +767,9 @@ def evaluate(
 
     Raises HypothesisError when (u, v, params) fall outside the case's
     hypothesis (with slack ``HYP_SLACK``); otherwise returns the margin
-    verdict of ``lhs <= rhs``.
-    """
+    verdict of ``lhs <= rhs``.  A non-finite or negative ``order_tol`` is
+    an InvalidInput."""
+    _check_tol(order_tol)
     return _report(case.id, *evaluate_trials(case, pair, params, [seed], order_tol=order_tol)[0])
 
 
@@ -797,10 +798,8 @@ def evaluate_trials(
     each trial's weights as ``(k, 1, 1)`` arrays; it is read only after the
     hypothesis check.  Raises HypothesisError for the first trial whose
     (u, v, params) fall outside the case's hypothesis (with slack
-    ``HYP_SLACK``), and NumericalBreakdown when a term is not finite.  A
-    non-finite or negative ``order_tol`` is an InvalidInput.
+    ``HYP_SLACK``), and NumericalBreakdown when a term is not finite.
     """
-    _check_tol(order_tol)
     k, n = len(seeds), pair.n
     us = _per_trial(pair.u)
     vs = _per_trial(pair.v)

@@ -41,14 +41,14 @@ call reads it (the readers come from the call's case list); the last reader
 drops it.  A pair or term value is kept only with its stack's draws, whose
 arrays it holds.  The memo holds at most ``SHARED_ENTRIES`` matrix entries,
 n x n per trial for each kept array (four for the draws' A, its square
-root, C's basis and X; one for a pair's B, as a pair built on the draws
-holds no C; one for a term value); past it, entries are computed per case.
+root, C's basis and X; one for a pair's B, as no pair holds C; one for a
+term value); past it, entries are computed per case.
 Each case still checks its own hypothesis before it reads a term, and a
 shared entry is the same computation on the same arrays, so rows keep their
 bits.
-The memo lives as long as its call; :func:`run_trial`, :func:`replay`, a lone
-:func:`run_suite`, a pattern matching one case and :func:`integral_sweep`
-(on a suite's windows and stacks) compute their own.
+The memo lives as long as its call; :func:`run_trial`, :func:`replay` and a
+lone :func:`run_suite` (a pattern matching one case is one) read through a
+memo of one case, which keeps nothing, and :func:`integral_sweep` draws its own.
 
 :func:`integral_sweep` gives its weights a leading axis of their own (see
 :mod:`oel.means`): a stack of k pairs is checked at ``max(1, STACK_ENTRIES
@@ -161,7 +161,7 @@ class _SharedStacks:
     """The memo of one :func:`run_all` call over ``cases`` (see the module
     notes): per stack, its draws, each plan's pair and each (plan, term)'s
     value, each kept from its first reader to its last while it fits in
-    ``SHARED_ENTRIES``."""
+    ``SHARED_ENTRIES``, so a memo of one case keeps nothing."""
 
     def __init__(self, cases: list[InequalityCase]) -> None:
         self._position = {case.id: i for i, case in enumerate(cases)}
@@ -200,26 +200,22 @@ class _SharedStacks:
         return keep
 
 
-def _unshared(key: tuple, arrays: int, compute):
-    return compute()
-
-
-def _plan_pair(case: InequalityCase, plan_words: np.ndarray, base):
-    """The plan parameters and the stacked pair of ``case`` on a stack's draws."""
-    params, u_target, v_target = case.plan(plan_words)
+def _plan_pair(plan, plan_words: np.ndarray, base):
+    """The parameters and the stacked pair that ``plan`` draws on a stack's draws."""
+    params, u_target, v_target = plan(plan_words)
     return params, pair_from_base(base, u_target, v_target)
 
 
 def _evaluate_stack(
-    case: InequalityCase, seeds: list[int], n: int, order_tol: float, shared: _SharedStacks | None = None
+    case: InequalityCase, seeds: list[int], n: int, order_tol: float, shared: _SharedStacks
 ) -> list[tuple]:
     """The trial kernel: k trials of dimension n read from their seeds'
     streams, planned and built as one stacked pair, and evaluated at once:
-    :func:`~oel.catalog.evaluate_trials` rows.  With ``shared``, the draws,
-    the pair and the term values are taken from the memo where it has them."""
-    keep = _unshared if shared is None else shared.reader(case, seeds, n)
+    :func:`~oel.catalog.evaluate_trials` rows.  The draws, the pair and the
+    term values are taken from the memo ``shared`` where it has them."""
+    keep = shared.reader(case, seeds, n)
     plan_words, base = keep((), 4, lambda: _draw(seeds, n))
-    params, pair = keep((case.plan,), 1, lambda: _plan_pair(case, plan_words, base))
+    params, pair = keep((case.plan,), 1, lambda: _plan_pair(case.plan, plan_words, base))
     return evaluate_trials(
         case,
         pair,
@@ -239,7 +235,8 @@ def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float
         raise InvalidInput(f"trial seed must be an integer in [0, 2^64), got {trial_seed!r}")
     if not _is_count(n, 1):
         raise InvalidInput(f"n must be an integer >= 1, got {n!r}")
-    return _report(case.id, *_evaluate_stack(case, [int(trial_seed)], int(n), order_tol)[0])
+    _check_tol(order_tol)
+    return _report(case.id, *_evaluate_stack(case, [int(trial_seed)], int(n), order_tol, _SharedStacks([case]))[0])
 
 
 def replay(case_id: str, seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
@@ -279,13 +276,14 @@ def run_suite(
     not an integer >= 1, or a non-finite or negative ``order_tol``, is an
     InvalidInput."""
     _check_tol(order_tol)
+    shared = _SharedStacks([case]) if _shared is None else _shared
     t0 = time.perf_counter()
     failures = 0
     worst_margin = np.inf
     worst_seed = 0
     margin_sum = 0.0
     for window in _windows(seed, dims, trials):
-        for row in _window_rows(case, window, order_tol, _shared):
+        for row in _window_rows(case, window, order_tol, shared):
             trial_seed, n, p, q, c, u, v, margin, scale, holds = row  # MarginReport's fields after case_id
             margin_sum += margin
             if margin < worst_margin:
@@ -349,9 +347,7 @@ def _stacks(window: list[tuple[int, int]]):
             yield group[lo : lo + size], n
 
 
-def _window_rows(
-    case: InequalityCase, window: list[tuple[int, int]], order_tol: float, shared: _SharedStacks | None
-):
+def _window_rows(case: InequalityCase, window: list[tuple[int, int]], order_tol: float, shared: _SharedStacks):
     """The window's rows, in trial order.  If a stack raises, the window is
     rerun one trial at a time through the same kernel: the rows before the
     earliest failing trial are yielded, then that trial's error is raised."""
@@ -363,7 +359,7 @@ def _window_rows(
     except Exception as stack_exc:
         for seed, n in window:
             try:
-                row = _evaluate_stack(case, [seed], n, order_tol)[0]
+                row = _evaluate_stack(case, [seed], n, order_tol, _SharedStacks([case]))[0]
             except (NumericalBreakdown, HypothesisError) as exc:
                 raise type(exc)(f"trial (case_id, seed, n) = ({case.id!r}, {seed}, {n}): {exc}") from exc
             yield row
@@ -386,7 +382,7 @@ def run_all(
     if not cases:
         raise InvalidInput(f"no cases match pattern {pattern!r}")
     dims = _dims(dims)  # an iterator would be used up by the first suite
-    shared = _SharedStacks(cases) if len(cases) > 1 else None
+    shared = _SharedStacks(cases)
     return [
         run_suite(c, trials=trials, dims=dims, seed=seed, order_tol=order_tol, collect=collect, _shared=shared)
         for c in cases
@@ -474,14 +470,6 @@ def write_reports_csv(reports: list[MarginReport], path: str) -> None:
         writer.writerows(map(_report_values, reports))
 
 
-def _finite(x) -> bool:
-    return (type(x) is float or type(x) is int) and math.isfinite(x)
-
-
-def _finite_or_null(x) -> bool:
-    return x is None or _finite(x)
-
-
 def _finite_column(column) -> bool:
     # a sum is finite only if every term is (a finite column whose sum
     # overflows fails here and is read line by line)
@@ -495,24 +483,20 @@ def _finite_or_null_column(column) -> bool:
 
 
 # what read_reports accepts in each field, as written (JSON booleans are not
-# integers): the rule on one value, the same rule on a block's column, and
-# what the error message says the value must be
+# integers): the rule on a column of values (a block's, or one line's alone)
+# and what the error message says a value must be
 _FIELD_RULES = {
-    "case_id": (lambda x: type(x) is str, lambda col: _kinds(col) == {str}, "a string"),
-    "seed": (
-        lambda x: type(x) is int and _is_word(x),
-        lambda col: _kinds(col) == {int} and min(col) >= 0 and max(col) <= _WORD_MASK,
-        "an integer in [0, 2^64)",
-    ),
-    "n": (lambda x: type(x) is int and x >= 1, lambda col: _kinds(col) == {int} and min(col) >= 1, "an integer >= 1"),
-    "p": (_finite_or_null, _finite_or_null_column, "null or a finite number"),
-    "q": (_finite_or_null, _finite_or_null_column, "null or a finite number"),
-    "c": (_finite_or_null, _finite_or_null_column, "null or a finite number"),
-    "u": (_finite, _finite_column, "a finite number"),
-    "v": (_finite, _finite_column, "a finite number"),
-    "margin": (_finite, _finite_column, "a finite number"),
-    "scale": (_finite, _finite_column, "a finite number"),
-    "holds": (lambda x: type(x) is bool, lambda col: _kinds(col) == {bool}, "true or false"),
+    "case_id": (lambda col: _kinds(col) == {str}, "a string"),
+    "seed": (lambda col: _kinds(col) == {int} and min(col) >= 0 and max(col) <= _WORD_MASK, "an integer in [0, 2^64)"),
+    "n": (lambda col: _kinds(col) == {int} and min(col) >= 1, "an integer >= 1"),
+    "p": (_finite_or_null_column, "null or a finite number"),
+    "q": (_finite_or_null_column, "null or a finite number"),
+    "c": (_finite_or_null_column, "null or a finite number"),
+    "u": (_finite_column, "a finite number"),
+    "v": (_finite_column, "a finite number"),
+    "margin": (_finite_column, "a finite number"),
+    "scale": (_finite_column, "a finite number"),
+    "holds": (lambda col: _kinds(col) == {bool}, "true or false"),
 }
 _RULES = tuple((name, *_FIELD_RULES[name]) for name in _REPORT_FIELDS)
 _report_items = itemgetter(*_REPORT_FIELDS)
@@ -539,7 +523,7 @@ def _report_block(lines: list[str]) -> list[MarginReport] | None:
                 return None
             values.append(_report_items(obj))
         columns = tuple(zip(*values))
-        if not all(ok(column) for (_, _, ok, _), column in zip(_RULES, columns)):
+        if not all(ok(column) for (_, ok, _), column in zip(_RULES, columns)):
             return None
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
         return None
@@ -556,8 +540,8 @@ def _report_lines(lines: list[str], lineno: int, path: str) -> list[MarginReport
             continue
         try:
             values = _report_items(json.loads(line))
-            for (name, ok, _, kind), x in zip(_RULES, values):
-                if not ok(x):
+            for (name, ok, kind), x in zip(_RULES, values):
+                if not ok((x,)):
                     raise TypeError(f"{name!r} must be {kind}, got {x!r}")
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ReportError(f"{path}: malformed report on line {lineno}: {exc}") from exc
@@ -662,9 +646,7 @@ def integral_sweep(
     lo = 0
     for window in _windows(seed, dims, trials):
         for stack, n in _stacks(window):
-            plan_words, base = _draw([window[i][0] for i in stack], n)
-            _, u_target, v_target = _SWEEP_REGION.plan(plan_words)
-            pair = pair_from_base(base, u_target, v_target)
+            _, pair = _plan_pair(_SWEEP_REGION.plan, *_draw([window[i][0] for i in stack], n))
             size = max(1, STACK_ENTRIES // (len(stack) * n * n))
             for j in range(0, len(grid), size):
                 p = weights[j : j + size]

@@ -8,8 +8,8 @@ and ``X = A^{1/2} Q_C``, so that every such lift is one product,
 ``(X diag f(spec C)) X^T`` (:func:`lift`), and a whole family of means and
 entropies is evaluated against one decomposition.  The spectral bounds
 ``u = lambda_min(C)``, ``v = lambda_max(C)`` give the tight sandwich
-``u A <= B <= v A``.  A pair built from spectral data assembles C itself
-only where its ``contraction`` is read.
+``u A <= B <= v A``.  Every pair assembles C itself only where its
+``contraction`` is read.
 
 A pair may hold ``(k, n, n)`` stacks of A and B: k pairs evaluated by the
 same code, one numpy call per step for the whole stack.  Then ``u`` and
@@ -29,10 +29,10 @@ A mean computed here is such a lift, and so are the sampled B and the
 catalog's derived pairs: Ostrowski's theorem bounds its spectrum by
 ``lambda_min(A) min f`` and ``lambda_max(A) max f`` on spec(C), numbers the
 pair already holds.  :meth:`OperatorPair.certify` checks a computed lift on
-those bounds, widened by a stated rounding bound (:func:`certified_lift`),
-with no eigensolve; only where they do not decide does it fall back to the
-full check.  The harmonic mean keeps the full check: it is the literal
-second path, not a lift.
+those bounds over the values of f it was formed from, widened by a stated
+rounding bound (:func:`certified_lift`), with no eigensolve; only where they
+do not decide does it fall back to the full check.  The harmonic mean keeps
+the full check: it is the literal second path, not a lift.
 
 A derived pair ``(A, M)`` for such a lift M of f (the catalog's
 ``(A, (A+B)/2)`` and ``(A, B - A)``) is built by
@@ -102,19 +102,17 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _CONTRACTION = "contraction A^{-1/2} B A^{-1/2}"
 
 
-def certified_lift(a: SpdMatrix, w: np.ndarray, m: np.ndarray, f: Callable, context: str, drift=0.0) -> SpdMatrix:
-    """Wrap the computed lift ``m`` of the twin ``f``, for a pair with this A
-    and spec(C) ``w`` (a row, as the pair holds it), on the bounds
-    ``lambda_min(A) min f - delta`` and ``lambda_max(A) max|f| + delta`` over
-    ``w`` (see ``_LIFT_ROUNDINGS``; ``drift`` is 0 where B was built from
-    spec(C), else kappa(A)).  Where the bounds do not prove ``m`` positive
-    definite it gets the full check, and its failure is a NumericalBreakdown
-    prefixed with ``context``."""
+def certified_lift(a: SpdMatrix, w: np.ndarray, m: np.ndarray, fw: np.ndarray, context: str, drift=0.0) -> SpdMatrix:
+    """Wrap the lift ``m`` formed from f's values ``fw`` on spec(C) ``w`` (a
+    row, as the pair with this A holds it), on the bounds ``lambda_min(A)
+    min f - delta`` and ``lambda_max(A) max|f| + delta`` over ``fw`` (see
+    ``_LIFT_ROUNDINGS``; ``drift`` is 0 where B was built from spec(C), else
+    kappa(A)).  Where the bounds do not prove ``m`` positive definite it gets
+    the full check, and its failure is a NumericalBreakdown prefixed with
+    ``context``."""
     n = m.shape[-1]
     gamma_n = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     with np.errstate(all="ignore"):  # a bound that is not finite only fails to certify
-        fw = np.asarray(f(w), dtype=float)
-        fw = np.broadcast_to(fw, np.broadcast_shapes(fw.shape, w.shape))  # a weight axis leads
         f_hi = np.abs(fw).max(axis=(-2, -1))
         size = np.maximum(np.maximum(1.0, w.max(axis=(-2, -1))), f_hi)
         delta = _LIFT_ROUNDINGS * n * gamma_n * (1.0 + drift) * a.eig_max * size
@@ -155,51 +153,48 @@ class OperatorPair:
     A pair holds C's basis ``Q_C`` and spectrum (``u`` and ``v`` its
     extremes, so ``u A <= B <= v A`` with equality directions attained on
     the corresponding eigenvectors) and ``X = A^{1/2} Q_C``, by which every
-    lift of the pair is one product (:meth:`transform`).  The public
-    constructor computes them and ``A^{1/2}`` with one ``eigh(A)`` (and an
-    ``A^{-1/2}`` read only to form C) and one ``eigh(C)``, and keeps the C it
-    formed; C is checked positive on its spectrum.  A and B may be
-    equal-shaped stacks of matrices (see the module notes).  A pair the
-    package builds from spectral data it already holds (a sampled pair,
-    :meth:`lift_pair`) passes ``_spectra = (A^{1/2}, X, C's basis, spec(C)
-    as a row, drift)`` instead: no eigensolve.  Its ``u`` and ``v`` are
-    taken from spec(C) and checked at construction, and it holds no C: each
-    read of :attr:`contraction` assembles C from its basis and spectrum.
+    lift of the pair is one product (:meth:`transform`); X is formed with the
+    pair, as it is one n x n product and every lift, certified mean and
+    derived pair reads it.  The public constructor computes them and
+    ``A^{1/2}`` with one ``eigh(A)`` (and an ``A^{-1/2}`` read only to form
+    C) and one ``eigh(C)``.  A and B may be equal-shaped stacks of matrices
+    (see the module notes).  A pair the package builds from spectral data it
+    already holds (a sampled pair, :meth:`lift_pair`) passes SpdMatrix
+    operands of one shape and ``_spectra = (A^{1/2}, X, C's basis, spec(C)
+    as a row, drift)`` instead: no eigensolve and no input check.  Every
+    pair takes ``u`` and ``v`` from spec(C), checked positive at
+    construction, and holds no C: each read of :attr:`contraction`
+    assembles C from its basis and spectrum.
     """
 
-    __slots__ = ("A", "B", "u", "v", "sqrt_a", "_x", "_q", "_w", "_drift", "_c")
+    __slots__ = ("A", "B", "u", "v", "sqrt_a", "_x", "_q", "_w", "_drift")
 
     def __init__(self, a, b, _spectra=None) -> None:
-        a = as_spd(a)
-        b = as_spd(b)
-        if a.mat.shape != b.mat.shape:
-            raise InvalidInput(f"dimension mismatch: A is {a.mat.shape}, B is {b.mat.shape}")
-        self.A = a
-        self.B = b
-        c = None
         if _spectra is None:
+            a = as_spd(a)
+            b = as_spd(b)
+            if a.mat.shape != b.mat.shape:
+                raise InvalidInput(f"dimension mismatch: A is {a.mat.shape}, B is {b.mat.shape}")
             w, q = np.linalg.eigh(a.mat)
             inv_sqrt_a = symmetrize((q / _row(np.sqrt(w))) @ q.swapaxes(-1, -2))
-            c = symmetrize(inv_sqrt_a @ b.mat @ inv_sqrt_a)
-            w_c, q_c = np.linalg.eigh(c)
+            w_c, q_c = np.linalg.eigh(symmetrize(inv_sqrt_a @ b.mat @ inv_sqrt_a))
             root = spd_sqrt(q, w)
             x = root.mat @ q_c
             x.flags.writeable = False
             _spectra = (root, x, q_c, _row(w_c), a.eig_max / a.eig_min)  # drift: see _LIFT_ROUNDINGS
+        self.A = a
+        self.B = b
         self.sqrt_a, self._x, self._q, self._w, self._drift = _spectra
         lo, hi = spectrum_extremes(self._w, _CONTRACTION)
         shape = a.mat.shape[:-2]
         self.u = _scalar_or_stack(lo.reshape(shape))
         self.v = _scalar_or_stack(hi.reshape(shape))
-        self._c = None if c is None else spd_from_spectrum(c, self._w, _CONTRACTION)
 
     @property
     def contraction(self) -> SpdMatrix:
-        """``C = A^{-1/2} B A^{-1/2}``: for a pair built from spectral data,
-        assembled from C's basis and spectrum on each read (only the TA
-        lower term reads it in a catalog run), so a kept pair holds B alone."""
-        if self._c is not None:
-            return self._c
+        """``C = A^{-1/2} B A^{-1/2}``, assembled from C's basis and spectrum
+        on each read (only the TA lower term reads it in a catalog run), so a
+        kept pair holds B alone."""
         return spd_from_spectrum(spectral_assemble(self._q, self._w), self._w, _CONTRACTION)
 
     @property
@@ -208,11 +203,12 @@ class OperatorPair:
 
     def lift_pair(self, m: np.ndarray, f: Callable, context: str) -> "OperatorPair":
         """The pair (A, m) for ``m`` computed as the lift of f (see
-        :meth:`certify`, which checks it): its contraction is f(C), held as
-        C's basis and f on spec(C), so it shares this pair's ``A^{1/2}``, X
-        and basis and needs no eigensolve."""
-        spectra = (self.sqrt_a, self._x, self._q, _eval_on_spectrum(f, self._w), self._drift)
-        return OperatorPair(self.A, self.certify(m, f, context), _spectra=spectra)
+        :meth:`certify`, which checks it on f's values): its contraction is
+        f(C), held as C's basis and those values, so it shares this pair's
+        ``A^{1/2}``, X and basis and needs no eigensolve."""
+        fw = _eval_on_spectrum(f, self._w)
+        spectra = (self.sqrt_a, self._x, self._q, fw, self._drift)
+        return OperatorPair(self.A, self.certify(m, fw, context), _spectra=spectra)
 
     def fn_of_contraction(self, f: Callable) -> np.ndarray:
         """``f(C)`` assembled from the cached eigendecomposition of C."""
@@ -224,13 +220,13 @@ class OperatorPair:
         stack where f's values carry a weight axis (see the module notes)."""
         return lift(self._x, _eval_on_spectrum(f, self._w))
 
-    def certify(self, m: np.ndarray, f: Callable, context: str) -> SpdMatrix:
-        """Wrap ``m``, computed as the lift ``A^{1/2} f(C) A^{1/2}`` (by
-        :meth:`transform` or from A and B, the lifts of 1 and of t), as an
-        SpdMatrix certified by f's values on spec(C) (:func:`certified_lift`):
-        no eigensolve where they prove it positive definite, else the full
-        check, a NumericalBreakdown prefixed with ``context`` on failure."""
-        return certified_lift(self.A, self._w, m, f, context, self._drift)
+    def certify(self, m: np.ndarray, fw: np.ndarray, context: str) -> SpdMatrix:
+        """Wrap ``m``, computed as the lift ``A^{1/2} f(C) A^{1/2}`` from f's
+        values ``fw`` on spec(C), as an SpdMatrix certified by them
+        (:func:`certified_lift`): no eigensolve where they prove it positive
+        definite, else the full check, a NumericalBreakdown prefixed with
+        ``context`` on failure."""
+        return certified_lift(self.A, self._w, m, fw, context, self._drift)
 
     def __repr__(self) -> str:
         if isinstance(self.u, np.ndarray):
@@ -241,7 +237,7 @@ class OperatorPair:
 def arithmetic_mean(pair: OperatorPair, p: float) -> SpdMatrix:
     """Weighted arithmetic mean ``(1-p) A + p B`` for p in [0, 1]."""
     _check_weight(p, 0.0, 1.0, "arithmetic mean")
-    return pair.certify((1.0 - p) * pair.A.mat + p * pair.B.mat, lambda t: 1.0 - p + p * t, "arithmetic mean")
+    return pair.certify((1.0 - p) * pair.A.mat + p * pair.B.mat, 1.0 - p + p * pair._w, "arithmetic mean")
 
 
 def harmonic_mean(pair: OperatorPair, p: float) -> SpdMatrix:
@@ -270,10 +266,11 @@ def natural_power_mean(pair: OperatorPair, p: float) -> SpdMatrix:
             return pair.A
         if at_b.all():
             return pair.B
-    m = pair.transform(lambda t: t ** p)
+    fw = _eval_on_spectrum(lambda t: t ** p, pair._w)
+    m = lift(pair._x, fw)
     if endpoint:  # some weights at an endpoint, or all on an axis the pair lacks: those matrices get that operand
         m = np.where(at_a, pair.A.mat, np.where(at_b, pair.B.mat, m))
-    return pair.certify(m, lambda t: t ** p, f"natural power mean (p={p.item() if p.size == 1 else 'per pair'})")
+    return pair.certify(m, fw, f"natural power mean (p={p.item() if p.size == 1 else 'per pair'})")
 
 
 def geometric_mean(pair: OperatorPair, p: float) -> SpdMatrix:

@@ -226,7 +226,7 @@ def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
     # lift of mu, bounded by A's and C's extreme eigenvalues; where those bounds
     # do not decide, B gets the full check, and losing definiteness there is a
     # breakdown of the draw
-    b = certified_lift(base.a, w, lift(base.x, w), lambda t: t, "sampled B")
+    b = certified_lift(base.a, w, lift(base.x, w), w, "sampled B")
     return OperatorPair(base.a, b, _spectra=(base.sqrt_a, base.x, base.q_c, w, 0.0))
 
 

@@ -13,6 +13,7 @@ from oel.catalog import (
     _edge_at,
     _gap,
     _mid,
+    case_index,
     catalog,
     catalog_with_duals,
     dual,
@@ -34,7 +35,7 @@ from oel.sampler import (
     stack_base,
     stream_draws,
 )
-from oel.spd_core import loewner_leq, spectral_assemble
+from oel.spd_core import ORDER_TOL, loewner_leq, spectral_assemble
 
 catalog_module = importlib.import_module("oel.catalog")  # the package exports a function of this name
 
@@ -79,6 +80,19 @@ def test_catalog_shape():
 def test_case_ids_unique():
     ids = [c.id for c in catalog_with_duals()]
     assert len(ids) == len(set(ids))
+
+
+def test_the_case_table_is_built_once():
+    # every lookup reads one table: the same case objects (duals included) on
+    # every call, and the index holds those objects
+    cases = catalog_with_duals()
+    again = catalog_with_duals()
+    assert again is not cases and len(again) == len(cases) == 50
+    assert all(a is b for a, b in zip(again, cases))
+    index = case_index()
+    assert index is case_index() and len(index) == len(cases)
+    assert all(index[c.id] is c for c in cases)
+    assert all(a is b for a, b in zip(find_cases("*"), cases))
 
 
 def test_find_cases_matches_ids_and_groups():
@@ -315,6 +329,20 @@ def test_evaluate_trials_returns_plain_rows():
     (row,) = evaluate_trials(case, pair, params, [77])
     assert type(row) is tuple
     assert MarginReport(case.id, *row) == evaluate(case, pair, params, seed=77)
+
+
+def test_the_kernel_leaves_the_tolerance_check_to_the_public_entries(monkeypatch):
+    # evaluate_trials takes its tolerance as checked: evaluate checks it once,
+    # and a suite once at its entry, not once per stack
+    checks = []
+    original = catalog_module._check_tol
+    monkeypatch.setattr(catalog_module, "_check_tol", lambda tol: checks.append(tol) or original(tol))
+    case, pair, params = by_id("H2.1"), scalar_pair(3.0), Params(p=-0.5)
+    evaluate_trials(case, pair, params, [77])
+    run_suite(by_id("H1.1"), trials=8, dims=(1, 2))
+    assert checks == []
+    evaluate(case, pair, params, seed=77)
+    assert checks == [ORDER_TOL]
 
 
 def test_reports_built_in_one_step_are_the_dataclass_instances():

@@ -287,6 +287,7 @@ def test_order_tolerance_must_be_finite_and_nonnegative(capsys, tol):
 @pytest.mark.parametrize("tol", ["1e-8", None, True, np.bool_(False), [1e-8]])
 def test_order_tolerance_must_be_a_real_number(tol):
     # a string or None raised a bare TypeError, and True ran as a tolerance of 1.0
+    pair = sandwich_pair(SamplerConfig(seed=1, n=2, sandwich=(0.5, 2.0)))
     calls = [
         lambda: loewner_leq(2.0 * np.eye(2), np.eye(2), order_tol=tol),
         lambda: harness.run_trial(harness.case_by_id("H1.1"), 1, 2, order_tol=tol),
@@ -294,6 +295,7 @@ def test_order_tolerance_must_be_a_real_number(tol):
         lambda: harness.run_suite(harness.case_by_id("H1.1"), trials=2, order_tol=tol),
         lambda: harness.run_all("H1", trials=2, order_tol=tol),
         lambda: harness.integral_sweep(trials=2, p_grid=(0.5,), tol=tol),
+        lambda: catalog.evaluate(harness.case_by_id("H1.1"), pair, catalog.Params(p=0.5), order_tol=tol),
     ]
     for call in calls:
         with pytest.raises(InvalidInput, match="tolerance must be a finite number >= 0"):

@@ -560,7 +560,8 @@ def test_jsonl_writer_raises_the_stdlib_error(tmp_path, field, value):
 
 
 def _read_reports_line_by_line(path: str) -> list[MarginReport]:
-    """The reference reader: one json.loads and one check per field per line."""
+    """The reference reader: one json.loads per line, and each field's
+    column rule on that line's value alone."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -568,8 +569,8 @@ def _read_reports_line_by_line(path: str) -> list[MarginReport]:
                 continue
             try:
                 values = [json.loads(line)[name] for name in REPORT_FIELDS]
-                for (name, ok, _, kind), x in zip(harness._RULES, values):
-                    if not ok(x):
+                for (name, ok, kind), x in zip(harness._RULES, values):
+                    if not ok((x,)):
                         raise TypeError(f"{name!r} must be {kind}, got {x!r}")
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise ReportError(f"{path}: malformed report on line {lineno}: {exc}") from exc
@@ -633,27 +634,6 @@ def test_read_reports_matches_the_line_by_line_reader(tmp_path, name):
         assert [tuple(map(type, dataclasses.astuple(r))) for r in got] == [
             tuple(map(type, dataclasses.astuple(r))) for r in expected
         ]
-
-
-def _accepts(rule, x) -> bool:
-    try:
-        return rule(x)
-    except OverflowError:  # read_reports takes it as a rejection
-        return False
-
-
-def test_read_reports_column_rules_agree_with_the_value_rules():
-    # a block's column passes its rule only if every value passes its own (a
-    # column that fails is read again line by line, so it may fail more)
-    values = [None, True, False, 0, 1, -1, 2, 1 << 64, (1 << 64) - 1, 10**400, 0.0, -0.0, 0.5, 1e308,
-              float("nan"), float("inf"), "x", [1.0], {"a": 1}]
-    for name, ok, column_ok, _ in harness._RULES:
-        for x in values:
-            for column in ((x,), (x, x), (x, 1.0), (x, "s"), (x, 7), (x, None)):
-                if _accepts(column_ok, column):
-                    assert all(_accepts(ok, y) for y in column), (name, column)
-        good = [x for x in values if _accepts(ok, x)]
-        assert good and all(column_ok((x,)) for x in good), name
 
 
 def test_read_and_write_reports_memory_does_not_grow_with_the_file(tmp_path):
@@ -898,9 +878,7 @@ def test_run_all_memo_counts_the_arrays_its_entries_hold(monkeypatch, pattern, e
                 base = value[1]
                 held = [base.a.mat, base.sqrt_a.mat, base.q_c, base.x]
             elif len(key) == 1:
-                pair = value[1]
-                assert pair._c is None
-                held = [pair.B.mat]
+                held = [value[1].B.mat]
             else:
                 held = [value]
             assert all(m.shape[-2:] == (n, n) and m.size == len(seeds) * n * n for m in held)

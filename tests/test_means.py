@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -374,14 +375,15 @@ def test_every_lift_is_one_product_on_x(k):
 
 
 def test_a_pair_assembles_its_contraction_only_where_read(monkeypatch):
-    # a sampled pair (and a pair derived from it) holds C's basis and spectrum
-    # and X, not C: u, v and every lift read them, and each read of
-    # `contraction` assembles C, with the bits of f(C) at f(t) = t, without
-    # keeping it (so a kept pair holds B alone)
+    # every pair (sampled, public, and a pair derived from either) holds C's
+    # basis and spectrum and X, not C: u, v and every lift read them, and
+    # each read of `contraction` assembles C, with the bits of f(C) at
+    # f(t) = t, without keeping it (so a kept pair holds B alone)
     assembled = []
     original = means.spectral_assemble
     monkeypatch.setattr(means, "spectral_assemble", lambda *a: assembled.append(None) or original(*a))
-    for pair in (pair_from_seed(5, 6, sandwich=(1.5, 3.0)), _stacked_pair(3, 4)):
+    sampled = (pair_from_seed(5, 6, sandwich=(1.5, 3.0)), _stacked_pair(3, 4))
+    for pair in (*sampled, *(OperatorPair(s.A.mat, s.B.mat) for s in sampled)):
         for p in (pair, _gap(pair) if np.all(pair.u > 1.0) else _mid(pair)):
             u, v = p.u, p.v
             tsallis_entropy(p, 0.5)
@@ -392,9 +394,41 @@ def test_a_pair_assembles_its_contraction_only_where_read(monkeypatch):
             assert c.mat.tobytes() == original(p._q, p._w).tobytes()
             assert c.mat.tobytes() == p.fn_of_contraction(lambda t: t).tobytes()
             assert np.array_equal(c.eig_min, u) and np.array_equal(c.eig_max, v)
-            assert p._c is None
             assert p.contraction.mat.tobytes() == c.mat.tobytes() and len(assembled) == 3
             assembled.clear()
+
+
+def test_each_certified_lift_evaluates_its_twin_once():
+    # a certified lift and its certificate read one evaluation of the twin on
+    # spec(C): counted as the ufunc calls made on the pair's spectrum (the
+    # twins of the means) and as calls of a twin passed in (a derived pair)
+    class Spectrum(np.ndarray):
+        calls = Counter()
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if method == "__call__":
+                Spectrum.calls[ufunc.__name__] += 1
+            inputs = [x.view(np.ndarray) if isinstance(x, Spectrum) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    for pair in (pair_from_seed(7, 4, sandwich=(1.5, 3.0)), _stacked_pair(3, 4)):
+        pair._w = pair._w.view(Spectrum)
+        for mean, p, ufunc in ((natural_power_mean, 0.3, "power"), (arithmetic_mean, 0.3, "multiply")):
+            Spectrum.calls.clear()
+            expected = mean(pair, p).mat.tobytes()
+            assert Spectrum.calls[ufunc] == 1, mean.__name__
+            pair._w = pair._w.view(np.ndarray)
+            assert mean(pair, p).mat.tobytes() == expected
+            pair._w = pair._w.view(Spectrum)
+        calls = []
+
+        def twin(t):
+            calls.append(None)
+            return 0.5 * (1.0 + t)
+
+        lifted = pair.lift_pair(0.5 * (pair.A.mat + pair.B.mat), twin, "derived pair")
+        assert len(calls) == 1
+        assert lifted.B.mat.tobytes() == _mid(pair).B.mat.tobytes()
 
 
 def test_pair_io_roundtrip():
