@@ -37,7 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from fnmatch import fnmatch
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -734,10 +735,11 @@ def dual(case: InequalityCase) -> InequalityCase:
     )
 
 
-# the case table, built once at import: the primary cases, then their duals
+# the case table, built once at import: the primary cases, then their duals,
+# and a read-only index over them that every lookup shares
 _CASES = _build()
 _WITH_DUALS = _CASES + tuple(dual(c) for c in _CASES if c.dual_region is not None)
-_INDEX = {c.id: c for c in _WITH_DUALS}
+_INDEX = MappingProxyType({c.id: c for c in _WITH_DUALS})
 
 
 def catalog_with_duals() -> list[InequalityCase]:
@@ -745,8 +747,9 @@ def catalog_with_duals() -> list[InequalityCase]:
     return list(_WITH_DUALS)
 
 
-def case_index() -> dict[str, InequalityCase]:
-    """Every case (including duals) by id."""
+def case_index() -> Mapping[str, InequalityCase]:
+    """Every case (including duals) by id, a read-only view: the one table
+    behind every lookup in the process, which no caller can change."""
     return _INDEX
 
 

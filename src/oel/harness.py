@@ -27,8 +27,8 @@ A stack is drawn one way (``_draw``): its plan words and its
 C's spectrum and builds B as one product on X.  The stacked pair holds C's basis and spectrum and X,
 so every lift of a case is one product on X, the derived pairs of a case
 are lifts of C (:meth:`~oel.means.OperatorPair.lift_pair`), and a trial
-makes no ``eigh``: its eigensolves are the verdict's ``eigvalsh`` of
-rhs - lhs and the harmonic mean's full check.
+makes no ``eigh``: its only eigensolve is the verdict's ``eigvalsh`` of
+rhs - lhs (the harmonic mean is certified by its own Cholesky factorization).
 
 Every case of a :func:`run_all` call reads the same trial streams, and the
 cases of one hypothesis region share its planner (``case.plan``), so the

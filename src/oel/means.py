@@ -31,8 +31,10 @@ catalog's derived pairs: Ostrowski's theorem bounds its spectrum by
 pair already holds.  :meth:`OperatorPair.certify` checks a computed lift on
 those bounds over the values of f it was formed from, widened by a stated
 rounding bound (:func:`certified_lift`), with no eigensolve; only where they
-do not decide does it fall back to the full check.  The harmonic mean keeps
-the full check: it is the literal second path, not a lift.
+do not decide does it fall back to the full check.  The harmonic mean is
+the literal second path, not a lift: one LU solve of the parallel sum,
+certified by its own Cholesky factorization (with the full check where that
+fails) and never by the pair's spectra.
 
 A derived pair ``(A, M)`` for such a lift M of f (the catalog's
 ``(A, (A+B)/2)`` and ``(A, B - A)``) is built by
@@ -54,12 +56,13 @@ from .errors import InvalidInput, InvalidWeight
 from .spd_core import (
     SpdMatrix,
     _eval_on_spectrum,
-    _rebuild_spd,
+    _gamma,
     _row,
     _scalar_or_stack,
     as_spd,
     dump_matrix,
     load_matrix,
+    spd_by_cholesky,
     spd_certified,
     spd_from_spectrum,
     spd_sqrt,
@@ -98,7 +101,6 @@ from .spd_core import (
 # of them (a sampled B at A's spectrum in [1e-3, 1e3], a power mean at A = I)
 # and 4 passes them all.
 _LIFT_ROUNDINGS = 16
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _CONTRACTION = "contraction A^{-1/2} B A^{-1/2}"
 
 
@@ -111,7 +113,7 @@ def certified_lift(a: SpdMatrix, w: np.ndarray, m: np.ndarray, fw: np.ndarray, c
     the full check, and its failure is a NumericalBreakdown prefixed with
     ``context``."""
     n = m.shape[-1]
-    gamma_n = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    gamma_n = _gamma(n)
     with np.errstate(all="ignore"):  # a bound that is not finite only fails to certify
         f_hi = np.abs(fw).max(axis=(-2, -1))
         size = np.maximum(np.maximum(1.0, w.max(axis=(-2, -1))), f_hi)
@@ -243,13 +245,16 @@ def arithmetic_mean(pair: OperatorPair, p: float) -> SpdMatrix:
 def harmonic_mean(pair: OperatorPair, p: float) -> SpdMatrix:
     """Weighted harmonic mean ``((1-p) A^{-1} + p B^{-1})^{-1}`` for p in [0, 1].
 
-    Computed literally via matrix inversions; this is deliberately a second
-    numerical path, independent of the spectral transform used by the
-    power means and entropies.
+    Computed as the parallel sum ``B ((1-p) B + p A)^{-1} A`` (Anderson and
+    Duffin, J. Math. Anal. Appl. 1969), the same matrix, from one LU solve,
+    and certified by its own Cholesky factorization (:func:`spd_by_cholesky`);
+    this is deliberately a second numerical path that reads no spectral data,
+    independent of the spectral transform used by the power means and
+    entropies.
     """
     _check_weight(p, 0.0, 1.0, "harmonic mean")
-    mix = (1.0 - p) * np.linalg.inv(pair.A.mat) + p * np.linalg.inv(pair.B.mat)
-    return _rebuild_spd(symmetrize(np.linalg.inv(mix)), "harmonic mean")
+    a, b = pair.A.mat, pair.B.mat
+    return spd_by_cholesky(symmetrize(b @ np.linalg.solve((1.0 - p) * b + p * a, a)), "harmonic mean")
 
 
 def natural_power_mean(pair: OperatorPair, p: float) -> SpdMatrix:

@@ -14,8 +14,11 @@ the full check (one ``eigvalsh``); a matrix the code assembled from a known
 spectrum is checked on that spectrum (:func:`spd_from_spectrum`); and a
 computed matrix whose spectrum is bounded by proven bounds is checked on
 those bounds (:func:`spd_certified`), with the full check only where they do
-not decide.  A matrix checked without a solve finds its extreme eigenvalues
-when they are first read.
+not decide.  A computed matrix with no such bounds (the harmonic mean, an
+inverse) finds them in one Cholesky factorization of itself, shifted
+(:func:`spd_by_cholesky`), with the full check where that fails.  A matrix
+checked without a solve finds its extreme eigenvalues when they are first
+read.
 
 Every primitive acts on the last two axes, so a ``(k, n, n)`` stack of
 matrices goes through the same code as one ``(n, n)`` matrix, as k numpy
@@ -45,6 +48,25 @@ ORDER_TOL = 1e-8
 # two such entries stay finite
 _MAX_DOUBLE = np.finfo(float).max
 _MAX_ENTRY = _MAX_DOUBLE / 2
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# Rounding bound of the Cholesky certificate (spd_by_cholesky).  Where the
+# Cholesky factorization of the computed M = H - sigma I runs to completion,
+# its factor R is the exact factor of M + dM with |dM| <= gamma_{n+1} |R^T| |R|
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3),
+# so ||dM||_2 <= n gamma_{n+1} ||M + dM||_2, and lambda_min(M) >= -||dM||_2.
+# With s = ||H||_inf >= lambda_max(H) and ||M||_2 <= s + sigma, a budget of
+# _CHOLESKY_ROUNDINGS such errors, b = _CHOLESKY_ROUNDINGS n gamma_{n+1}, and
+# the shift sigma = (STRICTNESS_TOL + 2 b) s leave lambda_min(H) >=
+# (STRICTNESS_TOL + b) s, and lambda_max(H) <= (1 + b) s: the budget holds
+# that backward error, the rounding of the shift and of s, and eigvalsh's own
+# backward error (each a few n gamma_n s), with room to spare.
+# tests/test_means.py checks the bounds against eigvalsh on every matrix the
+# factorization certifies in catalog runs, in wide sampler configurations up
+# to n = 128, on public pairs (harmonic means at weights 0, 1e-12, 0.3,
+# 1 - 1e-12 and 1, scalar and one per pair, and mat_inv) and across the
+# shift: a budget of 0 fails the lower bound across the shift, 0.5 fails the
+# upper one at A = I, and 1 passes them all.
+_CHOLESKY_ROUNDINGS = 4
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -216,6 +238,34 @@ def spd_certified(m: np.ndarray, lo, hi, context: str) -> SpdMatrix:
     return _rebuild_spd(m, context)
 
 
+def _gamma(n: int) -> float:
+    """Higham's ``gamma_n = n u / (1 - n u)``, the relative error bound of a
+    sum or dot product of n terms in unit roundoff u."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
+def spd_by_cholesky(m: np.ndarray, context: str) -> SpdMatrix:
+    """Wrap the computed, exactly symmetric ``m`` (frozen in place), certified
+    by one Cholesky factorization of ``m - sigma I`` (per matrix of a stack)
+    instead of an eigensolve: where it succeeds, ``m``'s eigenvalues lie in
+    ``[(STRICTNESS_TOL + b) s, (1 + b) s]`` for ``s = ||m||_inf`` and the
+    rounding budget ``b`` (see ``_CHOLESKY_ROUNDINGS``), which
+    :func:`spd_certified` takes.  Where it fails, or ``m`` is not finite,
+    ``m`` gets the full check, whose failure is a NumericalBreakdown prefixed
+    with ``context``."""
+    if np.isfinite(m).all():
+        n = m.shape[-1]
+        budget = _CHOLESKY_ROUNDINGS * n * _gamma(n + 1)
+        s = _row_sum_norm(m)
+        try:
+            np.linalg.cholesky(m - ((STRICTNESS_TOL + 2.0 * budget) * s)[..., None, None] * np.eye(n))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return spd_certified(m, (STRICTNESS_TOL + budget) * s, (1.0 + budget) * s, context)
+    return _rebuild_spd(m, context)
+
+
 def spectral_assemble(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Symmetrized ``Q diag(w) Q^T``; ``w`` is a row: ``(n,)`` for one ``Q``,
     ``(..., 1, n)`` for a stack."""
@@ -285,9 +335,10 @@ def mat_log(a: SpdMatrix) -> np.ndarray:
 
 
 def mat_inv(a: SpdMatrix) -> SpdMatrix:
-    """Inverse of an SPD matrix (via LU, then symmetrized and revalidated)."""
+    """Inverse of an SPD matrix (via LU, then symmetrized and certified by its
+    own Cholesky factorization, :func:`spd_by_cholesky`)."""
     a = as_spd(a)
-    return _rebuild_spd(symmetrize(np.linalg.inv(a.mat)), "mat_inv")
+    return spd_by_cholesky(symmetrize(np.linalg.inv(a.mat)), "mat_inv")
 
 
 def mat_sqrt(a: SpdMatrix) -> SpdMatrix:

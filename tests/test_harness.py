@@ -75,6 +75,21 @@ def test_replay_takes_every_64_bit_seed():
     assert replay("H1.1", np.uint64(top), np.int64(2)) == r
 
 
+def test_the_case_index_cannot_be_changed_by_a_caller():
+    # the index was the module's own dict: popping H1.1 from it made every
+    # later replay of H1.1 an unknown case id
+    index = harness.case_index()
+    before = replay("H1.1", 5, 2)
+    with pytest.raises(AttributeError):
+        index.pop("H1.1")
+    with pytest.raises(TypeError):
+        index["H1.1"] = None
+    with pytest.raises(TypeError):
+        del index["H1.1"]
+    assert index["H1.1"] is case_by_id("H1.1")
+    assert replay("H1.1", 5, 2) == before
+
+
 def test_run_suite_aggregates_and_collects():
     case = case_by_id("H1.1")
     collected = []
@@ -904,24 +919,30 @@ def test_run_all_draws_each_stack_once_per_call(monkeypatch):
     assert len(qr) == 6
 
 
-def test_run_all_eigensolves_only_verdicts_and_harmonic_means(monkeypatch):
-    # 50 cases x 6 dims make 300 stacks: each has one verdict eigvalsh, and the
-    # 42 harmonic-mean stacks (the literal second path) a full check each;
-    # every sampled B, arithmetic and natural power mean and derived pair is
-    # certified without one.  No eigh at all: the sampled pairs and the
-    # derived pairs (lifts of C) are built from spectra they hold.  At n = 16,
-    # 32, 64 there are 150 stacks and 21 harmonic-mean stacks
+def test_run_all_eigensolves_only_verdicts(monkeypatch):
+    # 50 cases x 6 dims make 300 stacks: each has one verdict eigvalsh, and no
+    # other eigensolve.  Every sampled B, arithmetic and natural power mean and
+    # derived pair is certified on its spectral bounds, and each of the 42
+    # harmonic-mean stacks (the literal second path) by one Cholesky
+    # factorization after its one LU solve, with no inverse.  No eigh at all:
+    # the sampled pairs and the derived pairs (lifts of C) are built from
+    # spectra they hold.  At n = 16, 32, 64 there are 150 stacks and 21
+    # harmonic-mean stacks
     catalog = importlib.import_module("oel.catalog")  # the package exports a function of this name
     solves = _counting(monkeypatch, np.linalg, "eigvalsh")
     decompositions = _counting(monkeypatch, np.linalg, "eigh")
+    factorizations = _counting(monkeypatch, np.linalg, "cholesky")
+    inverses = _counting(monkeypatch, np.linalg, "inv")
     verdicts = _counting(monkeypatch, catalog, "_loewner")
     harmonic = _counting(monkeypatch, catalog, "harmonic_mean")
     run_all(trials=60, seed=42)
     assert (len(verdicts), len(harmonic)) == (300, 42)
-    assert (len(solves), len(decompositions)) == (342, 0)
+    assert (len(solves), len(decompositions)) == (300, 0)
+    assert (len(factorizations), len(inverses)) == (42, 0)
     run_all(trials=12, dims=(16, 32, 64), seed=42)
     assert (len(verdicts), len(harmonic)) == (300 + 150, 42 + 21)
-    assert (len(solves), len(decompositions)) == (342 + 171, 0)
+    assert (len(solves), len(decompositions)) == (300 + 150, 0)
+    assert (len(factorizations), len(inverses)) == (42 + 21, 0)
 
 
 @pytest.mark.parametrize("case_id", ["T2.2", "T3.2"])

@@ -33,9 +33,10 @@ from oel.sampler import (
     stream_draws,
 )
 from oel.scalars import harm_rep, power_log, tsallis_log
-from oel.spd_core import STRICTNESS_TOL, SpdMatrix, spd_sqrt, symmetrize
+from oel.spd_core import STRICTNESS_TOL, SpdMatrix, mat_inv, spd_by_cholesky, spd_sqrt, symmetrize
 
 means = importlib.import_module("oel.means")
+spd_core = importlib.import_module("oel.spd_core")
 
 
 def pair_from_seed(seed: int, n: int, sandwich=(0.25, 4.0)) -> OperatorPair:
@@ -467,12 +468,14 @@ _LIFTS = {
 }
 
 
-def _checking_certificates(monkeypatch) -> list[str]:
-    """Wrap the certificate: each matrix it certifies (``lo > STRICTNESS_TOL
-    * hi``) must have its eigvalsh extremes inside ``[lo, hi]``.  Returns the
-    list of the certified matrices' contexts, one entry per matrix."""
+def _checking_certificates(monkeypatch, owner=means) -> list[str]:
+    """Wrap the certificate as ``owner`` calls it (``means`` for the lifts,
+    ``spd_core`` for the Cholesky certificate): each matrix it certifies
+    (``lo > STRICTNESS_TOL * hi``) must have its eigvalsh extremes inside
+    ``[lo, hi]``.  Returns the list of the certified matrices' contexts, one
+    entry per matrix."""
     certified = []
-    original = means.spd_certified
+    original = owner.spd_certified
 
     def checked(m, lo, hi, context):
         w = np.linalg.eigvalsh(m)
@@ -483,7 +486,7 @@ def _checking_certificates(monkeypatch) -> list[str]:
         certified.extend([context] * int(claims.sum()))
         return original(m, lo, hi, context)
 
-    monkeypatch.setattr(means, "spd_certified", checked)
+    monkeypatch.setattr(owner, "spd_certified", checked)
     return certified
 
 
@@ -534,17 +537,17 @@ def test_certificates_bound_the_spectrum_on_wide_draws(monkeypatch, spectrum_ran
     assert len(certified) > 1000
 
 
-def _counting_eigvalsh(monkeypatch) -> list:
-    """Count the calls of ``np.linalg.eigvalsh`` in the returned list's length."""
-    solves = []
-    original = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: solves.append(None) or original(*a, **k))
-    return solves
+def _counting_linalg(monkeypatch, name: str) -> list:
+    """Count the calls of ``np.linalg.<name>`` in the returned list's length."""
+    calls = []
+    original = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(None) or original(*a, **k))
+    return calls
 
 
 def test_certified_lifts_make_no_eigvalsh(monkeypatch):
     pair = pair_from_seed(3, 5, sandwich=(1.5, 3.0))
-    solves = _counting_eigvalsh(monkeypatch)
+    solves = _counting_linalg(monkeypatch, "eigvalsh")
     sandwich_pair(SamplerConfig(seed=3, n=5, sandwich=(1.5, 3.0)))
     for lift in _LIFTS.values():
         lift(pair)
@@ -559,7 +562,7 @@ def test_a_failed_certificate_falls_back_to_one_eigvalsh(monkeypatch):
     expected = {name: lift(pair).mat.tobytes() for name, lift in _LIFTS.items()}
     expected_b = pair.B.mat.tobytes()
     monkeypatch.setattr(means, "_LIFT_ROUNDINGS", 1e18)
-    solves = _counting_eigvalsh(monkeypatch)
+    solves = _counting_linalg(monkeypatch, "eigvalsh")
     for name, lift in _LIFTS.items():
         before = len(solves)
         assert lift(pair).mat.tobytes() == expected[name], name
@@ -573,7 +576,7 @@ def test_certified_matrix_reports_its_computed_extremes(monkeypatch):
     # solved for on first access, once, and kept
     pair = pair_from_seed(6, 4)
     lifts = [lift(pair) for name, lift in _LIFTS.items() if name != "B - A"]
-    solves = _counting_eigvalsh(monkeypatch)
+    solves = _counting_linalg(monkeypatch, "eigvalsh")
     for spd in lifts:
         before = len(solves)
         extremes = (spd.eig_min, spd.eig_max, spd.eig_min)
@@ -581,6 +584,157 @@ def test_certified_matrix_reports_its_computed_extremes(monkeypatch):
         w = np.linalg.eigvalsh(spd.mat)
         assert extremes == (w[0], w[-1], w[0])
         assert not spd.mat.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the harmonic mean: one LU solve, certified by one Cholesky factorization
+# ---------------------------------------------------------------------------
+
+_HARMONIC_WEIGHTS = (0.0, 1e-12, 0.3, 1.0 - 1e-12, 1.0)
+
+
+def _raw_spd(rng, n: int, kappa: float) -> np.ndarray:
+    """A symmetric matrix from outside: spectrum geometric in [1, kappa], in a
+    random orthogonal basis, assembled in plain numpy."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return symmetrize((q * np.geomspace(1.0, kappa, n)) @ q.T)
+
+
+def _raw_pairs(n: int):
+    """Public pairs of raw matrices with kappa(A), kappa(B) up to 1e6, and
+    the larger of the two kappas."""
+    rng = np.random.default_rng(n)
+    for kappa_a, kappa_b in ((1.0, 1.0), (1e3, 1.0), (1.0, 1e6), (1e6, 1e3), (1e3, 1e6), (1e6, 1.0)):
+        if n == 1:  # a 1 x 1 matrix has kappa 1
+            kappa_a = kappa_b = 1.0
+        yield OperatorPair(_raw_spd(rng, n, kappa_a), _raw_spd(rng, n, kappa_b)), max(kappa_a, kappa_b)
+
+
+def test_cholesky_certificates_bound_the_spectrum_on_every_case(monkeypatch):
+    # every harmonic mean of a catalog run is certified by its factorization:
+    # none needs the full check
+    certified = _checking_certificates(monkeypatch, spd_core)
+    catalog = importlib.import_module("oel.catalog")  # the package exports a function of this name
+    original = catalog.harmonic_mean
+    means_made = []
+
+    def counted(pair, p):
+        h = original(pair, p)
+        means_made.append(h.mat[..., 0, 0].size)
+        return h
+
+    monkeypatch.setattr(catalog, "harmonic_mean", counted)
+    dims = (1, 2, 3, 5, 8, 16, 64)
+    for seed in range(1, 6):
+        for pattern in ("H1.1", "W[34]*"):
+            run_all(pattern, trials=2 * len(dims), dims=dims, seed=seed)
+    assert len(certified) == sum(means_made) > 0
+    assert set(certified) == {"harmonic mean"}
+
+
+@pytest.mark.parametrize("spectrum_range", [(0.5, 2.0), (1e-3, 1e3), (1e-6, 1.0), (1.0, 1.0)])
+def test_cholesky_certificates_bound_the_spectrum_on_wide_draws(monkeypatch, spectrum_range):
+    # the harmonic mean at each weight, scalar and one per trial, and mat_inv
+    # of both operands, on stacks of k = 5 sampled pairs and on public pairs;
+    # kappa(B) reaches 1e12 at A's spectrum in [1e-3, 1e3], where the shifted
+    # factorization starts to fail
+    certified = _checking_certificates(monkeypatch, spd_core)
+    sandwiches = [(1e-3, 1e3), (0.2, 4.0), (1.0 + 1e-6, 1.0 + 2e-6), (1.5, 1.5), (0.25, 0.25), (1e-8, 1.0)]
+    weights = np.array(_HARMONIC_WEIGHTS)
+    k = len(weights)
+    for n in (1, 2, 3, 5, 8, 16, 64, 128):
+        pairs = []
+        for seed in range(3 if n <= 8 else 2 if n <= 64 else 1):
+            _, words, normals = stream_draws(list(range(k * seed, k * seed + k)), n)
+            base = stack_base(words, normals, spectrum_range)
+            for lo, hi in sandwiches:
+                try:
+                    pairs.append(pair_from_base(base, np.full(k, lo), np.full(k, hi)))
+                except NumericalBreakdown:
+                    pass
+        if spectrum_range == (0.5, 2.0):
+            pairs.extend(pair for pair, _ in _raw_pairs(n))
+        for pair in pairs:
+            for p in (*_HARMONIC_WEIGHTS, weights[:, None, None]):
+                try:
+                    harmonic_mean(pair, p)
+                except NumericalBreakdown:
+                    pass
+            for operand in (pair.A, pair.B):
+                try:
+                    mat_inv(operand)
+                except NumericalBreakdown:
+                    pass
+    assert len(certified) > 1000
+    assert set(certified) == {"harmonic mean", "mat_inv"}
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 128])
+def test_cholesky_certificates_bound_the_spectrum_across_the_shift(monkeypatch, n):
+    # lambda_min swept across the shift sigma, where the factorization starts
+    # to fail and only the bound on its backward error keeps lambda_min above
+    # the certified lo (a budget of 0 errors fails here)
+    certified = _checking_certificates(monkeypatch, spd_core)
+    q = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))[0]
+    spectrum = np.linspace(0.5, 1.0, n)
+    spectrum[0] = STRICTNESS_TOL
+    s = spd_core._row_sum_norm(symmetrize((q * spectrum) @ q.T))
+    budget = spd_core._CHOLESKY_ROUNDINGS * n * spd_core._gamma(n + 1)
+    shift = (STRICTNESS_TOL + 2.0 * budget) * s
+    for t in np.linspace(0.5, 1.5, 201):
+        spectrum[0] = t * shift
+        try:
+            spd_by_cholesky(symmetrize((q * spectrum) @ q.T), "harmonic mean")
+        except NumericalBreakdown:  # below the strictness bound, at small n
+            pass
+    assert 0 < len(certified) < 201
+
+
+def test_a_failed_cholesky_certificate_falls_back_to_one_eigvalsh(monkeypatch):
+    q = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))[0]
+    indefinite = symmetrize((q * np.array([-1e-3, 0.5, 1.0, 1.5, 2.0])) @ q.T)
+    # lambda_min passes the full check (> STRICTNESS_TOL * lambda_max) but lies
+    # below the shift, so the shifted factorization fails
+    barely = symmetrize((q * np.array([2.5e-12, 0.5, 1.0, 1.5, 2.0])) @ q.T)
+    full = SpdMatrix(barely)
+    solves = _counting_linalg(monkeypatch, "eigvalsh")
+    factorizations = _counting_linalg(monkeypatch, "cholesky")
+    with pytest.raises(NumericalBreakdown, match="^harmonic mean: matrix is not strictly positive definite"):
+        spd_by_cholesky(indefinite, "harmonic mean")
+    assert (len(solves), len(factorizations)) == (1, 1)
+    accepted = spd_by_cholesky(barely, "harmonic mean")
+    assert (len(solves), len(factorizations)) == (2, 2)
+    assert accepted.mat.tobytes() == full.mat.tobytes()
+    assert (accepted.eig_min, accepted.eig_max) == (full.eig_min, full.eig_max)
+    assert len(solves) == 2  # the fallback's extremes are kept
+    # a matrix that is not finite goes to the full check, which rejects it unsolved
+    with pytest.raises(NumericalBreakdown, match="^harmonic mean: matrix has an entry that is not finite"):
+        spd_by_cholesky(np.full((2, 2), np.nan), "harmonic mean")
+    assert (len(solves), len(factorizations)) == (2, 2)
+
+
+def _literal_harmonic(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """The defining formula ``((1-p) A^{-1} + p B^{-1})^{-1}``, three
+    inverses: the reference the parallel sum is checked against."""
+    return symmetrize(np.linalg.inv((1.0 - p) * np.linalg.inv(a) + p * np.linalg.inv(b)))
+
+
+def test_harmonic_mean_is_the_literal_formula():
+    # a change of A or B of relative size delta in norm is one of at most
+    # kappa delta in the Loewner order, which moves the (monotone,
+    # homogeneous) mean by as much: the two formulas agree to a few
+    # n eps kappa ||H|| (at most a quarter of it here)
+    eps = np.finfo(float).eps
+    compared = 0
+    for n in (1, 2, 3, 5, 8, 16, 64, 128):
+        for pair, kappa in _raw_pairs(n):
+            for p in _HARMONIC_WEIGHTS:
+                got = harmonic_mean(pair, p).mat
+                want = _literal_harmonic(pair.A.mat, pair.B.mat, p)
+                norm = np.linalg.norm(want, 2)
+                assert np.linalg.norm(got - want, 2) <= 4 * n * eps * kappa * norm, (n, kappa, p)
+                compared += 1
+    assert compared == 8 * 6 * len(_HARMONIC_WEIGHTS)
 
 
 def test_power_mean_endpoint_weights_keep_the_weight_axis():
