@@ -54,6 +54,7 @@ from .means import (
     relative_operator_entropy,
     tsallis_entropy,
 )
+from .sampler import _is_word
 from .scalars import Params
 from .spd_core import ORDER_TOL, _check_tol, _loewner, symmetrize
 
@@ -754,7 +755,10 @@ def case_index() -> Mapping[str, InequalityCase]:
 
 
 def find_cases(pattern: str) -> list[InequalityCase]:
-    """Cases (including duals) whose id or group matches the glob pattern."""
+    """Cases (including duals) whose id or group matches the glob pattern (a
+    string, else an InvalidInput)."""
+    if not isinstance(pattern, str):
+        raise InvalidInput(f"case pattern must be a string, got {pattern!r}")
     return [c for c in _WITH_DUALS if fnmatch(c.id, pattern) or fnmatch(c.group, pattern)]
 
 
@@ -770,10 +774,13 @@ def evaluate(
 
     Raises HypothesisError when (u, v, params) fall outside the case's
     hypothesis (with slack ``HYP_SLACK``); otherwise returns the margin
-    verdict of ``lhs <= rhs``.  A non-finite or negative ``order_tol`` is
-    an InvalidInput."""
+    verdict of ``lhs <= rhs``.  A non-finite or negative ``order_tol``, and
+    a seed that is not an integer in ``[0, 2^64)`` (numpy integers are
+    accepted, bools not), are InvalidInputs."""
     _check_tol(order_tol)
-    return _report(case.id, *evaluate_trials(case, pair, params, [seed], order_tol=order_tol)[0])
+    if not _is_word(seed):
+        raise InvalidInput(f"trial seed must be an integer in [0, 2^64), got {seed!r}")
+    return _report(case.id, *evaluate_trials(case, pair, params, [int(seed)], order_tol=order_tol)[0])
 
 
 def _per_trial(x) -> list:

@@ -158,6 +158,7 @@ def _cmd_probe(args) -> int:
     probe_ids = [args.probe_id] if args.probe_id else sorted(scalars.PROBES)
     all_ok = True
     payload = []
+    rows = []
     for pid in probe_ids:
         vals, spec, ok = scalars.run_probe(pid)
         all_ok = all_ok and ok
@@ -165,11 +166,9 @@ def _cmd_probe(args) -> int:
             mark = "ok" if abs(v - e) <= spec.tol else "FAIL"
             print(f"probe {pid} [{label}]: {v:.6f} expected {e:.6f} ({mark})")
         payload.append({"probe_id": pid, "values": vals, "expected": list(spec.expected), "ok": ok})
+        rows.extend(scalars._probe_rows(pid, vals, spec))
     if args.out:
         if args.format == "csv":
-            rows = []
-            for pid in probe_ids:
-                rows.extend(scalars.probe_rows(pid))
             scalars.export_rows_csv(rows, args.out)
         else:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -143,7 +143,7 @@ def trial_seeds(seed: int, start: int, stop: int) -> list[int]:
 
 
 def case_by_id(case_id: str) -> InequalityCase:
-    case = case_index().get(case_id)
+    case = case_index().get(case_id) if isinstance(case_id, str) else None
     if case is None:
         raise InvalidInput(f"unknown case id: {case_id!r}")
     return case

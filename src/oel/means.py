@@ -5,7 +5,8 @@ Every binary operation here factors through the contraction
 ``f`` equals ``A^{1/2} f(C) A^{1/2}``.  :class:`OperatorPair` holds the
 spectral data of A and C from construction: C's basis ``Q_C`` and spectrum
 and ``X = A^{1/2} Q_C``, so that every such lift is one product,
-``(X diag f(spec C)) X^T`` (:func:`lift`), and a whole family of means and
+``(X diag f(spec C)) X^T``, the eigendata product
+:func:`~oel.spd_core.spectral_assemble` on X, and a whole family of means and
 entropies is evaluated against one decomposition.  The spectral bounds
 ``u = lambda_min(C)``, ``v = lambda_max(C)`` give the tight sandwich
 ``u A <= B <= v A``.  Every pair assembles C itself only where its
@@ -78,9 +79,9 @@ from .spd_core import (
 # [lambda_min(A) min f, lambda_max(A) max|f|].  The computed M is reached
 # through at most four rounded n x n products: the assembly Q diag(w) Q^T of
 # A^{1/2}, the product X = A^{1/2} Q (once per stack), the one product
-# (X diag f) X^T of the lift (see lift), and the sum or scaling with A (itself
-# assembled from its spectrum) in the arithmetic mean and the derived pairs.
-# Each is no further from the exact product than
+# (X diag f) X^T of the lift (spectral_assemble on X), and the sum or
+# scaling with A (itself assembled from its spectrum) in the arithmetic mean
+# and the derived pairs.  Each is no further from the exact product than
 # gamma_n |X| |Y| entrywise (Higham, Accuracy and Stability of Numerical
 # Algorithms, 2nd ed., Sec. 3.5), so than n gamma_n ||X||_2 ||Y||_2 in the
 # 2-norm (as || |X| ||_2 <= sqrt(n) ||X||_2), and every operand is at most
@@ -121,13 +122,6 @@ def certified_lift(a: SpdMatrix, w: np.ndarray, m: np.ndarray, fw: np.ndarray, c
         lo = a.eig_min * fw.min(axis=(-2, -1)) - delta
         hi = a.eig_max * f_hi + delta
     return spd_certified(m, lo, hi, context)
-
-
-def lift(x: np.ndarray, fw: np.ndarray) -> np.ndarray:
-    """The lift ``A^{1/2} f(C) A^{1/2}`` as one product, symmetrized
-    ``(X diag(fw)) X^T`` for ``X = A^{1/2} Q_C`` and f's values ``fw`` on
-    spec(C), a row (with any leading weight axes)."""
-    return symmetrize((x * fw) @ x.swapaxes(-1, -2))
 
 
 def _weights(p, what: str) -> np.ndarray:
@@ -218,9 +212,10 @@ class OperatorPair:
 
     def transform(self, f: Callable) -> np.ndarray:
         """``A^{1/2} f(C) A^{1/2}``: the operator lift of the scalar f, one
-        product ``(X diag f(spec C)) X^T`` (:func:`lift`), a ``(P, k, n, n)``
-        stack where f's values carry a weight axis (see the module notes)."""
-        return lift(self._x, _eval_on_spectrum(f, self._w))
+        product ``(X diag f(spec C)) X^T`` (:func:`spectral_assemble` on X), a
+        ``(P, k, n, n)`` stack where f's values carry a weight axis (see the
+        module notes)."""
+        return spectral_assemble(self._x, _eval_on_spectrum(f, self._w))
 
     def certify(self, m: np.ndarray, fw: np.ndarray, context: str) -> SpdMatrix:
         """Wrap ``m``, computed as the lift ``A^{1/2} f(C) A^{1/2}`` from f's
@@ -272,7 +267,7 @@ def natural_power_mean(pair: OperatorPair, p: float) -> SpdMatrix:
         if at_b.all():
             return pair.B
     fw = _eval_on_spectrum(lambda t: t ** p, pair._w)
-    m = lift(pair._x, fw)
+    m = spectral_assemble(pair._x, fw)
     if endpoint:  # some weights at an endpoint, or all on an axis the pair lacks: those matrices get that operand
         m = np.where(at_a, pair.A.mat, np.where(at_b, pair.B.mat, m))
     return pair.certify(m, fw, f"natural power mean (p={p.item() if p.size == 1 else 'per pair'})")

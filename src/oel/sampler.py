@@ -6,21 +6,23 @@ draw is bit-reproducible from its key on a given platform.  Orthogonal
 bases come from QR of a standard Gaussian matrix with the sign convention
 ``diag(R) > 0`` fixed, and spectra are placed explicitly, so a sampled
 matrix's eigenvalues land exactly where requested (up to assembly rounding).
-A trial reads one stream keyed by its seed in two bulk calls
-(:func:`stream_draws`): its plan words, then the pair's spectra, then the
-pair's Gaussians.  k pairs are built from those draws as one stacked pair,
-from their spectra, in two steps: :func:`stack_base` (A, its square root,
-C's basis and ``X = A^{1/2} Q_C``, which do not depend on the case) and
+A trial reads one stream keyed by its seed, opened by :func:`generator`
+(the one way a stream is opened), in two bulk calls (:func:`stream_draws`):
+its plan words, then the pair's spectra, then the pair's Gaussians.  k
+pairs are built from those draws as one stacked pair, from their spectra,
+in two steps: :func:`stack_base` (A, its square root, C's basis and
+``X = A^{1/2} Q_C``, which do not depend on the case) and
 :func:`pair_from_base` (C's spectrum and B from the case's targets), so one
 base can serve every case that reads the same streams, and every pair built
 on it shares its square root and X.  :func:`sandwich_pair` is the two steps
 at k = 1, at one seed.  No step eigensolves: A and its square root are
 assembled from their spectra, B is the one product ``(X diag mu) X^T`` on
-C's spectrum mu (:func:`oel.means.lift`), and C is assembled from its basis
-and spectrum, which the pair keeps, only where its ``contraction`` is read
-(``A^{-1/2}`` is never formed).  B is certified by A's and C's extreme
-eigenvalues (:func:`oel.means.certified_lift`), with the full check only
-where those bounds do not decide.
+C's spectrum mu (:func:`oel.spd_core.spectral_assemble` on X, as every
+lift is), and C is assembled from its basis and spectrum, which the pair
+keeps, only where its ``contraction`` is read (``A^{-1/2}`` is never
+formed).  B is certified by A's and C's extreme eigenvalues
+(:func:`oel.means.certified_lift`), with the full check only where those
+bounds do not decide.
 Every public draw reads that stream: :func:`random_spd` is the A of
 :func:`stack_base` at ``cfg.seed`` (assembled alone), and
 :func:`commuting_spectra` takes A's basis and spectrum and maps C's interior
@@ -36,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .means import OperatorPair, certified_lift, lift
+from .means import OperatorPair, certified_lift
 from .spd_core import SpdMatrix, _row, spd_from_spectrum, spd_sqrt, spectral_assemble
 
 RNG_ALGORITHM = "philox4x64"
@@ -51,22 +53,6 @@ _WORD_MASK = (1 << 64) - 1
 def generator(seed: int) -> np.random.Generator:
     """The package-wide RNG: Philox keyed directly by the seed."""
     return np.random.Generator(np.random.Philox(key=int(seed)))
-
-
-def reseed(rng: np.random.Generator, seed: int) -> np.random.Generator:
-    """Restart ``rng`` (made by :func:`generator`) in place at the first draw
-    of ``generator(seed)``'s stream.  Cheaper than a new generator, whose
-    Philox also draws OS entropy for a seed sequence it never uses."""
-    key = int(seed)
-    rng.bit_generator.state = {  # the setter copies each word, so plain ints do (and cost less than arrays)
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (key & _WORD_MASK, key >> 64)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
 
 
 def _is_count(x, least: int) -> bool:
@@ -126,22 +112,20 @@ def random_spd(cfg: SamplerConfig) -> SpdMatrix:
     the A of ``cfg.seed``'s trial stream, bit for bit ``sandwich_pair(cfg).A``
     (assembled as :func:`stack_base` assembles it, and nothing else)."""
     lam, q = _a_draw(*_pair_draws(cfg), cfg.spectrum_range)
-    return _assemble_a(q[0], lam)
+    return _assemble(q[0], lam, "sampled A")
 
 
 def stream_draws(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The trial streams of ``seeds`` at dimension n, one Philox stream per
-    seed read in two bulk calls: ``PLAN_WORDS + 2n`` uniform words (the
-    plan's words, then A's spectrum, then C's interior spectrum), then the
-    ``(2, n, n)`` normals of A's basis and C's basis.  Returned stacked, as
+    seed, ``generator(seed)``, read in two bulk calls: ``PLAN_WORDS + 2n``
+    uniform words (the plan's words, then A's spectrum, then C's interior
+    spectrum), then the ``(2, n, n)`` normals of A's basis and C's basis.  Returned stacked, as
     ``(k, PLAN_WORDS)`` plan words, ``(k, 2n)`` pair words and
     ``(k, 2, n, n)`` normals."""
     words = np.empty((len(seeds), PLAN_WORDS + 2 * n))
     normals = np.empty((len(seeds), 2, n, n))
-    rng = generator(seeds[0])
     for i, seed in enumerate(seeds):
-        if i:
-            reseed(rng, seed)
+        rng = generator(seed)
         rng.random(out=words[i])
         rng.standard_normal(out=normals[i])
     return words[:, :PLAN_WORDS], words[:, PLAN_WORDS:], normals
@@ -172,18 +156,20 @@ def _a_draw(words, normals, spectrum_range) -> tuple[np.ndarray, np.ndarray]:
     return lo + (hi - lo) * words[..., : normals.shape[-1]], _orthogonal(normals)
 
 
-def _assemble_a(q_a: np.ndarray, lam: np.ndarray) -> SpdMatrix:
-    """A from its basis and spectrum, with no eigensolve."""
-    return spd_from_spectrum(spectral_assemble(q_a, _row(lam)), lam, "sampled A")
+def _assemble(q: np.ndarray, w: np.ndarray, context: str) -> SpdMatrix:
+    """A sampled matrix (A, or a commuting B) from its basis and spectrum,
+    with no eigensolve."""
+    return spd_from_spectrum(spectral_assemble(q, _row(w)), w, context)
 
 
 @dataclass(frozen=True)
 class StackBase:
     """The target-free part of a stack of pairs: A with its square root, C's
     basis ``Q_C``, ``X = A^{1/2} Q_C`` (by which every lift of a pair on the
-    base is one product, see :func:`oel.means.lift`) and the words that place
-    C's interior eigenvalues.  The same base serves every case whose trials
-    read the same streams; its C basis, X and words are read-only."""
+    base is one product, :func:`oel.spd_core.spectral_assemble` on X) and the
+    words that place C's interior eigenvalues.  The same base serves every
+    case whose trials read the same streams; its C basis, X and words are
+    read-only."""
 
     a: SpdMatrix
     sqrt_a: SpdMatrix
@@ -205,7 +191,7 @@ def stack_base(words, normals, spectrum_range=_A_SPECTRUM) -> StackBase:
     x = sqrt_a.mat @ q_c
     mu_words = words[..., lam.shape[-1] :]
     q_c.flags.writeable = x.flags.writeable = mu_words.flags.writeable = False  # a base may be shared
-    return StackBase(_assemble_a(q_a, lam), sqrt_a, q_c, x, mu_words)
+    return StackBase(_assemble(q_a, lam, "sampled A"), sqrt_a, q_c, x, mu_words)
 
 
 def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
@@ -226,7 +212,7 @@ def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
     # lift of mu, bounded by A's and C's extreme eigenvalues; where those bounds
     # do not decide, B gets the full check, and losing definiteness there is a
     # breakdown of the draw
-    b = certified_lift(base.a, w, lift(base.x, w), w, "sampled B")
+    b = certified_lift(base.a, w, spectral_assemble(base.x, w), w, "sampled B")
     return OperatorPair(base.a, b, _spectra=(base.sqrt_a, base.x, base.q_c, w, 0.0))
 
 
@@ -248,6 +234,4 @@ def commuting_spectra(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.nd
 def commuting_pair(cfg: SamplerConfig) -> OperatorPair:
     """A commuting pair: A and B diagonal in one shared basis."""
     q, lam, mu = commuting_spectra(cfg)
-    a = spd_from_spectrum(spectral_assemble(q, lam), lam, "sampled A")
-    b = spd_from_spectrum(spectral_assemble(q, mu), mu, "sampled B")
-    return OperatorPair(a, b)
+    return OperatorPair(_assemble(q, lam, "sampled A"), _assemble(q, mu, "sampled B"))

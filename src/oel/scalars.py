@@ -394,7 +394,7 @@ PROBES: dict[str, ProbeSpec] = {
 
 def run_probe(probe_id: str) -> tuple[list[float], ProbeSpec, bool]:
     """Evaluate a registered probe; returns (values, spec, all_within_tol)."""
-    if probe_id not in PROBES:
+    if not isinstance(probe_id, str) or probe_id not in PROBES:
         raise InvalidInput(f"unknown probe id {probe_id!r}; known: {sorted(PROBES)}")
     spec = PROBES[probe_id]
     vals = spec.values()
@@ -451,7 +451,7 @@ def verify_scalar_chain(chain_id: str) -> ChainResult:
     are the block's parameter columns, each shaped ``(k, 1)``, and x as a
     ``(k, m)`` array.
     """
-    if chain_id not in CHAINS:
+    if not isinstance(chain_id, str) or chain_id not in CHAINS:
         raise InvalidInput(f"unknown chain id {chain_id!r}; known: {sorted(CHAINS)}")
     spec = CHAINS[chain_id]
     params, xs = spec.region.grid()
@@ -537,7 +537,7 @@ def sign_table(claim_id: str) -> SignReport:
     Classification: "mixed" when witnesses of both signs exceed 1e-10;
     otherwise "nonnegative"/"nonpositive" when no violation exceeds 1e-12.
     """
-    if claim_id not in SIGN_CLAIMS:
+    if not isinstance(claim_id, str) or claim_id not in SIGN_CLAIMS:
         raise InvalidInput(f"unknown sign claim {claim_id!r}; known: {sorted(SIGN_CLAIMS)}")
     vals = np.asarray(SIGN_CLAIMS[claim_id].values(), dtype=float)
     vals = vals[np.isfinite(vals)]
@@ -564,7 +564,7 @@ CSV_COLUMNS = ("fn_id", "p", "q", "c", "x", "value")
 
 def export_rows_csv(rows: Iterable[dict], path: str) -> None:
     """Write rows with keys (fn_id, p, q, c, x, value) as CSV to ``path``."""
-    with open(path, "w", newline="") as stream:
+    with open(path, "w", encoding="utf-8", newline="") as stream:
         w = csv.DictWriter(stream, fieldnames=CSV_COLUMNS)
         w.writeheader()
         for row in rows:
@@ -586,7 +586,7 @@ def grid_rows(fn_id: str, xs: Sequence[float], **params) -> list[dict]:
     than p, q or c, a missing one, one that is not a finite integer or float
     (whether or not the function takes it), or a point x that is not a finite
     integer or float > 0, is an InvalidInput."""
-    if fn_id not in REGISTRY:
+    if not isinstance(fn_id, str) or fn_id not in REGISTRY:
         raise InvalidInput(f"unknown scalar fn {fn_id!r}; known: {sorted(REGISTRY)}")
     spec = REGISTRY[fn_id]
     unknown = sorted(set(params) - {"p", "q", "c"})
@@ -619,6 +619,11 @@ def grid_rows(fn_id: str, xs: Sequence[float], **params) -> list[dict]:
 def probe_rows(probe_id: str) -> list[dict]:
     """CSV-ready rows for a registered probe's point evaluations."""
     vals, spec, _ = run_probe(probe_id)
+    return _probe_rows(probe_id, vals, spec)
+
+
+def _probe_rows(probe_id: str, vals: list[float], spec: ProbeSpec) -> list[dict]:
+    """The rows of :func:`probe_rows` from the values ``run_probe`` returned."""
     rows = []
     for label, v, e in zip(spec.labels, vals, spec.expected):
         rows.append({"fn_id": f"probe:{probe_id}:{label}", "p": "", "q": "", "c": "", "x": "", "value": v})

@@ -231,9 +231,7 @@ def spd_certified(m: np.ndarray, lo, hi, context: str) -> SpdMatrix:
     lo, hi = np.asarray(lo), np.asarray(hi)
     if (lo > STRICTNESS_TOL * hi).all() and (hi <= _MAX_ENTRY).all() and np.isfinite(m).all():
         spd = SpdMatrix.__new__(SpdMatrix)
-        m.flags.writeable = False
-        spd._mat = m
-        spd._lo = spd._hi = None
+        spd._freeze(m, None, None)
         return spd
     return _rebuild_spd(m, context)
 

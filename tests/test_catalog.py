@@ -21,8 +21,8 @@ from oel.catalog import (
     evaluate_trials,
     find_cases,
 )
-from oel.errors import HypothesisError, NoDual, NumericalBreakdown
-from oel.harness import run_suite
+from oel.errors import HypothesisError, InvalidInput, NoDual, NumericalBreakdown
+from oel.harness import read_reports, run_suite, write_reports_jsonl
 from oel.means import OperatorPair
 from oel.sampler import (
     PLAN_WORDS,
@@ -321,6 +321,20 @@ def test_report_carries_trial_identity():
     assert r.u == pytest.approx(3.0)
     assert r.v == pytest.approx(3.0)
     assert r.scale >= 1.0
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, 1 << 70])
+def test_evaluate_rejects_a_seed_that_is_not_a_word(seed):
+    # the report file holds seeds in [0, 2^64) only, so evaluate takes no other
+    with pytest.raises(InvalidInput, match=r"trial seed must be an integer in \[0, 2\^64\)"):
+        evaluate(by_id("H2.1"), scalar_pair(3.0), Params(p=-0.5), seed=seed)
+
+
+def test_a_report_of_evaluate_survives_a_write_and_read(tmp_path):
+    report = evaluate(by_id("H2.1"), scalar_pair(3.0), Params(p=-0.5), seed=np.uint64((1 << 64) - 1))
+    assert type(report.seed) is int
+    write_reports_jsonl([report], tmp_path / "r.jsonl")
+    assert read_reports(tmp_path / "r.jsonl") == [report]
 
 
 def test_evaluate_trials_returns_plain_rows():

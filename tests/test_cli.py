@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oel import harness
+from oel import harness, scalars
 from oel.cli import main
 from oel.errors import HypothesisError, InvalidInput, NumericalBreakdown
 from oel.harness import read_reports, replay
@@ -203,6 +203,21 @@ def test_probe_csv_out(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "fn_id,p,q,c,x,value"
     assert len(lines) == 5  # two labels, value + expected each
+
+
+def test_probe_csv_evaluates_each_probe_once(tmp_path, capsys, monkeypatch):
+    # the CSV rows are built from the values the command printed, with the
+    # bytes of the rows probe_rows builds
+    calls = []
+    run_probe = scalars.run_probe
+    monkeypatch.setattr(scalars, "run_probe", lambda pid: calls.append(pid) or run_probe(pid))
+    out_path = tmp_path / "probe.csv"
+    assert main(["probe", "--format", "csv", "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert calls == sorted(scalars.PROBES)
+    ref = tmp_path / "ref.csv"
+    scalars.export_rows_csv([row for pid in sorted(scalars.PROBES) for row in scalars.probe_rows(pid)], str(ref))
+    assert out_path.read_bytes() == ref.read_bytes()
 
 
 def test_probe_fns_diff(capsys):

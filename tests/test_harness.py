@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oel import harness
-from oel.catalog import MarginReport, catalog_with_duals, evaluate_trials
+from oel import harness, scalars
+from oel.catalog import MarginReport, catalog_with_duals, evaluate_trials, find_cases
 from oel.errors import HypothesisError, InvalidInput, NumericalBreakdown, ReportError
 from oel.harness import (
     DEFAULT_DIMS,
@@ -33,6 +33,24 @@ from oel.sampler import SamplerConfig, sandwich_pair, stream_draws
 from oel.spd_core import ORDER_TOL
 
 REPORT_FIELDS = ("case_id", "seed", "n", "p", "q", "c", "u", "v", "margin", "scale", "holds")
+
+
+@pytest.mark.parametrize(
+    "lookup",
+    [
+        lambda: replay(["H1.1"], 1, 2),
+        lambda: find_cases(5),
+        lambda: run_all(5),
+        lambda: scalars.run_probe(["2.5"]),
+        lambda: scalars.sign_table(["lower_gap_mixed"]),
+        lambda: scalars.verify_scalar_chain(["C1"]),
+        lambda: scalars.grid_rows(["arith"], [1.0]),
+    ],
+    ids=["replay", "find_cases", "run_all", "run_probe", "sign_table", "verify_scalar_chain", "grid_rows"],
+)
+def test_an_id_that_is_not_a_string_is_an_invalid_input(lookup):
+    with pytest.raises(InvalidInput):
+        lookup()
 
 
 def test_run_trial_is_deterministic():

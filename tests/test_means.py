@@ -379,13 +379,16 @@ def test_a_pair_assembles_its_contraction_only_where_read(monkeypatch):
     # every pair (sampled, public, and a pair derived from either) holds C's
     # basis and spectrum and X, not C: u, v and every lift read them, and
     # each read of `contraction` assembles C, with the bits of f(C) at
-    # f(t) = t, without keeping it (so a kept pair holds B alone)
+    # f(t) = t, without keeping it (so a kept pair holds B alone); the lifts
+    # assemble on X, so only assemblies on the pair's basis are counted
     assembled = []
     original = means.spectral_assemble
-    monkeypatch.setattr(means, "spectral_assemble", lambda *a: assembled.append(None) or original(*a))
+    basis = None
+    monkeypatch.setattr(means, "spectral_assemble", lambda q, w: q is basis and assembled.append(None) or original(q, w))
     sampled = (pair_from_seed(5, 6, sandwich=(1.5, 3.0)), _stacked_pair(3, 4))
     for pair in (*sampled, *(OperatorPair(s.A.mat, s.B.mat) for s in sampled)):
         for p in (pair, _gap(pair) if np.all(pair.u > 1.0) else _mid(pair)):
+            basis = p._q
             u, v = p.u, p.v
             tsallis_entropy(p, 0.5)
             natural_power_mean(p, 0.5)

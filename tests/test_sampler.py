@@ -13,7 +13,6 @@ from oel.sampler import (
     generator,
     pair_from_base,
     random_spd,
-    reseed,
     sandwich_pair,
     stack_base,
     stream_draws,
@@ -24,23 +23,6 @@ def test_rng_identity_is_pinned():
     assert RNG_ALGORITHM == "philox4x64"
     bg = generator(123).bit_generator
     assert type(bg).__name__ == "Philox"
-
-
-def test_reseeded_stream_is_the_generator_stream():
-    seeds = np.random.default_rng(0).integers(0, 1 << 63, size=(300, 2)).tolist()
-    rng = generator(0)
-    for i, (lo, hi) in enumerate(seeds):
-        seed = lo if i % 2 else (hi << 64) | lo  # 64- and 128-bit seeds
-        fresh = generator(seed)
-        reused = reseed(rng, seed)
-        for draw in (
-            lambda g: g.random(3),
-            lambda g: g.uniform(0.5, 2.0, 5),
-            lambda g: g.standard_normal((3, 3)),
-            lambda g: g.integers(0, 1 << 63),
-            lambda g: g.random(),
-        ):
-            np.testing.assert_array_equal(draw(reused), draw(fresh))
 
 
 def test_generators_are_independent():
