@@ -720,8 +720,16 @@ def catalog() -> list[InequalityCase]:
     return list(_CASES)
 
 
+def _check_case(case) -> None:
+    """``case`` is an InequalityCase (an id is not), else an InvalidInput."""
+    if not isinstance(case, InequalityCase):
+        raise InvalidInput(f"expected an InequalityCase, got {case!r} (look a case id up with oel.harness.case_by_id)")
+
+
 def dual(case: InequalityCase) -> InequalityCase:
-    """The reversed comparison under the dual region; involutive."""
+    """The reversed comparison under the dual region; involutive.  A
+    ``case`` that is not an InequalityCase is an InvalidInput."""
+    _check_case(case)
     if case.dual_region is None:
         raise NoDual(f"case {case.id} has no stated reverse")
     new_id = case.id[: -len(".rev")] if case.id.endswith(".rev") else case.id + ".rev"
@@ -776,7 +784,9 @@ def evaluate(
     hypothesis (with slack ``HYP_SLACK``); otherwise returns the margin
     verdict of ``lhs <= rhs``.  A non-finite or negative ``order_tol``, and
     a seed that is not an integer in ``[0, 2^64)`` (numpy integers are
-    accepted, bools not), are InvalidInputs."""
+    accepted, bools not), are InvalidInputs, as is a ``case`` that is not an
+    InequalityCase."""
+    _check_case(case)
     _check_tol(order_tol)
     if not _is_word(seed):
         raise InvalidInput(f"trial seed must be an integer in [0, 2^64), got {seed!r}")

@@ -24,7 +24,9 @@ alone, so a replay reproduces its suite row exactly.
 A stack is drawn one way (``_draw``): its plan words and its
 :class:`~oel.sampler.StackBase` (A, its square root, C's basis and
 ``X = A^{1/2} Q_C``), on which :func:`~oel.sampler.pair_from_base` places
-C's spectrum and builds B as one product on X.  The stacked pair holds C's basis and spectrum and X,
+C's spectrum; the pair forms B, one product on X, on the first read of B
+(a case whose terms are lifts alone never forms it).  The stacked pair
+holds C's basis and spectrum and X,
 so every lift of a case is one product on X, the derived pairs of a case
 are lifts of C (:meth:`~oel.means.OperatorPair.lift_pair`), and a trial
 makes no ``eigh``: its only eigensolve is the verdict's ``eigvalsh`` of
@@ -41,8 +43,8 @@ call reads it (the readers come from the call's case list); the last reader
 drops it.  A pair or term value is kept only with its stack's draws, whose
 arrays it holds.  The memo holds at most ``SHARED_ENTRIES`` matrix entries,
 n x n per trial for each kept array (four for the draws' A, its square
-root, C's basis and X; one for a pair's B, as no pair holds C; one for a
-term value); past it, entries are computed per case.
+root, C's basis and X; one for a pair's B, formed or not, as no pair holds
+C; one for a term value); past it, entries are computed per case.
 Each case still checks its own hypothesis before it reads a term, and a
 shared entry is the same computation on the same arrays, so rows keep their
 bits.
@@ -54,7 +56,10 @@ memo of one case, which keeps nothing, and :func:`integral_sweep` draws its own.
 :mod:`oel.means`): a stack of k pairs is checked at ``max(1, STACK_ENTRIES
 // (k n^2))`` weights per quadrature and closed-form call, so a small stack
 takes its whole grid in one call and a full one keeps one weight per call;
-each matrix has the bits of its one-weight call.
+each matrix has the bits of its one-weight call.  The sweep reads X and
+spec(C) alone, so it forms no B, and it takes the 2-norms of the residual,
+quadrature and closed form (each exactly symmetric) from one ``eigvalsh``
+of their stack (:func:`_symmetric_norms`), not from an SVD per matrix.
 
 Reports are written and read ``_REPORT_BLOCK`` rows at a time, column by
 column.  :func:`write_reports_jsonl` maps each column's values to their JSON
@@ -72,6 +77,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass
 from itertools import islice
@@ -86,6 +92,7 @@ from .catalog import (
     InequalityCase,
     MarginReport,
     Region,
+    _check_case,
     _report,
     case_index,
     catalog_with_duals,  # noqa: F401  (perfbench wraps the case lookups by this name)
@@ -230,7 +237,9 @@ def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float
     """One deterministic trial: draw plan, sample pair, evaluate the case.
     A trial seed that is not an integer in ``[0, 2^64)``, an n that is not
     an integer >= 1 (numpy integers are accepted, bools not) and a
-    non-finite or negative ``order_tol`` are InvalidInputs."""
+    non-finite or negative ``order_tol`` are InvalidInputs, as is a
+    ``case`` that is not an InequalityCase."""
+    _check_case(case)
     if not _is_word(trial_seed):
         raise InvalidInput(f"trial seed must be an integer in [0, 2^64), got {trial_seed!r}")
     if not _is_count(n, 1):
@@ -273,8 +282,9 @@ def run_suite(
     collected reports keep trial order.  A trial's NumericalBreakdown or
     HypothesisError is re-raised with its ``(case_id, seed, n)``, after the
     reports of the trials before it have been collected.  ``trials`` that is
-    not an integer >= 1, or a non-finite or negative ``order_tol``, is an
-    InvalidInput."""
+    not an integer >= 1, a non-finite or negative ``order_tol``, or a
+    ``case`` that is not an InequalityCase, is an InvalidInput."""
+    _check_case(case)
     _check_tol(order_tol)
     shared = _SharedStacks([case]) if _shared is None else _shared
     t0 = time.perf_counter()
@@ -420,6 +430,21 @@ def _kinds(column) -> set:
     return set(map(type, column))
 
 
+def _check_path(path) -> None:
+    """A report path is a str or an os.PathLike: anything else (an int, which
+    ``open`` would take as a file descriptor, or a bool) is an InvalidInput."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidInput(f"report path must be a str or os.PathLike, got {path!r}")
+
+
+def _check_reports(reports) -> None:
+    """Every item of ``reports`` (a block, or a whole list) is a MarginReport,
+    checked in one pass over their types; else an InvalidInput."""
+    if not _kinds(reports) <= {MarginReport}:
+        bad = next(r for r in reports if type(r) is not MarginReport)
+        raise InvalidInput(f"expected MarginReports, got {bad!r}")
+
+
 def _json_tokens(column: tuple) -> list[str] | None:
     """A column's values as json.dumps writes them, or None if one is not a
     plain str, int, finite float, bool or None."""
@@ -449,10 +474,14 @@ def write_reports_jsonl(reports: list[MarginReport], path: str) -> None:
     """One line per report, byte for byte ``json.dumps(report_to_dict(r))``.
     A block holding a value other than a plain str, int, finite float, bool
     or None (a numpy scalar, a NaN) is written by ``json.dumps`` itself, row by
-    row, so it gives the same bytes or raises the same error."""
+    row, so it gives the same bytes or raises the same error.  A ``path``
+    that is not a str or os.PathLike, and an item that is not a MarginReport,
+    are InvalidInputs."""
+    _check_path(path)
     rows = iter(reports)
     with open(path, "w", encoding="utf-8") as fh:
         while block := list(islice(rows, _REPORT_BLOCK)):
+            _check_reports(block)
             text = _jsonl_block(block)
             if text is None:
                 for r in block:
@@ -463,11 +492,16 @@ def write_reports_jsonl(reports: list[MarginReport], path: str) -> None:
 
 def write_reports_csv(reports: list[MarginReport], path: str) -> None:
     """A header of the field names, then one row per report (the csv module
-    writes None as an empty field)."""
+    writes None as an empty field).  A ``path`` that is not a str or
+    os.PathLike, and an item that is not a MarginReport, are InvalidInputs."""
+    _check_path(path)
+    rows = iter(reports)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_REPORT_FIELDS)
-        writer.writerows(map(_report_values, reports))
+        while block := list(islice(rows, _REPORT_BLOCK)):
+            _check_reports(block)
+            writer.writerows(map(_report_values, block))
 
 
 def _finite_column(column) -> bool:
@@ -555,7 +589,9 @@ def read_reports(path: str) -> list[MarginReport]:
     Values are taken as written, never coerced (see ``_FIELD_RULES``).  The
     file is read in blocks of lines; a block that is not all well-formed
     report lines (blank lines included) is read again line by line, which
-    names its first malformed line."""
+    names its first malformed line.  A ``path`` that is not a str or
+    os.PathLike is an InvalidInput."""
+    _check_path(path)
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         lineno = 1
@@ -567,7 +603,9 @@ def read_reports(path: str) -> list[MarginReport]:
 
 
 def summarize(reports: list[MarginReport]) -> dict:
-    """Per-case margin statistics plus run totals, JSON-ready."""
+    """Per-case margin statistics plus run totals, JSON-ready.  An item that
+    is not a MarginReport is an InvalidInput."""
+    _check_reports(reports)
     per_case: dict[str, dict] = {}
     for r in reports:
         entry = per_case.setdefault(
@@ -618,6 +656,15 @@ def _p_grid(p_grid) -> tuple[float, ...]:
     return tuple(map(float, grid))
 
 
+def _symmetric_norms(m: np.ndarray) -> np.ndarray:
+    """The 2-norms of exactly symmetric matrices (a stack): the largest
+    eigenvalue magnitude, ``max(-lambda_min, lambda_max)`` (Horn and Johnson,
+    Matrix Analysis, Thm 5.6.9 ff.), from one ``eigvalsh`` rather than an
+    SVD per matrix."""
+    w = np.linalg.eigvalsh(m)
+    return np.maximum(-w[..., 0], w[..., -1])
+
+
 def integral_sweep(
     *,
     trials: int = 100,
@@ -633,7 +680,9 @@ def integral_sweep(
     A stack of k pairs at dimension n takes ``max(1, STACK_ENTRIES // (k n^2))``
     weights per quadrature and closed-form call, as one weight axis (see
     :mod:`oel.means`).  A p's worst residual is that of the earliest trial
-    attaining it.  A ``p_grid`` that is not a non-empty iterable of numbers
+    attaining it.  Each 2-norm is the largest eigenvalue magnitude of its
+    exactly symmetric matrix (:func:`_symmetric_norms`), and the pairs' B is
+    never formed.  A ``p_grid`` that is not a non-empty iterable of numbers
     in ``[-1, 1] \\ {0}``, ``nodes`` that is not an integer in ``[2, 100]``,
     ``trials`` that is not an integer >= 1, or a non-finite or negative
     ``tol``, is an InvalidInput, raised before any draw."""
@@ -653,14 +702,18 @@ def integral_sweep(
                 quad = quadrature_tsallis(pair, p, nodes=nodes)
                 closed = tsallis_entropy(pair, p)
                 # (P, k) residuals and norms: the stack's trials at each weight
-                resid, nq, nc = np.linalg.norm(np.stack((quad - closed, quad, closed)), 2, axis=(-2, -1))
+                resid, nq, nc = _symmetric_norms(np.stack((quad - closed, quad, closed)))
                 allowed = tol * np.maximum(1.0, np.maximum(nq, nc))
-                for w, res, alw in zip(worst[j : j + size], resid, allowed):
-                    i = int(np.argmax(res))
-                    r, trial = float(res[i]), lo + stack[i]
-                    if r > w[0] or (r == w[0] and trial < w[2]):
-                        w[:3] = r, float(alw[i]), trial
-                    if (res > alw).any():
+                # each weight's largest residual, its allowed residual, its
+                # trial in the stack and whether any trial exceeds its allowance
+                at = np.argmax(resid, axis=1)
+                rows = np.arange(len(at))
+                fold = (resid[rows, at], allowed[rows, at], at, (resid > allowed).any(axis=1))
+                for w, r, alw, i, fails in zip(worst[j : j + size], *(x.tolist() for x in fold)):
+                    trial = lo + stack[i]
+                    if r > w[0] or (r == w[0] and trial < w[2]):  # the earliest trial across stacks
+                        w[:3] = r, alw, trial
+                    if fails:
                         w[3] = False
         lo += len(window)
     return [IntegralResult(p, trials, r, allowed, ok) for p, (r, allowed, _, ok) in zip(grid, worst)]

@@ -10,7 +10,10 @@ and ``X = A^{1/2} Q_C``, so that every such lift is one product,
 entropies is evaluated against one decomposition.  The spectral bounds
 ``u = lambda_min(C)``, ``v = lambda_max(C)`` give the tight sandwich
 ``u A <= B <= v A``.  Every pair assembles C itself only where its
-``contraction`` is read.
+``contraction`` is read, and a sampled pair forms B only where B is read
+(then keeps it, as the cases sharing a pair may read it again): a lift
+that reads only X and spec(C), such as the quadrature identity, never
+forms B.
 
 A pair may hold ``(k, n, n)`` stacks of A and B: k pairs evaluated by the
 same code, one numpy call per step for the whole stack.  Then ``u`` and
@@ -157,13 +160,15 @@ class OperatorPair:
     (see the module notes).  A pair the package builds from spectral data it
     already holds (a sampled pair, :meth:`lift_pair`) passes SpdMatrix
     operands of one shape and ``_spectra = (A^{1/2}, X, C's basis, spec(C)
-    as a row, drift)`` instead: no eigensolve and no input check.  Every
-    pair takes ``u`` and ``v`` from spec(C), checked positive at
-    construction, and holds no C: each read of :attr:`contraction`
-    assembles C from its basis and spectrum.
+    as a row, drift)`` instead: no eigensolve and no input check.  A
+    sampled pair passes ``b=None``: its B is the lift of spec(C), formed and
+    certified on the first read of :attr:`B` and kept.  Every pair takes
+    ``u`` and ``v`` from spec(C), checked positive at construction, and
+    holds no C: each read of :attr:`contraction` assembles C from its basis
+    and spectrum.
     """
 
-    __slots__ = ("A", "B", "u", "v", "sqrt_a", "_x", "_q", "_w", "_drift")
+    __slots__ = ("A", "_b", "u", "v", "sqrt_a", "_x", "_q", "_w", "_drift")
 
     def __init__(self, a, b, _spectra=None) -> None:
         if _spectra is None:
@@ -179,12 +184,25 @@ class OperatorPair:
             x.flags.writeable = False
             _spectra = (root, x, q_c, _row(w_c), a.eig_max / a.eig_min)  # drift: see _LIFT_ROUNDINGS
         self.A = a
-        self.B = b
+        self._b = b
         self.sqrt_a, self._x, self._q, self._w, self._drift = _spectra
         lo, hi = spectrum_extremes(self._w, _CONTRACTION)
         shape = a.mat.shape[:-2]
         self.u = _scalar_or_stack(lo.reshape(shape))
         self.v = _scalar_or_stack(hi.reshape(shape))
+
+    @property
+    def B(self) -> SpdMatrix:
+        """B as given, or for a sampled pair the lift ``(X diag spec C) X^T``,
+        certified by A's and C's extreme eigenvalues (a NumericalBreakdown
+        "sampled B: ..." where it fails), formed on the first read and kept."""
+        if self._b is None:
+            # B's spectrum is not known (congruence mixes A's and C's), but A's
+            # and C's extreme eigenvalues bound it; where those bounds do not
+            # decide, B gets the full check, and losing definiteness there is a
+            # breakdown of the draw
+            self._b = self.certify(spectral_assemble(self._x, self._w), self._w, "sampled B")
+        return self._b
 
     @property
     def contraction(self) -> SpdMatrix:
@@ -354,7 +372,10 @@ def dump_pair(pair: OperatorPair) -> str:
 
 
 def load_pair(text: str) -> OperatorPair:
-    """Parse two consecutive plain-text matrices into an OperatorPair."""
+    """Parse two consecutive plain-text matrices into an OperatorPair; text
+    that is not a string is an InvalidInput."""
+    if not isinstance(text, str):
+        raise InvalidInput(f"pair text must be a string, got {text!r}")
     tokens = text.split()
     if not tokens:
         raise InvalidInput("empty pair text")

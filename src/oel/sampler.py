@@ -16,13 +16,15 @@ in two steps: :func:`stack_base` (A, its square root, C's basis and
 base can serve every case that reads the same streams, and every pair built
 on it shares its square root and X.  :func:`sandwich_pair` is the two steps
 at k = 1, at one seed.  No step eigensolves: A and its square root are
-assembled from their spectra, B is the one product ``(X diag mu) X^T`` on
-C's spectrum mu (:func:`oel.spd_core.spectral_assemble` on X, as every
-lift is), and C is assembled from its basis and spectrum, which the pair
-keeps, only where its ``contraction`` is read (``A^{-1/2}`` is never
-formed).  B is certified by A's and C's extreme eigenvalues
-(:func:`oel.means.certified_lift`), with the full check only where those
-bounds do not decide.
+assembled from their spectra, and B and C are formed only where they are
+read: B as the one product ``(X diag mu) X^T`` on C's spectrum mu
+(:func:`oel.spd_core.spectral_assemble` on X, as every lift is), on the
+first read of the pair's ``B``, which keeps it; C from its basis and
+spectrum, which the pair keeps, on each read of its ``contraction``
+(``A^{-1/2}`` is never formed).  B is certified by A's and C's extreme
+eigenvalues (:func:`oel.means.certified_lift`), with the full check only
+where those bounds do not decide; a B that fails both raises its
+NumericalBreakdown ("sampled B: ...") at that first read.
 Every public draw reads that stream: :func:`random_spd` is the A of
 :func:`stack_base` at ``cfg.seed`` (assembled alone), and
 :func:`commuting_spectra` takes A's basis and spectrum and maps C's interior
@@ -38,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .means import OperatorPair, certified_lift
+from .means import OperatorPair
 from .spd_core import SpdMatrix, _row, spd_from_spectrum, spd_sqrt, spectral_assemble
 
 RNG_ALGORITHM = "philox4x64"
@@ -197,23 +199,18 @@ def stack_base(words, normals, spectrum_range=_A_SPECTRUM) -> StackBase:
 def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
     """The pairs of ``base`` (one stacked pair) whose contractions C have the
     targets as extreme eigenvalues (both placed exactly when n >= 2) and
-    uniform ones between: ``B = A^{1/2} C A^{1/2}`` is the lift of that
+    uniform ones between.  ``B = A^{1/2} C A^{1/2}`` is the lift of that
     spectrum, one product on the base's X, certified by it with no
-    eigensolve.  C itself is assembled only if the pair's ``contraction``
-    is read."""
+    eigensolve, formed on the first read of the pair's ``B`` (a case that
+    reads only lifts never forms it); C itself is assembled only if the
+    pair's ``contraction`` is read."""
     u = np.asarray(u_target, dtype=float)
     v = np.asarray(v_target, dtype=float)
     mu = u[..., None] + (v - u)[..., None] * base.mu_words
     if mu.shape[-1] >= 2:
         mu[..., 0] = u
         mu[..., 1] = v
-    w = _row(mu)
-    # B's spectrum is not known (congruence mixes A's and C's), but it is the
-    # lift of mu, bounded by A's and C's extreme eigenvalues; where those bounds
-    # do not decide, B gets the full check, and losing definiteness there is a
-    # breakdown of the draw
-    b = certified_lift(base.a, w, spectral_assemble(base.x, w), w, "sampled B")
-    return OperatorPair(base.a, b, _spectra=(base.sqrt_a, base.x, base.q_c, w, 0.0))
+    return OperatorPair(base.a, None, _spectra=(base.sqrt_a, base.x, base.q_c, _row(mu), 0.0))
 
 
 def commuting_spectra(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -429,7 +429,10 @@ def dump_matrix(m) -> str:
 
 
 def load_matrix(text: str) -> np.ndarray:
-    """Parse the plain-text matrix format; rejects malformed or asymmetric data."""
+    """Parse the plain-text matrix format; rejects malformed or asymmetric
+    data, and text that is not a string."""
+    if not isinstance(text, str):
+        raise InvalidInput(f"matrix text must be a string, got {text!r}")
     tokens = text.split()
     if not tokens:
         raise InvalidInput("empty matrix text")

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import importlib
 import json
+import os
 import re
 import tracemalloc
 from fractions import Fraction
@@ -32,6 +33,10 @@ from oel.means import OperatorPair, quadrature_tsallis, tsallis_entropy
 from oel.sampler import SamplerConfig, sandwich_pair, stream_draws
 from oel.spd_core import ORDER_TOL
 
+catalog = importlib.import_module("oel.catalog")  # the package exports a function of this name
+means = importlib.import_module("oel.means")
+spd_core = importlib.import_module("oel.spd_core")
+
 REPORT_FIELDS = ("case_id", "seed", "n", "p", "q", "c", "u", "v", "margin", "scale", "holds")
 
 
@@ -51,6 +56,52 @@ REPORT_FIELDS = ("case_id", "seed", "n", "p", "q", "c", "u", "v", "margin", "sca
 def test_an_id_that_is_not_a_string_is_an_invalid_input(lookup):
     with pytest.raises(InvalidInput):
         lookup()
+
+
+def _pair_and_params(case_id: str):
+    """A stacked pair of one trial of the case, and its parameters."""
+    params, pair = harness._plan_pair(case_by_id(case_id).plan, *harness._draw([1], 2))
+    return pair, params
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: run_trial("H1.1", 1, 2),
+        lambda: run_suite("H1.1"),
+        lambda: catalog.evaluate("H1.1", *_pair_and_params("H1.1")),
+        lambda: catalog.dual("H1.1"),
+        lambda: write_reports_jsonl([1], "unused.jsonl"),
+        lambda: write_reports_csv([1], "unused.csv"),
+        lambda: summarize([1]),
+        lambda: means.load_pair(5),
+        lambda: spd_core.load_matrix(5),
+    ],
+    ids=["run_trial", "run_suite", "evaluate", "dual", "write_jsonl", "write_csv", "summarize", "load_pair", "load_matrix"],
+)
+def test_a_value_of_the_wrong_kind_is_an_invalid_input(entry, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(InvalidInput):
+        entry()
+
+
+@pytest.mark.parametrize(
+    "io",
+    [read_reports, lambda path: write_reports_jsonl([], path), lambda path: write_reports_csv([], path)],
+    ids=["read", "write_jsonl", "write_csv"],
+)
+def test_a_report_path_must_be_a_path_not_a_file_descriptor(io, tmp_path):
+    held = tmp_path / "held.jsonl"
+    held.write_text("")
+    fd = os.open(held, os.O_RDWR)
+    try:
+        for path in (fd, 5, True):
+            with pytest.raises(InvalidInput, match="report path"):
+                io(path)
+        os.fstat(fd)  # still open: no entry took it as its file
+        assert held.read_text() == ""
+    finally:
+        os.close(fd)
 
 
 def test_run_trial_is_deterministic():
@@ -272,7 +323,8 @@ def test_integral_sweep_small_run_holds():
 
 def _per_pair_integral_sweep(trials, p_grid, seed, dims, quad_fn=quadrature_tsallis, closed_fn=tsallis_entropy):
     """integral_sweep one pair at a time, each pair built by sandwich_pair at
-    its trial seed and the sweep region's targets."""
+    its trial seed and the sweep region's targets, and its norms taken the
+    sweep's way (the extreme eigenvalues of each symmetric matrix)."""
     tol = ORDER_TOL
     pairs = []
     for trial_seed, n in (trial for window in harness._windows(seed, dims, trials) for trial in window):
@@ -284,8 +336,8 @@ def _per_pair_integral_sweep(trials, p_grid, seed, dims, quad_fn=quadrature_tsal
         for pair in pairs:
             quad = quad_fn(pair, p, nodes=32)
             closed = closed_fn(pair, p)
-            resid = float(np.linalg.norm(quad - closed, 2))
-            allowed = tol * max(1.0, float(np.linalg.norm(quad, 2)), float(np.linalg.norm(closed, 2)))
+            resid, nq, nc = (float(harness._symmetric_norms(m)) for m in (quad - closed, quad, closed))
+            allowed = tol * max(1.0, nq, nc)
             if resid > worst:  # the earliest trial attaining the largest residual
                 worst, worst_allowed = resid, allowed
             ok = ok and not resid > allowed
@@ -304,6 +356,42 @@ def test_integral_sweep_equals_the_per_pair_reference(monkeypatch, window, entri
         for seed, trials, dims in ((7, 30, (1, 2, 3, 5)), (42, 6, DEFAULT_DIMS)):
             got = integral_sweep(trials=trials, p_grid=p_grid, seed=seed, dims=dims)
             assert got == _per_pair_integral_sweep(trials, p_grid, seed, dims)
+
+
+def test_integral_sweep_forms_no_b_and_makes_no_svd(monkeypatch):
+    # the identity reads X and spec(C) alone: no sampled B is formed (so none
+    # is certified), and the norms come from eigvalsh, not from an SVD
+    # np.linalg.norm finds svd in numpy's implementation module (numpy.linalg.linalg before numpy 2)
+    linalg = getattr(np.linalg, "_linalg", None) or importlib.import_module("numpy.linalg.linalg")
+    svds = _counting(monkeypatch, linalg, "svd")
+    monkeypatch.setattr(np.linalg, "svd", linalg.svd)
+    contexts = []
+    certified = means.spd_certified
+    monkeypatch.setattr(
+        means, "spd_certified", lambda m, lo, hi, context: contexts.append(context) or certified(m, lo, hi, context)
+    )
+    np.linalg.norm(np.eye(2), 2)
+    assert len(svds) == 1  # the counter sees the SVD of a 2-norm
+    results = integral_sweep(trials=6)
+    assert all(r.holds for r in results)
+    assert (len(svds), contexts) == (1, [])
+
+
+def test_integral_sweep_norms_are_the_2_norms(monkeypatch):
+    # every stack of a wide sweep: the extreme eigenvalues of each exactly
+    # symmetric matrix give its 2-norm to within 8 n u of it
+    seen = []
+    norms = harness._symmetric_norms
+    monkeypatch.setattr(harness, "_symmetric_norms", lambda m: seen.append((m, norms(m))) or seen[-1][1])
+    p_grid = (1.0, -1.0, 0.5, -0.5, 0.1, -0.1, 0.01, -0.01, 1e-3, -1e-3)
+    integral_sweep(trials=96, dims=(16, 32), p_grid=p_grid)
+    assert len(seen) > 2
+    u = np.finfo(float).eps / 2
+    for m, got in seen:
+        assert np.array_equal(m, m.swapaxes(-1, -2))
+        expected = np.linalg.norm(m, 2, axis=(-2, -1))
+        assert got.shape == expected.shape == m.shape[:-2]
+        assert (np.abs(got - expected) <= 8 * m.shape[-1] * u * expected).all()
 
 
 def _counted_quadrature(monkeypatch) -> list[tuple[int, int]]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oel.catalog import _gap, _mid, catalog_with_duals
+from oel.catalog import _gap, _mid, catalog_with_duals, evaluate_trials
 from oel.errors import DomainError, InvalidInput, InvalidWeight, NumericalBreakdown
 from oel.harness import run_all
 from oel.means import (
@@ -35,6 +35,7 @@ from oel.sampler import (
 from oel.scalars import harm_rep, power_log, tsallis_log
 from oel.spd_core import STRICTNESS_TOL, SpdMatrix, mat_inv, spd_by_cholesky, spd_sqrt, symmetrize
 
+harness = importlib.import_module("oel.harness")
 means = importlib.import_module("oel.means")
 spd_core = importlib.import_module("oel.spd_core")
 
@@ -416,6 +417,7 @@ def test_each_certified_lift_evaluates_its_twin_once():
             return getattr(ufunc, method)(*inputs, **kwargs)
 
     for pair in (pair_from_seed(7, 4, sandwich=(1.5, 3.0)), _stacked_pair(3, 4)):
+        pair.B  # a sampled B is formed on its first read, from the spectrum too
         pair._w = pair._w.view(Spectrum)
         for mean, p, ufunc in ((natural_power_mean, 0.3, "power"), (arithmetic_mean, 0.3, "multiply")):
             Spectrum.calls.clear()
@@ -493,20 +495,34 @@ def _checking_certificates(monkeypatch, owner=means) -> list[str]:
     return certified
 
 
+def _plans_reading_b() -> set:
+    """The plans on which some case reads its sampled pair's B (one trial of each case at n = 2)."""
+    reading = set()
+    for case in catalog_with_duals():
+        params, pair = harness._plan_pair(case.plan, *harness._draw([3], 2))
+        evaluate_trials(case, pair, params, [3])
+        if pair._b is not None:
+            reading.add(case.plan)
+    return reading
+
+
 def test_certificates_bound_the_spectrum_on_every_case(monkeypatch):
+    reading = _plans_reading_b()
     certified = _checking_certificates(monkeypatch)
     dims = (1, 2, 3, 5, 8, 16, 64)
     seeds = range(1, 6)
     for seed in seeds:
         results = run_all(trials=2 * len(dims), dims=dims, seed=seed)
-    # no catalog draw needs the full check: every trial's B is certified.  A
+    # no catalog draw needs the full check: every B read is certified.  A
     # run_all call builds a stack's pair once per distinct plan (the cases of
-    # one region share it; all of them fit in the memo here), and each dim
-    # gets 2 trials, so each seed certifies 2 * len(dims) Bs per plan: the
-    # 50 cases read 29 plans
+    # one region share it; all of them fit in the memo here), a pair forms B
+    # only if one of its plan's cases reads it, and each dim gets 2 trials, so
+    # each seed certifies 2 * len(dims) Bs per plan that reads B: the 50
+    # cases read 29 plans, 11 of them B
     plans = {case.plan for case in catalog_with_duals()}
     assert (len(results), len(plans)) == (50, 29)
-    assert certified.count("sampled B") == len(seeds) * len(plans) * 2 * len(dims)
+    assert len(reading) == 11
+    assert certified.count("sampled B") == len(seeds) * len(reading) * 2 * len(dims)
     contexts = {c.split(" (p=")[0] for c in certified}
     assert contexts == {
         "sampled B",

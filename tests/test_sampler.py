@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from oel.errors import InvalidInput, NumericalBreakdown
-from oel.harness import _windows
-from oel.means import OperatorPair
+from oel import harness
+from oel.harness import _windows, run_all
+from oel.means import OperatorPair, certified_lift
 from oel.sampler import (
     PLAN_WORDS,
     RNG_ALGORITHM,
@@ -17,6 +18,7 @@ from oel.sampler import (
     stack_base,
     stream_draws,
 )
+from oel.spd_core import spectral_assemble
 
 
 def test_rng_identity_is_pinned():
@@ -115,9 +117,41 @@ def test_sampled_b_reports_its_computed_extremes():
 
 def test_sampled_b_losing_definiteness_is_a_breakdown():
     # a contraction edge near 0 leaves B numerically indefinite: a numerical
-    # breakdown of the draw (exit 4 with the trial's triple), not a usage error
+    # breakdown of the draw (exit 4 with the trial's triple), not a usage
+    # error.  B is formed, and fails, on its first read
+    pair = sandwich_pair(SamplerConfig(seed=4, n=3, spectrum_range=(1e-11, 1.0), sandwich=(1e-11, 1.0)))
     with pytest.raises(NumericalBreakdown, match="sampled B"):
+        pair.B
+    # a contraction edge below the strictness tolerance fails at construction
+    with pytest.raises(NumericalBreakdown, match="contraction"):
         sandwich_pair(SamplerConfig(seed=0, n=3, sandwich=(1e-14, 1.0)))
+
+
+def test_a_sampled_pair_forms_b_where_it_is_read(monkeypatch):
+    # the M cases read only lifts on X: none of their pairs forms B
+    made = []
+    monkeypatch.setattr(harness, "pair_from_base", lambda *args: made.append(pair_from_base(*args)) or made[-1])
+    run_all("M*", trials=60, seed=42)
+    assert len(made) == 90 and all(pair._b is None for pair in made)
+    # a read forms the certified lift of spec(C) on X, once, with the bits
+    # (and, where the full check decides, the extremes) of forming it with
+    # the pair: (seed 3, n = 2) at A's and C's spectra in [1e-11, 1] is one
+    # the certificate leaves to the full check
+    for cfg, k, full_check in (
+        (SamplerConfig(seed=7, n=4, sandwich=(0.5, 3.0)), 1, False),
+        (SamplerConfig(seed=3, n=2, spectrum_range=(1e-11, 1.0), sandwich=(1e-11, 1.0)), 1, True),
+        (SamplerConfig(seed=11, n=5), 6, False),
+    ):
+        _, words, normals = stream_draws(list(range(cfg.seed, cfg.seed + k)), cfg.n)
+        base = stack_base(words, normals, cfg.spectrum_range)
+        pair = pair_from_base(base, *(cfg.sandwich or (0.25, 4.0)))
+        w = pair._w
+        eager = certified_lift(base.a, w, spectral_assemble(base.x, w), w, "sampled B")
+        assert pair._b is None
+        b = pair.B
+        assert pair.B is b and b.mat.tobytes() == eager.mat.tobytes()
+        assert np.array_equal(b._lo, eager._lo) and np.array_equal(b._hi, eager._hi)
+        assert (b._lo is not None) == full_check
 
 
 def test_sandwich_endpoints_attained():
