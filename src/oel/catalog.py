@@ -54,7 +54,7 @@ from .means import (
     relative_operator_entropy,
     tsallis_entropy,
 )
-from .sampler import _is_word
+from .sampler import _FREE_WINDOW, _is_word
 from .scalars import Params
 from .spd_core import ORDER_TOL, _check_tol, _loewner, symmetrize
 
@@ -362,8 +362,7 @@ T_DRIFT_C_P, T_DRIFT_C_Q = _drift_terms(None)
 # hypothesis regions: one declaration yields the gate, the planner and the text
 # ---------------------------------------------------------------------------
 
-_WINDOW = (0.2, 4.0)        # sandwich targets are drawn inside this window,
-_FREE_WINDOW = (0.25, 4.0)  # or inside this one in a region without sandwich edges
+_WINDOW = (0.2, 4.0)        # sandwich targets are drawn inside this window (without edges, _FREE_WINDOW)
 _PIN_SHARE = 0.1            # share of draws pinned to a sandwich edge
 _REACH = 2.0                # draws and grids stop here in a box with an unbounded end
 _X_RANGE = (1e-3, 1e3)      # the x span of a scalar chain grid

@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=None, help="master seed (default: OEL_SEED or 42)")
     v.add_argument("--tol", type=float, default=ORDER_TOL, help="order tolerance relative to scale")
     v.add_argument("--out", default=None, help="write per-trial reports to this path")
-    v.add_argument("--format", choices=("json", "csv"), default="json", help="report file format (json = JSON lines)")
+    v.add_argument("--format", choices=("json", "csv"), default=None, help="--out file format (default json = JSON lines)")
 
     p = sub.add_parser("probe", help="reproduce pinned scalar values or difference two scalar functions")
     p.add_argument("probe_id", nargs="?", default=None, help="pinned probe id (default: run all)")
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--out", default=None, help="write values to this path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=("json", "csv"), default=None, help="--out file format (default json)")
 
     i = sub.add_parser("integral", help="check the quadrature identity for the entropy family")
     i.add_argument("--trials", type=int, default=100, help="random pairs to sample")
@@ -134,6 +134,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    if not args.fns and any(v is not None for v in (args.x, args.p, args.q, args.c)):
+        raise InvalidInput("--x, --p, --q and --c need --fns; a pinned probe has its own points")
+    all_ok = True
     if args.fns:
         if args.probe_id is not None:
             raise InvalidInput("give either a probe id or --fns, not both")
@@ -143,30 +146,21 @@ def _cmd_probe(args) -> int:
         if args.x is None:
             raise InvalidInput("--fns mode needs an --x grid")
         params = {k: v for k, v in (("p", args.p), ("q", args.q), ("c", args.c)) if v is not None}
-        rows = [scalars.grid_rows(fn_id, args.x, **params) for fn_id in ids]
-        for r1, r2 in zip(rows[0], rows[1]):
+        first, second = (scalars.grid_rows(fn_id, args.x, **params) for fn_id in ids)
+        for r1, r2 in zip(first, second):
             diff = r2["value"] - r1["value"]
             print(f"x={r1['x']:g}: {ids[0]}={r1['value']:.9g} {ids[1]}={r2['value']:.9g} diff={diff:.9g}")
-        if args.out:
-            if args.format == "csv":
-                scalars.export_rows_csv(rows[0] + rows[1], args.out)
-            else:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    json.dump(rows[0] + rows[1], fh, indent=2)
-        return EXIT_OK
-
-    probe_ids = [args.probe_id] if args.probe_id else sorted(scalars.PROBES)
-    all_ok = True
-    payload = []
-    rows = []
-    for pid in probe_ids:
-        vals, spec, ok = scalars.run_probe(pid)
-        all_ok = all_ok and ok
-        for label, v, e in zip(spec.labels, vals, spec.expected):
-            mark = "ok" if abs(v - e) <= spec.tol else "FAIL"
-            print(f"probe {pid} [{label}]: {v:.6f} expected {e:.6f} ({mark})")
-        payload.append({"probe_id": pid, "values": vals, "expected": list(spec.expected), "ok": ok})
-        rows.extend(scalars._probe_rows(pid, vals, spec))
+        rows = payload = first + second
+    else:
+        payload, rows = [], []
+        for pid in [args.probe_id] if args.probe_id else sorted(scalars.PROBES):
+            vals, spec, ok = scalars.run_probe(pid)
+            all_ok = all_ok and ok
+            for label, v, e in zip(spec.labels, vals, spec.expected):
+                mark = "ok" if abs(v - e) <= spec.tol else "FAIL"
+                print(f"probe {pid} [{label}]: {v:.6f} expected {e:.6f} ({mark})")
+            payload.append({"probe_id": pid, "values": vals, "expected": list(spec.expected), "ok": ok})
+            rows.extend(scalars._probe_rows(pid, vals, spec))
     if args.out:
         if args.format == "csv":
             scalars.export_rows_csv(rows, args.out)
@@ -223,6 +217,8 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
+        if getattr(args, "format", None) and not args.out:  # --format chooses the --out file's format
+            raise InvalidInput("--format needs --out")
         return _COMMANDS[args.command](args)
     except (ReportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -101,7 +101,7 @@ from .catalog import (
 )
 from .errors import HypothesisError, InvalidInput, NumericalBreakdown, ReportError
 from .means import _check_nodes, quadrature_tsallis, tsallis_entropy
-from .sampler import _WORD_MASK, _is_count, _is_word, pair_from_base, stack_base, stream_draws
+from .sampler import _FREE_WINDOW, _WORD_MASK, _is_count, _is_word, pair_from_base, stack_base, stream_draws
 from .spd_core import ORDER_TOL, _check_tol
 
 DEFAULT_TRIALS = 1000
@@ -538,8 +538,8 @@ _decode = json.JSONDecoder().raw_decode
 _LINE_ENDS = ("\n", "")
 
 
-def _as_float(column: tuple) -> tuple:
-    """A number column's values as floats (None kept), as ``float(x)`` per value."""
+def _as_float(column):
+    """A column's (or one line's) numbers as floats (None kept), as ``float(x)`` per value."""
     if _kinds(column) <= {float, type(None)}:
         return column
     return tuple(x if x is None else float(x) for x in column)
@@ -580,7 +580,7 @@ def _report_lines(lines: list[str], lineno: int, path: str) -> list[MarginReport
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ReportError(f"{path}: malformed report on line {lineno}: {exc}") from exc
         case_id, seed, n, *numbers, holds = values
-        out.append(MarginReport(case_id, seed, n, *(x if x is None else float(x) for x in numbers), holds))
+        out.append(_report(case_id, seed, n, *_as_float(numbers), holds))
     return out
 
 
@@ -626,7 +626,7 @@ def summarize(reports: list[MarginReport]) -> dict:
     }
 
 
-_SWEEP_REGION = Region(window=(0.25, 4.0))  # integral_sweep's sandwich targets
+_SWEEP_REGION = Region(window=_FREE_WINDOW)  # integral_sweep's sandwich targets
 
 
 @dataclass(frozen=True)

@@ -59,19 +59,19 @@ from . import scalars
 from .errors import InvalidInput, InvalidWeight
 from .spd_core import (
     SpdMatrix,
+    _computed,
     _eval_on_spectrum,
     _gamma,
     _row,
     _scalar_or_stack,
+    _strict_extremes,
+    _text_matrices,
     as_spd,
     dump_matrix,
-    load_matrix,
     spd_by_cholesky,
     spd_certified,
-    spd_from_spectrum,
-    spd_sqrt,
+    spd_from_basis,
     spectral_assemble,
-    spectrum_extremes,
     symmetrize,
 )
 
@@ -177,16 +177,17 @@ class OperatorPair:
             if a.mat.shape != b.mat.shape:
                 raise InvalidInput(f"dimension mismatch: A is {a.mat.shape}, B is {b.mat.shape}")
             w, q = np.linalg.eigh(a.mat)
-            inv_sqrt_a = symmetrize((q / _row(np.sqrt(w))) @ q.swapaxes(-1, -2))
+            s = _row(np.sqrt(w))
+            inv_sqrt_a = spectral_assemble(q, 1.0 / s)
             w_c, q_c = np.linalg.eigh(symmetrize(inv_sqrt_a @ b.mat @ inv_sqrt_a))
-            root = spd_sqrt(q, w)
+            root = spd_from_basis(q, s, "sqrt(A)")
             x = root.mat @ q_c
             x.flags.writeable = False
             _spectra = (root, x, q_c, _row(w_c), a.eig_max / a.eig_min)  # drift: see _LIFT_ROUNDINGS
         self.A = a
         self._b = b
         self.sqrt_a, self._x, self._q, self._w, self._drift = _spectra
-        lo, hi = spectrum_extremes(self._w, _CONTRACTION)
+        lo, hi = _computed(_strict_extremes, self._w, _CONTRACTION)
         shape = a.mat.shape[:-2]
         self.u = _scalar_or_stack(lo.reshape(shape))
         self.v = _scalar_or_stack(hi.reshape(shape))
@@ -209,7 +210,7 @@ class OperatorPair:
         """``C = A^{-1/2} B A^{-1/2}``, assembled from C's basis and spectrum
         on each read (only the TA lower term reads it in a catalog run), so a
         kept pair holds B alone."""
-        return spd_from_spectrum(spectral_assemble(self._q, self._w), self._w, _CONTRACTION)
+        return spd_from_basis(self._q, self._w, _CONTRACTION)
 
     @property
     def n(self) -> int:
@@ -372,20 +373,6 @@ def dump_pair(pair: OperatorPair) -> str:
 
 
 def load_pair(text: str) -> OperatorPair:
-    """Parse two consecutive plain-text matrices into an OperatorPair; text
-    that is not a string is an InvalidInput."""
-    if not isinstance(text, str):
-        raise InvalidInput(f"pair text must be a string, got {text!r}")
-    tokens = text.split()
-    if not tokens:
-        raise InvalidInput("empty pair text")
-    try:
-        n = int(tokens[0])
-    except ValueError as exc:
-        raise InvalidInput(f"bad dimension header {tokens[0]!r}") from exc
-    first = 1 + n * n
-    if len(tokens) <= first:
-        raise InvalidInput("pair text ends before the second matrix")
-    a = load_matrix(" ".join(tokens[:first]))
-    b = load_matrix(" ".join(tokens[first:]))
-    return OperatorPair(SpdMatrix(a), SpdMatrix(b))
+    """Parse two consecutive plain-text matrices into an OperatorPair, which
+    checks each once; text that is not a string is an InvalidInput."""
+    return OperatorPair(*_text_matrices(text, "pair", 2))

@@ -16,7 +16,8 @@ in two steps: :func:`stack_base` (A, its square root, C's basis and
 base can serve every case that reads the same streams, and every pair built
 on it shares its square root and X.  :func:`sandwich_pair` is the two steps
 at k = 1, at one seed.  No step eigensolves: A and its square root are
-assembled from their spectra, and B and C are formed only where they are
+assembled from their spectra (:func:`oel.spd_core.spd_from_basis`, as a
+commuting pair's A and B are), and B and C are formed only where they are
 read: B as the one product ``(X diag mu) X^T`` on C's spectrum mu
 (:func:`oel.spd_core.spectral_assemble` on X, as every lift is), on the
 first read of the pair's ``B``, which keeps it; C from its basis and
@@ -41,13 +42,14 @@ import numpy as np
 
 from .errors import InvalidInput
 from .means import OperatorPair
-from .spd_core import SpdMatrix, _row, spd_from_spectrum, spd_sqrt, spectral_assemble
+from .spd_core import SpdMatrix, _row, spd_from_basis
 
 RNG_ALGORITHM = "philox4x64"
 # a trial stream's first words, read by the case's planner: c, p, q, the pin
 # selector and two sandwich targets
 PLAN_WORDS = 6
 _A_SPECTRUM = (0.5, 2.0)  # the default range of A's eigenvalues
+_FREE_WINDOW = (0.25, 4.0)  # C's spectrum where no sandwich is stated (commuting pairs, catalog, integral)
 
 _WORD_MASK = (1 << 64) - 1
 
@@ -114,7 +116,7 @@ def random_spd(cfg: SamplerConfig) -> SpdMatrix:
     the A of ``cfg.seed``'s trial stream, bit for bit ``sandwich_pair(cfg).A``
     (assembled as :func:`stack_base` assembles it, and nothing else)."""
     lam, q = _a_draw(*_pair_draws(cfg), cfg.spectrum_range)
-    return _assemble(q[0], lam, "sampled A")
+    return spd_from_basis(q[0], lam, "sampled A")
 
 
 def stream_draws(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,12 +160,6 @@ def _a_draw(words, normals, spectrum_range) -> tuple[np.ndarray, np.ndarray]:
     return lo + (hi - lo) * words[..., : normals.shape[-1]], _orthogonal(normals)
 
 
-def _assemble(q: np.ndarray, w: np.ndarray, context: str) -> SpdMatrix:
-    """A sampled matrix (A, or a commuting B) from its basis and spectrum,
-    with no eigensolve."""
-    return spd_from_spectrum(spectral_assemble(q, _row(w)), w, context)
-
-
 @dataclass(frozen=True)
 class StackBase:
     """The target-free part of a stack of pairs: A with its square root, C's
@@ -188,12 +184,12 @@ def stack_base(words, normals, spectrum_range=_A_SPECTRUM) -> StackBase:
     square root are assembled from A's spectrum, with no eigensolve."""
     lam, q = _a_draw(words, normals, spectrum_range)
     q_a = q[..., 0, :, :]
-    sqrt_a = spd_sqrt(q_a, lam)
+    sqrt_a = spd_from_basis(q_a, _row(np.sqrt(lam)), "sqrt(A)")
     q_c = np.ascontiguousarray(q[..., 1, :, :])  # a copy: a kept base does not keep A's basis
     x = sqrt_a.mat @ q_c
     mu_words = words[..., lam.shape[-1] :]
     q_c.flags.writeable = x.flags.writeable = mu_words.flags.writeable = False  # a base may be shared
-    return StackBase(_assemble(q_a, lam, "sampled A"), sqrt_a, q_c, x, mu_words)
+    return StackBase(spd_from_basis(q_a, _row(lam), "sampled A"), sqrt_a, q_c, x, mu_words)
 
 
 def pair_from_base(base: StackBase, u_target, v_target) -> OperatorPair:
@@ -219,16 +215,16 @@ def commuting_spectra(cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.nd
     Q and lam are the basis and spectrum of A in ``cfg.seed``'s trial
     stream (so the pair's A is :func:`random_spd`'s), and the ratios mu/lam
     are C's interior words mapped onto ``cfg.sandwich`` when set, else onto
-    [0.25, 4].  Exposed separately so oracles can evaluate scalar formulas
-    eigenwise against exactly the generated data.
+    ``_FREE_WINDOW``, [0.25, 4].  Exposed separately so oracles can evaluate
+    scalar formulas eigenwise against exactly the generated data.
     """
     words, normals = _pair_draws(cfg)
     lam, q = _a_draw(words, normals, cfg.spectrum_range)
-    lo, hi = cfg.sandwich if cfg.sandwich is not None else (0.25, 4.0)
+    lo, hi = cfg.sandwich if cfg.sandwich is not None else _FREE_WINDOW
     return q[0], lam, lam * (lo + (hi - lo) * words[cfg.n :])
 
 
 def commuting_pair(cfg: SamplerConfig) -> OperatorPair:
     """A commuting pair: A and B diagonal in one shared basis."""
     q, lam, mu = commuting_spectra(cfg)
-    return OperatorPair(_assemble(q, lam, "sampled A"), _assemble(q, mu, "sampled B"))
+    return OperatorPair(spd_from_basis(q, lam, "sampled A"), spd_from_basis(q, mu, "sampled B"))

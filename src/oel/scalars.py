@@ -175,6 +175,13 @@ def quad_upper(x, p: float):
     return (x - 1.0) + 2.0 * (x - 1.0) * m ** (p - 1.0) - 4.0 * tsallis_log(m, p)
 
 
+def avg_power_log(x, p: float):
+    """(log(x) + power_log(x, p)) / 2 = ((x**p + 1)/2) * log(x)."""
+    x = _pos(x)
+    return 0.5 * (np.log(x) + power_log(x, p))
+
+
+# the four crossings: each is swept by its sign claim and pinned by a probe
 def lower_gap(x, p: float):
     """quad_lower - hh_lower: sign decides which lower bound is tighter."""
     return quad_lower(x, p) - hh_lower(x, p)
@@ -185,10 +192,14 @@ def upper_gap(x, p: float):
     return hh_upper(x, p) - quad_upper_probe(x, p)
 
 
-def avg_power_log(x, p: float):
-    """(log(x) + power_log(x, p)) / 2 = ((x**p + 1)/2) * log(x)."""
-    x = _pos(x)
-    return 0.5 * (np.log(x) + power_log(x, p))
+def entropy_lower_gap(x, p: float):
+    """power_log(x, p/2) - hh_lower: sign decides which entropy lower member is larger."""
+    return power_log(x, p / 2.0) - hh_lower(x, p)
+
+
+def entropy_upper_gap(x, p: float):
+    """hh_upper - avg_power_log: sign decides which entropy upper member is larger."""
+    return hh_upper(x, p) - avg_power_log(x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -316,51 +327,20 @@ REGISTRY: dict[str, ScalarFn] = {
 }
 
 
-def probe_difference(f: Callable, g: Callable, points: Sequence[tuple]) -> list[float]:
-    """Evaluate f - g at a list of (params..., x) points.
-
-    Each point is a tuple whose last entry is x and whose leading entries are
-    the scalar parameters passed positionally after x.
-    """
-    out = []
-    for pt in points:
-        *params, x = pt
-        out.append(float(f(x, *params) - g(x, *params)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # frozen reference spot-values (reproduction targets for the probe command)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    """A named spot-check: labeled point evaluations with frozen targets."""
+    """A named spot-check: ``fn(x, p)`` at each labeled ``(fn, x, p)`` of ``points``, with frozen targets."""
 
     probe_id: str
     description: str
     labels: tuple[str, ...]
-    values: Callable[[], list[float]]
+    points: tuple[tuple[Callable, float, float], ...]
     expected: tuple[float, ...]
     tol: float = 1e-5
-
-
-def _probe_23i() -> list[float]:
-    d = probe_difference(lambda x, p: power_log(x, p / 2.0), hh_lower, [(0.25, 3.0), (0.75, 3.0)])
-    return d
-
-
-def _probe_23ii() -> list[float]:
-    return probe_difference(hh_upper, avg_power_log, [(0.25, 3.0), (0.75, 3.0)])
-
-
-def _probe_25() -> list[float]:
-    return [
-        float(lower_gap(1.5, 0.5)),
-        float(lower_gap(2.5, 0.5)),
-        float(upper_gap(1.5, 0.5)),
-        float(upper_gap(2.5, 0.5)),
-    ]
 
 
 PROBES: dict[str, ProbeSpec] = {
@@ -370,14 +350,14 @@ PROBES: dict[str, ProbeSpec] = {
             "2.3i",
             "entropy lower members cross: x^{p/2} log x vs ((x+1)/2)^{p-1}(x-1) at x=3",
             ("p=0.25", "p=0.75"),
-            _probe_23i,
+            ((entropy_lower_gap, 3.0, 0.25), (entropy_lower_gap, 3.0, 0.75)),
             (0.071123, -0.023104),
         ),
         ProbeSpec(
             "2.3ii",
             "entropy upper members cross: ((x^{p-1}+1)/2)(x-1) vs ((x^p+1)/2) log x at x=3",
             ("p=0.25", "p=0.75"),
-            _probe_23ii,
+            ((entropy_upper_gap, 3.0, 0.25), (entropy_upper_gap, 3.0, 0.75)),
             (0.166458, -0.0416177),
         ),
         ProbeSpec(
@@ -385,7 +365,7 @@ PROBES: dict[str, ProbeSpec] = {
             "quadratic-correction vs midpoint/trapezoid bounds at p=1/2: "
             "lower_gap then upper_gap at x=3/2 and x=5/2",
             ("lower_gap@1.5", "lower_gap@2.5", "upper_gap@1.5", "upper_gap@2.5"),
-            _probe_25,
+            ((lower_gap, 1.5, 0.5), (lower_gap, 2.5, 0.5), (upper_gap, 1.5, 0.5), (upper_gap, 2.5, 0.5)),
             (0.00118777, -0.0118756, -0.890458, 0.795489),
         ),
     ]
@@ -397,7 +377,7 @@ def run_probe(probe_id: str) -> tuple[list[float], ProbeSpec, bool]:
     if not isinstance(probe_id, str) or probe_id not in PROBES:
         raise InvalidInput(f"unknown probe id {probe_id!r}; known: {sorted(PROBES)}")
     spec = PROBES[probe_id]
-    vals = spec.values()
+    vals = [float(fn(x, p)) for fn, x, p in spec.points]
     ok = all(abs(v - e) <= spec.tol for v, e in zip(vals, spec.expected))
     return vals, spec, ok
 
@@ -481,11 +461,13 @@ def verify_scalar_chain(chain_id: str) -> ChainResult:
 
 @dataclass(frozen=True)
 class SignClaim:
-    """A claim about the sign of a scalar expression over a dense sample."""
+    """A claim about the sign of ``fn(x, p)`` over a dense sample of x or of p."""
 
     claim_id: str
     description: str
-    values: Callable[[], np.ndarray]
+    fn: Callable
+    x: float | np.ndarray
+    p: float | np.ndarray
     expected: str  # "nonnegative" | "nonpositive" | "mixed"
 
 
@@ -498,7 +480,9 @@ class SignReport:
     points: int
 
 
+_MIXED_X = np.linspace(1.0, 3.0, 12000)
 _MIXED_P = np.linspace(0.05, 0.95, 10000)
+_MIXED_X.flags.writeable = _MIXED_P.flags.writeable = False  # every caller shares them
 
 SIGN_CLAIMS: dict[str, SignClaim] = {
     s.claim_id: s
@@ -506,25 +490,25 @@ SIGN_CLAIMS: dict[str, SignClaim] = {
         SignClaim(
             "lower_gap_mixed",
             "quad_lower - hh_lower changes sign on x in [1, 3] at p = 1/2",
-            lambda: np.atleast_1d(lower_gap(np.linspace(1.0, 3.0, 12000), 0.5)),
+            lower_gap, _MIXED_X, 0.5,
             "mixed",
         ),
         SignClaim(
             "upper_gap_mixed",
             "hh_upper - quad_upper_probe changes sign on x in [1, 3] at p = 1/2",
-            lambda: np.atleast_1d(upper_gap(np.linspace(1.0, 3.0, 12000), 0.5)),
+            upper_gap, _MIXED_X, 0.5,
             "mixed",
         ),
         SignClaim(
             "entropy_lower_members_mixed",
             "x^{p/2} log x - hh_lower changes sign over p in (0,1) at x = 3",
-            lambda: power_log(3.0, _MIXED_P / 2.0) - hh_lower(3.0, _MIXED_P),
+            entropy_lower_gap, 3.0, _MIXED_P,
             "mixed",
         ),
         SignClaim(
             "entropy_upper_members_mixed",
             "hh_upper - avg_power_log changes sign over p in (0,1) at x = 3",
-            lambda: hh_upper(3.0, _MIXED_P) - avg_power_log(3.0, _MIXED_P),
+            entropy_upper_gap, 3.0, _MIXED_P,
             "mixed",
         ),
     ]
@@ -539,7 +523,8 @@ def sign_table(claim_id: str) -> SignReport:
     """
     if not isinstance(claim_id, str) or claim_id not in SIGN_CLAIMS:
         raise InvalidInput(f"unknown sign claim {claim_id!r}; known: {sorted(SIGN_CLAIMS)}")
-    vals = np.asarray(SIGN_CLAIMS[claim_id].values(), dtype=float)
+    claim = SIGN_CLAIMS[claim_id]
+    vals = np.asarray(claim.fn(claim.x, claim.p), dtype=float)
     vals = vals[np.isfinite(vals)]
     if vals.size < 1000:
         raise InvalidInput(f"sign claim {claim_id!r} sampled only {vals.size} points")

@@ -10,8 +10,8 @@ scaled by row-sum bounds on the operators' norms (:func:`loewner_leq`).
 Matrices are plain float64 numpy arrays.  Strict positive definiteness is
 enforced once per :class:`SpdMatrix`, after which the wrapped array is
 frozen; all operations are pure functions of their inputs.  Raw entries get
-the full check (one ``eigvalsh``); a matrix the code assembled from a known
-spectrum is checked on that spectrum (:func:`spd_from_spectrum`); and a
+the full check (one ``eigvalsh``); a matrix the code assembled from a basis
+and its spectrum is checked on that spectrum (:func:`spd_from_basis`); and a
 computed matrix whose spectrum is bounded by proven bounds is checked on
 those bounds (:func:`spd_certified`), with the full check only where they do
 not decide.  A computed matrix with no such bounds (the harmonic mean, an
@@ -193,20 +193,12 @@ def as_spd(m) -> SpdMatrix:
     return m if isinstance(m, SpdMatrix) else SpdMatrix(m)
 
 
-def _rebuild_spd(m: np.ndarray, context: str) -> SpdMatrix:
-    """Wrap a computed matrix, translating positivity loss to NumericalBreakdown."""
+def _computed(check: Callable, x: np.ndarray, context: str):
+    """``check(x)`` (``SpdMatrix``, or ``_strict_extremes`` of a spectrum)
+    on an array the code computed: its InvalidInput, a loss of positivity,
+    is a NumericalBreakdown prefixed with ``context``."""
     try:
-        return SpdMatrix(m)
-    except InvalidInput as exc:
-        raise NumericalBreakdown(f"{context}: {exc}") from exc
-
-
-def spectrum_extremes(w: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
-    """The extreme eigenvalues of a spectrum ``w`` the code holds (each
-    matrix's along the last axis), checked for strict positivity: a
-    NumericalBreakdown prefixed with ``context`` where they fail."""
-    try:
-        return _strict_extremes(w)
+        return check(x)
     except InvalidInput as exc:
         raise NumericalBreakdown(f"{context}: {exc}") from exc
 
@@ -217,7 +209,7 @@ def spd_from_spectrum(m: np.ndarray, w: np.ndarray, context: str) -> SpdMatrix:
     NumericalBreakdown, prefixed with ``context``, when ``w`` fails the check.
     ``w`` holds each matrix's eigenvalues along its last axis."""
     spd = SpdMatrix.__new__(SpdMatrix)
-    spd._freeze(m, *spectrum_extremes(w, context))
+    spd._freeze(m, *_computed(_strict_extremes, w, context))
     return spd
 
 
@@ -233,7 +225,7 @@ def spd_certified(m: np.ndarray, lo, hi, context: str) -> SpdMatrix:
         spd = SpdMatrix.__new__(SpdMatrix)
         spd._freeze(m, None, None)
         return spd
-    return _rebuild_spd(m, context)
+    return _computed(SpdMatrix, m, context)
 
 
 def _gamma(n: int) -> float:
@@ -261,7 +253,7 @@ def spd_by_cholesky(m: np.ndarray, context: str) -> SpdMatrix:
             pass
         else:
             return spd_certified(m, (STRICTNESS_TOL + budget) * s, (1.0 + budget) * s, context)
-    return _rebuild_spd(m, context)
+    return _computed(SpdMatrix, m, context)
 
 
 def spectral_assemble(q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -270,11 +262,11 @@ def spectral_assemble(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     return symmetrize((q * w) @ q.swapaxes(-1, -2))
 
 
-def spd_sqrt(q: np.ndarray, w: np.ndarray) -> SpdMatrix:
-    """``A^{1/2}`` of ``A = Q diag(w) Q^T``, assembled from the spectrum ``w``
-    (each matrix's eigenvalues along the last axis)."""
-    s = _row(np.sqrt(w))
-    return spd_from_spectrum(spectral_assemble(q, s), s, "sqrt(A)")
+def spd_from_basis(q: np.ndarray, w: np.ndarray, context: str) -> SpdMatrix:
+    """The SpdMatrix ``Q diag(w) Q^T`` of an orthogonal basis ``q`` and its
+    spectrum ``w``, a row as :func:`spectral_assemble` takes it, checked on
+    ``w`` (:func:`spd_from_spectrum`): no eigensolve."""
+    return spd_from_spectrum(spectral_assemble(q, w), w, context)
 
 
 def _row(w: np.ndarray) -> np.ndarray:
@@ -428,24 +420,37 @@ def dump_matrix(m) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text_matrices(text: str, what: str, count: int) -> list[np.ndarray]:
+    """The ``count`` consecutive matrices of the plain-text format in ``text``,
+    parsed, not yet checked; malformed ``what`` text is an InvalidInput."""
+    if not isinstance(text, str):
+        raise InvalidInput(f"{what} text must be a string, got {text!r}")
+    tokens = text.split()
+    if not tokens:
+        raise InvalidInput(f"empty {what} text")
+    matrices, start = [], 0
+    for i in range(1, count + 1):
+        try:
+            n = int(tokens[start])
+        except ValueError as exc:
+            raise InvalidInput(f"bad dimension header {tokens[start]!r}") from exc
+        if n <= 0:
+            raise InvalidInput(f"bad dimension {n}")
+        end = start + 1 + n * n
+        if i < count and len(tokens) <= end:
+            raise InvalidInput(f"{what} text ends before the second matrix")
+        if i == count and len(tokens) != end:
+            raise InvalidInput(f"expected {n * n} entries for n={n}, got {len(tokens) - start - 1}")
+        try:
+            vals = np.array([float(t) for t in tokens[start + 1 : end]], dtype=float)
+        except ValueError as exc:
+            raise InvalidInput(f"non-numeric matrix entry: {exc}") from exc
+        matrices.append(vals.reshape(n, n))
+        start = end
+    return matrices
+
+
 def load_matrix(text: str) -> np.ndarray:
     """Parse the plain-text matrix format; rejects malformed or asymmetric
     data, and text that is not a string."""
-    if not isinstance(text, str):
-        raise InvalidInput(f"matrix text must be a string, got {text!r}")
-    tokens = text.split()
-    if not tokens:
-        raise InvalidInput("empty matrix text")
-    try:
-        n = int(tokens[0])
-    except ValueError as exc:
-        raise InvalidInput(f"bad dimension header {tokens[0]!r}") from exc
-    if n <= 0:
-        raise InvalidInput(f"bad dimension {n}")
-    if len(tokens) != 1 + n * n:
-        raise InvalidInput(f"expected {n * n} entries for n={n}, got {len(tokens) - 1}")
-    try:
-        vals = np.array([float(t) for t in tokens[1:]], dtype=float)
-    except ValueError as exc:
-        raise InvalidInput(f"non-numeric matrix entry: {exc}") from exc
-    return _force_symmetric(vals.reshape(n, n))
+    return _force_symmetric(_text_matrices(text, "matrix", 1)[0])

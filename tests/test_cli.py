@@ -241,6 +241,32 @@ def test_probe_fns_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "2.3i", "--p", "0.5"],
+        ["probe", "--x", "1,2"],
+        ["probe", "2.5", "--q", "0.5"],
+        ["probe", "--c", "0.5"],
+        ["probe", "--format", "csv"],
+        ["probe", "--fns", "hh_lower,tsallis", "--x", "2", "--p", "0.5", "--format", "json"],
+        ["verify", "--case", "H1.1", "--trials", "1", "--format", "csv"],
+    ],
+)
+def test_a_flag_without_effect_is_a_usage_error(argv, capsys, monkeypatch):
+    # --x, --p, --q and --c are read only with --fns (a pinned probe has its
+    # own points) and --format only with --out: given alone, each is refused
+    # before anything runs, not ignored
+    ran = []
+    monkeypatch.setattr(harness, "run_all", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(scalars, "run_probe", lambda pid: ran.append(pid))
+    monkeypatch.setattr(scalars, "grid_rows", lambda *a, **k: ran.append(a))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "need" in captured.err
+    assert ran == []
+
+
 def test_integral_ok(capsys):
     code = main(["integral", "--trials", "4", "--p-grid", "0.5,-0.5", "--nodes", "32"])
     out = capsys.readouterr().out

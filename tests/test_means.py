@@ -1,10 +1,12 @@
 import importlib
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import eigh as generalized_eigh
 
 from oel.catalog import _gap, _mid, catalog_with_duals, evaluate_trials
 from oel.errors import DomainError, InvalidInput, InvalidWeight, NumericalBreakdown
@@ -33,7 +35,7 @@ from oel.sampler import (
     stream_draws,
 )
 from oel.scalars import harm_rep, power_log, tsallis_log
-from oel.spd_core import STRICTNESS_TOL, SpdMatrix, mat_inv, spd_by_cholesky, spd_sqrt, symmetrize
+from oel.spd_core import STRICTNESS_TOL, SpdMatrix, _row, mat_inv, spd_by_cholesky, spd_from_basis, symmetrize
 
 harness = importlib.import_module("oel.harness")
 means = importlib.import_module("oel.means")
@@ -344,7 +346,7 @@ def test_every_lift_is_one_product_on_x(k):
     if k == 1:  # one pair, not a stack of one
         words, normals = words[0], normals[0]
     lam, q = _a_draw(words, normals, (0.5, 2.0))
-    x = spd_sqrt(q[..., 0, :, :], lam).mat @ np.ascontiguousarray(q[..., 1, :, :])
+    x = spd_from_basis(q[..., 0, :, :], np.sqrt(_row(lam)), "sqrt(A)").mat @ np.ascontiguousarray(q[..., 1, :, :])
     base = stack_base(words, normals)
     sampled = pair_from_base(base, 1.2, 3.0)
     assert sampled._x is base.x and not base.x.flags.writeable and sampled.sqrt_a is base.sqrt_a
@@ -381,11 +383,13 @@ def test_a_pair_assembles_its_contraction_only_where_read(monkeypatch):
     # basis and spectrum and X, not C: u, v and every lift read them, and
     # each read of `contraction` assembles C, with the bits of f(C) at
     # f(t) = t, without keeping it (so a kept pair holds B alone); the lifts
-    # assemble on X, so only assemblies on the pair's basis are counted
+    # assemble on X, so only assemblies on the pair's basis are counted, in
+    # means (f(C)) and in spd_core (C, through spd_from_basis)
     assembled = []
-    original = means.spectral_assemble
+    original = spd_core.spectral_assemble
     basis = None
-    monkeypatch.setattr(means, "spectral_assemble", lambda q, w: q is basis and assembled.append(None) or original(q, w))
+    for module in (means, spd_core):
+        monkeypatch.setattr(module, "spectral_assemble", lambda q, w: q is basis and assembled.append(None) or original(q, w))
     sampled = (pair_from_seed(5, 6, sandwich=(1.5, 3.0)), _stacked_pair(3, 4))
     for pair in (*sampled, *(OperatorPair(s.A.mat, s.B.mat) for s in sampled)):
         for p in (pair, _gap(pair) if np.all(pair.u > 1.0) else _mid(pair)):
@@ -456,6 +460,65 @@ def test_load_pair_rejects_truncated_text():
     text = dump_pair(pair)
     with pytest.raises(InvalidInput):
         load_pair(text[: text.rfind("\n", 0, len(text) - 5)])
+
+
+def test_load_pair_reads_the_bits_dump_pair_wrote_and_checks_each_matrix_once(monkeypatch):
+    # load_pair hands the parsed matrices to the public constructor, which
+    # checks each once: the pair it returns is the public pair of the bits
+    # dump_pair wrote
+    checked = []
+    original = spd_core._force_symmetric
+    monkeypatch.setattr(spd_core, "_force_symmetric", lambda m: checked.append(None) or original(m))
+    for pair in (pair_from_seed(16, 3), pair_from_seed(18, 1), pair_from_seed(19, 6, sandwich=(1.0, 1.0))):
+        text = dump_pair(pair)
+        checked.clear()
+        back = load_pair(text)
+        assert len(checked) == 2
+        public = OperatorPair(pair.A.mat, pair.B.mat)
+        assert back.A.mat.tobytes() == pair.A.mat.tobytes() and back.B.mat.tobytes() == pair.B.mat.tobytes()
+        assert (back.u, back.v) == (public.u, public.v)
+        assert back._x.tobytes() == public._x.tobytes() and back._w.tobytes() == public._w.tobytes()
+        assert dump_pair(back) == text
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: t[: t.index("\n2\n")], "pair text ends before the second matrix"),
+        (lambda t: t[: t.index("\n2\n") + 1], "pair text ends before the second matrix"),
+        (lambda t: t.rsplit(None, 1)[0], "expected 4 entries for n=2, got 3"),
+        (lambda t: t + "1.0\n", "expected 4 entries for n=2, got 5"),
+        (lambda t: t.replace("\n2\n", "\nx\n"), "bad dimension header 'x'"),
+        (lambda t: t.replace("\n2\n", "\n0\n"), "bad dimension 0"),
+        (lambda t: t.replace("\n2\n", "\n3\n"), "expected 9 entries for n=3, got 4"),
+        (lambda t: "x" + t, "bad dimension header 'x2'"),
+        (lambda t: t.rsplit(None, 1)[0] + " one", "non-numeric matrix entry: could not convert string to float: 'one'"),
+        (lambda t: " \n", "empty pair text"),
+        (lambda t: t.encode(), "pair text must be a string"),
+    ],
+)
+def test_load_pair_names_what_is_wrong_with_the_text(edit, message):
+    text = dump_pair(pair_from_seed(17, 2))
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        load_pair(edit(text))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_public_pairs_match_an_independent_generalized_eigensolver(n):
+    # the public constructor (eigh of A, A^{-1/2} assembled from A's
+    # spectrum, eigh of C) runs in no trial; LAPACK's generalized symmetric-
+    # definite solver of B y = lambda A y (a Cholesky factorization of A,
+    # no square root) is an independent path to spec(C).  Each solver's
+    # rounding in spec(C) grows as n eps kappa(A) ||C||
+    eps = np.finfo(float).eps
+    for i, spectrum_range in enumerate([(0.5, 2.0), (1e-2, 1e2), (1e-3, 1e3), (1e-4, 1e4)]):
+        sampled = sandwich_pair(SamplerConfig(seed=100 * n + i, n=n, spectrum_range=spectrum_range, sandwich=(0.3, 3.5)))
+        pair = OperatorPair(sampled.A.mat, sampled.B.mat)
+        ref = generalized_eigh(pair.B.mat, pair.A.mat, eigvals_only=True)
+        bound = 8 * n * eps * (pair.A.eig_max / pair.A.eig_min) * np.abs(ref).max()
+        assert abs(pair.u - ref[0]) <= bound, spectrum_range
+        assert abs(pair.v - ref[-1]) <= bound, spectrum_range
+        assert np.abs(np.linalg.eigvalsh(pair.contraction.mat) - ref).max() <= bound, spectrum_range
 
 
 # ---------------------------------------------------------------------------

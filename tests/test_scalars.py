@@ -159,6 +159,30 @@ def test_probe_25_reproduces_frozen_values():
         assert got == pytest.approx(want, abs=1e-5)
 
 
+def test_each_probe_evaluates_the_function_its_sign_claim_sweeps():
+    # one declaration per crossing: the probes and the sign tables read the
+    # same four named differences, so each probe value is its sign claim's
+    # function at the probe's point, bit for bit, and the point lies on the
+    # claim's sweep
+    claims = {claim.fn: claim for claim in SIGN_CLAIMS.values()}
+    assert set(claims) == {lower_gap, upper_gap, scalars.entropy_lower_gap, scalars.entropy_upper_gap}
+    assert {fn for spec in PROBES.values() for fn, _, _ in spec.points} == set(claims)
+    for probe_id, spec in PROBES.items():
+        vals, _, _ = run_probe(probe_id)
+        assert len(vals) == len(spec.labels) == len(spec.expected)
+        for value, (fn, x, p) in zip(vals, spec.points):
+            claim = claims[fn]
+            assert value.hex() == float(claim.fn(x, p)).hex(), (probe_id, x, p)
+            assert np.min(claim.x) <= x <= np.max(claim.x), (probe_id, claim.claim_id)
+            assert np.min(claim.p) <= p <= np.max(claim.p), (probe_id, claim.claim_id)
+
+
+def test_the_entropy_crossings_are_the_differences_of_their_members():
+    x, p = 3.0, np.linspace(0.05, 0.95, 7)
+    assert np.array_equal(scalars.entropy_lower_gap(x, p), power_log(x, p / 2.0) - hh_lower(x, p))
+    assert np.array_equal(scalars.entropy_upper_gap(x, p), hh_upper(x, p) - avg_power_log(x, p))
+
+
 def test_probe_unknown_id():
     with pytest.raises(InvalidInput):
         run_probe("9.9")
