@@ -503,43 +503,48 @@ class Region:
             ok = ok & _le(v, _edge_at(self.v_hi, pr))
         return ok
 
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """The scalar chain grid, as a ``(R, P)`` array of parameters and a
-        ``(R, m)`` array of x points, row i of each making one row of the
-        grid.  A row's parameters are ``(p,)`` for 101 points of the p box,
-        ``(p, q)`` for each p < q of 21 points when ``ordered`` (at p = q
-        the members are the same twin), or ``()`` without a p box; with a c
-        box (every one is ordered) each is followed by 5 points of c.  A
-        row's x runs geometrically from the lower sandwich edge to the upper
-        one, each evaluated at the row's parameters and capped to
-        ``_X_RANGE`` (its end where an edge is not stated), and keeps
-        ``_P_EPS`` off an edge within ``_P_EPS`` of 1; a row whose range is
-        empty is left out.  It has 120 points, 160 without edges, or
-        ``_X_ONLY`` without a p box.  When neither edge moves with the
-        parameters, xs is one row broadcast to every row (row stride 0)."""
-        if self.p is None:
-            params = np.empty((1, 0))
-        elif not self.ordered:
-            params = self.p.grid(101)[:, None]
-        else:
+    def grid(self) -> tuple[Params, np.ndarray]:
+        """The scalar chain grid on its own axes: a :class:`Params` whose
+        arrays broadcast to the row shape ``(G, C)``, and a ``(G, 1, m)``
+        array of x points (``(1, 1, m)``, one row that every row shares),
+        row ``(g, i)`` of each making one row of the grid.  The ``G`` groups
+        are ``p`` for 101 points of the p box, ``(p, q)`` for each p < q of
+        21 points when ``ordered`` (at p = q the members are the same twin),
+        or one group without a p box; ``C`` counts 5 points of a c box
+        (every one is ordered), else 1.  A row's x runs geometrically from
+        the lower sandwich edge to the upper one, each evaluated at the
+        row's parameters and capped to ``_X_RANGE`` (its end where an edge
+        is not stated), and keeps ``_P_EPS`` off an edge within ``_P_EPS``
+        of 1.  It has 120 points, 160 without edges, or ``_X_ONLY`` without
+        a p box.
+
+        When neither edge moves with the parameters, p and q are ``(G, 1)``
+        columns, c a ``(1, C)`` row and x one ``(1, 1, m)`` row.  When one
+        moves, a row whose range is empty is left out, so the rows left are
+        flat: every field is a ``(G, 1)`` column (C = 1), in the order of
+        the ``(G, C)`` rows (c innermost), and x is ``(G, 1, m)``."""
+        p = q = c = None
+        if self.p is not None and not self.ordered:
+            p = self.p.grid(101)[:, None]
+        elif self.p is not None:
             ps = self.p.grid(21)
             i, j = np.triu_indices(len(ps), 1)
-            params = np.column_stack([ps[i], ps[j]])
+            p, q = ps[i, None], ps[j, None]
         if self.c is not None:
-            cs = self.c.grid(5)
-            params = np.column_stack([np.repeat(params, len(cs), axis=0), np.tile(cs, len(params))])
+            c = self.c.grid(5)[None, :]
+        pr = Params(p, q, c)
         count = _X_ONLY if self.p is None else 160 if self.u_lo is None and self.v_hi is None else 120
-        pr = Params(*params.T)  # every row's edges at once
         lo = _X_RANGE[0] if self.u_lo is None else np.maximum(_edge_at(self.u_lo, pr), _X_RANGE[0])
         hi = _X_RANGE[1] if self.v_hi is None else np.minimum(_edge_at(self.v_hi, pr), _X_RANGE[1])
         lo = np.where(np.abs(lo - 1.0) <= _P_EPS, 1.0 + _P_EPS, lo)
         hi = np.where(np.abs(hi - 1.0) <= _P_EPS, 1.0 - _P_EPS, hi)
-        if lo.ndim == hi.ndim == 0:  # neither edge moves
-            rows = len(params) if lo < hi else 0
-            return params[:rows], np.broadcast_to(np.geomspace(lo, hi, count), (rows, count))
-        lo, hi = np.broadcast_arrays(lo, hi)
-        keep = lo < hi
-        return params[keep], np.geomspace(lo[keep], hi[keep], count, axis=1)
+        if lo.ndim == hi.ndim == 0 and lo < hi:  # neither edge moves
+            return pr, np.geomspace(lo, hi, count)[None, None]
+        shape = np.broadcast_shapes(lo.shape, hi.shape, *(np.shape(x) for x in (pr.p, pr.q, pr.c) if x is not None))
+        keep = np.broadcast_to(lo < hi, shape)
+        rows = lambda x: np.broadcast_to(x, shape)[keep]
+        flat = Params(*(None if x is None else rows(x)[:, None] for x in (pr.p, pr.q, pr.c)))
+        return flat, np.geomspace(rows(lo), rows(hi), count, axis=1)[:, None]
 
     def plan(self, words: np.ndarray) -> tuple[Params, np.ndarray, np.ndarray]:
         """Admissible draws from ``(k, PLAN_WORDS)`` plan words: the

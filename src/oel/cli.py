@@ -91,10 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default=None, help="--out file format (default json)")
 
     i = sub.add_parser("integral", help="check the quadrature identity for the entropy family")
-    i.add_argument("--trials", type=int, default=100, help="random pairs to sample")
+    i.add_argument("--trials", type=int, default=harness.INTEGRAL_TRIALS, help="random pairs to sample")
     i.add_argument("--p-grid", dest="p_grid", type=_floats_arg,
-                   default=(0.1, -0.1, 0.5, -0.5, 1.0, -1.0), help="comma list of weights")
-    i.add_argument("--nodes", type=int, default=32, help="quadrature nodes")
+                   default=harness.INTEGRAL_P_GRID, help="comma list of weights")
+    i.add_argument("--nodes", type=int, default=harness.INTEGRAL_NODES, help="quadrature nodes")
     i.add_argument("--tol", type=float, default=ORDER_TOL, help="residual tolerance relative to scale")
     i.add_argument("--seed", type=int, default=None, help="master seed (default: OEL_SEED or 42)")
     i.add_argument("--dims", type=_dims_arg, default=harness.DEFAULT_DIMS)

@@ -107,6 +107,10 @@ from .spd_core import ORDER_TOL, _check_tol
 DEFAULT_TRIALS = 1000
 DEFAULT_DIMS = (1, 2, 3, 4, 6, 8)
 DEFAULT_SEED = 42
+# the defaults of integral_sweep, which `oel integral` reads too
+INTEGRAL_TRIALS = 100
+INTEGRAL_P_GRID = (0.1, -0.1, 0.5, -0.5, 1.0, -1.0)
+INTEGRAL_NODES = 32
 
 # The trials a suite draws, evaluates and folds at a time, and the most matrix
 # entries (k * n * n) in one stack of a window's trials.  Both are the smallest
@@ -667,9 +671,9 @@ def _symmetric_norms(m: np.ndarray) -> np.ndarray:
 
 def integral_sweep(
     *,
-    trials: int = 100,
-    p_grid: tuple[float, ...] = (0.1, -0.1, 0.5, -0.5, 1.0, -1.0),
-    nodes: int = 32,
+    trials: int = INTEGRAL_TRIALS,
+    p_grid: tuple[float, ...] = INTEGRAL_P_GRID,
+    nodes: int = INTEGRAL_NODES,
     tol: float = ORDER_TOL,
     seed: int = DEFAULT_SEED,
     dims: tuple[int, ...] = DEFAULT_DIMS,

@@ -9,12 +9,16 @@ independently of any matrix machinery.  The chains (:data:`CHAINS`) are
 filled by :mod:`oel.catalog`, which declares each inequality once: every
 declaration yields one chain, its terms on its hypothesis region, so every
 case (duals included) has its scalar check.  The check evaluates the
-terms' scalar twins on every row of the region's grid, two arrays (the
-``(R, P)`` parameters of its rows and their ``(R, m)`` points x) built when
-the chain is verified, in blocks.  A grid row outside its region would be a
-bug of the grid, not a point to skip, so no row is filtered; a scan on
-another grid is ``replace(spec, region=obj)`` for any ``obj`` whose
-``grid()`` returns the two arrays.  The sign tables (:data:`SIGN_CLAIMS`)
+terms' scalar twins on every row of the region's grid, built when the chain
+is verified on the grid's own axes: a :class:`Params` whose arrays
+broadcast to the row shape ``(G, C)`` (the ``(p, q)`` groups down, the
+points of c across) and the points x, one ``(1, 1, m)`` row that every row
+shares or ``(G, 1, m)``.  The twins see them by broadcasting, in blocks of
+groups, so their c-free work is done once per group and their x-only work
+once per block.  A grid row outside its region would be a bug of the grid,
+not a point to skip, so no row is filtered; a scan on another grid is
+``replace(spec, region=obj)`` for any ``obj`` whose ``grid()`` returns the
+two, flat rows being the ``C = 1`` case.  The sign tables (:data:`SIGN_CLAIMS`)
 are the dense sweeps through the frozen probes, where neither bound
 dominates.
 
@@ -48,8 +52,8 @@ class Params:
     """Scalar parameters of a trial or of a chain grid's rows; unused ones
     stay None.  Inside :func:`oel.catalog.evaluate_trials` the terms see one
     Params whose fields hold the trials' values as ``(k, 1, 1)`` arrays, and
-    in :func:`verify_scalar_chain` the twins see a block's rows as ``(k, 1)``
-    columns."""
+    in :func:`verify_scalar_chain` the twins see a block of a grid's axes
+    (``(Gb, 1, 1)`` p and q, ``(1, C, 1)`` c)."""
 
     p: float | None = None
     q: float | None = None
@@ -390,8 +394,9 @@ def run_probe(probe_id: str) -> tuple[list[float], ProbeSpec, bool]:
 class ChainSpec:
     """An ordered family of catalog terms, ``members`` (each with its name and
     its scalar twin ``f(x, params)``), claimed as member_i <= member_{i+1}
-    on the rows of ``region.grid()``: a ``(R, P)`` array of parameters (p,
-    then q, then c) and a ``(R, m)`` array of x points."""
+    on the rows of ``region.grid()``: a :class:`Params` whose arrays
+    broadcast to the row shape ``(G, C)`` and an x array, ``(1, 1, m)`` or
+    ``(G, 1, m)``."""
 
     chain_id: str
     members: tuple[Term, ...]
@@ -414,6 +419,12 @@ CHAINS: dict[str, ChainSpec] = {}
 STACK_POINTS = 1 << 14  # grid points evaluated at once by verify_scalar_chain
 
 
+def _block(a: np.ndarray, rows: slice) -> np.ndarray:
+    """A grid array's groups ``rows``, or the whole array when its one group
+    is shared by every group."""
+    return a if len(a) == 1 else a[rows]
+
+
 def verify_scalar_chain(chain_id: str) -> ChainResult:
     """Check every adjacent pair of the chain ``CHAINS[chain_id]`` on every
     row of its region's grid; an empty grid is a HypothesisError.
@@ -422,37 +433,42 @@ def verify_scalar_chain(chain_id: str) -> ChainResult:
     -------
     ChainResult
         ``worst_violation`` is the minimum over the grid of
-        (member_{i+1} - member_i), at the earliest row that attains it;
-        nonnegative (up to -1e-12) when the chain holds, and NaN when a
-        difference is not a number.
+        (member_{i+1} - member_i), at the earliest row that attains it (rows
+        in ``(G, C)`` order, x innermost); nonnegative (up to -1e-12) when
+        the chain holds, and NaN when a difference is not a number.
 
-    The rows are evaluated in blocks of at most ``STACK_POINTS`` points (at
-    least one row): the members' twins see one :class:`Params` whose fields
-    are the block's parameter columns, each shaped ``(k, 1)``, and x as a
-    ``(k, m)`` array.
+    The grid is evaluated on its own axes, in blocks of at most
+    ``STACK_POINTS`` points (at least one group): the members' twins see one
+    :class:`Params` whose fields are the block's ``(Gb, 1, 1)`` p and q and
+    ``(1, C, 1)`` c (each grid field with an x axis appended), and x as
+    given, ``(1, 1, m)`` or ``(Gb, 1, m)``.  So a twin's c-free work is
+    done once per group and its x-only work once per block, and each
+    difference is ``(Gb, C, m)``.
     """
     if not isinstance(chain_id, str) or chain_id not in CHAINS:
         raise InvalidInput(f"unknown chain id {chain_id!r}; known: {sorted(CHAINS)}")
     spec = CHAINS[chain_id]
     params, xs = spec.region.grid()
-    if xs.size == 0:
+    grid = (params.p, params.q, params.c)
+    groups, cs, m = np.broadcast_shapes(xs.shape, *(np.shape(a) + (1,) for a in grid if a is not None))
+    if groups * cs * m == 0:
         raise HypothesisError(f"the grid of chain {chain_id!r} has no point")
-    rows, m = xs.shape
     worst = np.inf
     worst_point: tuple = ()
-    step = max(1, STACK_POINTS // m)
-    for start in range(0, rows, step):
-        x = xs[start : start + step]
-        pr = Params(*params[start : start + step].T[:, :, None])
-        vals = [t.f(x, pr) for t in spec.members]
+    step = max(1, STACK_POINTS // (cs * m))
+    for start in range(0, groups, step):
+        rows = slice(start, start + step)
+        block = [a if a is None else _block(a, rows)[..., None] for a in grid]
+        x = _block(xs, rows)
+        shape = (min(step, groups - start), cs, m)
+        vals = [t.f(x, Params(*block)) for t in spec.members]
         for lo_vals, hi_vals in zip(vals[:-1], vals[1:]):
-            diff = hi_vals - lo_vals
+            diff = np.broadcast_to(hi_vals - lo_vals, shape)
             i = int(np.argmin(diff))  # the first NaN, if there is one
             if not (np.isnan(worst) or diff.flat[i] >= worst):
-                row, j = divmod(i, m)
                 worst = float(diff.flat[i])
-                worst_point = (*params[start + row].tolist(), float(x[row, j]))
-    return ChainResult(chain_id, float(worst), xs.size, worst_point)
+                worst_point = tuple(float(np.broadcast_to(a, shape).flat[i]) for a in (*block, x) if a is not None)
+    return ChainResult(chain_id, float(worst), groups * cs * m, worst_point)
 
 
 # ---------------------------------------------------------------------------

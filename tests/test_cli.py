@@ -1,12 +1,13 @@
 import csv
 import importlib
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from oel import harness, scalars
-from oel.cli import main
+from oel.cli import _resolve_seed, build_parser, main
 from oel.errors import HypothesisError, InvalidInput, NumericalBreakdown
 from oel.harness import read_reports, replay
 from oel.means import OperatorPair
@@ -272,6 +273,15 @@ def test_integral_ok(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("(ok)") == 2
+
+
+def test_integral_defaults_are_the_sweeps_defaults():
+    # `oel integral` with no option runs integral_sweep's own default sweep
+    args = build_parser().parse_args(["integral"])
+    signature = inspect.signature(harness.integral_sweep).parameters
+    for name in ("trials", "p_grid", "nodes", "tol", "dims"):
+        assert getattr(args, name) == signature[name].default, name
+    assert _resolve_seed(args.seed) == signature["seed"].default
 
 
 def test_integral_bad_weight(capsys):

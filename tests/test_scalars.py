@@ -10,9 +10,10 @@ from scipy.integrate import quad
 
 from oel.errors import DomainError, HypothesisError, InvalidInput
 from oel import scalars
-from oel.catalog import R_M3_B1, R_U1_PUNIT, R_W4_I, Box, ExpEdge, Params, Term, catalog_with_duals
+from oel.catalog import R_M3_A1, R_M3_B1, R_U1_PUNIT, R_W4_I, Box, ExpEdge, Params, Term, catalog_with_duals
 from oel.scalars import (
     CHAINS,
+    ChainResult,
     PROBES,
     SIGN_CLAIMS,
     arith_rep,
@@ -267,18 +268,26 @@ def test_ordered_grids_leave_out_the_diagonal():
     assert len(regions) == 21
     for region in regions.values():
         params, _ = region.grid()
-        assert len(params) and (params[:, 0] < params[:, 1]).all(), region.text
+        p, q = np.broadcast_arrays(params.p, params.q)
+        assert p.size and (p < q).all(), region.text
 
 
 def test_grid_shares_its_x_row_when_no_edge_moves():
-    # fixed edges: one geometric x row, broadcast to every row without a copy
+    # fixed edges: one geometric x row that every row shares
     params, xs = R_U1_PUNIT.grid()
-    assert xs.shape == (len(params), 120) and xs.strides[0] == 0
-    np.testing.assert_array_equal(xs[0], np.geomspace(1.0 + 1e-3, 1e3, 120))
-    # a moving edge: each row its own range, as the row's own geomspace call
+    assert params.p.shape == (100, 1) and params.q is params.c is None
+    assert xs.shape == (1, 1, 120)
+    np.testing.assert_array_equal(xs[0, 0], np.geomspace(1.0 + 1e-3, 1e3, 120))
+    # with a c box as well: the (p, q) groups down, the c points across
+    params, xs = R_M3_A1.grid()
+    assert params.p.shape == params.q.shape == (190, 1) and params.c.shape == (1, 4)
+    assert xs.shape == (1, 1, 120)
+    # a moving edge: flat rows, each its own range, as the row's own geomspace call
     params, xs = R_M3_B1.grid()
-    assert xs.shape == (len(params), 120) and xs.strides[0] != 0
-    for (p, q, c), x in zip(params[::97].tolist(), xs[::97]):
+    assert params.p.shape == params.q.shape == params.c.shape == (len(params.p), 1)
+    assert xs.shape == (len(params.p), 1, 120)
+    for p, q, c, x in zip(params.p[::97, 0], params.q[::97, 0], params.c[::97, 0], xs[::97, 0]):
+        assert p < q
         hi = min(math.exp(min((1.0 - 2.0 * c) / (c * q), 700.0)), 1e3)
         np.testing.assert_array_equal(x, np.geomspace(1.0 + 1e-3, hi, 120))
 
@@ -293,7 +302,7 @@ def test_chain_grids_lie_in_their_regions(chain_id):
     # the check filters no row, so a grid row outside its region is a bug
     spec = CHAINS[chain_id]
     params, _ = spec.region.grid()
-    assert np.all(spec.region.admits(Params(*params.T))), chain_id
+    assert np.all(spec.region.admits(params)), chain_id
 
 
 @pytest.mark.parametrize("chain_id", sorted(CHAINS))
@@ -305,9 +314,57 @@ def test_chain_holds_on_dense_grid(chain_id):
 
 def test_stacks_keep_the_row_at_a_time_results(monkeypatch):
     stacked = {chain_id: verify_scalar_chain(chain_id) for chain_id in CHAINS}
-    monkeypatch.setattr(scalars, "STACK_POINTS", 1)  # one row per stack
+    monkeypatch.setattr(scalars, "STACK_POINTS", 1)  # one (p, q) group per stack
     for chain_id in CHAINS:
         assert verify_scalar_chain(chain_id) == stacked[chain_id]
+
+
+def _flat_result(chain_id: str) -> ChainResult:
+    """The chain's result from its grid's rows materialized flat, in (G, C)
+    order, and evaluated one row at a time: the row's parameters as (1, 1)
+    columns, its x as a (1, m) row."""
+    spec = CHAINS[chain_id]
+    params, xs = spec.region.grid()
+    names = [k for k in ("p", "q", "c") if getattr(params, k) is not None]
+    *cols, xs = np.broadcast_arrays(*(getattr(params, k)[..., None] for k in names), xs)
+    cols = [col[..., 0].reshape(-1) for col in cols]
+    xs = xs.reshape(-1, xs.shape[-1])
+    worst, worst_point = np.inf, ()
+    for r, x in enumerate(xs[:, None]):
+        pr = Params(**{k: col[r : r + 1, None] for k, col in zip(names, cols)})
+        vals = [t.f(x, pr) for t in spec.members]
+        for lo, hi in zip(vals[:-1], vals[1:]):
+            diff = np.broadcast_to(hi - lo, x.shape)
+            j = int(np.argmin(diff))
+            if not (np.isnan(worst) or diff.flat[j] >= worst):
+                worst = float(diff.flat[j])
+                worst_point = (*(float(col[r]) for col in cols), float(x[0, j]))
+    return ChainResult(chain_id, worst, xs.size, worst_point)
+
+
+@pytest.mark.parametrize("chain_id", sorted(CHAINS))
+def test_axes_evaluation_is_the_flat_evaluation(chain_id):
+    # the grid's axes change how often a twin's sub-expressions are
+    # evaluated, not a bit of any result
+    assert verify_scalar_chain(chain_id) == _flat_result(chain_id)
+
+
+def test_c_free_work_is_done_once_per_group(monkeypatch):
+    # M3.c's twins are T[r] - c S[r]: S[r] = power_log(x, r) does not read c,
+    # so each member evaluates it on G groups of m points, not on G C rows
+    sizes = []
+
+    def counted(x, p):
+        out = power_log(x, p)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(scalars, "power_log", counted)
+    res = verify_scalar_chain("M3.c")
+    params, xs = CHAINS["M3.c"].region.grid()
+    groups, cs, m = len(params.p), params.c.shape[1], xs.shape[-1]
+    assert cs > 1 and res.points_checked == groups * cs * m
+    assert sum(sizes) == len(CHAINS["M3.c"].members) * groups * m
 
 
 WIDENED = {
@@ -327,10 +384,10 @@ def test_chain_fails_on_a_widened_region(monkeypatch, chain_id):
 
 
 def _custom_grid(monkeypatch, params, xs, **fields):
-    """Install the chain means_order on the rows of ``params`` and ``xs`` (a
-    stand-in region: any object whose grid() returns the two arrays), with
-    any other ChainSpec ``fields`` replaced."""
-    region = SimpleNamespace(grid=lambda: (np.array(params), np.array(xs)))
+    """Install the chain means_order on the grid ``params`` and ``xs`` (a
+    stand-in region: any object whose grid() returns a Params and an x
+    array), with any other ChainSpec ``fields`` replaced."""
+    region = SimpleNamespace(grid=lambda: (params, np.array(xs)))
     spec = replace(CHAINS["means_order"], region=region, **fields)
     monkeypatch.setitem(CHAINS, "means_order", spec)
 
@@ -339,7 +396,7 @@ def test_chain_nan_difference_is_the_worst(monkeypatch):
     spec = CHAINS["means_order"]
     # NaN at x = 2 in the first row, a difference of about -1e9 at x = 5 in the second
     nan_at_two = lambda x, pr: np.where(x == 2.0, np.nan, np.where(x == 5.0, -1e9, arith_rep(x, pr.p)))
-    _custom_grid(monkeypatch, [[0.5], [0.25]], [[1.0, 2.0, 4.0], [3.0, 5.0, 6.0]],
+    _custom_grid(monkeypatch, Params(p=np.array([[0.5], [0.25]])), [[[1.0, 2.0, 4.0]], [[3.0, 5.0, 6.0]]],
                  members=spec.members[:2] + (Term("nan", None, nan_at_two),))
     monkeypatch.setattr(scalars, "STACK_POINTS", 3)  # one row per block
     # the more negative finite value of the later block must not hide the NaN
@@ -355,7 +412,7 @@ def test_chain_unknown_id():
 
 
 def test_chain_empty_admissible_grid(monkeypatch):
-    _custom_grid(monkeypatch, np.empty((0, 1)), np.empty((0, 120)))
+    _custom_grid(monkeypatch, Params(p=np.empty((0, 1))), np.empty((0, 1, 120)))
     with pytest.raises(HypothesisError):
         verify_scalar_chain("means_order")
 
