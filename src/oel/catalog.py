@@ -503,48 +503,50 @@ class Region:
             ok = ok & _le(v, _edge_at(self.v_hi, pr))
         return ok
 
-    def grid(self) -> tuple[Params, np.ndarray]:
+    def grid(self) -> tuple[Params, np.ndarray, np.ndarray | None]:
         """The scalar chain grid on its own axes: a :class:`Params` whose
-        arrays broadcast to the row shape ``(G, C)``, and a ``(G, 1, m)``
-        array of x points (``(1, 1, m)``, one row that every row shares),
-        row ``(g, i)`` of each making one row of the grid.  The ``G`` groups
-        are ``p`` for 101 points of the p box, ``(p, q)`` for each p < q of
-        21 points when ``ordered`` (at p = q the members are the same twin),
-        or one group without a p box; ``C`` counts 5 points of a c box
-        (every one is ordered), else 1.  A row's x runs geometrically from
-        the lower sandwich edge to the upper one, each evaluated at the
-        row's parameters and capped to ``_X_RANGE`` (its end where an edge
-        is not stated), and keeps ``_P_EPS`` off an edge within ``_P_EPS``
-        of 1.  It has 120 points, 160 without edges, or ``_X_ONLY`` without
-        a p box.
+        arrays broadcast to a row shape, an array of x points with one more
+        (innermost) axis, and a boolean mask that broadcasts to the row
+        shape and marks the grid's rows (None: every row is one), each row
+        making, with its x, one row of the grid.  ``p`` takes 101 points of
+        the p box, or 21 when ``ordered``, and ``q`` the same 21, masked to
+        ``p < q`` (at p = q the members are the same twin); ``c`` takes 5
+        points of a c box (every one is ordered).  A row's x runs
+        geometrically from the lower sandwich edge to the upper one, each
+        evaluated at the row's parameters and capped to ``_X_RANGE`` (its
+        end where an edge is not stated), and keeps ``_P_EPS`` off an edge
+        within ``_P_EPS`` of 1.  It has 120 points, 160 without edges, or
+        ``_X_ONLY`` without a p box.
 
-        When neither edge moves with the parameters, p and q are ``(G, 1)``
-        columns, c a ``(1, C)`` row and x one ``(1, 1, m)`` row.  When one
-        moves, a row whose range is empty is left out, so the rows left are
-        flat: every field is a ``(G, 1)`` column (C = 1), in the order of
-        the ``(G, C)`` rows (c innermost), and x is ``(G, 1, m)``."""
+        When neither edge moves with the parameters, p is a ``(P, 1, 1)``
+        axis, q a ``(1, Q, 1)`` axis, c a ``(1, 1, C)`` axis and x one
+        ``(1, 1, 1, m)`` row that every row shares; the mask is ``p < q``
+        when ``ordered``.  When one moves, a row whose range is empty is
+        left out as well, so the rows left are flat: every field is
+        ``(G, 1, 1)``, in the row-major order of the square, x is
+        ``(G, 1, 1, m)`` and there is no mask."""
         p = q = c = None
         if self.p is not None and not self.ordered:
-            p = self.p.grid(101)[:, None]
+            p = self.p.grid(101)[:, None, None]
         elif self.p is not None:
             ps = self.p.grid(21)
-            i, j = np.triu_indices(len(ps), 1)
-            p, q = ps[i, None], ps[j, None]
+            p, q = ps[:, None, None], ps[None, :, None]
         if self.c is not None:
-            c = self.c.grid(5)[None, :]
+            c = self.c.grid(5)[None, None, :]
         pr = Params(p, q, c)
+        rows = None if q is None else p < q
         count = _X_ONLY if self.p is None else 160 if self.u_lo is None and self.v_hi is None else 120
         lo = _X_RANGE[0] if self.u_lo is None else np.maximum(_edge_at(self.u_lo, pr), _X_RANGE[0])
         hi = _X_RANGE[1] if self.v_hi is None else np.minimum(_edge_at(self.v_hi, pr), _X_RANGE[1])
         lo = np.where(np.abs(lo - 1.0) <= _P_EPS, 1.0 + _P_EPS, lo)
         hi = np.where(np.abs(hi - 1.0) <= _P_EPS, 1.0 - _P_EPS, hi)
         if lo.ndim == hi.ndim == 0 and lo < hi:  # neither edge moves
-            return pr, np.geomspace(lo, hi, count)[None, None]
-        shape = np.broadcast_shapes(lo.shape, hi.shape, *(np.shape(x) for x in (pr.p, pr.q, pr.c) if x is not None))
-        keep = np.broadcast_to(lo < hi, shape)
-        rows = lambda x: np.broadcast_to(x, shape)[keep]
-        flat = Params(*(None if x is None else rows(x)[:, None] for x in (pr.p, pr.q, pr.c)))
-        return flat, np.geomspace(rows(lo), rows(hi), count, axis=1)[:, None]
+            return pr, np.geomspace(lo, hi, count)[None, None, None], rows
+        shape = np.broadcast_shapes(lo.shape, hi.shape, *(np.shape(x) for x in (p, q, c) if x is not None))
+        keep = np.broadcast_to(lo < hi if rows is None else rows & (lo < hi), shape)
+        flat = lambda x: np.broadcast_to(x, shape)[keep]
+        pr = Params(*(None if x is None else flat(x)[:, None, None] for x in (p, q, c)))
+        return pr, np.geomspace(flat(lo), flat(hi), count, axis=1)[:, None, None], None
 
     def plan(self, words: np.ndarray) -> tuple[Params, np.ndarray, np.ndarray]:
         """Admissible draws from ``(k, PLAN_WORDS)`` plan words: the

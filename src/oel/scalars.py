@@ -11,16 +11,16 @@ declaration yields one chain, its terms on its hypothesis region, so every
 case (duals included) has its scalar check.  The check evaluates the
 terms' scalar twins on every row of the region's grid, built when the chain
 is verified on the grid's own axes: a :class:`Params` whose arrays
-broadcast to the row shape ``(G, C)`` (the ``(p, q)`` groups down, the
-points of c across) and the points x, one ``(1, 1, m)`` row that every row
-shares or ``(G, 1, m)``.  The twins see them by broadcasting, in blocks of
-groups, so their c-free work is done once per group and their x-only work
-once per block.  A grid row outside its region would be a bug of the grid,
-not a point to skip, so no row is filtered; a scan on another grid is
-``replace(spec, region=obj)`` for any ``obj`` whose ``grid()`` returns the
-two, flat rows being the ``C = 1`` case.  The sign tables (:data:`SIGN_CLAIMS`)
-are the dense sweeps through the frozen probes, where neither bound
-dominates.
+broadcast to the row shape (p, q and c each on an axis of its own, or
+flat ``(G, 1, 1)`` rows), the points x (one ``(1, 1, 1, m)`` row that every
+row shares, or ``(G, 1, 1, m)``), and a mask of the rows (``p < q`` on an
+ordered square) or None.  On a shared x row each twin is evaluated once,
+by broadcasting, on the axes it reads: once per value of the weight it
+reads.  A grid row outside its region would be a bug of the grid, not a
+point to skip, so no row is filtered but by the grid's own mask; a scan on
+another grid is ``replace(spec, region=obj)`` for any ``obj`` whose
+``grid()`` returns the three.  The sign tables (:data:`SIGN_CLAIMS`) are
+the dense sweeps through the frozen probes, where neither bound dominates.
 
 Conventions: ``x`` (or ``t``) is a positive real, ``p``/``q`` are weight
 parameters, ``c`` is a curvature coefficient.  All functions are vectorized
@@ -31,6 +31,7 @@ take one parameter per matrix of a stack, shaped to broadcast against ``x``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -52,8 +53,9 @@ class Params:
     """Scalar parameters of a trial or of a chain grid's rows; unused ones
     stay None.  Inside :func:`oel.catalog.evaluate_trials` the terms see one
     Params whose fields hold the trials' values as ``(k, 1, 1)`` arrays, and
-    in :func:`verify_scalar_chain` the twins see a block of a grid's axes
-    (``(Gb, 1, 1)`` p and q, ``(1, C, 1)`` c)."""
+    in :func:`verify_scalar_chain` the twins see a grid's axes with an x
+    axis appended (``(P, 1, 1, 1)`` p, ``(1, Q, 1, 1)`` q and
+    ``(1, 1, C, 1)`` c), or a block of its flat rows (``(Gb, 1, 1, 1)``)."""
 
     p: float | None = None
     q: float | None = None
@@ -74,8 +76,11 @@ def _pos(x) -> np.ndarray:
 def tsallis_log(x, p: float):
     """(x**p - 1)/p, with the p -> 0 limit log(x); stable via expm1/log.
     An array ``p`` (one weight per matrix of a stack) takes the limit where it is 0."""
-    x = _pos(x)
-    lg = np.log(x)
+    return _tsallis_of_log(np.log(_pos(x)), p)
+
+
+def _tsallis_of_log(lg, p: float):
+    """:func:`tsallis_log` from ``lg = log(x)``."""
     if getattr(p, "ndim", 0):  # one weight per matrix of a stack
         if not (p == 0.0).any():
             return np.expm1(p * lg) / p
@@ -219,8 +224,11 @@ def log_defect(x, c: float):
 
 def entropy_drift(x, p: float, c: float):
     """tsallis_log(x, p) - c * power_log(x, p): the per-eigenvalue difference
-    of the Tsallis gap and c times the generalized entropy term."""
-    return tsallis_log(x, p) - c * power_log(x, p)
+    of the Tsallis gap and c times the generalized entropy term, both from
+    one check of x and one log(x)."""
+    x = _pos(x)
+    lg = np.log(x)
+    return _tsallis_of_log(lg, p) - c * (x ** p * lg)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +403,9 @@ class ChainSpec:
     """An ordered family of catalog terms, ``members`` (each with its name and
     its scalar twin ``f(x, params)``), claimed as member_i <= member_{i+1}
     on the rows of ``region.grid()``: a :class:`Params` whose arrays
-    broadcast to the row shape ``(G, C)`` and an x array, ``(1, 1, m)`` or
-    ``(G, 1, m)``."""
+    broadcast to a 3-axis row shape, an x array with one more axis
+    (``(1, 1, 1, m)`` shared by every row, or one x row per leading row),
+    and a boolean mask that broadcasts to the row shape, or None."""
 
     chain_id: str
     members: tuple[Term, ...]
@@ -416,12 +425,12 @@ class ChainResult:
 # declaration, its terms on the grid of its region.
 CHAINS: dict[str, ChainSpec] = {}
 
-STACK_POINTS = 1 << 14  # grid points evaluated at once by verify_scalar_chain
+STACK_POINTS = 1 << 14  # difference points per block of verify_scalar_chain (masked rows included)
 
 
 def _block(a: np.ndarray, rows: slice) -> np.ndarray:
-    """A grid array's groups ``rows``, or the whole array when its one group
-    is shared by every group."""
+    """A grid array's leading rows ``rows``, or the whole array when its one
+    leading row is shared by every row."""
     return a if len(a) == 1 else a[rows]
 
 
@@ -434,41 +443,58 @@ def verify_scalar_chain(chain_id: str) -> ChainResult:
     ChainResult
         ``worst_violation`` is the minimum over the grid of
         (member_{i+1} - member_i), at the earliest row that attains it (rows
-        in ``(G, C)`` order, x innermost); nonnegative (up to -1e-12) when
+        in row-major order, x innermost); nonnegative (up to -1e-12) when
         the chain holds, and NaN when a difference is not a number.
 
-    The grid is evaluated on its own axes, in blocks of at most
-    ``STACK_POINTS`` points (at least one group): the members' twins see one
-    :class:`Params` whose fields are the block's ``(Gb, 1, 1)`` p and q and
-    ``(1, C, 1)`` c (each grid field with an x axis appended), and x as
-    given, ``(1, 1, m)`` or ``(Gb, 1, m)``.  So a twin's c-free work is
-    done once per group and its x-only work once per block, and each
-    difference is ``(Gb, C, m)``.
+    The grid is evaluated on its own axes: the members' twins see one
+    :class:`Params` whose fields are the grid's with an x axis appended, and
+    x as given.  Where x is one shared row, each twin is called once, so its
+    output spans only the axes it reads (a member at q is evaluated once per
+    value of q); where x is per row, the twins are called per block.  The
+    differences are taken in blocks of whole leading rows, at most
+    ``STACK_POINTS`` points each (at least one leading row), and keep the
+    kept rows of the grid's mask in row-major order; a block with none is
+    skipped.
     """
     if not isinstance(chain_id, str) or chain_id not in CHAINS:
         raise InvalidInput(f"unknown chain id {chain_id!r}; known: {sorted(CHAINS)}")
     spec = CHAINS[chain_id]
-    params, xs = spec.region.grid()
-    grid = (params.p, params.q, params.c)
-    groups, cs, m = np.broadcast_shapes(xs.shape, *(np.shape(a) + (1,) for a in grid if a is not None))
-    if groups * cs * m == 0:
+    params, xs, rows = spec.region.grid()
+    grid = [a if a is None else a[..., None] for a in (params.p, params.q, params.c)]
+    shape = np.broadcast_shapes(xs.shape, *(a.shape for a in grid if a is not None))
+    kept = math.prod(shape[:-1]) if rows is None else int(np.count_nonzero(np.broadcast_to(rows, shape[:-1])))
+    if kept * shape[-1] == 0:
         raise HypothesisError(f"the grid of chain {chain_id!r} has no point")
+    shared = len(xs) == 1  # one x row for every row: each twin once, on the axes it reads
+    if shared:
+        vals = [t.f(xs, Params(*grid)) for t in spec.members]
     worst = np.inf
     worst_point: tuple = ()
-    step = max(1, STACK_POINTS // (cs * m))
-    for start in range(0, groups, step):
-        rows = slice(start, start + step)
-        block = [a if a is None else _block(a, rows)[..., None] for a in grid]
-        x = _block(xs, rows)
-        shape = (min(step, groups - start), cs, m)
-        vals = [t.f(x, Params(*block)) for t in spec.members]
-        for lo_vals, hi_vals in zip(vals[:-1], vals[1:]):
-            diff = np.broadcast_to(hi_vals - lo_vals, shape)
+    step = max(1, STACK_POINTS // math.prod(shape[1:]))
+    for start in range(0, shape[0], step):
+        lead = slice(start, start + step)
+        block_shape = (min(step, shape[0] - start), *shape[1:])
+        if rows is None:
+            keep = ...  # every row
+        else:
+            keep = np.broadcast_to(_block(rows, lead), block_shape[:-1])
+            if not keep.any():
+                continue
+        block = [a if a is None else _block(a, lead) for a in grid]
+        x = _block(xs, lead)
+        if shared:
+            block_vals = [_block(v, lead) for v in vals]
+        else:
+            block_vals = [t.f(x, Params(*block)) for t in spec.members]
+        for lo_vals, hi_vals in zip(block_vals[:-1], block_vals[1:]):
+            # the kept rows' points, in row-major order
+            diff = np.broadcast_to(hi_vals - lo_vals, block_shape)[keep]
             i = int(np.argmin(diff))  # the first NaN, if there is one
             if not (np.isnan(worst) or diff.flat[i] >= worst):
                 worst = float(diff.flat[i])
-                worst_point = tuple(float(np.broadcast_to(a, shape).flat[i]) for a in (*block, x) if a is not None)
-    return ChainResult(chain_id, float(worst), groups * cs * m, worst_point)
+                at = (np.broadcast_to(a, block_shape)[keep].flat[i] for a in (*block, x) if a is not None)
+                worst_point = tuple(map(float, at))
+    return ChainResult(chain_id, float(worst), kept * shape[-1], worst_point)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +558,8 @@ SIGN_CLAIMS: dict[str, SignClaim] = {
 
 
 def sign_table(claim_id: str) -> SignReport:
-    """Classify a registered sign claim on its dense sample.
+    """Classify a registered sign claim on its dense sample; a value that is
+    not finite is a DomainError naming the first point that gives one.
 
     Classification: "mixed" when witnesses of both signs exceed 1e-10;
     otherwise "nonnegative"/"nonpositive" when no violation exceeds 1e-12.
@@ -541,7 +568,11 @@ def sign_table(claim_id: str) -> SignReport:
         raise InvalidInput(f"unknown sign claim {claim_id!r}; known: {sorted(SIGN_CLAIMS)}")
     claim = SIGN_CLAIMS[claim_id]
     vals = np.asarray(claim.fn(claim.x, claim.p), dtype=float)
-    vals = vals[np.isfinite(vals)]
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        i = int(np.argmax(bad))
+        x, p = (float(np.broadcast_to(a, vals.shape).flat[i]) for a in (claim.x, claim.p))
+        raise DomainError(f"sign claim {claim_id!r} is {vals.flat[i]} at x = {x!r}, p = {p!r}")
     if vals.size < 1000:
         raise InvalidInput(f"sign claim {claim_id!r} sampled only {vals.size} points")
     lo, hi = float(np.min(vals)), float(np.max(vals))

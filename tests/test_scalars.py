@@ -74,6 +74,20 @@ def test_rejects_nonpositive_argument():
         power_log(0.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "p", [0.37, 0.0, -0.8, np.array([[0.5], [0.0], [-0.25]])], ids=["p", "p=0", "p<0", "p-array-with-0"]
+)
+def test_entropy_drift_is_its_two_terms_from_one_log(p):
+    # the drift takes log x once, where its two terms took it once each
+    x = np.geomspace(1e-3, 1e3, 41)
+    c = np.array([-2.0, 0.25, 3.0])[:, None, None]
+    want = tsallis_log(x, p) - c * power_log(x, p)
+    assert np.array_equal(scalars.entropy_drift(x, p, c), want)
+    assert np.array_equal(scalars.entropy_drift(x, p, 0.5), tsallis_log(x, p) - 0.5 * power_log(x, p))
+    with pytest.raises(DomainError):
+        scalars.entropy_drift(np.array([2.0, 0.0]), p, 0.5)
+
+
 def test_frozen_entropy_chain_values():
     x, p = 4.0, 0.5
     lower = power_log(x, p / 2.0)
@@ -261,32 +275,43 @@ def test_every_case_is_covered_by_exactly_one_chain():
         assert len(covering) == 1, (case.id, covering)
 
 
+def _kept(a, params: Params, rows) -> np.ndarray:
+    """The grid array ``a`` at the grid's rows (where ``rows`` is true, or
+    all of them when it is None), in row-major order."""
+    shape = np.broadcast_shapes(*(np.shape(f) for f in (params.p, params.q, params.c, rows) if f is not None))
+    a = np.broadcast_to(a, shape)
+    return a.reshape(-1) if rows is None else a[np.broadcast_to(rows, shape)]
+
+
 def test_ordered_grids_leave_out_the_diagonal():
     # at p == q the two members of an ordered chain are the same twin, so such
     # a row would check an identity and read a worst violation of exactly 0
     regions = {id(c.hypothesis): c.hypothesis for c in catalog_with_duals() if c.hypothesis.ordered}
     assert len(regions) == 21
     for region in regions.values():
-        params, _ = region.grid()
-        p, q = np.broadcast_arrays(params.p, params.q)
+        params, _, rows = region.grid()
+        p, q = (_kept(a, params, rows) for a in (params.p, params.q))
         assert p.size and (p < q).all(), region.text
 
 
 def test_grid_shares_its_x_row_when_no_edge_moves():
     # fixed edges: one geometric x row that every row shares
-    params, xs = R_U1_PUNIT.grid()
-    assert params.p.shape == (100, 1) and params.q is params.c is None
-    assert xs.shape == (1, 1, 120)
-    np.testing.assert_array_equal(xs[0, 0], np.geomspace(1.0 + 1e-3, 1e3, 120))
-    # with a c box as well: the (p, q) groups down, the c points across
-    params, xs = R_M3_A1.grid()
-    assert params.p.shape == params.q.shape == (190, 1) and params.c.shape == (1, 4)
-    assert xs.shape == (1, 1, 120)
+    params, xs, rows = R_U1_PUNIT.grid()
+    assert params.p.shape == (100, 1, 1) and params.q is params.c is rows is None
+    assert xs.shape == (1, 1, 1, 120)
+    np.testing.assert_array_equal(xs[0, 0, 0], np.geomspace(1.0 + 1e-3, 1e3, 120))
+    # ordered, with a c box as well: p down, q across, then c, masked to p < q
+    params, xs, rows = R_M3_A1.grid()
+    assert params.p.shape == (20, 1, 1) and params.q.shape == (1, 20, 1) and params.c.shape == (1, 1, 4)
+    np.testing.assert_array_equal(params.p[:, 0, 0], params.q[0, :, 0])
+    np.testing.assert_array_equal(rows, params.p < params.q)
+    assert rows.shape == (20, 20, 1) and np.count_nonzero(rows) == 190
+    assert xs.shape == (1, 1, 1, 120)
     # a moving edge: flat rows, each its own range, as the row's own geomspace call
-    params, xs = R_M3_B1.grid()
-    assert params.p.shape == params.q.shape == params.c.shape == (len(params.p), 1)
-    assert xs.shape == (len(params.p), 1, 120)
-    for p, q, c, x in zip(params.p[::97, 0], params.q[::97, 0], params.c[::97, 0], xs[::97, 0]):
+    params, xs, rows = R_M3_B1.grid()
+    assert params.p.shape == params.q.shape == params.c.shape == (len(params.p), 1, 1)
+    assert xs.shape == (len(params.p), 1, 1, 120) and rows is None
+    for p, q, c, x in zip(params.p[::97, 0, 0], params.q[::97, 0, 0], params.c[::97, 0, 0], xs[::97, 0, 0]):
         assert p < q
         hi = min(math.exp(min((1.0 - 2.0 * c) / (c * q), 700.0)), 1e3)
         np.testing.assert_array_equal(x, np.geomspace(1.0 + 1e-3, hi, 120))
@@ -301,8 +326,8 @@ def test_chain_grid_keeps_its_points(chain_id):
 def test_chain_grids_lie_in_their_regions(chain_id):
     # the check filters no row, so a grid row outside its region is a bug
     spec = CHAINS[chain_id]
-    params, _ = spec.region.grid()
-    assert np.all(spec.region.admits(params)), chain_id
+    params, _, rows = spec.region.grid()
+    assert np.all(_kept(spec.region.admits(params), params, rows)), chain_id
 
 
 @pytest.mark.parametrize("chain_id", sorted(CHAINS))
@@ -314,21 +339,22 @@ def test_chain_holds_on_dense_grid(chain_id):
 
 def test_stacks_keep_the_row_at_a_time_results(monkeypatch):
     stacked = {chain_id: verify_scalar_chain(chain_id) for chain_id in CHAINS}
-    monkeypatch.setattr(scalars, "STACK_POINTS", 1)  # one (p, q) group per stack
+    monkeypatch.setattr(scalars, "STACK_POINTS", 1)  # one leading row (a p of a square) per block
     for chain_id in CHAINS:
         assert verify_scalar_chain(chain_id) == stacked[chain_id]
 
 
 def _flat_result(chain_id: str) -> ChainResult:
-    """The chain's result from its grid's rows materialized flat, in (G, C)
-    order, and evaluated one row at a time: the row's parameters as (1, 1)
-    columns, its x as a (1, m) row."""
+    """The chain's result from its grid's kept rows materialized flat, in
+    row-major order, and evaluated one row at a time: the row's parameters
+    as (1, 1) columns, its x as a (1, m) row."""
     spec = CHAINS[chain_id]
-    params, xs = spec.region.grid()
+    params, xs, rows = spec.region.grid()
     names = [k for k in ("p", "q", "c") if getattr(params, k) is not None]
     *cols, xs = np.broadcast_arrays(*(getattr(params, k)[..., None] for k in names), xs)
-    cols = [col[..., 0].reshape(-1) for col in cols]
-    xs = xs.reshape(-1, xs.shape[-1])
+    keep = ... if rows is None else np.broadcast_to(rows, xs.shape[:-1])
+    cols = [col[..., 0][keep].reshape(-1) for col in cols]
+    xs = xs[keep].reshape(-1, xs.shape[-1])
     worst, worst_point = np.inf, ()
     for r, x in enumerate(xs[:, None]):
         pr = Params(**{k: col[r : r + 1, None] for k, col in zip(names, cols)})
@@ -349,22 +375,38 @@ def test_axes_evaluation_is_the_flat_evaluation(chain_id):
     assert verify_scalar_chain(chain_id) == _flat_result(chain_id)
 
 
-def test_c_free_work_is_done_once_per_group(monkeypatch):
-    # M3.c's twins are T[r] - c S[r]: S[r] = power_log(x, r) does not read c,
-    # so each member evaluates it on G groups of m points, not on G C rows
+def _twin_elements(monkeypatch, chain_id: str) -> int:
+    """The elements the chain's member twins return while it is verified."""
     sizes = []
 
-    def counted(x, p):
-        out = power_log(x, p)
-        sizes.append(out.size)
-        return out
+    def counted(f):
+        def twin(x, pr):
+            out = f(x, pr)
+            sizes.append(np.size(out))
+            return out
 
-    monkeypatch.setattr(scalars, "power_log", counted)
-    res = verify_scalar_chain("M3.c")
-    params, xs = CHAINS["M3.c"].region.grid()
-    groups, cs, m = len(params.p), params.c.shape[1], xs.shape[-1]
-    assert cs > 1 and res.points_checked == groups * cs * m
-    assert sum(sizes) == len(CHAINS["M3.c"].members) * groups * m
+        return twin
+
+    spec = CHAINS[chain_id]
+    members = tuple(replace(t, f=counted(t.f)) for t in spec.members)
+    monkeypatch.setitem(CHAINS, chain_id, replace(spec, members=members))
+    verify_scalar_chain(chain_id)
+    return sum(sizes)
+
+
+def test_each_twin_is_evaluated_once_per_weight_value(monkeypatch):
+    # on the (p, q) square each member reads one weight, so its twin is
+    # evaluated once per value of that weight, not once per pair p < q
+    params, xs, _ = CHAINS["gap_rate_monotone"].region.grid()
+    P, Q, m = len(params.p), params.q.shape[1], xs.shape[-1]
+    assert (P + Q) * m == _twin_elements(monkeypatch, "gap_rate_monotone") == 6_400
+    # M3.c's twins are T[r] - c S[r]: once per value of r, times C m
+    params, xs, _ = CHAINS["M3.c"].region.grid()
+    P, Q, C, m = len(params.p), params.q.shape[1], params.c.shape[2], xs.shape[-1]
+    assert C > 1 and (P + Q) * C * m == _twin_elements(monkeypatch, "M3.c") == 25_600
+    # a moving edge: each of the two members once per flat row
+    params, xs, rows = CHAINS["M3.b1"].region.grid()
+    assert rows is None and 2 * len(params.p) * xs.shape[-1] == _twin_elements(monkeypatch, "M3.b1") == 136_800
 
 
 WIDENED = {
@@ -383,11 +425,12 @@ def test_chain_fails_on_a_widened_region(monkeypatch, chain_id):
     assert res.worst_violation < -1.0, res
 
 
-def _custom_grid(monkeypatch, params, xs, **fields):
-    """Install the chain means_order on the grid ``params`` and ``xs`` (a
-    stand-in region: any object whose grid() returns a Params and an x
-    array), with any other ChainSpec ``fields`` replaced."""
-    region = SimpleNamespace(grid=lambda: (params, np.array(xs)))
+def _custom_grid(monkeypatch, params, xs, rows=None, **fields):
+    """Install the chain means_order on the grid ``params``, ``xs`` and
+    ``rows`` (a stand-in region: any object whose grid() returns a Params,
+    an x array and a mask or None), with any other ChainSpec ``fields``
+    replaced."""
+    region = SimpleNamespace(grid=lambda: (params, np.array(xs), rows))
     spec = replace(CHAINS["means_order"], region=region, **fields)
     monkeypatch.setitem(CHAINS, "means_order", spec)
 
@@ -396,7 +439,7 @@ def test_chain_nan_difference_is_the_worst(monkeypatch):
     spec = CHAINS["means_order"]
     # NaN at x = 2 in the first row, a difference of about -1e9 at x = 5 in the second
     nan_at_two = lambda x, pr: np.where(x == 2.0, np.nan, np.where(x == 5.0, -1e9, arith_rep(x, pr.p)))
-    _custom_grid(monkeypatch, Params(p=np.array([[0.5], [0.25]])), [[[1.0, 2.0, 4.0]], [[3.0, 5.0, 6.0]]],
+    _custom_grid(monkeypatch, Params(p=np.array([[[0.5]], [[0.25]]])), [[[[1.0, 2.0, 4.0]]], [[[3.0, 5.0, 6.0]]]],
                  members=spec.members[:2] + (Term("nan", None, nan_at_two),))
     monkeypatch.setattr(scalars, "STACK_POINTS", 3)  # one row per block
     # the more negative finite value of the later block must not hide the NaN
@@ -406,13 +449,25 @@ def test_chain_nan_difference_is_the_worst(monkeypatch):
     assert res.points_checked == 6
 
 
+def test_chain_checks_only_the_rows_its_mask_keeps(monkeypatch):
+    # a shared x row and a mask: the masked-out p = 0.25 row reads NaN, which
+    # the check must not see; the kept row's difference of about -1e9 it must
+    spec = CHAINS["means_order"]
+    twin = lambda x, pr: np.where(pr.p == 0.25, np.nan, np.where(x == 5.0, -1e9, arith_rep(x, pr.p)))
+    _custom_grid(monkeypatch, Params(p=np.array([[[0.5]], [[0.25]]])), [[[[1.0, 5.0, 6.0]]]],
+                 rows=np.array([[[True]], [[False]]]), members=spec.members[:2] + (Term("nan", None, twin),))
+    res = verify_scalar_chain("means_order")
+    assert res.worst_violation < -1e8 and res.worst_point == (0.5, 5.0)
+    assert res.points_checked == 3
+
+
 def test_chain_unknown_id():
     with pytest.raises(InvalidInput):
         verify_scalar_chain("nope")
 
 
 def test_chain_empty_admissible_grid(monkeypatch):
-    _custom_grid(monkeypatch, Params(p=np.empty((0, 1))), np.empty((0, 1, 120)))
+    _custom_grid(monkeypatch, Params(p=np.empty((0, 1, 1))), np.empty((0, 1, 1, 120)))
     with pytest.raises(HypothesisError):
         verify_scalar_chain("means_order")
 
@@ -433,6 +488,16 @@ def test_sign_claims_classify_as_stated(claim_id):
     rep = sign_table(claim_id)
     assert rep.points >= 10_000
     assert rep.classification == SIGN_CLAIMS[claim_id].expected, rep
+
+
+def test_sign_table_reports_a_value_that_is_not_finite(monkeypatch):
+    # a NaN in a sweep was dropped, so it could never be reported
+    claim = SIGN_CLAIMS["lower_gap_mixed"]
+    at = float(claim.x[4321])
+    nan_at = lambda x, p: np.where(x >= at, np.nan, lower_gap(x, p))
+    monkeypatch.setitem(SIGN_CLAIMS, claim.claim_id, replace(claim, fn=nan_at))
+    with pytest.raises(DomainError, match=rf"'lower_gap_mixed' .* x = {at!r}, p = 0.5"):
+        sign_table("lower_gap_mixed")
 
 
 def test_sign_table_unknown_id():
