@@ -497,34 +497,37 @@ class Region:
         ok = self.admits(pr)
         if not np.any(ok):  # the edges may not be defined off the boxes
             return ok
-        if self.u_lo is not None:
-            ok = ok & _ge(u, _edge_at(self.u_lo, pr))
-        if self.v_hi is not None:
-            ok = ok & _le(v, _edge_at(self.v_hi, pr))
-        return ok
+        lo, hi = self.span(pr, (0.0, np.inf))
+        return ok & _ge(u, lo) & _le(v, hi)
+
+    def span(self, pr: Params, bounds: tuple[float, float]):
+        """The sandwich span ``(lo, hi)`` at the parameters (arrays for
+        arrays): each stated edge clamped into ``bounds``, and the bound
+        itself where no edge is stated."""
+        lo = bounds[0] if self.u_lo is None else np.maximum(_edge_at(self.u_lo, pr), bounds[0])
+        hi = bounds[1] if self.v_hi is None else np.minimum(_edge_at(self.v_hi, pr), bounds[1])
+        return lo, hi
 
     def grid(self) -> tuple[Params, np.ndarray, np.ndarray | None]:
         """The scalar chain grid on its own axes: a :class:`Params` whose
         arrays broadcast to a row shape, an array of x points with one more
         (innermost) axis, and a boolean mask that broadcasts to the row
         shape and marks the grid's rows (None: every row is one), each row
-        making, with its x, one row of the grid.  ``p`` takes 101 points of
-        the p box, or 21 when ``ordered``, and ``q`` the same 21, masked to
-        ``p < q`` (at p = q the members are the same twin); ``c`` takes 5
-        points of a c box (every one is ordered).  A row's x runs
-        geometrically from the lower sandwich edge to the upper one, each
-        evaluated at the row's parameters and capped to ``_X_RANGE`` (its
-        end where an edge is not stated), and keeps ``_P_EPS`` off an edge
-        within ``_P_EPS`` of 1.  It has 120 points, 160 without edges, or
-        ``_X_ONLY`` without a p box.
+        making, with its x, one row of the grid.  ``p`` is a ``(P, 1, 1)``
+        axis of 101 points of the p box, or of 21 when ``ordered``, and then
+        ``q`` is a ``(1, Q, 1)`` axis of the same 21; ``c`` is a
+        ``(1, 1, C)`` axis of 5 points of a c box.  Each axis leaves out
+        what :meth:`Box.grid` does (a c box open at 0 keeps 4).
 
-        When neither edge moves with the parameters, p is a ``(P, 1, 1)``
-        axis, q a ``(1, Q, 1)`` axis, c a ``(1, 1, C)`` axis and x one
-        ``(1, 1, 1, m)`` row that every row shares; the mask is ``p < q``
-        when ``ordered``.  When one moves, a row whose range is empty is
-        left out as well, so the rows left are flat: every field is
-        ``(G, 1, 1)``, in the row-major order of the square, x is
-        ``(G, 1, 1, m)`` and there is no mask."""
+        A row's x runs geometrically from the lower sandwich edge to the
+        upper one (:meth:`span` in ``_X_RANGE``), and keeps ``_P_EPS`` off
+        an edge within ``_P_EPS`` of 1.  It has 120 points, 160 without
+        edges, or ``_X_ONLY`` without a p box.  x lies on the axes that the
+        edges read: one ``(1, 1, 1, m)`` row that every row shares where
+        neither edge moves with the parameters, ``(1, Q, C, m)`` where they
+        read q and c.  The mask is ``(p < q) & (lo < hi)`` (at p = q the
+        members are the same twin; a row whose edges cross has no point),
+        so a grid whose fixed edges cross keeps no row."""
         p = q = c = None
         if self.p is not None and not self.ordered:
             p = self.p.grid(101)[:, None, None]
@@ -534,19 +537,13 @@ class Region:
         if self.c is not None:
             c = self.c.grid(5)[None, None, :]
         pr = Params(p, q, c)
-        rows = None if q is None else p < q
         count = _X_ONLY if self.p is None else 160 if self.u_lo is None and self.v_hi is None else 120
-        lo = _X_RANGE[0] if self.u_lo is None else np.maximum(_edge_at(self.u_lo, pr), _X_RANGE[0])
-        hi = _X_RANGE[1] if self.v_hi is None else np.minimum(_edge_at(self.v_hi, pr), _X_RANGE[1])
+        lo, hi = self.span(pr, _X_RANGE)
         lo = np.where(np.abs(lo - 1.0) <= _P_EPS, 1.0 + _P_EPS, lo)
         hi = np.where(np.abs(hi - 1.0) <= _P_EPS, 1.0 - _P_EPS, hi)
-        if lo.ndim == hi.ndim == 0 and lo < hi:  # neither edge moves
-            return pr, np.geomspace(lo, hi, count)[None, None, None], rows
-        shape = np.broadcast_shapes(lo.shape, hi.shape, *(np.shape(x) for x in (p, q, c) if x is not None))
-        keep = np.broadcast_to(lo < hi if rows is None else rows & (lo < hi), shape)
-        flat = lambda x: np.broadcast_to(x, shape)[keep]
-        pr = Params(*(None if x is None else flat(x)[:, None, None] for x in (p, q, c)))
-        return pr, np.geomspace(flat(lo), flat(hi), count, axis=1)[:, None, None], None
+        rows = (lo < hi) & (True if q is None else p < q)
+        xs = np.geomspace(lo, hi, count, axis=-1)
+        return pr, xs.reshape(*(xs.shape[:-1] or (1, 1, 1)), count), None if rows.all() else rows
 
     def plan(self, words: np.ndarray) -> tuple[Params, np.ndarray, np.ndarray]:
         """Admissible draws from ``(k, PLAN_WORDS)`` plan words: the
@@ -568,8 +565,7 @@ class Region:
         if self.u_lo is None and self.v_hi is None:
             (lo, hi), u_pin, v_pin = _FREE_WINDOW, 1.0, 1.0
         else:
-            lo = _WINDOW[0] if self.u_lo is None else np.maximum(_edge_at(self.u_lo, pr), _WINDOW[0])
-            hi = _WINDOW[1] if self.v_hi is None else np.minimum(_edge_at(self.v_hi, pr), _WINDOW[1])
+            lo, hi = self.span(pr, _WINDOW)
             u_pin = None if self.u_lo is None else lo
             v_pin = None if self.v_hi is None else hi
         u, v = _sorted2(lo, hi, w1, w2)

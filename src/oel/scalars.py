@@ -11,16 +11,18 @@ declaration yields one chain, its terms on its hypothesis region, so every
 case (duals included) has its scalar check.  The check evaluates the
 terms' scalar twins on every row of the region's grid, built when the chain
 is verified on the grid's own axes: a :class:`Params` whose arrays
-broadcast to the row shape (p, q and c each on an axis of its own, or
-flat ``(G, 1, 1)`` rows), the points x (one ``(1, 1, 1, m)`` row that every
-row shares, or ``(G, 1, 1, m)``), and a mask of the rows (``p < q`` on an
-ordered square) or None.  On a shared x row each twin is evaluated once,
-by broadcasting, on the axes it reads: once per value of the weight it
-reads.  A grid row outside its region would be a bug of the grid, not a
-point to skip, so no row is filtered but by the grid's own mask; a scan on
-another grid is ``replace(spec, region=obj)`` for any ``obj`` whose
-``grid()`` returns the three.  The sign tables (:data:`SIGN_CLAIMS`) are
-the dense sweeps through the frozen probes, where neither bound dominates.
+broadcast to the row shape (p, q and c each on an axis of its own), the
+points x (one ``(1, 1, 1, m)`` row that every row shares, or on the axes
+its sandwich edges read), and a mask of the rows (``(p < q) & (lo < hi)``)
+or None.  On a shared x row each twin is evaluated once, by broadcasting,
+on the axes it reads: once per value of the weight it reads.  Only the
+kept rows are visited.  A grid row outside its region would be a bug of
+the grid, not a point to skip, so no row is filtered but by the grid's own
+mask; a scan on another grid is ``replace(spec, region=obj)`` for any
+``obj`` whose ``grid()`` returns the three (flat ``(G, 1, 1)`` fields with
+``(G, 1, 1, m)`` x and no mask is one such grid).  The sign tables
+(:data:`SIGN_CLAIMS`) are the dense sweeps through the frozen probes, where
+neither bound dominates.
 
 Conventions: ``x`` (or ``t``) is a positive real, ``p``/``q`` are weight
 parameters, ``c`` is a curvature coefficient.  All functions are vectorized
@@ -31,7 +33,6 @@ take one parameter per matrix of a stack, shaped to broadcast against ``x``.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -55,7 +56,7 @@ class Params:
     Params whose fields hold the trials' values as ``(k, 1, 1)`` arrays, and
     in :func:`verify_scalar_chain` the twins see a grid's axes with an x
     axis appended (``(P, 1, 1, 1)`` p, ``(1, Q, 1, 1)`` q and
-    ``(1, 1, C, 1)`` c), or a block of its flat rows (``(Gb, 1, 1, 1)``)."""
+    ``(1, 1, C, 1)`` c), or a block of its kept rows (``(b, 1)``)."""
 
     p: float | None = None
     q: float | None = None
@@ -404,8 +405,9 @@ class ChainSpec:
     its scalar twin ``f(x, params)``), claimed as member_i <= member_{i+1}
     on the rows of ``region.grid()``: a :class:`Params` whose arrays
     broadcast to a 3-axis row shape, an x array with one more axis
-    (``(1, 1, 1, m)`` shared by every row, or one x row per leading row),
-    and a boolean mask that broadcasts to the row shape, or None."""
+    (``(1, 1, 1, m)`` shared by every row, or spanning the row axes that
+    x varies on), and a boolean mask that broadcasts to the row shape, or
+    None."""
 
     chain_id: str
     members: tuple[Term, ...]
@@ -425,13 +427,14 @@ class ChainResult:
 # declaration, its terms on the grid of its region.
 CHAINS: dict[str, ChainSpec] = {}
 
-STACK_POINTS = 1 << 14  # difference points per block of verify_scalar_chain (masked rows included)
+STACK_POINTS = 1 << 14  # kept points per block of verify_scalar_chain
 
 
-def _block(a: np.ndarray, rows: slice) -> np.ndarray:
-    """A grid array's leading rows ``rows``, or the whole array when its one
-    leading row is shared by every row."""
-    return a if len(a) == 1 else a[rows]
+def _rows(a: np.ndarray, at: tuple[np.ndarray, ...]) -> np.ndarray:
+    """A grid array (three row axes, then one more) at the rows ``at``, one
+    index array per row axis: ``(b, n)``, or the shared ``(n,)`` when every
+    row axis of ``a`` has one point."""
+    return a[tuple(i if n > 1 else 0 for i, n in zip(at, a.shape))]
 
 
 def verify_scalar_chain(chain_id: str) -> ChainResult:
@@ -450,11 +453,10 @@ def verify_scalar_chain(chain_id: str) -> ChainResult:
     :class:`Params` whose fields are the grid's with an x axis appended, and
     x as given.  Where x is one shared row, each twin is called once, so its
     output spans only the axes it reads (a member at q is evaluated once per
-    value of q); where x is per row, the twins are called per block.  The
-    differences are taken in blocks of whole leading rows, at most
-    ``STACK_POINTS`` points each (at least one leading row), and keep the
-    kept rows of the grid's mask in row-major order; a block with none is
-    skipped.
+    value of q); where x varies by row, the twins are called per block.
+    Only the kept rows of the grid's mask are visited, in row-major order,
+    in blocks of at most ``STACK_POINTS`` points (at least one row), each
+    gathered from the axes as ``(b, m)``.
     """
     if not isinstance(chain_id, str) or chain_id not in CHAINS:
         raise InvalidInput(f"unknown chain id {chain_id!r}; known: {sorted(CHAINS)}")
@@ -462,39 +464,31 @@ def verify_scalar_chain(chain_id: str) -> ChainResult:
     params, xs, rows = spec.region.grid()
     grid = [a if a is None else a[..., None] for a in (params.p, params.q, params.c)]
     shape = np.broadcast_shapes(xs.shape, *(a.shape for a in grid if a is not None))
-    kept = math.prod(shape[:-1]) if rows is None else int(np.count_nonzero(np.broadcast_to(rows, shape[:-1])))
-    if kept * shape[-1] == 0:
+    kept = np.flatnonzero(np.broadcast_to(True if rows is None else rows, shape[:-1]))
+    m = shape[-1]
+    if kept.size * m == 0:
         raise HypothesisError(f"the grid of chain {chain_id!r} has no point")
-    shared = len(xs) == 1  # one x row for every row: each twin once, on the axes it reads
+    shared = xs.size == m  # one x row for every row: each twin once, on the axes it reads
     if shared:
         vals = [t.f(xs, Params(*grid)) for t in spec.members]
     worst = np.inf
     worst_point: tuple = ()
-    step = max(1, STACK_POINTS // math.prod(shape[1:]))
-    for start in range(0, shape[0], step):
-        lead = slice(start, start + step)
-        block_shape = (min(step, shape[0] - start), *shape[1:])
-        if rows is None:
-            keep = ...  # every row
-        else:
-            keep = np.broadcast_to(_block(rows, lead), block_shape[:-1])
-            if not keep.any():
-                continue
-        block = [a if a is None else _block(a, lead) for a in grid]
-        x = _block(xs, lead)
+    step = max(1, STACK_POINTS // m)
+    for start in range(0, kept.size, step):
+        at = np.unravel_index(kept[start : start + step], shape[:-1])
+        block = [a if a is None else _rows(a, at) for a in grid]
+        x = _rows(xs, at)
         if shared:
-            block_vals = [_block(v, lead) for v in vals]
+            block_vals = [_rows(v, at) for v in vals]
         else:
             block_vals = [t.f(x, Params(*block)) for t in spec.members]
         for lo_vals, hi_vals in zip(block_vals[:-1], block_vals[1:]):
-            # the kept rows' points, in row-major order
-            diff = np.broadcast_to(hi_vals - lo_vals, block_shape)[keep]
+            diff = np.broadcast_to(hi_vals - lo_vals, (len(at[0]), m))  # the block's points, in row-major order
             i = int(np.argmin(diff))  # the first NaN, if there is one
             if not (np.isnan(worst) or diff.flat[i] >= worst):
                 worst = float(diff.flat[i])
-                at = (np.broadcast_to(a, block_shape)[keep].flat[i] for a in (*block, x) if a is not None)
-                worst_point = tuple(map(float, at))
-    return ChainResult(chain_id, float(worst), kept * shape[-1], worst_point)
+                worst_point = tuple(float(np.broadcast_to(a, diff.shape).flat[i]) for a in (*block, x) if a is not None)
+    return ChainResult(chain_id, float(worst), kept.size * m, worst_point)
 
 
 # ---------------------------------------------------------------------------

@@ -307,11 +307,16 @@ def test_grid_shares_its_x_row_when_no_edge_moves():
     np.testing.assert_array_equal(rows, params.p < params.q)
     assert rows.shape == (20, 20, 1) and np.count_nonzero(rows) == 190
     assert xs.shape == (1, 1, 1, 120)
-    # a moving edge: flat rows, each its own range, as the row's own geomspace call
+    # a moving edge: the same axes, x on the axes the edge reads (q and c),
+    # each row its own range, as the row's own geomspace call; the mask also
+    # leaves out the rows whose edges cross
     params, xs, rows = R_M3_B1.grid()
-    assert params.p.shape == params.q.shape == params.c.shape == (len(params.p), 1, 1)
-    assert xs.shape == (len(params.p), 1, 1, 120) and rows is None
-    for p, q, c, x in zip(params.p[::97, 0, 0], params.q[::97, 0, 0], params.c[::97, 0, 0], xs[::97, 0, 0]):
+    assert params.p.shape == (20, 1, 1) and params.q.shape == (1, 20, 1) and params.c.shape == (1, 1, 4)
+    assert xs.shape == (1, 20, 4, 120) and rows.shape == (20, 20, 4)
+    np.testing.assert_array_equal(rows, (params.p < params.q) & (xs[..., 0] < xs[..., -1]))
+    assert np.count_nonzero(rows) == 570
+    p, q, c = (_kept(a, params, rows) for a in (params.p, params.q, params.c))
+    for p, q, c, x in zip(p[::97], q[::97], c[::97], np.broadcast_to(xs, (*rows.shape, 120))[rows][::97]):
         assert p < q
         hi = min(math.exp(min((1.0 - 2.0 * c) / (c * q), 700.0)), 1e3)
         np.testing.assert_array_equal(x, np.geomspace(1.0 + 1e-3, hi, 120))
@@ -404,9 +409,9 @@ def test_each_twin_is_evaluated_once_per_weight_value(monkeypatch):
     params, xs, _ = CHAINS["M3.c"].region.grid()
     P, Q, C, m = len(params.p), params.q.shape[1], params.c.shape[2], xs.shape[-1]
     assert C > 1 and (P + Q) * C * m == _twin_elements(monkeypatch, "M3.c") == 25_600
-    # a moving edge: each of the two members once per flat row
+    # a moving edge: each of the two members once per kept row
     params, xs, rows = CHAINS["M3.b1"].region.grid()
-    assert rows is None and 2 * len(params.p) * xs.shape[-1] == _twin_elements(monkeypatch, "M3.b1") == 136_800
+    assert 2 * np.count_nonzero(rows) * xs.shape[-1] == _twin_elements(monkeypatch, "M3.b1") == 136_800
 
 
 WIDENED = {
@@ -470,6 +475,35 @@ def test_chain_empty_admissible_grid(monkeypatch):
     _custom_grid(monkeypatch, Params(p=np.empty((0, 1, 1))), np.empty((0, 1, 1, 120)))
     with pytest.raises(HypothesisError):
         verify_scalar_chain("means_order")
+
+
+def test_crossed_fixed_edges_leave_the_grid_empty(monkeypatch):
+    # v <= 1/2 under u >= 1: no row has a point, so there is nothing to check
+    # (a descending x range outside the region is no row of the grid)
+    spec = CHAINS["TA"]
+    assert spec.region is R_U1_PUNIT
+    monkeypatch.setitem(CHAINS, "TA", replace(spec, region=replace(R_U1_PUNIT, v_hi=0.5)))
+    with pytest.raises(HypothesisError, match="has no point"):
+        verify_scalar_chain("TA")
+
+
+@pytest.mark.parametrize("chain_id", ["M3.b1", "M3.e1", "T1R", "C1"])
+def test_a_flat_stand_in_grid_gives_the_chain_result(monkeypatch, chain_id):
+    # the stand-in form of a custom grid: the kept rows materialized flat, in
+    # row-major order, as (G, 1, 1) fields with their own (G, 1, 1, m) x and
+    # no mask, on a moving edge (M3.b1), fixed edges with c (M3.e1), fixed
+    # edges with p only (T1R) and no weight (C1)
+    spec = CHAINS[chain_id]
+    params, xs, rows = spec.region.grid()
+    names = [k for k in ("p", "q", "c") if getattr(params, k) is not None]
+    *cols, xs = np.broadcast_arrays(*(getattr(params, k)[..., None] for k in names), xs)
+    keep = ... if rows is None else np.broadcast_to(rows, xs.shape[:-1])
+    flat = Params(**{k: col[..., 0][keep].reshape(-1, 1, 1) for k, col in zip(names, cols)})
+    flat_xs = xs[keep].reshape(-1, 1, 1, xs.shape[-1])
+    expected = verify_scalar_chain(chain_id)
+    region = SimpleNamespace(grid=lambda: (flat, flat_xs, None))
+    monkeypatch.setitem(CHAINS, chain_id, replace(spec, region=region))
+    assert verify_scalar_chain(chain_id) == expected
 
 
 def test_sign_claims_are_the_mixed_sweeps():
