@@ -463,8 +463,7 @@ class Region:
     ``_FREE_WINDOW`` when no edge is stated.  A ``_PIN_SHARE`` of draws puts
     u on its lower edge or v on its upper edge, where the inequalities are
     tight (split evenly when both are stated); without edges those pins sit
-    at u = 1 and v = 1, where the paper's regions meet.  A region with its
-    own ``window`` draws plainly inside it, without pins.
+    at u = 1 and v = 1, where the paper's regions meet.
 
     It also yields the grid of its scalar chain (:meth:`grid`)."""
 
@@ -473,7 +472,6 @@ class Region:
     c: Box | None = None
     u_lo: float | ExpEdge | None = None
     v_hi: float | ExpEdge | None = None
-    window: tuple[float, float] | None = None
 
     def admits(self, pr: Params):
         """Whether the parameters lie in the region's boxes, with ``HYP_SLACK``
@@ -560,8 +558,6 @@ class Region:
         return (pr, *self._targets(pr, *words[:, 3:6].T))
 
     def _targets(self, pr: Params, pin: np.ndarray, w1: np.ndarray, w2: np.ndarray):
-        if self.window is not None:
-            return _sorted2(*self.window, w1, w2)
         if self.u_lo is None and self.v_hi is None:
             (lo, hi), u_pin, v_pin = _FREE_WINDOW, 1.0, 1.0
         else:
@@ -603,9 +599,6 @@ _EXP_Q = ExpEdge("-1/q", lambda pr: -1.0 / pr.q)
 _EXP_P = ExpEdge("-1/p", lambda pr: -1.0 / pr.p)
 _EXP_CQ = ExpEdge("(1-2c)/(c q)", lambda pr: (1.0 - 2.0 * pr.c) / (pr.c * pr.q))
 _EXP_CP = ExpEdge("(1-2c)/(c p)", lambda pr: (1.0 - 2.0 * pr.c) / (pr.c * pr.p))
-# T2 and C1 need u > 1 (their gap pair B - A must stay positive definite), so
-# they draw u, v plainly from a window that keeps _P_EPS off 1
-_GAP_WINDOW = (1.0 + _P_EPS, 3.0)
 
 R_P01 = Region(p=Box(0.0, 1.0))
 R_PUNIT = Region(p=_UNIT)
@@ -614,8 +607,11 @@ R_U1_PUNIT = Region(p=_UNIT, u_lo=1.0)
 R_V1_PUNIT = Region(p=_UNIT, v_hi=1.0)
 R_U1_PPOS = Region(p=_POS, u_lo=1.0)
 R_V1_PNEG = Region(p=_NEG, v_hi=1.0)
-R_T2 = Region(p=Box(-1.0, 1.0, hi_open=True), u_lo=1.0 + 1e-6, window=_GAP_WINDOW)
-R_C1 = Region(u_lo=1.0 + 1e-6, window=_GAP_WINDOW)
+# T2 and C1 need u > 1 (their gap pair B - A must stay positive definite);
+# their edge is the one their grids start at (at u = 1 + 1e-6 sampled pairs'
+# nat2(A, B - A) could not be certified positive definite)
+R_T2 = Region(p=Box(-1.0, 1.0, hi_open=True), u_lo=1.0 + _P_EPS)
+R_C1 = Region(u_lo=1.0 + _P_EPS)
 R_M1_I = Region(p=_POS, ordered=True, u_lo=1.0)
 R_M1_II = Region(p=_NEG, ordered=True, v_hi=1.0)
 R_M1_III = Region(p=_POS, ordered=True, u_lo=_EXP_Q, v_hi=1.0)

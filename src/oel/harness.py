@@ -56,10 +56,13 @@ memo of one case, which keeps nothing, and :func:`integral_sweep` draws its own.
 :mod:`oel.means`): a stack of k pairs is checked at ``max(1, STACK_ENTRIES
 // (k n^2))`` weights per quadrature and closed-form call, so a small stack
 takes its whole grid in one call and a full one keeps one weight per call;
-each matrix has the bits of its one-weight call.  The sweep reads X and
-spec(C) alone, so it forms no B, and it takes the 2-norms of the residual,
-quadrature and closed form (each exactly symmetric) from one ``eigvalsh``
-of their stack (:func:`_symmetric_norms`), not from an SVD per matrix.
+each matrix has the bits of its one-weight call.  The sweep's pairs have
+no hypothesis region and no planner: their sandwich targets are the plan's
+two target words mapped onto ``_FREE_WINDOW``, with no pin
+(:func:`_sweep_targets`).  The sweep reads X and spec(C) alone, so it
+forms no B, and it takes the 2-norms of the residual, quadrature and
+closed form (each exactly symmetric) from one ``eigvalsh`` of their stack
+(:func:`_symmetric_norms`), not from an SVD per matrix.
 
 Reports are written and read ``_REPORT_BLOCK`` rows at a time, column by
 column.  :func:`write_reports_jsonl` maps each column's values to their JSON
@@ -91,9 +94,9 @@ from .catalog import (
     _REPORT_FIELDS,
     InequalityCase,
     MarginReport,
-    Region,
     _check_case,
     _report,
+    _sorted2,
     case_index,
     catalog_with_duals,  # noqa: F401  (perfbench wraps the case lookups by this name)
     evaluate_trials,
@@ -630,9 +633,6 @@ def summarize(reports: list[MarginReport]) -> dict:
     }
 
 
-_SWEEP_REGION = Region(window=_FREE_WINDOW)  # integral_sweep's sandwich targets
-
-
 @dataclass(frozen=True)
 class IntegralResult:
     """Worst quadrature-vs-closed-form residual across sampled pairs."""
@@ -669,6 +669,12 @@ def _symmetric_norms(m: np.ndarray) -> np.ndarray:
     return np.maximum(-w[..., 0], w[..., -1])
 
 
+def _sweep_targets(plan_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """integral_sweep's sandwich targets: the two target words of its plan
+    words mapped onto ``_FREE_WINDOW``, in order, with no pin."""
+    return _sorted2(*_FREE_WINDOW, *plan_words[:, 4:6].T)
+
+
 def integral_sweep(
     *,
     trials: int = INTEGRAL_TRIALS,
@@ -699,7 +705,8 @@ def integral_sweep(
     lo = 0
     for window in _windows(seed, dims, trials):
         for stack, n in _stacks(window):
-            _, pair = _plan_pair(_SWEEP_REGION.plan, *_draw([window[i][0] for i in stack], n))
+            plan_words, base = _draw([window[i][0] for i in stack], n)
+            pair = pair_from_base(base, *_sweep_targets(plan_words))
             size = max(1, STACK_ENTRIES // (len(stack) * n * n))
             for j in range(0, len(grid), size):
                 p = weights[j : j + size]

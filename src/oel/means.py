@@ -34,7 +34,7 @@ catalog's derived pairs: Ostrowski's theorem bounds its spectrum by
 ``lambda_min(A) min f`` and ``lambda_max(A) max f`` on spec(C), numbers the
 pair already holds.  :meth:`OperatorPair.certify` checks a computed lift on
 those bounds over the values of f it was formed from, widened by a stated
-rounding bound (:func:`certified_lift`), with no eigensolve; only where they
+rounding bound (``_LIFT_ROUNDINGS``), with no eigensolve; only where they
 do not decide does it fall back to the full check.  The harmonic mean is
 the literal second path, not a lift: one LU solve of the parallel sum,
 certified by its own Cholesky factorization (with the full check where that
@@ -106,25 +106,6 @@ from .spd_core import (
 # and 4 passes them all.
 _LIFT_ROUNDINGS = 16
 _CONTRACTION = "contraction A^{-1/2} B A^{-1/2}"
-
-
-def certified_lift(a: SpdMatrix, w: np.ndarray, m: np.ndarray, fw: np.ndarray, context: str, drift=0.0) -> SpdMatrix:
-    """Wrap the lift ``m`` formed from f's values ``fw`` on spec(C) ``w`` (a
-    row, as the pair with this A holds it), on the bounds ``lambda_min(A)
-    min f - delta`` and ``lambda_max(A) max|f| + delta`` over ``fw`` (see
-    ``_LIFT_ROUNDINGS``; ``drift`` is 0 where B was built from spec(C), else
-    kappa(A)).  Where the bounds do not prove ``m`` positive definite it gets
-    the full check, and its failure is a NumericalBreakdown prefixed with
-    ``context``."""
-    n = m.shape[-1]
-    gamma_n = _gamma(n)
-    with np.errstate(all="ignore"):  # a bound that is not finite only fails to certify
-        f_hi = np.abs(fw).max(axis=(-2, -1))
-        size = np.maximum(np.maximum(1.0, w.max(axis=(-2, -1))), f_hi)
-        delta = _LIFT_ROUNDINGS * n * gamma_n * (1.0 + drift) * a.eig_max * size
-        lo = a.eig_min * fw.min(axis=(-2, -1)) - delta
-        hi = a.eig_max * f_hi + delta
-    return spd_certified(m, lo, hi, context)
 
 
 def _weights(p, what: str) -> np.ndarray:
@@ -238,11 +219,20 @@ class OperatorPair:
 
     def certify(self, m: np.ndarray, fw: np.ndarray, context: str) -> SpdMatrix:
         """Wrap ``m``, computed as the lift ``A^{1/2} f(C) A^{1/2}`` from f's
-        values ``fw`` on spec(C), as an SpdMatrix certified by them
-        (:func:`certified_lift`): no eigensolve where they prove it positive
-        definite, else the full check, a NumericalBreakdown prefixed with
-        ``context`` on failure."""
-        return certified_lift(self.A, self._w, m, fw, context, self._drift)
+        values ``fw`` on spec(C), as an SpdMatrix certified on the bounds
+        ``lambda_min(A) min f - delta`` and ``lambda_max(A) max|f| + delta``
+        over ``fw`` (see ``_LIFT_ROUNDINGS``; the pair's drift is 0 where B
+        was built from spec(C), else kappa(A)): no eigensolve where they
+        prove it positive definite, else the full check, a
+        NumericalBreakdown prefixed with ``context`` on failure."""
+        n, w, a = m.shape[-1], self._w, self.A
+        with np.errstate(all="ignore"):  # a bound that is not finite only fails to certify
+            f_hi = np.abs(fw).max(axis=(-2, -1))
+            size = np.maximum(np.maximum(1.0, w.max(axis=(-2, -1))), f_hi)
+            delta = _LIFT_ROUNDINGS * n * _gamma(n) * (1.0 + self._drift) * a.eig_max * size
+            lo = a.eig_min * fw.min(axis=(-2, -1)) - delta
+            hi = a.eig_max * f_hi + delta
+        return spd_certified(m, lo, hi, context)
 
     def __repr__(self) -> str:
         if isinstance(self.u, np.ndarray):

@@ -23,7 +23,7 @@ read: B as the one product ``(X diag mu) X^T`` on C's spectrum mu
 first read of the pair's ``B``, which keeps it; C from its basis and
 spectrum, which the pair keeps, on each read of its ``contraction``
 (``A^{-1/2}`` is never formed).  B is certified by A's and C's extreme
-eigenvalues (:func:`oel.means.certified_lift`), with the full check only
+eigenvalues (:meth:`oel.means.OperatorPair.certify`), with the full check only
 where those bounds do not decide; a B that fails both raises its
 NumericalBreakdown ("sampled B: ...") at that first read.
 Every public draw reads that stream: :func:`random_spd` is the A of

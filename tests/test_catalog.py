@@ -166,13 +166,47 @@ def test_plans_stay_inside_the_sampling_window():
 def test_plans_pin_a_share_of_draws_to_the_sandwich_edges():
     # a tenth of the draws sit on a stated edge, split evenly when both are stated
     words = generator(3).random((20_000, PLAN_WORDS))
-    for case_id, u_share, v_share in (("TA.1", 0.1, 0.0), ("T1.1.rev", 0.0, 0.1), ("M1.iii", 0.05, 0.05)):
+    # (T2 and C1 on u = 1.001, the edge their chain grids start at)
+    cases = (("TA.1", 0.1, 0.0), ("T1.1.rev", 0.0, 0.1), ("M1.iii", 0.05, 0.05), ("T2.1", 0.1, 0.0), ("C1.1", 0.1, 0.0))
+    for case_id, u_share, v_share in cases:
         case = by_id(case_id)
         params, u, v = case.plan(words)
         u_lo = case.hypothesis.u_lo
         lo = 0.2 if u_lo is None else np.maximum(_edge_at(u_lo, params), 0.2)
         assert np.mean(u == lo) == pytest.approx(u_share, abs=0.01), case_id
         assert np.mean(v == 1.0) == pytest.approx(v_share, abs=0.01), case_id
+
+
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_pairs_with_c_on_each_declared_edge_hold(n):
+    # C's least eigenvalue exactly on the case's declared lower edge, then
+    # its greatest exactly on the declared upper edge, the other end the
+    # planner's, at the planner's parameters (an ExpEdge is read there).  A
+    # trial whose edge lies outside the planner's window keeps the planner's
+    # targets.  No term breaks down and every trial holds (at u = 1 + 1e-6
+    # T2.3's and C1.3's nat2(A, B - A) could not be certified)
+    seeds = list(range(300, 316))
+    plan_words, pair_words, normals = stream_draws(seeds, n)
+    base = stack_base(pair_words, normals)
+    broken, failed = [], []
+    for case in catalog_with_duals():
+        params, u, v = case.plan(plan_words)
+        for name, edge in (("u", case.hypothesis.u_lo), ("v", case.hypothesis.v_hi)):
+            if edge is None:
+                continue
+            at = np.broadcast_to(_edge_at(edge, params), u.shape)
+            on = (catalog_module._WINDOW[0] <= at) & (at <= catalog_module._WINDOW[1])
+            assert on.any(), (case.id, name)
+            targets = (np.where(on, at, u), v) if name == "u" else (u, np.where(on, at, v))
+            pair = pair_from_base(base, *targets)
+            assert np.array_equal(getattr(pair, name)[on], at[on]), (case.id, name)
+            try:
+                rows = evaluate_trials(case, pair, params, seeds)
+            except NumericalBreakdown as exc:
+                broken.append((case.id, name, str(exc)))
+                continue
+            failed += [(case.id, name, row[0]) for row in rows if not row[-1]]
+    assert broken == [] and failed == []
 
 
 def test_box_draw_maps_words_in_order_onto_the_box():
@@ -247,7 +281,7 @@ def test_regions_reject_points_moved_past_each_edge():
         ("H1.1", "0 <= p <= 1"),
         ("T0.1", "p <= q in [-1, 1] \\ {0}"),
         ("T1.1.rev", "v <= 1, p in [-1, 1] \\ {0}"),
-        ("T2.1", "u >= 1.000001, p in [-1, 1) \\ {0}"),
+        ("T2.1", "u >= 1.001, p in [-1, 1) \\ {0}"),
         ("M1.iii", "u >= exp(-1/q), v <= 1, 0 < p <= q <= 1"),
         ("M3.c", "p <= q in [-1, 1] \\ {0}, c < 0"),
         ("M3.d1", "u >= exp((1-2c)/(c q)), v <= 1, 0 < p <= q <= 1, 0.5 <= c"),
@@ -537,9 +571,9 @@ def test_every_term_stack_is_exactly_symmetric(monkeypatch):
 
 @pytest.mark.parametrize("case_id, params", [("T2.3", Params(p=0.5)), ("C1.3", Params())])
 def test_derived_pair_losing_definiteness_is_a_breakdown(case_id, params):
-    # u = 1 + 2e-6 is inside the hypothesis, but B - A = diag(2e-13, 1) is not
+    # u = 1.002 is inside the hypothesis, but B - A = diag(2e-13, 1) is not
     # strictly positive definite: a breakdown naming the derived pair (it was
     # an InvalidInput, as if the input were at fault)
-    pair = OperatorPair(np.diag([1e-7, 1.0]), np.diag([1e-7 * (1.0 + 2e-6), 2.0]))
+    pair = OperatorPair(np.diag([1e-10, 1.0]), np.diag([1.002e-10, 2.0]))
     with pytest.raises(NumericalBreakdown, match=r"^derived pair \(A, B - A\): matrix is not strictly positive"):
         evaluate(by_id(case_id), pair, params)

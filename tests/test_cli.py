@@ -63,9 +63,9 @@ def test_verify_trial_error_exits_4_with_replay_triple(monkeypatch, capsys, erro
 
 
 def test_verify_derived_pair_breakdown_exits_4_with_replay_triple(monkeypatch, capsys):
-    # every trial's pair has u = 1 + 2e-6, inside T2's hypothesis, and
+    # every trial's pair has u = 1.002, inside T2's hypothesis, and
     # B - A = diag(2e-13, 1), which is not strictly positive definite
-    a, b = np.diag([1e-7, 1.0]), np.diag([1e-7 * (1.0 + 2e-6), 2.0])
+    a, b = np.diag([1e-10, 1.0]), np.diag([1.002e-10, 2.0])
 
     def degenerate_pairs(base, u_target, v_target):
         k = len(u_target)

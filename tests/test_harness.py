@@ -323,12 +323,12 @@ def test_integral_sweep_small_run_holds():
 
 def _per_pair_integral_sweep(trials, p_grid, seed, dims, quad_fn=quadrature_tsallis, closed_fn=tsallis_entropy):
     """integral_sweep one pair at a time, each pair built by sandwich_pair at
-    its trial seed and the sweep region's targets, and its norms taken the
+    its trial seed and the sweep's own targets, and its norms taken the
     sweep's way (the extreme eigenvalues of each symmetric matrix)."""
     tol = ORDER_TOL
     pairs = []
     for trial_seed, n in (trial for window in harness._windows(seed, dims, trials) for trial in window):
-        _, u, v = harness._SWEEP_REGION.plan(stream_draws([trial_seed], n)[0])
+        u, v = harness._sweep_targets(stream_draws([trial_seed], n)[0])
         pairs.append(sandwich_pair(SamplerConfig(seed=trial_seed, n=n, sandwich=(float(u[0]), float(v[0])))))
     out = []
     for p in p_grid:
@@ -977,12 +977,14 @@ def test_run_all_rows_are_the_per_case_rows_where_cases_share_plans(monkeypatch,
 
 @pytest.mark.parametrize("pattern, entries", [("T*", None), ("T*", 800), ("TA", None)])
 def test_run_all_memo_counts_the_arrays_its_entries_hold(monkeypatch, pattern, entries):
-    # checked as each reader starts: the memo's total is the size of the
-    # n x n arrays its entries hold of their own (the draws' A, its square
-    # root, C's basis and X; a pair's B; a term's value), within the budget.
-    # TA's lower term reads C, which the pair assembles for that read and does
-    # not keep, so TA's pairs hold B alone too; the rows stay those of the
-    # cases run one at a time
+    # checked as each reader starts: the memo's total is its charge rule,
+    # n x n per trial for each kept array (four for the draws' A, its square
+    # root, C's basis and X; one for a pair, which may form B on a later
+    # read; one for a term value), within the budget, and the arrays the
+    # entries hold of their own never exceed it.  A pair is read through
+    # _b, which forms nothing.  TA's terms read C, which the pair assembles
+    # for that read and does not keep, and not B, so TA's pairs hold no
+    # array; the rows stay those of the cases run one at a time
     kwargs = dict(trials=24, dims=(2, 3), seed=17) if pattern == "T*" else dict(trials=64, dims=(1, 2), seed=3)
     separate = []
     for case in harness.find_cases(pattern):
@@ -993,26 +995,30 @@ def test_run_all_memo_counts_the_arrays_its_entries_hold(monkeypatch, pattern, e
     kinds = set()
 
     def checked(memo, *args):
-        total = 0
+        charge = held_total = 0
         for (*key, (n, seeds)), value in memo._kept.items():
             if not key:
                 base = value[1]
                 held = [base.a.mat, base.sqrt_a.mat, base.q_c, base.x]
             elif len(key) == 1:
-                held = [value[1].B.mat]
+                held = [] if value[1]._b is None else [value[1]._b.mat]  # read without forming B
             else:
                 held = [value]
             assert all(m.shape[-2:] == (n, n) and m.size == len(seeds) * n * n for m in held)
-            total += sum(m.size for m in held)
+            charge += (4 if not key else 1) * len(seeds) * n * n
+            held_total += sum(m.size for m in held)
             kinds.add((len(key), len(held)))
-        assert memo._entries == total <= harness.SHARED_ENTRIES
+        assert memo._entries == charge <= harness.SHARED_ENTRIES
+        assert held_total <= charge
         return reader(memo, *args)
 
     monkeypatch.setattr(harness._SharedStacks, "reader", checked)
     together = []
     run_all(pattern, collect=together, **kwargs)
     assert together == separate
-    assert kinds == {(0, 4), (1, 1), (2, 1)}
+    # (entry key length, arrays held): draws, a pair holding no B, a pair
+    # holding B, a term value
+    assert kinds == {(0, 4), (1, 0), (2, 1)} | ({(1, 1)} if pattern == "T*" else set())
 
 
 def test_run_all_draws_each_stack_once_per_call(monkeypatch):

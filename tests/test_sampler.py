@@ -4,7 +4,7 @@ import pytest
 from oel.errors import InvalidInput, NumericalBreakdown
 from oel import harness
 from oel.harness import _windows, run_all
-from oel.means import OperatorPair, certified_lift
+from oel.means import OperatorPair
 from oel.sampler import (
     PLAN_WORDS,
     RNG_ALGORITHM,
@@ -146,7 +146,7 @@ def test_a_sampled_pair_forms_b_where_it_is_read(monkeypatch):
         base = stack_base(words, normals, cfg.spectrum_range)
         pair = pair_from_base(base, *(cfg.sandwich or (0.25, 4.0)))
         w = pair._w
-        eager = certified_lift(base.a, w, spectral_assemble(base.x, w), w, "sampled B")
+        eager = pair.certify(spectral_assemble(base.x, w), w, "sampled B")
         assert pair._b is None
         b = pair.B
         assert pair.B is b and b.mat.tobytes() == eager.mat.tobytes()

@@ -344,7 +344,7 @@ def test_chain_holds_on_dense_grid(chain_id):
 
 def test_stacks_keep_the_row_at_a_time_results(monkeypatch):
     stacked = {chain_id: verify_scalar_chain(chain_id) for chain_id in CHAINS}
-    monkeypatch.setattr(scalars, "STACK_POINTS", 1)  # one leading row (a p of a square) per block
+    monkeypatch.setattr(scalars, "STACK_POINTS", 1)  # one kept row per block
     for chain_id in CHAINS:
         assert verify_scalar_chain(chain_id) == stacked[chain_id]
 
