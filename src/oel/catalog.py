@@ -14,7 +14,10 @@ from its members' names and its regions, its group from its id's prefix.
 Where a reversed form holds under the dual region, :func:`dual` produces it
 (ids gain/lose a ``.rev`` suffix).  Every declaration also yields the chain
 of its twins on its region's grid for :mod:`oel.scalars` (see :func:`_cases`),
-so each case, dual included, is checked by exactly one scalar chain.
+so each case, dual included, is checked by exactly one scalar chain.  The
+paper's gap chain is declared once (:func:`_gap_chain`): T2 is it at the
+weight p, and C1 is it at p = 0, with T[0] = S and T[-1] = A - A B^-1 A by
+its own solve (the route independent of T2's spectral T[p-1]).
 
 All terms are built from the public mean/entropy operations so the catalog
 exercises the same code paths users call; a term at a derived pair builds
@@ -152,11 +155,6 @@ def _eye(pair: OperatorPair) -> np.ndarray:
     return np.eye(pair.n)
 
 
-def _tsallis_raw(pair: OperatorPair, r: float) -> np.ndarray:
-    # (A nat_r B - A)/r without the public |r| <= 1 gate (chains need r-1 in [-2, 0))
-    return (natural_power_mean(pair, r).mat - pair.A.mat) / r
-
-
 def _low_inv(pair: OperatorPair) -> np.ndarray:
     # A - A B^{-1} A
     a = pair.A.mat
@@ -237,31 +235,53 @@ T_TA_LOW = Term("A^1/2 ((C+I)/2)^{p-1} (C-I) A^1/2", _ta_lower, _at_p(scalars.hh
 T_TA_UP = Term("(nat[p] - nat[p-1] + B - A)/2", _ta_upper, _at_p(scalars.hh_upper))
 
 
-def _gap_upper_twin(x, p: float):
-    # half gap + (x - 1)^2/4, the twin of the nat2(A, B-A)/4 correction
-    return scalars.tsallis_half_gap(x, p) + 0.25 * (x - 1.0) ** 2
+def _gap_chain(names: Sequence[str], top: Callable, low: Callable, weight: Callable) -> list[Term]:
+    """The paper's Hermite-Hadamard chain on the gap ``top - low``, the lifts
+    ``top(pair, w)`` of T[w] and ``low(pair, w)`` of T[w-1] at the weight
+    w = ``weight(pr)``: the half gap, 4 times the gap at (A, (A+B)/2), the
+    end slope (top - (B - A))/(w - 1), and the half gap plus the
+    nat2(A, B - A)/4 correction.  The first three are named ``names``, the
+    last by the first's name; each member's twin is taken at w."""
+
+    def gap(pair, pr):
+        w = weight(pr)
+        return top(pair, w) - low(pair, w)
+
+    def slope(pair, pr):
+        w = weight(pr)
+        return (top(pair, w) - (pair.B.mat - pair.A.mat)) / (w - 1.0)
+
+    fns = (
+        lambda pair, pr: 0.5 * gap(pair, pr),
+        lambda pair, pr: 4.0 * gap(_mid(pair), pr),
+        slope,
+        lambda pair, pr: 0.5 * gap(pair, pr) + 0.25 * natural_power_mean(_gap(pair), 2.0).mat,
+    )
+    twins = (
+        scalars.tsallis_half_gap,
+        scalars.tsallis_mid_gap,
+        scalars.tsallis_end_slope,
+        lambda x, w: scalars.tsallis_half_gap(x, w) + 0.25 * (x - 1.0) ** 2,
+    )
+    return [
+        Term(name, fn, lambda x, pr, _f=f: _f(x, weight(pr)))
+        for name, fn, f in zip((*names, f"{names[0]} + nat2(A, B-A)/4"), fns, twins)
+    ]
 
 
-def _t_gap(pair: OperatorPair, p) -> np.ndarray:
-    # T[p] - T[p-1]
-    return tsallis_entropy(pair, p) - _tsallis_raw(pair, p - 1.0)
-
-
-T_T2_HALF = Term("(T[p] - T[p-1])/2", lambda pair, pr: 0.5 * _t_gap(pair, pr.p), _at_p(scalars.tsallis_half_gap))
-T_T2_MID = Term(
-    "4 (T[p] - T[p-1]) at (A, (A+B)/2)",
-    lambda pair, pr: 4.0 * _t_gap(_mid(pair), pr.p),
-    _at_p(scalars.tsallis_mid_gap),
+# T[p-1] is (A nat_{p-1} B - A)/(p - 1): tsallis_entropy's |p| <= 1 gate would refuse p - 1 < -1
+T2_CHAIN = _gap_chain(
+    ("(T[p] - T[p-1])/2", "4 (T[p] - T[p-1]) at (A, (A+B)/2)", "(T[p] - (B - A))/(p - 1)"),
+    tsallis_entropy,
+    lambda pair, w: (natural_power_mean(pair, w - 1.0).mat - pair.A.mat) / (w - 1.0),
+    lambda pr: pr.p,
 )
-T_T2_SLOPE = Term(
-    "(T[p] - (B - A))/(p - 1)",
-    lambda pair, pr: (tsallis_entropy(pair, pr.p) - (pair.B.mat - pair.A.mat)) / (pr.p - 1.0),
-    _at_p(scalars.tsallis_end_slope),
-)
-T_T2_UP = Term(
-    "(T[p] - T[p-1])/2 + nat2(A, B-A)/4",
-    lambda pair, pr: 0.5 * _t_gap(pair, pr.p) + 0.25 * natural_power_mean(_gap(pair), 2.0).mat,
-    _at_p(_gap_upper_twin),
+# C1 is T2 at p = 0, where T[0] = S; its T[-1] = A - A B^-1 A is one solve
+C1_CHAIN = _gap_chain(
+    ("(S - (A - A B^-1 A))/2", "4 (S - T[-1]) at (A, (A+B)/2)", "(B - A) - S"),
+    lambda pair, w: relative_operator_entropy(pair),
+    lambda pair, w: _low_inv(pair),
+    lambda pr: 0.0,
 )
 
 
@@ -286,32 +306,6 @@ def _t3_upper(pair: OperatorPair, pr: Params) -> np.ndarray:
 T_T3_LOW = Term("B - A/2 - (1-p)/(2(3-p)) B A^-1 B - nat[p-1]/(3-p)", _t3_lower, _at_p(scalars.quad_lower))
 T_T3_UP = Term(
     "B - A + 2(B A^-1 - I) nat[p-1](A, (A+B)/2) - 4 T[p](A, (A+B)/2)", _t3_upper, _at_p(scalars.quad_upper)
-)
-
-
-def _s_gap(pair: OperatorPair) -> np.ndarray:
-    # S - T[-1] = S - (A - A B^-1 A)
-    return relative_operator_entropy(pair) - _low_inv(pair)
-
-
-# the C1 terms are the T2 terms at p = 0, where T[0] = S
-T_C1_HALF = Term(
-    "(S - (A - A B^-1 A))/2", lambda pair, pr: 0.5 * _s_gap(pair), lambda x, pr: scalars.tsallis_half_gap(x, 0.0)
-)
-T_C1_MID = Term(
-    "4 (S - T[-1]) at (A, (A+B)/2)",
-    lambda pair, pr: 4.0 * _s_gap(_mid(pair)),
-    lambda x, pr: scalars.tsallis_mid_gap(x, 0.0),
-)
-T_C1_SLOPE = Term(
-    "(B - A) - S",
-    lambda pair, pr: pair.B.mat - pair.A.mat - relative_operator_entropy(pair),
-    lambda x, pr: scalars.tsallis_end_slope(x, 0.0),
-)
-T_C1_UP = Term(
-    "(S - (A - A B^-1 A))/2 + nat2(A, B-A)/4",
-    lambda pair, pr: 0.5 * _s_gap(pair) + 0.25 * natural_power_mean(_gap(pair), 2.0).mat,
-    lambda x, pr: _gap_upper_twin(x, 0.0),
 )
 
 
@@ -681,9 +675,9 @@ def _build() -> tuple[InequalityCase, ...]:
         "T1", R_U1_PUNIT, [T_SP_HALF, T_TS, T_S_SP_AVG], dual_region=R_V1_PUNIT, chain_id="entropy_bounds"
     )
     cases += _chain("T1R", R_U1_PPOS, [T_S, T_SP_HALF, T_TS, T_S_SP_AVG, T_SP], dual_region=R_V1_PNEG)
-    cases += _chain("T2", R_T2, [T_T2_HALF, T_T2_MID, T_T2_SLOPE, T_T2_UP], chain_id="gap_chain")
+    cases += _chain("T2", R_T2, T2_CHAIN, chain_id="gap_chain")
     cases += _chain("T3", R_U1_PUNIT, [T_T3_LOW, T_TS, T_T3_UP], chain_id="curvature_bounds")
-    cases += _chain("C1", R_C1, [T_C1_HALF, T_C1_MID, T_C1_SLOPE, T_C1_UP])
+    cases += _chain("C1", R_C1, C1_CHAIN)
     # monotonicity of p -> T[p] - c S[p] (four sign regions per coefficient c)
     cases += [
         _case("M1.i", R_M1_I, T_DRIFT1_Q, T_DRIFT1_P),
@@ -793,7 +787,7 @@ def evaluate(
 
 def _per_trial(x) -> list:
     """A stack's values (or a single pair's value) as a list of Python scalars."""
-    return x.tolist() if isinstance(x, np.ndarray) else [x]
+    return np.reshape(x, -1).tolist()
 
 
 def evaluate_trials(

@@ -340,6 +340,14 @@ REGISTRY: dict[str, ScalarFn] = {
 }
 
 
+def _lookup(table: dict, key: str, what: str):
+    """The entry of ``table`` (one of this module's registries) at ``key``;
+    a key that is not a string in it is an InvalidInput listing the known ones."""
+    if not isinstance(key, str) or key not in table:
+        raise InvalidInput(f"unknown {what} {key!r}; known: {sorted(table)}")
+    return table[key]
+
+
 # ---------------------------------------------------------------------------
 # frozen reference spot-values (reproduction targets for the probe command)
 # ---------------------------------------------------------------------------
@@ -387,9 +395,7 @@ PROBES: dict[str, ProbeSpec] = {
 
 def run_probe(probe_id: str) -> tuple[list[float], ProbeSpec, bool]:
     """Evaluate a registered probe; returns (values, spec, all_within_tol)."""
-    if not isinstance(probe_id, str) or probe_id not in PROBES:
-        raise InvalidInput(f"unknown probe id {probe_id!r}; known: {sorted(PROBES)}")
-    spec = PROBES[probe_id]
+    spec = _lookup(PROBES, probe_id, "probe id")
     vals = [float(fn(x, p)) for fn, x, p in spec.points]
     ok = all(abs(v - e) <= spec.tol for v, e in zip(vals, spec.expected))
     return vals, spec, ok
@@ -458,9 +464,7 @@ def verify_scalar_chain(chain_id: str) -> ChainResult:
     in blocks of at most ``STACK_POINTS`` points (at least one row), each
     gathered from the axes as ``(b, m)``.
     """
-    if not isinstance(chain_id, str) or chain_id not in CHAINS:
-        raise InvalidInput(f"unknown chain id {chain_id!r}; known: {sorted(CHAINS)}")
-    spec = CHAINS[chain_id]
+    spec = _lookup(CHAINS, chain_id, "chain id")
     params, xs, rows = spec.region.grid()
     grid = [a if a is None else a[..., None] for a in (params.p, params.q, params.c)]
     shape = np.broadcast_shapes(xs.shape, *(a.shape for a in grid if a is not None))
@@ -558,9 +562,7 @@ def sign_table(claim_id: str) -> SignReport:
     Classification: "mixed" when witnesses of both signs exceed 1e-10;
     otherwise "nonnegative"/"nonpositive" when no violation exceeds 1e-12.
     """
-    if not isinstance(claim_id, str) or claim_id not in SIGN_CLAIMS:
-        raise InvalidInput(f"unknown sign claim {claim_id!r}; known: {sorted(SIGN_CLAIMS)}")
-    claim = SIGN_CLAIMS[claim_id]
+    claim = _lookup(SIGN_CLAIMS, claim_id, "sign claim")
     vals = np.asarray(claim.fn(claim.x, claim.p), dtype=float)
     bad = ~np.isfinite(vals)
     if bad.any():
@@ -612,9 +614,7 @@ def grid_rows(fn_id: str, xs: Sequence[float], **params) -> list[dict]:
     than p, q or c, a missing one, one that is not a finite integer or float
     (whether or not the function takes it), or a point x that is not a finite
     integer or float > 0, is an InvalidInput."""
-    if not isinstance(fn_id, str) or fn_id not in REGISTRY:
-        raise InvalidInput(f"unknown scalar fn {fn_id!r}; known: {sorted(REGISTRY)}")
-    spec = REGISTRY[fn_id]
+    spec = _lookup(REGISTRY, fn_id, "scalar fn")
     unknown = sorted(set(params) - {"p", "q", "c"})
     if unknown:
         raise InvalidInput(f"unknown parameters {unknown}; known: ['c', 'p', 'q']")

@@ -35,6 +35,7 @@ from oel.sampler import (
     stack_base,
     stream_draws,
 )
+from oel.scalars import CHAINS
 from oel.spd_core import ORDER_TOL, loewner_leq, spectral_assemble
 
 catalog_module = importlib.import_module("oel.catalog")  # the package exports a function of this name
@@ -337,6 +338,34 @@ def test_limit_chain_margins_reduce_to_scalar_gaps():
         assert r.holds
 
 
+def test_the_limit_chain_is_the_gap_chain_at_p_zero():
+    # C1 is T2's chain at p = 0, where T[0] = S: near p = 0 each T2 member,
+    # operator value and twin, is within 2 |p| scale of its C1 member and
+    # closes in on it linearly in p.  This also checks T2's spectral T[p-1]
+    # against C1's solve for A - A B^-1 A
+    gap_chain, limit_chain = CHAINS["gap_chain"].members, CHAINS["C1"].members
+    xs = np.geomspace(1.001, 4.0, 200)
+    for n in (1, 2, 5, 16):
+        seeds = list(range(16 * n, 16 * n + 16))
+        plan_words, pair_words, normals = stream_draws(seeds, n)
+        _, u, v = by_id("C1.1").plan(plan_words)
+        assert u.min() >= 1.001
+        pair = pair_from_base(stack_base(pair_words, normals), u, v)
+        for t2, c1 in zip(gap_chain, limit_chain):
+            at_zero, twin_at_zero = c1.fn(pair, Params()), c1.f(xs, Params())
+            scale = np.maximum(1.0, np.abs(at_zero).max(axis=(-2, -1)))
+            twin_scale = np.maximum(1.0, np.abs(twin_at_zero))
+            for sign in (1.0, -1.0):
+                dists = []
+                for p in (sign * 1e-3, sign * 1e-5):
+                    d = (np.abs(t2.fn(pair, Params(p=p)) - at_zero).max(axis=(-2, -1)) / scale).max()
+                    dt = (np.abs(t2.f(xs, Params(p=p)) - twin_at_zero) / twin_scale).max()
+                    assert d <= 2.0 * abs(p) and dt <= 2.0 * abs(p), (c1.name, n, p, d, dt)
+                    dists.append(np.array([d, dt]))
+                ratio = dists[0] / dists[1]
+                assert np.all((50.0 <= ratio) & (ratio <= 200.0)), (c1.name, n, sign, ratio)
+
+
 def test_difference_chain_upper_term_value():
     case = by_id("T2.3")
     val = case.rhs.fn(scalar_pair(2.5), Params(p=0.5))
@@ -369,6 +398,16 @@ def test_a_report_of_evaluate_survives_a_write_and_read(tmp_path):
     assert type(report.seed) is int
     write_reports_jsonl([report], tmp_path / "r.jsonl")
     assert read_reports(tmp_path / "r.jsonl") == [report]
+
+
+def test_evaluate_takes_a_weight_as_any_real_number_and_reports_a_float():
+    # a 0-d array weight raised a bare TypeError, and a numpy scalar weight
+    # left an np.float64 in the report's p
+    case, pair = by_id("H2.1"), scalar_pair(3.0)
+    weights = (0.5, np.float64(0.5), np.array(0.5), np.array([0.5]))
+    reports = [evaluate(case, pair, Params(p=p), seed=77) for p in weights]
+    assert all(r == reports[0] for r in reports)
+    assert all(type(r.p) is float for r in reports)
 
 
 def test_evaluate_trials_returns_plain_rows():

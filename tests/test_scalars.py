@@ -203,6 +203,23 @@ def test_probe_unknown_id():
         run_probe("9.9")
 
 
+@pytest.mark.parametrize(
+    "lookup, table, what",
+    [
+        (run_probe, PROBES, "probe id"),
+        (verify_scalar_chain, CHAINS, "chain id"),
+        (sign_table, SIGN_CLAIMS, "sign claim"),
+        (lambda key: scalars.grid_rows(key, [1.0]), scalars.REGISTRY, "scalar fn"),
+    ],
+    ids=["probe", "chain", "sign", "fn"],
+)
+@pytest.mark.parametrize("key", ["nope", 2])
+def test_each_registry_lookup_names_its_known_entries(lookup, table, what, key):
+    with pytest.raises(InvalidInput) as err:
+        lookup(key)
+    assert str(err.value) == f"unknown {what} {key!r}; known: {sorted(table)}"
+
+
 def test_probe_signs_certify_no_ordering():
     # each probe family shows both signs, so neither side dominates
     for pid in ("2.3i", "2.3ii"):
