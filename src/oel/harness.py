@@ -48,9 +48,22 @@ C; one for a term value); past it, entries are computed per case.
 Each case still checks its own hypothesis before it reads a term, and a
 shared entry is the same computation on the same arrays, so rows keep their
 bits.
-The memo lives as long as its call; :func:`run_trial`, :func:`replay` and a
-lone :func:`run_suite` (a pattern matching one case is one) read through a
-memo of one case, which keeps nothing, and :func:`integral_sweep` draws its own.
+The memo lives as long as its call; a lone :func:`run_suite` (a pattern
+matching one case is one) reads through a memo of one case, which keeps
+nothing, and :func:`integral_sweep` draws its own.
+
+A single trial (:func:`run_trial`, and so :func:`replay`, and the one-trial
+rerun of a failing stack) is one function, ``_trial_row``, which reads its
+stream's draws through a per-process store, ``_TRIAL_DRAWS``, keyed by
+``(int(seed), int(n))``.  The rows of one report share few streams (every
+case reads the same ones), so replaying them redraws few.  The store drops
+the least recently read stream past ``TRIAL_ENTRIES`` matrix entries,
+charging 4 n^2 per stream as the memo charges a stack's draws, and a lock
+keeps its entry count that of the streams it holds when threads replay at
+once.  It holds the read-only plan words and base a stack draw makes, which
+the memo already shares between cases, so a replay keeps its bits.  Suites
+and :func:`integral_sweep` do not read it: no stream recurs within one of
+their calls.
 
 :func:`integral_sweep` gives its weights a leading axis of their own (see
 :mod:`oel.means`): a stack of k pairs is checked at ``max(1, STACK_ENTRIES
@@ -81,7 +94,9 @@ import csv
 import json
 import math
 import os
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -133,6 +148,11 @@ STACK_ENTRIES = 1 << 14
 # 39.8 -> 48.2 MB); at 1 << 21, n = 16, 32, 64 at 300 trials (1.4 M entries)
 # went from 16.0 to 13.2 s but peaked at 56.5 MB.
 SHARED_ENTRIES = 1 << 20
+
+# The most matrix entries the single-trial store keeps (4 n^2 per stream: the
+# draws' A, its square root, C's basis and X), 1 MB: every stream of a default
+# `oel verify` report (1000 trials at n = 1..8) is about 87k entries.
+TRIAL_ENTRIES = 1 << 17
 
 # a report row's values, in MarginReport field order (_REPORT_FIELDS, its keys)
 _report_values = attrgetter(*_REPORT_FIELDS)
@@ -240,6 +260,52 @@ def _evaluate_stack(
     )
 
 
+class _TrialDraws:
+    """The single-trial store (see the module notes): each ``(seed, n)``
+    stream's draws, the least recently read dropped first past
+    ``TRIAL_ENTRIES`` entries; a stream alone past it is not kept."""
+
+    def __init__(self) -> None:
+        self._kept: OrderedDict[tuple[int, int], tuple] = OrderedDict()
+        self._entries = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, seed: int, n: int):
+        """The plan words and base of the stream of ``seed`` at n (Python
+        ints, as :func:`run_trial` makes them), as ``_draw([seed], n)`` gives them."""
+        key = (seed, n)
+        with self._lock:
+            if key in self._kept:
+                self._kept.move_to_end(key)
+                return self._kept[key]
+        drawn = _draw([seed], n)  # outside the lock: another stream may be read meanwhile
+        charge = 4 * n * n
+        with self._lock:
+            if key not in self._kept and charge <= TRIAL_ENTRIES:
+                self._kept[key] = drawn
+                self._entries += charge
+                while self._entries > TRIAL_ENTRIES:
+                    (_, m), _ = self._kept.popitem(last=False)
+                    self._entries -= 4 * m * m
+        return drawn
+
+    def clear(self) -> None:
+        with self._lock:
+            self._kept.clear()
+            self._entries = 0
+
+
+_TRIAL_DRAWS = _TrialDraws()
+
+
+def _trial_row(case: InequalityCase, seed: int, n: int, order_tol: float) -> tuple:
+    """The trial kernel with k = 1 on the stream's draws from the store: the
+    :func:`~oel.catalog.evaluate_trials` row of one trial."""
+    plan_words, base = _TRIAL_DRAWS(seed, n)
+    params, pair = _plan_pair(case.plan, plan_words, base)
+    return evaluate_trials(case, pair, params, [seed], order_tol=order_tol)[0]
+
+
 def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
     """One deterministic trial: draw plan, sample pair, evaluate the case.
     A trial seed that is not an integer in ``[0, 2^64)``, an n that is not
@@ -252,7 +318,7 @@ def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float
     if not _is_count(n, 1):
         raise InvalidInput(f"n must be an integer >= 1, got {n!r}")
     _check_tol(order_tol)
-    return _report(case.id, *_evaluate_stack(case, [int(trial_seed)], int(n), order_tol, _SharedStacks([case]))[0])
+    return _report(case.id, *_trial_row(case, int(trial_seed), int(n), order_tol))
 
 
 def replay(case_id: str, seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
@@ -366,8 +432,8 @@ def _stacks(window: list[tuple[int, int]]):
 
 def _window_rows(case: InequalityCase, window: list[tuple[int, int]], order_tol: float, shared: _SharedStacks):
     """The window's rows, in trial order.  If a stack raises, the window is
-    rerun one trial at a time through the same kernel: the rows before the
-    earliest failing trial are yielded, then that trial's error is raised."""
+    rerun one trial at a time (``_trial_row``): the rows before the earliest
+    failing trial are yielded, then that trial's error is raised."""
     rows: list[tuple] = [None] * len(window)
     try:
         for stack, n in _stacks(window):
@@ -376,7 +442,7 @@ def _window_rows(case: InequalityCase, window: list[tuple[int, int]], order_tol:
     except Exception as stack_exc:
         for seed, n in window:
             try:
-                row = _evaluate_stack(case, [seed], n, order_tol, _SharedStacks([case]))[0]
+                row = _trial_row(case, seed, n, order_tol)
             except (NumericalBreakdown, HypothesisError) as exc:
                 raise type(exc)(f"trial (case_id, seed, n) = ({case.id!r}, {seed}, {n}): {exc}") from exc
             yield row
@@ -700,8 +766,10 @@ def integral_sweep(
     _check_nodes(nodes)
     grid = _p_grid(p_grid)
     weights = np.array(grid)[:, None, None, None]
-    # per p: [worst residual, its allowed residual, its trial, every trial within tolerance]
-    worst = [[0.0, tol, -1, True] for _ in grid]
+    # per p: [worst residual, its allowed residual, its trial, every trial
+    # within tolerance], from below any residual so that a weight whose
+    # residuals are all 0 still records its first trial
+    worst = [[-math.inf, tol, -1, True] for _ in grid]
     lo = 0
     for window in _windows(seed, dims, trials):
         for stack, n in _stacks(window):

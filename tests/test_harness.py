@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import re
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -332,7 +333,7 @@ def _per_pair_integral_sweep(trials, p_grid, seed, dims, quad_fn=quadrature_tsal
         pairs.append(sandwich_pair(SamplerConfig(seed=trial_seed, n=n, sandwich=(float(u[0]), float(v[0])))))
     out = []
     for p in p_grid:
-        worst, worst_allowed, ok = 0.0, tol, True
+        worst, worst_allowed, ok = -np.inf, tol, True
         for pair in pairs:
             quad = quad_fn(pair, p, nodes=32)
             closed = closed_fn(pair, p)
@@ -343,6 +344,15 @@ def _per_pair_integral_sweep(trials, p_grid, seed, dims, quad_fn=quadrature_tsal
             ok = ok and not resid > allowed
         out.append(IntegralResult(p=p, trials=trials, max_residual=worst, max_allowed=worst_allowed, holds=ok))
     return out
+
+
+def test_integral_sweep_reports_the_allowance_of_a_weight_with_no_residual():
+    # at n = 1 the quadrature often equals the closed form exactly (748 of the
+    # 1200 results over seeds 0-199); such a weight reported the bare tol, as
+    # no trial's residual beat the fold's starting 0
+    got = integral_sweep(trials=1, dims=(1,), seed=0)
+    assert got == _per_pair_integral_sweep(1, harness.INTEGRAL_P_GRID, 0, (1,))
+    assert got[2].p == 0.5 and got[2].max_residual == 0.0 and got[2].max_allowed > ORDER_TOL
 
 
 @pytest.mark.parametrize("window, entries", [(None, None), (8, 12)])
@@ -821,6 +831,81 @@ def test_windows_and_stacks_keep_the_rows(monkeypatch, setting, value, sizes):
     run_suite(case, trials=24, dims=(2, 3), seed=11, collect=split)
     assert split == whole
     assert seen == sizes
+
+
+def test_replays_of_one_stream_draw_it_once(monkeypatch):
+    # every case reads the same streams: the 50 rows of one (seed, n) replay from one draw
+    rows = []
+    run_all(trials=1, dims=(3,), seed=31, collect=rows)
+    assert len(rows) == 50 and len({(r.seed, r.n) for r in rows}) == 1
+    harness._TRIAL_DRAWS.clear()
+    draws = _counting(monkeypatch, harness, "stream_draws")
+    assert [replay(r.case_id, r.seed, r.n) for r in rows] == rows
+    assert len(draws) == 1
+
+
+def test_an_evicted_stream_replays_the_same_bits(monkeypatch):
+    # a budget of two n = 2 streams (4 n^2 entries each): the third read drops the first
+    monkeypatch.setattr(harness, "TRIAL_ENTRIES", 32)
+    harness._TRIAL_DRAWS.clear()
+    draws = _counting(monkeypatch, harness, "stream_draws")
+    first = [replay("H1.1", seed, 2) for seed in (5, 6, 7)]
+    assert len(draws) == 3
+    assert replay("H1.1", 5, 2) == first[0] and len(draws) == 4  # dropped, drawn again
+    assert replay("H1.1", 7, 2) == first[2] and len(draws) == 4  # kept
+    # a numpy integer seed or n reads the Python-int entry
+    assert replay("H1.1", np.uint64(7), np.int64(2)) == first[2] and len(draws) == 4
+    assert run_trial(case_by_id("H1.1"), np.int64(5), np.uint8(2)) == first[0] and len(draws) == 4
+    assert list(harness._TRIAL_DRAWS._kept) == [(7, 2), (5, 2)] and harness._TRIAL_DRAWS._entries == 32
+    assert all(type(x) is int for key in harness._TRIAL_DRAWS._kept for x in key)
+    # a stream past the whole budget is drawn and not kept
+    replay("H1.1", 8, 3)
+    assert len(draws) == 5 and list(harness._TRIAL_DRAWS._kept) == [(7, 2), (5, 2)]
+
+
+def test_suites_and_integral_sweep_do_not_read_the_trial_store(monkeypatch):
+    # no stream recurs within one of their calls
+    harness._TRIAL_DRAWS.clear()
+    run_all("H1*", trials=4, dims=(2,), seed=3)
+    run_suite(case_by_id("H1.1"), trials=4, dims=(2,), seed=3)
+    integral_sweep(trials=4, p_grid=(0.5,), dims=(2,), seed=3)
+    assert not harness._TRIAL_DRAWS._kept
+
+
+def test_the_trial_store_counts_its_streams_when_threads_replay_at_once(monkeypatch):
+    # five n = 3 streams fit; two threads replay 13 streams in different orders
+    monkeypatch.setattr(harness, "TRIAL_ENTRIES", 5 * 4 * 9)
+    harness._TRIAL_DRAWS.clear()
+    expected = {seed: replay("T1.1", seed, 3) for seed in range(13)}
+    harness._TRIAL_DRAWS.clear()
+    seen: list = []
+
+    def replays(start):
+        for i in range(60):
+            seed = (start + 5 * i) % 13
+            seen.append(replay("T1.1", seed, 3) == expected[seed])
+
+    threads = [threading.Thread(target=replays, args=(start,)) for start in (0, 7)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(seen) == 120 and all(seen)
+    kept = harness._TRIAL_DRAWS._kept
+    assert harness._TRIAL_DRAWS._entries == sum(4 * n * n for _, n in kept) <= harness.TRIAL_ENTRIES
+
+
+def test_replay_store_memory_does_not_grow_past_its_budget():
+    # n = 64 streams charge 16384 entries each, 8 to the budget: replaying 16
+    # or 64 streams not seen before keeps the last 8 either way
+    fresh = iter(range(1000, 10**6))
+
+    def run(streams):
+        for _ in range(streams):
+            replay("H1.1", next(fresh), 64)
+
+    small, large = _traced_peaks(run, 16, 64)
+    assert large < 2 * small
 
 
 def test_suite_memory_does_not_grow_with_trials(monkeypatch):
