@@ -30,10 +30,12 @@ pair that loses definiteness is a NumericalBreakdown of the trial.
 term is then one ``(k, n, n)`` stack, and the trials' weights reach it as
 ``(k, 1, 1)`` arrays.  Its verdict is the comparator of
 :func:`oel.spd_core.loewner_leq` (one ``eigvalsh`` of the ``(k, n, n)``
-stack ``Y - X``, scaled by row-sum norms) without the input checks: its
-terms are computed, and :func:`evaluate` and the harness check the
-tolerance.  It returns plain rows; :func:`evaluate` and the harness build
-the :class:`MarginReport` of a row.
+stack ``Y - X``, scaled by row-sum norms) at ``ORDER_TOL``, without the
+input checks, as its terms are computed.  No caller sets that tolerance, so
+a row is a function of its pair and parameters alone; another tolerance is
+:func:`~oel.spd_core.loewner_leq` on ``case.lhs.fn(pair, params)`` and
+``case.rhs.fn(pair, params)``.  It returns plain rows; :func:`evaluate` and
+the harness build the :class:`MarginReport` of a row.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .means import (
 )
 from .sampler import _FREE_WINDOW, _is_word
 from .scalars import Params
-from .spd_core import ORDER_TOL, _check_tol, _loewner, symmetrize
+from .spd_core import ORDER_TOL, _loewner, symmetrize
 
 HYP_SLACK = 1e-10  # slack applied to every hypothesis comparison
 _P_EPS = 1e-3      # sampled weights keep this distance from removable singularities
@@ -762,27 +764,18 @@ def find_cases(pattern: str) -> list[InequalityCase]:
     return [c for c in _WITH_DUALS if fnmatch(c.id, pattern) or fnmatch(c.group, pattern)]
 
 
-def evaluate(
-    case: InequalityCase,
-    pair: OperatorPair,
-    params: Params,
-    *,
-    order_tol: float = ORDER_TOL,
-    seed: int = 0,
-) -> MarginReport:
+def evaluate(case: InequalityCase, pair: OperatorPair, params: Params, *, seed: int = 0) -> MarginReport:
     """Evaluate one case on one pair.
 
     Raises HypothesisError when (u, v, params) fall outside the case's
     hypothesis (with slack ``HYP_SLACK``); otherwise returns the margin
-    verdict of ``lhs <= rhs``.  A non-finite or negative ``order_tol``, and
-    a seed that is not an integer in ``[0, 2^64)`` (numpy integers are
-    accepted, bools not), are InvalidInputs, as is a ``case`` that is not an
-    InequalityCase."""
+    verdict of ``lhs <= rhs`` at ``ORDER_TOL``.  A seed that is not an
+    integer in ``[0, 2^64)`` (numpy integers are accepted, bools not) is an
+    InvalidInput, as is a ``case`` that is not an InequalityCase."""
     _check_case(case)
-    _check_tol(order_tol)
     if not _is_word(seed):
         raise InvalidInput(f"trial seed must be an integer in [0, 2^64), got {seed!r}")
-    return _report(case.id, *evaluate_trials(case, pair, params, [int(seed)], order_tol=order_tol)[0])
+    return _report(case.id, *evaluate_trials(case, pair, params, [int(seed)])[0])
 
 
 def _per_trial(x) -> list:
@@ -796,7 +789,6 @@ def evaluate_trials(
     params: Params,
     seeds: Sequence[int],
     *,
-    order_tol: float = ORDER_TOL,
     terms: Callable[[Term, Params], np.ndarray] | None = None,
 ) -> list[tuple]:
     """Evaluate one case on k pairs at once: ``pair`` holds ``(k, n, n)``
@@ -828,5 +820,5 @@ def evaluate_trials(
     if isinstance(pair.u, np.ndarray):  # each trial's parameters as a (k, 1, 1) column
         params = Params(*(x if x is None else np.reshape(x, (-1, 1, 1)) for x in (params.p, params.q, params.c)))
     value = (lambda term, pr: term.fn(pair, pr)) if terms is None else terms
-    verdict = _loewner(value(case.lhs, params), value(case.rhs, params), order_tol)
+    verdict = _loewner(value(case.lhs, params), value(case.rhs, params), ORDER_TOL)
     return list(zip(seeds, [n] * k, *cols, us, vs, *(x.reshape(-1).tolist() for x in verdict)))

@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=harness.DEFAULT_TRIALS, help="trials per case")
     v.add_argument("--dims", type=_dims_arg, default=harness.DEFAULT_DIMS, help="comma list of matrix sizes to cycle")
     v.add_argument("--seed", type=int, default=None, help="master seed (default: OEL_SEED or 42)")
-    v.add_argument("--tol", type=float, default=ORDER_TOL, help="order tolerance relative to scale")
     v.add_argument("--out", default=None, help="write per-trial reports to this path")
     v.add_argument("--format", choices=("json", "csv"), default=None, help="--out file format (default json = JSON lines)")
 
@@ -114,7 +113,6 @@ def _cmd_verify(args) -> int:
         trials=args.trials,
         dims=args.dims,
         seed=seed,
-        order_tol=args.tol,
         collect=collect,
     )
     for r in results:

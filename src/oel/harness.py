@@ -61,9 +61,11 @@ the least recently read stream past ``TRIAL_ENTRIES`` matrix entries,
 charging 4 n^2 per stream as the memo charges a stack's draws, and a lock
 keeps its entry count that of the streams it holds when threads replay at
 once.  It holds the read-only plan words and base a stack draw makes, which
-the memo already shares between cases, so a replay keeps its bits.  Suites
-and :func:`integral_sweep` do not read it: no stream recurs within one of
-their calls.
+the memo already shares between cases, so a replay keeps its bits.  A
+suite's stacks and :func:`integral_sweep` do not read it, as no stream
+recurs within one of their calls; a suite reads it only when a stack raises
+and its window is rerun one trial at a time, which leaves that window's
+streams in the store.
 
 :func:`integral_sweep` gives its weights a leading axis of their own (see
 :mod:`oel.means`): a stack of k pairs is checked at ``max(1, STACK_ENTRIES
@@ -240,9 +242,7 @@ def _plan_pair(plan, plan_words: np.ndarray, base):
     return params, pair_from_base(base, u_target, v_target)
 
 
-def _evaluate_stack(
-    case: InequalityCase, seeds: list[int], n: int, order_tol: float, shared: _SharedStacks
-) -> list[tuple]:
+def _evaluate_stack(case: InequalityCase, seeds: list[int], n: int, shared: _SharedStacks) -> list[tuple]:
     """The trial kernel: k trials of dimension n read from their seeds'
     streams, planned and built as one stacked pair, and evaluated at once:
     :func:`~oel.catalog.evaluate_trials` rows.  The draws, the pair and the
@@ -251,12 +251,7 @@ def _evaluate_stack(
     plan_words, base = keep((), 4, lambda: _draw(seeds, n))
     params, pair = keep((case.plan,), 1, lambda: _plan_pair(case.plan, plan_words, base))
     return evaluate_trials(
-        case,
-        pair,
-        params,
-        seeds,
-        order_tol=order_tol,
-        terms=lambda term, pr: keep((case.plan, term), 1, lambda: term.fn(pair, pr)),
+        case, pair, params, seeds, terms=lambda term, pr: keep((case.plan, term), 1, lambda: term.fn(pair, pr))
     )
 
 
@@ -298,32 +293,32 @@ class _TrialDraws:
 _TRIAL_DRAWS = _TrialDraws()
 
 
-def _trial_row(case: InequalityCase, seed: int, n: int, order_tol: float) -> tuple:
+def _trial_row(case: InequalityCase, seed: int, n: int) -> tuple:
     """The trial kernel with k = 1 on the stream's draws from the store: the
     :func:`~oel.catalog.evaluate_trials` row of one trial."""
     plan_words, base = _TRIAL_DRAWS(seed, n)
     params, pair = _plan_pair(case.plan, plan_words, base)
-    return evaluate_trials(case, pair, params, [seed], order_tol=order_tol)[0]
+    return evaluate_trials(case, pair, params, [seed])[0]
 
 
-def run_trial(case: InequalityCase, trial_seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
-    """One deterministic trial: draw plan, sample pair, evaluate the case.
-    A trial seed that is not an integer in ``[0, 2^64)``, an n that is not
-    an integer >= 1 (numpy integers are accepted, bools not) and a
-    non-finite or negative ``order_tol`` are InvalidInputs, as is a
-    ``case`` that is not an InequalityCase."""
+def run_trial(case: InequalityCase, trial_seed: int, n: int) -> MarginReport:
+    """One deterministic trial: draw plan, sample pair, evaluate the case
+    under the catalog's one verdict rule (``ORDER_TOL``), so the report is a
+    function of ``(case, trial_seed, n)`` alone.  A trial seed that is not an
+    integer in ``[0, 2^64)`` and an n that is not an integer >= 1 (numpy
+    integers are accepted, bools not) are InvalidInputs, as is a ``case``
+    that is not an InequalityCase."""
     _check_case(case)
     if not _is_word(trial_seed):
         raise InvalidInput(f"trial seed must be an integer in [0, 2^64), got {trial_seed!r}")
     if not _is_count(n, 1):
         raise InvalidInput(f"n must be an integer >= 1, got {n!r}")
-    _check_tol(order_tol)
-    return _report(case.id, *_trial_row(case, int(trial_seed), int(n), order_tol))
+    return _report(case.id, *_trial_row(case, int(trial_seed), int(n)))
 
 
-def replay(case_id: str, seed: int, n: int, *, order_tol: float = ORDER_TOL) -> MarginReport:
+def replay(case_id: str, seed: int, n: int) -> MarginReport:
     """Reproduce a reported trial bit-for-bit from its identifying triple."""
-    return run_trial(case_by_id(case_id), seed, n, order_tol=order_tol)
+    return run_trial(case_by_id(case_id), seed, n)
 
 
 @dataclass(frozen=True)
@@ -345,7 +340,6 @@ def run_suite(
     trials: int = DEFAULT_TRIALS,
     dims: tuple[int, ...] = DEFAULT_DIMS,
     seed: int = DEFAULT_SEED,
-    order_tol: float = ORDER_TOL,
     collect: list[MarginReport] | None = None,
     _shared: _SharedStacks | None = None,
 ) -> SuiteResult:
@@ -355,10 +349,9 @@ def run_suite(
     collected reports keep trial order.  A trial's NumericalBreakdown or
     HypothesisError is re-raised with its ``(case_id, seed, n)``, after the
     reports of the trials before it have been collected.  ``trials`` that is
-    not an integer >= 1, a non-finite or negative ``order_tol``, or a
-    ``case`` that is not an InequalityCase, is an InvalidInput."""
+    not an integer >= 1, or a ``case`` that is not an InequalityCase, is an
+    InvalidInput."""
     _check_case(case)
-    _check_tol(order_tol)
     shared = _SharedStacks([case]) if _shared is None else _shared
     t0 = time.perf_counter()
     failures = 0
@@ -366,7 +359,7 @@ def run_suite(
     worst_seed = 0
     margin_sum = 0.0
     for window in _windows(seed, dims, trials):
-        for row in _window_rows(case, window, order_tol, shared):
+        for row in _window_rows(case, window, shared):
             trial_seed, n, p, q, c, u, v, margin, scale, holds = row  # MarginReport's fields after case_id
             margin_sum += margin
             if margin < worst_margin:
@@ -430,19 +423,19 @@ def _stacks(window: list[tuple[int, int]]):
             yield group[lo : lo + size], n
 
 
-def _window_rows(case: InequalityCase, window: list[tuple[int, int]], order_tol: float, shared: _SharedStacks):
+def _window_rows(case: InequalityCase, window: list[tuple[int, int]], shared: _SharedStacks):
     """The window's rows, in trial order.  If a stack raises, the window is
     rerun one trial at a time (``_trial_row``): the rows before the earliest
     failing trial are yielded, then that trial's error is raised."""
     rows: list[tuple] = [None] * len(window)
     try:
         for stack, n in _stacks(window):
-            for i, row in zip(stack, _evaluate_stack(case, [window[i][0] for i in stack], n, order_tol, shared)):
+            for i, row in zip(stack, _evaluate_stack(case, [window[i][0] for i in stack], n, shared)):
                 rows[i] = row
     except Exception as stack_exc:
         for seed, n in window:
             try:
-                row = _trial_row(case, seed, n, order_tol)
+                row = _trial_row(case, seed, n)
             except (NumericalBreakdown, HypothesisError) as exc:
                 raise type(exc)(f"trial (case_id, seed, n) = ({case.id!r}, {seed}, {n}): {exc}") from exc
             yield row
@@ -456,7 +449,6 @@ def run_all(
     trials: int = DEFAULT_TRIALS,
     dims: tuple[int, ...] = DEFAULT_DIMS,
     seed: int = DEFAULT_SEED,
-    order_tol: float = ORDER_TOL,
     collect: list[MarginReport] | None = None,
 ) -> list[SuiteResult]:
     """Run the suite for every case matching ``pattern`` (ids and groups).
@@ -466,10 +458,7 @@ def run_all(
         raise InvalidInput(f"no cases match pattern {pattern!r}")
     dims = _dims(dims)  # an iterator would be used up by the first suite
     shared = _SharedStacks(cases)
-    return [
-        run_suite(c, trials=trials, dims=dims, seed=seed, order_tol=order_tol, collect=collect, _shared=shared)
-        for c in cases
-    ]
+    return [run_suite(c, trials=trials, dims=dims, seed=seed, collect=collect, _shared=shared) for c in cases]
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_a4_full_catalog_suite():
     failures = 0
     worst = np.inf
     for case in cases:
-        res = run_suite(case, trials=1000, dims=(1, 2, 3, 4, 6, 8), seed=42, order_tol=1e-8)
+        res = run_suite(case, trials=1000, dims=(1, 2, 3, 4, 6, 8), seed=42)
         failures += res.failures
         worst = min(worst, res.worst_margin)
     elapsed = time.perf_counter() - start

@@ -1,10 +1,12 @@
 import collections
 import dataclasses
 import importlib
+import inspect
 
 import numpy as np
 import pytest
 
+from oel import harness, spd_core
 from oel.catalog import (
     HYP_SLACK,
     Box,
@@ -298,6 +300,10 @@ def test_hypothesis_gate_raises():
     pair = scalar_pair(0.5)
     with pytest.raises(HypothesisError):
         evaluate(case, pair, Params(p=0.5))
+    # a parameter that a region bounds is outside it when the trial lacks it
+    region = catalog_module.R_M3_B1  # p <= q in one box, and c in its own
+    for params in (Params(q=0.5, c=-0.5), Params(p=0.2, c=-0.5), Params(p=0.2, q=0.5)):
+        assert region.admits(params) is False, params
 
 
 def test_hypothesis_slack_admits_spectral_boundary():
@@ -416,19 +422,28 @@ def test_evaluate_trials_returns_plain_rows():
     (row,) = evaluate_trials(case, pair, params, [77])
     assert type(row) is tuple
     assert MarginReport(case.id, *row) == evaluate(case, pair, params, seed=77)
+    with pytest.raises(InvalidInput, match="1 pairs for 2 seeds"):
+        evaluate_trials(case, pair, params, [77, 78])
 
 
 def test_the_kernel_leaves_the_tolerance_check_to_the_public_entries(monkeypatch):
-    # evaluate_trials takes its tolerance as checked: evaluate checks it once,
-    # and a suite once at its entry, not once per stack
+    # a case's verdict has one rule, ORDER_TOL: no trial-path entry takes a
+    # tolerance, so none checks one, and a row replays from its triple alone
+    entries = (evaluate, evaluate_trials, harness.run_trial, harness.replay, harness.run_suite, harness.run_all)
+    for entry in entries:
+        assert not {"order_tol", "tol"} & set(inspect.signature(entry).parameters), entry
     checks = []
-    original = catalog_module._check_tol
-    monkeypatch.setattr(catalog_module, "_check_tol", lambda tol: checks.append(tol) or original(tol))
+    original = spd_core._check_tol
+    for module in (spd_core, harness):
+        monkeypatch.setattr(module, "_check_tol", lambda tol: checks.append(tol) or original(tol))
     case, pair, params = by_id("H2.1"), scalar_pair(3.0), Params(p=-0.5)
     evaluate_trials(case, pair, params, [77])
-    run_suite(by_id("H1.1"), trials=8, dims=(1, 2))
-    assert checks == []
     evaluate(case, pair, params, seed=77)
+    run_suite(by_id("H1.1"), trials=8, dims=(1, 2))
+    harness.run_all("H1", trials=4)
+    harness.replay("H1.1", 1, 2)
+    assert checks == []
+    loewner_leq(np.eye(1), np.eye(1))  # the comparator still checks its own
     assert checks == [ORDER_TOL]
 
 

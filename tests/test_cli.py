@@ -11,7 +11,6 @@ from oel.cli import _resolve_seed, build_parser, main
 from oel.errors import HypothesisError, InvalidInput, NumericalBreakdown
 from oel.harness import read_reports, replay
 from oel.means import OperatorPair
-from oel.sampler import SamplerConfig, sandwich_pair
 from oel.spd_core import loewner_leq
 
 catalog = importlib.import_module("oel.catalog")  # the package exports a function of this name
@@ -313,40 +312,31 @@ def test_integral_without_pairs_is_a_usage_error(capsys, trials):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_order_tolerance_must_be_finite_and_nonnegative(capsys, tol):
-    # a nan tolerance printed "ok" for every integral check and failed every verify trial
-    for argv in (["integral", "--trials", "2", "--p-grid", "0.5"], ["verify", "--case", "H1.1", "--trials", "2"]):
-        code = main(argv + ["--tol", tol])
-        captured = capsys.readouterr()
-        assert code == 2, argv
-        assert "tolerance must be a finite number >= 0" in captured.err
-        assert "ok" not in captured.out and "FAIL" not in captured.out
-    with pytest.raises(InvalidInput):
-        harness.run_suite(harness.case_by_id("H1.1"), trials=2, order_tol=float(tol))
+    # a nan tolerance printed "ok" for every integral check
+    code = main(["integral", "--trials", "2", "--p-grid", "0.5", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "tolerance must be a finite number >= 0" in captured.err
+    assert "ok" not in captured.out and "FAIL" not in captured.out
+    # verify has no tolerance: every row it writes replays from its triple
+    code = main(["verify", "--case", "H1.1", "--trials", "2", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "unrecognized arguments: --tol" in captured.err
+    assert "ok" not in captured.out and "FAIL" not in captured.out
     with pytest.raises(InvalidInput):
         harness.integral_sweep(trials=2, p_grid=(0.5,), tol=float(tol))
-    with pytest.raises(InvalidInput):  # replay('H1.1', 1, 2, order_tol=nan).holds read False
-        harness.replay("H1.1", 1, 2, order_tol=float(tol))
-    # every public comparator keeps the same rule: loewner_leq(2 I, I, order_tol=inf) held,
-    # and catalog.evaluate(..., order_tol=nan) failed a trial that holds
+    # the public comparator keeps the same rule: loewner_leq(2 I, I, order_tol=inf) held
     with pytest.raises(InvalidInput, match="tolerance must be a finite number >= 0"):
         loewner_leq(2.0 * np.eye(2), np.eye(2), order_tol=float(tol))
-    pair = sandwich_pair(SamplerConfig(seed=1, n=2, sandwich=(0.5, 2.0)))
-    with pytest.raises(InvalidInput, match="tolerance must be a finite number >= 0"):
-        catalog.evaluate(harness.case_by_id("H1.1"), pair, catalog.Params(p=0.5), order_tol=float(tol))
 
 
 @pytest.mark.parametrize("tol", ["1e-8", None, True, np.bool_(False), [1e-8]])
 def test_order_tolerance_must_be_a_real_number(tol):
     # a string or None raised a bare TypeError, and True ran as a tolerance of 1.0
-    pair = sandwich_pair(SamplerConfig(seed=1, n=2, sandwich=(0.5, 2.0)))
     calls = [
         lambda: loewner_leq(2.0 * np.eye(2), np.eye(2), order_tol=tol),
-        lambda: harness.run_trial(harness.case_by_id("H1.1"), 1, 2, order_tol=tol),
-        lambda: harness.replay("H1.1", 1, 2, order_tol=tol),
-        lambda: harness.run_suite(harness.case_by_id("H1.1"), trials=2, order_tol=tol),
-        lambda: harness.run_all("H1", trials=2, order_tol=tol),
         lambda: harness.integral_sweep(trials=2, p_grid=(0.5,), tol=tol),
-        lambda: catalog.evaluate(harness.case_by_id("H1.1"), pair, catalog.Params(p=0.5), order_tol=tol),
     ]
     for call in calls:
         with pytest.raises(InvalidInput, match="tolerance must be a finite number >= 0"):
@@ -429,6 +419,12 @@ def test_usage_errors_from_argparse(capsys):
     capsys.readouterr()
     assert main(["verify", "--dims", "0,2"]) == 2
     capsys.readouterr()
+    assert main(["verify", "--dims", "a"]) == 2
+    assert "bad dimension list 'a'" in capsys.readouterr().err
+    assert main(["probe", "--fns", "tsallis,hh_lower", "--x", "a"]) == 2
+    assert "bad float list 'a'" in capsys.readouterr().err
+    assert main(["probe", "--fns", "tsallis,hh_lower", "--x", ","]) == 2
+    assert "empty float list" in capsys.readouterr().err
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
 

@@ -864,7 +864,8 @@ def test_an_evicted_stream_replays_the_same_bits(monkeypatch):
 
 
 def test_suites_and_integral_sweep_do_not_read_the_trial_store(monkeypatch):
-    # no stream recurs within one of their calls
+    # no stream recurs within one of their calls; a suite whose stacks pass
+    # never reruns a window one trial at a time
     harness._TRIAL_DRAWS.clear()
     run_all("H1*", trials=4, dims=(2,), seed=3)
     run_suite(case_by_id("H1.1"), trials=4, dims=(2,), seed=3)
@@ -952,6 +953,29 @@ def test_suite_passes_other_errors_through_unchanged(monkeypatch):
     monkeypatch.setattr(harness, "evaluate_trials", flaky)
     with pytest.raises(ZeroDivisionError, match="^not a trial error$"):
         run_suite(case_by_id("H1.1"), trials=6, dims=(1, 2), seed=seed)
+
+
+def test_a_stack_error_that_no_trial_raises_alone_follows_every_row(monkeypatch):
+    # every stack of the window (two trials at each n) raises, yet each trial
+    # evaluates on its own: the one-trial rerun collects all 12 rows, reading
+    # their streams through the replay store, then the stack's error is raised
+    stack_error = ValueError("stacks of k > 1 only")
+    evaluate_stack = harness._evaluate_stack
+
+    def single_only(case, seeds, n, shared):
+        if len(seeds) > 1:
+            raise stack_error
+        return evaluate_stack(case, seeds, n, shared)
+
+    monkeypatch.setattr(harness, "_evaluate_stack", single_only)
+    harness._TRIAL_DRAWS.clear()
+    rows = []
+    with pytest.raises(ValueError) as info:
+        run_suite(case_by_id("H1.1"), trials=12, collect=rows)
+    assert info.value is stack_error and str(info.value) == "stacks of k > 1 only"
+    assert len(rows) == 12
+    assert set(harness._TRIAL_DRAWS._kept) == {(r.seed, r.n) for r in rows}
+    assert all(replay(r.case_id, r.seed, r.n) == r for r in rows)
 
 
 def _counting(monkeypatch, owner, name):

@@ -328,6 +328,17 @@ def test_a_lift_keeps_the_trailing_shape_of_the_spectrum():
     with pytest.raises(DomainError, match="returned shape"):
         pair.transform(lambda t: t[..., None])
     assert pair.transform(lambda t: np.stack((t, 2.0 * t))).shape == (2, 2, 3, 3)
+    # a constant f is that constant on every eigenvalue
+    assert np.array_equal(pair.transform(lambda t: 2.0), pair.transform(lambda t: np.full_like(t, 2.0)))
+
+
+def test_reprs_of_one_pair_and_of_a_stack():
+    one = OperatorPair(np.diag([1.0, 2.0]), np.diag([0.5, 8.0]))
+    assert repr(one) == "OperatorPair(n=2, u=0.5, v=4)"
+    assert repr(one.A) == "SpdMatrix(n=2, eig_range=[1, 2])"
+    stack = _stacked_pair(2, 3)
+    assert repr(stack) == "OperatorPair(n=3, stack=(2,))"
+    assert repr(stack.A) == "SpdMatrix(n=3, stack=(2,))"
 
 
 def _one_product(x: np.ndarray, fw: np.ndarray) -> np.ndarray:

@@ -127,6 +127,11 @@ def test_sampled_b_losing_definiteness_is_a_breakdown():
         sandwich_pair(SamplerConfig(seed=0, n=3, sandwich=(1e-14, 1.0)))
 
 
+def test_sandwich_pair_needs_a_sandwich():
+    with pytest.raises(InvalidInput, match="needs cfg.sandwich"):
+        sandwich_pair(SamplerConfig(seed=0, n=3))
+
+
 def test_a_sampled_pair_forms_b_where_it_is_read(monkeypatch):
     # the M cases read only lifts on X: none of their pairs forms B
     made = []

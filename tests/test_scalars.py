@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -86,6 +87,20 @@ def test_entropy_drift_is_its_two_terms_from_one_log(p):
     assert np.array_equal(scalars.entropy_drift(x, p, 0.5), tsallis_log(x, p) - 0.5 * power_log(x, p))
     with pytest.raises(DomainError):
         scalars.entropy_drift(np.array([2.0, 0.0]), p, 0.5)
+
+
+@pytest.mark.parametrize(
+    "fn, p, match",
+    [
+        (scalars.tsallis_end_slope, 1.0, "p = 1"),
+        (scalars.mean_gap_scaled, 0.0, "p in {0, 1}"),
+        (scalars.mean_gap_scaled, 1.0, "p in {0, 1}"),
+        (scalars.geom_harm_gap_rate, 0.0, "p = 0"),
+    ],
+)
+def test_a_normalized_twin_is_a_domain_error_at_its_singular_weight(fn, p, match):
+    with pytest.raises(DomainError, match=re.escape(match)):
+        fn(2.0, p)
 
 
 def test_frozen_entropy_chain_values():
@@ -549,6 +564,33 @@ def test_sign_table_reports_a_value_that_is_not_finite(monkeypatch):
     monkeypatch.setitem(SIGN_CLAIMS, claim.claim_id, replace(claim, fn=nan_at))
     with pytest.raises(DomainError, match=rf"'lower_gap_mixed' .* x = {at!r}, p = 0.5"):
         sign_table("lower_gap_mixed")
+
+
+@pytest.mark.parametrize(
+    "fn, expected",
+    [
+        (power_rep, "nonnegative"),  # x^{1/2} >= 1 on [1, 3]
+        (mean_gap, "nonpositive"),  # 2(sqrt(x) - 1) - (x - 1) = -(sqrt(x) - 1)^2
+        (lambda x, p: power_rep(x, p) - 1.0 - 1e-11, "mixed"),  # a dip inside the slack band
+    ],
+    ids=["nonnegative", "nonpositive", "dip"],
+)
+def test_sign_table_classifies_a_claim_that_stopped_crossing(monkeypatch, fn, expected):
+    # no registered claim reaches these outcomes; they are what would flag a
+    # *_mixed claim whose sweep no longer changes sign
+    claim = replace(SIGN_CLAIMS["lower_gap_mixed"], fn=fn)
+    monkeypatch.setitem(SIGN_CLAIMS, claim.claim_id, claim)
+    rep = sign_table(claim.claim_id)
+    assert rep.classification == expected and rep.points == claim.x.size
+    if expected == "mixed":  # below the slack, but no witness of a negative sign
+        assert -scalars.SIGN_WITNESS < rep.min_value < -scalars.SIGN_SLACK < scalars.SIGN_WITNESS < rep.max_value
+
+
+def test_sign_table_refuses_a_sweep_of_fewer_than_1000_points(monkeypatch):
+    claim = replace(SIGN_CLAIMS["lower_gap_mixed"], x=SIGN_CLAIMS["lower_gap_mixed"].x[:999])
+    monkeypatch.setitem(SIGN_CLAIMS, claim.claim_id, claim)
+    with pytest.raises(InvalidInput, match="'lower_gap_mixed' sampled only 999 points"):
+        sign_table(claim.claim_id)
 
 
 def test_sign_table_unknown_id():

@@ -171,6 +171,11 @@ def test_loewner_identity_and_shift():
     assert shifted.margin == pytest.approx(2.0, abs=1e-12)
 
 
+def test_loewner_refuses_operands_of_different_shapes():
+    with pytest.raises(InvalidInput, match=r"dimension mismatch: \(2, 2\) vs \(3, 3\)"):
+        loewner_leq(np.eye(2), np.eye(3))
+
+
 def test_loewner_reversal_fails():
     a = spd(8, 3)
     v = loewner_leq(a.mat + np.eye(3), a.mat)
