@@ -9,15 +9,13 @@ report    aggregate JSON-lines trial reports into a summary
 
 Exit codes: 0 all checks passed, 1 verification failures, 2 usage error,
 3 I/O or parse error, 4 numerical breakdown or hypothesis violation in a
-trial.  The default master seed is 42; the environment variable OEL_SEED
-overrides it, and an explicit --seed wins over both.
+trial.  The master seed is --seed, 42 by default.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import harness, scalars
@@ -33,12 +31,9 @@ EXIT_TRIAL = 4
 
 def _dims_arg(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}")
-    if not dims or any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError(f"dimensions must be positive integers, got {text!r}")
-    return dims
 
 
 def _floats_arg(text: str) -> tuple[float, ...]:
@@ -49,18 +44,6 @@ def _floats_arg(text: str) -> tuple[float, ...]:
     if not vals:
         raise argparse.ArgumentTypeError("empty float list")
     return vals
-
-
-def _resolve_seed(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get("OEL_SEED")
-    if raw is None:
-        return harness.DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidInput(f"OEL_SEED must be an integer, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--case", default="*", help="case id or glob matched against ids and groups (default: all)")
     v.add_argument("--trials", type=int, default=harness.DEFAULT_TRIALS, help="trials per case")
     v.add_argument("--dims", type=_dims_arg, default=harness.DEFAULT_DIMS, help="comma list of matrix sizes to cycle")
-    v.add_argument("--seed", type=int, default=None, help="master seed (default: OEL_SEED or 42)")
+    v.add_argument("--seed", type=int, default=harness.DEFAULT_SEED, help="master seed (default: %(default)s)")
     v.add_argument("--out", default=None, help="write per-trial reports to this path")
     v.add_argument("--format", choices=("json", "csv"), default=None, help="--out file format (default json = JSON lines)")
 
@@ -84,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fns", default=None, help="FIRST,SECOND registered scalar ids; prints SECOND - FIRST on the --x grid")
     p.add_argument("--x", type=_floats_arg, default=None, help="comma list of evaluation points")
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--q", type=float, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--out", default=None, help="write values to this path")
     p.add_argument("--format", choices=("json", "csv"), default=None, help="--out file format (default json)")
@@ -95,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=harness.INTEGRAL_P_GRID, help="comma list of weights")
     i.add_argument("--nodes", type=int, default=harness.INTEGRAL_NODES, help="quadrature nodes")
     i.add_argument("--tol", type=float, default=ORDER_TOL, help="residual tolerance relative to scale")
-    i.add_argument("--seed", type=int, default=None, help="master seed (default: OEL_SEED or 42)")
+    i.add_argument("--seed", type=int, default=harness.DEFAULT_SEED, help="master seed (default: %(default)s)")
     i.add_argument("--dims", type=_dims_arg, default=harness.DEFAULT_DIMS)
 
     r = sub.add_parser("report", help="aggregate JSON-lines trial reports")
@@ -106,13 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    seed = _resolve_seed(args.seed)
     collect: list | None = [] if args.out else None
     results = harness.run_all(
         args.case,
         trials=args.trials,
         dims=args.dims,
-        seed=seed,
+        seed=args.seed,
         collect=collect,
     )
     for r in results:
@@ -132,8 +113,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    if not args.fns and any(v is not None for v in (args.x, args.p, args.q, args.c)):
-        raise InvalidInput("--x, --p, --q and --c need --fns; a pinned probe has its own points")
+    if not args.fns and any(v is not None for v in (args.x, args.p, args.c)):
+        raise InvalidInput("--x, --p and --c need --fns; a pinned probe has its own points")
     all_ok = True
     if args.fns:
         if args.probe_id is not None:
@@ -143,7 +124,7 @@ def _cmd_probe(args) -> int:
             raise InvalidInput("--fns takes exactly two comma-separated ids")
         if args.x is None:
             raise InvalidInput("--fns mode needs an --x grid")
-        params = {k: v for k, v in (("p", args.p), ("q", args.q), ("c", args.c)) if v is not None}
+        params = {k: v for k, v in (("p", args.p), ("c", args.c)) if v is not None}
         first, second = (scalars.grid_rows(fn_id, args.x, **params) for fn_id in ids)
         for r1, r2 in zip(first, second):
             diff = r2["value"] - r1["value"]
@@ -169,13 +150,12 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_integral(args) -> int:
-    seed = _resolve_seed(args.seed)
     results = harness.integral_sweep(
         trials=args.trials,
         p_grid=args.p_grid,
         nodes=args.nodes,
         tol=args.tol,
-        seed=seed,
+        seed=args.seed,
         dims=args.dims,
     )
     ok = True

@@ -33,6 +33,7 @@ take one parameter per matrix of a stack, shaped to broadcast against ``x``.
 from __future__ import annotations
 
 import csv
+import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -295,48 +296,36 @@ def geom_harm_log2(x, p: float):
 # registry (for CSV export and the CLI probe machinery)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScalarFn:
-    """A registered scalar function with its parameter names."""
-
-    fn_id: str
-    fn: Callable
-    params: tuple[str, ...]
-    doc: str
-
-
-REGISTRY: dict[str, ScalarFn] = {
-    s.fn_id: s
-    for s in [
-        ScalarFn("tsallis", tsallis_log, ("p",), "(x^p - 1)/p"),
-        ScalarFn("gen_entropy", power_log, ("p",), "x^p log x"),
-        ScalarFn("arith", arith_rep, ("p",), "(1-p) + p x"),
-        ScalarFn("harm", harm_rep, ("p",), "x/((1-p)x + p)"),
-        ScalarFn("power", power_rep, ("p",), "x^p"),
-        ScalarFn("half_gap", tsallis_half_gap, ("p",), "(t_p - t_{p-1})/2"),
-        ScalarFn("mid_gap", tsallis_mid_gap, ("p",), "4(t_p - t_{p-1}) at midpoint"),
-        ScalarFn("end_slope", tsallis_end_slope, ("p",), "(t_p - (x-1))/(p-1)"),
-        ScalarFn("mid_gap_excess", mid_gap_excess, ("p",), "mid_gap - half_gap"),
-        ScalarFn("mid_power_decay", mid_power_decay, ("p",), "((x+1)/2)^{p-2} - x^{p-2}/2"),
-        ScalarFn("quad_lower", quad_lower, ("p",), "quadratic-correction lower bound"),
-        ScalarFn("quad_upper_probe", quad_upper_probe, ("p",), "probe form of the upper bound"),
-        ScalarFn("quad_upper", quad_upper, ("p",), "exact quadratic-correction upper bound"),
-        ScalarFn("lower_gap", lower_gap, ("p",), "quad_lower - hh_lower"),
-        ScalarFn("upper_gap", upper_gap, ("p",), "hh_upper - quad_upper_probe"),
-        ScalarFn("hh_lower", hh_lower, ("p",), "((x+1)/2)^{p-1}(x-1)"),
-        ScalarFn("hh_upper", hh_upper, ("p",), "((x^{p-1}+1)/2)(x-1)"),
-        ScalarFn("avg_power_log", avg_power_log, ("p",), "((x^p+1)/2) log x"),
-        ScalarFn("log_defect", log_defect, ("c",), "1 - x + x log x - c x (log x)^2"),
-        ScalarFn("entropy_drift", entropy_drift, ("p", "c"), "t_p - c x^p log x"),
-        ScalarFn("mean_gap", mean_gap, ("p",), "t_p - (x-1)"),
-        ScalarFn("mean_gap_scaled", mean_gap_scaled, ("p",), "((1-p)+px-x^p)/(p(1-p))"),
-        ScalarFn("geom_harm_gap_rate", geom_harm_gap_rate, ("p",), "(x^p - harm)/p"),
-        ScalarFn("geom_to_harm_ratio", geom_to_harm_ratio, ("p",), "x^p/((1-p)+p/x)"),
-        ScalarFn("harm_drop_rate", harm_drop_rate, ("p",), "((1-p)+p/x-x^{-p})/p"),
-        ScalarFn("chord_log_ratio", chord_log_ratio, (), "(x-1)/log x"),
-        ScalarFn("harm_secant", harm_secant, ("p",), "(x-1)/((1-p)x+p)"),
-        ScalarFn("geom_harm_log2", geom_harm_log2, ("p",), "(x^p - harm)/p + p (log x)^2"),
-    ]
+# each function takes x, then the parameters its signature names after it
+REGISTRY: dict[str, Callable] = {
+    "tsallis": tsallis_log,
+    "gen_entropy": power_log,
+    "arith": arith_rep,
+    "harm": harm_rep,
+    "power": power_rep,
+    "half_gap": tsallis_half_gap,
+    "mid_gap": tsallis_mid_gap,
+    "end_slope": tsallis_end_slope,
+    "mid_gap_excess": mid_gap_excess,
+    "mid_power_decay": mid_power_decay,
+    "quad_lower": quad_lower,
+    "quad_upper_probe": quad_upper_probe,
+    "quad_upper": quad_upper,
+    "lower_gap": lower_gap,
+    "upper_gap": upper_gap,
+    "hh_lower": hh_lower,
+    "hh_upper": hh_upper,
+    "avg_power_log": avg_power_log,
+    "log_defect": log_defect,
+    "entropy_drift": entropy_drift,
+    "mean_gap": mean_gap,
+    "mean_gap_scaled": mean_gap_scaled,
+    "geom_harm_gap_rate": geom_harm_gap_rate,
+    "geom_to_harm_ratio": geom_to_harm_ratio,
+    "harm_drop_rate": harm_drop_rate,
+    "chord_log_ratio": chord_log_ratio,
+    "harm_secant": harm_secant,
+    "geom_harm_log2": geom_harm_log2,
 }
 
 
@@ -587,11 +576,11 @@ def sign_table(claim_id: str) -> SignReport:
 # CSV export
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = ("fn_id", "p", "q", "c", "x", "value")
+CSV_COLUMNS = ("fn_id", "p", "c", "x", "value")
 
 
 def export_rows_csv(rows: Iterable[dict], path: str) -> None:
-    """Write rows with keys (fn_id, p, q, c, x, value) as CSV to ``path``."""
+    """Write rows with keys (fn_id, p, c, x, value) as CSV to ``path``."""
     with open(path, "w", encoding="utf-8", newline="") as stream:
         w = csv.DictWriter(stream, fieldnames=CSV_COLUMNS)
         w.writeheader()
@@ -610,15 +599,16 @@ def _real(value, what: str) -> float:
 
 def grid_rows(fn_id: str, xs: Sequence[float], **params) -> list[dict]:
     """Evaluate a registered scalar function on a grid, as CSV-ready rows,
-    each recording the parameters the function takes.  A parameter other
-    than p, q or c, a missing one, one that is not a finite integer or float
-    (whether or not the function takes it), or a point x that is not a finite
-    integer or float > 0, is an InvalidInput."""
-    spec = _lookup(REGISTRY, fn_id, "scalar fn")
-    unknown = sorted(set(params) - {"p", "q", "c"})
+    each recording the parameters the function takes (its arguments after
+    x).  A parameter other than p or c, a missing one, one that is not a
+    finite integer or float (whether or not the function takes it), or a
+    point x that is not a finite integer or float > 0, is an InvalidInput."""
+    fn = _lookup(REGISTRY, fn_id, "scalar fn")
+    takes = list(inspect.signature(fn).parameters)[1:]
+    unknown = sorted(set(params) - {"p", "c"})
     if unknown:
-        raise InvalidInput(f"unknown parameters {unknown}; known: ['c', 'p', 'q']")
-    missing = [k for k in spec.params if k not in params]
+        raise InvalidInput(f"unknown parameters {unknown}; known: ['c', 'p']")
+    missing = [k for k in takes if k not in params]
     if missing:
         raise InvalidInput(f"{fn_id} needs parameters {missing}")
     params = {k: _real(v, f"{fn_id} parameter {k}") for k, v in params.items()}
@@ -628,15 +618,15 @@ def grid_rows(fn_id: str, xs: Sequence[float], **params) -> list[dict]:
     bad = [x for x in xs if not (np.isfinite(x) and x > 0.0)]
     if bad:
         raise InvalidInput(f"{fn_id} needs finite points x > 0, got {bad[0]}")
-    args = [params[k] for k in spec.params]
+    args = [params[k] for k in takes]
     rows = []
     for x in xs:
         rows.append(
             {
                 "fn_id": fn_id,
-                **{k: params[k] if k in spec.params else "" for k in ("p", "q", "c")},
+                **{k: params[k] if k in takes else "" for k in ("p", "c")},
                 "x": x,
-                "value": float(spec.fn(x, *args)),
+                "value": float(fn(x, *args)),
             }
         )
     return rows
@@ -652,7 +642,7 @@ def _probe_rows(probe_id: str, vals: list[float], spec: ProbeSpec) -> list[dict]
     """The rows of :func:`probe_rows` from the values ``run_probe`` returned."""
     rows = []
     for label, v, e in zip(spec.labels, vals, spec.expected):
-        rows.append({"fn_id": f"probe:{probe_id}:{label}", "p": "", "q": "", "c": "", "x": "", "value": v})
-        rows.append({"fn_id": f"probe:{probe_id}:{label}:expected", "p": "", "q": "", "c": "", "x": "", "value": e})
+        rows.append({"fn_id": f"probe:{probe_id}:{label}", "p": "", "c": "", "x": "", "value": v})
+        rows.append({"fn_id": f"probe:{probe_id}:{label}:expected", "p": "", "c": "", "x": "", "value": e})
     return rows
 

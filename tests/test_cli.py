@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oel import harness, scalars
-from oel.cli import _resolve_seed, build_parser, main
+from oel.cli import build_parser, main
 from oel.errors import HypothesisError, InvalidInput, NumericalBreakdown
 from oel.harness import read_reports, replay
 from oel.means import OperatorPair
@@ -16,11 +16,6 @@ from oel.spd_core import loewner_leq
 catalog = importlib.import_module("oel.catalog")  # the package exports a function of this name
 
 REPORT_FIELDS = ("case_id", "seed", "n", "p", "q", "c", "u", "v", "margin", "scale", "holds")
-
-
-@pytest.fixture(autouse=True)
-def _no_env_seed(monkeypatch):
-    monkeypatch.delenv("OEL_SEED", raising=False)
 
 
 def test_verify_ok(capsys):
@@ -121,42 +116,50 @@ def test_verify_writes_csv(tmp_path, capsys):
     assert len(rows) == 4
 
 
-def test_verify_env_seed(monkeypatch, capsys):
-    def margins(argv, env=None):
-        if env is not None:
-            monkeypatch.setenv("OEL_SEED", env)
-        else:
-            monkeypatch.delenv("OEL_SEED", raising=False)
-        main(argv)
-        return [ln.split(" (")[0] for ln in capsys.readouterr().out.splitlines()]
-
-    base = ["verify", "--case", "T0", "--trials", "4"]
-    via_env = margins(base, env="7")
-    via_flag = margins(base + ["--seed", "7"])
-    assert via_env == via_flag
-    # explicit seed wins over the environment
-    flag_wins = margins(base + ["--seed", "9"], env="7")
-    assert flag_wins == margins(base + ["--seed", "9"])
-    assert flag_wins != via_env
+def _run_under_env_seed(monkeypatch, capsys, tmp_path, env):
+    # the bytes of `verify --out`, its stdout without timings and the stdout
+    # of `integral`, with OEL_SEED unset (env None) or set to env
+    if env is None:
+        monkeypatch.delenv("OEL_SEED", raising=False)
+    else:
+        monkeypatch.setenv("OEL_SEED", env)
+    out = tmp_path / f"{env}.jsonl"
+    assert main(["verify", "--case", "T0", "--trials", "4", "--out", str(out)]) == 0
+    verify = [ln.split(" (")[0] for ln in capsys.readouterr().out.splitlines()]
+    assert main(["integral", "--trials", "2"]) == 0
+    return out.read_bytes(), verify, capsys.readouterr().out
 
 
-def test_verify_bad_env_seed(monkeypatch, capsys):
-    monkeypatch.setenv("OEL_SEED", "lots")
-    code = main(["verify", "--case", "H1.1", "--trials", "2"])
-    assert code == 2
-    assert "OEL_SEED" in capsys.readouterr().err
+def test_verify_env_seed(monkeypatch, capsys, tmp_path):
+    # OEL_SEED=7 oel verify wrote the seed-7 rows, and nothing it printed or
+    # wrote named the seed; the command line alone now decides the run
+    clean = _run_under_env_seed(monkeypatch, capsys, tmp_path, None)
+    assert _run_under_env_seed(monkeypatch, capsys, tmp_path, "7") == clean
+
+
+def test_verify_bad_env_seed(monkeypatch, capsys, tmp_path):
+    # OEL_SEED=lots was a usage error; OEL_SEED is no longer read at all
+    clean = _run_under_env_seed(monkeypatch, capsys, tmp_path, None)
+    assert _run_under_env_seed(monkeypatch, capsys, tmp_path, "lots") == clean
 
 
 @pytest.mark.parametrize("how", ["flag", "env"])
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551657"])
 def test_verify_and_integral_reject_seeds_outside_64_bits(monkeypatch, capsys, how, seed):
-    # -1 and 2^64 - 1 wrote byte-identical reports, as did 2^64 + 41 and 41
+    # -1 and 2^64 - 1 wrote byte-identical reports, as did 2^64 + 41 and 41;
+    # --seed refuses such a seed, and OEL_SEED, no longer read, cannot pass one
     for command in (["verify", "--case", "H1.1", "--trials", "2"], ["integral", "--trials", "2", "--p-grid", "0.5"]):
         if how == "env":
+            monkeypatch.delenv("OEL_SEED", raising=False)
+            assert main(command) == 0
+            clean = capsys.readouterr().out.splitlines()
             monkeypatch.setenv("OEL_SEED", seed)
-        else:
-            command = command + ["--seed", seed]
-        assert main(command) == 2
+            assert main(command) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert [ln.split(" (")[0] for ln in captured.out.splitlines()] == [ln.split(" (")[0] for ln in clean]
+            continue
+        assert main(command + ["--seed", seed]) == 2
         captured = capsys.readouterr()
         assert "master seed must be an integer in [0, 2^64)" in captured.err
         assert "ok" not in captured.out
@@ -201,7 +204,7 @@ def test_probe_csv_out(tmp_path, capsys):
     main(["probe", "2.3ii", "--format", "csv", "--out", str(out_path)])
     capsys.readouterr()
     lines = out_path.read_text().strip().splitlines()
-    assert lines[0] == "fn_id,p,q,c,x,value"
+    assert lines[0] == "fn_id,p,c,x,value"
     assert len(lines) == 5  # two labels, value + expected each
 
 
@@ -246,7 +249,6 @@ def test_probe_fns_usage_errors(capsys):
     [
         ["probe", "2.3i", "--p", "0.5"],
         ["probe", "--x", "1,2"],
-        ["probe", "2.5", "--q", "0.5"],
         ["probe", "--c", "0.5"],
         ["probe", "--format", "csv"],
         ["probe", "--fns", "hh_lower,tsallis", "--x", "2", "--p", "0.5", "--format", "json"],
@@ -254,7 +256,7 @@ def test_probe_fns_usage_errors(capsys):
     ],
 )
 def test_a_flag_without_effect_is_a_usage_error(argv, capsys, monkeypatch):
-    # --x, --p, --q and --c are read only with --fns (a pinned probe has its
+    # --x, --p and --c are read only with --fns (a pinned probe has its
     # own points) and --format only with --out: given alone, each is refused
     # before anything runs, not ignored
     ran = []
@@ -278,9 +280,16 @@ def test_integral_defaults_are_the_sweeps_defaults():
     # `oel integral` with no option runs integral_sweep's own default sweep
     args = build_parser().parse_args(["integral"])
     signature = inspect.signature(harness.integral_sweep).parameters
-    for name in ("trials", "p_grid", "nodes", "tol", "dims"):
+    for name in ("trials", "p_grid", "nodes", "tol", "dims", "seed"):
         assert getattr(args, name) == signature[name].default, name
-    assert _resolve_seed(args.seed) == signature["seed"].default
+
+
+def test_verify_defaults_are_run_alls_defaults():
+    # `oel verify` with no option runs run_all's own default suite
+    args = build_parser().parse_args(["verify"])
+    signature = inspect.signature(harness.run_all).parameters
+    for name in ("trials", "dims", "seed"):
+        assert getattr(args, name) == signature[name].default, name
 
 
 def test_integral_bad_weight(capsys):
@@ -350,7 +359,6 @@ def test_order_tolerance_must_be_a_real_number(tol):
         ["--fns", "tsallis,hh_lower", "--x", "2", "--p", "inf"],
         ["--fns", "chord_log_ratio,log_defect", "--x", "2", "--c", "nan"],
         # a parameter that neither function takes was not checked
-        ["--fns", "tsallis,hh_lower", "--x", "2", "--p", "0.5", "--q", "nan"],
         ["--fns", "tsallis,hh_lower", "--x", "2", "--p", "0.5", "--c", "nan"],
     ],
 )
@@ -427,6 +435,18 @@ def test_usage_errors_from_argparse(capsys):
     assert "empty float list" in capsys.readouterr().err
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["verify", "--dims", "0"], ["verify", "--dims", ","], ["integral", "--dims", "0"]])
+def test_bad_dims_exit_2_before_any_draw(monkeypatch, capsys, argv):
+    # the command line only parses --dims; harness._dims holds the rule
+    def never(*args):
+        raise AssertionError("drew a stack")
+
+    monkeypatch.setattr(harness, "_draw", never)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "bad dims" in captured.err and captured.out == ""
 
 
 def test_help_exits_zero(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from dataclasses import replace
@@ -621,7 +622,7 @@ def test_grid_rows_and_csv(tmp_path):
     out = tmp_path / "vals.csv"
     scalars.export_rows_csv(rows, str(out))
     text = out.read_text().splitlines()
-    assert text[0] == "fn_id,p,q,c,x,value"
+    assert text[0] == "fn_id,p,c,x,value"
     assert len(text) == 4
 
 
@@ -635,7 +636,9 @@ def test_grid_rows_missing_param():
     [
         # a string weight raised a bare TypeError from np.isfinite
         ([2.0], {"p": "0.5"}, "parameter p must be an integer or a float"),
-        ([2.0], {"p": 0.5, "q": np.array([0.5, 0.2])}, "parameter q must be an integer or a float"),
+        # no registered function takes a second weight q
+        ([2.0], {"p": 0.5, "q": np.array([0.5, 0.2])}, r"unknown parameters \['q'\]"),
+        ([2.0], {"p": 0.5, "c": np.array([0.5, 0.2])}, "parameter c must be an integer or a float"),
         ([2.0], {"p": True}, "parameter p must be an integer or a float"),
         # an unknown parameter was accepted without a word
         ([2.0], {"p": 0.5, "z": 1.0}, r"unknown parameters \['z'\]"),
@@ -644,7 +647,7 @@ def test_grid_rows_missing_param():
         ([2.0, np.bool_(True)], {"p": 0.5}, "point x must be an integer or a float"),
         (["2"], {"p": 0.5}, "point x must be an integer or a float"),
     ],
-    ids=["p-str", "q-array", "p-bool", "unknown-z", "x-bool", "x-numpy-bool", "x-str"],
+    ids=["p-str", "q-array", "c-array", "p-bool", "unknown-z", "x-bool", "x-numpy-bool", "x-str"],
 )
 def test_grid_rows_rejects_what_is_not_a_real_number_or_a_known_parameter(xs, params, match):
     with pytest.raises(InvalidInput, match=match):
@@ -652,8 +655,8 @@ def test_grid_rows_rejects_what_is_not_a_real_number_or_a_known_parameter(xs, pa
 
 
 def test_grid_rows_takes_integers_and_numpy_numbers():
-    rows = scalars.grid_rows("tsallis", [np.float32(2.0), 4, np.int64(1)], p=np.float64(0.5), q=1)
-    assert [(r["x"], r["p"], r["q"]) for r in rows] == [(2.0, 0.5, ""), (4.0, 0.5, ""), (1.0, 0.5, "")]
+    rows = scalars.grid_rows("tsallis", [np.float32(2.0), 4, np.int64(1)], p=np.float64(0.5), c=1)
+    assert [(r["x"], r["p"], r["c"]) for r in rows] == [(2.0, 0.5, ""), (4.0, 0.5, ""), (1.0, 0.5, "")]
     assert rows[1]["value"] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -676,8 +679,7 @@ def test_probe_csv_contains_expected_rows(tmp_path):
 
 
 def test_registry_entries_are_callable():
-    for fn_id, spec in scalars.REGISTRY.items():
-        assert spec.fn_id == fn_id
+    for fn in scalars.REGISTRY.values():
         args = {"p": 0.5, "c": 0.25}
-        vals = spec.fn(1.5, *[args[k] for k in spec.params])
+        vals = fn(1.5, *[args[k] for k in list(inspect.signature(fn).parameters)[1:]])
         assert np.all(np.isfinite(vals))
