@@ -19,13 +19,17 @@ paper's gap chain is declared once (:func:`_gap_chain`): T2 is it at the
 weight p, and C1 is it at p = 0, with T[0] = S and T[-1] = A - A B^-1 A by
 its own solve (the route independent of T2's spectral T[p-1]).
 
-All terms are built from the public mean/entropy operations so the catalog
-exercises the same code paths users call; a term at a derived pair builds
-it (:func:`_mid`, :func:`_gap`) as a lift of the pair's contraction C
-(:meth:`~oel.means.OperatorPair.lift_pair`): its second matrix is certified
-as the lift of its twin f, and its contraction is f(C), held as C's basis
-and f on spec(C) (assembled only if read), with no eigensolve.  A derived
-pair that loses definiteness is a NumericalBreakdown of the trial.
+A term that is one entropy wrapper calls that wrapper, a linear combination
+of entropy lifts on its own pair is one lift of its twin (:func:`_lift`, one
+product on X: M1-M3's T[r] - c S[r] and T1's (S + S[p])/2), and the means
+and the routes independent of the twins (the harmonic solve, the explicit
+solves and products, the gap chain) keep their own operations.  A term at a
+derived pair builds it (:func:`_mid`, :func:`_gap`) as a lift of the pair's
+contraction C (:meth:`~oel.means.OperatorPair.lift_pair`): its second
+matrix is certified as the lift of its twin f, and its contraction is f(C),
+held as C's basis and f on spec(C) (assembled only if read), with no
+eigensolve.  A derived pair that loses definiteness is a NumericalBreakdown
+of the trial.
 :func:`evaluate_trials` runs k trials of one case on a stacked pair: each
 term is then one ``(k, n, n)`` stack, and the trials' weights reach it as
 ``(k, 1, 1)`` arrays.  Its verdict is the comparator of
@@ -189,6 +193,13 @@ def _weighted(name: str, op: Callable, twin: Callable) -> tuple[Term, Term]:
     )
 
 
+def _lift(twin: Callable) -> Callable:
+    """The operator value ``fn(pair, *args)`` that is one lift of the twin
+    ``twin(x, *args)``, one product on X: how a term combining entropy lifts
+    on its own pair is computed."""
+    return lambda pair, *args: pair.transform(lambda t: twin(t, *args))
+
+
 def _at_p(twin: Callable) -> Callable:
     """The twin ``twin(x, p)`` at the trial's p."""
     return lambda x, pr: twin(x, pr.p)
@@ -204,11 +215,7 @@ T_SP_HALF = Term(
     lambda pair, pr: generalized_entropy(pair, 0.5 * pr.p),
     lambda x, pr: scalars.power_log(x, 0.5 * pr.p),
 )
-T_S_SP_AVG = Term(
-    "(S + S[p])/2",
-    lambda pair, pr: 0.5 * (relative_operator_entropy(pair) + generalized_entropy(pair, pr.p)),
-    _at_p(scalars.avg_power_log),
-)
+T_S_SP_AVG = Term("(S + S[p])/2", _lift(_at_p(scalars.avg_power_log)), _at_p(scalars.avg_power_log))
 T_TS, T_TS_Q = _weighted(
     "T[{r}]", lambda pair, r, c: tsallis_entropy(pair, r), lambda x, r, c: scalars.tsallis_log(x, r)
 )
@@ -335,18 +342,15 @@ T_W4_P, T_W4_Q = _weighted(
 )
 
 
-def _drift(pair: OperatorPair, r: float, c: float) -> np.ndarray:
-    return tsallis_entropy(pair, r) - c * generalized_entropy(pair, r)
-
-
 def _drift_terms(c_fixed: float | None) -> tuple[Term, Term]:
-    """T[r] - c S[r] at r = p and r = q, with c fixed or (None) the trial's c."""
+    """T[r] - c S[r] at r = p and r = q, with c fixed or (None) the trial's c:
+    one lift of its twin."""
     c_txt = "c" if c_fixed is None else f"{c_fixed:g}"
-    return _weighted(
-        f"T[{{r}}] - {c_txt} S[{{r}}]",
-        lambda pair, r, c: _drift(pair, r, c if c_fixed is None else c_fixed),
-        lambda x, r, c: scalars.entropy_drift(x, r, c if c_fixed is None else c_fixed),
-    )
+
+    def twin(x, r, c):
+        return scalars.entropy_drift(x, r, c if c_fixed is None else c_fixed)
+
+    return _weighted(f"T[{{r}}] - {c_txt} S[{{r}}]", _lift(twin), twin)
 
 
 T_DRIFT1_P, T_DRIFT1_Q = _drift_terms(1.0)

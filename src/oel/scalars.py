@@ -259,9 +259,9 @@ def geom_harm_gap_rate(x, p: float):
 
 
 def geom_to_harm_ratio(x, p: float):
-    """x**p / ((1-p) + p/x): geometric mean over harmonic mean."""
-    x = _pos(x)
-    return x ** p / ((1.0 - p) + p / x)
+    """power_rep / harm_rep = x**(p-1) * ((1-p)*x + p): the weighted geometric
+    mean of 1 and x over their weighted harmonic mean (>= 1 for p in [0, 1])."""
+    return power_rep(x, p) / harm_rep(x, p)
 
 
 def harm_drop_rate(x, p: float):

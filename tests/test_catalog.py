@@ -6,7 +6,7 @@ import inspect
 import numpy as np
 import pytest
 
-from oel import harness, spd_core
+from oel import harness, means, spd_core
 from oel.catalog import (
     HYP_SLACK,
     Box,
@@ -25,7 +25,7 @@ from oel.catalog import (
 )
 from oel.errors import HypothesisError, InvalidInput, NoDual, NumericalBreakdown
 from oel.harness import read_reports, run_suite, write_reports_jsonl
-from oel.means import OperatorPair
+from oel.means import OperatorPair, generalized_entropy, relative_operator_entropy, tsallis_entropy
 from oel.sampler import (
     PLAN_WORDS,
     SamplerConfig,
@@ -37,7 +37,7 @@ from oel.sampler import (
     stack_base,
     stream_draws,
 )
-from oel.scalars import CHAINS
+from oel.scalars import CHAINS, power_log, tsallis_log
 from oel.spd_core import ORDER_TOL, loewner_leq, spectral_assemble
 
 catalog_module = importlib.import_module("oel.catalog")  # the package exports a function of this name
@@ -557,6 +557,71 @@ def test_every_term_is_the_lift_of_its_scalar_twin():
                 got = term.fn(stack, stacked)
                 expected = stack.transform(lambda t: term.f(t, stacked))
                 _assert_twin_lift(term, got, expected, stacked, (case.id, n, "stack"))
+
+
+def _drift_parts(r: str, c_fixed):
+    """T[r] - c S[r] as its two public wrappers, with the twins of the parts
+    and their coefficients: (composed fn, [(twin, coefficient), ...])."""
+
+    def coef(pr):
+        return pr.c if c_fixed is None else c_fixed
+
+    return (
+        lambda pair, pr: tsallis_entropy(pair, getattr(pr, r)) - coef(pr) * generalized_entropy(pair, getattr(pr, r)),
+        lambda pr: [(lambda t: tsallis_log(t, getattr(pr, r)), 1.0), (lambda t: power_log(t, getattr(pr, r)), coef(pr))],
+    )
+
+
+# every term that combines entropy lifts on its own pair, as the composition
+# of the public wrappers it used to be
+_COMBINED = {
+    catalog_module.T_DRIFT1_P: _drift_parts("p", 1.0),
+    catalog_module.T_DRIFT1_Q: _drift_parts("q", 1.0),
+    catalog_module.T_DRIFT_HALF_P: _drift_parts("p", 0.5),
+    catalog_module.T_DRIFT_HALF_Q: _drift_parts("q", 0.5),
+    catalog_module.T_DRIFT_C_P: _drift_parts("p", None),
+    catalog_module.T_DRIFT_C_Q: _drift_parts("q", None),
+    catalog_module.T_S_SP_AVG: (
+        lambda pair, pr: (relative_operator_entropy(pair) + generalized_entropy(pair, pr.p)) / 2,
+        lambda pr: [(np.log, 0.5), (lambda t: power_log(t, pr.p), 0.5)],
+    ),
+}
+
+
+def test_a_combination_of_entropy_lifts_is_one_product(monkeypatch):
+    # M1-M3's T[r] - c S[r] and T1's (S + S[p])/2 are each one lift of their
+    # twin: one spectral_assemble call per evaluation, where the composition
+    # of the public wrappers makes one per part.  Both are products on the
+    # same X, each entrywise within gamma_{n+2} max_i ||X_i||^2 max|f| of
+    # the exact one (Higham, Sec. 3.5; rows X_i, |X||X|^T <= max_i ||X_i||^2
+    # by Cauchy-Schwarz), f bounded by the sum of the parts' |coef f_j|, so
+    # they agree within four of those, the final sum's rounding included
+    calls = []
+    original = means.spectral_assemble
+    monkeypatch.setattr(means, "spectral_assemble", lambda q, w: calls.append(None) or original(q, w))
+    seen = set()
+    rng = generator(11)
+    for case in catalog_with_duals():
+        for term in {case.lhs, case.rhs} & _COMBINED.keys():
+            seen.add(term)
+            composed, parts = _COMBINED[term]
+            for n in (1, 2, 5, 16, 64):
+                seeds = rng.integers(1 << 62, size=4).tolist()
+                plan_words, pair_words, normals = stream_draws(seeds, n)
+                params, u, v = case.plan(plan_words)
+                stack = pair_from_base(stack_base(pair_words, normals), u, v)
+                pr = Params(*(None if x is None else x.reshape(-1, 1, 1) for x in (params.p, params.q, params.c)))
+                calls.clear()
+                got = term.fn(stack, pr)
+                assert len(calls) == 1, (case.id, term.name, n)
+                expected = composed(stack, pr)
+                assert len(calls) == 1 + len(parts(pr)), (case.id, term.name, n)
+                size = sum(np.abs(coef) * np.abs(f(stack._w)) for f, coef in parts(pr)).max(axis=(-2, -1))
+                rows = (stack._x ** 2).sum(axis=-1).max(axis=-1)
+                bound = 4 * spd_core._gamma(n + 2) * rows * size
+                err = np.abs(got - expected).max(axis=(-2, -1))
+                assert np.all(err <= bound), (case.id, term.name, n, err / bound)
+    assert seen == _COMBINED.keys()
 
 
 def test_curvature_lower_bound_is_tight():

@@ -1148,8 +1148,11 @@ def test_run_all_eigensolves_only_verdicts(monkeypatch):
     # factorization after its one LU solve, with no inverse.  No eigh at all:
     # the sampled pairs and the derived pairs (lifts of C) are built from
     # spectra they hold.  At n = 16, 32, 64 there are 150 stacks and 21
-    # harmonic-mean stacks
+    # harmonic-mean stacks.  Every assembly Q diag(w) Q^T (A, its square root,
+    # X's lifts, C where read) is one spectral_assemble product, and a term
+    # that combines entropy lifts on its pair (M1-M3, T1's average) makes one
     catalog = importlib.import_module("oel.catalog")  # the package exports a function of this name
+    products = [_counting(monkeypatch, module, "spectral_assemble") for module in (spd_core, means)]
     solves = _counting(monkeypatch, np.linalg, "eigvalsh")
     decompositions = _counting(monkeypatch, np.linalg, "eigh")
     factorizations = _counting(monkeypatch, np.linalg, "cholesky")
@@ -1160,10 +1163,12 @@ def test_run_all_eigensolves_only_verdicts(monkeypatch):
     assert (len(verdicts), len(harmonic)) == (300, 42)
     assert (len(solves), len(decompositions)) == (300, 0)
     assert (len(factorizations), len(inverses)) == (42, 0)
+    assert sum(map(len, products)) == 618
     run_all(trials=12, dims=(16, 32, 64), seed=42)
     assert (len(verdicts), len(harmonic)) == (300 + 150, 42 + 21)
     assert (len(solves), len(decompositions)) == (300 + 150, 0)
     assert (len(factorizations), len(inverses)) == (42 + 21, 0)
+    assert sum(map(len, products)) == 618 + 309
 
 
 @pytest.mark.parametrize("case_id", ["T2.2", "T3.2"])

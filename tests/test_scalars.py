@@ -90,6 +90,36 @@ def test_entropy_drift_is_its_two_terms_from_one_log(p):
         scalars.entropy_drift(np.array([2.0, 0.0]), p, 0.5)
 
 
+# x over [1e-3, 1e3] on one axis, weights in (0, 1], small ones included, on the other
+_GRID_X = np.geomspace(1e-3, 1e3, 2001)
+_GRID_P = np.concatenate([np.geomspace(1e-6, 1e-2, 9), np.linspace(0.01, 1.0, 100)])[:, None]
+
+
+def test_geom_to_harm_ratio_is_the_geometric_over_the_harmonic_mean():
+    got = scalars.geom_to_harm_ratio(_GRID_X, _GRID_P)
+    assert np.array_equal(got, power_rep(_GRID_X, _GRID_P) / harm_rep(_GRID_X, _GRID_P))
+    closed = _GRID_X ** (_GRID_P - 1.0) * ((1.0 - _GRID_P) * _GRID_X + _GRID_P)
+    assert np.all(np.abs(got - closed) <= 8 * np.finfo(float).eps * closed)
+    assert np.all(got >= 1.0)  # the weighted AM-GM-HM inequality
+    assert scalars.geom_to_harm_ratio(4.0, 0.5) == pytest.approx(1.25, rel=1e-15)
+    assert scalars.geom_to_harm_ratio(0.25, 0.3) == pytest.approx(0.25 ** -0.7 * 0.475, rel=1e-15)
+
+
+def test_mid_gap_excess_is_nonnegative_from_one_up():
+    # its docstring's claim: the midpoint gap exceeds the half gap for x >= 1
+    x = np.geomspace(1.0, 1e3, 2001)
+    p = np.linspace(-1.0, 1.0, 201)[:, None]
+    assert np.all(scalars.mid_gap_excess(x, p) >= 0.0)
+
+
+def test_harm_secant_is_the_harmonic_mean_less_one_per_weight():
+    # (x - 1) / ((1-p) x + p) == (harm_rep - 1) / p; the subtraction cancels
+    # near x = 1, so the bound is a few ulps of max(1, harm_rep), over p
+    got = scalars.harm_secant(_GRID_X, _GRID_P)
+    h = harm_rep(_GRID_X, _GRID_P)
+    assert np.all(np.abs(got - (h - 1.0) / _GRID_P) <= 4 * np.finfo(float).eps * np.maximum(1.0, h) / _GRID_P)
+
+
 @pytest.mark.parametrize(
     "fn, p, match",
     [
