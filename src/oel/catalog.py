@@ -19,16 +19,19 @@ paper's gap chain is declared once (:func:`_gap_chain`): T2 is it at the
 weight p, and C1 is it at p = 0, with T[0] = S and T[-1] = A - A B^-1 A by
 its own solve (the route independent of T2's spectral T[p-1]).
 
-A term that is one entropy wrapper calls that wrapper, a linear combination
-of entropy lifts on its own pair is one lift of its twin (:func:`_lift`, one
-product on X: M1-M3's T[r] - c S[r] and T1's (S + S[p])/2), and the means
-and the routes independent of the twins (the harmonic solve, the explicit
-solves and products, the gap chain) keep their own operations.  A term at a
-derived pair builds it (:func:`_mid`, :func:`_gap`) as a lift of the pair's
-contraction C (:meth:`~oel.means.OperatorPair.lift_pair`): its second
-matrix is certified as the lift of its twin f, and its contraction is f(C),
-held as C's basis and f on spec(C) (assembled only if read), with no
-eigensolve.  A derived pair that loses definiteness is a NumericalBreakdown
+A term is of one of two kinds.  A lift is declared by its twin alone
+(:func:`_lifted`): its value is the lift of f, one product on X.  T[p],
+S, S[p], and the combinations M1-M3's T[r] - c S[r] and T1's (S + S[p])/2
+are lifts; the gap chain's T[w] (T[p] in T2, S in C1) and T3's T[p] at
+(A, (A+B)/2) are those lifts too.  A route is an explicit operation
+independent of the twin: the public means (with their certificates), the
+harmonic solve, the explicit solves and products, and the gap chain's
+T[w-1].  No trial calls an entropy wrapper.
+A term at a derived pair builds it (:func:`_mid`, :func:`_gap`) as a lift
+of the pair's contraction C (:meth:`~oel.means.OperatorPair.lift_pair`):
+its second matrix is certified as the lift of its twin f, and its
+contraction is f(C), held as C's basis and f on spec(C) (assembled only if
+read), with no eigensolve.  A derived pair that loses definiteness is a NumericalBreakdown
 of the trial.
 :func:`evaluate_trials` runs k trials of one case on a stacked pair: each
 term is then one ``(k, n, n)`` stack, and the trials' weights reach it as
@@ -53,16 +56,7 @@ import numpy as np
 
 from . import scalars
 from .errors import HypothesisError, InvalidInput, NoDual
-from .means import (
-    OperatorPair,
-    arithmetic_mean,
-    generalized_entropy,
-    geometric_mean,
-    harmonic_mean,
-    natural_power_mean,
-    relative_operator_entropy,
-    tsallis_entropy,
-)
+from .means import OperatorPair, arithmetic_mean, geometric_mean, harmonic_mean, natural_power_mean
 from .sampler import _FREE_WINDOW, _is_word
 from .scalars import Params
 from .spd_core import ORDER_TOL, _loewner, symmetrize
@@ -193,11 +187,10 @@ def _weighted(name: str, op: Callable, twin: Callable) -> tuple[Term, Term]:
     )
 
 
-def _lift(twin: Callable) -> Callable:
-    """The operator value ``fn(pair, *args)`` that is one lift of the twin
-    ``twin(x, *args)``, one product on X: how a term combining entropy lifts
-    on its own pair is computed."""
-    return lambda pair, *args: pair.transform(lambda t: twin(t, *args))
+def _lifted(name: str, f: Callable) -> Term:
+    """The term declared by its twin ``f(x, params)`` alone: its value is the
+    lift of f, one product on X."""
+    return Term(name, lambda pair, pr: pair.transform(lambda t: f(t, pr)), f)
 
 
 def _at_p(twin: Callable) -> Callable:
@@ -208,17 +201,12 @@ def _at_p(twin: Callable) -> Callable:
 T_HARM = Term("harmonic[p]", lambda pair, pr: harmonic_mean(pair, pr.p).mat, _at_p(scalars.harm_rep))
 T_GEOM = Term("geometric[p]", lambda pair, pr: geometric_mean(pair, pr.p).mat, _at_p(scalars.power_rep))
 T_ARITH = Term("arithmetic[p]", lambda pair, pr: arithmetic_mean(pair, pr.p).mat, _at_p(scalars.arith_rep))
-T_S = Term("S", lambda pair, pr: relative_operator_entropy(pair), lambda x, pr: np.log(x))
-T_SP = Term("S[p]", lambda pair, pr: generalized_entropy(pair, pr.p), _at_p(scalars.power_log))
-T_SP_HALF = Term(
-    "S[p/2]",
-    lambda pair, pr: generalized_entropy(pair, 0.5 * pr.p),
-    lambda x, pr: scalars.power_log(x, 0.5 * pr.p),
-)
-T_S_SP_AVG = Term("(S + S[p])/2", _lift(_at_p(scalars.avg_power_log)), _at_p(scalars.avg_power_log))
-T_TS, T_TS_Q = _weighted(
-    "T[{r}]", lambda pair, r, c: tsallis_entropy(pair, r), lambda x, r, c: scalars.tsallis_log(x, r)
-)
+T_S = _lifted("S", lambda x, pr: np.log(x))
+T_SP = _lifted("S[p]", _at_p(scalars.power_log))
+T_SP_HALF = _lifted("S[p/2]", lambda x, pr: scalars.power_log(x, 0.5 * pr.p))
+T_S_SP_AVG = _lifted("(S + S[p])/2", _at_p(scalars.avg_power_log))
+T_TS = _lifted("T[p]", _at_p(scalars.tsallis_log))
+T_TS_Q = _lifted("T[q]", lambda x, pr: scalars.tsallis_log(x, pr.q))
 T_B_MINUS_A = Term("B - A", lambda pair, pr: pair.B.mat - pair.A.mat, lambda x, pr: x - 1.0)
 T_LOW_INV = Term("A - A B^-1 A", lambda pair, pr: _low_inv(pair), lambda x, pr: 1.0 - 1.0 / x)
 
@@ -244,21 +232,19 @@ T_TA_LOW = Term("A^1/2 ((C+I)/2)^{p-1} (C-I) A^1/2", _ta_lower, _at_p(scalars.hh
 T_TA_UP = Term("(nat[p] - nat[p-1] + B - A)/2", _ta_upper, _at_p(scalars.hh_upper))
 
 
-def _gap_chain(names: Sequence[str], top: Callable, low: Callable, weight: Callable) -> list[Term]:
-    """The paper's Hermite-Hadamard chain on the gap ``top - low``, the lifts
-    ``top(pair, w)`` of T[w] and ``low(pair, w)`` of T[w-1] at the weight
-    w = ``weight(pr)``: the half gap, 4 times the gap at (A, (A+B)/2), the
-    end slope (top - (B - A))/(w - 1), and the half gap plus the
-    nat2(A, B - A)/4 correction.  The first three are named ``names``, the
-    last by the first's name; each member's twin is taken at w."""
+def _gap_chain(names: Sequence[str], top: Term, low: Callable, weight: Callable) -> list[Term]:
+    """The paper's Hermite-Hadamard chain on the gap T[w] - T[w-1] at the
+    weight w = ``weight(pr)``: T[w] is the lifted term ``top``, T[w-1] the
+    route ``low(pair, w)``.  Its members are the half gap, 4 times the gap at
+    (A, (A+B)/2), the end slope (T[w] - (B - A))/(w - 1), and the half gap
+    plus the nat2(A, B - A)/4 correction.  The first three are named
+    ``names``, the last by the first's name; each member's twin is taken at w."""
 
     def gap(pair, pr):
-        w = weight(pr)
-        return top(pair, w) - low(pair, w)
+        return top.fn(pair, pr) - low(pair, weight(pr))
 
     def slope(pair, pr):
-        w = weight(pr)
-        return (top(pair, w) - (pair.B.mat - pair.A.mat)) / (w - 1.0)
+        return (top.fn(pair, pr) - (pair.B.mat - pair.A.mat)) / (weight(pr) - 1.0)
 
     fns = (
         lambda pair, pr: 0.5 * gap(pair, pr),
@@ -278,17 +264,17 @@ def _gap_chain(names: Sequence[str], top: Callable, low: Callable, weight: Calla
     ]
 
 
-# T[p-1] is (A nat_{p-1} B - A)/(p - 1): tsallis_entropy's |p| <= 1 gate would refuse p - 1 < -1
+# T2's T[p-1] keeps its explicit route (A nat_{p-1} B - A)/(p - 1), independent of T[p]'s lift
 T2_CHAIN = _gap_chain(
     ("(T[p] - T[p-1])/2", "4 (T[p] - T[p-1]) at (A, (A+B)/2)", "(T[p] - (B - A))/(p - 1)"),
-    tsallis_entropy,
+    T_TS,
     lambda pair, w: (natural_power_mean(pair, w - 1.0).mat - pair.A.mat) / (w - 1.0),
     lambda pr: pr.p,
 )
 # C1 is T2 at p = 0, where T[0] = S; its T[-1] = A - A B^-1 A is one solve
 C1_CHAIN = _gap_chain(
     ("(S - (A - A B^-1 A))/2", "4 (S - T[-1]) at (A, (A+B)/2)", "(B - A) - S"),
-    lambda pair, w: relative_operator_entropy(pair),
+    T_S,
     lambda pair, w: _low_inv(pair),
     lambda pr: 0.0,
 )
@@ -309,7 +295,7 @@ def _t3_upper(pair: OperatorPair, pr: Params) -> np.ndarray:
     mid = _mid(pair)
     g = natural_power_mean(mid, pr.p - 1.0).mat
     mid_term = symmetrize(2.0 * (ba_inv - _eye(pair)) @ g)
-    return pair.B.mat - pair.A.mat + mid_term - 4.0 * tsallis_entropy(mid, pr.p)
+    return pair.B.mat - pair.A.mat + mid_term - 4.0 * T_TS.fn(mid, pr)
 
 
 T_T3_LOW = Term("B - A/2 - (1-p)/(2(3-p)) B A^-1 B - nat[p-1]/(3-p)", _t3_lower, _at_p(scalars.quad_lower))
@@ -344,13 +330,15 @@ T_W4_P, T_W4_Q = _weighted(
 
 def _drift_terms(c_fixed: float | None) -> tuple[Term, Term]:
     """T[r] - c S[r] at r = p and r = q, with c fixed or (None) the trial's c:
-    one lift of its twin."""
+    the lift of its twin."""
     c_txt = "c" if c_fixed is None else f"{c_fixed:g}"
-
-    def twin(x, r, c):
-        return scalars.entropy_drift(x, r, c if c_fixed is None else c_fixed)
-
-    return _weighted(f"T[{{r}}] - {c_txt} S[{{r}}]", _lift(twin), twin)
+    return tuple(
+        _lifted(
+            f"T[{r}] - {c_txt} S[{r}]",
+            lambda x, pr, _r=r: scalars.entropy_drift(x, getattr(pr, _r), pr.c if c_fixed is None else c_fixed),
+        )
+        for r in "pq"
+    )
 
 
 T_DRIFT1_P, T_DRIFT1_Q = _drift_terms(1.0)

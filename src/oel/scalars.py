@@ -129,11 +129,10 @@ def tsallis_mid_gap(x, p: float):
 
 
 def tsallis_end_slope(x, p: float):
-    """(tsallis_log(x, p) - (x-1)) / (p-1): slope of p |-> tsallis_log between p and 1."""
+    """mean_gap(x, p) / (p-1): slope of p |-> tsallis_log between p and 1."""
     if np.any(p == 1.0):
         raise DomainError("end slope is undefined at p = 1")
-    x = _pos(x)
-    return (tsallis_log(x, p) - (x - 1.0)) / (p - 1.0)
+    return mean_gap(x, p) / (p - 1.0)
 
 
 def mid_gap_excess(x, p: float):
@@ -187,9 +186,11 @@ def quad_upper(x, p: float):
 
 
 def avg_power_log(x, p: float):
-    """(log(x) + power_log(x, p)) / 2 = ((x**p + 1)/2) * log(x)."""
+    """(log(x) + power_log(x, p)) / 2 = ((x**p + 1)/2) * log(x), from one
+    check of x and one log(x)."""
     x = _pos(x)
-    return 0.5 * (np.log(x) + power_log(x, p))
+    lg = np.log(x)
+    return 0.5 * (lg + x ** p * lg)
 
 
 # the four crossings: each is swept by its sign claim and pinned by a probe

@@ -24,8 +24,14 @@ from oel.catalog import (
     find_cases,
 )
 from oel.errors import HypothesisError, InvalidInput, NoDual, NumericalBreakdown
-from oel.harness import read_reports, run_suite, write_reports_jsonl
-from oel.means import OperatorPair, generalized_entropy, relative_operator_entropy, tsallis_entropy
+from oel.harness import read_reports, run_all, run_suite, write_reports_jsonl
+from oel.means import (
+    OperatorPair,
+    generalized_entropy,
+    natural_power_mean,
+    relative_operator_entropy,
+    tsallis_entropy,
+)
 from oel.sampler import (
     PLAN_WORDS,
     SamplerConfig,
@@ -38,7 +44,7 @@ from oel.sampler import (
     stream_draws,
 )
 from oel.scalars import CHAINS, power_log, tsallis_log
-from oel.spd_core import ORDER_TOL, loewner_leq, spectral_assemble
+from oel.spd_core import ORDER_TOL, loewner_leq, spectral_assemble, symmetrize
 
 catalog_module = importlib.import_module("oel.catalog")  # the package exports a function of this name
 
@@ -572,8 +578,8 @@ def _drift_parts(r: str, c_fixed):
     )
 
 
-# every term that combines entropy lifts on its own pair, as the composition
-# of the public wrappers it used to be
+# every term that combines entropy lifts on its own pair, as its composition
+# of the public wrappers
 _COMBINED = {
     catalog_module.T_DRIFT1_P: _drift_parts("p", 1.0),
     catalog_module.T_DRIFT1_Q: _drift_parts("q", 1.0),
@@ -588,6 +594,17 @@ _COMBINED = {
 }
 
 
+def _sampled(case, n, rng):
+    """Four of the case's trials as a sampled ``(k, n, n)`` stack with their
+    ``(k, 1, 1)`` params, then the first as a public pair with its numbers."""
+    seeds = rng.integers(1 << 62, size=4).tolist()
+    plan_words, pair_words, normals = stream_draws(seeds, n)
+    params, u, v = case.plan(plan_words)
+    stack = pair_from_base(stack_base(pair_words, normals), u, v)
+    stacked = Params(*(None if x is None else x.reshape(-1, 1, 1) for x in (params.p, params.q, params.c)))
+    return (stack, stacked), (OperatorPair(stack.A.mat[0], stack.B.mat[0]), _trial(params, 0))
+
+
 def test_a_combination_of_entropy_lifts_is_one_product(monkeypatch):
     # M1-M3's T[r] - c S[r] and T1's (S + S[p])/2 are each one lift of their
     # twin: one spectral_assemble call per evaluation, where the composition
@@ -595,7 +612,8 @@ def test_a_combination_of_entropy_lifts_is_one_product(monkeypatch):
     # same X, each entrywise within gamma_{n+2} max_i ||X_i||^2 max|f| of
     # the exact one (Higham, Sec. 3.5; rows X_i, |X||X|^T <= max_i ||X_i||^2
     # by Cauchy-Schwarz), f bounded by the sum of the parts' |coef f_j|, so
-    # they agree within four of those, the final sum's rounding included
+    # they agree within four of those, the final sum's rounding included;
+    # on sampled stacks and on public pairs
     calls = []
     original = means.spectral_assemble
     monkeypatch.setattr(means, "spectral_assemble", lambda q, w: calls.append(None) or original(q, w))
@@ -606,22 +624,103 @@ def test_a_combination_of_entropy_lifts_is_one_product(monkeypatch):
             seen.add(term)
             composed, parts = _COMBINED[term]
             for n in (1, 2, 5, 16, 64):
-                seeds = rng.integers(1 << 62, size=4).tolist()
-                plan_words, pair_words, normals = stream_draws(seeds, n)
-                params, u, v = case.plan(plan_words)
-                stack = pair_from_base(stack_base(pair_words, normals), u, v)
-                pr = Params(*(None if x is None else x.reshape(-1, 1, 1) for x in (params.p, params.q, params.c)))
-                calls.clear()
-                got = term.fn(stack, pr)
-                assert len(calls) == 1, (case.id, term.name, n)
-                expected = composed(stack, pr)
-                assert len(calls) == 1 + len(parts(pr)), (case.id, term.name, n)
-                size = sum(np.abs(coef) * np.abs(f(stack._w)) for f, coef in parts(pr)).max(axis=(-2, -1))
-                rows = (stack._x ** 2).sum(axis=-1).max(axis=-1)
-                bound = 4 * spd_core._gamma(n + 2) * rows * size
-                err = np.abs(got - expected).max(axis=(-2, -1))
-                assert np.all(err <= bound), (case.id, term.name, n, err / bound)
+                for pair, pr in _sampled(case, n, rng):
+                    calls.clear()
+                    got = term.fn(pair, pr)
+                    assert len(calls) == 1, (case.id, term.name, n)
+                    expected = composed(pair, pr)
+                    assert len(calls) == 1 + len(parts(pr)), (case.id, term.name, n)
+                    size = sum(np.abs(coef) * np.abs(f(pair._w)) for f, coef in parts(pr)).max(axis=(-2, -1))
+                    rows = (pair._x ** 2).sum(axis=-1).max(axis=-1)
+                    bound = 4 * spd_core._gamma(n + 2) * rows * size
+                    err = np.abs(got - expected).max(axis=(-2, -1))
+                    assert np.all(err <= bound), (case.id, term.name, n, err / bound)
     assert seen == _COMBINED.keys()
+
+
+def _t2_low(pair, w):
+    # T2's T[w-1], the route (A nat_{w-1} B - A)/(w - 1)
+    return (natural_power_mean(pair, w - 1.0).mat - pair.A.mat) / (w - 1.0)
+
+
+def _gap_chain_by_wrappers(top, low, weight):
+    """The gap chain's four members with T[w] the public wrapper ``top(pair,
+    w)`` and T[w-1] the route ``low(pair, w)``, at w = ``weight(pr)``."""
+
+    def gap(pair, pr):
+        return top(pair, weight(pr)) - low(pair, weight(pr))
+
+    return (
+        lambda pair, pr: 0.5 * gap(pair, pr),
+        lambda pair, pr: 4.0 * gap(_mid(pair), pr),
+        lambda pair, pr: (top(pair, weight(pr)) - (pair.B.mat - pair.A.mat)) / (weight(pr) - 1.0),
+        lambda pair, pr: 0.5 * gap(pair, pr) + 0.25 * natural_power_mean(_gap(pair), 2.0).mat,
+    )
+
+
+def _t3_upper_by_wrappers(pair, pr):
+    # B - A + 2(B A^-1 - I) nat[p-1](A, (A+B)/2) - 4 T[p](A, (A+B)/2)
+    mid = _mid(pair)
+    ba_inv = np.linalg.solve(pair.A.mat, pair.B.mat).swapaxes(-1, -2)
+    mid_term = symmetrize(2.0 * (ba_inv - np.eye(pair.n)) @ natural_power_mean(mid, pr.p - 1.0).mat)
+    return pair.B.mat - pair.A.mat + mid_term - 4.0 * tsallis_entropy(mid, pr.p)
+
+
+# every term that is one entropy lift, or a route that reads one, as its
+# composition of one public wrapper and the public means
+_SINGLE = {
+    catalog_module.T_TS: lambda pair, pr: tsallis_entropy(pair, pr.p),
+    catalog_module.T_TS_Q: lambda pair, pr: tsallis_entropy(pair, pr.q),
+    catalog_module.T_S: lambda pair, pr: relative_operator_entropy(pair),
+    catalog_module.T_SP: lambda pair, pr: generalized_entropy(pair, pr.p),
+    catalog_module.T_SP_HALF: lambda pair, pr: generalized_entropy(pair, 0.5 * pr.p),
+    **dict(zip(catalog_module.T2_CHAIN, _gap_chain_by_wrappers(tsallis_entropy, _t2_low, lambda pr: pr.p))),
+    **dict(
+        zip(
+            catalog_module.C1_CHAIN,
+            _gap_chain_by_wrappers(
+                lambda pair, w: relative_operator_entropy(pair),
+                lambda pair, w: catalog_module._low_inv(pair),
+                lambda pr: 0.0,
+            ),
+        )
+    ),
+    catalog_module.T_T3_UP: _t3_upper_by_wrappers,
+}
+
+
+def test_every_entropy_lift_is_its_public_wrapper():
+    # a lifted term, the gap chains' T[w] and T3's T[p] at (A, (A+B)/2) are
+    # the same product as their public wrapper: each term is bit for bit its
+    # composition of one wrapper, on sampled stacks and on public pairs
+    lifted = {t for c in catalog_with_duals() for t in (c.lhs, c.rhs) if t.fn.__qualname__.startswith("_lifted.")}
+    assert lifted <= _SINGLE.keys() | _COMBINED.keys()
+    seen = set()
+    rng = generator(13)
+    for case in catalog_with_duals():
+        for term in {case.lhs, case.rhs} & _SINGLE.keys():
+            seen.add(term)
+            for n in (1, 2, 5, 16):
+                for pair, pr in _sampled(case, n, rng):
+                    assert np.array_equal(term.fn(pair, pr), _SINGLE[term](pair, pr)), (case.id, term.name, n)
+    assert seen == _SINGLE.keys()
+
+
+def test_no_trial_calls_an_entropy_wrapper(monkeypatch):
+    # the wrappers are the public API: with each one refusing, in oel.means
+    # and wherever the catalog could bind it, a run gives the same rows
+    expected, got = [], []
+    run_all(trials=6, dims=(1, 2, 5), collect=expected)
+
+    for name in ("tsallis_entropy", "generalized_entropy", "relative_operator_entropy"):
+
+        def refuse(*args, _name=name):
+            raise AssertionError(f"a trial called {_name}")
+
+        monkeypatch.setattr(means, name, refuse)
+        monkeypatch.setattr(catalog_module, name, refuse, raising=False)
+    run_all(trials=6, dims=(1, 2, 5), collect=got)
+    assert got == expected
 
 
 def test_curvature_lower_bound_is_tight():

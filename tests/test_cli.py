@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import inspect
 import json
@@ -74,8 +75,10 @@ def test_verify_derived_pair_breakdown_exits_4_with_replay_triple(monkeypatch, c
 
 
 def test_verify_non_finite_term_exits_4_with_replay_triple(monkeypatch, capsys):
-    # T1R.1's lower term is S, which the catalog reads by this name
-    monkeypatch.setattr(catalog, "relative_operator_entropy", lambda pair: np.full_like(pair.A.mat, np.nan))
+    # T1R.1 with its lower term S not finite
+    (case,) = catalog.find_cases("T1R.1")
+    nan_lhs = dataclasses.replace(case.lhs, fn=lambda pair, pr: np.full_like(pair.A.mat, np.nan))
+    monkeypatch.setattr(harness, "find_cases", lambda pattern: [dataclasses.replace(case, lhs=nan_lhs)])
     code = main(["verify", "--case", "T1R.1", "--trials", "3", "--dims", "3", "--seed", "5"])
     err = capsys.readouterr().err
     assert code == 4
