@@ -33,16 +33,21 @@ its second matrix is certified as the lift of its twin f, and its
 contraction is f(C), held as C's basis and f on spec(C) (assembled only if
 read), with no eigensolve.  A derived pair that loses definiteness is a NumericalBreakdown
 of the trial.
-:func:`evaluate_trials` runs k trials of one case on a stacked pair: each
-term is then one ``(k, n, n)`` stack, and the trials' weights reach it as
-``(k, 1, 1)`` arrays.  Its verdict is the comparator of
+:func:`check_stack` checks k trials of one case's plan against the case's
+hypothesis once and returns them as a :class:`CheckedStack`: the stacked
+pair, the seeds, each trial's weights as ``(k, 1, 1)`` arrays and its u, v,
+p, q and c as ``(k,)`` columns.  :func:`evaluate_trials` takes only a
+checked stack, so no term is read on an unchecked pair; each term is then
+one ``(k, n, n)`` stack.  Its verdict is the comparator of
 :func:`oel.spd_core.loewner_leq` (one ``eigvalsh`` of the ``(k, n, n)``
 stack ``Y - X``, scaled by row-sum norms) at ``ORDER_TOL``, without the
 input checks, as its terms are computed.  No caller sets that tolerance, so
 a row is a function of its pair and parameters alone; another tolerance is
 :func:`~oel.spd_core.loewner_leq` on ``case.lhs.fn(pair, params)`` and
-``case.rhs.fn(pair, params)``.  It returns plain rows; :func:`evaluate` and
-the harness build the :class:`MarginReport` of a row.
+``case.rhs.fn(pair, params)``.  It returns the margins, scales and verdicts
+as ``(k,)`` arrays; a row becomes a :class:`MarginReport` only where it
+leaves the package, built by one function (``_reports``) for
+:func:`evaluate` and the harness.
 """
 
 from __future__ import annotations
@@ -81,9 +86,9 @@ class InequalityCase:
     """One registered comparison ``lhs <= rhs`` under ``hypothesis``, whose
     trials ``plan`` draws from their plan words.  ``plan`` is the region's
     own planner (a dual's, its dual region's), so the cases of one region
-    share it; a ``run_all`` memo keys the pairs and term values it shares on
-    it.  It is kept as a field so a tracer can swap it in, and a swapped
-    planner gets memo entries of its own."""
+    share it; a ``run_all`` memo keys the checked stacks it shares on it and
+    the hypothesis, and the term values on it.  It is kept as a field so a
+    tracer can swap it in, and a swapped planner gets memo entries of its own."""
 
     id: str
     statement: str
@@ -756,6 +761,49 @@ def find_cases(pattern: str) -> list[InequalityCase]:
     return [c for c in _WITH_DUALS if fnmatch(c.id, pattern) or fnmatch(c.group, pattern)]
 
 
+@dataclass(frozen=True)
+class CheckedStack:
+    """k trials of one plan that passed a hypothesis: the stacked pair (or
+    one pair, k = 1), the trials' seeds, their weights as the terms read them
+    (``(k, 1, 1)`` arrays for a stack, the numbers of one pair), and each
+    trial's u, v, p, q and c as ``(k,)`` columns (None where the plan has no
+    such parameter)."""
+
+    pair: OperatorPair
+    seeds: Sequence[int]
+    weights: Params
+    u: np.ndarray
+    v: np.ndarray
+    p: np.ndarray | None
+    q: np.ndarray | None
+    c: np.ndarray | None
+
+
+def check_stack(case: InequalityCase, pair: OperatorPair, params: Params, seeds: Sequence[int]) -> CheckedStack:
+    """The trials of ``seeds`` on ``pair`` (``(k, n, n)`` stacks, the fields
+    of ``params`` ``(k,)`` arrays; or one pair and its numbers, k = 1),
+    checked against ``case.hypothesis`` in one elementwise call.  Raises
+    HypothesisError for the first trial whose (u, v, params) fall outside it
+    (with slack ``HYP_SLACK``), and InvalidInput when the pairs, seeds and
+    parameters do not count the same trials."""
+    k = len(seeds)
+    u, v = np.asarray(pair.u).reshape(-1), np.asarray(pair.v).reshape(-1)
+    cols = [None if x is None else np.asarray(x).reshape(-1) for x in (params.p, params.q, params.c)]
+    if not all(len(col) == k for col in (u, *cols) if col is not None):
+        raise InvalidInput(f"{len(u)} pairs for {k} seeds and params {params}")
+    ok = np.asarray(case.hypothesis.check(pair.u, pair.v, params))
+    if not ok.all():
+        i = int(np.argmin(np.broadcast_to(ok, k)))
+        raise HypothesisError(
+            f"case {case.id} hypothesis [{case.hypothesis.text}] violated at "
+            f"u={u[i]:.6g}, v={v[i]:.6g}, params={Params(*(None if x is None else x[i].item() for x in cols))}"
+        )
+    weights = params
+    if isinstance(pair.u, np.ndarray):  # each trial's parameters as a (k, 1, 1) column
+        weights = Params(*(None if x is None else x.reshape(-1, 1, 1) for x in cols))
+    return CheckedStack(pair, seeds, weights, u, v, *cols)
+
+
 def evaluate(case: InequalityCase, pair: OperatorPair, params: Params, *, seed: int = 0) -> MarginReport:
     """Evaluate one case on one pair.
 
@@ -767,50 +815,30 @@ def evaluate(case: InequalityCase, pair: OperatorPair, params: Params, *, seed: 
     _check_case(case)
     if not _is_word(seed):
         raise InvalidInput(f"trial seed must be an integer in [0, 2^64), got {seed!r}")
-    return _report(case.id, *evaluate_trials(case, pair, params, [int(seed)])[0])
-
-
-def _per_trial(x) -> list:
-    """A stack's values (or a single pair's value) as a list of Python scalars."""
-    return np.reshape(x, -1).tolist()
+    stack = check_stack(case, pair, params, [int(seed)])
+    return _reports(case.id, stack, evaluate_trials(case, stack))[0]
 
 
 def evaluate_trials(
-    case: InequalityCase,
-    pair: OperatorPair,
-    params: Params,
-    seeds: Sequence[int],
-    *,
-    terms: Callable[[Term, Params], np.ndarray] | None = None,
-) -> list[tuple]:
-    """Evaluate one case on k pairs at once: ``pair`` holds ``(k, n, n)``
-    stacks and the fields of ``params`` are ``(k,)`` arrays (or one pair and
-    its numbers, with k = 1); trial i has seed ``seeds[i]``.  Each trial
-    comes back, in that order, as a plain row: the values of
-    :class:`MarginReport`'s fields after ``case_id``, in field order.
+    case: InequalityCase, stack: CheckedStack, *, terms: Callable[[Term], np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate one case on a stack its hypothesis passed
+    (:func:`check_stack`): the trials' margins, scales and verdicts as
+    ``(k,)`` arrays, in the stack's trial order.
 
-    Each side's value is ``terms(term, params)`` when ``terms`` is given
-    (the harness's memo of one run), else ``term.fn(pair, params)``, with
-    each trial's weights as ``(k, 1, 1)`` arrays; it is read only after the
-    hypothesis check.  Raises HypothesisError for the first trial whose
-    (u, v, params) fall outside the case's hypothesis (with slack
-    ``HYP_SLACK``), and NumericalBreakdown when a term is not finite.
-    """
-    k, n = len(seeds), pair.n
-    us = _per_trial(pair.u)
-    vs = _per_trial(pair.v)
-    cols = [(x,) * k if x is None else _per_trial(x) for x in (params.p, params.q, params.c)]
-    if not all(len(col) == k for col in (us, *cols)):
-        raise InvalidInput(f"{len(us)} pairs for {k} seeds and params {params}")
-    ok = np.broadcast_to(case.hypothesis.check(pair.u, pair.v, params), k)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise HypothesisError(
-            f"case {case.id} hypothesis [{case.hypothesis.text}] violated at "
-            f"u={us[i]:.6g}, v={vs[i]:.6g}, params={Params(*(col[i] for col in cols))}"
-        )
-    if isinstance(pair.u, np.ndarray):  # each trial's parameters as a (k, 1, 1) column
-        params = Params(*(x if x is None else np.reshape(x, (-1, 1, 1)) for x in (params.p, params.q, params.c)))
-    value = (lambda term, pr: term.fn(pair, pr)) if terms is None else terms
-    verdict = _loewner(value(case.lhs, params), value(case.rhs, params), ORDER_TOL)
-    return list(zip(seeds, [n] * k, *cols, us, vs, *(x.reshape(-1).tolist() for x in verdict)))
+    Each side's value is ``terms(term)`` when ``terms`` is given (the
+    harness's memo of one run), else ``term.fn(stack.pair, stack.weights)``.
+    Raises NumericalBreakdown when a term is not finite."""
+    value = (lambda term: term.fn(stack.pair, stack.weights)) if terms is None else terms
+    verdict = _loewner(value(case.lhs), value(case.rhs), ORDER_TOL)
+    return tuple(x.reshape(-1) for x in verdict)
+
+
+def _reports(case_id: str, stack: CheckedStack, verdict: tuple) -> list[MarginReport]:
+    """The reports of a checked stack's trials from their
+    :func:`evaluate_trials` columns, in trial order: the one place a column
+    becomes Python scalars."""
+    k = len(stack.seeds)
+    cols = [(None,) * k if x is None else x.tolist() for x in (stack.p, stack.q, stack.c)]
+    numbers = (x.tolist() for x in (stack.u, stack.v, *verdict))
+    return list(map(_report, (case_id,) * k, stack.seeds, (stack.pair.n,) * k, *cols, *numbers))

@@ -14,9 +14,10 @@ order.  It groups a window's trials by n and evaluates each group as stacks
 of shape ``(k, n, n)``, with k * n * n at most ``STACK_ENTRIES``: the stack's
 streams are read into ``(k, ...)`` arrays, the planner maps their plan words
 at once, and every later step is one numpy call for the k trials.  The
-kernel's plain rows (:func:`~oel.catalog.evaluate_trials`) are folded into
-the suite's totals before the next window, so its memory does not grow with
-the trial count; only a row that leaves the package becomes a report.
+kernel's columns (:func:`~oel.catalog.evaluate_trials`: margins, scales and
+verdicts as ``(k,)`` arrays) are folded into the suite's totals before the
+next window, so its memory does not grow with the trial count; only a row
+that leaves the package becomes a report.
 :func:`run_trial` (and so :func:`replay`) is the same kernel with k = 1, and
 stacked numpy calls give each matrix the bits of a call on that matrix
 alone, so a replay reproduces its suite row exactly.
@@ -35,25 +36,28 @@ rhs - lhs (the harmonic mean is certified by its own Cholesky factorization).
 Every case of a :func:`run_all` call reads the same trial streams, and the
 cases of one hypothesis region share its planner (``case.plan``), so the
 call keeps one memo (``_SharedStacks``) per stack, keyed by n and the
-stack's trial seeds: the stack's draws, read by every case; the plan
-parameters and pair of each plan, read by every case on it; and the value
-of each (plan, term), read by every case with that term on either side.  Its
-first reader computes an entry and keeps it only while a later case of the
-call reads it (the readers come from the call's case list); the last reader
-drops it.  A pair or term value is kept only with its stack's draws, whose
-arrays it holds.  The memo holds at most ``SHARED_ENTRIES`` matrix entries,
-n x n per trial for each kept array (four for the draws' A, its square
-root, C's basis and X; one for a pair's B, formed or not, as no pair holds
-C; one for a term value); past it, entries are computed per case.
-Each case still checks its own hypothesis before it reads a term, and a
-shared entry is the same computation on the same arrays, so rows keep their
-bits.
+stack's trial seeds: the stack's draws, read by every case; the checked
+stack (:func:`~oel.catalog.check_stack`: the pair, its weights and its
+trial columns) of each (plan, hypothesis), read by every case with that
+planner and hypothesis; and the value of each (plan, term), read by every
+case with that term on either side.  Its first reader computes an entry and
+keeps it only while a later case of the call reads it (the readers come
+from the call's case list); the last reader drops it.  A checked stack or
+term value is kept only with its stack's draws, whose arrays it holds.  The
+memo holds at most ``SHARED_ENTRIES`` matrix entries, n x n per trial for
+each kept array (four for the draws' A, its square root, C's basis and X;
+one for a checked stack's B, formed or not, as no pair holds C; one for a
+term value); past it, entries are computed per case.  A hypothesis is
+checked once per stack, by the first case with that planner and
+hypothesis; a later case reads its terms only through the checked stack,
+and a shared entry is the same computation on the same arrays, so rows
+keep their bits.
 The memo lives as long as its call; a lone :func:`run_suite` (a pattern
 matching one case is one) reads through a memo of one case, which keeps
 nothing, and :func:`integral_sweep` draws its own.
 
 A single trial (:func:`run_trial`, and so :func:`replay`, and the one-trial
-rerun of a failing stack) is one function, ``_trial_row``, which reads its
+rerun of a failing stack) is one function, ``_trial_report``, which reads its
 stream's draws through a per-process store, ``_TRIAL_DRAWS``, keyed by
 ``(int(seed), int(n))``.  The rows of one report share few streams (every
 case reads the same ones), so replaying them redraws few.  The store drops
@@ -109,13 +113,16 @@ import numpy as np
 
 from .catalog import (
     _REPORT_FIELDS,
+    CheckedStack,
     InequalityCase,
     MarginReport,
     _check_case,
     _report,
+    _reports,
     _sorted2,
     case_index,
     catalog_with_duals,  # noqa: F401  (perfbench wraps the case lookups by this name)
+    check_stack,
     evaluate_trials,
     find_cases,
 )
@@ -142,13 +149,13 @@ INTEGRAL_NODES = 32
 WINDOW_TRIALS = 1024
 STACK_ENTRIES = 1 << 14
 # The most matrix entries one run_all call keeps in its memo (n x n arrays per
-# trial: the draws' A, its square root, C's basis and X, a kept pair's B, a
-# kept term value), 8 MB; past it, entries are computed per case.  Measured on
-# the draws alone, when a trial kept four arrays (A^{-1/2} too): `oel verify
-# --trials 10000` (0.87 M entries; 2-core VM, one BLAS thread) took 26.4 s
-# unshared, 19.8 s at 1 << 18, 15.9 s at 1 << 19 and 12.2 s at 1 << 20 (peak RSS
-# 39.8 -> 48.2 MB); at 1 << 21, n = 16, 32, 64 at 300 trials (1.4 M entries)
-# went from 16.0 to 13.2 s but peaked at 56.5 MB.
+# trial: the draws' A, its square root, C's basis and X, a kept checked
+# stack's B, a kept term value), 8 MB; past it, entries are computed per case.
+# Measured on the draws alone, when a trial kept four arrays (A^{-1/2} too):
+# `oel verify --trials 10000` (0.87 M entries; 2-core VM, one BLAS thread)
+# took 26.4 s unshared, 19.8 s at 1 << 18, 15.9 s at 1 << 19 and 12.2 s at
+# 1 << 20 (peak RSS 39.8 -> 48.2 MB); at 1 << 21, n = 16, 32, 64 at 300
+# trials (1.4 M entries) went from 16.0 to 13.2 s but peaked at 56.5 MB.
 SHARED_ENTRIES = 1 << 20
 
 # The most matrix entries the single-trial store keeps (4 n^2 per stream: the
@@ -195,17 +202,17 @@ def _draw(seeds: list[int], n: int):
 
 class _SharedStacks:
     """The memo of one :func:`run_all` call over ``cases`` (see the module
-    notes): per stack, its draws, each plan's pair and each (plan, term)'s
-    value, each kept from its first reader to its last while it fits in
-    ``SHARED_ENTRIES``, so a memo of one case keeps nothing."""
+    notes): per stack, its draws, each (plan, hypothesis)'s checked stack and
+    each (plan, term)'s value, each kept from its first reader to its last
+    while it fits in ``SHARED_ENTRIES``, so a memo of one case keeps nothing."""
 
     def __init__(self, cases: list[InequalityCase]) -> None:
         self._position = {case.id: i for i, case in enumerate(cases)}
         # the last reader of each entry, by its key less the stack: () the
-        # draws, (plan,) a pair, (plan, term) a term value
+        # draws, (plan, hypothesis) a checked stack, (plan, term) a term value
         self._last: dict[tuple, int] = {(): len(cases) - 1}
         for i, case in enumerate(cases):
-            for key in ((case.plan,), (case.plan, case.lhs), (case.plan, case.rhs)):
+            for key in ((case.plan, case.hypothesis), (case.plan, case.lhs), (case.plan, case.rhs)):
                 self._last[key] = i
         self._kept: dict[tuple, object] = {}
         self._entries = 0
@@ -220,13 +227,14 @@ class _SharedStacks:
 
         def keep(key: tuple, arrays: int, compute):
             full, last, entries = (*key, stack), self._last[key], arrays * trial_entries
-            if full in self._kept:
-                if reader < last:
-                    return self._kept[full]
-                self._entries -= entries
-                return self._kept.pop(full)
+            value = self._kept.get(full)  # no entry is None
+            if value is not None:
+                if reader >= last:
+                    del self._kept[full]
+                    self._entries -= entries
+                return value
             value = compute()
-            # a pair or a term value holds arrays of the draws: kept only with them
+            # a checked stack or a term value holds arrays of the draws: kept only with them
             with_draws = not key or (stack,) in self._kept
             if reader < last and with_draws and self._entries + entries <= SHARED_ENTRIES:
                 self._kept[full] = value
@@ -242,16 +250,25 @@ def _plan_pair(plan, plan_words: np.ndarray, base):
     return params, pair_from_base(base, u_target, v_target)
 
 
-def _evaluate_stack(case: InequalityCase, seeds: list[int], n: int, shared: _SharedStacks) -> list[tuple]:
+def _plan_stack(case: InequalityCase, seeds: list[int], plan_words: np.ndarray, base) -> CheckedStack:
+    """The stacked pair that ``case.plan`` draws on the draws of ``seeds``,
+    checked against ``case.hypothesis``."""
+    params, pair = _plan_pair(case.plan, plan_words, base)
+    return check_stack(case, pair, params, seeds)
+
+
+def _evaluate_stack(case: InequalityCase, seeds: list[int], n: int, shared: _SharedStacks):
     """The trial kernel: k trials of dimension n read from their seeds'
-    streams, planned and built as one stacked pair, and evaluated at once:
-    :func:`~oel.catalog.evaluate_trials` rows.  The draws, the pair and the
-    term values are taken from the memo ``shared`` where it has them."""
+    streams, planned, built and checked as one stacked pair, and evaluated
+    at once: the :class:`~oel.catalog.CheckedStack` and its
+    :func:`~oel.catalog.evaluate_trials` columns.  The draws, the checked
+    stack and the term values are taken from the memo ``shared`` where it
+    has them."""
     keep = shared.reader(case, seeds, n)
     plan_words, base = keep((), 4, lambda: _draw(seeds, n))
-    params, pair = keep((case.plan,), 1, lambda: _plan_pair(case.plan, plan_words, base))
-    return evaluate_trials(
-        case, pair, params, seeds, terms=lambda term, pr: keep((case.plan, term), 1, lambda: term.fn(pair, pr))
+    stack = keep((case.plan, case.hypothesis), 1, lambda: _plan_stack(case, seeds, plan_words, base))
+    return stack, evaluate_trials(
+        case, stack, terms=lambda term: keep((case.plan, term), 1, lambda: term.fn(stack.pair, stack.weights))
     )
 
 
@@ -293,12 +310,11 @@ class _TrialDraws:
 _TRIAL_DRAWS = _TrialDraws()
 
 
-def _trial_row(case: InequalityCase, seed: int, n: int) -> tuple:
+def _trial_report(case: InequalityCase, seed: int, n: int) -> MarginReport:
     """The trial kernel with k = 1 on the stream's draws from the store: the
-    :func:`~oel.catalog.evaluate_trials` row of one trial."""
-    plan_words, base = _TRIAL_DRAWS(seed, n)
-    params, pair = _plan_pair(case.plan, plan_words, base)
-    return evaluate_trials(case, pair, params, [seed])[0]
+    report of one trial."""
+    stack = _plan_stack(case, [seed], *_TRIAL_DRAWS(seed, n))
+    return _reports(case.id, stack, evaluate_trials(case, stack))[0]
 
 
 def run_trial(case: InequalityCase, trial_seed: int, n: int) -> MarginReport:
@@ -313,7 +329,7 @@ def run_trial(case: InequalityCase, trial_seed: int, n: int) -> MarginReport:
         raise InvalidInput(f"trial seed must be an integer in [0, 2^64), got {trial_seed!r}")
     if not _is_count(n, 1):
         raise InvalidInput(f"n must be an integer >= 1, got {n!r}")
-    return _report(case.id, *_trial_row(case, int(trial_seed), int(n)))
+    return _trial_report(case, int(trial_seed), int(n))
 
 
 def replay(case_id: str, seed: int, n: int) -> MarginReport:
@@ -359,16 +375,13 @@ def run_suite(
     worst_seed = 0
     margin_sum = 0.0
     for window in _windows(seed, dims, trials):
-        for row in _window_rows(case, window, shared):
-            trial_seed, n, p, q, c, u, v, margin, scale, holds = row  # MarginReport's fields after case_id
-            margin_sum += margin
-            if margin < worst_margin:
-                worst_margin = margin
-                worst_seed = trial_seed
-            if not holds:
-                failures += 1
-            if collect is not None:
-                collect.append(_report(case.id, *row))
+        margin, holds = _window_columns(case, window, shared, collect)
+        failures += len(window) - int(np.count_nonzero(holds))
+        i = int(np.argmin(margin))  # the window's earliest worst trial
+        if margin[i] < worst_margin:
+            worst_margin, worst_seed = margin[i], window[i][0]
+        for m in margin.tolist():  # in trial order: sum() compensates from Python 3.12
+            margin_sum += m
     elapsed_ms = int(round((time.perf_counter() - t0) * 1e3))
     return SuiteResult(
         case_id=case.id,
@@ -423,24 +436,35 @@ def _stacks(window: list[tuple[int, int]]):
             yield group[lo : lo + size], n
 
 
-def _window_rows(case: InequalityCase, window: list[tuple[int, int]], shared: _SharedStacks):
-    """The window's rows, in trial order.  If a stack raises, the window is
-    rerun one trial at a time (``_trial_row``): the rows before the earliest
-    failing trial are yielded, then that trial's error is raised."""
-    rows: list[tuple] = [None] * len(window)
+def _window_columns(case: InequalityCase, window: list[tuple[int, int]], shared: _SharedStacks, collect):
+    """The window's margins and verdicts as arrays in trial order, its
+    reports appended to ``collect`` (unless None) in trial order.  If a stack
+    raises, the window is rerun one trial at a time (``_trial_report``): the
+    reports before the earliest failing trial are collected, then that
+    trial's error is raised."""
+    margin, holds = np.empty(len(window)), np.empty(len(window), dtype=bool)
+    reports: list = [None] * len(window)
     try:
-        for stack, n in _stacks(window):
-            for i, row in zip(stack, _evaluate_stack(case, [window[i][0] for i in stack], n, shared)):
-                rows[i] = row
+        for positions, n in _stacks(window):
+            stack, verdict = _evaluate_stack(case, [window[i][0] for i in positions], n, shared)
+            at = np.array(positions)
+            margin[at], _, holds[at] = verdict
+            if collect is not None:
+                for i, report in zip(positions, _reports(case.id, stack, verdict)):
+                    reports[i] = report
+            del stack  # its pair's arrays are not kept while the next stack is evaluated
     except Exception as stack_exc:
         for seed, n in window:
             try:
-                row = _trial_row(case, seed, n)
+                report = _trial_report(case, seed, n)
             except (NumericalBreakdown, HypothesisError) as exc:
                 raise type(exc)(f"trial (case_id, seed, n) = ({case.id!r}, {seed}, {n}): {exc}") from exc
-            yield row
+            if collect is not None:
+                collect.append(report)
         raise stack_exc  # no trial fails on its own
-    yield from rows
+    if collect is not None:
+        collect.extend(reports)
+    return margin, holds
 
 
 def run_all(

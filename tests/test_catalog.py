@@ -18,6 +18,7 @@ from oel.catalog import (
     case_index,
     catalog,
     catalog_with_duals,
+    check_stack,
     dual,
     evaluate,
     evaluate_trials,
@@ -210,11 +211,11 @@ def test_pairs_with_c_on_each_declared_edge_hold(n):
             pair = pair_from_base(base, *targets)
             assert np.array_equal(getattr(pair, name)[on], at[on]), (case.id, name)
             try:
-                rows = evaluate_trials(case, pair, params, seeds)
+                _, _, holds = evaluate_trials(case, check_stack(case, pair, params, seeds))
             except NumericalBreakdown as exc:
                 broken.append((case.id, name, str(exc)))
                 continue
-            failed += [(case.id, name, row[0]) for row in rows if not row[-1]]
+            failed += [(case.id, name, seed) for seed, ok in zip(seeds, holds) if not ok]
     assert broken == [] and failed == []
 
 
@@ -423,19 +424,33 @@ def test_evaluate_takes_a_weight_as_any_real_number_and_reports_a_float():
 
 
 def test_evaluate_trials_returns_plain_rows():
-    # a row is MarginReport's fields after case_id, in field order
+    # the kernel returns a checked stack's margins, scales and verdicts as
+    # (k,) arrays; a row leaves the package as a report of plain Python
+    # scalars, from the one function that builds every report of the kernel
     case, pair, params = by_id("H2.1"), scalar_pair(3.0), Params(p=-0.5)
-    (row,) = evaluate_trials(case, pair, params, [77])
-    assert type(row) is tuple
-    assert MarginReport(case.id, *row) == evaluate(case, pair, params, seed=77)
+    stack = check_stack(case, pair, params, [77])
+    verdict = evaluate_trials(case, stack)
+    assert [(type(x), x.shape) for x in verdict] == [(np.ndarray, (1,))] * 3
+    (report,) = catalog_module._reports(case.id, stack, verdict)
+    assert report == evaluate(case, pair, params, seed=77)
+    plain = [str, int, int, float, type(None), type(None), float, float, float, float, bool]
+    assert [type(x) for x in dataclasses.astuple(report)] == plain
     with pytest.raises(InvalidInput, match="1 pairs for 2 seeds"):
-        evaluate_trials(case, pair, params, [77, 78])
+        check_stack(case, pair, params, [77, 78])
 
 
 def test_the_kernel_leaves_the_tolerance_check_to_the_public_entries(monkeypatch):
     # a case's verdict has one rule, ORDER_TOL: no trial-path entry takes a
     # tolerance, so none checks one, and a row replays from its triple alone
-    entries = (evaluate, evaluate_trials, harness.run_trial, harness.replay, harness.run_suite, harness.run_all)
+    entries = (
+        evaluate,
+        check_stack,
+        evaluate_trials,
+        harness.run_trial,
+        harness.replay,
+        harness.run_suite,
+        harness.run_all,
+    )
     for entry in entries:
         assert not {"order_tol", "tol"} & set(inspect.signature(entry).parameters), entry
     checks = []
@@ -443,7 +458,7 @@ def test_the_kernel_leaves_the_tolerance_check_to_the_public_entries(monkeypatch
     for module in (spd_core, harness):
         monkeypatch.setattr(module, "_check_tol", lambda tol: checks.append(tol) or original(tol))
     case, pair, params = by_id("H2.1"), scalar_pair(3.0), Params(p=-0.5)
-    evaluate_trials(case, pair, params, [77])
+    evaluate_trials(case, check_stack(case, pair, params, [77]))
     evaluate(case, pair, params, seed=77)
     run_suite(by_id("H1.1"), trials=8, dims=(1, 2))
     harness.run_all("H1", trials=4)

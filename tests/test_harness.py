@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import importlib
 import json
+import math
 import os
 import re
 import threading
@@ -12,7 +13,15 @@ import numpy as np
 import pytest
 
 from oel import harness, scalars
-from oel.catalog import MarginReport, catalog_with_duals, evaluate_trials, find_cases
+from oel.catalog import (
+    R_U1_PPOS,
+    CheckedStack,
+    MarginReport,
+    Region,
+    catalog_with_duals,
+    evaluate_trials,
+    find_cases,
+)
 from oel.errors import HypothesisError, InvalidInput, NumericalBreakdown, ReportError
 from oel.harness import (
     DEFAULT_DIMS,
@@ -924,10 +933,10 @@ def test_suite_raises_the_earliest_failing_trial(monkeypatch, error):
     trial_seeds = harness.trial_seeds(seed, 0, 6)
     failing = {trial_seeds[3], trial_seeds[4]}
 
-    def flaky(case, pair, params, seeds, **kwargs):
-        if failing & set(seeds):
-            raise error(f"boom at {sorted(failing & set(seeds))}")
-        return evaluate_trials(case, pair, params, seeds, **kwargs)
+    def flaky(case, stack, **kwargs):
+        if failing & set(stack.seeds):
+            raise error(f"boom at {sorted(failing & set(stack.seeds))}")
+        return evaluate_trials(case, stack, **kwargs)
 
     whole = []
     run_suite(case_by_id("H1.1"), trials=6, dims=(1, 2), seed=seed, collect=whole)
@@ -945,10 +954,10 @@ def test_suite_raises_the_earliest_failing_trial(monkeypatch, error):
 def test_suite_passes_other_errors_through_unchanged(monkeypatch):
     seed = 9
 
-    def flaky(case, pair, params, seeds, **kwargs):
-        if harness.trial_seeds(seed, 2, 3)[0] in seeds:
+    def flaky(case, stack, **kwargs):
+        if harness.trial_seeds(seed, 2, 3)[0] in stack.seeds:
             raise ZeroDivisionError("not a trial error")
-        return evaluate_trials(case, pair, params, seeds, **kwargs)
+        return evaluate_trials(case, stack, **kwargs)
 
     monkeypatch.setattr(harness, "evaluate_trials", flaky)
     with pytest.raises(ZeroDivisionError, match="^not a trial error$"):
@@ -976,6 +985,78 @@ def test_a_stack_error_that_no_trial_raises_alone_follows_every_row(monkeypatch)
     assert len(rows) == 12
     assert set(harness._TRIAL_DRAWS._kept) == {(r.seed, r.n) for r in rows}
     assert all(replay(r.case_id, r.seed, r.n) == r for r in rows)
+
+
+def test_cases_on_one_planner_check_each_hypothesis_of_their_own(monkeypatch):
+    # T1.1.pos draws from T1.1's planner, which draws p < 0 as well, under a
+    # hypothesis that admits only p > 0.  A checked stack is shared only by
+    # cases with the same planner and hypothesis, so the copy raises its own
+    # HypothesisError, with its replay triple, on the stacks T1.1 passed
+    t11 = case_by_id("T1.1")
+    copy = dataclasses.replace(t11, id="T1.1.pos", hypothesis=R_U1_PPOS)
+    monkeypatch.setattr(harness, "find_cases", lambda pattern: [t11, copy])
+    kwargs = dict(trials=24, dims=(1, 2), seed=42)
+    alone = []
+    run_suite(t11, collect=alone, **kwargs)
+
+    def outside(seed, n):
+        try:
+            run_trial(copy, seed, n)
+        except HypothesisError:
+            return True
+        return False
+
+    schedule = [(s, (1, 2)[i % 2]) for i, s in enumerate(harness.trial_seeds(42, 0, 24))]
+    seed, n = next((s, n) for s, n in schedule if outside(s, n))
+    collected = []
+    with pytest.raises(HypothesisError) as info:
+        run_all(collect=collected, **kwargs)
+    expected = f"trial (case_id, seed, n) = ('T1.1.pos', {seed}, {n}): case T1.1.pos hypothesis [{R_U1_PPOS.text}]"
+    assert str(info.value).startswith(expected)
+    assert collected[:24] == alone
+    assert [r.seed for r in collected[24:]] == [s for s, _ in schedule[: schedule.index((seed, n))]]
+
+
+@pytest.mark.parametrize("window", [7, 1024])
+def test_each_suite_result_is_the_trial_order_fold_of_its_rows(monkeypatch, window):
+    # a suite folds its windows' columns; each result must be the sequential
+    # fold of its collected rows in trial order, bit for bit.  Swapped (false)
+    # forms fail on every trial, S <= T[p] on T1.1's stacks fails where p < 0
+    # only, a term against itself ties every margin at 0 (the worst seed is
+    # the earliest trial's), and windows of 7 trials split each suite
+    monkeypatch.setattr(harness, "WINDOW_TRIALS", window)
+    swapped = map(case_by_id, ("H1.1", "T1.1", "M3.c"))
+    cases = [dataclasses.replace(c, id=c.id + ".swapped", lhs=c.rhs, rhs=c.lhs) for c in swapped]
+    t11 = case_by_id("T1.1")
+    cases += [
+        dataclasses.replace(t11, id="S <= T[p]", lhs=catalog.T_S, rhs=catalog.T_TS),
+        dataclasses.replace(t11, id="T[p] <= T[p]", lhs=catalog.T_TS, rhs=catalog.T_TS),
+        case_by_id("W2.1"),
+    ]
+    monkeypatch.setattr(harness, "find_cases", lambda pattern: cases)
+    trials = 40
+    rows = []
+    results = run_all(trials=trials, dims=(1, 2, 3), seed=5, collect=rows)
+    folds = []
+    for case, result in zip(cases, results):
+        mine = [r for r in rows if r.case_id == case.id]
+        assert [r.seed for r in mine] == harness.trial_seeds(5, 0, trials)
+        failures, worst, worst_seed, total = 0, math.inf, 0, 0.0
+        for r in mine:
+            failures += not r.holds
+            total += r.margin
+            if r.margin < worst:
+                worst, worst_seed = r.margin, r.seed
+        assert (result.failures, result.worst_margin.hex(), result.worst_seed, result.mean_margin.hex()) == (
+            failures,
+            worst.hex(),
+            worst_seed,
+            (total / trials).hex(),
+        ), case.id
+        folds.append((failures, worst, worst_seed))
+    failures = [f for f, _, _ in folds]
+    assert failures[:3] == [trials] * 3 and 0 < failures[3] < trials and failures[4:] == [0, 0]
+    assert folds[4][1:] == (0.0, rows[4 * trials].seed)  # every margin ties: the earliest trial's seed
 
 
 def _counting(monkeypatch, owner, name):
@@ -1036,19 +1117,23 @@ def _counting_terms(monkeypatch) -> list:
 
 
 def test_run_all_builds_each_plans_pairs_and_terms_once(monkeypatch):
-    # the 50 cases read 29 plans and 82 (plan, term) values, so at 6 dims (one
-    # stack each) a call builds 29 x 6 pairs, not 50 x 6, and evaluates 82 x 6
-    # terms, not 100 x 6; each entry is dropped at its last reader
+    # the 50 cases read 29 plans, each with one hypothesis, and 82 (plan,
+    # term) values, so at 6 dims (one stack each) a call builds and checks
+    # 29 x 6 pairs, not 50 x 6, and evaluates 82 x 6 terms, not 100 x 6; each
+    # entry is dropped at its last reader
     builds = _counting(monkeypatch, harness, "pair_from_base")
+    checks = _counting(monkeypatch, Region, "check")
     terms = _counting_terms(monkeypatch)
     memos = []
     shared = harness._SharedStacks
     monkeypatch.setattr(harness, "_SharedStacks", lambda cases: memos.append(shared(cases)) or memos[-1])
     run_all(trials=60, seed=42)
-    assert (len(builds), len(terms)) == (174, 492)
+    assert (len(builds), len(checks), len(terms)) == (174, 174, 492)
     assert (memos[0]._kept, memos[0]._entries) == ({}, 0)
     run_all("M3*", trials=60, seed=42)  # nine cases on nine plans share only the draws
-    assert (len(builds), len(terms)) == (174 + 9 * 6, 492 + 18 * 6)
+    assert (len(builds), len(checks), len(terms)) == (174 + 9 * 6, 174 + 9 * 6, 492 + 18 * 6)
+    run_suite(case_by_id("T1.1"), trials=60, seed=42)  # a lone suite checks each of its 6 stacks once
+    assert len(builds) == len(checks) == 174 + 9 * 6 + 6
     # a plan swapped per case (as a tracer does) gets entries of its own
     find = harness.find_cases
 
@@ -1057,7 +1142,7 @@ def test_run_all_builds_each_plans_pairs_and_terms_once(monkeypatch):
 
     monkeypatch.setattr(harness, "find_cases", lambda pattern: [swapped(c) for c in find(pattern)])
     run_all("T1R*", trials=12, dims=(1, 2), seed=42)
-    assert len(builds) == 174 + 9 * 6 + 8 * 2
+    assert len(builds) == len(checks) == 174 + 9 * 6 + 6 + 8 * 2
 
 
 @pytest.mark.parametrize("entries", [None, 700])
@@ -1088,12 +1173,13 @@ def test_run_all_rows_are_the_per_case_rows_where_cases_share_plans(monkeypatch,
 def test_run_all_memo_counts_the_arrays_its_entries_hold(monkeypatch, pattern, entries):
     # checked as each reader starts: the memo's total is its charge rule,
     # n x n per trial for each kept array (four for the draws' A, its square
-    # root, C's basis and X; one for a pair, which may form B on a later
-    # read; one for a term value), within the budget, and the arrays the
-    # entries hold of their own never exceed it.  A pair is read through
-    # _b, which forms nothing.  TA's terms read C, which the pair assembles
-    # for that read and does not keep, and not B, so TA's pairs hold no
-    # array; the rows stay those of the cases run one at a time
+    # root, C's basis and X; one for a checked stack, whose pair may form B
+    # on a later read; one for a term value), within the budget, and the
+    # arrays the entries hold of their own never exceed it.  A checked
+    # stack's pair is read through _b, which forms nothing.  TA's terms read
+    # C, which the pair assembles for that read and does not keep, and not
+    # B, so TA's checked stacks hold no array; the rows stay those of the
+    # cases run one at a time
     kwargs = dict(trials=24, dims=(2, 3), seed=17) if pattern == "T*" else dict(trials=64, dims=(1, 2), seed=3)
     separate = []
     for case in harness.find_cases(pattern):
@@ -1108,15 +1194,16 @@ def test_run_all_memo_counts_the_arrays_its_entries_hold(monkeypatch, pattern, e
         for (*key, (n, seeds)), value in memo._kept.items():
             if not key:
                 base = value[1]
-                held = [base.a.mat, base.sqrt_a.mat, base.q_c, base.x]
-            elif len(key) == 1:
-                held = [] if value[1]._b is None else [value[1]._b.mat]  # read without forming B
-            else:
-                held = [value]
+                kind, held = "draws", [base.a.mat, base.sqrt_a.mat, base.q_c, base.x]
+            elif isinstance(key[1], Region):  # (plan, hypothesis)
+                assert isinstance(value, CheckedStack)
+                kind, held = "stack", [] if value.pair._b is None else [value.pair._b.mat]  # read without forming B
+            else:  # (plan, term)
+                kind, held = "term", [value]
             assert all(m.shape[-2:] == (n, n) and m.size == len(seeds) * n * n for m in held)
             charge += (4 if not key else 1) * len(seeds) * n * n
             held_total += sum(m.size for m in held)
-            kinds.add((len(key), len(held)))
+            kinds.add((kind, len(held)))
         assert memo._entries == charge <= harness.SHARED_ENTRIES
         assert held_total <= charge
         return reader(memo, *args)
@@ -1125,9 +1212,9 @@ def test_run_all_memo_counts_the_arrays_its_entries_hold(monkeypatch, pattern, e
     together = []
     run_all(pattern, collect=together, **kwargs)
     assert together == separate
-    # (entry key length, arrays held): draws, a pair holding no B, a pair
+    # (entry kind, arrays held): draws, a checked stack holding no B, one
     # holding B, a term value
-    assert kinds == {(0, 4), (1, 0), (2, 1)} | ({(1, 1)} if pattern == "T*" else set())
+    assert kinds == {("draws", 4), ("stack", 0), ("term", 1)} | ({("stack", 1)} if pattern == "T*" else set())
 
 
 def test_run_all_draws_each_stack_once_per_call(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import eigh as generalized_eigh
 
-from oel.catalog import _gap, _mid, catalog_with_duals, evaluate_trials
+from oel.catalog import _gap, _mid, catalog_with_duals, check_stack, evaluate_trials
 from oel.errors import DomainError, InvalidInput, InvalidWeight, NumericalBreakdown
 from oel.harness import run_all
 from oel.means import (
@@ -574,7 +574,7 @@ def _plans_reading_b() -> set:
     reading = set()
     for case in catalog_with_duals():
         params, pair = harness._plan_pair(case.plan, *harness._draw([3], 2))
-        evaluate_trials(case, pair, params, [3])
+        evaluate_trials(case, check_stack(case, pair, params, [3]))
         if pair._b is not None:
             reading.add(case.plan)
     return reading

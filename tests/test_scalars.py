@@ -700,6 +700,31 @@ def test_harm_drop_rate_takes_one_weight_per_matrix():
         scalars.harm_drop_rate(2.0, np.array([0.5, 0.0]))
 
 
+def test_log_defect_is_the_weight_derivative_of_the_drift_at_one():
+    # log_defect(x, c) = d/dr entropy_drift(x, r, c) at r = 1, the derivative
+    # of the M chains' twin, by complex step (no cancellation, so the step is
+    # 1e-20); within a few roundings of the size of its four terms
+    eps, h = np.finfo(float).eps, 1e-20
+    x = np.geomspace(0.05, 20.0, 2001)
+    lg = np.log(x)
+    for c in (0.25, 0.5, 1.0):
+        slope = scalars.entropy_drift(x, 1.0 + 1j * h, c).imag / h
+        size = 1.0 + x + x * np.abs(lg) + c * x * lg * lg
+        assert (np.abs(scalars.log_defect(x, c) - slope) <= 8 * eps * size).all(), c
+
+
+def test_harm_drop_rate_is_w1s_twin_at_the_reciprocal():
+    # harm_drop_rate(x, p) = (arith_rep - power_rep)(1/x, p)/p, W1's twin at
+    # 1/x; within a few roundings of the size of its three terms
+    eps = np.finfo(float).eps
+    x = np.geomspace(1e-3, 1e3, 2001)
+    (w1,) = [c.rhs for c in catalog_with_duals() if c.id == "W1.1"]  # (arith[p] - nat[p])/p
+    for p in (0.1, 0.5, 0.9, 1.0, -0.5):
+        size = (abs(1.0 - p) + abs(p) / x + x**-p) / abs(p)
+        twin = w1.f(1.0 / x, Params(p=p))
+        assert (np.abs(scalars.harm_drop_rate(x, p) - twin) <= 8 * eps * size).all(), p
+
+
 def test_probe_csv_contains_expected_rows(tmp_path):
     out = tmp_path / "probe.csv"
     scalars.export_rows_csv(scalars.probe_rows("2.5"), str(out))
