@@ -45,8 +45,9 @@ input checks, as its terms are computed.  No caller sets that tolerance, so
 a row is a function of its pair and parameters alone; another tolerance is
 :func:`~oel.spd_core.loewner_leq` on ``case.lhs.fn(pair, params)`` and
 ``case.rhs.fn(pair, params)``.  It returns the margins, scales and verdicts
-as ``(k,)`` arrays; a row becomes a :class:`MarginReport` only where it
-leaves the package, built by one function (``_reports``) for
+as ``(k,)`` arrays.  A case's rows are held as :class:`ReportColumns`
+(its columns in trial order), and a row becomes a :class:`MarginReport` only
+where a caller asks for objects, built by one function (``_reports``) for
 :func:`evaluate` and the harness.
 """
 
@@ -54,13 +55,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from fnmatch import fnmatch
+from numbers import Real
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import scalars
-from .errors import HypothesisError, InvalidInput, NoDual
+from .errors import HypothesisError, InvalidInput, InvalidWeight, NoDual
 from .means import OperatorPair, arithmetic_mean, geometric_mean, harmonic_mean, natural_power_mean
 from .sampler import _FREE_WINDOW, _is_word
 from .scalars import Params
@@ -804,19 +806,35 @@ def check_stack(case: InequalityCase, pair: OperatorPair, params: Params, seeds:
     return CheckedStack(pair, seeds, weights, u, v, *cols)
 
 
+def _trial_weight(x, name: str) -> float | None:
+    """One trial's weight as :func:`evaluate` takes it: None, or a real
+    number that is not a bool (a one-element numpy array of one included),
+    as a float; anything else is an InvalidWeight."""
+    if x is None:
+        return None
+    if isinstance(x, np.ndarray) and x.size == 1 and x.dtype.kind in "iuf":
+        x = x.item()
+    if isinstance(x, Real) and not isinstance(x, bool):
+        return float(x)
+    raise InvalidWeight(f"weight {name} must be None or a real number, got {x!r}")
+
+
 def evaluate(case: InequalityCase, pair: OperatorPair, params: Params, *, seed: int = 0) -> MarginReport:
     """Evaluate one case on one pair.
 
     Raises HypothesisError when (u, v, params) fall outside the case's
     hypothesis (with slack ``HYP_SLACK``); otherwise returns the margin
-    verdict of ``lhs <= rhs`` at ``ORDER_TOL``.  A seed that is not an
+    verdict of ``lhs <= rhs`` at ``ORDER_TOL``.  Each of p, q and c is None
+    or a real number (numpy scalars accepted), reported as a float; a bool,
+    a string or another object is an InvalidWeight.  A seed that is not an
     integer in ``[0, 2^64)`` (numpy integers are accepted, bools not) is an
     InvalidInput, as is a ``case`` that is not an InequalityCase."""
     _check_case(case)
     if not _is_word(seed):
         raise InvalidInput(f"trial seed must be an integer in [0, 2^64), got {seed!r}")
+    params = Params(*(_trial_weight(getattr(params, name), name) for name in ("p", "q", "c")))
     stack = check_stack(case, pair, params, [int(seed)])
-    return _reports(case.id, stack, evaluate_trials(case, stack))[0]
+    return _reports(_stack_columns(case.id, stack, evaluate_trials(case, stack)))[0]
 
 
 def evaluate_trials(
@@ -834,11 +852,52 @@ def evaluate_trials(
     return tuple(x.reshape(-1) for x in verdict)
 
 
-def _reports(case_id: str, stack: CheckedStack, verdict: tuple) -> list[MarginReport]:
-    """The reports of a checked stack's trials from their
-    :func:`evaluate_trials` columns, in trial order: the one place a column
-    becomes Python scalars."""
-    k = len(stack.seeds)
-    cols = [(None,) * k if x is None else x.tolist() for x in (stack.p, stack.q, stack.c)]
-    numbers = (x.tolist() for x in (stack.u, stack.v, *verdict))
-    return list(map(_report, (case_id,) * k, stack.seeds, (stack.pair.n,) * k, *cols, *numbers))
+class ReportColumns(NamedTuple):
+    """Report rows of one case as columns, in trial order: the case id, and
+    each other field of :class:`MarginReport` as a ``(k,)`` array (a suite
+    window's seeds as ``uint64``) or a sequence of plain values (a checked
+    stack's seeds and n); p, q or c is None where the plan has no such
+    parameter.  A suite's rows are held this way until they are written; the
+    arrays are only read, so blocks may share them (a window's seed and n
+    columns)."""
+
+    case_id: str
+    seed: np.ndarray | Sequence[int]
+    n: np.ndarray | Sequence[int]
+    p: np.ndarray | None
+    q: np.ndarray | None
+    c: np.ndarray | None
+    u: np.ndarray
+    v: np.ndarray
+    margin: np.ndarray
+    scale: np.ndarray
+    holds: np.ndarray
+
+    def columns(self, lo: int = 0, hi: int | None = None) -> list:
+        """Rows ``lo .. hi - 1`` as the report's columns in field order: the
+        case id and a None column as tuples, every other column as (a slice
+        of) itself (:func:`_plain` gives their Python values)."""
+        arrays = self[1:]
+        if lo or hi is not None:
+            arrays = [None if x is None else x[lo:hi] for x in arrays]
+        k = len(arrays[-1])
+        return [(self.case_id,) * k, *((None,) * k if x is None else x for x in arrays)]
+
+
+def _plain(column):
+    """A column's plain Python values: the one place an array column becomes
+    Python scalars (any other column is already plain)."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _stack_columns(case_id: str, stack: CheckedStack, verdict: tuple) -> ReportColumns:
+    """The rows of a checked stack's trials from their
+    :func:`evaluate_trials` columns, in the stack's trial order."""
+    n = (stack.pair.n,) * len(stack.seeds)
+    return ReportColumns(case_id, stack.seeds, n, stack.p, stack.q, stack.c, stack.u, stack.v, *verdict)
+
+
+def _reports(block: ReportColumns) -> list[MarginReport]:
+    """The reports of a block of rows, in its order: the one way a row
+    becomes a :class:`MarginReport`."""
+    return list(map(_report, *map(_plain, block.columns())))

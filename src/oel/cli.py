@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    collect: list | None = [] if args.out else None
+    # --out rows are held as column blocks until written: no report object per row
+    collect = harness.ReportBlocks() if args.out else None
     results = harness.run_all(
         args.case,
         trials=args.trials,

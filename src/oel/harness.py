@@ -7,17 +7,23 @@ first words are the case's plan (parameters and sandwich targets), the rest
 are the pair's spectra and bases; there is no second seed.  Reports carry
 that per-trial seed so any failure can be replayed exactly.  Master and
 trial seeds are 64-bit words (integers in ``[0, 2^64)``), checked where
-they enter: :func:`_windows` for a run, :func:`run_trial` for one trial.
+they enter: :class:`_Schedule` for a run, :func:`run_trial` for one trial.
 
 A suite works through its trials in windows of ``WINDOW_TRIALS``, in trial
 order.  It groups a window's trials by n and evaluates each group as stacks
 of shape ``(k, n, n)``, with k * n * n at most ``STACK_ENTRIES``: the stack's
 streams are read into ``(k, ...)`` arrays, the planner maps their plan words
-at once, and every later step is one numpy call for the k trials.  The
-kernel's columns (:func:`~oel.catalog.evaluate_trials`: margins, scales and
-verdicts as ``(k,)`` arrays) are folded into the suite's totals before the
-next window, so its memory does not grow with the trial count; only a row
-that leaves the package becomes a report.
+at once, and every later step is one numpy call for the k trials.  A run's
+windows and their grouping come from one :class:`_Schedule`, built once per
+:func:`run_all` call and read by every suite of it.  The kernel's columns
+(:func:`~oel.catalog.evaluate_trials`: margins, scales and verdicts as
+``(k,)`` arrays) are gathered into trial order and folded into the suite's
+totals before the next window, so its memory does not grow with the trial
+count.  With ``collect``, a window's rows leave as one
+:class:`~oel.catalog.ReportColumns` block: a :class:`ReportBlocks` (what
+``oel verify --out`` passes) keeps it as it is, and a list receives the
+reports built from it, so a report is built only where a caller asks for
+objects.
 :func:`run_trial` (and so :func:`replay`) is the same kernel with k = 1, and
 stacked numpy calls give each matrix the bits of a call on that matrix
 alone, so a replay reproduces its suite row exactly.
@@ -84,11 +90,13 @@ closed form (each exactly symmetric) from one ``eigvalsh`` of their stack
 (:func:`_symmetric_norms`), not from an SVD per matrix.
 
 Reports are written and read ``_REPORT_BLOCK`` rows at a time, column by
-column.  :func:`write_reports_jsonl` maps each column's values to their JSON
-tokens (``float.__repr__`` for floats, as ``json.dumps`` writes them) and
-fills one line template, in the key order and separators of
-``json.dumps(report_to_dict(r))``; a block with a value that is not a plain
-str, int, finite float, bool or None goes through ``json.dumps`` row by row.
+column; the writers take a list of reports or a :class:`ReportBlocks`, and
+both go through one formatter.  :func:`write_reports_jsonl` maps each
+column's values to their JSON tokens (``float.__repr__`` for floats, as
+``json.dumps`` writes them) and fills one line template, in the key order
+and separators of ``json.dumps(report_to_dict(r))``; a block with a value
+that is not a plain str, int, finite float, bool or None goes through
+``json.dumps`` row by row.
 :func:`read_reports` decodes a block's lines with ``raw_decode`` and checks
 each column against its rule in ``_FIELD_RULES``; a block that fails either
 step is read again one line at a time, which names its first malformed line.
@@ -108,6 +116,7 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 from numbers import Real
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,10 +125,13 @@ from .catalog import (
     CheckedStack,
     InequalityCase,
     MarginReport,
+    ReportColumns,
     _check_case,
+    _plain,
     _report,
     _reports,
     _sorted2,
+    _stack_columns,
     case_index,
     catalog_with_duals,  # noqa: F401  (perfbench wraps the case lookups by this name)
     check_stack,
@@ -314,7 +326,7 @@ def _trial_report(case: InequalityCase, seed: int, n: int) -> MarginReport:
     """The trial kernel with k = 1 on the stream's draws from the store: the
     report of one trial."""
     stack = _plan_stack(case, [seed], *_TRIAL_DRAWS(seed, n))
-    return _reports(case.id, stack, evaluate_trials(case, stack))[0]
+    return _reports(_stack_columns(case.id, stack, evaluate_trials(case, stack)))[0]
 
 
 def run_trial(case: InequalityCase, trial_seed: int, n: int) -> MarginReport:
@@ -350,46 +362,83 @@ class SuiteResult:
     elapsed_ms: int
 
 
+class ReportBlocks:
+    """A sink for a run's report rows that keeps them as column blocks: pass
+    it as ``collect`` and each (case, window) of the run appends one
+    :class:`~oel.catalog.ReportColumns`, in run order, and no MarginReport is
+    built (a window that raised appends the list of reports of its trials
+    before the failing one).  Iterating it gives its blocks, and ``len`` its
+    rows, as for a list of the same reports.  The report writers take it in
+    place of a list of reports."""
+
+    def __init__(self) -> None:
+        self._blocks: list[ReportColumns | list[MarginReport]] = []
+        self._rows = 0
+
+    def append(self, block: ReportColumns | list[MarginReport]) -> None:
+        self._blocks.append(block)
+        self._rows += len(block.holds) if isinstance(block, ReportColumns) else len(block)
+
+    def __iter__(self):
+        return iter(self._blocks)
+
+    def __len__(self) -> int:
+        return self._rows
+
+
+def _collect(collect, rows) -> None:
+    """Hand a window's rows (a ReportColumns block, or a list of reports) to
+    ``collect``: a ReportBlocks keeps them as they are, a list receives
+    their reports."""
+    if isinstance(collect, ReportBlocks):
+        collect.append(rows)
+    else:
+        collect.extend(_reports(rows) if isinstance(rows, ReportColumns) else rows)
+
+
 def run_suite(
     case: InequalityCase,
     *,
     trials: int = DEFAULT_TRIALS,
     dims: tuple[int, ...] = DEFAULT_DIMS,
     seed: int = DEFAULT_SEED,
-    collect: list[MarginReport] | None = None,
+    collect: list[MarginReport] | ReportBlocks | None = None,
     _shared: _SharedStacks | None = None,
+    _schedule: _Schedule | None = None,
 ) -> SuiteResult:
     """Run ``trials`` deterministic trials of one case, cycling dimensions.
 
     The trials are evaluated in windows and stacks (see the module notes);
-    collected reports keep trial order.  A trial's NumericalBreakdown or
-    HypothesisError is re-raised with its ``(case_id, seed, n)``, after the
-    reports of the trials before it have been collected.  ``trials`` that is
-    not an integer >= 1, or a ``case`` that is not an InequalityCase, is an
-    InvalidInput."""
+    collected rows keep trial order, as reports appended to a list or as
+    column blocks appended to a :class:`ReportBlocks`.  A trial's
+    NumericalBreakdown or HypothesisError is re-raised with its
+    ``(case_id, seed, n)``, after the rows of the trials before it have been
+    collected.  ``trials`` that is not an integer >= 1, or a ``case`` that is
+    not an InequalityCase, is an InvalidInput."""
     _check_case(case)
+    schedule = _Schedule(seed, dims, trials) if _schedule is None else _schedule
     shared = _SharedStacks([case]) if _shared is None else _shared
     t0 = time.perf_counter()
     failures = 0
     worst_margin = np.inf
     worst_seed = 0
     margin_sum = 0.0
-    for window in _windows(seed, dims, trials):
+    for window in schedule:
         margin, holds = _window_columns(case, window, shared, collect)
-        failures += len(window) - int(np.count_nonzero(holds))
+        failures += len(margin) - int(np.count_nonzero(holds))
         i = int(np.argmin(margin))  # the window's earliest worst trial
         if margin[i] < worst_margin:
-            worst_margin, worst_seed = margin[i], window[i][0]
+            worst_margin, worst_seed = margin[i], window.seeds[i]
         for m in margin.tolist():  # in trial order: sum() compensates from Python 3.12
             margin_sum += m
     elapsed_ms = int(round((time.perf_counter() - t0) * 1e3))
     return SuiteResult(
         case_id=case.id,
-        trials=trials,
+        trials=schedule.trials,
         failures=failures,
         worst_margin=float(worst_margin),
         worst_seed=worst_seed,
-        mean_margin=margin_sum / trials,
+        mean_margin=margin_sum / schedule.trials,
         elapsed_ms=elapsed_ms,
     )
 
@@ -403,67 +452,117 @@ def _dims(dims) -> tuple[int, ...]:
         raise InvalidInput(f"dims must be an iterable of positive integers, got {dims!r}") from None
     if not dims or not all(_is_count(d, 1) for d in dims):
         raise InvalidInput(f"bad dims {dims!r}")
-    return dims
+    return tuple(map(int, dims))
 
 
-def _windows(seed: int, dims: tuple[int, ...], trials: int):
-    """A run's trials as (trial seed, n) lists of at most ``WINDOW_TRIALS``,
-    in trial order, trial i at ``dims[i % len(dims)]``: a window's schedule
-    is built with the window, so memory does not grow with ``trials``.  The
-    one check of a run's master seed (an integer in ``[0, 2^64)``, as
-    :func:`trial_seeds` reads it), ``dims`` and ``trials``; anything else is
-    an InvalidInput."""
-    if not _is_word(seed):
-        raise InvalidInput(f"master seed must be an integer in [0, 2^64), got {seed!r}")
-    if not _is_count(trials, 1):
-        raise InvalidInput(f"trials must be positive (an integer >= 1), got {trials!r}")
-    dims = _dims(dims)
-    seed = int(seed)  # a numpy integer would overflow in trial_seeds
-    for lo in range(0, trials, WINDOW_TRIALS):
-        hi = min(lo + WINDOW_TRIALS, trials)
-        yield [(s, int(dims[i % len(dims)])) for i, s in enumerate(trial_seeds(seed, lo, hi), lo)]
+class _Window(NamedTuple):
+    """Trials ``lo .. lo + len(seeds) - 1`` of a run, in trial order."""
+
+    lo: int
+    seeds: list[int]
+    # the seeds as a uint64 column and each trial's n, read-only: the report
+    # blocks of every case share n, and the seed column within a run of one
+    # window (a run of more rebuilds each window per case)
+    seed_column: np.ndarray
+    n: np.ndarray
+    # (positions in the window, their seeds, n): the window's trials grouped
+    # by n, in trial order within a group, cut to STACK_ENTRIES
+    stacks: list[tuple[np.ndarray, list[int], int]]
+    # the stacks' trials, one after another, taken in this order are in trial order
+    order: np.ndarray
 
 
-def _stacks(window: list[tuple[int, int]]):
-    """Positions in ``window`` (its trials' (seed, n)) grouped by n, in trial
-    order within a group, cut to ``STACK_ENTRIES``; with each group's n."""
-    groups: dict[int, list[int]] = {}
-    for i, (_, n) in enumerate(window):
-        groups.setdefault(n, []).append(i)
-    for n, group in groups.items():
-        size = max(1, STACK_ENTRIES // (n * n))
-        for lo in range(0, len(group), size):
-            yield group[lo : lo + size], n
+class _Schedule:
+    """A run's trials, in windows of at most ``WINDOW_TRIALS`` in trial
+    order, trial i at ``dims[i % len(dims)]``: the one check of a run's
+    master seed (an integer in ``[0, 2^64)``, as :func:`trial_seeds` reads
+    it), ``dims`` and ``trials``, where anything else is an InvalidInput.
+    It is built once per run and iterated by each of its suites.  A window's
+    grouping into stacks depends only on its length and its first index
+    modulo ``len(dims)``, so it is built once per such shape, and the last
+    window is kept whole, so the suites of a run of one window share it.  So
+    the schedule holds at most ``len(dims) + 1`` groupings and one window,
+    however many trials the run has."""
+
+    def __init__(self, seed: int, dims, trials: int) -> None:
+        if not _is_word(seed):
+            raise InvalidInput(f"master seed must be an integer in [0, 2^64), got {seed!r}")
+        if not _is_count(trials, 1):
+            raise InvalidInput(f"trials must be positive (an integer >= 1), got {trials!r}")
+        self.dims = _dims(dims)
+        self.seed = int(seed)  # a numpy integer would overflow in trial_seeds
+        self.trials = int(trials)
+        self._shapes: dict[tuple[int, int], tuple] = {}
+        self._last: _Window | None = None
+
+    def __iter__(self):
+        for lo in range(0, self.trials, WINDOW_TRIALS):
+            if self._last is None or self._last.lo != lo:
+                self._last = self._window(lo, min(lo + WINDOW_TRIALS, self.trials))
+            yield self._last
+
+    def _window(self, lo: int, hi: int) -> _Window:
+        n, groups, order = self._shape(hi - lo, lo % len(self.dims))
+        seeds = trial_seeds(self.seed, lo, hi)
+        seed_column = np.array(seeds, dtype=np.uint64)
+        seed_column.flags.writeable = False
+        stacks = [(at, seed_column[at].tolist(), m) for at, m in groups]
+        return _Window(lo, seeds, seed_column, n, stacks, order)
+
+    def _shape(self, length: int, offset: int):
+        """Each trial's n in a window of ``length`` trials from index
+        ``offset`` of the dims cycle, its stacks (positions, n) and the
+        order that takes their trials back to trial order."""
+        key = length, offset
+        if key not in self._shapes:
+            # grouped and ordered without numpy's sort and nonzero kernels,
+            # whose first call alone touched 0.4 MB more of numpy's code (RSS)
+            ns = [self.dims[(offset + i) % len(self.dims)] for i in range(length)]
+            positions: dict[int, list[int]] = {}  # in order of first appearance
+            for i, m in enumerate(ns):
+                positions.setdefault(m, []).append(i)
+            groups = []
+            for m, group in positions.items():
+                size = max(1, STACK_ENTRIES // (m * m))
+                groups += [(np.array(group[lo : lo + size]), m) for lo in range(0, len(group), size)]
+            order = np.empty(length, dtype=np.intp)
+            order[np.concatenate([at for at, _ in groups])] = np.arange(length)
+            n = np.array(ns)
+            n.flags.writeable = False
+            self._shapes[key] = n, groups, order
+        return self._shapes[key]
 
 
-def _window_columns(case: InequalityCase, window: list[tuple[int, int]], shared: _SharedStacks, collect):
-    """The window's margins and verdicts as arrays in trial order, its
-    reports appended to ``collect`` (unless None) in trial order.  If a stack
-    raises, the window is rerun one trial at a time (``_trial_report``): the
-    reports before the earliest failing trial are collected, then that
-    trial's error is raised."""
-    margin, holds = np.empty(len(window)), np.empty(len(window), dtype=bool)
-    reports: list = [None] * len(window)
+def _window_columns(case: InequalityCase, window: _Window, shared: _SharedStacks, collect):
+    """The window's margins and verdicts as arrays in trial order; with
+    ``collect``, its rows as one ReportColumns block in trial order, handed
+    to it (:func:`_collect`).  If a stack raises, the window is rerun one
+    trial at a time (``_trial_report``): the reports before the earliest
+    failing trial are collected, then that trial's error is raised."""
+    pieces = []  # each stack's columns: margin, scale, holds, then p, q, c, u and v where collected
     try:
-        for positions, n in _stacks(window):
-            stack, verdict = _evaluate_stack(case, [window[i][0] for i in positions], n, shared)
-            at = np.array(positions)
-            margin[at], _, holds[at] = verdict
-            if collect is not None:
-                for i, report in zip(positions, _reports(case.id, stack, verdict)):
-                    reports[i] = report
+        for _, seeds, n in window.stacks:
+            stack, verdict = _evaluate_stack(case, seeds, n, shared)
+            pieces.append(verdict if collect is None else (*verdict, stack.p, stack.q, stack.c, stack.u, stack.v))
             del stack  # its pair's arrays are not kept while the next stack is evaluated
     except Exception as stack_exc:
-        for seed, n in window:
-            try:
-                report = _trial_report(case, seed, n)
-            except (NumericalBreakdown, HypothesisError) as exc:
-                raise type(exc)(f"trial (case_id, seed, n) = ({case.id!r}, {seed}, {n}): {exc}") from exc
+        rows = []
+        try:
+            for seed, n in zip(window.seeds, window.n.tolist()):
+                try:
+                    rows.append(_trial_report(case, seed, n))
+                except (NumericalBreakdown, HypothesisError) as exc:
+                    raise type(exc)(f"trial (case_id, seed, n) = ({case.id!r}, {seed}, {n}): {exc}") from exc
+        finally:
             if collect is not None:
-                collect.append(report)
+                _collect(collect, rows)
         raise stack_exc  # no trial fails on its own
+    # a plan gives every trial the same parameters: a column is None in every stack or in none
+    columns = [None if column[0] is None else np.concatenate(column)[window.order] for column in zip(*pieces)]
+    margin, scale, holds = columns[:3]
     if collect is not None:
-        collect.extend(reports)
+        p, q, c, u, v = columns[3:]
+        _collect(collect, ReportColumns(case.id, window.seed_column, window.n, p, q, c, u, v, margin, scale, holds))
     return margin, holds
 
 
@@ -473,16 +572,20 @@ def run_all(
     trials: int = DEFAULT_TRIALS,
     dims: tuple[int, ...] = DEFAULT_DIMS,
     seed: int = DEFAULT_SEED,
-    collect: list[MarginReport] | None = None,
+    collect: list[MarginReport] | ReportBlocks | None = None,
 ) -> list[SuiteResult]:
     """Run the suite for every case matching ``pattern`` (ids and groups).
-    The suites share their stack draws (see the module notes)."""
+    The suites share their schedule and their stack draws (see the module
+    notes); ``collect`` receives every suite's rows, as for :func:`run_suite`."""
     cases = find_cases(pattern)
     if not cases:
         raise InvalidInput(f"no cases match pattern {pattern!r}")
-    dims = _dims(dims)  # an iterator would be used up by the first suite
+    schedule = _Schedule(seed, dims, trials)
     shared = _SharedStacks(cases)
-    return [run_suite(c, trials=trials, dims=dims, seed=seed, collect=collect, _shared=shared) for c in cases]
+    return [
+        run_suite(c, trials=trials, dims=schedule.dims, seed=seed, collect=collect, _shared=shared, _schedule=schedule)
+        for c in cases
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -544,50 +647,68 @@ def _json_tokens(column: tuple) -> list[str] | None:
     return tokens if _NON_FINITE.isdisjoint(tokens) else None
 
 
-def _jsonl_block(block: list) -> str | None:
-    """The lines of a block of reports, formatted column by column, or None
-    if a row holds a value that only json.dumps writes (or rejects)."""
-    columns = []
-    for column in zip(*map(_report_values, block)):
-        tokens = _json_tokens(column)
-        if tokens is None:
-            return None
-        columns.append(tokens)
-    return "".join(map(_JSONL_LINE.__mod__, zip(*columns)))
-
-
-def write_reports_jsonl(reports: list[MarginReport], path: str) -> None:
-    """One line per report, byte for byte ``json.dumps(report_to_dict(r))``.
-    A block holding a value other than a plain str, int, finite float, bool
-    or None (a numpy scalar, a NaN) is written by ``json.dumps`` itself, row by
-    row, so it gives the same bytes or raises the same error.  A ``path``
-    that is not a str or os.PathLike, and an item that is not a MarginReport,
-    are InvalidInputs."""
-    _check_path(path)
+def _column_blocks(reports):
+    """The rows of ``reports`` (an iterable of MarginReports, or a
+    :class:`ReportBlocks`) in blocks of at most ``_REPORT_BLOCK``, each as its
+    columns in field order: tuples of plain values, or slices of a column
+    block's arrays.  An item of a report list that is not a MarginReport is
+    an InvalidInput, raised when its block is reached."""
+    if isinstance(reports, ReportBlocks):
+        for block in reports:
+            if isinstance(block, ReportColumns):
+                for lo in range(0, len(block.holds), _REPORT_BLOCK):
+                    yield block.columns(lo, lo + _REPORT_BLOCK)
+            else:
+                yield from _column_blocks(block)
+        return
     rows = iter(reports)
+    while block := list(islice(rows, _REPORT_BLOCK)):
+        _check_reports(block)
+        yield list(zip(*map(_report_values, block)))
+
+
+def _jsonl_block(columns: list) -> str | None:
+    """The lines of a block of rows, formatted column by column, or None if
+    a row holds a value that only json.dumps writes (or rejects)."""
+    tokens = []
+    for column in columns:
+        column_tokens = _json_tokens(_plain(column))
+        if column_tokens is None:
+            return None
+        tokens.append(column_tokens)
+    return "".join(map(_JSONL_LINE.__mod__, zip(*tokens)))
+
+
+def write_reports_jsonl(reports: list[MarginReport] | ReportBlocks, path: str) -> None:
+    """One line per report, byte for byte ``json.dumps(report_to_dict(r))``;
+    ``reports`` is an iterable of reports or a :class:`ReportBlocks`, whose
+    column blocks are formatted as they are held.  A block holding a value
+    other than a plain str, int, finite float, bool or None (a numpy scalar,
+    a NaN) is written by ``json.dumps`` itself, row by row, so it gives the
+    same bytes or raises the same error.  A ``path`` that is not a str or
+    os.PathLike, and an item that is not a MarginReport, are InvalidInputs."""
+    _check_path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        while block := list(islice(rows, _REPORT_BLOCK)):
-            _check_reports(block)
-            text = _jsonl_block(block)
+        for columns in _column_blocks(reports):
+            text = _jsonl_block(columns)
             if text is None:
-                for r in block:
-                    fh.write(json.dumps(report_to_dict(r)) + "\n")
+                for row in zip(*map(_plain, columns)):
+                    fh.write(json.dumps(dict(zip(_REPORT_FIELDS, row))) + "\n")
             else:
                 fh.write(text)
 
 
-def write_reports_csv(reports: list[MarginReport], path: str) -> None:
+def write_reports_csv(reports: list[MarginReport] | ReportBlocks, path: str) -> None:
     """A header of the field names, then one row per report (the csv module
-    writes None as an empty field).  A ``path`` that is not a str or
-    os.PathLike, and an item that is not a MarginReport, are InvalidInputs."""
+    writes None as an empty field); ``reports`` is an iterable of reports or
+    a :class:`ReportBlocks`.  A ``path`` that is not a str or os.PathLike,
+    and an item that is not a MarginReport, are InvalidInputs."""
     _check_path(path)
-    rows = iter(reports)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_REPORT_FIELDS)
-        while block := list(islice(rows, _REPORT_BLOCK)):
-            _check_reports(block)
-            writer.writerows(map(_report_values, block))
+        for columns in _column_blocks(reports):
+            writer.writerows(zip(*map(_plain, columns)))
 
 
 def _finite_column(column) -> bool:
@@ -783,12 +904,11 @@ def integral_sweep(
     # within tolerance], from below any residual so that a weight whose
     # residuals are all 0 still records its first trial
     worst = [[-math.inf, tol, -1, True] for _ in grid]
-    lo = 0
-    for window in _windows(seed, dims, trials):
-        for stack, n in _stacks(window):
-            plan_words, base = _draw([window[i][0] for i in stack], n)
+    for window in _Schedule(seed, dims, trials):
+        for positions, seeds, n in window.stacks:
+            plan_words, base = _draw(seeds, n)
             pair = pair_from_base(base, *_sweep_targets(plan_words))
-            size = max(1, STACK_ENTRIES // (len(stack) * n * n))
+            size = max(1, STACK_ENTRIES // (len(seeds) * n * n))
             for j in range(0, len(grid), size):
                 p = weights[j : j + size]
                 quad = quadrature_tsallis(pair, p, nodes=nodes)
@@ -802,12 +922,11 @@ def integral_sweep(
                 rows = np.arange(len(at))
                 fold = (resid[rows, at], allowed[rows, at], at, (resid > allowed).any(axis=1))
                 for w, r, alw, i, fails in zip(worst[j : j + size], *(x.tolist() for x in fold)):
-                    trial = lo + stack[i]
+                    trial = window.lo + int(positions[i])
                     if r > w[0] or (r == w[0] and trial < w[2]):  # the earliest trial across stacks
                         w[:3] = r, alw, trial
                     if fails:
                         w[3] = False
-        lo += len(window)
     return [IntegralResult(p, trials, r, allowed, ok) for p, (r, allowed, _, ok) in zip(grid, worst)]
 
 

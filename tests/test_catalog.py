@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import importlib
 import inspect
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from oel.catalog import (
     evaluate_trials,
     find_cases,
 )
-from oel.errors import HypothesisError, InvalidInput, NoDual, NumericalBreakdown
+from oel.errors import HypothesisError, InvalidInput, InvalidWeight, NoDual, NumericalBreakdown
 from oel.harness import read_reports, run_all, run_suite, write_reports_jsonl
 from oel.means import (
     OperatorPair,
@@ -423,6 +424,25 @@ def test_evaluate_takes_a_weight_as_any_real_number_and_reports_a_float():
     assert all(type(r.p) is float for r in reports)
 
 
+def test_evaluate_takes_each_weight_as_none_or_a_real_number_that_is_not_a_bool(tmp_path):
+    # Params(p=-1) was reported as the int -1, p=True gave a row that
+    # read_reports rejects, and a Fraction or a str weight raised numpy's bare
+    # TypeError; the plans' weights are float64 already, so no suite row changes
+    case, pair = by_id("H2.1"), scalar_pair(3.0)
+    by_int = evaluate(case, pair, Params(p=-1), seed=77)
+    assert by_int == evaluate(case, pair, Params(p=-1.0), seed=77)
+    assert type(by_int.p) is float and by_int.p == -1.0
+    by_fraction = evaluate(case, pair, Params(p=Fraction(-1, 2)), seed=77)
+    assert by_fraction == evaluate(case, pair, Params(p=-0.5), seed=77)
+    write_reports_jsonl([by_int, by_fraction], tmp_path / "r.jsonl")
+    assert read_reports(tmp_path / "r.jsonl") == [by_int, by_fraction]
+    for weight in (True, np.True_, "0.5", [0.5], 0.5j):
+        with pytest.raises(InvalidWeight, match=r"^weight p must be None or a real number"):
+            evaluate(case, pair, Params(p=weight), seed=77)
+    with pytest.raises(InvalidWeight, match=r"^weight q must be None or a real number"):
+        evaluate(case, pair, Params(p=0.5, q=False), seed=77)
+
+
 def test_evaluate_trials_returns_plain_rows():
     # the kernel returns a checked stack's margins, scales and verdicts as
     # (k,) arrays; a row leaves the package as a report of plain Python
@@ -431,7 +451,7 @@ def test_evaluate_trials_returns_plain_rows():
     stack = check_stack(case, pair, params, [77])
     verdict = evaluate_trials(case, stack)
     assert [(type(x), x.shape) for x in verdict] == [(np.ndarray, (1,))] * 3
-    (report,) = catalog_module._reports(case.id, stack, verdict)
+    (report,) = catalog_module._reports(catalog_module._stack_columns(case.id, stack, verdict))
     assert report == evaluate(case, pair, params, seed=77)
     plain = [str, int, int, float, type(None), type(None), float, float, float, float, bool]
     assert [type(x) for x in dataclasses.astuple(report)] == plain

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +119,114 @@ def test_verify_writes_csv(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == list(REPORT_FIELDS)
     assert len(rows) == 4
+
+
+def _stdlib_report_bytes(reports, tmp_path) -> dict:
+    """The bytes of ``reports`` written one row at a time by json.dumps and
+    by csv.writer, by --format."""
+    dicts = [harness.report_to_dict(r) for r in reports]
+    with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(REPORT_FIELDS)
+        writer.writerows(["" if x is None else x for x in d.values()] for d in dicts)
+    return {"json": "".join(json.dumps(d) + "\n" for d in dicts).encode(), "csv": (tmp_path / "ref.csv").read_bytes()}
+
+
+@pytest.mark.parametrize(
+    "pattern, dims, trials",
+    [
+        # every case and dual at n = 1..8 and 16 (C1 writes no weight, H1 only p)
+        ("*", "1,2,3,4,5,6,7,8,16", 9),
+        # a case's rows past one write block (256), in windows of 1024 trials
+        ("H1.1", "2,3", 1100),
+    ],
+)
+def test_verify_out_is_the_stdlib_writers_on_the_collected_reports(tmp_path, capsys, pattern, dims, trials):
+    reports = []
+    harness.run_all(pattern, trials=trials, dims=tuple(map(int, dims.split(","))), seed=8, collect=reports)
+    expected = _stdlib_report_bytes(reports, tmp_path)
+    assert {r.n for r in reports} == set(map(int, dims.split(",")))
+    assert pattern != "*" or {r.p is None for r in reports} == {True, False}
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"r.{fmt}"
+        argv = ["verify", "--case", pattern, "--dims", dims, "--trials", str(trials), "--seed", "8"]
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected[fmt], fmt
+    capsys.readouterr()
+
+
+def test_verify_out_with_failing_verdicts_exits_1_and_writes_every_row(tmp_path, capsys, monkeypatch):
+    # the swapped forms of H1.1 and T1.2 fail on every trial, between C1.1
+    # (no weight) and the dual T1.1.rev, which hold
+    index = catalog.case_index()
+    swap = lambda case: dataclasses.replace(case, lhs=case.rhs, rhs=case.lhs)
+    cases = [swap(index["H1.1"]), index["C1.1"], index["T1.1.rev"], swap(index["T1.2"])]
+    monkeypatch.setattr(harness, "find_cases", lambda pattern: cases)
+    reports = []
+    harness.run_all(trials=12, dims=(1, 2, 3), seed=4, collect=reports)
+    assert [r.holds for r in reports] == [False] * 12 + [True] * 24 + [False] * 12
+    expected = _stdlib_report_bytes(reports, tmp_path)
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"r.{fmt}"
+        argv = ["verify", "--dims", "1,2,3", "--trials", "12", "--seed", "4"]
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 1
+        assert out.read_bytes() == expected[fmt], fmt
+    capsys.readouterr()
+
+
+def test_verify_out_that_raises_mid_run_exits_4_and_writes_no_file(tmp_path, capsys, monkeypatch):
+    # H1.1's suite runs, then H1.2's second stack raises
+    kernel = harness.evaluate_trials
+
+    def failing(case, stack, **kwargs):
+        if case.id == "H1.2" and stack.pair.n == 2:
+            raise NumericalBreakdown("boom")
+        return kernel(case, stack, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_trials", failing)
+    out = tmp_path / "r.jsonl"
+    code = main(["verify", "--case", "H1", "--dims", "1,2", "--trials", "4", "--seed", "5", "--out", str(out)])
+    assert code == 4
+    assert f"('H1.2', {harness.trial_seeds(5, 1, 2)[0]}, 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_out_builds_no_report_object(tmp_path, capsys, monkeypatch):
+    # --out holds its rows as column blocks until they are written; a report
+    # is built by catalog._report or by MarginReport's own __init__
+    built = []
+    report, init = catalog._report, catalog.MarginReport.__init__
+    monkeypatch.setattr(catalog, "_report", lambda *values: built.append(values) or report(*values))
+    monkeypatch.setattr(catalog.MarginReport, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    argv = ["verify", "--trials", "6", "--dims", "1,2,3"]
+    assert main([*argv, "--out", str(tmp_path / "r.jsonl")]) == 0
+    assert main([*argv, "--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+    assert built == []
+    # the counts see every report that a list collects
+    rows = []
+    harness.run_all(trials=6, dims=(1, 2, 3), collect=rows)
+    assert len(built) == len(rows) == 50 * 6
+    capsys.readouterr()
+
+
+def test_verify_out_hands_the_writer_its_row_count(tmp_path, capsys):
+    # the rows a sink holds are its len(), as for a list of the same
+    # reports: the benchmark's layer tracer reads a write's row count so
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    if not path.is_file():
+        pytest.skip("perfbench/ is not in this checkout")
+    spec = importlib.util.spec_from_file_location("_layertrace_rows", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    argv = ["verify", "--case", "H1", "--dims", "1,2", "--trials", "1100", "--seed", "5"]
+    with layertrace.Tracer() as tracer:
+        assert main([*argv, "--out", str(tmp_path / "r.jsonl")]) == 0
+        assert main([*argv, "--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+    rows = harness.ReportBlocks()
+    harness.run_all("H1", trials=1100, dims=(1, 2), seed=5, collect=rows)
+    assert len(rows) == sum(len(block.holds) for block in rows) == len(harness.find_cases("H1")) * 1100
+    assert tracer.rows["write"] == 2 * len(rows)  # one JSONL and one CSV write
+    capsys.readouterr()
 
 
 def _run_under_env_seed(monkeypatch, capsys, tmp_path, env):

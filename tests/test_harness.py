@@ -337,7 +337,8 @@ def _per_pair_integral_sweep(trials, p_grid, seed, dims, quad_fn=quadrature_tsal
     sweep's way (the extreme eigenvalues of each symmetric matrix)."""
     tol = ORDER_TOL
     pairs = []
-    for trial_seed, n in (trial for window in harness._windows(seed, dims, trials) for trial in window):
+    schedule = harness._Schedule(seed, dims, trials)
+    for trial_seed, n in (trial for window in schedule for trial in zip(window.seeds, window.n.tolist())):
         u, v = harness._sweep_targets(stream_draws([trial_seed], n)[0])
         pairs.append(sandwich_pair(SamplerConfig(seed=trial_seed, n=n, sandwich=(float(u[0]), float(v[0])))))
     out = []
@@ -441,7 +442,7 @@ def test_integral_sweep_cuts_the_weights_to_the_stack_budget(monkeypatch):
     got = integral_sweep(trials=trials, p_grid=p_grid, seed=seed, dims=dims)
     assert max(e for _, e in calls) <= entries
     assert 1 < max(w for w, _ in calls) < len(p_grid)  # some calls hold several weights, none all
-    assert sum(w for w, _ in calls) == len(p_grid) * len(list(harness._stacks(next(harness._windows(seed, dims, trials)))))
+    assert sum(w for w, _ in calls) == len(p_grid) * len(next(iter(harness._Schedule(seed, dims, trials))).stacks)
     assert got == _per_pair_integral_sweep(trials, p_grid, seed, dims)
 
 
@@ -505,12 +506,12 @@ def test_a_window_does_not_hold_the_whole_schedule():
     # the first window
     tracemalloc.start()
     try:
-        first = next(harness._windows(3, (1, 2), 10**7))
+        first = next(iter(harness._Schedule(3, (1, 2), 10**7)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = harness.WINDOW_TRIALS
-    assert first == list(zip(harness.trial_seeds(3, 0, size), [1, 2] * (size // 2)))
+    assert list(zip(first.seeds, first.n.tolist())) == list(zip(harness.trial_seeds(3, 0, size), [1, 2] * (size // 2)))
     assert peak < 1 << 20
 
 
@@ -1285,6 +1286,26 @@ def test_run_all_memory_does_not_grow_with_trials_where_cases_share_plans(monkey
     monkeypatch.setattr(harness, "SHARED_ENTRIES", 960)
     small, large = _traced_peaks(lambda t: run_all("TA", trials=t, dims=(1, 2), seed=3), 64, 1280)
     assert large < 2 * small
+
+
+def test_held_out_rows_cost_at_most_150_bytes_a_trial():
+    # `oel verify --out` holds every row until it writes the file.  As a
+    # MarginReport a row held 422 B; as a column block it holds at most 57 B
+    # of numbers, a share of its block's arrays, and its window's seed and n
+    # columns, which the blocks of every case of a one-window run share
+    def run(rows):
+        run_all(trials=120, dims=DEFAULT_DIMS, seed=3, collect=rows)
+        return rows
+
+    run(harness.ReportBlocks())  # fills the caches and free lists the run touches
+    tracemalloc.start()
+    try:
+        rows = run(harness.ReportBlocks())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == sum(len(block.holds) for block in rows) == 50 * 120
+    assert held / len(rows) <= 150
 
 
 def test_master_seeds_share_no_trial_seeds():

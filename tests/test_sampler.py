@@ -3,7 +3,7 @@ import pytest
 
 from oel.errors import InvalidInput, NumericalBreakdown
 from oel import harness
-from oel.harness import _windows, run_all
+from oel.harness import _Schedule, run_all
 from oel.means import OperatorPair
 from oel.sampler import (
     PLAN_WORDS,
@@ -240,7 +240,7 @@ def test_config_rejects_bad_ranges(kwargs):
 
 def _schedule(dims, trials):
     """A suite run's dimension schedule, window by window."""
-    return [[n for _, n in w] for w in _windows(0, dims, trials)]
+    return [window.n.tolist() for window in _Schedule(0, dims, trials)]
 
 
 def test_dims_cycle_wraps_in_order(monkeypatch):
