@@ -91,12 +91,21 @@ closed form (each exactly symmetric) from one ``eigvalsh`` of their stack
 
 Reports are written and read ``_REPORT_BLOCK`` rows at a time, column by
 column; the writers take a list of reports or a :class:`ReportBlocks`, and
-both go through one formatter.  :func:`write_reports_jsonl` maps each
-column's values to their JSON tokens (``float.__repr__`` for floats, as
-``json.dumps`` writes them) and fills one line template, in the key order
-and separators of ``json.dumps(report_to_dict(r))``; a block with a value
-that is not a plain str, int, finite float, bool or None goes through
-``json.dumps`` row by row.
+both go through one formatter.  :func:`write_reports_jsonl` fills a block's
+lines with one ``%`` on a line template, in the key order and separators of
+``json.dumps(report_to_dict(r))``, that holds the block's constant columns
+once (a column block's case id, JSON-escaped with ``%`` doubled, and its
+null parameters); every other column's values become their JSON tokens
+(``float.__repr__`` for floats, as ``json.dumps`` writes them).  Every case
+of a run reads the same trial streams and the cases of a region share its
+plan, so an array column often repeats, bit for bit, one already written to
+the file: a window's seeds and n in every case, a region's parameters and
+sandwich bounds, an all-true verdict column.  A write call keeps each array
+column's tokens in a ``_TokenStore``, keyed by the column's dtype and bytes,
+at most ``STORE_TOKENS`` tokens with the least recently read column dropped
+first, so a repeated column is formatted once while it is kept.  A block
+with a value that is not a plain str, int, finite float, bool or None goes
+through ``json.dumps`` row by row.
 :func:`read_reports` decodes a block's lines with ``raw_decode`` and checks
 each column against its rule in ``_FIELD_RULES``; a block that fails either
 step is read again one line at a time, which names its first malformed line.
@@ -112,7 +121,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from numbers import Real
 from operator import attrgetter, itemgetter
@@ -174,6 +183,18 @@ SHARED_ENTRIES = 1 << 20
 # draws' A, its square root, C's basis and X), 1 MB: every stream of a default
 # `oel verify` report (1000 trials at n = 1..8) is about 87k entries.
 TRIAL_ENTRIES = 1 << 17
+
+# The most JSON tokens one write_reports_jsonl call keeps (about 82 bytes each
+# with its key, so 2.7 MB), the smallest power of two at which a default
+# `oel verify --out` (1000 trials at n = 1..8) comes within 3 points of the hit
+# share of a store with no bound.  Tokens served from the store, of those of the
+# array columns, at seed 42 (2-core VM): 0.589 at 1 << 14, 0.650 at 1 << 15,
+# 0.664 at 1 << 16 and 0.676 unbounded (139,464 tokens); every bound from
+# 1 << 13 up gives 0.674 at 60 trials and 0.672 at n = 16, 32, 64 and 12
+# trials, the benchmark's catalog runs.  At 10,000 trials a column
+# recurs only a whole case (about 100k tokens) later: 0.236 here, 0.681
+# unbounded, which would hold 1.37 M tokens.
+STORE_TOKENS = 1 << 15
 
 # a report row's values, in MarginReport field order (_REPORT_FIELDS, its keys)
 _report_values = attrgetter(*_REPORT_FIELDS)
@@ -465,9 +486,9 @@ class _Window(NamedTuple):
     # window (a run of more rebuilds each window per case)
     seed_column: np.ndarray
     n: np.ndarray
-    # (positions in the window, their seeds, n): the window's trials grouped
-    # by n, in trial order within a group, cut to STACK_ENTRIES
-    stacks: list[tuple[np.ndarray, list[int], int]]
+    # (seeds, n): the window's trials grouped by n, in trial order within a
+    # group, cut to STACK_ENTRIES
+    stacks: list[tuple[list[int], int]]
     # the stacks' trials, one after another, taken in this order are in trial order
     order: np.ndarray
 
@@ -482,7 +503,8 @@ class _Schedule:
     modulo ``len(dims)``, so it is built once per such shape, and the last
     window is kept whole, so the suites of a run of one window share it.  So
     the schedule holds at most ``len(dims) + 1`` groupings and one window,
-    however many trials the run has."""
+    however many trials the run has.  :meth:`stacks` gives the same stacks
+    without the windows' columns, for :func:`integral_sweep`."""
 
     def __init__(self, seed: int, dims, trials: int) -> None:
         if not _is_word(seed):
@@ -492,42 +514,63 @@ class _Schedule:
         self.dims = _dims(dims)
         self.seed = int(seed)  # a numpy integer would overflow in trial_seeds
         self.trials = int(trials)
+        self._groupings: dict[tuple[int, int], list] = {}
         self._shapes: dict[tuple[int, int], tuple] = {}
         self._last: _Window | None = None
 
-    def __iter__(self):
+    def _spans(self):
         for lo in range(0, self.trials, WINDOW_TRIALS):
+            yield lo, min(lo + WINDOW_TRIALS, self.trials)
+
+    def __iter__(self):
+        for lo, hi in self._spans():
             if self._last is None or self._last.lo != lo:
-                self._last = self._window(lo, min(lo + WINDOW_TRIALS, self.trials))
+                self._last = self._window(lo, hi)
             yield self._last
+
+    def stacks(self):
+        """Each stack of the run, window by window, as the windows group
+        them: its trials' indices, their seeds (Python ints) and n."""
+        for lo, hi in self._spans():
+            seeds = trial_seeds(self.seed, lo, hi)
+            for at, m in self._groups(hi - lo, lo % len(self.dims)):
+                yield [lo + i for i in at], [seeds[i] for i in at], m
 
     def _window(self, lo: int, hi: int) -> _Window:
         n, groups, order = self._shape(hi - lo, lo % len(self.dims))
         seeds = trial_seeds(self.seed, lo, hi)
         seed_column = np.array(seeds, dtype=np.uint64)
         seed_column.flags.writeable = False
-        stacks = [(at, seed_column[at].tolist(), m) for at, m in groups]
+        stacks = [(seed_column[at].tolist(), m) for at, m in groups]
         return _Window(lo, seeds, seed_column, n, stacks, order)
 
-    def _shape(self, length: int, offset: int):
-        """Each trial's n in a window of ``length`` trials from index
-        ``offset`` of the dims cycle, its stacks (positions, n) and the
-        order that takes their trials back to trial order."""
+    def _groups(self, length: int, offset: int) -> list[tuple[list[int], int]]:
+        """The stacks of a window of ``length`` trials from index ``offset``
+        of the dims cycle, each as its positions in the window and its n."""
         key = length, offset
-        if key not in self._shapes:
-            # grouped and ordered without numpy's sort and nonzero kernels,
-            # whose first call alone touched 0.4 MB more of numpy's code (RSS)
-            ns = [self.dims[(offset + i) % len(self.dims)] for i in range(length)]
+        if key not in self._groupings:
+            # grouped without numpy's sort and nonzero kernels, whose first
+            # call alone touched 0.4 MB more of numpy's code (RSS)
             positions: dict[int, list[int]] = {}  # in order of first appearance
-            for i, m in enumerate(ns):
-                positions.setdefault(m, []).append(i)
+            for i in range(length):
+                positions.setdefault(self.dims[(offset + i) % len(self.dims)], []).append(i)
             groups = []
             for m, group in positions.items():
                 size = max(1, STACK_ENTRIES // (m * m))
-                groups += [(np.array(group[lo : lo + size]), m) for lo in range(0, len(group), size)]
+                groups += [(group[lo : lo + size], m) for lo in range(0, len(group), size)]
+            self._groupings[key] = groups
+        return self._groupings[key]
+
+    def _shape(self, length: int, offset: int):
+        """Each trial's n in a window of ``length`` trials from index
+        ``offset`` of the dims cycle, its stacks (positions as arrays, n) and
+        the order that takes their trials back to trial order."""
+        key = length, offset
+        if key not in self._shapes:
+            groups = [(np.array(at), m) for at, m in self._groups(length, offset)]
             order = np.empty(length, dtype=np.intp)
             order[np.concatenate([at for at, _ in groups])] = np.arange(length)
-            n = np.array(ns)
+            n = np.concatenate([np.full(len(at), m) for at, m in groups])[order]
             n.flags.writeable = False
             self._shapes[key] = n, groups, order
         return self._shapes[key]
@@ -541,7 +584,7 @@ def _window_columns(case: InequalityCase, window: _Window, shared: _SharedStacks
     failing trial are collected, then that trial's error is raised."""
     pieces = []  # each stack's columns: margin, scale, holds, then p, q, c, u and v where collected
     try:
-        for _, seeds, n in window.stacks:
+        for seeds, n in window.stacks:
             stack, verdict = _evaluate_stack(case, seeds, n, shared)
             pieces.append(verdict if collect is None else (*verdict, stack.p, stack.q, stack.c, stack.u, stack.v))
             del stack  # its pair's arrays are not kept while the next stack is evaluated
@@ -602,8 +645,6 @@ def report_to_dict(report: MarginReport) -> dict:
 # a block's lines and values besides the reports it returns.
 _REPORT_BLOCK = 256
 
-# one line of json.dumps(report_to_dict(r)): its key order and separators
-_JSONL_LINE = "{" + ", ".join(f'"{name}": %s' for name in _REPORT_FIELDS) + "}\n"
 # each plain value as json.dumps writes it (finite floats only, see _json_tokens)
 _JSON_TOKEN = {
     str: encode_basestring_ascii,
@@ -634,7 +675,7 @@ def _check_reports(reports) -> None:
         raise InvalidInput(f"expected MarginReports, got {bad!r}")
 
 
-def _json_tokens(column: tuple) -> list[str] | None:
+def _json_tokens(column) -> list[str] | None:
     """A column's values as json.dumps writes them, or None if one is not a
     plain str, int, finite float, bool or None."""
     kinds = _kinds(column)
@@ -645,6 +686,36 @@ def _json_tokens(column: tuple) -> list[str] | None:
     else:
         tokens = [_JSON_TOKEN[type(x)](x) for x in column]
     return tokens if _NON_FINITE.isdisjoint(tokens) else None
+
+
+class _TokenStore:
+    """The JSON tokens of one write call's array columns, each column keyed
+    by its exact contents (dtype and bytes), so a column repeated in the
+    file is formatted once; the least recently read column is dropped first
+    past ``STORE_TOKENS`` tokens, and a column alone past it is not kept."""
+
+    def __init__(self) -> None:
+        self._kept: OrderedDict[tuple[str, bytes], list[str]] = OrderedDict()
+        self._tokens = 0
+
+    def __call__(self, column) -> list[str] | None:
+        """``_json_tokens`` of the column's plain values, from the store
+        where it holds them.  Only a numeric or boolean array is looked up:
+        equal bytes of one such dtype are equal values, bit for bit."""
+        if not isinstance(column, np.ndarray) or column.dtype.kind not in "biuf":
+            return _json_tokens(_plain(column))
+        key = column.dtype.str, column.tobytes()
+        tokens = self._kept.get(key)
+        if tokens is not None:
+            self._kept.move_to_end(key)
+            return tokens
+        tokens = _json_tokens(column.tolist())
+        if tokens is not None and len(tokens) <= STORE_TOKENS:
+            self._kept[key] = tokens
+            self._tokens += len(tokens)
+            while self._tokens > STORE_TOKENS:
+                self._tokens -= len(self._kept.popitem(last=False)[1])
+        return tokens
 
 
 def _column_blocks(reports):
@@ -667,30 +738,54 @@ def _column_blocks(reports):
         yield list(zip(*map(_report_values, block)))
 
 
-def _jsonl_block(columns: list) -> str | None:
-    """The lines of a block of rows, formatted column by column, or None if
-    a row holds a value that only json.dumps writes (or rejects)."""
-    tokens = []
-    for column in columns:
-        column_tokens = _json_tokens(_plain(column))
+def _constant_token(column) -> str | None:
+    """The JSON token of a column of one str or of None alone (a block's case
+    id or unused parameter), else None."""
+    if isinstance(column, np.ndarray):
+        return None
+    kinds = _kinds(column)
+    if kinds == {type(None)}:
+        return "null"
+    if kinds == {str} and len(set(column)) == 1:
+        return encode_basestring_ascii(column[0])
+    return None
+
+
+def _jsonl_block(columns: list, tokens_of: _TokenStore) -> str | None:
+    """The lines of a block of rows, or None if a row holds a value that only
+    json.dumps writes (or rejects).  A constant column's token is written
+    into the block's line template once (``%`` doubled); every other
+    column's tokens come from ``tokens_of``, and one ``%`` fills the block."""
+    line, tokens = [], []
+    for name, column in zip(_REPORT_FIELDS, columns):
+        token = _constant_token(column)
+        if token is not None:
+            line.append(f'"{name}": ' + token.replace("%", "%%"))
+            continue
+        column_tokens = tokens_of(column)
         if column_tokens is None:
             return None
         tokens.append(column_tokens)
-    return "".join(map(_JSONL_LINE.__mod__, zip(*tokens)))
+        line.append(f'"{name}": %s')
+    template = "{" + ", ".join(line) + "}\n"
+    return (template * len(columns[0])) % tuple(chain.from_iterable(zip(*tokens)))
 
 
 def write_reports_jsonl(reports: list[MarginReport] | ReportBlocks, path: str) -> None:
     """One line per report, byte for byte ``json.dumps(report_to_dict(r))``;
     ``reports`` is an iterable of reports or a :class:`ReportBlocks`, whose
-    column blocks are formatted as they are held.  A block holding a value
+    column blocks are formatted as they are held, and whose repeated array
+    columns are formatted once while the call's token store keeps them (see
+    the module notes).  A block holding a value
     other than a plain str, int, finite float, bool or None (a numpy scalar,
     a NaN) is written by ``json.dumps`` itself, row by row, so it gives the
     same bytes or raises the same error.  A ``path`` that is not a str or
     os.PathLike, and an item that is not a MarginReport, are InvalidInputs."""
     _check_path(path)
+    tokens_of = _TokenStore()
     with open(path, "w", encoding="utf-8") as fh:
         for columns in _column_blocks(reports):
-            text = _jsonl_block(columns)
+            text = _jsonl_block(columns, tokens_of)
             if text is None:
                 for row in zip(*map(_plain, columns)):
                     fh.write(json.dumps(dict(zip(_REPORT_FIELDS, row))) + "\n")
@@ -904,29 +999,28 @@ def integral_sweep(
     # within tolerance], from below any residual so that a weight whose
     # residuals are all 0 still records its first trial
     worst = [[-math.inf, tol, -1, True] for _ in grid]
-    for window in _Schedule(seed, dims, trials):
-        for positions, seeds, n in window.stacks:
-            plan_words, base = _draw(seeds, n)
-            pair = pair_from_base(base, *_sweep_targets(plan_words))
-            size = max(1, STACK_ENTRIES // (len(seeds) * n * n))
-            for j in range(0, len(grid), size):
-                p = weights[j : j + size]
-                quad = quadrature_tsallis(pair, p, nodes=nodes)
-                closed = tsallis_entropy(pair, p)
-                # (P, k) residuals and norms: the stack's trials at each weight
-                resid, nq, nc = _symmetric_norms(np.stack((quad - closed, quad, closed)))
-                allowed = tol * np.maximum(1.0, np.maximum(nq, nc))
-                # each weight's largest residual, its allowed residual, its
-                # trial in the stack and whether any trial exceeds its allowance
-                at = np.argmax(resid, axis=1)
-                rows = np.arange(len(at))
-                fold = (resid[rows, at], allowed[rows, at], at, (resid > allowed).any(axis=1))
-                for w, r, alw, i, fails in zip(worst[j : j + size], *(x.tolist() for x in fold)):
-                    trial = window.lo + int(positions[i])
-                    if r > w[0] or (r == w[0] and trial < w[2]):  # the earliest trial across stacks
-                        w[:3] = r, alw, trial
-                    if fails:
-                        w[3] = False
+    for stack_trials, seeds, n in _Schedule(seed, dims, trials).stacks():
+        plan_words, base = _draw(seeds, n)
+        pair = pair_from_base(base, *_sweep_targets(plan_words))
+        size = max(1, STACK_ENTRIES // (len(seeds) * n * n))
+        for j in range(0, len(grid), size):
+            p = weights[j : j + size]
+            quad = quadrature_tsallis(pair, p, nodes=nodes)
+            closed = tsallis_entropy(pair, p)
+            # (P, k) residuals and norms: the stack's trials at each weight
+            resid, nq, nc = _symmetric_norms(np.stack((quad - closed, quad, closed)))
+            allowed = tol * np.maximum(1.0, np.maximum(nq, nc))
+            # each weight's largest residual, its allowed residual, its
+            # trial in the stack and whether any trial exceeds its allowance
+            at = np.argmax(resid, axis=1)
+            rows = np.arange(len(at))
+            fold = (resid[rows, at], allowed[rows, at], at, (resid > allowed).any(axis=1))
+            for w, r, alw, i, fails in zip(worst[j : j + size], *(x.tolist() for x in fold)):
+                trial = stack_trials[i]
+                if r > w[0] or (r == w[0] and trial < w[2]):  # the earliest trial across stacks
+                    w[:3] = r, alw, trial
+                if fails:
+                    w[3] = False
     return [IntegralResult(p, trials, r, allowed, ok) for p, (r, allowed, _, ok) in zip(grid, worst)]
 
 

@@ -133,15 +133,30 @@ def _stdlib_report_bytes(reports, tmp_path) -> dict:
 
 
 @pytest.mark.parametrize(
-    "pattern, dims, trials",
+    "pattern, dims, trials, store_tokens, case_id",
     [
         # every case and dual at n = 1..8 and 16 (C1 writes no weight, H1 only p)
-        ("*", "1,2,3,4,5,6,7,8,16", 9),
+        pytest.param("*", "1,2,3,4,5,6,7,8,16", 9, None, None, id="*-1,2,3,4,5,6,7,8,16-9"),
+        # the same with the JSONL writer's token store bounded to nothing, to
+        # one token and to three of these 9-row columns: eviction keeps the bytes
+        *(
+            pytest.param("*", "1,2,3,4,5,6,7,8,16", 9, tokens, None, id=f"*-1,2,3,4,5,6,7,8,16-9-store{tokens}")
+            for tokens in (0, 1, 27)
+        ),
         # a case's rows past one write block (256), in windows of 1024 trials
-        ("H1.1", "2,3", 1100),
+        pytest.param("H1.1", "2,3", 1100, None, None, id="H1.1-2,3-1100"),
+        # a case id that JSON escapes, and that a line template must not read as a format
+        pytest.param("H1.1", "2,3", 300, None, 'H1.1 %s %% "q" \\ café ≤', id="H1.1-2,3-300-escaped-id"),
     ],
 )
-def test_verify_out_is_the_stdlib_writers_on_the_collected_reports(tmp_path, capsys, pattern, dims, trials):
+def test_verify_out_is_the_stdlib_writers_on_the_collected_reports(
+    tmp_path, capsys, monkeypatch, pattern, dims, trials, store_tokens, case_id
+):
+    if store_tokens is not None:
+        monkeypatch.setattr(harness, "STORE_TOKENS", store_tokens)
+    if case_id is not None:
+        (case,) = catalog.find_cases(pattern)
+        monkeypatch.setattr(harness, "find_cases", lambda pattern: [dataclasses.replace(case, id=case_id)])
     reports = []
     harness.run_all(pattern, trials=trials, dims=tuple(map(int, dims.split(","))), seed=8, collect=reports)
     expected = _stdlib_report_bytes(reports, tmp_path)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import importlib
 import json
 import math
@@ -698,6 +699,61 @@ def test_jsonl_writer_raises_the_stdlib_error(tmp_path, field, value):
     assert str(got.value) == str(expected.value)
     # the rows before the failing one are written, as json.dumps row by row writes them
     assert path.read_text() == _reference_jsonl(rows[: BLOCK + 1])
+
+
+def _block_rows(blocks) -> list[MarginReport]:
+    """The reports of a ReportBlocks' blocks, in order."""
+    return [r for b in blocks for r in (catalog._reports(b) if isinstance(b, catalog.ReportColumns) else b)]
+
+
+def _with_nan_margin(block):
+    margin = block.margin.copy()
+    margin[3] = math.nan
+    return block._replace(margin=margin)
+
+
+_BLOCK_EDITS = {
+    "none": lambda block: block,
+    "a NaN margin": _with_nan_margin,
+    "numpy scalar seeds": lambda block: block._replace(seed=list(map(np.uint64, block.seed))),
+}
+
+
+@pytest.mark.parametrize("edit", list(_BLOCK_EDITS))
+def test_jsonl_writer_gives_the_stdlib_bytes_for_column_blocks(tmp_path, edit):
+    # H2.1 and H2.2 share a plan, so each writes the other's p, u, v and seed
+    # columns; the edited block (H2.2's, 300 rows in two write blocks) repeats
+    # every column of the block before it but the edited one
+    blocks = harness.ReportBlocks()
+    run_all("H2*", trials=300, dims=(1, 3), seed=5, collect=blocks)
+    first, second = list(blocks)
+    edited = harness.ReportBlocks()
+    for block in (first, _BLOCK_EDITS[edit](second), first):
+        edited.append(block)
+    rows = _block_rows(edited)
+    path = tmp_path / "r.jsonl"
+    try:
+        expected = _reference_jsonl(rows)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as got:
+            write_reports_jsonl(edited, str(path))
+        assert str(got.value) == str(exc)
+        # the rows before the failing block are written, the block's own by json.dumps
+        assert path.read_text() == _reference_jsonl(rows[:300])
+    else:
+        write_reports_jsonl(edited, str(path))
+        assert path.read_text() == expected
+        assert ("NaN" in expected) == (edit == "a NaN margin")
+
+
+def test_jsonl_writes_keep_no_token_store(tmp_path):
+    # each write formats through a store of its own, dropped when it returns
+    for seed in (5, 6):
+        blocks = harness.ReportBlocks()
+        run_all("H2*", trials=40, dims=(2, 3), seed=seed, collect=blocks)
+        write_reports_jsonl(blocks, str(tmp_path / "r.jsonl"))
+        assert (tmp_path / "r.jsonl").read_text() == _reference_jsonl(_block_rows(blocks))
+        assert not [x for x in gc.get_objects() if isinstance(x, harness._TokenStore)]
 
 
 def _read_reports_line_by_line(path: str) -> list[MarginReport]:
